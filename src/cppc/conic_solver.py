@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .jacobi import jacobi_eigh
+# perfbench/tracer.py wraps the routine under this name.
+from .matrix_core import sym_eigh as jacobi_eigh
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -265,18 +266,13 @@ def _psd_project(vec, blocks, offs):
     return out
 
 
-def _psd_violation(vec, blocks, offs, eig=None):
+def _psd_violation(vec, blocks, offs):
     worst = 0.0
     for spec, off in zip(blocks, offs):
         if not spec.psd:
             continue
         o = spec.order
-        m = vec[off : off + o * o].reshape(o, o)
-        m = 0.5 * (m + m.T)
-        if eig is None:
-            w = np.linalg.eigvalsh(m)
-        else:
-            w, _ = eig(m)
+        w, _ = jacobi_eigh(vec[off : off + o * o].reshape(o, o))
         worst = max(worst, max(0.0, -float(w[0])))
     return worst
 
@@ -675,7 +671,12 @@ _POLISH_THRESHOLDS = (1e-3, 1e-4, 1e-2, 3e-4, 1e-5, 3e-2)
 def _face_polish(p, A, b, c, v, opts, it):
     for theta in _POLISH_THRESHOLDS:
         faces = _detect_faces(p, v, theta)
-        out = _kkt_refine(p, A, b, c, v, faces)
+        try:
+            out = _kkt_refine(p, A, b, c, v, faces)
+        except np.linalg.LinAlgError:
+            # A failed factorization (e.g. an SVD in lstsq that does not
+            # converge) rejects this attempt like any other failed refine.
+            continue
         if out is None:
             continue
         vp, nu, dual_res = out
@@ -1324,94 +1325,20 @@ def _refresh_factors(p, faces_info, v):
         face["R0"] = q[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))
 
 
-def _dual_init(dual: "_DualFace"):
-    """Linear initialization: solve for (nu, Theta, N) with unstructured
-    symmetric kernel blocks, then factor the PSD part of each Theta."""
-    p, A, c = dual.p, dual.A, dual.c
-    nrows = len(dual.psd_rows) + len(dual.flat_rows)
-    cols = []
-    theta_pairs = {}
-    for bidx, W in dual.kernels.items():
-        k = W.shape[1]
-        pairs = [(a, bb) for a in range(k) for bb in range(a, k)]
-        theta_pairs[bidx] = (len(cols), pairs)
-        for (a, bb) in pairs:
-            dS = np.outer(W[:, a], W[:, bb])
-            dS = dS + dS.T if a != bb else np.outer(W[:, a], W[:, a])
-            col = np.zeros(nrows)
-            for i, (bj, r, ccol) in enumerate(dual.psd_rows):
-                if bj == bidx:
-                    col[i] = -dS[r, ccol]
-            cols.append(col)
-    nn_col0 = len(cols)
-    for (bidx, r, ccol) in dual.nn_entries:
-        col = np.zeros(nrows)
-        for i, (bj, rr, cc) in enumerate(dual.psd_rows):
-            if (bj, rr, cc) == (bidx, r, ccol):
-                col[i] = -1.0
-        cols.append(col)
-    # nu columns
-    nu_cols = np.zeros((nrows, dual.m))
-    for i, (bidx, r, ccol) in enumerate(dual.psd_rows):
-        o = p.blocks[bidx].order
-        if dual.m:
-            nu_cols[i] = A[:, dual.offs[bidx] + r * o + ccol]
-    for i, row in enumerate(dual.flat_rows):
-        if row[0] == "block":
-            _, bidx, r, ccol = row
-            o = p.blocks[bidx].order
-            idx = dual.offs[bidx] + r * o + ccol
-        else:
-            idx = dual.scal0 + row[1]
-        if dual.m:
-            nu_cols[len(dual.psd_rows) + i] = A[:, idx]
-    rhs = np.zeros(nrows)
-    for i, (bidx, r, ccol) in enumerate(dual.psd_rows):
-        o = p.blocks[bidx].order
-        rhs[i] = -c[dual.offs[bidx] + r * o + ccol]
-    for i, row in enumerate(dual.flat_rows):
-        if row[0] == "block":
-            _, bidx, r, ccol = row
-            o = p.blocks[bidx].order
-            idx = dual.offs[bidx] + r * o + ccol
-        else:
-            idx = dual.scal0 + row[1]
-        rhs[len(dual.psd_rows) + i] = -c[idx]
-    D = np.hstack([nu_cols] + ([np.array(cols).T] if cols else []))
-    sol, *_ = np.linalg.lstsq(D, rhs, rcond=None)
-    y = np.zeros(dual.num_params)
-    y[dual.nu_slice] = sol[: dual.m]
-    for bidx, W in dual.kernels.items():
-        k = W.shape[1]
-        start, pairs = theta_pairs[bidx]
-        theta = np.zeros((k, k))
-        for offset, (a, bb) in enumerate(pairs):
-            val = sol[dual.m + start + offset]
-            theta[a, bb] = theta[bb, a] = val
-        w, q = np.linalg.eigh(theta)
-        L = q[:, w > 0] * np.sqrt(w[w > 0])
-        Lfull = np.zeros((k, k))
-        Lfull[:, : L.shape[1]] = L
-        y[dual.l_slices[bidx]] = Lfull.reshape(-1)
-    if dual.nn_entries:
-        y[dual.nn_slice] = sol[dual.m + nn_col0 : dual.m + nn_col0 + len(dual.nn_entries)]
-    return y
-
-
 def kkt_residuals(p: ConicProgram, block_values, scalar_values=()):
     """Exact residual evaluation at a given point; no iteration.
 
     Returns the equality residual (infinity norm), the cone violation (worst
     negative eigenvalue over PSD blocks and worst negative entry over
     nonnegativity-constrained coordinates) and the objective value.  The
-    spectral part uses the Jacobi eigensolver.
+    spectral part uses the checked ``sym_eigh``.
     """
     v = p.vectorize_point(block_values, scalar_values)
     A, b = p.constraint_matrix()
     c = p.objective_vector()
     offs, _ = p.block_offsets()
     eq = float(np.abs(A @ v - b).max()) if A.shape[0] else 0.0
-    psd_viol = _psd_violation(v, p.blocks, offs, eig=jacobi_eigh)
+    psd_viol = _psd_violation(v, p.blocks, offs)
     nn_mask = _nonneg_index(p)
     nn_viol = float(max(0.0, -(v[nn_mask].min() if nn_mask.any() else 0.0)))
     return {

@@ -1,4 +1,5 @@
-"""Dense symmetric matrices and arrowhead partial matrices.
+"""Dense symmetric matrices, their checked eigendecomposition, and
+arrowhead partial matrices.
 
 An arrowhead partial matrix has a fully specified northwest block ``X`` of
 order ``n1``, arm cross blocks ``Z_i`` (``n2`` x ``n1``) and arm diagonal
@@ -80,6 +81,46 @@ class SymMatrix:
     @staticmethod
     def identity(order: int) -> "SymMatrix":
         return SymMatrix(np.eye(order))
+
+
+def sym_eigh(M, tol: float = 1e-13):
+    """Checked eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
+
+    Accepts a ``SymMatrix`` or a square array, which is symmetrised first.
+    The result is accepted only when the a-posteriori bound
+
+        ``||A V - V diag(w)||_F + max|w| * ||V^T V - I||_F <= tol * ||A||_F``
+
+    holds.  For orthonormal ``V``, ``A - V diag(w) V^T`` is symmetric with
+    2-norm ``||A V - V diag(w)||_2``, so by Weyl's inequality every ``w[k]``
+    lies within the bound of the k-th eigenvalue of ``A``; the second term
+    accounts, to first order, for the orthogonality defect of the computed
+    ``V`` (Kahan's residual bounds; Parlett, *The Symmetric Eigenvalue
+    Problem*, SIAM 1998, ch. 11).
+
+    Returns ``(w, v)``: eigenvalues in ascending order and orthonormal
+    eigenvectors, column ``v[:, k]`` belonging to ``w[k]``.  Raises
+    ``ValueError`` on non-square or non-finite input and
+    ``np.linalg.LinAlgError`` when the bound fails.
+    """
+    a = M.array if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    a = 0.5 * (a + a.T)
+    w, v = np.linalg.eigh(a)
+    bound = float(np.linalg.norm(a @ v - v * w))
+    if w.size:
+        defect = np.linalg.norm(v.T @ v - np.eye(w.size))
+        bound += float(np.abs(w).max() * defect)
+    threshold = tol * float(np.linalg.norm(a))
+    if bound > threshold:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition residual bound {bound:.3e} exceeds "
+            f"{threshold:.3e}"
+        )
+    return w, v
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,9 @@ from .conic_solver import (
     SolveResult,
     solve,
 )
-from .jacobi import jacobi_eigh
 from .matrix_core import SymMatrix
+# perfbench/tracer.py wraps the routine under this name.
+from .matrix_core import sym_eigh as jacobi_eigh
 
 PROVEN_EXACT = "ProvenExact"
 UNKNOWN = "Unknown"
@@ -445,7 +446,7 @@ def rank_one_certificate(sol: RelaxationSolution, tol: float = KERNEL_TOL) -> bo
     """True iff every block's second eigenvalue is below ``tol`` times its
     largest."""
     for blk in sol.blocks:
-        w, _ = jacobi_eigh(blk.array)
+        w, _ = jacobi_eigh(blk)
         if blk.order >= 2 and w[-2] > tol * max(w[-1], 0.0):
             return False
     return True
@@ -454,7 +455,7 @@ def rank_one_certificate(sol: RelaxationSolution, tol: float = KERNEL_TOL) -> bo
 def kernel_vectors(M: SymMatrix, tol: float = KERNEL_TOL):
     """Orthonormal eigenvectors with eigenvalues below ``tol`` times the
     spectral scale."""
-    w, v = jacobi_eigh(M.array if isinstance(M, SymMatrix) else np.asarray(M, float))
+    w, v = jacobi_eigh(M)
     scale = max(float(np.abs(w).max()), 1e-12)
     return [v[:, k].copy() for k in range(w.size) if abs(w[k]) <= tol * scale]
 

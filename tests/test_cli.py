@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from cppc.cli import RunConfig, dumps_json, main, run
@@ -102,6 +103,18 @@ class TestErrors:
             main(["frobnicate", "whatever.json"])
         assert exc.value.code == 1
 
+    def test_eigen_bound_failure_is_numerical_failure(self, capsys, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(m):
+            w, v = eigh(m)
+            return w, v + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        code, _, err = run_capture(capsys, "check", fixture("completable_arrowhead.json"))
+        assert code == 2
+        assert "numerical failure" in err and "residual bound" in err
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -131,9 +144,3 @@ class TestJsonWriter:
         code = main(["oracle", fixture("qp_two_constraints.json"), "--out", str(out_path), "--quiet"])
         assert code == 0
         assert json.loads(out_path.read_text())["kind"] == "qp"
-
-    def test_thread_cap_env_accepted(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CPPC_THREADS", "2")
-        out_path = tmp_path / "report.json"
-        code = main(["oracle", fixture("qp_two_constraints.json"), "--out", str(out_path), "--quiet"])
-        assert code == 0

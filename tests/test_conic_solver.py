@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from cppc import conic_solver
 from cppc.conic_solver import (
     INFEASIBLE,
     MAX_ITERS,
     OPTIMAL,
     ConicProgram,
     SolveOptions,
+    SolveResult,
     kkt_residuals,
     solve,
 )
@@ -92,6 +94,19 @@ class TestSolveBasics:
         res = solve(triangle_lp())
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(-2.0 / 3.0, abs=1e-9)
+
+    def test_polish_factorization_failure_rejects_attempt(self, monkeypatch):
+        attempts = []
+
+        def failing_refine(*args):
+            attempts.append(args)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(conic_solver, "_kkt_refine", failing_refine)
+        res = solve(triangle_lp())
+        assert isinstance(res, SolveResult)
+        assert attempts
+        assert "face polish" not in res.diagnostics
 
     def test_relaxation_value(self, qp_two_constraints):
         res = solve(build_sparse_relaxation(qp_two_constraints))

@@ -10,6 +10,7 @@ from cppc.matrix_core import (
     assemble_completion,
     extract_block,
     partial_frobenius,
+    sym_eigh,
 )
 
 from conftest import partial_matrix_from_full
@@ -199,3 +200,51 @@ def test_json_round_trip(pm_completable):
     assert np.array_equal(back.zero_filled().array, pm_completable.zero_filled().array)
     with pytest.raises(ValueError):
         PartialMatrix.from_json_dict({"n1": 2})
+
+
+class TestSymEigh:
+    def test_reconstruction_and_orthogonality(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 83):
+            g = rng.standard_normal((n, n))
+            a = g + g.T
+            w, v = sym_eigh(a)
+            assert np.allclose(w, np.linalg.eigvalsh(a), atol=1e-10)
+            assert np.allclose((v * w) @ v.T, a, atol=1e-10)
+            assert np.allclose(v.T @ v, np.eye(n), atol=1e-12)
+            w_sym, v_sym = sym_eigh(SymMatrix(a))
+            assert np.array_equal(w_sym, w) and np.array_equal(v_sym, v)
+
+    def test_eigenvalues_sorted_ascending(self):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((6, 6))
+        w, _ = sym_eigh(a + a.T)
+        assert np.all(np.diff(w) >= 0)
+
+    def test_handles_zero_and_diagonal(self):
+        w, v = sym_eigh(np.zeros((3, 3)))
+        assert np.all(w == 0.0)
+        assert np.allclose(v.T @ v, np.eye(3))
+        w, _ = sym_eigh(np.diag([3.0, -1.0, 2.0]))
+        assert np.allclose(w, [-1.0, 2.0, 3.0])
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            sym_eigh(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            sym_eigh(np.ones(3))
+        with pytest.raises(ValueError):
+            sym_eigh(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_bound_failure_reported(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((8, 8))
+        eigh = np.linalg.eigh
+
+        def perturbed(m):
+            w, v = eigh(m)
+            return w, v + 1e-8
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(np.linalg.LinAlgError):
+            sym_eigh(a + a.T)
