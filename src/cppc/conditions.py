@@ -5,14 +5,17 @@ The data ``(f_i, g_i, d_i)`` defines one linear coupling constraint per arm,
 constraint ``f_0^T x = d_0``.  Three conditions are checked:
 
   i.   every ``g_i`` lies in the interior of the dual of ``Ki``;
-  ii.  the shared-part feasible region is bounded (decided through its
-       recession cone when the cones are orthant-representable, or through a
-       single provably bounded constraint set);
+  ii.  the shared-part feasible region is bounded (settled by a single
+       provably bounded constraint set, or, when the cones are
+       orthant-representable, decided by simplex LPs on its recession cone
+       and on the region itself; see ``lp``);
   iii. some constraint's x-projection is contained in all the others,
        certified by per-arm scalar multipliers.
 
 All checks are conservative: a returned certificate re-verifies exactly,
-while a failure only means "no certificate found", never a disproof.
+while a failure only means "no certificate found", never a disproof.  Each
+LP certificate (optimal point and duals, or Farkas vector) is re-checked in
+numpy; one that fails its check makes the verdict Inconclusive.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import oracles
+from . import lp
 from .cones import (
+    FREE,
     ORTHANT,
     ZERO,
     GroundCone,
@@ -126,94 +130,70 @@ def check_Fi_bounded_sufficient(data: ConstraintData, i: int) -> bool:
     return interior_dual_contains(data.K0, data.f[i]) and data.d[i] >= 0.0
 
 
-def _kept_coords(K0: GroundCone):
-    """Indices of non-zero-cone coordinates and their orthant flags."""
-    kinds = K0.coordinate_kinds()
-    keep = [j for j, k in enumerate(kinds) if k != ZERO]
-    is_orth = np.array([kinds[j] == ORTHANT for j in keep], dtype=bool)
-    return keep, is_orth
+def _split_rows(data: ConstraintData):
+    """Rows ``f_0 .. f_S`` over the non-zero-cone coordinates of ``K0``, as
+    coefficients of ``(x_orth, p, q)`` with free coordinates split ``p - q``;
+    also the orthant and free coordinate counts."""
+    kinds = data.K0.coordinate_kinds()
+    orth = [j for j, k in enumerate(kinds) if k == ORTHANT]
+    free_ = [j for j, k in enumerate(kinds) if k == FREE]
+    F = np.array(data.f)
+    return np.hstack([F[:, orth], F[:, free_], -F[:, free_]]), len(orth), len(free_)
 
 
-def _recession_norm_max(data: ConstraintData):
-    """Maximum of an l1-type norm over the recession cone of the shared-part
-    region intersected with a normalizing box; zero iff that cone is {0}.
+def _recession_norm_max(data: ConstraintData) -> float:
+    """Largest of ``sum of orthant coordinates`` and each ``|x_j|``, free j,
+    over the recession cone of the shared-part region intersected with the
+    box ``sum of orthant coordinates <= 1``, ``|x_j| <= 1``; zero iff that
+    cone is {0}.  With orthant coordinates only it is the l1-norm maximum.
 
-    The box is ``sum of orthant coordinates <= 1`` plus ``[-1, 1]`` bounds on
-    free coordinates, so the program is a convex maximization over a bounded
-    polytope and the maximum sits at a vertex.
+    Each maximum is one LP over ``(x_orth, p, q)`` with ``p_j + q_j <= 1``.
+    Every row is an inequality with a nonnegative right-hand side, so the
+    slack basis starts phase 2 at the origin.
     """
-    keep, is_orth = _kept_coords(data.K0)
-    n = len(keep)
-    if n == 0:
-        return 0.0
-    rows, rhs = [], []
-    f0 = data.f[0][keep]
-    if np.any(f0):
-        rows.append(f0)
-        rhs.append(0.0)
-        rows.append(-f0)
-        rhs.append(0.0)
-    for i in range(1, data.S + 1):
-        fi = data.f[i][keep]
-        if np.any(fi):
-            rows.append(fi)
-            rhs.append(0.0)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = -1.0 if is_orth[j] else 1.0
-        if is_orth[j]:
-            rows.append(e)
-            rhs.append(0.0)
-        else:
-            rows.append(e)
-            rhs.append(1.0)
-            rows.append(-e)
-            rhs.append(1.0)
-    budget = np.where(is_orth, 1.0, 0.0)
-    if budget.any():
-        rows.append(budget)
-        rhs.append(1.0)
-    verts = oracles.polyhedron_vertices(np.array(rows), np.array(rhs), nonneg=False)
+    rows, n_orth, n_free = _split_rows(data)
+    width = rows.shape[1]
+    budget = np.r_[np.ones(n_orth), np.zeros(2 * n_free)]
+    pairs = np.hstack([np.zeros((n_free, n_orth)), np.eye(n_free), np.eye(n_free)])
+    G = np.vstack([rows[:1], -rows[:1], rows[1:], budget[None, :], pairs])
+    h = np.r_[np.zeros(data.S + 2), 1.0, np.ones(n_free)]
+    A = np.hstack([G, np.eye(G.shape[0])])
+    objectives = [budget]
+    for j in range(n_free):
+        e = np.zeros(width)
+        e[n_orth + j], e[n_orth + n_free + j] = 1.0, -1.0
+        objectives += [e, -e]
     best = 0.0
-    for x in verts:
-        val = float(np.sum(x[is_orth])) + float(np.sum(np.abs(x[~is_orth])))
-        best = max(best, val)
+    for obj in objectives:
+        res = lp.solve(-np.r_[obj, np.zeros(G.shape[0])], A, h)
+        if res.status != lp.OPTIMAL:
+            raise np.linalg.LinAlgError(f"recession LP over a box reported {res.status}")
+        best = max(best, float(obj @ res.v[:width]))
     return best
 
 
-def _shared_region_nonempty(data: ConstraintData) -> bool:
-    """Phase-1 feasibility of ``{x in K0 : f_0^T x = d_0, f_i^T x <= d_i}``."""
-    keep, is_orth = _kept_coords(data.K0)
-    n = len(keep)
-    if n == 0:
-        ok0 = abs(data.d[0]) <= _EXACT_TOL or not np.any(data.f[0])
-        return ok0 and all(data.d[i] >= -_EXACT_TOL for i in range(1, data.S + 1))
-    n_free = int((~is_orth).sum())
-    # Columns: orthant coords, then split free coords (p - q), then slacks.
-    rows, rhs = [], []
-    arm_rows = []
-    f0 = data.f[0][keep]
-    if np.any(f0):
-        rows.append((f0, None))
-        rhs.append(data.d[0])
-    for i in range(1, data.S + 1):
-        rows.append((data.f[i][keep], len(arm_rows)))
-        arm_rows.append(i)
-        rhs.append(data.d[i])
-    m = len(rows)
-    n_slack = len(arm_rows)
-    width = int(is_orth.sum()) + 2 * n_free + n_slack
-    A = np.zeros((m, width))
-    orth_idx = np.where(is_orth)[0]
-    free_idx = np.where(~is_orth)[0]
-    for r, (frow, slack) in enumerate(rows):
-        A[r, : orth_idx.size] = frow[orth_idx]
-        A[r, orth_idx.size : orth_idx.size + n_free] = frow[free_idx]
-        A[r, orth_idx.size + n_free : orth_idx.size + 2 * n_free] = -frow[free_idx]
-        if slack is not None:
-            A[r, orth_idx.size + 2 * n_free + slack] = 1.0
-    point = oracles.standard_form_feasible_point(A, np.array(rhs))
-    return point is not None
+def _shared_region_form(data: ConstraintData):
+    """``(A, b)`` with ``{v >= 0 : A v = b}`` the shared-part region
+    ``{x in K0 : f_0^T x = d_0, f_i^T x <= d_i}``: columns ``(x_orth, p, q)``
+    and one slack per arm."""
+    rows, _, _ = _split_rows(data)
+    A = np.hstack([rows[1:], np.eye(data.S)])
+    b = np.array(data.d[1:])
+    if np.any(data.f[0]):
+        A = np.vstack([np.r_[rows[0], np.zeros(data.S)], A])
+        b = np.r_[data.d[0], b]
+    return A, b
+
+
+def _shared_region_nonempty(data: ConstraintData):
+    """Phase 1 of the simplex on ``_shared_region_form``: ``(True, v)`` with
+    a verified point ``v`` of the region, or ``(False, y)`` with a verified
+    Farkas vector ``y`` (``A^T y <= 0``, ``b . y > 0``)."""
+    A, b = _shared_region_form(data)
+    res = lp.solve(np.zeros(A.shape[1]), A, b)
+    if res.status == lp.OPTIMAL:
+        return True, res.v
+    return False, res.y
 
 
 def check_boundedness(data: ConstraintData) -> BoundednessVerdict:
@@ -223,8 +203,11 @@ def check_boundedness(data: ConstraintData) -> BoundednessVerdict:
     A single constraint set that the interior test proves bounded settles the
     question immediately.  Otherwise, when the cones are orthant-representable
     on at least one side and every ``g_i`` passes the interior test, the
-    recession cone of the x-projection is evaluated exactly by vertex
-    enumeration.
+    decision is made by LPs whose certificates are re-verified: the recession
+    cone of the x-projection is {0} (Bounded), or it is not and the region
+    has a point (NotBounded), or the region has a Farkas certificate of
+    emptiness (Bounded).  A certificate that fails its check gives
+    Inconclusive.
     """
     cond_i = check_cond_i(data)
     if check_Fi_bounded_sufficient(data, 0):
@@ -246,11 +229,12 @@ def check_boundedness(data: ConstraintData) -> BoundednessVerdict:
         )
     try:
         ray_max = _recession_norm_max(data)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        return BoundednessVerdict(INCONCLUSIVE, f"recession solve failed: {exc}")
-    if ray_max <= 1e-9:
-        return BoundednessVerdict(BOUNDED, "recession cone of the x-projection is {0}")
-    if _shared_region_nonempty(data):
+        if ray_max <= 1e-9:
+            return BoundednessVerdict(BOUNDED, "recession cone of the x-projection is {0}")
+        nonempty, _ = _shared_region_nonempty(data)
+    except np.linalg.LinAlgError as exc:
+        return BoundednessVerdict(INCONCLUSIVE, f"boundedness LP failed: {exc}")
+    if nonempty:
         return BoundednessVerdict(
             NOT_BOUNDED, f"recession direction with norm {ray_max:.3g} exists"
         )

@@ -1,10 +1,11 @@
-"""Exhaustive small-scale oracles: basic-solution LP enumeration and
-active-set QP enumeration.
+"""Exhaustive small-scale oracles: basic-solution LP enumeration, vertex
+enumeration and active-set QP enumeration.
 
-These are deliberately naive and exact (up to linear algebra roundoff) so
-they can serve both as internal decision procedures for tiny subproblems and
-as independent references in tests.  Complexity is combinatorial; callers
-keep dimensions in the single digits.
+These are deliberately naive and exact (up to linear algebra roundoff).
+They are independent references for the tests, for ``cppc oracle`` and for
+the benchmark; no decision procedure uses them (boundedness is decided by
+the simplex in ``lp``).  Complexity is combinatorial in the
+number of rows; callers keep dimensions in the single digits.
 """
 
 from __future__ import annotations

@@ -1,6 +1,12 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+from cppc import oracles
+from cppc.cli import parse_completion_problem
+from cppc.completion import certify_completable
 from cppc.conditions import (
     BOUNDED,
     INCONCLUSIVE,
@@ -13,8 +19,13 @@ from cppc.conditions import (
     point_in_projection,
     sample_projection_points,
     scalar_lambda_feasible,
+    _recession_norm_max,
+    _shared_region_form,
+    _shared_region_nonempty,
 )
-from cppc.cones import free, orthant, product
+from cppc.cones import ORTHANT, ZERO, free, orthant, product, zero
+from cppc.oracles import polyhedron_vertices, standard_form_feasible_point
+from cppc.qp_relax import QPInstance, _polytope_bounded
 
 
 def width_one_data(f_list, g_list, d_list, K0, f0=None, d0=0.0):
@@ -102,6 +113,80 @@ class TestBoundedness:
         # two-sided rows pin the free coordinate
         data = width_one_data([[1.0], [-1.0]], [1.0, 1.0], [1.0, 1.0], free(1))
         assert check_boundedness(data).status == BOUNDED
+
+
+    def test_shared_row_on_zero_coordinates_only(self):
+        # f0 touches only the zero-cone coordinate, so f0.x = 0 != d0 = 1 and
+        # the region is empty, although the recession cone is not {0}.
+        data = ConstraintData.build(
+            product(zero(1), orthant(1)),
+            [orthant(1)],
+            [np.array([1.0, 0.0]), np.array([1.0, -1.0])],
+            [np.ones(1)],
+            [1.0, 1.0],
+        )
+        verdict = check_boundedness(data)
+        assert verdict.status == BOUNDED
+        assert verdict.reason == "x-projection region is empty"
+
+    def test_failed_certificate_is_inconclusive(self, monkeypatch):
+        # Neither row alone bounds the region, so the recession LP decides;
+        # a corrupted basis solve must not pass its certificate check.
+        data = width_one_data(
+            [[1.0, -0.5], [-0.5, 1.0]], [1.0, 1.0], [1.0, 1.0], orthant(2)
+        )
+        assert check_boundedness(data).status == BOUNDED
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda M, r: -solve(M, r))
+        verdict = check_boundedness(data)
+        assert verdict.status == INCONCLUSIVE
+        assert "certificate failed" in verdict.reason
+
+
+class TestNoSubsetEnumeration:
+    """Decision procedures finish without the enumeration oracles."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_oracles(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a decision procedure enumerated subsets")
+
+        for name in ("polyhedron_vertices", "standard_form_feasible_point",
+                     "lp_minimize_standard"):
+            monkeypatch.setattr(oracles, name, forbidden)
+
+    @staticmethod
+    def mixed_rows(rng, S, n):
+        # Row i is negative in coordinate i mod n, so no row alone bounds the
+        # region, while every column sum stays positive: the region is bounded.
+        F = rng.uniform(0.2, 1.0, (S, n))
+        F[np.arange(S), np.arange(S) % n] = -rng.uniform(0.05, 0.3, S)
+        return F
+
+    def test_mixed_arrowhead_n10(self):
+        rng = np.random.default_rng(7)
+        F = self.mixed_rows(rng, 14, 10)
+        data = width_one_data(F, rng.uniform(0.5, 1.5, 14), np.ones(14), orthant(10))
+        verdict = check_boundedness(data)
+        assert verdict.status == BOUNDED
+        assert "recession cone" in verdict.reason
+
+    def test_polytope_bounded_mixed_qp_n8(self):
+        rng = np.random.default_rng(8)
+        G = rng.standard_normal((8, 8))
+        qp = QPInstance.build(-G @ G.T / 8, np.zeros(8), self.mixed_rows(rng, 8, 8),
+                              np.ones(8))
+        assert _polytope_bounded(qp)
+
+    @pytest.mark.parametrize(
+        "name", ["completable_arrowhead.json", "noncompletable_arrowhead.json"]
+    )
+    def test_arrowhead_fixtures(self, name):
+        path = os.path.join(os.path.dirname(__file__), "fixtures", name)
+        with open(path, encoding="utf-8") as fh:
+            problem = parse_completion_problem(json.load(fh))
+        cert = certify_completable(problem)
+        assert cert.report is None or cert.report.boundedness.status == BOUNDED
 
 
 class TestScalarLambda:
@@ -221,3 +306,83 @@ def test_bounded_verdict_matches_ray_probing():
             and np.linalg.norm(x) > 1e5
         ]
         assert not far
+
+
+def vertex_recession_max(data):
+    """Reference for ``_recession_norm_max``: the largest l1 norm (orthant
+    sum plus free absolute values) over the vertices of the recession cone
+    cut by the box, by exhaustive vertex enumeration."""
+    kinds = data.K0.coordinate_kinds()
+    keep = [j for j, k in enumerate(kinds) if k != ZERO]
+    is_orth = np.array([kinds[j] == ORTHANT for j in keep], dtype=bool)
+    n = len(keep)
+    f0 = data.f[0][keep]
+    rows = [f0, -f0] + [data.f[i][keep] for i in range(1, data.S + 1)]
+    rhs = [0.0] * len(rows)
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        if is_orth[j]:
+            rows.append(-e)
+            rhs.append(0.0)
+        else:
+            rows += [e, -e]
+            rhs += [1.0, 1.0]
+    if is_orth.any():
+        rows.append(is_orth.astype(float))
+        rhs.append(1.0)
+    verts = polyhedron_vertices(np.array(rows), np.array(rhs), nonneg=False)
+    return max(
+        (float(x[is_orth].sum() + np.abs(x[~is_orth]).sum()) for x in verts),
+        default=0.0,
+    )
+
+
+def random_shared_data(rng, n_max=5, S_max=6):
+    """Small data over an orthant or orthant-times-free ``K0``; arm rows with
+    mixed signs, some negative right-hand sides, sometimes a shared row."""
+    n = int(rng.integers(1, n_max + 1))
+    S = int(rng.integers(1, S_max + 1))
+    n_free = int(rng.integers(0, n + 1)) if rng.random() < 0.5 else 0
+    K0 = orthant(n) if n_free == 0 else product(orthant(n - n_free), free(n_free))
+    f = [rng.uniform(-1.0, 1.0, n) * (rng.random() < 0.9) for _ in range(S)]
+    d = rng.uniform(-0.5, 1.5, S)
+    if rng.random() < 0.3:
+        return width_one_data(f, [1.0] * S, d, K0, rng.uniform(-1.0, 1.0, n),
+                              float(rng.uniform(-1.0, 1.0)))
+    return width_one_data(f, [1.0] * S, d, K0)
+
+
+def test_recession_lp_matches_vertex_enumeration():
+    rng = np.random.default_rng(5)
+    zero = positive = 0
+    for _ in range(200):
+        data = random_shared_data(rng)
+        ref = vertex_recession_max(data)
+        got = _recession_norm_max(data)
+        assert (got <= 1e-9) == (ref <= 1e-9)
+        if data.K0.is_orthant_like():
+            assert got == pytest.approx(ref, abs=1e-9)
+        zero += ref <= 1e-9
+        positive += ref > 1e-9
+    assert zero >= 20 and positive >= 20
+
+
+def test_region_phase_one_matches_enumeration():
+    # Smaller sizes than above: the reference enumerates every basis of the
+    # phase-1 system, C(columns + rows, rows) of them.
+    rng = np.random.default_rng(6)
+    empty = nonempty = 0
+    for _ in range(200):
+        data = random_shared_data(rng, n_max=3, S_max=4)
+        A, b = _shared_region_form(data)
+        ref = standard_form_feasible_point(A, b)
+        ok, cert = _shared_region_nonempty(data)
+        assert ok == (ref is not None)
+        if ok:
+            assert cert.min() >= 0.0 and np.allclose(A @ cert, b, atol=1e-9)
+        else:
+            assert np.all(A.T @ cert <= 1e-9) and b @ cert > 0.0
+        empty += not ok
+        nonempty += ok
+    assert empty >= 20 and nonempty >= 20
