@@ -26,7 +26,7 @@ import numpy as np
 from . import completion as completion_mod
 from . import oracles, qp_relax
 from .conditions import ConstraintData
-from .cones import GroundCone, orthant
+from .cones import GroundCone
 from .conic_solver import SolveOptions
 from .matrix_core import PartialMatrix
 
@@ -116,19 +116,9 @@ def parse_completion_problem(obj: dict) -> completion_mod.CompletionProblem:
     if data_keys and data_keys != {"f", "g", "d"}:
         raise InputError("constraint data requires all of f, g, d")
     if data_keys:
-        f = [np.asarray(v, dtype=float) for v in obj["f"]]
-        g = [float(v) for v in obj["g"]]
-        d = [float(v) for v in obj["d"]]
-        f0 = np.asarray(obj.get("f0", np.zeros(problem.n)), dtype=float)
-        d0 = float(obj.get("d0", 0.0))
-        data = ConstraintData.build(
-            problem.K,
-            [orthant(1)] * problem.S,
-            [f0] + f,
-            [np.atleast_1d(v) for v in g],
-            [d0] + d,
+        problem.data = ConstraintData.width_one(
+            problem.K, obj["f"], obj["g"], obj["d"], obj.get("f0"), obj.get("d0", 0.0)
         )
-        problem.data = data
     return problem
 
 

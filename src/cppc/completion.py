@@ -30,6 +30,7 @@ from .conic_solver import (
     OPTIMAL,
     ConicProgram,
     SolveOptions,
+    _entry_functional,
     solve,
 )
 from .cones import GroundCone, MembershipVerdict, is_dnn, orthant
@@ -167,19 +168,6 @@ def _block_residuals(problem: CompletionProblem, data: ConstraintData):
     return per_arm, f0_pair
 
 
-def _width_one_data(problem: CompletionProblem, f, g, d, f0=None, d0=0.0) -> ConstraintData:
-    """Assemble width-one constraint data (each arm cone is a ray)."""
-    S = problem.S
-    f0 = np.zeros(problem.n) if f0 is None else np.asarray(f0, dtype=float)
-    return ConstraintData.build(
-        problem.K,
-        [orthant(1)] * S,
-        [f0] + [np.asarray(fi, dtype=float) for fi in f],
-        [np.atleast_1d(float(gi)) for gi in g],
-        [float(d0)] + [float(di) for di in d],
-    )
-
-
 @dataclass
 class FindDataOptions:
     tol: float = 1e-8
@@ -309,7 +297,7 @@ def _find_data_rank_one(problem: CompletionProblem, opts: FindDataOptions):
         f_list.append(fref / denom)
         g_list.append(gref / denom)
         d_list.append(1.0)
-    data = _width_one_data(problem, f_list, g_list, d_list)
+    data = ConstraintData.width_one(problem.K, f_list, g_list, d_list)
     return data if _data_admissible(problem, data, opts) else None
 
 
@@ -430,7 +418,7 @@ def find_data_exact_small(problem: CompletionProblem, opts: Optional[FindDataOpt
         f = [fc for fc, _, _ in combo]
         g = [gc for _, gc, _ in combo]
         d = [dc for _, _, dc in combo]
-        data = _width_one_data(problem, f, g, d)
+        data = ConstraintData.width_one(problem.K, f, g, d)
         if _data_admissible(problem, data, opts):
             return data, diagnostics
     return None, diagnostics
@@ -501,8 +489,8 @@ def _find_data_heuristic(problem: CompletionProblem, opts: FindDataOptions):
             return None
         per_arm.append(found)
     for combo in itertools.product(*per_arm):
-        data = _width_one_data(
-            problem,
+        data = ConstraintData.width_one(
+            problem.K,
             [fc for fc, _, _ in combo],
             [gc for _, gc, _ in combo],
             [dc for _, _, dc in combo],
@@ -537,12 +525,9 @@ def complete_numeric(problem: CompletionProblem,
         for c in range(r, total):
             if not spec_mask[r, c]:
                 continue
-            coeff = np.zeros((total, total))
-            if r == c:
-                coeff[r, c] = 1.0
-            else:
-                coeff[r, c] = coeff[c, r] = 0.5
-            prog.add_equality(float(zf[r, c]), blocks={bidx: coeff})
+            prog.add_equality(
+                float(zf[r, c]), blocks={bidx: _entry_functional(total, r, c)}
+            )
     opts = solver_opts or SolveOptions(tol_primal=1e-8, max_iters=30000)
     res = solve(prog, opts)
     if res.status != OPTIMAL:

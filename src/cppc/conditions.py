@@ -34,6 +34,7 @@ from .cones import (
     cone_contains,
     dual_cone,
     interior_dual_contains,
+    orthant,
 )
 
 BOUNDED = "Bounded"
@@ -78,6 +79,19 @@ class ConstraintData:
         if not np.any(f[0]) and d[0] != 0.0:
             raise ValueError("a zero shared vector requires a zero right-hand side")
         return ConstraintData(K0, Ki, f, g, d)
+
+    @staticmethod
+    def width_one(K0, f, g, d, f0=None, d0=0.0) -> "ConstraintData":
+        """Width-one data: every arm cone is a ray, so each ``g_i`` is a
+        scalar; ``f0`` defaults to the vacuous zero shared constraint."""
+        f0 = np.zeros(K0.dim) if f0 is None else f0
+        return ConstraintData.build(
+            K0,
+            [orthant(1)] * len(g),
+            [f0] + list(f),
+            [np.atleast_1d(float(gi)) for gi in g],
+            [d0] + list(d),
+        )
 
     @property
     def S(self) -> int:

@@ -36,7 +36,8 @@ class BlockSpec:
 
     ``nonneg_mask`` optionally restricts the entrywise nonnegativity to a
     symmetric boolean mask (used when some coordinates of the underlying
-    ground cone are free).
+    ground cone are free).  After construction it is always an array: all
+    true when omitted, all false when ``nonneg`` is off.
 
     ``forced_kernel`` lists vectors (columns) that every feasible value of
     the block is known to annihilate; such vectors arise when an equality
@@ -64,6 +65,10 @@ class BlockSpec:
             if not np.array_equal(m, m.T):
                 raise ValueError("nonneg_mask must be symmetric")
             self.nonneg_mask = m
+        if not self.nonneg:
+            self.nonneg_mask = np.zeros((self.order, self.order), dtype=bool)
+        elif self.nonneg_mask is None:
+            self.nonneg_mask = np.ones((self.order, self.order), dtype=bool)
         if self.forced_kernel is not None:
             k = np.asarray(self.forced_kernel, dtype=float)
             if k.ndim == 1:
@@ -213,23 +218,31 @@ class ConicProgram:
 
 @dataclass
 class SolveOptions:
+    """Acceptance tolerances, iteration budget and whether to face-polish."""
+
     tol_primal: float = 1e-7
     tol_dual: float = 1e-7
     tol_gap: float = 1e-6
     max_iters: int = 100000
-    scaling: bool = True
-    over_relaxation: float = 1.6
-    rho: float = 1.0
-    adaptive_rho: bool = True
-    check_every: int = 25
-    stall_window: int = 4000
-    stall_threshold: float = 1e-4
     polish: bool = True
-    polish_every: int = 500
-    #: Tiny quadratic centering term; selects the minimum-norm point of a
-    #: flat optimal face.  The bias it introduces is removed by the polish
-    #: step and allowed for in the gap acceptance threshold.
-    tikhonov: float = 1e-6
+
+
+#: ADMM over-relaxation factor and initial penalty (adapted every 100
+#: iterations when the primal and dual residuals drift apart).
+_OVER_RELAXATION = 1.6
+_RHO = 1.0
+#: Residuals are checked every ``_CHECK_EVERY`` iterations; the run stops as
+#: stalled when the combined residual has not dropped by 5% for
+#: ``_STALL_WINDOW`` iterations and is still above ``_STALL_THRESHOLD``.
+_CHECK_EVERY = 25
+_STALL_WINDOW = 4000
+_STALL_THRESHOLD = 1e-4
+#: Period of face-polish attempts before the scaled loop converges.
+_POLISH_EVERY = 500
+#: Tiny quadratic centering term; selects the minimum-norm point of a flat
+#: optimal face.  The bias it introduces is removed by the polish step and
+#: allowed for in the gap acceptance threshold.
+_TIKHONOV = 1e-6
 
 
 @dataclass
@@ -266,28 +279,30 @@ def _psd_project(vec, blocks, offs):
     return out
 
 
-def _psd_violation(vec, blocks, offs):
-    worst = 0.0
-    for spec, off in zip(blocks, offs):
-        if not spec.psd:
-            continue
-        o = spec.order
-        w, _ = jacobi_eigh(vec[off : off + o * o].reshape(o, o))
-        worst = max(worst, max(0.0, -float(w[0])))
-    return worst
+def _primal_residuals(p: ConicProgram, A, b, v):
+    """``(equality, cone)`` residuals of ``v`` on the original data: the
+    largest equality violation, and the worst negative eigenvalue (checked
+    ``sym_eigh``) over PSD blocks or negative entry over
+    nonnegativity-constrained coordinates."""
+    eq = float(np.abs(A @ v - b).max()) if A.shape[0] else 0.0
+    cone = 0.0
+    offs, _ = p.block_offsets()
+    for spec, off in zip(p.blocks, offs):
+        if spec.psd:
+            o = spec.order
+            w, _ = jacobi_eigh(v[off : off + o * o].reshape(o, o))
+            cone = max(cone, -float(w[0]))
+    nn = v[_nonneg_index(p)]
+    if nn.size:
+        cone = max(cone, -float(nn.min()))
+    return eq, cone
 
 
 def _nonneg_index(p: ConicProgram) -> np.ndarray:
     offs, scal0 = p.block_offsets()
     mask = np.zeros(p.num_vars, dtype=bool)
     for spec, off in zip(p.blocks, offs):
-        if not spec.nonneg:
-            continue
-        o = spec.order
-        if spec.nonneg_mask is None:
-            mask[off : off + o * o] = True
-        else:
-            mask[off : off + o * o] = spec.nonneg_mask.reshape(-1)
+        mask[off : off + spec.order**2] = spec.nonneg_mask.reshape(-1)
     for j, s in enumerate(p.scalars):
         if s.nonneg:
             mask[scal0 + j] = True
@@ -361,11 +376,8 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
                 diagnostics="equality system is inconsistent",
             )
 
-    if opts.scaling and m:
-        D, E = _ruiz_scale(A, p)
-    else:
-        D, E = np.ones(n), np.ones(m)
-    As = (E[:, None] * A) * D[None, :] if m else A.copy()
+    D, E = _ruiz_scale(A, p)
+    As = (E[:, None] * A) * D[None, :]
     bs = E * b
     cs = D * c
     sigma = 1.0 / max(1.0, np.abs(cs).max())
@@ -373,9 +385,9 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     Ginv = np.linalg.pinv(As @ As.T) if m else None
     AsT = As.T
 
-    rho = opts.rho
-    alpha = opts.over_relaxation
-    eps = opts.tikhonov
+    rho = _RHO
+    alpha = _OVER_RELAXATION
+    eps = _TIKHONOV
     v = np.zeros(n)
     z1 = np.zeros(n)
     z2 = np.zeros(n)
@@ -412,7 +424,7 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
         u1 = u1 + v1h - z1
         u2 = u2 + v2h - z2
 
-        if it % opts.check_every == 0 or it == opts.max_iters:
+        if it % _CHECK_EVERY == 0 or it == opts.max_iters:
             rp = max(
                 float(np.abs(As @ v - bs).max()) if m else 0.0,
                 float(np.abs(v - z1).max()),
@@ -426,13 +438,13 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
                 best_res = combined
                 best_res_at = it
             elif (
-                it - best_res_at >= opts.stall_window
-                and combined > opts.stall_threshold
+                it - best_res_at >= _STALL_WINDOW
+                and combined > _STALL_THRESHOLD
             ):
                 stalled = True
                 break
 
-            if opts.adaptive_rho and it % 100 == 0:
+            if it % 100 == 0:
                 if rp > 10.0 * rd and rho < 1e6:
                     rho *= 2.0
                     u1 *= 0.5
@@ -447,7 +459,7 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
                 and rd <= tighten * opts.tol_dual * b_scale
             )
             attempt_polish = opts.polish and (
-                converged_scaled or it % opts.polish_every == 0
+                converged_scaled or it % _POLISH_EVERY == 0
             )
             if attempt_polish:
                 polished = _face_polish(p, A, b, c, D * v, opts, it)
@@ -513,9 +525,7 @@ def _solve_deflated(p: ConicProgram, opts: SolveOptions) -> SolveResult:
     lifts = []
     for spec in p.blocks:
         if spec.forced_kernel is None:
-            red.blocks.append(
-                BlockSpec(spec.order, spec.psd, spec.nonneg, spec.nonneg_mask, spec.name)
-            )
+            red.blocks.append(spec)
             lifts.append(None)
             continue
         U = _kernel_complement(spec.forced_kernel, spec.order)
@@ -553,17 +563,12 @@ def _solve_deflated(p: ConicProgram, opts: SolveOptions) -> SolveResult:
 
     # Slack rows for the entrywise nonnegativity of deflated blocks.
     for spec, lift in zip(p.blocks, lifts):
-        if lift is None or lift[0] == "zero" or not spec.nonneg:
+        if lift is None or lift[0] == "zero":
             continue
         U, new_idx = lift[1], lift[2]
-        mask = (
-            spec.nonneg_mask
-            if spec.nonneg_mask is not None
-            else np.ones((spec.order, spec.order), bool)
-        )
         for r in range(spec.order):
             for c in range(r, spec.order):
-                if not mask[r, c]:
+                if not spec.nonneg_mask[r, c]:
                     continue
                 s = red.add_scalar(nonneg=True, name=f"{spec.name}[{r},{c}]")
                 red.add_equality(
@@ -610,13 +615,7 @@ def _finalize(p, A, b, c, v_scaled, mu, D, E, sigma, opts, it):
     m = A.shape[0]
     v = D * v_scaled
     nu = (E * mu) / sigma if m else np.zeros(0)
-    offs, _ = p.block_offsets()
-    nn_mask = _nonneg_index(p)
-
-    eq_res = float(np.abs(A @ v - b).max()) if m else 0.0
-    psd_viol = _psd_violation(v, p.blocks, offs)
-    nn_viol = float(max(0.0, -(v[nn_mask].min() if nn_mask.any() else 0.0)))
-    cone_viol = max(psd_viol, nn_viol)
+    eq_res, cone_viol = _primal_residuals(p, A, b, v)
     obj = float(c @ v) + p.obj_constant
     dual_obj = float(-(b @ nu)) + p.obj_constant if m else p.obj_constant
     gap = abs(obj - dual_obj)
@@ -633,7 +632,7 @@ def _finalize(p, A, b, c, v_scaled, mu, D, E, sigma, opts, it):
     # The centering term shifts the stationarity system by 2*eps*v_scaled,
     # which biases the measured gap by about that much times the iterate
     # norm; allow for the known bias when accepting.
-    bias = 2.0 * opts.tikhonov * float(v_scaled @ v_scaled) / sigma
+    bias = 2.0 * _TIKHONOV * float(v_scaled @ v_scaled) / sigma
     ok = (
         eq_res <= opts.tol_primal * scale
         and cone_viol <= opts.tol_primal * scale
@@ -684,14 +683,10 @@ def _face_polish(p, A, b, c, v, opts, it):
         m = A.shape[0]
         dual_obj = float(-(b @ nu)) + p.obj_constant if m else p.obj_constant
         gap = abs(obj - dual_obj)
-        offs, _ = p.block_offsets()
-        nn_mask = _nonneg_index(p)
+        eq_res, cone_viol = _primal_residuals(p, A, b, vp)
         residuals = {
-            "equality": float(np.abs(A @ vp - b).max()) if m else 0.0,
-            "cone": max(
-                _psd_violation(vp, p.blocks, offs),
-                float(max(0.0, -(vp[nn_mask].min() if nn_mask.any() else 0.0))),
-            ),
+            "equality": eq_res,
+            "cone": cone_viol,
             "dual": dual_res,
             "gap": gap,
             "gap_relative": gap / max(1.0, abs(obj), abs(dual_obj)),
@@ -720,6 +715,9 @@ def _detect_faces(p, v, theta):
         o = spec.order
         mblk = v[off : off + o * o].reshape(o, o)
         mblk = 0.5 * (mblk + mblk.T)
+        # Nonnegativity-constrained entries near zero; every later update of
+        # this mask stays inside ``nonneg_mask``.
+        active = spec.nonneg_mask & (mblk <= theta * scale_v)
         if spec.psd:
             w, q = np.linalg.eigh(mblk)
             thr = theta * max(float(w.max(initial=0.0)), 1e-3)
@@ -729,27 +727,16 @@ def _detect_faces(p, v, theta):
                     "kind": "psd",
                     "rank": int(keep.sum()),
                     "R0": q[:, keep] * np.sqrt(np.maximum(w[keep], 0.0)),
-                    "active": _active_entries(spec, mblk, theta * scale_v),
+                    "active": active,
                 }
             )
         else:
-            faces.append(
-                {"kind": "nn", "active": _active_entries(spec, mblk, theta * scale_v)}
-            )
+            faces.append({"kind": "nn", "active": active})
     active_scalars = np.zeros(len(p.scalars), dtype=bool)
     for j, s in enumerate(p.scalars):
         if s.nonneg and v[scal0 + j] <= theta * scale_v:
             active_scalars[j] = True
     return faces, active_scalars
-
-
-def _active_entries(spec, mblk, thr):
-    """Symmetric mask of nonnegativity-constrained entries near zero."""
-    o = spec.order
-    if not spec.nonneg:
-        return np.zeros((o, o), dtype=bool)
-    mask = spec.nonneg_mask if spec.nonneg_mask is not None else np.ones((o, o), bool)
-    return mask & (mblk <= thr)
 
 
 def _gauss_newton(residual, jacobian, x, scale, max_iter=20, tol=1e-12):
@@ -921,14 +908,9 @@ class _JointFace:
         for bidx, (spec, face) in enumerate(zip(p.blocks, self.faces)):
             if face["kind"] != "nn":
                 continue
-            mask = (
-                spec.nonneg_mask
-                if spec.nonneg_mask is not None
-                else np.ones((spec.order, spec.order), bool)
-            )
             for r in range(spec.order):
                 for ccol in range(r, spec.order):
-                    if spec.nonneg and mask[r, ccol] and face["active"][r, ccol]:
+                    if face["active"][r, ccol]:
                         continue
                     self.flat_rows.append(("block", bidx, r, ccol))
         for j, s in enumerate(p.scalars):
@@ -1064,15 +1046,9 @@ class _DualLinear:
                     for ccol in range(r, o):
                         rows.append(("psd", bidx, r, ccol))
             else:
-                mask = (
-                    spec.nonneg_mask
-                    if spec.nonneg_mask is not None
-                    else np.ones((o, o), bool)
-                )
                 for r in range(o):
                     for ccol in range(r, o):
-                        active = spec.nonneg and mask[r, ccol] and face["active"][r, ccol]
-                        rows.append(("flat", bidx, r, ccol, active))
+                        rows.append(("flat", bidx, r, ccol, face["active"][r, ccol]))
         for j, s in enumerate(p.scalars):
             active = s.nonneg and active_scalars[j]
             rows.append(("scalar", j, active))
@@ -1154,19 +1130,6 @@ class _DualLinear:
         out[self.nn_slice] = np.maximum(y[self.nn_slice], 0.0)
         out[self.flat_slice] = np.maximum(y[self.flat_slice], 0.0)
         return out
-
-    def cone_violation(self, y):
-        worst = 0.0
-        for bidx, (sl, k) in self.theta_slices.items():
-            if k == 0:
-                continue
-            theta = _sym_from_upper(y[sl], k)
-            worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(theta).min())))
-        if self.nn_entries:
-            worst = max(worst, max(0.0, -float(y[self.nn_slice].min())))
-        if self.flat_duals:
-            worst = max(worst, max(0.0, -float(y[self.flat_slice].min())))
-        return worst
 
     def solve(self, tol, max_iters=25000):
         """Alternating projections; returns a sign-feasible ``y`` with small
@@ -1251,23 +1214,12 @@ def _kkt_refine(p, A, b, c, v, faces_info, max_refine: int = 8):
         flips = 0
         tol_v = 1e-9 * max(1.0, float(np.abs(vp).max()))
         offs, scal0 = p.block_offsets()
-        for bidx, (spec, face) in enumerate(zip(p.blocks, faces)):
-            if not spec.nonneg:
-                continue
+        for spec, off, face in zip(p.blocks, offs, faces):
             o = spec.order
-            mask = (
-                spec.nonneg_mask
-                if spec.nonneg_mask is not None
-                else np.ones((o, o), bool)
-            )
-            blkv = vp[offs[bidx] : offs[bidx] + o * o].reshape(o, o)
-            for r in range(o):
-                for ccol in range(r, o):
-                    if mask[r, ccol] and not face["active"][r, ccol]:
-                        if blkv[r, ccol] < -tol_v:
-                            face["active"][r, ccol] = True
-                            face["active"][ccol, r] = True
-                            flips += 1
+            blkv = vp[off : off + o * o].reshape(o, o)
+            flip = np.triu(spec.nonneg_mask & ~face["active"] & (blkv < -tol_v))
+            face["active"] |= flip | flip.T
+            flips += int(flip.sum())
         for j, s in enumerate(p.scalars):
             if s.nonneg and not active_scalars[j] and vp[scal0 + j] < -tol_v:
                 active_scalars[j] = True
@@ -1295,12 +1247,8 @@ def _kkt_refine(p, A, b, c, v, faces_info, max_refine: int = 8):
         nu = y[:m]
 
         # Full verification on the original data.
-        if m and np.abs(A @ vp - b).max() > 1e-9 * scale_b:
-            return None
-        nn_mask = _nonneg_index(p)
-        if nn_mask.any() and vp[nn_mask].min() < -tol_v:
-            return None
-        if _psd_violation(vp, p.blocks, offs) > tol_v:
+        eq_res, cone_viol = _primal_residuals(p, A, b, vp)
+        if eq_res > 1e-9 * scale_b or cone_viol > tol_v:
             return None
         obj = float(c @ vp)
         dual_obj = float(-(b @ nu)) if m else 0.0
@@ -1336,13 +1284,9 @@ def kkt_residuals(p: ConicProgram, block_values, scalar_values=()):
     v = p.vectorize_point(block_values, scalar_values)
     A, b = p.constraint_matrix()
     c = p.objective_vector()
-    offs, _ = p.block_offsets()
-    eq = float(np.abs(A @ v - b).max()) if A.shape[0] else 0.0
-    psd_viol = _psd_violation(v, p.blocks, offs)
-    nn_mask = _nonneg_index(p)
-    nn_viol = float(max(0.0, -(v[nn_mask].min() if nn_mask.any() else 0.0)))
+    eq_res, cone_viol = _primal_residuals(p, A, b, v)
     return {
-        "equality": eq,
-        "cone": max(psd_viol, nn_viol),
+        "equality": eq_res,
+        "cone": cone_viol,
         "objective": float(c @ v) + p.obj_constant,
     }

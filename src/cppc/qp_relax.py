@@ -29,6 +29,7 @@ from .conic_solver import (
     ConicProgram,
     SolveOptions,
     SolveResult,
+    _entry_functional,
     solve,
 )
 from .matrix_core import SymMatrix
@@ -160,7 +161,7 @@ class RelaxationSolution:
     X: SymMatrix
     x: np.ndarray
     arms: list  # per arm: dict(z=..., y=..., Y=...)
-    blocks: list  # per-arm full DNN blocks of order n+2
+    blocks: list  # per-arm DNN blocks of order n+2; the order-(n+1) one if m = 0
     objective: float
     solver: SolveResult
 
@@ -178,89 +179,36 @@ class ExactnessReport:
     solution: Optional[RelaxationSolution] = None
 
 
-def _entry(order, r, c):
-    m = np.zeros((order, order))
-    if r == c:
-        m[r, c] = 1.0
-    else:
-        m[r, c] = m[c, r] = 0.5
-    return m
-
-
-def _block_nonneg_mask(K: GroundCone, extra_leading=1, extra_trailing=1):
-    kinds = K.coordinate_kinds()
-    nn = np.array(
-        [True] * extra_leading
-        + [kind == cones.ORTHANT for kind in kinds]
-        + [True] * extra_trailing
-    )
-    return np.outer(nn, nn)
-
-
 def build_sparse_relaxation(qp: QPInstance) -> ConicProgram:
     """One DNN block of order n+2 per inequality row, sharing ``(1, x, X)``.
 
-    Each block carries the pair ``f_i^T x + y_i = d_i`` and ``f_i f_i^T . X
-    + 2 f_i^T z_i + Y_i = d_i^2``; the pair forces ``(-d_i, f_i, 1)`` into
-    the block kernel, which is declared to the solver.  The lifted objective
-    is ``A . X + 2 a^T x`` on the first block.
+    Each row ``F_i x <= d_i`` is read as width-one arm data ``(f_i, g_i,
+    d_i) = (F_i, 1, d_i)`` with no coupling terms, so the program is the
+    general relaxation of that data: block i carries the pair ``f_i^T x +
+    y_i = d_i`` and ``f_i f_i^T . X + 2 f_i^T z_i + Y_i = d_i^2``, whose
+    forced kernel ``(-d_i, f_i, 1)`` is declared to the solver, and the
+    lifted objective ``A . X + 2 a^T x`` sits on the first block.
     """
     n, m = qp.n, qp.m
-    order = n + 2
-    prog = ConicProgram()
     if m == 0:
         # Degenerate: no inequalities, a single lifted corner block.
+        prog = ConicProgram()
         prog.notes.append("no inequality rows; northwest block only")
-        mask = _block_nonneg_mask(qp.K, 1, 0)
-        bidx = prog.add_block(n + 1, nonneg_mask=mask, name="M0")
-        prog.add_equality(1.0, blocks={bidx: _entry(n + 1, 0, 0)})
+        nn = np.array([True] + [k == cones.ORTHANT for k in qp.K.coordinate_kinds()])
+        bidx = prog.add_block(n + 1, nonneg_mask=np.outer(nn, nn), name="M0")
+        prog.add_equality(1.0, blocks={bidx: _entry_functional(n + 1, 0, 0)})
         obj = np.zeros((n + 1, n + 1))
         obj[1:, 1:] = qp.A.array
         obj[0, 1:] = qp.a
         obj[1:, 0] = qp.a
         prog.set_objective(blocks={bidx: obj})
         return prog
-
-    mask = _block_nonneg_mask(qp.K, 1, 1)
-    blocks = []
-    for i in range(m):
-        kern = np.concatenate([[-qp.d[i]], qp.F[i], [1.0]])
-        blocks.append(
-            prog.add_block(order, nonneg_mask=mask, name=f"M{i+1}", forced_kernel=kern)
+    data = ConstraintData.width_one(qp.K, qp.F, np.ones(m), qp.d)
+    return build_general_relaxation(
+        GeneralInstance.build(
+            qp.A, 2.0 * qp.a, [np.zeros(n)] * m, [0.0] * m, [SymMatrix([[0.0]])] * m, data
         )
-    for i, bidx in enumerate(blocks):
-        f = qp.F[i]
-        prog.add_equality(1.0, blocks={bidx: _entry(order, 0, 0)})
-        lin = np.zeros((order, order))
-        lin[0, 1 : n + 1] = f / 2.0
-        lin[1 : n + 1, 0] = f / 2.0
-        lin[0, n + 1] = lin[n + 1, 0] = 0.5
-        prog.add_equality(float(qp.d[i]), blocks={bidx: lin})
-        quad = np.zeros((order, order))
-        quad[1 : n + 1, 1 : n + 1] = np.outer(f, f)
-        quad[1 : n + 1, n + 1] = f
-        quad[n + 1, 1 : n + 1] = f
-        quad[n + 1, n + 1] = 1.0
-        prog.add_equality(float(qp.d[i]) ** 2, blocks={bidx: quad})
-    # Share the (1, x, X) corner across blocks.
-    for r in range(n + 1):
-        for c in range(r, n + 1):
-            if (r, c) == (0, 0):
-                continue
-            for i in range(1, m):
-                prog.add_equality(
-                    0.0,
-                    blocks={
-                        blocks[i]: _entry(order, r, c),
-                        blocks[0]: -_entry(order, r, c),
-                    },
-                )
-    obj = np.zeros((order, order))
-    obj[1 : n + 1, 1 : n + 1] = qp.A.array
-    obj[0, 1 : n + 1] = qp.a
-    obj[1 : n + 1, 0] = qp.a
-    prog.set_objective(blocks={blocks[0]: obj})
-    return prog
+    )
 
 
 def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
@@ -303,7 +251,7 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
         f = data.f[i + 1]
         g = data.g[i]
         d = data.d[i + 1]
-        prog.add_equality(1.0, blocks={bidx: _entry(order, 0, 0)})
+        prog.add_equality(1.0, blocks={bidx: _entry_functional(order, 0, 0)})
         lin = np.zeros((order, order))
         lin[0, xs] = f / 2.0
         lin[xs, 0] = f / 2.0
@@ -334,8 +282,8 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
                 prog.add_equality(
                     0.0,
                     blocks={
-                        blocks[i]: _entry(order, r, c),
-                        blocks[0]: -_entry(order, r, c),
+                        blocks[i]: _entry_functional(order, r, c),
+                        blocks[0]: -_entry_functional(order, r, c),
                     },
                 )
     obj = {}
@@ -380,7 +328,7 @@ def build_dense_reformulation(qp: QPInstance) -> ConicProgram:
         name="dense",
         forced_kernel=np.column_stack(kerns) if kerns else None,
     )
-    prog.add_equality(1.0, blocks={bidx: _entry(order, 0, 0)})
+    prog.add_equality(1.0, blocks={bidx: _entry_functional(order, 0, 0)})
     for i in range(m):
         lin = np.zeros((order, order))
         lin[0, 1 : n + 1] = qp.F[i] / 2.0
@@ -401,21 +349,20 @@ def build_dense_reformulation(qp: QPInstance) -> ConicProgram:
 
 def extract_solution(qp: QPInstance, res: SolveResult) -> RelaxationSolution:
     n = qp.n
-    first = 0.5 * (res.block_values[0] + res.block_values[0].T)
+    # Without rows the only block is the northwest one, and it is the block
+    # the rank-one certificate must inspect.
+    blocks = [SymMatrix(0.5 * (blk + blk.T)) for blk in res.block_values]
+    first = blocks[0].array
     x = first[0, 1 : n + 1].copy()
     X = SymMatrix(first[1 : n + 1, 1 : n + 1])
-    arms = []
-    blocks = []
-    for i in range(qp.m):
-        blk = 0.5 * (res.block_values[i] + res.block_values[i].T)
-        blocks.append(SymMatrix(blk))
-        arms.append(
-            {
-                "z": blk[1 : n + 1, n + 1].copy(),
-                "y": float(blk[0, n + 1]),
-                "Y": float(blk[n + 1, n + 1]),
-            }
-        )
+    arms = [
+        {
+            "z": blk.array[1 : n + 1, n + 1].copy(),
+            "y": float(blk.array[0, n + 1]),
+            "Y": float(blk.array[n + 1, n + 1]),
+        }
+        for blk in blocks[: qp.m]
+    ]
     return RelaxationSolution(X, x, arms, blocks, res.objective, res)
 
 
@@ -560,13 +507,7 @@ def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
 
 
 def _polytope_bounded(qp: QPInstance) -> bool:
-    data = ConstraintData.build(
-        qp.K,
-        [orthant(1)] * qp.m,
-        [np.zeros(qp.n)] + [qp.F[i] for i in range(qp.m)],
-        [np.ones(1)] * qp.m,
-        [0.0] + [float(v) for v in qp.d],
-    )
+    data = ConstraintData.width_one(qp.K, qp.F, np.ones(qp.m), qp.d)
     return check_boundedness(data).status == BOUNDED
 
 

@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-from cppc import completion as cmod
 from cppc import cones
 from cppc.completion import (
     CERTIFIED,
@@ -70,8 +69,8 @@ def test_criterion_1_two_constraint_qp_end_to_end(qp_two_constraints):
 def test_criterion_2_completable_fixture(pm_completable):
     start = time.time()
     problem = CompletionProblem.from_partial_matrix(pm_completable)
-    data = cmod._width_one_data(
-        problem, [np.array([1.0]), np.array([1.0])], [1.0, 2.0], [1.0, 1.0]
+    data = ConstraintData.width_one(
+        problem.K, [np.array([1.0]), np.array([1.0])], [1.0, 2.0], [1.0, 1.0]
     )
     rep = build_condition_report(data)
     assert rep.cond_i == [True, True]

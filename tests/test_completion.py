@@ -16,7 +16,7 @@ from cppc.completion import (
     verify_block_constraints,
 )
 from cppc import cones
-from cppc.conditions import build_condition_report
+from cppc.conditions import ConstraintData, build_condition_report
 from cppc.matrix_core import ArrowheadPattern, PartialMatrix, SymMatrix, agrees
 
 from conftest import partial_matrix_from_factor
@@ -24,8 +24,8 @@ from conftest import partial_matrix_from_factor
 
 def stated_data(problem):
     # f1 = f2 = g1 = 1, g2 = 2, d = (1, 1), vacuous shared constraint
-    return cmod._width_one_data(
-        problem, [np.array([1.0]), np.array([1.0])], [1.0, 2.0], [1.0, 1.0]
+    return ConstraintData.width_one(
+        problem.K, [np.array([1.0]), np.array([1.0])], [1.0, 2.0], [1.0, 1.0]
     )
 
 

@@ -29,15 +29,7 @@ from cppc.qp_relax import QPInstance, _polytope_bounded
 
 
 def width_one_data(f_list, g_list, d_list, K0, f0=None, d0=0.0):
-    S = len(g_list)
-    f0 = np.zeros(K0.dim) if f0 is None else np.asarray(f0, dtype=float)
-    return ConstraintData.build(
-        K0,
-        [orthant(1)] * S,
-        [f0] + [np.asarray(v, dtype=float) for v in f_list],
-        [np.atleast_1d(float(g)) for g in g_list],
-        [d0] + [float(v) for v in d_list],
-    )
+    return ConstraintData.width_one(K0, f_list, g_list, d_list, f0, d0)
 
 
 @pytest.fixture

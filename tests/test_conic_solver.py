@@ -6,6 +6,7 @@ from cppc.conic_solver import (
     INFEASIBLE,
     MAX_ITERS,
     OPTIMAL,
+    BlockSpec,
     ConicProgram,
     SolveOptions,
     SolveResult,
@@ -153,6 +154,28 @@ class TestSolveBasics:
         assert "stall" in res.diagnostics or "budget" in res.diagnostics
 
 
+class TestBlockSpecMask:
+    def test_omitted_mask_is_all_true(self):
+        assert BlockSpec(3).nonneg_mask.tolist() == [[True] * 3] * 3
+
+    def test_block_without_nonneg_gets_all_false(self):
+        assert not BlockSpec(3, nonneg=False).nonneg_mask.any()
+        given = np.eye(2, dtype=bool)
+        assert not BlockSpec(2, nonneg=False, nonneg_mask=given).nonneg_mask.any()
+
+    def test_given_mask_is_kept(self):
+        given = np.array([[1, 0], [0, 1]])
+        mask = BlockSpec(2, nonneg_mask=given).nonneg_mask
+        assert mask.dtype == bool
+        assert np.array_equal(mask, given.astype(bool))
+
+    def test_bad_masks_rejected(self):
+        with pytest.raises(ValueError):
+            BlockSpec(2, nonneg_mask=np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            BlockSpec(2, nonneg_mask=np.array([[1, 1], [0, 1]]))
+
+
 class TestKktResiduals:
     def test_optimal_results_reverify(self, qp_two_constraints):
         p = build_sparse_relaxation(qp_two_constraints)
@@ -210,12 +233,21 @@ class TestAgainstVertexEnumeration:
 
 class TestScalingAndDeflation:
     def test_scaling_invariance(self, qp_two_constraints):
-        p1 = build_sparse_relaxation(qp_two_constraints)
-        p2 = build_sparse_relaxation(qp_two_constraints)
-        r_on = solve(p1, SolveOptions(scaling=True))
-        r_off = solve(p2, SolveOptions(scaling=False))
-        assert r_on.status == r_off.status == OPTIMAL
-        assert abs(r_on.objective - r_off.objective) <= 10 * SolveOptions().tol_gap
+        # Rescaling each equality row by 10^U(-3, 3) leaves the program's
+        # feasible set, and so its optimum, unchanged.
+        ref = solve(build_sparse_relaxation(qp_two_constraints))
+        scaled = build_sparse_relaxation(qp_two_constraints)
+        rows, scaled.equalities = scaled.equalities, []
+        factors = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, len(rows))
+        for (bc, sc, rhs), t in zip(rows, factors):
+            scaled.add_equality(
+                t * rhs,
+                blocks={k: t * C for k, C in bc.items()},
+                scalars={k: t * a for k, a in sc.items()},
+            )
+        res = solve(scaled)
+        assert ref.status == res.status == OPTIMAL
+        assert abs(ref.objective - res.objective) <= 10 * SolveOptions().tol_gap
 
     def test_deflation_matches_plain_solve(self):
         # On a program where both paths converge, declaring the forced kernel

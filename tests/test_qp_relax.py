@@ -3,7 +3,7 @@ import pytest
 
 from cppc.conditions import ConstraintData
 from cppc.cones import orthant, product, free
-from cppc.conic_solver import OPTIMAL, solve
+from cppc.conic_solver import OPTIMAL, SolveResult, kkt_residuals, solve
 from cppc.matrix_core import SymMatrix
 from cppc.oracles import qp_global_minimum
 from cppc.qp_relax import (
@@ -143,6 +143,35 @@ class TestBuilders:
             )
 
 
+def test_rank_one_lift_satisfies_sparse_relaxation():
+    # Property: the lift of any feasible x (one block outer((1, x, d_i -
+    # F_i x)) per row, or outer((1, x)) without rows) is feasible for the
+    # relaxation, with objective qp.objective(x).
+    rng = np.random.default_rng(7)
+    for k in range(60):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(0, 5))
+        n_free = int(rng.integers(1, n + 1)) if k % 2 else 0
+        K = product(orthant(n - n_free), free(n_free)) if n_free else orthant(n)
+        x = np.concatenate([rng.uniform(0.0, 2.0, n - n_free), rng.normal(size=n_free)])
+        F = rng.uniform(-1.0, 1.0, (m, n))
+        d = F @ x + rng.uniform(0.0, 1.0, m)
+        Q = rng.standard_normal((n, n))
+        qp = QPInstance.build(0.5 * (Q + Q.T), rng.standard_normal(n), F, d, K)
+        assert qp.feasible(x)
+        if m == 0:
+            lifts = [np.concatenate([[1.0], x])]
+        else:
+            lifts = [np.concatenate([[1.0], x, [d[i] - F[i] @ x]]) for i in range(m)]
+        blocks = [np.outer(z, z) for z in lifts]
+        out = kkt_residuals(build_sparse_relaxation(qp), blocks)
+        scale = max(1.0, max(float(np.abs(b).max()) for b in blocks))
+        assert out["equality"] <= 1e-12 * scale
+        assert out["cone"] <= 1e-12 * scale
+        obj = qp.objective(x)
+        assert abs(out["objective"] - obj) <= 1e-12 * max(1.0, abs(obj))
+
+
 class TestBounds:
     def test_two_constraint_fixture(self, qp_two_constraints):
         lower, sol, upper = solve_bounds(qp_two_constraints)
@@ -190,6 +219,20 @@ class TestRankOne:
             bumped.append(SymMatrix(arr))
         sol.blocks = bumped
         assert not rank_one_certificate(sol, tol=tol)
+
+    def test_no_rows_checks_the_northwest_block(self):
+        # Without rows the northwest block is the relaxation's only block; a
+        # rank-two one must not pass as rank one.
+        qp = QPInstance.build(-np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+        z1, z2 = np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0])
+        for M, expected in (
+            (0.5 * np.outer(z1, z1) + 0.5 * np.outer(z2, z2), False),
+            (np.outer(z1, z1), True),
+        ):
+            res = SolveResult(OPTIMAL, [M], np.zeros(0), 0.0, {}, 0, np.zeros(1))
+            sol = extract_solution(qp, res)
+            assert len(sol.blocks) == 1 and sol.arms == []
+            assert rank_one_certificate(sol) is expected
 
 
 class TestKernelVectors:
