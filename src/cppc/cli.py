@@ -26,7 +26,7 @@ import numpy as np
 from . import completion as completion_mod
 from . import oracles, qp_relax
 from .conditions import ConstraintData
-from .cones import GroundCone
+from .cones import ORTHANT, GroundCone
 from .conic_solver import SolveOptions
 from .matrix_core import PartialMatrix
 
@@ -186,6 +186,15 @@ def run_check(config: RunConfig, obj: dict) -> dict:
     }
 
 
+def _completion_dict(completion) -> dict:
+    return {
+        "full": completion.full.to_lists(),
+        "unspecified_entries": {
+            f"{r},{c}": val for (r, c), val in sorted(completion.unspecified_entries().items())
+        },
+    }
+
+
 def run_complete(config: RunConfig, obj: dict) -> dict:
     problem = parse_completion_problem(obj)
     res = completion_mod.complete_numeric(problem, _solver_opts(config))
@@ -197,13 +206,7 @@ def run_complete(config: RunConfig, obj: dict) -> dict:
         "oracle": None,
     }
     if res.completion is not None:
-        out["completion"] = {
-            "full": res.completion.full.to_lists(),
-            "unspecified_entries": {
-                f"{r},{c}": val
-                for (r, c), val in sorted(res.completion.unspecified_entries().items())
-            },
-        }
+        out["completion"] = _completion_dict(res.completion)
         return out
     pairs = problem.S * (problem.S - 1) // 2
     if pairs <= 3:
@@ -216,15 +219,7 @@ def run_complete(config: RunConfig, obj: dict) -> dict:
         if orc.completion is not None:
             out["found"] = True
             out["diagnostics"] += "; grid oracle found a completion"
-            out["completion"] = {
-                "full": orc.completion.full.to_lists(),
-                "unspecified_entries": {
-                    f"{r},{c}": val
-                    for (r, c), val in sorted(
-                        orc.completion.unspecified_entries().items()
-                    )
-                },
-            }
+            out["completion"] = _completion_dict(orc.completion)
     return out
 
 
@@ -277,7 +272,7 @@ def run_oracle(config: RunConfig, obj: dict) -> dict:
     if "A" in obj and "F" in obj:
         qp = qp_relax.QPInstance.from_json_dict(obj)
         kinds = qp.K.coordinate_kinds()
-        nonneg = [j for j in range(qp.n) if kinds[j] == "orthant"]
+        nonneg = [j for j in range(qp.n) if kinds[j] == ORTHANT]
         val, x = oracles.qp_global_minimum(qp.A.array, qp.a, qp.F, qp.d, nonneg)
         return {
             "kind": "qp",

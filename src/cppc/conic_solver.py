@@ -17,7 +17,7 @@ data before a result is declared Optimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -507,7 +507,7 @@ def _entry_functional(order: int, r: int, c: int) -> np.ndarray:
     return m
 
 
-def _kernel_complement(kernel: np.ndarray, order: int) -> np.ndarray:
+def _kernel_complement(kernel: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the kernel columns."""
     u, s, _ = np.linalg.svd(kernel, full_matrices=True)
     rank = int(np.sum(s > 1e-12 * max(1.0, s.max(initial=0.0))))
@@ -522,37 +522,30 @@ def _solve_deflated(p: ConicProgram, opts: SolveOptions) -> SolveResult:
     original equalities so multipliers map back positionally.
     """
     red = ConicProgram()
+    # Per block: None when the kernel spans everything (the block is
+    # identically zero and dropped), else (U, index in ``red``) with U the
+    # complement basis of a deflated block and None for a kept one.
     lifts = []
     for spec in p.blocks:
         if spec.forced_kernel is None:
             red.blocks.append(spec)
+            lifts.append((None, len(red.blocks) - 1))
+            continue
+        U = _kernel_complement(spec.forced_kernel)
+        if U.shape[1] == 0:
             lifts.append(None)
             continue
-        U = _kernel_complement(spec.forced_kernel, spec.order)
-        if U.shape[1] == 0:
-            lifts.append(("zero",))
-            continue
         red.blocks.append(BlockSpec(U.shape[1], psd=True, nonneg=False, name=spec.name))
-        lifts.append(("deflate", U, len(red.blocks) - 1))
+        lifts.append((U, len(red.blocks) - 1))
     for s in p.scalars:
         red.scalars.append(ScalarSpec(s.nonneg, s.name))
 
     def translate(block_coeffs, scalar_coeffs):
         bc = {}
         for bidx, C in block_coeffs.items():
-            lift = lifts[bidx]
-            if lift is None:
-                # Index shift: blocks before bidx that were dropped.
-                new_idx = sum(
-                    1
-                    for j in range(bidx)
-                    if lifts[j] is None or lifts[j][0] == "deflate"
-                )
-                bc[new_idx] = C
-            elif lift[0] == "deflate":
-                U = lift[1]
-                bc[lift[2]] = U.T @ C @ U
-            # dropped (identically zero) blocks contribute nothing
+            if lifts[bidx] is not None:
+                U, new_idx = lifts[bidx]
+                bc[new_idx] = C if U is None else U.T @ C @ U
         return bc, dict(scalar_coeffs)
 
     for bc, sc, rhs in p.equalities:
@@ -563,9 +556,9 @@ def _solve_deflated(p: ConicProgram, opts: SolveOptions) -> SolveResult:
 
     # Slack rows for the entrywise nonnegativity of deflated blocks.
     for spec, lift in zip(p.blocks, lifts):
-        if lift is None or lift[0] == "zero":
+        if lift is None or lift[0] is None:
             continue
-        U, new_idx = lift[1], lift[2]
+        U, new_idx = lift
         for r in range(spec.order):
             for c in range(r, spec.order):
                 if not spec.nonneg_mask[r, c]:
@@ -580,18 +573,13 @@ def _solve_deflated(p: ConicProgram, opts: SolveOptions) -> SolveResult:
     res = solve(red, opts)
     m_orig = len(p.equalities)
     blocks_out = []
-    pos = 0
     for spec, lift in zip(p.blocks, lifts):
         if lift is None:
-            blocks_out.append(res.block_values[pos])
-            pos += 1
-        elif lift[0] == "zero":
             blocks_out.append(np.zeros((spec.order, spec.order)))
-        else:
-            U = lift[1]
-            G = res.block_values[pos]
-            pos += 1
-            blocks_out.append(U @ G @ U.T)
+            continue
+        U, new_idx = lift
+        G = res.block_values[new_idx]
+        blocks_out.append(G if U is None else U @ G @ U.T)
     scalars_out = res.scalar_values[: len(p.scalars)]
     lifted = SolveResult(
         res.status,
@@ -610,44 +598,44 @@ def _solve_deflated(p: ConicProgram, opts: SolveOptions) -> SolveResult:
     return lifted
 
 
+def _result(p, A, b, c, v, nu, it, dual=None, diagnostics=""):
+    """``Optimal`` result at the original-data point ``v`` with multipliers
+    ``nu``; the residuals are measured on the original data, and ``dual``
+    adds the face polish's dual residual to them."""
+    eq_res, cone_viol = _primal_residuals(p, A, b, v)
+    obj = float(c @ v) + p.obj_constant
+    dual_obj = float(-(b @ nu)) + p.obj_constant if A.shape[0] else p.obj_constant
+    gap = abs(obj - dual_obj)
+    residuals = {"equality": eq_res, "cone": cone_viol}
+    if dual is not None:
+        residuals["dual"] = dual
+    residuals["gap"] = gap
+    residuals["gap_relative"] = gap / max(1.0, abs(obj), abs(dual_obj))
+    residuals["dual_objective"] = dual_obj
+    blocks, scalars = p.split_vector(v)
+    return SolveResult(OPTIMAL, blocks, scalars, obj, residuals, it, nu, diagnostics)
+
+
 def _finalize(p, A, b, c, v_scaled, mu, D, E, sigma, opts, it):
     """Unscale the iterate and evaluate exact residuals on the original data."""
     m = A.shape[0]
-    v = D * v_scaled
     nu = (E * mu) / sigma if m else np.zeros(0)
-    eq_res, cone_viol = _primal_residuals(p, A, b, v)
-    obj = float(c @ v) + p.obj_constant
-    dual_obj = float(-(b @ nu)) + p.obj_constant if m else p.obj_constant
-    gap = abs(obj - dual_obj)
-    gap_rel = gap / max(1.0, abs(obj), abs(dual_obj))
-
-    residuals = {
-        "equality": eq_res,
-        "cone": cone_viol,
-        "gap": gap,
-        "gap_relative": gap_rel,
-        "dual_objective": dual_obj,
-    }
+    result = _result(p, A, b, c, D * v_scaled, nu, it)
+    res = result.residuals
     scale = 1.0 + (np.abs(b).max() if m else 0.0)
     # The centering term shifts the stationarity system by 2*eps*v_scaled,
     # which biases the measured gap by about that much times the iterate
     # norm; allow for the known bias when accepting.
     bias = 2.0 * _TIKHONOV * float(v_scaled @ v_scaled) / sigma
     ok = (
-        eq_res <= opts.tol_primal * scale
-        and cone_viol <= opts.tol_primal * scale
-        and gap <= opts.tol_gap * max(1.0, abs(obj), abs(dual_obj)) + 4.0 * bias
+        res["equality"] <= opts.tol_primal * scale
+        and res["cone"] <= opts.tol_primal * scale
+        and res["gap"]
+        <= opts.tol_gap * max(1.0, abs(result.objective), abs(res["dual_objective"]))
+        + 4.0 * bias
     )
-    blocks, scalars = p.split_vector(v)
-    result = SolveResult(
-        OPTIMAL if ok else MAX_ITERS,
-        blocks,
-        scalars,
-        obj,
-        residuals,
-        it,
-        nu,
-    )
+    if not ok:
+        result.status = MAX_ITERS
     return ok, result
 
 
@@ -663,6 +651,10 @@ def _finalize(p, A, b, c, v_scaled, mu, D, E, sigma, opts, it):
 # pair is accepted only after an exact KKT verification, so acceptance never
 # depends on the face guess being right; by convexity a verified pair is
 # optimal.
+#
+# Both systems address matrix entries by their index into the vectorized
+# variable ``v``; an entry (r, c) of a block at offset ``off`` and order
+# ``o`` sits at ``off + r*o + c``, its mirror at ``off + c*o + r``.
 
 _POLISH_THRESHOLDS = (1e-3, 1e-4, 1e-2, 3e-4, 1e-5, 3e-2)
 
@@ -679,28 +671,8 @@ def _face_polish(p, A, b, c, v, opts, it):
         if out is None:
             continue
         vp, nu, dual_res = out
-        obj = float(c @ vp) + p.obj_constant
-        m = A.shape[0]
-        dual_obj = float(-(b @ nu)) + p.obj_constant if m else p.obj_constant
-        gap = abs(obj - dual_obj)
-        eq_res, cone_viol = _primal_residuals(p, A, b, vp)
-        residuals = {
-            "equality": eq_res,
-            "cone": cone_viol,
-            "dual": dual_res,
-            "gap": gap,
-            "gap_relative": gap / max(1.0, abs(obj), abs(dual_obj)),
-            "dual_objective": dual_obj,
-        }
-        blocks, scalars = p.split_vector(vp)
-        return SolveResult(
-            OPTIMAL,
-            blocks,
-            scalars,
-            obj,
-            residuals,
-            it,
-            nu,
+        return _result(
+            p, A, b, c, vp, nu, it, dual=dual_res,
             diagnostics=f"face polish accepted at threshold {theta:g}",
         )
     return None
@@ -763,258 +735,159 @@ def _gauss_newton(residual, jacobian, x, scale, max_iter=20, tol=1e-12):
     return x, fnorm
 
 
-class _PrimalFace:
-    """Primal face parametrization: PSD blocks as ``R R^T`` at fixed rank,
-    inactive coordinates of other blocks and of scalars as free values,
-    active ones pinned to zero."""
+class _FaceBlock(NamedTuple):
+    """A PSD block of the face: its offset and order in ``v``, the rank and
+    span in ``x`` of its factor, its active upper entries ``(rows, cols)``
+    and their span in the complementarity list."""
 
-    def __init__(self, p, A, b, faces_info):
-        self.p, self.A, self.b = p, A, b
-        self.faces, self.active_scalars = faces_info
-        self.offs, self.scal0 = p.block_offsets()
-        self.m = A.shape[0]
-        self.segments = []
-        pos = 0
-        for bidx, (spec, face) in enumerate(zip(p.blocks, self.faces)):
-            if face["kind"] == "psd":
-                r = face["rank"]
-                self.segments.append(("R", bidx, slice(pos, pos + spec.order * r), r))
-                pos += spec.order * r
-        self.coords = []
-        for bidx, (spec, face) in enumerate(zip(p.blocks, self.faces)):
-            if face["kind"] != "nn":
-                continue
-            for r in range(spec.order):
-                for ccol in range(r, spec.order):
-                    if not face["active"][r, ccol]:
-                        self.coords.append((bidx, r, ccol))
-        self.scalar_idx = [
-            j for j in range(len(p.scalars)) if not self.active_scalars[j]
-        ]
-        self.coord_slice = slice(pos, pos + len(self.coords) + len(self.scalar_idx))
-        pos += len(self.coords) + len(self.scalar_idx)
-        self.num_params = pos
-        self.comp_entries = []
-        for bidx, (spec, face) in enumerate(zip(p.blocks, self.faces)):
-            if face["kind"] != "psd":
-                continue
-            for r in range(spec.order):
-                for ccol in range(r, spec.order):
-                    if face["active"][r, ccol]:
-                        self.comp_entries.append((bidx, r, ccol))
-
-    def init(self, v):
-        x = np.zeros(self.num_params)
-        for kind, bidx, sl, r in self.segments:
-            x[sl] = self.faces[bidx]["R0"].reshape(-1)
-        vals = []
-        for (bidx, r, ccol) in self.coords:
-            o = self.p.blocks[bidx].order
-            vals.append(v[self.offs[bidx] + r * o + ccol])
-        for j in self.scalar_idx:
-            vals.append(v[self.scal0 + j])
-        x[self.coord_slice] = vals
-        return x
-
-    def vector(self, x):
-        v = np.zeros(self.p.num_vars)
-        for kind, bidx, sl, r in self.segments:
-            o = self.p.blocks[bidx].order
-            R = x[sl].reshape(o, r)
-            v[self.offs[bidx] : self.offs[bidx] + o * o] = (R @ R.T).reshape(-1)
-        vals = x[self.coord_slice]
-        k = 0
-        for (bidx, r, ccol) in self.coords:
-            o = self.p.blocks[bidx].order
-            v[self.offs[bidx] + r * o + ccol] = vals[k]
-            v[self.offs[bidx] + ccol * o + r] = vals[k]
-            k += 1
-        for j in self.scalar_idx:
-            v[self.scal0 + j] = vals[k]
-            k += 1
-        return v
-
-    def residual(self, x):
-        v = self.vector(x)
-        parts = [self.A @ v - self.b if self.m else np.zeros(0)]
-        comp = []
-        for (bidx, r, ccol) in self.comp_entries:
-            o = self.p.blocks[bidx].order
-            comp.append(v[self.offs[bidx] + r * o + ccol])
-        parts.append(np.array(comp))
-        return np.concatenate(parts)
-
-    def jacobian(self, x):
-        rows = self.m + len(self.comp_entries)
-        J = np.zeros((rows, self.num_params))
-        for kind, bidx, sl, r in self.segments:
-            o = self.p.blocks[bidx].order
-            R = x[sl].reshape(o, r)
-            off = self.offs[bidx]
-            Ablk = self.A[:, off : off + o * o] if self.m else None
-            for a in range(o):
-                for j in range(r):
-                    dM = np.zeros((o, o))
-                    dM[a, :] += R[:, j]
-                    dM[:, a] += R[:, j]
-                    col = sl.start + a * r + j
-                    if self.m:
-                        J[: self.m, col] = Ablk @ dM.reshape(-1)
-                    for kc, (bb, rr, cc) in enumerate(self.comp_entries):
-                        if bb == bidx:
-                            J[self.m + kc, col] = dM[rr, cc]
-        tpos = self.coord_slice.start
-        for k, (bidx, r, ccol) in enumerate(self.coords):
-            o = self.p.blocks[bidx].order
-            off = self.offs[bidx]
-            if self.m:
-                col = self.A[:, off + r * o + ccol].copy()
-                if ccol != r:
-                    col = col + self.A[:, off + ccol * o + r]
-                J[: self.m, tpos + k] = col
-        base = len(self.coords)
-        for k, j in enumerate(self.scalar_idx):
-            if self.m:
-                J[: self.m, tpos + base + k] = self.A[:, self.scal0 + j]
-        return J
+    off: int
+    order: int
+    rank: int
+    x: slice
+    rows: np.ndarray
+    cols: np.ndarray
+    comp: slice
 
 
 class _JointFace:
     """Joint face-restricted KKT system for Gauss-Newton.
 
-    Unknowns: PSD-block factors ``R_i`` (fixed rank), inactive non-PSD
-    coordinates, equality multipliers ``nu`` and nonnegativity multipliers
-    ``N`` on active PSD-block entries.  Rows: equality feasibility,
-    per-block ``S_i R_i = 0`` with ``S_i = c_i + (A^T nu)_i - N_i``,
-    complementarity of active entries, and stationarity of non-active flat
-    coordinates.  Sign constraints are not part of the system; the dual is
-    re-derived afterwards, the joint solve only pins the primal optimizer.
+    Unknowns ``x``, in this order: the factors ``R_i`` (fixed rank, row
+    major) of the PSD blocks ``M_i = R_i R_i^T``; the free values, one per
+    inactive upper entry of the non-PSD blocks and per inactive scalar,
+    whose positions in ``v`` are ``free_up`` and (mirrored) ``free_lo``;
+    the equality multipliers ``nu``; and the multipliers ``N`` on the active
+    PSD-block entries, whose positions are ``comp``.  Rows: equality
+    feasibility, per-block ``S_i R_i = 0`` with ``S_i = c_i + (A^T nu)_i -
+    N_i``, complementarity ``v[comp] = 0`` and stationarity ``s[free_up] =
+    0`` with ``s = c + A^T nu``.  Sign constraints are not part of the
+    system; the dual is re-derived afterwards, the joint solve only pins the
+    primal optimizer.
     """
 
     def __init__(self, p, A, b, c, faces_info):
-        self.primal = _PrimalFace(p, A, b, faces_info)
-        self.p, self.A, self.b, self.c = p, A, b, c
-        self.faces, self.active_scalars = faces_info
-        self.offs, self.scal0 = p.block_offsets()
-        self.m = A.shape[0]
-        pos = self.primal.num_params
-        self.nu_slice = slice(pos, pos + self.m)
-        pos += self.m
-        self.nn_entries = list(self.primal.comp_entries)
-        self.nn_slice = slice(pos, pos + len(self.nn_entries))
-        pos += len(self.nn_entries)
-        self.num_params = pos
-        self.flat_rows = []
-        for bidx, (spec, face) in enumerate(zip(p.blocks, self.faces)):
-            if face["kind"] != "nn":
-                continue
-            for r in range(spec.order):
-                for ccol in range(r, spec.order):
-                    if face["active"][r, ccol]:
-                        continue
-                    self.flat_rows.append(("block", bidx, r, ccol))
-        for j, s in enumerate(p.scalars):
-            if s.nonneg and self.active_scalars[j]:
-                continue
-            self.flat_rows.append(("scalar", j))
+        self.A, self.b, self.c = A, b, c
+        self.num_vars = p.num_vars
+        faces, active_scalars = faces_info
+        offs, scal0 = p.block_offsets()
+        self.psd, self.R0 = [], []
+        up, lo, comp = [], [], [np.zeros(0, dtype=int)]
+        pos = ncomp = 0
+        for spec, off, face in zip(p.blocks, offs, faces):
+            o = spec.order
+            if face["kind"] == "psd":
+                r = face["rank"]
+                rows, cols = np.nonzero(np.triu(face["active"]))
+                self.psd.append(
+                    _FaceBlock(
+                        off, o, r, slice(pos, pos + o * r), rows, cols,
+                        slice(ncomp, ncomp + rows.size),
+                    )
+                )
+                self.R0.append(face["R0"])
+                comp.append(off + rows * o + cols)
+                pos += o * r
+                ncomp += rows.size
+            else:
+                rows, cols = np.nonzero(np.triu(~face["active"]))
+                up.append(off + rows * o + cols)
+                lo.append(off + cols * o + rows)
+        free_scalars = scal0 + np.flatnonzero(~active_scalars)
+        self.free_up = np.concatenate(up + [free_scalars])
+        self.free_lo = np.concatenate(lo + [free_scalars])
+        self.comp = np.concatenate(comp)
+        self.free_slice = slice(pos, pos + self.free_up.size)
+        self.nu_slice = slice(self.free_slice.stop, self.free_slice.stop + A.shape[0])
+        self.nn_slice = slice(self.nu_slice.stop, self.nu_slice.stop + ncomp)
+        self.num_params = self.nn_slice.stop
 
     def init(self, v, nu0=None):
         x = np.zeros(self.num_params)
-        x[: self.primal.num_params] = self.primal.init(v)
-        if nu0 is not None and nu0.size == self.m:
+        for blk, R0 in zip(self.psd, self.R0):
+            x[blk.x] = R0.reshape(-1)
+        x[self.free_slice] = v[self.free_up]
+        if nu0 is not None:
             x[self.nu_slice] = nu0
         return x
 
-    def _s_blocks(self, x):
-        nu = x[self.nu_slice]
-        s_full = self.c + (self.A.T @ nu if self.m else 0.0)
-        S = {}
-        for kind, bidx, sl, r in self.primal.segments:
-            o = self.p.blocks[bidx].order
-            off = self.offs[bidx]
-            blk = s_full[off : off + o * o].reshape(o, o)
-            S[bidx] = 0.5 * (blk + blk.T)
-        for val, (bidx, r, ccol) in zip(x[self.nn_slice], self.nn_entries):
-            S[bidx][r, ccol] -= val
-            S[bidx][ccol, r] -= val
-        return s_full, S
+    def vector(self, x):
+        """The point ``v`` of the face parametrized by ``x``."""
+        v = np.zeros(self.num_vars)
+        for blk in self.psd:
+            R = x[blk.x].reshape(blk.order, blk.rank)
+            v[blk.off : blk.off + blk.order**2] = (R @ R.T).reshape(-1)
+        free = x[self.free_slice]
+        v[self.free_up] = free
+        v[self.free_lo] = free
+        return v
+
+    def _slacks(self, x):
+        """``s = c + A^T nu`` and the symmetrized PSD blocks of ``s - N``."""
+        s = self.c + self.A.T @ x[self.nu_slice]
+        N = x[self.nn_slice]
+        S = []
+        for blk in self.psd:
+            o = blk.order
+            Sb = s[blk.off : blk.off + o * o].reshape(o, o)
+            Sb = 0.5 * (Sb + Sb.T)
+            Sb[blk.rows, blk.cols] -= N[blk.comp]
+            Sb[blk.cols, blk.rows] -= N[blk.comp]
+            S.append(Sb)
+        return s, S
 
     def residual(self, x):
-        xp = x[: self.primal.num_params]
-        v = self.primal.vector(xp)
-        parts = [self.A @ v - self.b if self.m else np.zeros(0)]
-        s_full, S = self._s_blocks(x)
-        for kind, bidx, sl, r in self.primal.segments:
-            o = self.p.blocks[bidx].order
-            R = xp[sl].reshape(o, r)
-            parts.append((S[bidx] @ R).reshape(-1))
-        comp = []
-        for (bidx, r, ccol) in self.primal.comp_entries:
-            o = self.p.blocks[bidx].order
-            comp.append(v[self.offs[bidx] + r * o + ccol])
-        parts.append(np.array(comp))
-        stat = []
-        for row in self.flat_rows:
-            if row[0] == "block":
-                _, bidx, r, ccol = row
-                o = self.p.blocks[bidx].order
-                stat.append(s_full[self.offs[bidx] + r * o + ccol])
-            else:
-                stat.append(s_full[self.scal0 + row[1]])
-        parts.append(np.array(stat))
+        v = self.vector(x)
+        s, S = self._slacks(x)
+        parts = [self.A @ v - self.b]
+        for blk, Sb in zip(self.psd, S):
+            parts.append((Sb @ x[blk.x].reshape(blk.order, blk.rank)).reshape(-1))
+        parts += [v[self.comp], s[self.free_up]]
         return np.concatenate(parts)
 
     def jacobian(self, x):
-        xp = x[: self.primal.num_params]
-        Jp = self.primal.jacobian(xp)  # rows: equality + comp
-        m = self.m
-        n_comp = len(self.primal.comp_entries)
-        n_sr = sum(
-            self.p.blocks[bidx].order * r
-            for kind, bidx, sl, r in self.primal.segments
-        )
-        n_stat = len(self.flat_rows)
-        total_rows = m + n_sr + n_comp + n_stat
-        J = np.zeros((total_rows, self.num_params))
-        J[:m, : self.primal.num_params] = Jp[:m]
-        J[m + n_sr : m + n_sr + n_comp, : self.primal.num_params] = Jp[m:]
-
-        s_full, S = self._s_blocks(x)
+        A = self.A
+        m = A.shape[0]
+        comp0 = m + sum(blk.order * blk.rank for blk in self.psd)
+        stat0 = comp0 + self.comp.size
+        J = np.zeros((stat0 + self.free_up.size, self.num_params))
+        _, S = self._slacks(x)
         row = m
-        for kind, bidx, sl, r in self.primal.segments:
-            o = self.p.blocks[bidx].order
-            off = self.offs[bidx]
-            R = xp[sl].reshape(o, r)
-            nrows = o * r
-            Sb = S[bidx]
+        for blk, Sb in zip(self.psd, S):
+            o, r = blk.order, blk.rank
+            R = x[blk.x].reshape(o, r)
+            Ablk = A[:, blk.off : blk.off + o * o]
+            # One matrix-vector product per factor entry: batching these
+            # changes the last bits of J, and through the Gauss-Newton steps
+            # the accepted point.
             for a in range(o):
                 for j in range(r):
-                    dSR = np.zeros((o, r))
-                    dSR[:, j] = Sb[:, a]
-                    J[row : row + nrows, sl.start + a * r + j] = dSR.reshape(-1)
-            if m:
-                for kcon in range(m):
-                    Ak = self.A[kcon, off : off + o * o].reshape(o, o)
-                    Ak = 0.5 * (Ak + Ak.T)
-                    J[row : row + nrows, self.nu_slice.start + kcon] = (Ak @ R).reshape(-1)
-            for knn, (bb, rr, cc) in enumerate(self.nn_entries):
-                if bb != bidx:
-                    continue
-                dS = np.zeros((o, o))
-                dS[rr, cc] -= 1.0
-                dS[cc, rr] -= 1.0
-                J[row : row + nrows, self.nn_slice.start + knn] = (dS @ R).reshape(-1)
-            row += nrows
-        row += n_comp
-        for i, frow in enumerate(self.flat_rows):
-            if frow[0] == "block":
-                _, bidx, r, ccol = frow
-                o = self.p.blocks[bidx].order
-                idx = self.offs[bidx] + r * o + ccol
-            else:
-                idx = self.scal0 + frow[1]
-            if m:
-                J[row + i, self.nu_slice] = self.A[:, idx]
+                    dM = np.zeros((o, o))
+                    dM[a, :] += R[:, j]
+                    dM[:, a] += R[:, j]
+                    J[:m, blk.x.start + a * r + j] = Ablk @ dM.reshape(-1)
+            # Entry (i, j) of S R has d/dR[a, j] = S[i, a]: the rows of
+            # kron(S, I_r), written without multiplying by the zeros of I_r.
+            i, a, jj = np.ix_(np.arange(o), np.arange(o), np.arange(r))
+            J[row + i * r + jj, blk.x.start + a * r + jj] = Sb[:, :, None]
+            A3 = Ablk.reshape(m, o, o)
+            J[row : row + o * r, self.nu_slice] = (
+                (0.5 * (A3 + A3.transpose(0, 2, 1))) @ R
+            ).reshape(m, o * r).T
+            # Active entry k at (i, l): d M[i, l] / d R[a, j] is
+            # [a = i] R[l, j] + [a = l] R[i, j], and N_k enters S at (i, l)
+            # and (l, i); diagonal entries take both terms.
+            k = np.arange(blk.comp.start, blk.comp.stop)[:, None]
+            jj = np.arange(r)
+            i, l = blk.rows[:, None], blk.cols[:, None]
+            np.add.at(J, (comp0 + k, blk.x.start + i * r + jj), R[blk.cols])
+            np.add.at(J, (comp0 + k, blk.x.start + l * r + jj), R[blk.rows])
+            np.add.at(J, (row + i * r + jj, self.nn_slice.start + k), -R[blk.cols])
+            np.add.at(J, (row + l * r + jj, self.nn_slice.start + k), -R[blk.rows])
+            row += o * r
+        J[:m, self.free_slice] = A[:, self.free_up]
+        mirrored = np.flatnonzero(self.free_lo != self.free_up)
+        J[:m, self.free_slice.start + mirrored] += A[:, self.free_lo[mirrored]]
+        J[stat0:, self.nu_slice] = A[:, self.free_up].T
         return J
 
 
@@ -1023,97 +896,53 @@ class _DualLinear:
 
     With the kernel blocks kept as unfactored symmetric matrices the
     stationarity system is linear: ``c + A^T nu = W Theta W^T + N`` on PSD
-    blocks and ``c + A^T nu = n`` (or ``= 0``) elsewhere.  Unknowns are
-    ``nu`` (free), the ``Theta`` blocks (required PSD), the multipliers
-    ``N`` on active PSD-block entries and ``n`` on active flat coordinates
-    (required nonnegative).  A sign-feasible solution is found by
-    alternating projections between the affine solution space and the cone
-    product.
+    blocks and ``c + A^T nu = n`` (or ``= 0``) elsewhere.  Unknowns ``y``,
+    in this order, are ``nu`` (free), the upper triangles of the ``Theta``
+    blocks (required PSD; one span per entry of ``theta``), then the
+    multipliers ``N`` on active PSD-block entries and ``n`` on active flat
+    coordinates (``sign_slice``, required nonnegative).  Rows are the upper
+    triangle of every block, row major, then the scalars.  A sign-feasible
+    solution is found by alternating projections between the affine
+    solution space and the cone product.
     """
 
     def __init__(self, p, A, c, faces_info, kernels):
-        self.p, self.A, self.c = p, A, c
         faces, active_scalars = faces_info
-        self.offs, self.scal0 = p.block_offsets()
+        offs, scal0 = p.block_offsets()
         m = A.shape[0]
-        self.m = m
+        idx, psd, active = [], [], []
+        for spec, off, face in zip(p.blocks, offs, faces):
+            rows, cols = np.triu_indices(spec.order)
+            idx.append(off + rows * spec.order + cols)
+            psd.append(np.full(rows.size, face["kind"] == "psd"))
+            active.append(face["active"][rows, cols])
+        first = np.cumsum([0] + [i.size for i in idx])  # each block's first row
+        idx.append(scal0 + np.arange(len(p.scalars)))
+        psd.append(np.zeros(len(p.scalars), dtype=bool))
+        active.append(active_scalars)
+        idx, psd, active = (np.concatenate(a) for a in (idx, psd, active))
+        sign_rows = np.r_[np.flatnonzero(psd & active), np.flatnonzero(~psd & active)]
 
-        rows = []  # (coordinate index in v-space, kind)
-        for bidx, (spec, face) in enumerate(zip(p.blocks, faces)):
-            o = spec.order
-            if face["kind"] == "psd":
-                for r in range(o):
-                    for ccol in range(r, o):
-                        rows.append(("psd", bidx, r, ccol))
-            else:
-                for r in range(o):
-                    for ccol in range(r, o):
-                        rows.append(("flat", bidx, r, ccol, face["active"][r, ccol]))
-        for j, s in enumerate(p.scalars):
-            active = s.nonneg and active_scalars[j]
-            rows.append(("scalar", j, active))
-        self.rows = rows
-        nrows = len(rows)
-
-        # Parameter layout.
+        ntheta = sum(W.shape[1] * (W.shape[1] + 1) // 2 for W in kernels.values())
+        D = np.zeros((idx.size, m + ntheta + sign_rows.size))
+        D[:, :m] = A[:, idx].T
+        # Theta_{ab} (a <= b) enters entry (i, l) of W Theta W^T with weight
+        # W[i,a] W[l,b] + W[l,a] W[i,b], or W[i,a] W[l,a] when a = b.
+        self.theta = []  # (span in y, order, upper-triangle indices)
         pos = m
-        self.theta_slices = {}
         for bidx, W in kernels.items():
-            k = W.shape[1]
-            self.theta_slices[bidx] = (slice(pos, pos + k * (k + 1) // 2), k)
-            pos += k * (k + 1) // 2
-        self.nn_entries = []
-        for bidx, (spec, face) in enumerate(zip(p.blocks, faces)):
-            if face["kind"] != "psd":
-                continue
-            for r in range(spec.order):
-                for ccol in range(r, spec.order):
-                    if face["active"][r, ccol]:
-                        self.nn_entries.append((bidx, r, ccol))
-        self.nn_slice = slice(pos, pos + len(self.nn_entries))
-        pos += len(self.nn_entries)
-        self.flat_duals = []
-        for i, row in enumerate(rows):
-            if row[0] == "flat" and row[4]:
-                self.flat_duals.append(i)
-            elif row[0] == "scalar" and row[2]:
-                self.flat_duals.append(i)
-        self.flat_slice = slice(pos, pos + len(self.flat_duals))
-        pos += len(self.flat_duals)
-        self.num_params = pos
-        self.kernels = kernels
-
-        D = np.zeros((nrows, pos))
-        r_vec = np.zeros(nrows)
-        for i, row in enumerate(rows):
-            if row[0] == "psd" or row[0] == "flat":
-                bidx, r, ccol = row[1], row[2], row[3]
-                o = p.blocks[bidx].order
-                idx = self.offs[bidx] + r * o + ccol
-            else:
-                idx = self.scal0 + row[1]
-            if m:
-                D[i, :m] = A[:, idx]
-            r_vec[i] = -c[idx]
-        for bidx, (sl, k) in self.theta_slices.items():
-            W = kernels[bidx]
-            t = 0
-            for a in range(k):
-                for bb in range(a, k):
-                    dS = np.outer(W[:, a], W[:, bb])
-                    dS = dS + dS.T if a != bb else dS
-                    for i, row in enumerate(rows):
-                        if row[0] == "psd" and row[1] == bidx:
-                            D[i, sl.start + t] = -dS[row[2], row[3]]
-                    t += 1
-        for knn, (bidx, r, ccol) in enumerate(self.nn_entries):
-            for i, row in enumerate(rows):
-                if row[0] == "psd" and (row[1], row[2], row[3]) == (bidx, r, ccol):
-                    D[i, self.nn_slice.start + knn] = -1.0
-        for kfl, i in enumerate(self.flat_duals):
-            D[i, self.flat_slice.start + kfl] = -1.0
+            ta, tb = iu = np.triu_indices(W.shape[1])
+            i, l = np.triu_indices(W.shape[0])
+            P = W[i][:, ta] * W[l][:, tb]
+            D[first[bidx] : first[bidx] + i.size, pos : pos + ta.size] = -np.where(
+                ta == tb, P, P + W[l][:, ta] * W[i][:, tb]
+            )
+            self.theta.append((slice(pos, pos + ta.size), W.shape[1], iu))
+            pos += ta.size
+        self.sign_slice = slice(pos, pos + sign_rows.size)
+        D[sign_rows, pos + np.arange(sign_rows.size)] = -1.0
         self.D = D
-        self.r = r_vec
+        self.r = -c[idx]
         self.Ginv = np.linalg.pinv(D @ D.T)
 
     def affine_project(self, y):
@@ -1121,14 +950,13 @@ class _DualLinear:
 
     def cone_project(self, y):
         out = y.copy()
-        for bidx, (sl, k) in self.theta_slices.items():
-            theta = _sym_from_upper(y[sl], k)
+        for sl, k, iu in self.theta:
+            theta = np.zeros((k, k))
+            theta[iu] = y[sl]
+            theta[iu[::-1]] = y[sl]
             w, q = np.linalg.eigh(theta)
-            wpos = np.maximum(w, 0.0)
-            theta = (q * wpos) @ q.T
-            out[sl] = _upper_from_sym(theta)
-        out[self.nn_slice] = np.maximum(y[self.nn_slice], 0.0)
-        out[self.flat_slice] = np.maximum(y[self.flat_slice], 0.0)
+            out[sl] = ((q * np.maximum(w, 0.0)) @ q.T)[iu]
+        out[self.sign_slice] = np.maximum(y[self.sign_slice], 0.0)
         return out
 
     def solve(self, tol, max_iters=25000):
@@ -1154,27 +982,6 @@ class _DualLinear:
         return None
 
 
-def _sym_from_upper(vals, k):
-    theta = np.zeros((k, k))
-    t = 0
-    for a in range(k):
-        for bb in range(a, k):
-            theta[a, bb] = theta[bb, a] = vals[t]
-            t += 1
-    return theta
-
-
-def _upper_from_sym(theta):
-    k = theta.shape[0]
-    vals = np.zeros(k * (k + 1) // 2)
-    t = 0
-    for a in range(k):
-        for bb in range(a, k):
-            vals[t] = theta[a, bb]
-            t += 1
-    return vals
-
-
 def _kkt_refine(p, A, b, c, v, faces_info, max_refine: int = 8):
     """Joint face KKT Gauss-Newton to pin the primal optimizer, then a
     sign-feasible dual by alternating projections, then full verification.
@@ -1197,17 +1004,14 @@ def _kkt_refine(p, A, b, c, v, faces_info, max_refine: int = 8):
         # the best dual start for the initial factors.
         F0 = joint.residual(x0)
         J0 = joint.jacobian(x0)
-        dual_cols = np.r_[
-            np.arange(joint.nu_slice.start, joint.nu_slice.stop),
-            np.arange(joint.nn_slice.start, joint.nn_slice.stop),
-        ]
+        dual_cols = np.arange(joint.nu_slice.start, joint.nn_slice.stop)
         if dual_cols.size:
             dstep, *_ = np.linalg.lstsq(J0[:, dual_cols], -F0, rcond=None)
             x0[dual_cols] += dstep
         x, fnorm = _gauss_newton(joint.residual, joint.jacobian, x0, scale)
         if fnorm > 1e-10 * scale:
             return None
-        vp = joint.primal.vector(x[: joint.primal.num_params])
+        vp = joint.vector(x)
         nu_warm = x[joint.nu_slice].copy()
 
         # Primal sign violations: pin the offending coordinate to zero.

@@ -291,3 +291,89 @@ def test_lp_enumeration_oracle_self_check():
     val, v = lp_maximize_standard(np.array([1.0, 1.0, 0.0, 0.0]), A, b)
     assert val == pytest.approx(2.0 / 3.0)
     assert np.allclose(v[:2], [1.0 / 3.0, 1.0 / 3.0], atol=1e-9)
+
+
+def face_program():
+    """A nonnegative non-PSD block of order 3, a PSD block of order 3 and
+    three scalars (active nonnegative, inactive nonnegative, free) tied by
+    random equalities, with a hand-set face: rank 2 and active entries
+    (0, 1), (2, 2) on the PSD block, (0, 0), (1, 2) on the other."""
+    rng = np.random.default_rng(3)
+    p = ConicProgram()
+    p.add_block(3, psd=False)
+    p.add_block(3)
+    for nonneg in (True, True, False):
+        p.add_scalar(nonneg=nonneg)
+
+    def coeffs():
+        g0, g1 = rng.standard_normal((2, 3, 3))
+        return {0: g0 + g0.T, 1: g1 + g1.T}, dict(enumerate(rng.standard_normal(3)))
+
+    for _ in range(4):
+        p.add_equality(float(rng.standard_normal()), *coeffs())
+    p.set_objective(*coeffs())
+    flat_active = np.zeros((3, 3), dtype=bool)
+    flat_active[0, 0] = flat_active[1, 2] = flat_active[2, 1] = True
+    psd_active = np.zeros((3, 3), dtype=bool)
+    psd_active[0, 1] = psd_active[1, 0] = psd_active[2, 2] = True
+    faces = [
+        {"kind": "nn", "active": flat_active},
+        {"kind": "psd", "rank": 2, "R0": rng.standard_normal((3, 2)), "active": psd_active},
+    ]
+    return p, (faces, np.array([True, False, False])), rng
+
+
+class TestFaceSystems:
+    def test_joint_jacobian_matches_central_differences(self):
+        p, faces_info, rng = face_program()
+        A, b = p.constraint_matrix()
+        joint = conic_solver._JointFace(p, A, b, p.objective_vector(), faces_info)
+        x = rng.standard_normal(joint.num_params)
+        J = joint.jacobian(x)
+        # Rows: 4 equalities, S R (3 x 2), 2 active PSD entries, 4 free
+        # entries of the flat block and 2 free scalars.
+        assert J.shape == (joint.residual(x).size, joint.num_params) == (18, 18)
+        # The residual is quadratic in x, so central differences are exact
+        # up to rounding.
+        h = 1e-5
+        fd = np.column_stack(
+            [
+                (joint.residual(x + h * e) - joint.residual(x - h * e)) / (2 * h)
+                for e in np.eye(joint.num_params)
+            ]
+        )
+        assert np.allclose(J, fd, rtol=0.0, atol=1e-8)
+
+    def test_dual_linear_rows(self):
+        # D y - r must be c + A^T nu - W Theta W^T - N on PSD-block entries
+        # and c + A^T nu - n on the active flat coordinates, row by row.
+        p, faces_info, rng = face_program()
+        faces, active_scalars = faces_info
+        A, _ = p.constraint_matrix()
+        c = p.objective_vector()
+        W = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+        dual = conic_solver._DualLinear(p, A, c, faces_info, {1: W})
+        y = rng.standard_normal(dual.D.shape[1])
+        s = c + A.T @ y[: A.shape[0]]
+        ((sl, k, _),) = dual.theta
+        Theta = np.zeros((k, k))
+        Theta[np.triu_indices(k)] = y[sl]
+        Theta = Theta + np.triu(Theta, 1).T
+        WTW = W @ Theta @ W.T
+        upper = [(i, l) for i in range(3) for l in range(i, 3)]
+        # Sign-constrained multipliers: N on active PSD entries, then n on
+        # active flat entries and active scalars.
+        keys = [(1, i, l) for i, l in upper if faces[1]["active"][i, l]]
+        keys += [(0, i, l) for i, l in upper if faces[0]["active"][i, l]]
+        keys += [("s", j) for j in np.flatnonzero(active_scalars)]
+        mult = dict(zip(keys, y[dual.sign_slice]))
+        assert len(mult) == dual.sign_slice.stop - dual.sign_slice.start == 5
+        offs, scal0 = p.block_offsets()
+        want = []
+        for bidx in (0, 1):
+            for i, l in upper:
+                val = s[offs[bidx] + 3 * i + l] - mult.get((bidx, i, l), 0.0)
+                want.append(val - WTW[i, l] if bidx == 1 else val)
+        for j in range(3):
+            want.append(s[scal0 + j] - mult.get(("s", j), 0.0))
+        assert np.allclose(dual.D @ y - dual.r, want, rtol=0.0, atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cppc.conditions import ConstraintData
-from cppc.cones import orthant, product, free
+from cppc.cones import ORTHANT, free, orthant, product
 from cppc.conic_solver import OPTIMAL, SolveResult, kkt_residuals, solve
 from cppc.matrix_core import SymMatrix
 from cppc.oracles import qp_global_minimum
@@ -81,30 +81,70 @@ class TestBuilders:
         assert len(prog.equalities) == 3 * qp.m + shared * (qp.m - 1)
 
     def test_general_reduces_to_sparse(self, qp_two_constraints):
-        qp = qp_two_constraints
-        data = ConstraintData.build(
-            orthant(2),
-            [orthant(1)] * 2,
-            [np.zeros(2), qp.F[0], qp.F[1]],
-            [np.ones(1), np.ones(1)],
-            [0.0, 1.0, 1.0],
-        )
-        gi = GeneralInstance.build(
-            qp.A,
-            2.0 * qp.a,  # the general form carries the raw linear coefficient
-            [np.zeros(2)] * 2,
-            [0.0] * 2,
-            [SymMatrix([[0.0]])] * 2,
-            data,
-        )
-        ps = build_sparse_relaxation(qp)
-        pg = build_general_relaxation(gi)
-        As, bs = ps.constraint_matrix()
-        Ag, bg = pg.constraint_matrix()
-        assert np.array_equal(As, Ag)
-        assert np.array_equal(bs, bg)
-        assert np.array_equal(ps.objective_vector(), pg.objective_vector())
-        res = solve(pg)
+        # The sparse relaxation comes from the general builder on width-one
+        # data; compare it with the paper's per-row program assembled here:
+        # block i over (1, x, y_i) carries the unit corner, the pair
+        # f_i^T x + y_i = d_i and [f_i; 1][f_i; 1]^T . [X z_i; z_i^T Y_i] =
+        # d_i^2, blocks i > 0 copy block 0's (1, x, X) corner, and block 0
+        # carries the objective A . X + 2 a^T x.
+        for K in (orthant(2), product(orthant(1), free(1))):
+            qp = QPInstance.build(
+                qp_two_constraints.A, [0.3, -0.2], qp_two_constraints.F,
+                qp_two_constraints.d, K,
+            )
+            n, m = qp.n, qp.m
+            o = n + 2
+
+            def row(entries):
+                vec = np.zeros(m * o * o)
+                for (i, r, c), val in entries.items():
+                    vec[i * o * o + r * o + c] += val
+                    if r != c:
+                        vec[i * o * o + c * o + r] += val
+                return vec
+
+            ref = []
+            for i in range(m):
+                f, d = qp.F[i], qp.d[i]
+                ref.append((row({(i, 0, 0): 1.0}), 1.0))
+                lin = {(i, 0, 1 + k): f[k] / 2 for k in range(n)}
+                lin[(i, 0, n + 1)] = 0.5
+                ref.append((row(lin), d))
+                h = np.append(f, 1.0)
+                quad = {
+                    (i, 1 + r, 1 + c): h[r] * h[c]
+                    for r in range(n + 1)
+                    for c in range(r, n + 1)
+                }
+                ref.append((row(quad), d * d))
+            for r in range(n + 1):
+                for c in range(r, n + 1):
+                    if (r, c) == (0, 0):
+                        continue
+                    for i in range(1, m):
+                        val = 1.0 if r == c else 0.5
+                        ref.append((row({(i, r, c): val}) - row({(0, r, c): val}), 0.0))
+            obj = {(0, 1 + r, 1 + c): qp.A.array[r, c] for r in range(n) for c in range(r, n)}
+            obj.update({(0, 0, 1 + k): qp.a[k] for k in range(n)})
+
+            prog = build_sparse_relaxation(qp)
+            A, b = prog.constraint_matrix()
+
+            def sorted_rows(M):
+                return M[np.lexsort(M.T[::-1])]
+
+            got = sorted_rows(np.column_stack([A, b]))
+            want = sorted_rows(np.array([np.append(vec, rhs) for vec, rhs in ref]))
+            assert np.array_equal(got, want)
+            assert np.array_equal(prog.objective_vector(), row(obj))
+            nn = np.array([True] + [k == ORTHANT for k in K.coordinate_kinds()] + [True])
+            assert len(prog.blocks) == m
+            for i, spec in enumerate(prog.blocks):
+                assert spec.order == o and spec.psd
+                assert np.array_equal(spec.nonneg_mask, np.outer(nn, nn))
+                kernel = np.concatenate([[-qp.d[i]], qp.F[i], [1.0]])[:, None]
+                assert np.array_equal(spec.forced_kernel, kernel)
+        res = solve(build_sparse_relaxation(qp_two_constraints))
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(-0.25, abs=1e-6)
 
