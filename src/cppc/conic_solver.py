@@ -38,14 +38,6 @@ class BlockSpec:
     symmetric boolean mask (used when some coordinates of the underlying
     ground cone are free).  After construction it is always an array: all
     true when omitted, all false when ``nonneg`` is off.
-
-    ``forced_kernel`` lists vectors (columns) that every feasible value of
-    the block is known to annihilate; such vectors arise when an equality
-    pair pins both a linear functional and its squared lift, which forces
-    the whole feasible set onto the boundary of the PSD cone.  The solver
-    deflates the block onto the orthogonal complement, which restores
-    strict feasibility and with it dual attainment.  Supplying a vector
-    without this property restricts the program.
     """
 
     order: int
@@ -53,7 +45,6 @@ class BlockSpec:
     nonneg: bool = True
     nonneg_mask: Optional[np.ndarray] = None
     name: str = ""
-    forced_kernel: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -69,15 +60,6 @@ class BlockSpec:
             self.nonneg_mask = np.zeros((self.order, self.order), dtype=bool)
         elif self.nonneg_mask is None:
             self.nonneg_mask = np.ones((self.order, self.order), dtype=bool)
-        if self.forced_kernel is not None:
-            k = np.asarray(self.forced_kernel, dtype=float)
-            if k.ndim == 1:
-                k = k[:, None]
-            if k.shape[0] != self.order:
-                raise ValueError("forced_kernel dimension mismatch")
-            if not self.psd:
-                raise ValueError("forced_kernel requires a PSD block")
-            self.forced_kernel = k
 
 
 @dataclass
@@ -96,16 +78,11 @@ class ConicProgram:
         self._obj_blocks: dict[int, np.ndarray] = {}
         self._obj_scalars: dict[int, float] = {}
         self.obj_constant: float = 0.0
-        self.notes: list[str] = []
 
     # -- construction ---------------------------------------------------
 
-    def add_block(
-        self, order, psd=True, nonneg=True, nonneg_mask=None, name="", forced_kernel=None
-    ) -> int:
-        self.blocks.append(
-            BlockSpec(order, psd, nonneg, nonneg_mask, name, forced_kernel)
-        )
+    def add_block(self, order, psd=True, nonneg=True, nonneg_mask=None, name="") -> int:
+        self.blocks.append(BlockSpec(order, psd, nonneg, nonneg_mask, name))
         return len(self.blocks) - 1
 
     def add_scalar(self, nonneg=True, name="") -> int:
@@ -243,6 +220,10 @@ _POLISH_EVERY = 500
 #: optimal face.  The bias it introduces is removed by the polish step and
 #: allowed for in the gap acceptance threshold.
 _TIKHONOV = 1e-6
+#: Ruiz equilibration passes.  Rows whose scales differ by orders of
+#: magnitude (an equality multiplied by 1e3, say) take a few dozen passes to
+#: equilibrate; with ten, such a program can stall the polish.
+_RUIZ_PASSES = 50
 
 
 @dataclass
@@ -309,7 +290,7 @@ def _nonneg_index(p: ConicProgram) -> np.ndarray:
     return mask
 
 
-def _ruiz_scale(A, p: ConicProgram, iters: int = 10):
+def _ruiz_scale(A, p: ConicProgram):
     """Row/column equilibration with per-block-uniform column factors."""
     m, n = A.shape
     offs, scal0 = p.block_offsets()
@@ -323,7 +304,7 @@ def _ruiz_scale(A, p: ConicProgram, iters: int = 10):
     E = np.ones(m)
     if m == 0:
         return D, E
-    for _ in range(iters):
+    for _ in range(_RUIZ_PASSES):
         As = (E[:, None] * A) * D[None, :]
         rn = np.abs(As).max(axis=1)
         rn[rn == 0.0] = 1.0
@@ -348,8 +329,6 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     """
     opts = opts or SolveOptions()
     p.validate()
-    if any(blk.forced_kernel is not None for blk in p.blocks):
-        return _solve_deflated(p, opts)
     A, b = p.constraint_matrix()
     c = p.objective_vector()
     if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
@@ -505,97 +484,6 @@ def _entry_functional(order: int, r: int, c: int) -> np.ndarray:
     else:
         m[r, c] = m[c, r] = 0.5
     return m
-
-
-def _kernel_complement(kernel: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the kernel columns."""
-    u, s, _ = np.linalg.svd(kernel, full_matrices=True)
-    rank = int(np.sum(s > 1e-12 * max(1.0, s.max(initial=0.0))))
-    return u[:, rank:]
-
-
-def _solve_deflated(p: ConicProgram, opts: SolveOptions) -> SolveResult:
-    """Deflate blocks with known kernels onto their complements and solve.
-
-    Entrywise nonnegativity of a deflated block is expressed through slack
-    scalars tied to the lifted entries by equality rows, appended after the
-    original equalities so multipliers map back positionally.
-    """
-    red = ConicProgram()
-    # Per block: None when the kernel spans everything (the block is
-    # identically zero and dropped), else (U, index in ``red``) with U the
-    # complement basis of a deflated block and None for a kept one.
-    lifts = []
-    for spec in p.blocks:
-        if spec.forced_kernel is None:
-            red.blocks.append(spec)
-            lifts.append((None, len(red.blocks) - 1))
-            continue
-        U = _kernel_complement(spec.forced_kernel)
-        if U.shape[1] == 0:
-            lifts.append(None)
-            continue
-        red.blocks.append(BlockSpec(U.shape[1], psd=True, nonneg=False, name=spec.name))
-        lifts.append((U, len(red.blocks) - 1))
-    for s in p.scalars:
-        red.scalars.append(ScalarSpec(s.nonneg, s.name))
-
-    def translate(block_coeffs, scalar_coeffs):
-        bc = {}
-        for bidx, C in block_coeffs.items():
-            if lifts[bidx] is not None:
-                U, new_idx = lifts[bidx]
-                bc[new_idx] = C if U is None else U.T @ C @ U
-        return bc, dict(scalar_coeffs)
-
-    for bc, sc, rhs in p.equalities:
-        nbc, nsc = translate(bc, sc)
-        red.add_equality(rhs, nbc, nsc)
-    obj_bc, obj_sc = translate(p._obj_blocks, p._obj_scalars)
-    red.set_objective(obj_bc, obj_sc, p.obj_constant)
-
-    # Slack rows for the entrywise nonnegativity of deflated blocks.
-    for spec, lift in zip(p.blocks, lifts):
-        if lift is None or lift[0] is None:
-            continue
-        U, new_idx = lift
-        for r in range(spec.order):
-            for c in range(r, spec.order):
-                if not spec.nonneg_mask[r, c]:
-                    continue
-                s = red.add_scalar(nonneg=True, name=f"{spec.name}[{r},{c}]")
-                red.add_equality(
-                    0.0,
-                    blocks={new_idx: U.T @ _entry_functional(spec.order, r, c) @ U},
-                    scalars={s: -1.0},
-                )
-
-    res = solve(red, opts)
-    m_orig = len(p.equalities)
-    blocks_out = []
-    for spec, lift in zip(p.blocks, lifts):
-        if lift is None:
-            blocks_out.append(np.zeros((spec.order, spec.order)))
-            continue
-        U, new_idx = lift
-        G = res.block_values[new_idx]
-        blocks_out.append(G if U is None else U @ G @ U.T)
-    scalars_out = res.scalar_values[: len(p.scalars)]
-    lifted = SolveResult(
-        res.status,
-        blocks_out,
-        np.asarray(scalars_out),
-        res.objective,
-        dict(res.residuals),
-        res.iterations,
-        res.eq_multipliers[:m_orig] if res.eq_multipliers.size else res.eq_multipliers,
-        res.diagnostics,
-    )
-    # Re-evaluate the primal residuals on the original program.
-    check = kkt_residuals(p, blocks_out, scalars_out)
-    lifted.residuals["equality"] = check["equality"]
-    lifted.residuals["cone"] = check["cone"]
-    return lifted
 
 
 def _result(p, A, b, c, v, nu, it, dual=None, diagnostics=""):

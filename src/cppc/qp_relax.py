@@ -2,12 +2,23 @@
 exactness certificates.
 
 The quadratic program ``inf { x^T A x + 2 a^T x : F x <= d, x in K }`` is
-lifted, after one slack per row, into one coupled DNN block of order n+2 per
-inequality, sharing the ``(1, x, X)`` corner.  Solving the relaxation gives
-a lower bound; the x-part of the solution, when feasible, gives an upper
-bound.  Exactness can be certified ex post by rank-one blocks, by matching
-bounds, or by a kernel vector of the northwest block together with row
-multipliers, checked here entirely from the returned data.
+lifted, after one slack per row, into one DNN block of order n+2 per
+inequality, sharing the ``(1, x, X)`` corner ``C``.  Every block is a linear
+image of that corner, so the program is built on ``C`` alone: row i's pair
+of block equations gives ``k^T M_i k = 0`` for ``k = (-d_i, F_i, 1)``, so a
+PSD block ``M_i`` has ``M_i k = 0``.  That makes the arm row of ``M_i``
+equal to ``w_i^T C`` with ``w_i = (d_i, -F_i)``, i.e. ``M_i = P_i^T C P_i``
+for ``P_i = [I | w_i]``.  ``P_i`` is onto, so ``M_i`` is PSD exactly when
+``C`` is, and the arm entries' nonnegativity becomes the linear rows ``(C
+w_i)_r >= 0``.  The relaxation is therefore one PSD and nonnegative block of
+order n+1 with those rows (Shor's relaxation with RLT products of the rows
+and the bounds); the per-row blocks are reported as ``P_i^T C P_i``.  This
+holds for the DNN relaxation solved here, not for completely positive
+blocks, since ``P_i`` has negative entries.  Solving the relaxation
+gives a lower bound; the x-part of the solution, when feasible, gives an
+upper bound.  Exactness can be certified ex post by rank-one blocks, by
+matching bounds, or by a kernel vector of the northwest block together with
+row multipliers, checked here entirely from the returned data.
 """
 
 from __future__ import annotations
@@ -118,8 +129,8 @@ class QPInstance:
 class GeneralInstance:
     """Coupled-objective generalization: per-arm terms ``x^T B_i y_i +
     y_i^T C_i y_i + c_i^T y_i`` with ``B_i = b_i g_i^T`` and ``c_i = beta_i
-    g_i`` enforced by construction, over constraint data ``(f_i, g_i,
-    d_i)``.
+    g_i`` enforced by construction, over width-one constraint data ``(f_i,
+    g_i, d_i)`` with ``g_i != 0``.
 
     The linear objective coefficient is the raw one (``a^T x``, not
     ``2 a^T x``).
@@ -129,7 +140,7 @@ class GeneralInstance:
     a: np.ndarray
     b: tuple  # per-arm vectors b_i (dim n_x)
     beta: tuple  # per-arm scalars
-    C: tuple  # per-arm SymMatrix (order n_y)
+    C: tuple  # per-arm SymMatrix (order 1)
     data: ConstraintData
 
     @staticmethod
@@ -144,12 +155,17 @@ class GeneralInstance:
             raise ValueError("objective dimensions do not match the shared cone")
         if not (len(b) == len(beta) == len(C) == S):
             raise ValueError("per-arm objective lengths do not match S")
-        ny = data.Ki[0].dim
+        # The relaxation lives on the shared corner, which needs every arm to
+        # be a ray whose coefficient can be divided out (see _lifts).
+        if any(cone.dim != 1 for cone in data.Ki):
+            raise ValueError("every arm cone must have dimension one")
+        if any(gv[0] == 0.0 for gv in data.g):
+            raise ValueError("every arm coefficient g_i must be nonzero")
         for v in b:
             if v.size != data.nx:
                 raise ValueError("coupling vector dimension mismatch")
         for c in C:
-            if c.order != ny:
+            if c.order != 1:
                 raise ValueError("arm quadratic order mismatch")
         return GeneralInstance(A, a, b, beta, C, data)
 
@@ -179,182 +195,141 @@ class ExactnessReport:
     solution: Optional[RelaxationSolution] = None
 
 
-def build_sparse_relaxation(qp: QPInstance) -> ConicProgram:
-    """One DNN block of order n+2 per inequality row, sharing ``(1, x, X)``.
-
-    Each row ``F_i x <= d_i`` is read as width-one arm data ``(f_i, g_i,
-    d_i) = (F_i, 1, d_i)`` with no coupling terms, so the program is the
-    general relaxation of that data: block i carries the pair ``f_i^T x +
-    y_i = d_i`` and ``f_i f_i^T . X + 2 f_i^T z_i + Y_i = d_i^2``, whose
-    forced kernel ``(-d_i, f_i, 1)`` is declared to the solver, and the
-    lifted objective ``A . X + 2 a^T x`` sits on the first block.
-    """
-    n, m = qp.n, qp.m
-    if m == 0:
-        # Degenerate: no inequalities, a single lifted corner block.
-        prog = ConicProgram()
-        prog.notes.append("no inequality rows; northwest block only")
-        nn = np.array([True] + [k == cones.ORTHANT for k in qp.K.coordinate_kinds()])
-        bidx = prog.add_block(n + 1, nonneg_mask=np.outer(nn, nn), name="M0")
-        prog.add_equality(1.0, blocks={bidx: _entry_functional(n + 1, 0, 0)})
-        obj = np.zeros((n + 1, n + 1))
-        obj[1:, 1:] = qp.A.array
-        obj[0, 1:] = qp.a
-        obj[1:, 0] = qp.a
-        prog.set_objective(blocks={bidx: obj})
-        return prog
-    data = ConstraintData.width_one(qp.K, qp.F, np.ones(m), qp.d)
-    return build_general_relaxation(
-        GeneralInstance.build(
-            qp.A, 2.0 * qp.a, [np.zeros(n)] * m, [0.0] * m, [SymMatrix([[0.0]])] * m, data
-        )
+def _row_instance(qp: QPInstance) -> GeneralInstance:
+    """The QP as width-one arm data ``(f_i, g_i, d_i) = (F_i, 1, d_i)`` with
+    no coupling terms; the linear coefficient doubles to ``2 a``."""
+    m = qp.m
+    return GeneralInstance.build(
+        qp.A, 2.0 * qp.a, [np.zeros(qp.n)] * m, [0.0] * m, [SymMatrix([[0.0]])] * m,
+        _row_data(qp),
     )
 
 
+def _row_data(qp: QPInstance) -> ConstraintData:
+    return ConstraintData.width_one(qp.K, qp.F, np.ones(qp.m), qp.d)
+
+
+def _kernel_lift(k: np.ndarray, j: int) -> np.ndarray:
+    """``Q`` with ``k^T Q = 0`` that keeps every coordinate but ``j``
+    (``k_j != 0``): a matrix ``M`` with ``M k = 0`` is ``Q G Q^T`` for ``G``,
+    ``M`` without row and column ``j``."""
+    Q = np.delete(np.eye(k.size), j, axis=1)
+    Q[j] = -np.delete(k, j) / k[j]
+    return Q
+
+
+def _lifts(data: ConstraintData):
+    """``(keep, Q_0, [L_1 .. L_S])`` for the variable ``G`` of the relaxation:
+    the corner ``C`` over ``(1, x)`` is ``Q_0 G Q_0^T``, ``G`` being ``C``
+    on the coordinates ``keep``, and arm i's block over ``(1, x, y_i)`` is
+    ``L_i G L_i^T``.
+
+    Arm i's pair of block equations puts ``(-d_i, f_i, g_i)`` in the kernel
+    of its PSD block, so the row of ``y_i`` is ``w_i^T C`` with ``w_i =
+    (d_i, -f_i) / g_i``.  A nonzero shared vector likewise puts ``(-d_0,
+    f_0)`` in the kernel of ``C``, and ``G`` drops the coordinate where
+    ``|f_0|`` is largest; otherwise ``G = C``.
+    """
+    n = data.nx
+    keep, Q0 = np.arange(n + 1), np.eye(n + 1)
+    if np.any(data.f[0]):
+        j = 1 + int(np.argmax(np.abs(data.f[0])))
+        keep = np.delete(keep, j)
+        Q0 = _kernel_lift(np.concatenate([[-data.d[0]], data.f[0]]), j)
+    lifts = [
+        _kernel_lift(np.concatenate([[-data.d[i + 1]], data.f[i + 1], data.g[i]]), n + 1) @ Q0
+        for i in range(data.S)
+    ]
+    return keep, Q0, lifts
+
+
+def _tie_nonneg(prog: ConicProgram, u, v) -> None:
+    """A nonnegative slack equal to ``u^T G v`` for the program's block ``G``."""
+    s = prog.add_scalar()
+    prog.add_equality(0.0, blocks={0: np.outer(u, v)}, scalars={s: -1.0})
+
+
+def build_sparse_relaxation(qp: QPInstance) -> ConicProgram:
+    """The relaxation with one DNN block of order n+2 per inequality row,
+    collapsed onto their shared ``(1, x, X)`` corner (see the module
+    docstring): the general relaxation of the rows read as width-one arms
+    ``(F_i, 1, d_i)``, with the lifted objective ``A . X + 2 a^T x``."""
+    return build_general_relaxation(_row_instance(qp))
+
+
 def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
-    """Block relaxation with per-arm coupled objective terms and the shared
-    constraint pair; blocks live on ``R_+ x K0 x Ki``."""
+    """One PSD block ``G`` with ``G_00 = 1`` (see ``_lifts``), nonnegative
+    where both coordinates lie in ``R_+ x K0``; every block ``L_i G L_i^T``
+    meets its pair of block equations, and ``C = Q_0 G Q_0^T`` the shared
+    pair, for every ``G``.
+
+    The remaining entries that must be nonnegative are tied to nonnegative
+    slacks: on an orthant arm, the entries ``(C w_i)_r`` of its arm row for
+    r = 0 and every orthant coordinate; with a shared constraint whose
+    dropped coordinate lies in an orthant, that coordinate's row of ``C``.
+    Diagonal entries such as ``Y_i = w_i^T C w_i`` are nonnegative already
+    because ``G`` is PSD.  Arm i's objective terms ``per_i`` map to ``L_i^T
+    per_i L_i``.
+    """
     data = gi.data
     n = data.nx
-    ny = data.Ki[0].dim
-    S = data.S
-    order = 1 + n + ny
-    prog = ConicProgram()
-    for cone in data.Ki:
-        if cone.dim != ny:
-            raise ValueError("all arm cones must share one dimension")
-
-    kinds0 = data.K0.coordinate_kinds()
-    blocks = []
-    for i in range(S):
-        kindsi = data.Ki[i].coordinate_kinds()
-        nn = np.array(
-            [True]
-            + [k == cones.ORTHANT for k in kinds0]
-            + [k == cones.ORTHANT for k in kindsi]
-        )
-        mask = np.outer(nn, nn)
-        kerns = [np.concatenate([[-data.d[i + 1]], data.f[i + 1], data.g[i]])]
-        if np.any(data.f[0]):
-            kerns.append(np.concatenate([[-data.d[0]], data.f[0], np.zeros(ny)]))
-        blocks.append(
-            prog.add_block(
-                order,
-                nonneg_mask=mask,
-                name=f"M{i+1}",
-                forced_kernel=np.column_stack(kerns),
-            )
-        )
     xs = slice(1, n + 1)
-    ys = slice(n + 1, order)
-    for i, bidx in enumerate(blocks):
-        f = data.f[i + 1]
-        g = data.g[i]
-        d = data.d[i + 1]
-        prog.add_equality(1.0, blocks={bidx: _entry_functional(order, 0, 0)})
-        lin = np.zeros((order, order))
-        lin[0, xs] = f / 2.0
-        lin[xs, 0] = f / 2.0
-        lin[0, ys] = g / 2.0
-        lin[ys, 0] = g / 2.0
-        prog.add_equality(float(d), blocks={bidx: lin})
-        quad = np.zeros((order, order))
-        quad[xs, xs] = np.outer(f, f)
-        quad[xs, ys] = np.outer(f, g)
-        quad[ys, xs] = np.outer(g, f)
-        quad[ys, ys] = np.outer(g, g)
-        prog.add_equality(float(d) ** 2, blocks={bidx: quad})
-    # Shared-constraint pair on the first block's corner.
-    if np.any(data.f[0]):
-        f0, d0 = data.f[0], data.d[0]
-        lin0 = np.zeros((order, order))
-        lin0[0, xs] = f0 / 2.0
-        lin0[xs, 0] = f0 / 2.0
-        prog.add_equality(float(d0), blocks={blocks[0]: lin0})
-        quad0 = np.zeros((order, order))
-        quad0[xs, xs] = np.outer(f0, f0)
-        prog.add_equality(float(d0) ** 2, blocks={blocks[0]: quad0})
-    for r in range(n + 1):
-        for c in range(r, n + 1):
-            if (r, c) == (0, 0):
-                continue
-            for i in range(1, S):
-                prog.add_equality(
-                    0.0,
-                    blocks={
-                        blocks[i]: _entry_functional(order, r, c),
-                        blocks[0]: -_entry_functional(order, r, c),
-                    },
-                )
-    obj = {}
-    for i, bidx in enumerate(blocks):
-        per = np.zeros((order, order))
-        B = np.outer(gi.b[i], data.g[i])
-        per[xs, ys] += B / 2.0
-        per[ys, xs] += B.T / 2.0
-        per[ys, ys] += gi.C[i].array
-        cvec = gi.beta[i] * data.g[i]
-        per[0, ys] += cvec / 2.0
-        per[ys, 0] += cvec / 2.0
-        obj[bidx] = per
-    first = obj[blocks[0]]
-    first[xs, xs] += gi.A.array
-    first[0, xs] += gi.a / 2.0
-    first[xs, 0] += gi.a / 2.0
-    prog.set_objective(blocks=obj)
+    keep, Q0, lifts = _lifts(data)
+    nn = np.array([True] + [k == cones.ORTHANT for k in data.K0.coordinate_kinds()])
+    prog = ConicProgram()
+    prog.add_block(keep.size, nonneg_mask=np.outer(nn[keep], nn[keep]), name="G")
+    prog.add_equality(1.0, blocks={0: _entry_functional(keep.size, 0, 0)})
+    orthant_coords = np.flatnonzero(nn)
+    for j in np.setdiff1d(orthant_coords, keep):
+        for r in np.setdiff1d(orthant_coords, j):
+            _tie_nonneg(prog, Q0[j], Q0[r])
+    corner = np.zeros((n + 1, n + 1))
+    corner[xs, xs] = gi.A.array
+    corner[0, xs] = gi.a / 2.0
+    corner[xs, 0] = gi.a / 2.0
+    obj = Q0.T @ corner @ Q0
+    for i, L in enumerate(lifts):
+        if data.Ki[i].coordinate_kinds()[0] == cones.ORTHANT:
+            for r in orthant_coords:
+                _tie_nonneg(prog, L[r], L[n + 1])
+        g = data.g[i][0]
+        per = np.zeros((n + 2, n + 2))
+        per[xs, n + 1] = per[n + 1, xs] = gi.b[i] * g / 2.0
+        per[n + 1, n + 1] = gi.C[i].array[0, 0]
+        per[0, n + 1] = per[n + 1, 0] = gi.beta[i] * g / 2.0
+        obj += L.T @ per @ L
+    prog.set_objective(blocks={0: obj})
     return prog
 
 
 def build_dense_reformulation(qp: QPInstance) -> ConicProgram:
-    """Single DNN block of order n+m+1 over ``(1, x, y)`` with all slack
-    coordinates lifted jointly.
+    """The single DNN block of order n+m+1 over ``(1, x, y)``, collapsed onto
+    its corner like the sparse relaxation.
 
-    Reference path for tiny instances only: it is what the sparse relaxation
-    avoids building, and the tests compare the two.  Both are lower bounds on
-    the instance; neither dominates the other in general, since the sparse
-    blocks are smaller but drop the cross-arm couplings.
+    Its rows put every ``(-d_i, F_i, e_i)`` in its kernel, so the block is
+    ``P^T C P`` with ``P = [I | w_1 .. w_m]``: the sparse relaxation plus
+    one nonnegative slack per pair of rows for the cross-arm entries ``w_i^T
+    C w_j``.  Being the sparse program with more rows, its bound is never
+    below the sparse one; it is the reference the tests and the benchmark
+    compare against.
     """
-    n, m = qp.n, qp.m
-    order = 1 + n + m
-    prog = ConicProgram()
-    kinds = qp.K.coordinate_kinds()
-    nn = np.array([True] + [k == cones.ORTHANT for k in kinds] + [True] * m)
-    kerns = [
-        np.concatenate([[-qp.d[i]], qp.F[i], np.eye(m)[i]]) for i in range(m)
-    ]
-    bidx = prog.add_block(
-        order,
-        nonneg_mask=np.outer(nn, nn),
-        name="dense",
-        forced_kernel=np.column_stack(kerns) if kerns else None,
-    )
-    prog.add_equality(1.0, blocks={bidx: _entry_functional(order, 0, 0)})
-    for i in range(m):
-        lin = np.zeros((order, order))
-        lin[0, 1 : n + 1] = qp.F[i] / 2.0
-        lin[1 : n + 1, 0] = qp.F[i] / 2.0
-        lin[0, n + 1 + i] = lin[n + 1 + i, 0] = 0.5
-        prog.add_equality(float(qp.d[i]), blocks={bidx: lin})
-        row = np.concatenate([qp.F[i], np.eye(m)[i]])
-        quad = np.zeros((order, order))
-        quad[1:, 1:] = np.outer(row, row)
-        prog.add_equality(float(qp.d[i]) ** 2, blocks={bidx: quad})
-    obj = np.zeros((order, order))
-    obj[1 : n + 1, 1 : n + 1] = qp.A.array
-    obj[0, 1 : n + 1] = qp.a
-    obj[1 : n + 1, 0] = qp.a
-    prog.set_objective(blocks={bidx: obj})
+    gi = _row_instance(qp)
+    prog = build_general_relaxation(gi)
+    _, _, lifts = _lifts(gi.data)
+    for i in range(qp.m):
+        for j in range(i + 1, qp.m):
+            _tie_nonneg(prog, lifts[i][-1], lifts[j][-1])
     return prog
 
 
 def extract_solution(qp: QPInstance, res: SolveResult) -> RelaxationSolution:
+    """Per-row blocks ``L_i G L_i^T`` from the solved block ``G``, which is
+    the corner ``C`` here; without rows ``C`` itself, the block the rank-one
+    certificate must inspect."""
     n = qp.n
-    # Without rows the only block is the northwest one, and it is the block
-    # the rank-one certificate must inspect.
-    blocks = [SymMatrix(0.5 * (blk + blk.T)) for blk in res.block_values]
-    first = blocks[0].array
-    x = first[0, 1 : n + 1].copy()
-    X = SymMatrix(first[1 : n + 1, 1 : n + 1])
+    C = 0.5 * (res.block_values[0] + res.block_values[0].T)
+    _, _, lifts = _lifts(_row_data(qp))
+    blocks = [SymMatrix(L @ C @ L.T) for L in lifts] or [SymMatrix(C)]
     arms = [
         {
             "z": blk.array[1 : n + 1, n + 1].copy(),
@@ -363,7 +338,8 @@ def extract_solution(qp: QPInstance, res: SolveResult) -> RelaxationSolution:
         }
         for blk in blocks[: qp.m]
     ]
-    return RelaxationSolution(X, x, arms, blocks, res.objective, res)
+    return RelaxationSolution(SymMatrix(C[1:, 1:]), C[0, 1:].copy(), arms, blocks,
+                              res.objective, res)
 
 
 def solve_bounds(qp: QPInstance, solver_opts: Optional[SolveOptions] = None):
@@ -507,8 +483,7 @@ def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
 
 
 def _polytope_bounded(qp: QPInstance) -> bool:
-    data = ConstraintData.width_one(qp.K, qp.F, np.ones(qp.m), qp.d)
-    return check_boundedness(data).status == BOUNDED
+    return check_boundedness(_row_data(qp)).status == BOUNDED
 
 
 def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL):

@@ -186,26 +186,14 @@ class TestKktResiduals:
         assert out["objective"] == pytest.approx(res.objective, abs=1e-9)
 
     def test_hand_built_point(self, qp_two_constraints):
+        # The corner (1, x, X) at x = (1/4, 1/4), X = diag(1/8, 1/8) with the
+        # arm rows C w_i, w_1 = (1, -1, -2) and w_2 = (1, -2, -1), as slacks.
         p = build_sparse_relaxation(qp_two_constraints)
-        x = np.array([0.25, 0.25])
-        X = np.diag([0.125, 0.125])
-        blocks = []
-        for z, y in (
-            (np.array([0.125, 0.0]), 0.25),
-            (np.array([0.0, 0.125]), 0.25),
-        ):
-            blk = np.zeros((4, 4))
-            blk[0, 0] = 1.0
-            blk[0, 1:3] = x
-            blk[1:3, 0] = x
-            blk[1:3, 1:3] = X
-            blk[0, 3] = blk[3, 0] = y
-            blk[1:3, 3] = z
-            blk[3, 1:3] = z
-            blk[3, 3] = 0.125
-            blocks.append(blk)
-        out = kkt_residuals(p, blocks, [])
+        corner = np.array([[1.0, 0.25, 0.25], [0.25, 0.125, 0.0], [0.25, 0.0, 0.125]])
+        slacks = [0.25, 0.125, 0.0, 0.25, 0.0, 0.125]
+        out = kkt_residuals(p, [corner], slacks)
         assert out["equality"] <= 1e-12
+        assert out["cone"] <= 1e-12
         assert out["objective"] == pytest.approx(-0.25, abs=1e-12)
 
     def test_perturbed_point_detected(self, qp_two_constraints):
@@ -236,52 +224,20 @@ class TestScalingAndDeflation:
         # Rescaling each equality row by 10^U(-3, 3) leaves the program's
         # feasible set, and so its optimum, unchanged.
         ref = solve(build_sparse_relaxation(qp_two_constraints))
-        scaled = build_sparse_relaxation(qp_two_constraints)
-        rows, scaled.equalities = scaled.equalities, []
-        factors = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, len(rows))
-        for (bc, sc, rhs), t in zip(rows, factors):
-            scaled.add_equality(
-                t * rhs,
-                blocks={k: t * C for k, C in bc.items()},
-                scalars={k: t * a for k, a in sc.items()},
-            )
-        res = solve(scaled)
-        assert ref.status == res.status == OPTIMAL
-        assert abs(ref.objective - res.objective) <= 10 * SolveOptions().tol_gap
-
-    def test_deflation_matches_plain_solve(self):
-        # On a program where both paths converge, declaring the forced kernel
-        # must not change the optimum.
-        rng = np.random.default_rng(1)
-        f = rng.uniform(0.3, 1.2, 2)
-        d = 1.0
-        values = {}
-        for use_kernel in (True, False):
-            p = ConicProgram()
-            kern = np.concatenate([[-d], f, [1.0]]) if use_kernel else None
-            bx = p.add_block(4, forced_kernel=kern)
-            coeff = np.zeros((4, 4))
-            coeff[0, 0] = 1.0
-            p.add_equality(1.0, blocks={bx: coeff})
-            lin = np.zeros((4, 4))
-            lin[0, 1:3] = f / 2
-            lin[1:3, 0] = f / 2
-            lin[0, 3] = lin[3, 0] = 0.5
-            p.add_equality(d, blocks={bx: lin})
-            quad = np.zeros((4, 4))
-            quad[1:3, 1:3] = np.outer(f, f)
-            quad[1:3, 3] = f
-            quad[3, 1:3] = f
-            quad[3, 3] = 1.0
-            p.add_equality(d * d, blocks={bx: quad})
-            obj = np.zeros((4, 4))
-            obj[1:3, 1:3] = np.eye(2)
-            obj[0, 1:3] = obj[1:3, 0] = -np.ones(2)
-            p.set_objective(blocks={bx: obj})
-            res = solve(p)
+        assert ref.status == OPTIMAL
+        for seed in range(6):
+            scaled = build_sparse_relaxation(qp_two_constraints)
+            rows, scaled.equalities = scaled.equalities, []
+            factors = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, len(rows))
+            for (bc, sc, rhs), t in zip(rows, factors):
+                scaled.add_equality(
+                    t * rhs,
+                    blocks={k: t * C for k, C in bc.items()},
+                    scalars={k: t * a for k, a in sc.items()},
+                )
+            res = solve(scaled)
             assert res.status == OPTIMAL
-            values[use_kernel] = res.objective
-        assert values[True] == pytest.approx(values[False], abs=1e-6)
+            assert abs(ref.objective - res.objective) <= 10 * SolveOptions().tol_gap
 
 
 def test_lp_enumeration_oracle_self_check():

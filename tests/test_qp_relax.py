@@ -3,7 +3,14 @@ import pytest
 
 from cppc.conditions import ConstraintData
 from cppc.cones import ORTHANT, free, orthant, product
-from cppc.conic_solver import OPTIMAL, SolveResult, kkt_residuals, solve
+from cppc.conic_solver import (
+    OPTIMAL,
+    ConicProgram,
+    SolveOptions,
+    SolveResult,
+    kkt_residuals,
+    solve,
+)
 from cppc.matrix_core import SymMatrix
 from cppc.oracles import qp_global_minimum
 from cppc.qp_relax import (
@@ -11,6 +18,8 @@ from cppc.qp_relax import (
     UNKNOWN,
     GeneralInstance,
     QPInstance,
+    _lifts,
+    build_dense_reformulation,
     build_general_relaxation,
     build_sparse_relaxation,
     certificate_a,
@@ -58,92 +67,148 @@ def lifted_solution_from_point(qp, x):
     return sol
 
 
+def per_row_program(gi):
+    """The paper's per-row program for width-one data, assembled entry by
+    entry: block i over ``(1, x, y_i)`` carries the unit corner, the pair
+    ``f_i^T x + g_i y_i = d_i`` and ``[f_i; g_i][f_i; g_i]^T . [X z_i; z_i^T
+    Y_i] = d_i^2`` and its arm terms ``y_i b_i^T x g_i + C_i y_i^2 + beta_i
+    g_i y_i``; blocks i > 0 copy block 0's ``(1, x, X)`` corner, and block 0
+    carries the shared pair and ``A . X + a^T x``.  Entries are
+    nonnegative where both coordinates lie in an orthant."""
+    data = gi.data
+    n, m = data.nx, data.S
+    o = n + 2
+
+    def coeff(entries):
+        mat = np.zeros((o, o))
+        for (r, c), val in entries.items():
+            mat[r, c] += val
+            if r != c:
+                mat[c, r] += val
+        return mat
+
+    prog = ConicProgram()
+    kinds0 = [k == ORTHANT for k in data.K0.coordinate_kinds()]
+    for i in range(m):
+        nn = np.array([True] + kinds0 + [data.Ki[i].coordinate_kinds()[0] == ORTHANT])
+        prog.add_block(o, nonneg_mask=np.outer(nn, nn))
+    obj = {}
+    for i in range(m):
+        f, g, d = data.f[i + 1], data.g[i][0], data.d[i + 1]
+        prog.add_equality(1.0, blocks={i: coeff({(0, 0): 1.0})})
+        lin = {(0, 1 + k): f[k] / 2 for k in range(n)}
+        lin[(0, n + 1)] = g / 2
+        prog.add_equality(d, blocks={i: coeff(lin)})
+        h = np.append(f, g)
+        quad = {(1 + r, 1 + c): h[r] * h[c] for r in range(n + 1) for c in range(r, n + 1)}
+        prog.add_equality(d * d, blocks={i: coeff(quad)})
+        arm = {(1 + k, n + 1): gi.b[i][k] * g / 2 for k in range(n)}
+        arm[(n + 1, n + 1)] = gi.C[i].array[0, 0]
+        arm[(0, n + 1)] = gi.beta[i] * g / 2
+        obj[i] = coeff(arm)
+    f0, d0 = data.f[0], data.d[0]
+    if np.any(f0):
+        prog.add_equality(d0, blocks={0: coeff({(0, 1 + k): f0[k] / 2 for k in range(n)})})
+        quad0 = {(1 + r, 1 + c): f0[r] * f0[c] for r in range(n) for c in range(r, n)}
+        prog.add_equality(d0 * d0, blocks={0: coeff(quad0)})
+    for r in range(n + 1):
+        for c in range(r, n + 1):
+            if (r, c) == (0, 0):
+                continue
+            val = 1.0 if r == c else 0.5
+            for i in range(1, m):
+                prog.add_equality(
+                    0.0, blocks={i: coeff({(r, c): val}), 0: coeff({(r, c): -val})}
+                )
+    corner = {(1 + r, 1 + c): gi.A.array[r, c] for r in range(n) for c in range(r, n)}
+    corner.update({(0, 1 + k): gi.a[k] / 2 for k in range(n)})
+    obj[0] = obj[0] + coeff(corner)
+    prog.set_objective(blocks=obj)
+    return prog
+
+
+def assert_solves_per_row_program(gi, blocks, res):
+    """The blocks reported for a solved corner program are feasible and
+    optimal-valued for the per-row program."""
+    out = kkt_residuals(per_row_program(gi), blocks)
+    scale = max(1.0, max(float(np.abs(b).max()) for b in blocks))
+    assert out["equality"] <= 1e-9 * scale
+    assert out["cone"] <= 1e-9 * scale
+    assert out["objective"] == pytest.approx(res.objective, abs=1e-9 * max(1.0, abs(res.objective)))
+
+
+def counts(prog):
+    return len(prog.blocks), prog.blocks[0].order, len(prog.scalars), len(prog.equalities)
+
+
 class TestBuilders:
     def test_block_structure(self, qp_two_constraints):
+        # One corner block of order n+1 and a slack for (C w_i)_r, r = 0..n,
+        # per row.
         prog = build_sparse_relaxation(qp_two_constraints)
-        assert len(prog.blocks) == 2
-        assert all(b.order == 4 for b in prog.blocks)
+        assert counts(prog) == (1, 3, 6, 7)
+        assert prog.blocks[0].psd and prog.blocks[0].nonneg_mask.all()
+        assert all(s.nonneg for s in prog.scalars)
 
     def test_no_inequalities_flagged(self):
+        # Without rows the corner with its unit entry is the whole program.
         qp = QPInstance.build(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
         prog = build_sparse_relaxation(qp)
-        assert len(prog.blocks) == 1
-        assert prog.blocks[0].order == 3
-        assert prog.notes
+        assert counts(prog) == (1, 3, 0, 1)
 
     def test_structural_counts(self):
         rng = np.random.default_rng(0)
         qp = random_bounded_qp(rng, n=2, m=3)
-        prog = build_sparse_relaxation(qp)
-        assert len(prog.blocks) == qp.m
-        # per block: unit corner + the two coupling rows; plus corner sharing
-        shared = (qp.n + 1) * (qp.n + 2) // 2 - 1
-        assert len(prog.equalities) == 3 * qp.m + shared * (qp.m - 1)
+        # Unit corner plus one slack row per row and orthant coordinate.
+        assert counts(build_sparse_relaxation(qp)) == (1, 3, 9, 10)
+        A, a, F, d = -np.eye(10), np.zeros(10), rng.uniform(0.1, 1.0, (10, 10)), np.ones(10)
+        assert counts(build_sparse_relaxation(QPInstance.build(A, a, F, d))) == (1, 11, 110, 111)
+        # Dense adds one slack row per pair of rows.
+        assert counts(build_dense_reformulation(qp)) == (1, 3, 12, 13)
 
     def test_general_reduces_to_sparse(self, qp_two_constraints):
-        # The sparse relaxation comes from the general builder on width-one
-        # data; compare it with the paper's per-row program assembled here:
-        # block i over (1, x, y_i) carries the unit corner, the pair
-        # f_i^T x + y_i = d_i and [f_i; 1][f_i; 1]^T . [X z_i; z_i^T Y_i] =
-        # d_i^2, blocks i > 0 copy block 0's (1, x, X) corner, and block 0
-        # carries the objective A . X + 2 a^T x.
-        for K in (orthant(2), product(orthant(1), free(1))):
+        # The corner program's blocks P_i^T C P_i re-verify on the paper's
+        # per-row program (assembled independently above): feasible, with
+        # the corner program's objective.
+        # The free coordinate gets positive curvature: with the fixture's
+        # -x_2^2 the relaxation would be unbounded along X_22.
+        for K, A in ((orthant(2), -np.eye(2)), (product(orthant(1), free(1)), np.diag([-1.0, 1.0]))):
             qp = QPInstance.build(
-                qp_two_constraints.A, [0.3, -0.2], qp_two_constraints.F,
-                qp_two_constraints.d, K,
+                A, [0.3, -0.2], qp_two_constraints.F, qp_two_constraints.d, K
             )
-            n, m = qp.n, qp.m
-            o = n + 2
-
-            def row(entries):
-                vec = np.zeros(m * o * o)
-                for (i, r, c), val in entries.items():
-                    vec[i * o * o + r * o + c] += val
-                    if r != c:
-                        vec[i * o * o + c * o + r] += val
-                return vec
-
-            ref = []
-            for i in range(m):
-                f, d = qp.F[i], qp.d[i]
-                ref.append((row({(i, 0, 0): 1.0}), 1.0))
-                lin = {(i, 0, 1 + k): f[k] / 2 for k in range(n)}
-                lin[(i, 0, n + 1)] = 0.5
-                ref.append((row(lin), d))
-                h = np.append(f, 1.0)
-                quad = {
-                    (i, 1 + r, 1 + c): h[r] * h[c]
-                    for r in range(n + 1)
-                    for c in range(r, n + 1)
-                }
-                ref.append((row(quad), d * d))
-            for r in range(n + 1):
-                for c in range(r, n + 1):
-                    if (r, c) == (0, 0):
-                        continue
-                    for i in range(1, m):
-                        val = 1.0 if r == c else 0.5
-                        ref.append((row({(i, r, c): val}) - row({(0, r, c): val}), 0.0))
-            obj = {(0, 1 + r, 1 + c): qp.A.array[r, c] for r in range(n) for c in range(r, n)}
-            obj.update({(0, 0, 1 + k): qp.a[k] for k in range(n)})
-
-            prog = build_sparse_relaxation(qp)
-            A, b = prog.constraint_matrix()
-
-            def sorted_rows(M):
-                return M[np.lexsort(M.T[::-1])]
-
-            got = sorted_rows(np.column_stack([A, b]))
-            want = sorted_rows(np.array([np.append(vec, rhs) for vec, rhs in ref]))
-            assert np.array_equal(got, want)
-            assert np.array_equal(prog.objective_vector(), row(obj))
-            nn = np.array([True] + [k == ORTHANT for k in K.coordinate_kinds()] + [True])
-            assert len(prog.blocks) == m
-            for i, spec in enumerate(prog.blocks):
-                assert spec.order == o and spec.psd
-                assert np.array_equal(spec.nonneg_mask, np.outer(nn, nn))
-                kernel = np.concatenate([[-qp.d[i]], qp.F[i], [1.0]])[:, None]
-                assert np.array_equal(spec.forced_kernel, kernel)
+            gi = GeneralInstance.build(
+                qp.A, 2.0 * qp.a, [np.zeros(2)] * 2, [0.0] * 2, [SymMatrix([[0.0]])] * 2,
+                ConstraintData.width_one(K, qp.F, np.ones(2), qp.d),
+            )
+            res = solve(build_sparse_relaxation(qp))
+            assert res.status == OPTIMAL
+            sol = extract_solution(qp, res)
+            assert_solves_per_row_program(gi, [b.array for b in sol.blocks], res)
+        # A shared constraint and coupled arm terms, with one free arm.
+        rng = np.random.default_rng(8)
+        data = ConstraintData.build(
+            orthant(3),
+            [orthant(1), free(1), orthant(1)],
+            [rng.uniform(0.5, 1.0, 3)] + [rng.uniform(-0.5, 1.0, 3) for _ in range(3)],
+            [rng.uniform(0.5, 1.5, 1) for _ in range(3)],
+            [1.0] + list(rng.uniform(0.5, 1.5, 3)),
+        )
+        Q = rng.standard_normal((3, 3))
+        gi = GeneralInstance.build(
+            0.5 * (Q + Q.T), rng.standard_normal(3),
+            [rng.standard_normal(3) for _ in range(3)], list(rng.standard_normal(3)),
+            [SymMatrix([[v]]) for v in rng.standard_normal(3)], data,
+        )
+        prog = build_general_relaxation(gi)
+        # The shared pair drops one coordinate of x: G has order 3, and the
+        # dropped coordinate's row of C needs 3 slacks on top of 4 per
+        # orthant arm.
+        assert counts(prog) == (1, 3, 11, 12)
+        res = solve(prog)
+        assert res.status == OPTIMAL
+        G = res.block_values[0]
+        _, _, lifts = _lifts(data)
+        assert_solves_per_row_program(gi, [L @ G @ L.T for L in lifts], res)
         res = solve(build_sparse_relaxation(qp_two_constraints))
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(-0.25, abs=1e-6)
@@ -167,10 +232,12 @@ class TestBuilders:
             data,
         )
         prog = build_general_relaxation(gi)
-        assert len(prog.blocks) == 1
-        assert prog.blocks[0].order == 4
+        assert counts(prog) == (1, 3, 3, 4)
         res = solve(prog)
         assert res.status == OPTIMAL
+        G = res.block_values[0]
+        _, _, (L,) = _lifts(data)
+        assert_solves_per_row_program(gi, [L @ G @ L.T], res)
 
     def test_general_rejects_bad_shapes(self):
         data = ConstraintData.build(
@@ -181,11 +248,23 @@ class TestBuilders:
                 SymMatrix(np.eye(2)), np.zeros(2), [np.zeros(3)], [0.0],
                 [SymMatrix([[0.0]])], data,
             )
+        # The corner relaxation needs width-one arms with g_i != 0.
+        wide = ConstraintData.build(
+            orthant(2), [orthant(2)], [np.zeros(2), np.ones(2)], [np.ones(2)], [0.0, 1.0]
+        )
+        zero_g = ConstraintData.build(
+            orthant(2), [orthant(1)], [np.zeros(2), np.ones(2)], [np.zeros(1)], [0.0, 1.0]
+        )
+        for data, C in ((wide, SymMatrix(np.zeros((2, 2)))), (zero_g, SymMatrix([[0.0]]))):
+            with pytest.raises(ValueError):
+                GeneralInstance.build(
+                    SymMatrix(np.eye(2)), np.zeros(2), [np.zeros(2)], [0.0], [C], data
+                )
 
 
 def test_rank_one_lift_satisfies_sparse_relaxation():
-    # Property: the lift of any feasible x (one block outer((1, x, d_i -
-    # F_i x)) per row, or outer((1, x)) without rows) is feasible for the
+    # Property: the lift of any feasible x (corner outer((1, x)), slacks
+    # (1, x)_r (d_i - F_i x) on the orthant coordinates) is feasible for the
     # relaxation, with objective qp.objective(x).
     rng = np.random.default_rng(7)
     for k in range(60):
@@ -199,13 +278,11 @@ def test_rank_one_lift_satisfies_sparse_relaxation():
         Q = rng.standard_normal((n, n))
         qp = QPInstance.build(0.5 * (Q + Q.T), rng.standard_normal(n), F, d, K)
         assert qp.feasible(x)
-        if m == 0:
-            lifts = [np.concatenate([[1.0], x])]
-        else:
-            lifts = [np.concatenate([[1.0], x, [d[i] - F[i] @ x]]) for i in range(m)]
-        blocks = [np.outer(z, z) for z in lifts]
-        out = kkt_residuals(build_sparse_relaxation(qp), blocks)
-        scale = max(1.0, max(float(np.abs(b).max()) for b in blocks))
+        z = np.concatenate([[1.0], x])[: n - n_free + 1]
+        slacks = np.concatenate([z * (d[i] - F[i] @ x) for i in range(m)] + [np.zeros(0)])
+        corner = np.outer(np.concatenate([[1.0], x]), np.concatenate([[1.0], x]))
+        out = kkt_residuals(build_sparse_relaxation(qp), [corner], slacks)
+        scale = max(1.0, float(np.abs(corner).max()))
         assert out["equality"] <= 1e-12 * scale
         assert out["cone"] <= 1e-12 * scale
         obj = qp.objective(x)
@@ -417,11 +494,24 @@ class TestExactnessReport:
                 assert rep.overall == UNKNOWN
         # both outcomes are legal; the loop must simply never crash
 
+    def test_tall_instance_converges_without_polish(self):
+        # n = 4, m = 20 of the family A = -G G^T / n, a = 0.1 N(0, 1),
+        # F ~ U(0.1, 1), d = 1 at seed 2: with one block per row and the
+        # corner copied between them, ADMM stalled at MaxIters here.
+        n, m = 4, 20
+        rng = np.random.default_rng(2)
+        G = rng.standard_normal((n, n))
+        A = -G @ G.T / n
+        a = 0.1 * rng.standard_normal(n)
+        F = rng.uniform(0.1, 1.0, (m, n))
+        qp = QPInstance.build(A, a, F, np.ones(m))
+        rep = exactness_report(qp, SolveOptions(polish=False))
+        assert rep.overall == PROVEN_EXACT, rep.diagnostics
+        assert rep.solution.solver.status == OPTIMAL
+
 
 class TestDenseReference:
     def test_dense_is_a_lower_bound_too(self, qp_two_constraints):
-        from cppc.qp_relax import build_dense_reformulation
-
         res = solve(build_dense_reformulation(qp_two_constraints))
         assert res.status == OPTIMAL
         ref, _ = brute(qp_two_constraints)
@@ -430,8 +520,8 @@ class TestDenseReference:
         assert res.objective == pytest.approx(-0.25, abs=1e-6)
 
     def test_sparse_and_dense_bound_random_instances(self):
-        from cppc.qp_relax import build_dense_reformulation
-
+        # Both bound the optimum, and the dense program, being the sparse one
+        # plus the cross-arm rows, never bounds below it.
         rng = np.random.default_rng(5)
         for _ in range(5):
             qp = random_bounded_qp(rng, n=2, m=2)
@@ -441,19 +531,21 @@ class TestDenseReference:
             assert dense.status == OPTIMAL
             assert dense.objective <= ref + 1e-5
             assert lower <= ref + 1e-5
+            assert dense.objective >= lower - 1e-5
 
 
 class TestFreeConeSupport:
     def test_free_coordinate_relaxation(self):
-        # One free coordinate: entries involving it carry no sign constraint.
+        # One free coordinate: corner entries involving it carry no sign
+        # constraint, and no arm row (C w_i)_r is tied to a slack for it.
         K = product(orthant(1), free(1))
         qp = QPInstance.build(
             np.eye(2), np.array([0.0, -1.0]), [[1.0, 1.0], [0.0, -1.0]], [1.0, 1.0], K
         )
         prog = build_sparse_relaxation(qp)
         mask = prog.blocks[0].nonneg_mask
-        assert mask is not None
-        assert mask[0, 1] and not mask[0, 2] and mask[0, 3]
+        assert mask[0, 1] and not mask[0, 2] and mask[1, 1] and not mask[1, 2]
+        assert counts(prog) == (1, 3, 4, 5)
         lower, sol, upper = solve_bounds(qp)
         ref, _ = brute(qp)
         assert lower <= ref + 1e-6
