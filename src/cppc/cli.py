@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("input", help="path to the JSON problem file")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--max-iters", type=int, default=None, help="solver iteration cap")
+    parser.add_argument("--max-iters", type=int, default=None, help="interior-point iteration cap")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized search")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--quiet", action="store_true", help="suppress the stderr summary")

@@ -528,7 +528,7 @@ def complete_numeric(problem: CompletionProblem,
             prog.add_equality(
                 float(zf[r, c]), blocks={bidx: _entry_functional(total, r, c)}
             )
-    opts = solver_opts or SolveOptions(tol_primal=1e-8, max_iters=30000)
+    opts = solver_opts or SolveOptions(tol_primal=1e-8)
     res = solve(prog, opts)
     if res.status != OPTIMAL:
         return NumericCompletionResult(

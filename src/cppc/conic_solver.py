@@ -1,16 +1,16 @@
-"""First-order splitting solver for linear programs over coupled DNN blocks.
+"""Interior-point solver for linear programs over coupled DNN blocks.
 
 Programs consist of symmetric matrix blocks, each optionally constrained to
 the PSD cone and/or to entrywise nonnegativity, plus sign-constrained scalar
 variables, all tied together by affine equality constraints and a linear
 objective.
 
-The solver is consensus ADMM: the global iterate is projected onto the
-affine equality subspace (cached pseudoinverse of the constraint Gram
-matrix), while two consensus copies are projected onto the PSD side and the
-nonnegativity side of each block.  Ruiz-style diagonal scaling (uniform per
-matrix block, so cone membership is preserved) and over-relaxation are on by
-default.  Final residuals are always re-evaluated on the original, unscaled
+The solver is a primal-dual interior-point method (HKM direction, Mehrotra
+predictor-corrector) on a standard form with unit-norm rows, in which every
+nonnegative entry of a PSD block is an orthant variable of its own.  Its best
+iterate goes once through an active-face polish that solves the optimal
+face's KKT system; when the polish fails, the iterate itself is checked.
+Residuals, dual feasibility and gap are always re-evaluated on the original
 data before a result is declared Optimal.
 """
 
@@ -26,7 +26,6 @@ from .matrix_core import sym_eigh as jacobi_eigh
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
-UNBOUNDED = "Unbounded"
 MAX_ITERS = "MaxIters"
 
 
@@ -195,35 +194,16 @@ class ConicProgram:
 
 @dataclass
 class SolveOptions:
-    """Acceptance tolerances, iteration budget and whether to face-polish."""
+    """Acceptance tolerances, the interior-point iteration cap and whether to
+    face-polish the loop's best iterate.  The loop itself stops once its
+    relative residuals and gap are below a thousandth of the tightest
+    tolerance, or when they stop improving."""
 
     tol_primal: float = 1e-7
     tol_dual: float = 1e-7
     tol_gap: float = 1e-6
-    max_iters: int = 100000
+    max_iters: int = 200
     polish: bool = True
-
-
-#: ADMM over-relaxation factor and initial penalty (adapted every 100
-#: iterations when the primal and dual residuals drift apart).
-_OVER_RELAXATION = 1.6
-_RHO = 1.0
-#: Residuals are checked every ``_CHECK_EVERY`` iterations; the run stops as
-#: stalled when the combined residual has not dropped by 5% for
-#: ``_STALL_WINDOW`` iterations and is still above ``_STALL_THRESHOLD``.
-_CHECK_EVERY = 25
-_STALL_WINDOW = 4000
-_STALL_THRESHOLD = 1e-4
-#: Period of face-polish attempts before the scaled loop converges.
-_POLISH_EVERY = 500
-#: Tiny quadratic centering term; selects the minimum-norm point of a flat
-#: optimal face.  The bias it introduces is removed by the polish step and
-#: allowed for in the gap acceptance threshold.
-_TIKHONOV = 1e-6
-#: Ruiz equilibration passes.  Rows whose scales differ by orders of
-#: magnitude (an equality multiplied by 1e3, say) take a few dozen passes to
-#: equilibrate; with ten, such a program can stall the polish.
-_RUIZ_PASSES = 50
 
 
 @dataclass
@@ -240,24 +220,6 @@ class SolveResult:
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
-
-
-def _psd_project(vec, blocks, offs):
-    out = vec.copy()
-    for spec, off in zip(blocks, offs):
-        if not spec.psd:
-            continue
-        o = spec.order
-        m = vec[off : off + o * o].reshape(o, o)
-        m = 0.5 * (m + m.T)
-        w, q = np.linalg.eigh(m)
-        if w[0] >= 0.0:
-            out[off : off + o * o] = m.reshape(-1)
-            continue
-        pos = w > 0.0
-        mp = (q[:, pos] * w[pos]) @ q[:, pos].T
-        out[off : off + o * o] = (0.5 * (mp + mp.T)).reshape(-1)
-    return out
 
 
 def _primal_residuals(p: ConicProgram, A, b, v):
@@ -290,42 +252,15 @@ def _nonneg_index(p: ConicProgram) -> np.ndarray:
     return mask
 
 
-def _ruiz_scale(A, p: ConicProgram):
-    """Row/column equilibration with per-block-uniform column factors."""
-    m, n = A.shape
-    offs, scal0 = p.block_offsets()
-    groups = []
-    for spec, off in zip(p.blocks, offs):
-        groups.append(np.arange(off, off + spec.order**2))
-    for j in range(len(p.scalars)):
-        groups.append(np.array([scal0 + j]))
-
-    D = np.ones(n)
-    E = np.ones(m)
-    if m == 0:
-        return D, E
-    for _ in range(_RUIZ_PASSES):
-        As = (E[:, None] * A) * D[None, :]
-        rn = np.abs(As).max(axis=1)
-        rn[rn == 0.0] = 1.0
-        E /= np.sqrt(rn)
-        cn = np.abs(As).max(axis=0)
-        cn[cn == 0.0] = 1.0
-        for g in groups:
-            gm = np.exp(np.mean(np.log(cn[g])))
-            cn[g] = gm
-        D /= np.sqrt(cn)
-    return D, E
-
-
 def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     """Solve the program; see module docstring for the method.
 
     A result with status ``Optimal`` satisfies the equalities, the cone
-    constraints and the duality-gap bound within the configured tolerances,
-    re-checked on the unscaled data.  ``MaxIters`` returns the best iterate
-    with a residual report and never claims infeasibility; ``Infeasible`` is
-    only reported when the equality system alone is provably inconsistent.
+    constraints, dual feasibility and the duality-gap bound within the
+    configured tolerances, re-checked on the original data.  ``MaxIters``
+    returns the best iterate with a residual report and never claims
+    infeasibility; ``Infeasible`` is only reported when the equality system
+    alone is provably inconsistent.
     """
     opts = opts or SolveOptions()
     p.validate()
@@ -334,11 +269,7 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("program data contains non-finite values")
 
-    n = p.num_vars
     m = A.shape[0]
-    offs, _ = p.block_offsets()
-    nn_mask = _nonneg_index(p)
-
     # Equality system consistency: a positive least-squares residual is a
     # certificate of infeasibility regardless of the cones.
     if m:
@@ -347,7 +278,7 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
         if ls_res > 1e-6 * max(1.0, np.abs(b).max()):
             return SolveResult(
                 INFEASIBLE,
-                *_zero_point(p),
+                *p.split_vector(np.zeros(p.num_vars)),
                 objective=float("nan"),
                 residuals={"equality": float(ls_res)},
                 iterations=0,
@@ -355,125 +286,227 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
                 diagnostics="equality system is inconsistent",
             )
 
-    D, E = _ruiz_scale(A, p)
-    As = (E[:, None] * A) * D[None, :]
-    bs = E * b
-    cs = D * c
-    sigma = 1.0 / max(1.0, np.abs(cs).max())
-    cs = cs * sigma
-    Ginv = np.linalg.pinv(As @ As.T) if m else None
-    AsT = As.T
-
-    rho = _RHO
-    alpha = _OVER_RELAXATION
-    eps = _TIKHONOV
-    v = np.zeros(n)
-    z1 = np.zeros(n)
-    z2 = np.zeros(n)
-    u1 = np.zeros(n)
-    u2 = np.zeros(n)
-    mu = np.zeros(m)
-
-    b_scale = 1.0 + (np.abs(bs).max() if m else 0.0)
-    best_res = np.inf
-    best_res_at = 0
-    stalled = False
-    it = 0
-    tighten = 1.0
-
-    def affine_project(w):
-        nonlocal mu
-        if m == 0:
-            mu = np.zeros(0)
-            return w
-        q = Ginv @ (As @ w - bs)
-        mu = (2.0 * rho + 2.0 * eps) * q
-        return w - AsT @ q
-
-    while it < opts.max_iters:
-        it += 1
-        w = (rho * ((z1 - u1) + (z2 - u2)) - cs) / (2.0 * rho + 2.0 * eps)
-        v = affine_project(w)
-        v1h = alpha * v + (1.0 - alpha) * z1
-        v2h = alpha * v + (1.0 - alpha) * z2
-        z1_prev, z2_prev = z1, z2
-        z1 = _psd_project(v1h + u1, p.blocks, offs)
-        z2 = v2h + u2
-        z2 = np.where(nn_mask, np.maximum(z2, 0.0), z2)
-        u1 = u1 + v1h - z1
-        u2 = u2 + v2h - z2
-
-        if it % _CHECK_EVERY == 0 or it == opts.max_iters:
-            rp = max(
-                float(np.abs(As @ v - bs).max()) if m else 0.0,
-                float(np.abs(v - z1).max()),
-                float(np.abs(v - z2).max()),
-            )
-            rd = rho * max(
-                float(np.abs(z1 - z1_prev).max()), float(np.abs(z2 - z2_prev).max())
-            )
-            combined = max(rp, rd)
-            if combined < 0.95 * best_res:
-                best_res = combined
-                best_res_at = it
-            elif (
-                it - best_res_at >= _STALL_WINDOW
-                and combined > _STALL_THRESHOLD
-            ):
-                stalled = True
-                break
-
-            if it % 100 == 0:
-                if rp > 10.0 * rd and rho < 1e6:
-                    rho *= 2.0
-                    u1 *= 0.5
-                    u2 *= 0.5
-                elif rd > 10.0 * rp and rho > 1e-6:
-                    rho *= 0.5
-                    u1 *= 2.0
-                    u2 *= 2.0
-
-            converged_scaled = (
-                rp <= tighten * opts.tol_primal * b_scale
-                and rd <= tighten * opts.tol_dual * b_scale
-            )
-            attempt_polish = opts.polish and (
-                converged_scaled or it % _POLISH_EVERY == 0
-            )
-            if attempt_polish:
-                polished = _face_polish(p, A, b, c, D * v, opts, it)
-                if polished is not None:
-                    return polished
-            if converged_scaled:
-                status, result = _finalize(
-                    p, A, b, c, v, mu, D, E, sigma, opts, it
-                )
-                if status:
-                    return result
-                # Not acceptable on the original data yet: request more
-                # accuracy from the scaled loop and keep iterating (polish
-                # keeps retrying as the iterate improves).
-                tighten = max(0.2 * tighten, 1e-9)
-
+    sf = _StandardForm(p, A, b, c)
+    point, it, stop = _interior_point(
+        sf, opts.max_iters, 1e-3 * min(opts.tol_primal, opts.tol_dual, opts.tol_gap)
+    )
+    v, nu, dual_res = sf.original(*point)
     if opts.polish:
-        polished = _face_polish(p, A, b, c, D * v, opts, it)
+        polished = _face_polish(p, A, b, c, v, opts, it)
         if polished is not None:
             return polished
-    # Unconverged: report the best effort with exact residuals.
-    _, result = _finalize(p, A, b, c, v, mu, D, E, sigma, opts, it)
+    result = _result(p, A, b, c, v, nu, it, dual_res, "interior-point iterate accepted")
+    res = result.residuals
+    scale_b = 1.0 + float(np.abs(b).max(initial=0.0))
+    if (
+        max(res["equality"], res["cone"]) <= opts.tol_primal * scale_b
+        and dual_res <= opts.tol_dual * (1.0 + float(np.abs(c).max()))
+        and res["gap_relative"] <= opts.tol_gap
+    ):
+        return result
     result.status = MAX_ITERS
-    result.diagnostics = (
-        "stalled: residuals stopped improving (possibly infeasible or "
-        "requires more iterations)"
-        if stalled
-        else "iteration budget exhausted"
-    )
+    result.diagnostics = stop or "interior-point iterate failed the original-data check"
     return result
 
 
-def _zero_point(p: ConicProgram):
-    blocks = [np.zeros((b.order, b.order)) for b in p.blocks]
-    return [blocks, np.zeros(len(p.scalars))]
+class _StandardForm:
+    """The program as ``min c.u  s.t.  A u = b,  u in K`` for the interior-point
+    loop, ``K`` being a product of PSD blocks and one nonnegative orthant.
+
+    ``u`` holds the PSD blocks of the program, entry by entry as in ``v``,
+    then the orthant variables: the upper entries of the other blocks and
+    the scalars, each free one split into a difference of two, and one
+    ``t`` per masked off-diagonal upper entry of a PSD block, tied to it by
+    a row ``X_rc - t = 0`` (the diagonal of a PSD matrix is nonnegative
+    already).  Each row is scaled to unit norm; zero rows drop out.
+    """
+
+    def __init__(self, p, A, b, c):
+        offs, _ = p.block_offsets()
+        n, m = p.num_vars, A.shape[0]
+        mirror = np.arange(n)  # position in v of each entry's transpose
+        in_psd = np.zeros(n, dtype=bool)
+        for spec, off in zip(p.blocks, offs):
+            o = spec.order
+            mirror[off : off + o * o] = off + np.arange(o * o).reshape(o, o).T.reshape(-1)
+            in_psd[off : off + o * o] = spec.psd
+        mask = _nonneg_index(p)
+        self.pos = np.flatnonzero(in_psd)
+        self.blocks = [
+            (slice(s, s + spec.order**2), spec.order)
+            for spec, s in zip(p.blocks, np.searchsorted(self.pos, offs)) if spec.psd
+        ]
+        flat = np.flatnonzero(~in_psd & (mirror >= np.arange(n)))
+        tied = np.flatnonzero(in_psd & mask & (mirror > np.arange(n)))
+        # A free variable is its first copy minus its second; coefficients
+        # are symmetric, so an off-diagonal entry's column is twice its own.
+        free = ~mask[flat]
+        self.up = np.r_[flat, flat[free]]
+        self.sign = np.r_[np.ones(flat.size), -np.ones(int(free.sum()))]
+        self.lo = mirror[self.up]
+        weight = self.sign * np.where(self.lo != self.up, 2.0, 1.0)
+        self.flat = slice(self.pos.size, None)
+
+        nflat, tie = self.up.size, np.arange(tied.size)
+        full = np.zeros((m + tied.size, self.pos.size + nflat + tied.size))
+        full[:m, : self.pos.size] = A[:, self.pos]
+        full[:m, self.pos.size : self.pos.size + nflat] = A[:, self.up] * weight
+        full[m + tie, np.searchsorted(self.pos, tied)] = 0.5
+        full[m + tie, np.searchsorted(self.pos, mirror[tied])] = 0.5
+        full[m + tie, self.pos.size + nflat + tie] = -1.0
+        norms = np.linalg.norm(full, axis=1)
+        self.keep = np.flatnonzero(norms > 0.0)
+        self.row_scale = 1.0 / norms[self.keep]
+        self.A = full[self.keep] * self.row_scale[:, None]
+        self.b = np.r_[b, np.zeros(tied.size)][self.keep] * self.row_scale
+        self.c = np.r_[c[self.pos], c[self.up] * weight, np.zeros(tied.size)]
+        self.program = (A, c, mask)
+
+    def mats(self, u):
+        return [u[sl].reshape(o, o) for sl, o in self.blocks]
+
+    def join(self, mats, flat):
+        return np.concatenate([M.reshape(-1) for M in mats] + [flat])
+
+    def original(self, u, y, w):
+        """``(v, nu, dual residual)`` of an interior-point ``(u, y, w)``: the
+        program's variable, its equality multipliers (``c + A^T nu`` is the
+        dual slack) and how far that slack minus the PSD part of ``w`` is
+        from the nonnegative cone of the masked entries."""
+        A, c, mask = self.program
+        v = np.zeros(c.size)
+        v[self.pos] = u[: self.flat.start]
+        flat = self.sign * u[self.flat][: self.up.size]
+        np.add.at(v, self.up, flat)
+        np.add.at(v, self.lo, np.where(self.lo != self.up, flat, 0.0))
+        nu = -np.bincount(self.keep, y * self.row_scale, minlength=A.shape[0])[: A.shape[0]]
+        r = c + A.T @ nu
+        r[self.pos] -= w[: self.flat.start]
+        dual = max(float(np.max(-r[mask], initial=0.0)),
+                   float(np.max(np.abs(r[~mask]), initial=0.0)))
+        return v, nu, dual
+
+
+def _interior_point(sf, max_iters, target):
+    """Infeasible-start primal-dual path following on ``sf``: HKM direction
+    with Mehrotra's predictor-corrector, the Schur complement solved by
+    Cholesky.
+
+    Returns the best iterate ``(u, y, w)``, scored by the largest of the
+    relative primal infeasibility, dual infeasibility and gap; the number of
+    steps taken; and why the loop stopped ("" once the score is below
+    ``target``).  After three steps without progress it stops as stalled
+    once ``mu`` is small (on programs without an interior point, further
+    steps lose accuracy) or has grown past its start (the iterates
+    diverge).
+    """
+    A, b, c = sf.A, sf.b, sf.c
+    N = sum(o for _, o in sf.blocks) + c.size - sf.flat.start
+    b_norm = 1.0 + float(np.linalg.norm(b))
+    c_norm = 1.0 + float(np.linalg.norm(c))
+    start = max(10.0, np.sqrt(N)) * max(1.0, float(np.abs(b).max(initial=0.0)))
+    eye = sf.join([np.eye(o) for _, o in sf.blocks], np.ones(c.size - sf.flat.start))
+    u, y, w = start * eye, np.zeros(b.size), c_norm * eye
+    mu0 = float(u @ w) / N
+
+    best, best_score, since_best, it = None, np.inf, 0, 0
+    while True:
+        rp = b - A @ u
+        rd = c - A.T @ y - w
+        pobj, dobj = float(c @ u), float(b @ y)
+        mu = float(u @ w) / N
+        score = max(
+            float(np.linalg.norm(rp)) / b_norm,
+            float(np.linalg.norm(rd)) / c_norm,
+            abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
+        )
+        if score < best_score:
+            best, best_score, since_best = (u, y, w), score, 0
+        else:
+            since_best += 1
+        if score <= target:
+            return best, it, ""
+        if it >= max_iters:
+            return best, it, "iteration budget exhausted"
+        if since_best >= 3 and not 1e-6 * mu0 < mu <= mu0:
+            break
+        it += 1
+        try:
+            u, y, w = _mehrotra_step(sf, u, y, w, rp, rd, mu, N)
+        except np.linalg.LinAlgError:
+            break
+    return best, it, "stalled: residuals stopped improving (possibly infeasible or unbounded)"
+
+
+def _mehrotra_step(sf, u, y, w, rp, rd, mu, N):
+    """One predictor-corrector step along the HKM direction."""
+    A, f = sf.A, sf.flat
+    X, Z = sf.mats(u), sf.mats(w)
+    Zinv = [_sym(np.linalg.inv(Zk)) for Zk in Z]
+    x, z = u[f], w[f]
+    M = (A[:, f] * (x / z)) @ A[:, f].T
+    for (sl, _), Xk, Zi in zip(sf.blocks, X, Zinv):
+        M += A[:, sl] @ np.kron(Xk, Zi) @ A[:, sl].T
+    solve_schur = _cholesky_solver(M)
+
+    def scaled(D):
+        # sym(X D Z^-1) on the PSD blocks, x D / z on the orthant.
+        return sf.join([_sym(Xk @ Dk @ Zi) for Xk, Dk, Zi in zip(X, sf.mats(D), Zinv)],
+                       x * D[f] / z)
+
+    base = rp + A @ scaled(rd)
+
+    def direction(H):
+        # du = H - scaled(dw), dw = rd - A^T dy and A du = rp.
+        dy = solve_schur(base - A @ H)
+        dw = rd - A.T @ dy
+        return H - scaled(dw), dy, dw
+
+    du, _, dw = direction(-u)
+    ap = min(1.0, _step_to_boundary(sf, u, du))
+    ad = min(1.0, _step_to_boundary(sf, w, dw))
+    sigma_mu = min(1.0, (float((u + ap * du) @ (w + ad * dw)) / N / mu) ** 3) * mu
+    H = sf.join(
+        [_sym((sigma_mu * np.eye(Zi.shape[0]) - dXk @ dZk) @ Zi)
+         for dXk, dZk, Zi in zip(sf.mats(du), sf.mats(dw), Zinv)],
+        (sigma_mu - du[f] * dw[f]) / z,
+    ) - u
+    du, dy, dw = direction(H)
+    tau = 0.9 + 0.09 * min(ap, ad)
+    ap = min(1.0, tau * _step_to_boundary(sf, u, du))
+    ad = min(1.0, tau * _step_to_boundary(sf, w, dw))
+    return u + ap * du, y + ad * dy, w + ad * dw
+
+
+def _sym(G):
+    return 0.5 * (G + G.T)
+
+
+def _cholesky_solver(M):
+    """Solver for ``M d = r`` by Cholesky; when the factorization fails
+    (dependent rows make ``M`` singular) it retries with a small diagonal
+    shift."""
+    scale = float(np.abs(np.diag(M)).max(initial=0.0))
+    for shift in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
+        try:
+            Li = np.linalg.inv(np.linalg.cholesky(M + shift * scale * np.eye(M.shape[0])))
+        except np.linalg.LinAlgError:
+            continue
+        return lambda r: Li.T @ (Li @ r)
+    raise np.linalg.LinAlgError("Schur complement is not positive definite")
+
+
+def _step_to_boundary(sf, u, du):
+    """Largest ``a`` with ``u + a du`` in the cone (inf when ``du`` never
+    leaves it)."""
+    x, dx = u[sf.flat], du[sf.flat]
+    a = float(np.min(-x[dx < 0.0] / dx[dx < 0.0], initial=np.inf))
+    for Xk, dXk in zip(sf.mats(u), sf.mats(du)):
+        Li = np.linalg.inv(np.linalg.cholesky(Xk))
+        lam = np.linalg.eigvalsh(Li @ dXk @ Li.T)[0]
+        if lam < 0.0:
+            a = min(a, -1.0 / lam)
+    return a
 
 
 def _entry_functional(order: int, r: int, c: int) -> np.ndarray:
@@ -486,45 +519,19 @@ def _entry_functional(order: int, r: int, c: int) -> np.ndarray:
     return m
 
 
-def _result(p, A, b, c, v, nu, it, dual=None, diagnostics=""):
+def _result(p, A, b, c, v, nu, it, dual, diagnostics):
     """``Optimal`` result at the original-data point ``v`` with multipliers
-    ``nu``; the residuals are measured on the original data, and ``dual``
-    adds the face polish's dual residual to them."""
+    ``nu`` and the dual residual ``dual``; the primal residuals and the gap
+    are measured on the original data."""
     eq_res, cone_viol = _primal_residuals(p, A, b, v)
     obj = float(c @ v) + p.obj_constant
     dual_obj = float(-(b @ nu)) + p.obj_constant if A.shape[0] else p.obj_constant
     gap = abs(obj - dual_obj)
-    residuals = {"equality": eq_res, "cone": cone_viol}
-    if dual is not None:
-        residuals["dual"] = dual
-    residuals["gap"] = gap
-    residuals["gap_relative"] = gap / max(1.0, abs(obj), abs(dual_obj))
-    residuals["dual_objective"] = dual_obj
+    residuals = {"equality": eq_res, "cone": cone_viol, "dual": dual, "gap": gap,
+                 "gap_relative": gap / max(1.0, abs(obj), abs(dual_obj)),
+                 "dual_objective": dual_obj}
     blocks, scalars = p.split_vector(v)
     return SolveResult(OPTIMAL, blocks, scalars, obj, residuals, it, nu, diagnostics)
-
-
-def _finalize(p, A, b, c, v_scaled, mu, D, E, sigma, opts, it):
-    """Unscale the iterate and evaluate exact residuals on the original data."""
-    m = A.shape[0]
-    nu = (E * mu) / sigma if m else np.zeros(0)
-    result = _result(p, A, b, c, D * v_scaled, nu, it)
-    res = result.residuals
-    scale = 1.0 + (np.abs(b).max() if m else 0.0)
-    # The centering term shifts the stationarity system by 2*eps*v_scaled,
-    # which biases the measured gap by about that much times the iterate
-    # norm; allow for the known bias when accepting.
-    bias = 2.0 * _TIKHONOV * float(v_scaled @ v_scaled) / sigma
-    ok = (
-        res["equality"] <= opts.tol_primal * scale
-        and res["cone"] <= opts.tol_primal * scale
-        and res["gap"]
-        <= opts.tol_gap * max(1.0, abs(result.objective), abs(res["dual_objective"]))
-        + 4.0 * bias
-    )
-    if not ok:
-        result.status = MAX_ITERS
-    return ok, result
 
 
 # -- active-face polishing -------------------------------------------------
@@ -743,24 +750,16 @@ class _JointFace:
         for blk, Sb in zip(self.psd, S):
             o, r = blk.order, blk.rank
             R = x[blk.x].reshape(o, r)
-            Ablk = A[:, blk.off : blk.off + o * o]
-            # One matrix-vector product per factor entry: batching these
-            # changes the last bits of J, and through the Gauss-Newton steps
-            # the accepted point.
-            for a in range(o):
-                for j in range(r):
-                    dM = np.zeros((o, o))
-                    dM[a, :] += R[:, j]
-                    dM[:, a] += R[:, j]
-                    J[:m, blk.x.start + a * r + j] = Ablk @ dM.reshape(-1)
+            A3 = A[:, blk.off : blk.off + o * o].reshape(m, o, o)
+            # sym(A_k) R is the derivative of A_k . R R^T (times 2) and the
+            # coefficient of nu_k in S R.
+            AR = ((0.5 * (A3 + A3.transpose(0, 2, 1))) @ R).reshape(m, o * r)
+            J[:m, blk.x] = 2.0 * AR
             # Entry (i, j) of S R has d/dR[a, j] = S[i, a]: the rows of
             # kron(S, I_r), written without multiplying by the zeros of I_r.
             i, a, jj = np.ix_(np.arange(o), np.arange(o), np.arange(r))
             J[row + i * r + jj, blk.x.start + a * r + jj] = Sb[:, :, None]
-            A3 = Ablk.reshape(m, o, o)
-            J[row : row + o * r, self.nu_slice] = (
-                (0.5 * (A3 + A3.transpose(0, 2, 1))) @ R
-            ).reshape(m, o * r).T
+            J[row : row + o * r, self.nu_slice] = AR.T
             # Active entry k at (i, l): d M[i, l] / d R[a, j] is
             # [a = i] R[l, j] + [a = l] R[i, j], and N_k enters S at (i, l)
             # and (l, i); diagonal entries take both terms.

@@ -96,6 +96,27 @@ class TestSolveBasics:
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(-2.0 / 3.0, abs=1e-9)
 
+    def test_iteration_cap(self):
+        res = solve(triangle_lp(), SolveOptions(max_iters=2))
+        assert res.status == MAX_ITERS
+        assert "budget" in res.diagnostics
+        assert res.iterations <= 2
+
+    def test_flat_block_and_free_scalar(self):
+        # A nonnegative, non-PSD 2x2 block M with M00 + M11 + 2 M01 = 1 and
+        # a free scalar s = -1 - M00; maximizing M01 forces M00 = M11 = 0.
+        p = ConicProgram()
+        bx = p.add_block(2, psd=False)
+        s = p.add_scalar(nonneg=False)
+        p.add_equality(1.0, blocks={bx: np.ones((2, 2))})
+        p.add_equality(-1.0, blocks={bx: np.diag([1.0, 0.0])}, scalars={s: 1.0})
+        p.set_objective(blocks={bx: np.array([[0.0, -0.5], [-0.5, 0.0]])})
+        res = solve(p)
+        assert res.status == OPTIMAL
+        assert res.objective == pytest.approx(-0.5, abs=1e-9)
+        assert np.allclose(res.block_values[0], [[0.0, 0.5], [0.5, 0.0]], atol=1e-7)
+        assert res.scalar_values[0] == pytest.approx(-1.0, abs=1e-7)
+
     def test_polish_factorization_failure_rejects_attempt(self, monkeypatch):
         attempts = []
 
@@ -152,6 +173,19 @@ class TestSolveBasics:
         res = solve(p, SolveOptions(max_iters=20000))
         assert res.status == MAX_ITERS
         assert "stall" in res.diagnostics or "budget" in res.diagnostics
+
+
+class TestDiagnostics:
+    def test_polished_result_names_its_threshold(self):
+        res = solve(triangle_lp())
+        assert res.status == OPTIMAL
+        assert res.diagnostics.startswith("face polish accepted at threshold")
+
+    def test_no_polish_never_mentions_it(self, qp_two_constraints):
+        for program in (triangle_lp(), build_sparse_relaxation(qp_two_constraints)):
+            res = solve(program, SolveOptions(polish=False))
+            assert res.status == OPTIMAL
+            assert "face polish" not in res.diagnostics
 
 
 class TestBlockSpecMask:

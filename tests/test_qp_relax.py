@@ -44,6 +44,17 @@ def random_bounded_qp(rng, n=None, m=None):
     return QPInstance.build(A, a, F, d)
 
 
+def baseline_qp(n, m, seed):
+    """The Baseline family: A = -G G^T / n, a = 0.1 N(0, 1), F ~ U(0.1, 1),
+    d = 1, drawn in that order from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    A = -G @ G.T / n
+    a = 0.1 * rng.standard_normal(n)
+    F = rng.uniform(0.1, 1.0, (m, n))
+    return QPInstance.build(A, a, F, np.ones(m))
+
+
 def brute(qp):
     kinds = qp.K.coordinate_kinds()
     nonneg = [j for j in range(qp.n) if kinds[j] == "orthant"]
@@ -495,17 +506,9 @@ class TestExactnessReport:
         # both outcomes are legal; the loop must simply never crash
 
     def test_tall_instance_converges_without_polish(self):
-        # n = 4, m = 20 of the family A = -G G^T / n, a = 0.1 N(0, 1),
-        # F ~ U(0.1, 1), d = 1 at seed 2: with one block per row and the
-        # corner copied between them, ADMM stalled at MaxIters here.
-        n, m = 4, 20
-        rng = np.random.default_rng(2)
-        G = rng.standard_normal((n, n))
-        A = -G @ G.T / n
-        a = 0.1 * rng.standard_normal(n)
-        F = rng.uniform(0.1, 1.0, (m, n))
-        qp = QPInstance.build(A, a, F, np.ones(m))
-        rep = exactness_report(qp, SolveOptions(polish=False))
+        # n = 4, m = 20 of the Baseline family at seed 2: with one block per
+        # row and the corner copied between them, ADMM stalled at MaxIters.
+        rep = exactness_report(baseline_qp(4, 20, 2), SolveOptions(polish=False))
         assert rep.overall == PROVEN_EXACT, rep.diagnostics
         assert rep.solution.solver.status == OPTIMAL
 
@@ -532,6 +535,30 @@ class TestDenseReference:
             assert dense.objective <= ref + 1e-5
             assert lower <= ref + 1e-5
             assert dense.objective >= lower - 1e-5
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_dense_not_below_sparse_on_ladder(n):
+    # The dense program is the sparse one plus rows, so its value is never
+    # below the sparse one.
+    qp = baseline_qp(n, n, 0)
+    sparse = solve(build_sparse_relaxation(qp))
+    dense = solve(build_dense_reformulation(qp))
+    assert sparse.status == dense.status == OPTIMAL
+    assert dense.objective >= sparse.objective - 1e-9 * max(1.0, abs(sparse.objective))
+
+
+def test_largest_rung_is_exact():
+    # n = m = 10, the largest Baseline rung: both relaxations attain the
+    # value of the rank-one solution.
+    qp = baseline_qp(10, 10, 0)
+    rep = exactness_report(qp)
+    dense = solve(build_dense_reformulation(qp))
+    assert rep.overall == PROVEN_EXACT, rep.diagnostics
+    assert "rank_one" in rep.proven_by
+    assert dense.status == OPTIMAL
+    for value in (rep.lower, dense.objective):
+        assert value == pytest.approx(rep.upper, rel=1e-7)
 
 
 class TestFreeConeSupport:
