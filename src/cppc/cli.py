@@ -204,7 +204,13 @@ def run_complete(config: RunConfig, obj: dict) -> dict:
         "completion": None,
         "cp": _verdict_dict(res.cp_verdict),
         "oracle": None,
+        "no_completion_certificate": None,
     }
+    cert = res.no_completion_certificate
+    if cert is not None:
+        out["no_completion_certificate"] = {
+            "arms": list(cert.arms), "u": cert.u.tolist(), "value": cert.value,
+        }
     if res.completion is not None:
         out["completion"] = _completion_dict(res.completion)
         return out

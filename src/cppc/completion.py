@@ -9,6 +9,17 @@ of every block, and the three sufficient conditions from
 :mod:`cppc.conditions`.  Certified instances are guaranteed completable; a
 missing certificate proves nothing, and the numeric and brute-force
 completion routines are available independently of certification.
+
+The numeric completion first decides in closed form.  With
+``C = [[1, x^T], [x, X]]`` the shared block, ``a_i = (y_i, z_i)`` the arm's
+column against it and ``s_i = Y_i - a_i^T C^+ a_i`` its Schur complement,
+every PSD completion puts the entry of arms ``i, j`` in
+``a_i^T C^+ a_j +- sqrt(s_i s_j)`` (Grone, Johnson, Sa, Wolkowicz, LAA
+1984).  The centre of every interval at once is the max-determinant
+completion (Dempster 1972), which is PSD whenever the blocks are; an
+interval entirely below zero proves that no doubly nonnegative, and so no
+completely positive, completion exists.  Only inputs neither outcome
+settles reach the conic solver.
 """
 
 from __future__ import annotations
@@ -125,10 +136,32 @@ class CompletabilityCertificate:
 
 
 @dataclass
+class NoCompletionCertificate:
+    """Proof that no doubly nonnegative completion exists.
+
+    ``u`` spans the full matrix.  On the arm rows it is zero except at the
+    rows ``a, b`` of ``arms`` (1-based), where ``u_a u_b <= 0``.  Then
+    ``Y = u u^T - u_a u_b (E_ab + E_ba)`` is PSD plus nonnegative and zero on
+    every unspecified entry, so ``<Y, M> = u^T M_zf u`` for every completion
+    ``M`` and this is nonnegative when ``M`` is doubly nonnegative.  ``value``
+    is ``u^T M_zf u < 0`` on the unit-corner zero-filled matrix
+    (``problem.scale`` times it on the original); ``max|u| = 1``.
+    """
+
+    arms: tuple
+    u: np.ndarray
+    value: float
+
+
+@dataclass
 class NumericCompletionResult:
+    """Outcome of :func:`complete_numeric`: a rechecked completion, a
+    certificate that none exists, or neither (inconclusive)."""
+
     completion: Optional[Completion]
     cp_verdict: Optional[MembershipVerdict]
     diagnostics: str = ""
+    no_completion_certificate: Optional[NoCompletionCertificate] = None
 
 
 @dataclass
@@ -502,14 +535,34 @@ def _find_data_heuristic(problem: CompletionProblem, opts: FindDataOptions):
 
 # -- completion construction -------------------------------------------------
 
+#: Relative size at or below which an eigenvalue of the shared block (against
+#: the largest) or an arm's Schur complement (against max(1, Y_i)) is zero.
+_ZERO_RTOL = 1e-12
+#: A proof of none must reach ``u^T M_zf u < -_PROOF_TOL * max(1, ||M_zf||_F)``
+#: with ``max|u| = 1``, far beyond the rounding of the quadratic form.
+_PROOF_TOL = 1e-9
+
+
 def complete_numeric(problem: CompletionProblem,
                      solver_opts: Optional[SolveOptions] = None) -> NumericCompletionResult:
-    """Search for a doubly nonnegative completion by solving a feasibility
-    program over the full matrix with the specified entries pinned.
+    """Find a doubly nonnegative completion or prove that none exists.
 
-    Failure (solver exhaustion) is reported with diagnostics and never
-    claims non-completability.
+    Three outcomes, tried in order:
+
+    1. a proof of none, when the closed-form interval of some arm pair lies
+       below zero; it is returned only after ``u^T M_zf u`` is recomputed
+       from the specified entries (:class:`NoCompletionCertificate`);
+    2. the max-determinant completion, returned only after the same
+       doubly nonnegative, agreement and CP rechecks as a solver point;
+    3. otherwise a feasibility program over the full matrix with the
+       specified entries pinned, handed to the conic solver.
+
+    "Inconclusive" means undecided by the closed form and the solver; it
+    never claims non-completability.
     """
+    decided = _closed_form(problem)
+    if decided is not None:
+        return decided
     pm = problem.pm
     total = pm.pattern.total_order
     kinds = problem.K.coordinate_kinds()
@@ -538,14 +591,84 @@ def complete_numeric(problem: CompletionProblem,
     full_scaled = 0.5 * (res.block_values[0] + res.block_values[0].T)
     # Snap the specified entries exactly, then rescale back.
     full_scaled[spec_mask] = zf[spec_mask]
-    full = full_scaled * problem.scale
-    if not is_dnn(full, tol=1e-6):
+    checked = _rechecked(problem, full_scaled * problem.scale, "")
+    if checked is None:
         return NumericCompletionResult(
             None, None, "solver point failed the doubly nonnegative recheck"
         )
+    return checked
+
+
+def _rechecked(problem: CompletionProblem, full: np.ndarray,
+               diagnostics: str) -> Optional[NumericCompletionResult]:
+    """The completion ``full`` (original scale) with its CP verdict, or None
+    when it is not doubly nonnegative."""
+    if not is_dnn(full, tol=1e-6):
+        return None
     completion = Completion(SymMatrix(full), problem.original, agreement_tol=1e-7)
     cp = cones.is_cp(SymMatrix(full), tol=1e-6) if problem.K.is_orthant_like() else None
-    return NumericCompletionResult(completion, cp)
+    return NumericCompletionResult(completion, cp, diagnostics)
+
+
+def _closed_form(problem: CompletionProblem) -> Optional[NumericCompletionResult]:
+    """Outcomes 1 and 2 of :func:`complete_numeric`, or None when undecided."""
+    n1 = problem.pm.pattern.n1
+    zf = problem.pm.zero_filled().array
+    A = zf[n1:, :n1]
+    w, V = jacobi_eigh(zf[:n1, :n1])
+    keep = w > _ZERO_RTOL * w[-1]
+    Cplus = (V[:, keep] / w[keep]) @ V[:, keep].T
+    # P[i, j] = a_i^T C^+ a_j, the centre of every pair's interval.
+    P = A @ Cplus @ A.T
+    P = 0.5 * (P + P.T)
+    Y = np.diag(zf)[n1:]
+    s = Y - np.diag(P)
+    root = np.sqrt(np.maximum(s, 0.0))
+    upper = P + np.outer(root, root)
+    np.fill_diagonal(upper, np.inf)
+    i, j = np.unravel_index(np.argmin(upper), upper.shape)
+    if upper[i, j] < 0.0:
+        # Weights (alpha, beta) that make alpha^2 s_i + beta^2 s_j + 2 alpha beta p < 0.
+        p = P[i, j]
+        zero = s <= _ZERO_RTOL * np.maximum(1.0, Y)
+        if zero[i] and zero[j]:
+            alpha, beta = 1.0, 1.0
+        elif zero[i]:
+            alpha, beta = 1.0, -p / s[j]
+        elif zero[j]:
+            alpha, beta = -p / s[i], 1.0
+        else:
+            alpha, beta = root[j], root[i]
+        cert = _proof_of_none(zf, Cplus, int(i), int(j), alpha, beta)
+        if cert is not None:
+            return NumericCompletionResult(
+                None, None,
+                f"no doubly nonnegative completion: the entry of arms {i + 1} "
+                f"and {j + 1} lies below zero (u^T M_zf u = {cert.value:.6g})",
+                no_completion_certificate=cert,
+            )
+    full = problem.original.zero_filled().array.copy()
+    off = ~np.eye(problem.S, dtype=bool)
+    full[n1:, n1:][off] = problem.scale * P[off]
+    return _rechecked(problem, full, "closed-form max-determinant completion")
+
+
+def _proof_of_none(zf: np.ndarray, Cplus: np.ndarray, i: int, j: int,
+                   alpha: float, beta: float) -> Optional[NoCompletionCertificate]:
+    """The certificate ``u = (-C^+(alpha a_i - beta a_j), alpha at arm i,
+    -beta at arm j)`` for arms ``i < j`` (0-based), for which
+    ``u^T M_zf u = alpha^2 s_i + beta^2 s_j + 2 alpha beta a_i^T C^+ a_j``;
+    None unless that value, recomputed from ``zf``, clears the tolerance."""
+    n1 = Cplus.shape[0]
+    u = np.zeros(zf.shape[0])
+    u[:n1] = -Cplus @ (alpha * zf[n1 + i, :n1] - beta * zf[n1 + j, :n1])
+    u[n1 + i] = alpha
+    u[n1 + j] = -beta
+    u /= np.abs(u).max()
+    value = float(u @ zf @ u)
+    if not value < -_PROOF_TOL * max(1.0, float(np.linalg.norm(zf))):
+        return None
+    return NoCompletionCertificate((i + 1, j + 1), u, value)
 
 
 def complete_rank_one(problem: CompletionProblem, tol: float = 1e-8) -> Optional[Completion]:

@@ -51,6 +51,15 @@ class TestCommands:
         assert report["found"] is False
         assert report["oracle"]["best_min_eigenvalue"] < -1e-3
 
+    def test_complete_reports_proof_of_none(self, capsys):
+        _, out, _ = run_capture(capsys, "complete", fixture("noncompletable_arrowhead.json"))
+        cert = json.loads(out)["no_completion_certificate"]
+        assert cert["arms"] == [1, 2]
+        assert cert["value"] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        assert np.allclose(cert["u"], [1.0, -1.0, 1.0, -1.0], atol=1e-12)
+        _, out, _ = run_capture(capsys, "complete", fixture("completable_arrowhead.json"))
+        assert json.loads(out)["no_completion_certificate"] is None
+
     def test_complete_completable(self, capsys):
         code, out, _ = run_capture(capsys, "complete", fixture("completable_arrowhead.json"))
         assert code == 0

@@ -19,7 +19,7 @@ from cppc import cones
 from cppc.conditions import ConstraintData, build_condition_report
 from cppc.matrix_core import ArrowheadPattern, PartialMatrix, SymMatrix, agrees
 
-from conftest import partial_matrix_from_factor
+from conftest import partial_matrix_from_factor, partial_matrix_from_full
 
 
 def stated_data(problem):
@@ -157,6 +157,32 @@ class TestFindData:
         assert max(abs(v) for pair in per_arm for v in pair) <= 1e-8
 
 
+def no_solver(*args, **kwargs):
+    raise AssertionError("the conic solver was called")
+
+
+def gram_completion(n, S, kind, rng):
+    """Gram matrix of nonnegative rows ``(v0, V, W)``: shared rows ``V`` and
+    arm rows ``w_i = (v0 - V^T f_i) / g_i``, so ``(-1, f_i, g_i)`` is in the
+    kernel of every block and the Gram matrix is its unique completion.  The
+    corner ``|v0|^2`` is not one, so the rescaling is exercised.
+    "positive" arms are multiples of one positive functional, "mixed" arms
+    have one negative coefficient each, "rank1" rows have length one."""
+    r = 1 if kind == "rank1" else n + S
+    v0 = rng.uniform(1.0, 2.0, r)
+    V = rng.uniform(0.0, 1.0, (n, r))
+    g = rng.uniform(0.5, 1.5, S)
+    if kind == "positive":
+        F = rng.uniform(0.5, 1.0, S)[:, None] * rng.uniform(0.2, 1.0, n)[None, :]
+    else:
+        F = rng.uniform(0.2, 1.0, (S, n))
+        F[np.arange(S), np.arange(S) % n] = -rng.uniform(0.05, 0.3, S)
+    # Shrink V so that every arm row keeps at least half of v0 / g_i.
+    V *= 0.5 / ((np.maximum(F, 0.0) @ V) / v0).max()
+    rows = np.vstack([v0, V, (v0 - F @ V) / g[:, None]])
+    return rows @ rows.T
+
+
 class TestCompleteNumeric:
     def test_completable_fixture(self, pm_completable):
         problem = CompletionProblem.from_partial_matrix(pm_completable)
@@ -167,11 +193,54 @@ class TestCompleteNumeric:
         assert 0.0 <= entry <= np.sqrt(0.4 * 0.6) + 1e-9
         assert res.cp_verdict is not None and res.cp_verdict.is_member
 
-    def test_noncompletable_fixture(self, pm_noncompletable):
+    def test_noncompletable_fixture(self, pm_noncompletable, monkeypatch):
+        monkeypatch.setattr(cmod, "solve", no_solver)
         problem = CompletionProblem.from_partial_matrix(pm_noncompletable)
         res = complete_numeric(problem)
         assert res.completion is None
-        assert "inconclusive" in res.diagnostics
+        cert = res.no_completion_certificate
+        assert cert is not None and cert.arms == (1, 2)
+        assert cert.value == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        # Re-check from the stored fields alone, on the original matrix:
+        # Y = u u^T + N with N >= 0 on the arm pair is zero on every
+        # unspecified entry, and <Y, M_zf> < 0.
+        zf = pm_noncompletable.zero_filled().array
+        u = cert.u
+        assert u @ zf @ u < 0.0
+        ri, rj = (pm_noncompletable.pattern.arm_slice(k).start for k in cert.arms)
+        N = np.zeros_like(zf)
+        N[ri, rj] = N[rj, ri] = -u[ri] * u[rj]
+        assert N.min() >= 0.0
+        Y = np.outer(u, u) + N
+        assert np.all(Y[~pm_noncompletable.specified_mask()] == 0.0)
+
+    def test_undecided_middle_reaches_solver(self, pm_noncompletable, monkeypatch):
+        # Y = 4, 4: the entry's interval is [-3, 1] and holds 0, but the
+        # max-determinant entry -1 is negative, so only the solver decides.
+        pm = PartialMatrix(pm_noncompletable.pattern, pm_noncompletable.X,
+                           pm_noncompletable.Z, [SymMatrix([[4.0]])] * 2)
+        calls = []
+        solve = cmod.solve
+        monkeypatch.setattr(
+            cmod, "solve", lambda *args, **kw: calls.append(1) or solve(*args, **kw)
+        )
+        res = complete_numeric(CompletionProblem.from_partial_matrix(pm))
+        assert len(calls) == 1
+        assert res.completion is not None and res.no_completion_certificate is None
+        assert agrees(res.completion.full, pm, 1e-7)
+        entry = res.completion.unspecified_entries()[(2, 3)]
+        assert 0.0 <= entry <= 1.0 + 1e-7
+
+    @pytest.mark.parametrize("n, S, kind", [(6, 10, "positive"), (8, 12, "mixed"),
+                                            (8, 10, "rank1")])
+    def test_gram_ladder_decided_without_solver(self, n, S, kind, monkeypatch):
+        monkeypatch.setattr(cmod, "solve", no_solver)
+        gram = gram_completion(n, S, kind, np.random.default_rng([7, S, n]))
+        pm = partial_matrix_from_full(gram, n + 1, 1, S)
+        res = complete_numeric(CompletionProblem.from_partial_matrix(pm))
+        assert res.completion is not None
+        assert np.abs(res.completion.full.array - gram).max() <= 1e-9
+        assert res.cp_verdict is not None and res.cp_verdict.is_member
 
     def test_rank_one_unique_completion(self):
         z = np.array([1.0, 0.4, 0.3, 0.7, 0.2])
@@ -180,6 +249,38 @@ class TestCompleteNumeric:
         res = complete_numeric(problem)
         assert res.completion is not None
         assert np.abs(res.completion.full.array - np.outer(z, z)).max() <= 1e-7
+
+
+def test_closed_form_outcomes_are_sound():
+    # Random 2- and 3-arm partial matrices with PSD blocks: arm columns
+    # C c_i and arm entries c_i^T C c_i + t_i, t_i >= 0.  Every proof of none
+    # is confirmed by the grid oracle; every completion is rechecked.
+    rng = np.random.default_rng(11)
+    outcomes = {"proof": 0, "completion": 0}
+    for _ in range(40):
+        n1, S = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        B = rng.uniform(0.0, 1.0, (n1, int(rng.integers(1, n1 + 1))))
+        B[0] += 0.5
+        C = B @ B.T
+        coef = rng.uniform(-0.5, 1.0, (S, n1))
+        arms = coef @ C
+        Y = np.einsum("ij,jk,ik->i", coef, C, coef)
+        Y += rng.choice([0.0, 0.3], S) * rng.uniform(0.0, 1.0, S)
+        pm = PartialMatrix(ArrowheadPattern(n1, 1, S), SymMatrix(C),
+                           [arms[i : i + 1] for i in range(S)],
+                           [SymMatrix([[y]]) for y in Y])
+        res = cmod._closed_form(CompletionProblem.from_partial_matrix(pm))
+        if res is None:
+            continue
+        if res.no_completion_certificate is not None:
+            outcomes["proof"] += 1
+            assert res.completion is None
+            assert brute_force_completion_oracle(pm).best_min_eigenvalue < -1e-9
+        else:
+            outcomes["completion"] += 1
+            assert cones.is_dnn(res.completion.full, tol=1e-6)
+            assert agrees(res.completion.full, pm, 1e-7)
+    assert min(outcomes.values()) >= 5, outcomes
 
 
 class TestCompleteRankOne:
