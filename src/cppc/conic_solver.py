@@ -8,10 +8,11 @@ objective.
 The solver is a primal-dual interior-point method (HKM direction, Mehrotra
 predictor-corrector) on a standard form with unit-norm rows, in which every
 nonnegative entry of a PSD block is an orthant variable of its own.  Its best
-iterate goes once through an active-face polish that solves the optimal
-face's KKT system; when the polish fails, the iterate itself is checked.
-Residuals, dual feasibility and gap are always re-evaluated on the original
-data before a result is declared Optimal.
+point, primal and dual, starts an active-face polish: one Gauss-Newton solve
+of the optimal face's KKT system per face guess.  When no guess verifies,
+the iterate itself is checked.  Residuals, dual feasibility and gap are
+always re-evaluated on the original data before a result is declared
+Optimal.
 """
 
 from __future__ import annotations
@@ -241,6 +242,21 @@ def _primal_residuals(p: ConicProgram, A, b, v):
     return eq, cone
 
 
+def _dual_residual(p: ConicProgram, A, c, nu, Z) -> float:
+    """Dual residual of the multipliers ``nu`` with PSD parts ``Z`` (one
+    matrix per PSD block, in block order): how far ``c + A^T nu`` less ``Z``
+    on the PSD blocks is from the nonnegative cone on the
+    nonnegativity-constrained coordinates and from zero on the others."""
+    r = c + A.T @ nu
+    offs, _ = p.block_offsets()
+    psd_offs = [off for spec, off in zip(p.blocks, offs) if spec.psd]
+    for off, Zk in zip(psd_offs, Z):
+        r[off : off + Zk.size] -= Zk.reshape(-1)
+    mask = _nonneg_index(p)
+    return max(float(np.max(-r[mask], initial=0.0)),
+               float(np.max(np.abs(r[~mask]), initial=0.0)))
+
+
 def _nonneg_index(p: ConicProgram) -> np.ndarray:
     offs, scal0 = p.block_offsets()
     mask = np.zeros(p.num_vars, dtype=bool)
@@ -290,11 +306,12 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     point, it, stop = _interior_point(
         sf, opts.max_iters, 1e-3 * min(opts.tol_primal, opts.tol_dual, opts.tol_gap)
     )
-    v, nu, dual_res = sf.original(*point)
+    v, nu, Z = sf.original(*point)
     if opts.polish:
-        polished = _face_polish(p, A, b, c, v, opts, it)
+        polished = _face_polish(p, A, b, c, v, nu, Z, it)
         if polished is not None:
             return polished
+    dual_res = _dual_residual(p, A, c, nu, Z)
     result = _result(p, A, b, c, v, nu, it, dual_res, "interior-point iterate accepted")
     res = result.residuals
     scale_b = 1.0 + float(np.abs(b).max(initial=0.0))
@@ -360,7 +377,7 @@ class _StandardForm:
         self.A = full[self.keep] * self.row_scale[:, None]
         self.b = np.r_[b, np.zeros(tied.size)][self.keep] * self.row_scale
         self.c = np.r_[c[self.pos], c[self.up] * weight, np.zeros(tied.size)]
-        self.program = (A, c, mask)
+        self.shape = A.shape
 
     def mats(self, u):
         return [u[sl].reshape(o, o) for sl, o in self.blocks]
@@ -369,22 +386,18 @@ class _StandardForm:
         return np.concatenate([M.reshape(-1) for M in mats] + [flat])
 
     def original(self, u, y, w):
-        """``(v, nu, dual residual)`` of an interior-point ``(u, y, w)``: the
-        program's variable, its equality multipliers (``c + A^T nu`` is the
-        dual slack) and how far that slack minus the PSD part of ``w`` is
-        from the nonnegative cone of the masked entries."""
-        A, c, mask = self.program
-        v = np.zeros(c.size)
+        """``(v, nu, Z)`` of an interior-point ``(u, y, w)``: the program's
+        variable, its equality multipliers (``c + A^T nu`` is the dual slack)
+        and the PSD blocks of ``w``, whose difference from that slack is
+        the multiplier of the entrywise constraints."""
+        m, n = self.shape
+        v = np.zeros(n)
         v[self.pos] = u[: self.flat.start]
         flat = self.sign * u[self.flat][: self.up.size]
         np.add.at(v, self.up, flat)
         np.add.at(v, self.lo, np.where(self.lo != self.up, flat, 0.0))
-        nu = -np.bincount(self.keep, y * self.row_scale, minlength=A.shape[0])[: A.shape[0]]
-        r = c + A.T @ nu
-        r[self.pos] -= w[: self.flat.start]
-        dual = max(float(np.max(-r[mask], initial=0.0)),
-                   float(np.max(np.abs(r[~mask]), initial=0.0)))
-        return v, nu, dual
+        nu = -np.bincount(self.keep, y * self.row_scale, minlength=m)[:m]
+        return v, nu, self.mats(w)
 
 
 def _interior_point(sf, max_iters, target):
@@ -536,40 +549,45 @@ def _result(p, A, b, c, v, nu, it, dual, diagnostics):
 
 # -- active-face polishing -------------------------------------------------
 #
-# From an approximate iterate, guess the optimal face (numerical rank of each
-# PSD block, near-zero nonnegativity-constrained coordinates), then solve the
-# face-restricted KKT system: a Gauss-Newton pass on the primal factors
-# ``M_i = R_i R_i^T`` followed by one on the dual, whose reduced costs are
-# parametrized as ``W_i L_i L_i^T W_i^T`` on the detected kernels so positive
-# semidefiniteness is structural.  Sign-violated multipliers flip their
-# constraint between active and inactive and the solve repeats.  A candidate
-# pair is accepted only after an exact KKT verification, so acceptance never
-# depends on the face guess being right; by convexity a verified pair is
-# optimal.
+# From the interior-point iterate, guess the optimal face (numerical rank of
+# each PSD block, near-zero nonnegativity-constrained coordinates), then run
+# one Gauss-Newton solve of the face-restricted KKT system in the primal
+# factors ``M_i = R_i R_i^T`` and the multipliers, started from the loop's own
+# primal and dual point.  Sign constraints are not part of that system: a
+# candidate pair is accepted only after an exact KKT verification (primal
+# residuals, the dual residual of the PSD part of each block's slack, the
+# gap), so acceptance never depends on the face guess being right; by
+# convexity a verified pair is optimal.
 #
-# Both systems address matrix entries by their index into the vectorized
+# The system addresses matrix entries by their index into the vectorized
 # variable ``v``; an entry (r, c) of a block at offset ``off`` and order
 # ``o`` sits at ``off + r*o + c``, its mirror at ``off + c*o + r``.
 
-_POLISH_THRESHOLDS = (1e-3, 1e-4, 1e-2, 3e-4, 1e-5, 3e-2)
+_POLISH_THRESHOLDS = (1e-3, 1e-4, 1e-5)
 
 
-def _face_polish(p, A, b, c, v, opts, it):
+def _face_polish(p, A, b, c, v, nu, Z, it):
+    """The first face guess, over ``_POLISH_THRESHOLDS``, whose polished
+    point passes the verification, as an ``Optimal`` result; else None."""
+    scale_b = 1.0 + float(np.abs(b).max(initial=0.0))
+    scale_c = 1.0 + float(np.abs(c).max())
     for theta in _POLISH_THRESHOLDS:
-        faces = _detect_faces(p, v, theta)
         try:
-            out = _kkt_refine(p, A, b, c, v, faces)
+            vp, nu_p, dual = _kkt_refine(p, A, b, c, _detect_faces(p, v, theta), v, nu, Z)
         except np.linalg.LinAlgError:
             # A failed factorization (e.g. an SVD in lstsq that does not
-            # converge) rejects this attempt like any other failed refine.
+            # converge) rejects this attempt like a failed verification.
             continue
-        if out is None:
-            continue
-        vp, nu, dual_res = out
-        return _result(
-            p, A, b, c, vp, nu, it, dual=dual_res,
-            diagnostics=f"face polish accepted at threshold {theta:g}",
-        )
+        result = _result(p, A, b, c, vp, nu_p, it, dual,
+                         f"face polish accepted at threshold {theta:g}")
+        res = result.residuals
+        if (
+            res["equality"] <= 1e-9 * scale_b
+            and res["cone"] <= 1e-9 * max(1.0, float(np.abs(vp).max()))
+            and res["gap_relative"] <= 1e-7
+            and dual <= 1e-9 * scale_c
+        ):
+            return result
     return None
 
 
@@ -582,28 +600,17 @@ def _detect_faces(p, v, theta):
         o = spec.order
         mblk = v[off : off + o * o].reshape(o, o)
         mblk = 0.5 * (mblk + mblk.T)
-        # Nonnegativity-constrained entries near zero; every later update of
-        # this mask stays inside ``nonneg_mask``.
+        # Nonnegativity-constrained entries near zero.
         active = spec.nonneg_mask & (mblk <= theta * scale_v)
         if spec.psd:
             w, q = np.linalg.eigh(mblk)
-            thr = theta * max(float(w.max(initial=0.0)), 1e-3)
-            keep = w > thr
-            faces.append(
-                {
-                    "kind": "psd",
-                    "rank": int(keep.sum()),
-                    "R0": q[:, keep] * np.sqrt(np.maximum(w[keep], 0.0)),
-                    "active": active,
-                }
-            )
+            keep = w > theta * max(float(w.max(initial=0.0)), 1e-3)
+            faces.append({"kind": "psd", "rank": int(keep.sum()), "active": active,
+                          "R0": q[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))})
         else:
             faces.append({"kind": "nn", "active": active})
-    active_scalars = np.zeros(len(p.scalars), dtype=bool)
-    for j, s in enumerate(p.scalars):
-        if s.nonneg and v[scal0 + j] <= theta * scale_v:
-            active_scalars[j] = True
-    return faces, active_scalars
+    nonneg = np.array([s.nonneg for s in p.scalars], dtype=bool)
+    return faces, nonneg & (v[scal0:] <= theta * scale_v)
 
 
 def _gauss_newton(residual, jacobian, x, scale, max_iter=20, tol=1e-12):
@@ -627,7 +634,7 @@ def _gauss_newton(residual, jacobian, x, scale, max_iter=20, tol=1e-12):
             alpha *= 0.5
         if not improved:
             break
-    return x, fnorm
+    return x
 
 
 class _FaceBlock(NamedTuple):
@@ -656,8 +663,7 @@ class _JointFace:
     feasibility, per-block ``S_i R_i = 0`` with ``S_i = c_i + (A^T nu)_i -
     N_i``, complementarity ``v[comp] = 0`` and stationarity ``s[free_up] =
     0`` with ``s = c + A^T nu``.  Sign constraints are not part of the
-    system; the dual is re-derived afterwards, the joint solve only pins the
-    primal optimizer.
+    system; the verification after the solve checks them.
     """
 
     def __init__(self, p, A, b, c, faces_info):
@@ -696,13 +702,19 @@ class _JointFace:
         self.nn_slice = slice(self.nu_slice.stop, self.nu_slice.stop + ncomp)
         self.num_params = self.nn_slice.stop
 
-    def init(self, v, nu0=None):
+    def init(self, v, nu, Z):
+        """Start at the detected factors and ``v``'s free values, with the
+        multipliers ``nu`` and, on the active PSD entries, the entrywise
+        multipliers ``c + A^T nu - Z`` (``Z`` one matrix per PSD block).  A
+        diagonal ``N_k`` enters ``S_i`` twice, so it starts at half."""
         x = np.zeros(self.num_params)
-        for blk, R0 in zip(self.psd, self.R0):
-            x[blk.x] = R0.reshape(-1)
         x[self.free_slice] = v[self.free_up]
-        if nu0 is not None:
-            x[self.nu_slice] = nu0
+        x[self.nu_slice] = nu
+        _, S = self.slacks(x)
+        N = x[self.nn_slice]
+        for blk, R0, Sb, Zb in zip(self.psd, self.R0, S, Z):
+            x[blk.x] = R0.reshape(-1)
+            N[blk.comp] = (Sb - Zb)[blk.rows, blk.cols] * np.where(blk.rows == blk.cols, 0.5, 1.0)
         return x
 
     def vector(self, x):
@@ -716,7 +728,7 @@ class _JointFace:
         v[self.free_lo] = free
         return v
 
-    def _slacks(self, x):
+    def slacks(self, x):
         """``s = c + A^T nu`` and the symmetrized PSD blocks of ``s - N``."""
         s = self.c + self.A.T @ x[self.nu_slice]
         N = x[self.nn_slice]
@@ -732,7 +744,7 @@ class _JointFace:
 
     def residual(self, x):
         v = self.vector(x)
-        s, S = self._slacks(x)
+        s, S = self.slacks(x)
         parts = [self.A @ v - self.b]
         for blk, Sb in zip(self.psd, S):
             parts.append((Sb @ x[blk.x].reshape(blk.order, blk.rank)).reshape(-1))
@@ -745,7 +757,7 @@ class _JointFace:
         comp0 = m + sum(blk.order * blk.rank for blk in self.psd)
         stat0 = comp0 + self.comp.size
         J = np.zeros((stat0 + self.free_up.size, self.num_params))
-        _, S = self._slacks(x)
+        _, S = self.slacks(x)
         row = m
         for blk, Sb in zip(self.psd, S):
             o, r = blk.order, blk.rank
@@ -778,190 +790,21 @@ class _JointFace:
         return J
 
 
-class _DualLinear:
-    """Linear dual system at a fixed primal face.
-
-    With the kernel blocks kept as unfactored symmetric matrices the
-    stationarity system is linear: ``c + A^T nu = W Theta W^T + N`` on PSD
-    blocks and ``c + A^T nu = n`` (or ``= 0``) elsewhere.  Unknowns ``y``,
-    in this order, are ``nu`` (free), the upper triangles of the ``Theta``
-    blocks (required PSD; one span per entry of ``theta``), then the
-    multipliers ``N`` on active PSD-block entries and ``n`` on active flat
-    coordinates (``sign_slice``, required nonnegative).  Rows are the upper
-    triangle of every block, row major, then the scalars.  A sign-feasible
-    solution is found by alternating projections between the affine
-    solution space and the cone product.
-    """
-
-    def __init__(self, p, A, c, faces_info, kernels):
-        faces, active_scalars = faces_info
-        offs, scal0 = p.block_offsets()
-        m = A.shape[0]
-        idx, psd, active = [], [], []
-        for spec, off, face in zip(p.blocks, offs, faces):
-            rows, cols = np.triu_indices(spec.order)
-            idx.append(off + rows * spec.order + cols)
-            psd.append(np.full(rows.size, face["kind"] == "psd"))
-            active.append(face["active"][rows, cols])
-        first = np.cumsum([0] + [i.size for i in idx])  # each block's first row
-        idx.append(scal0 + np.arange(len(p.scalars)))
-        psd.append(np.zeros(len(p.scalars), dtype=bool))
-        active.append(active_scalars)
-        idx, psd, active = (np.concatenate(a) for a in (idx, psd, active))
-        sign_rows = np.r_[np.flatnonzero(psd & active), np.flatnonzero(~psd & active)]
-
-        ntheta = sum(W.shape[1] * (W.shape[1] + 1) // 2 for W in kernels.values())
-        D = np.zeros((idx.size, m + ntheta + sign_rows.size))
-        D[:, :m] = A[:, idx].T
-        # Theta_{ab} (a <= b) enters entry (i, l) of W Theta W^T with weight
-        # W[i,a] W[l,b] + W[l,a] W[i,b], or W[i,a] W[l,a] when a = b.
-        self.theta = []  # (span in y, order, upper-triangle indices)
-        pos = m
-        for bidx, W in kernels.items():
-            ta, tb = iu = np.triu_indices(W.shape[1])
-            i, l = np.triu_indices(W.shape[0])
-            P = W[i][:, ta] * W[l][:, tb]
-            D[first[bidx] : first[bidx] + i.size, pos : pos + ta.size] = -np.where(
-                ta == tb, P, P + W[l][:, ta] * W[i][:, tb]
-            )
-            self.theta.append((slice(pos, pos + ta.size), W.shape[1], iu))
-            pos += ta.size
-        self.sign_slice = slice(pos, pos + sign_rows.size)
-        D[sign_rows, pos + np.arange(sign_rows.size)] = -1.0
-        self.D = D
-        self.r = -c[idx]
-        self.Ginv = np.linalg.pinv(D @ D.T)
-
-    def affine_project(self, y):
-        return y - self.D.T @ (self.Ginv @ (self.D @ y - self.r))
-
-    def cone_project(self, y):
-        out = y.copy()
-        for sl, k, iu in self.theta:
-            theta = np.zeros((k, k))
-            theta[iu] = y[sl]
-            theta[iu[::-1]] = y[sl]
-            w, q = np.linalg.eigh(theta)
-            out[sl] = ((q * np.maximum(w, 0.0)) @ q.T)[iu]
-        out[self.sign_slice] = np.maximum(y[self.sign_slice], 0.0)
-        return out
-
-    def solve(self, tol, max_iters=25000):
-        """Alternating projections; returns a sign-feasible ``y`` with small
-        equation residual, or None.
-
-        Convergence is linear when the intersection is nonempty; progress is
-        monitored over 500-iteration windows and the solve gives up early
-        when the residual stops shrinking geometrically.
-        """
-        y, *_ = np.linalg.lstsq(self.D, self.r, rcond=None)
-        window_res = None
-        for it in range(max_iters):
-            y = self.cone_project(y)
-            res = float(np.abs(self.D @ y - self.r).max()) if self.r.size else 0.0
-            if res <= tol:
-                return y, res
-            if it % 500 == 0:
-                if window_res is not None and res > 0.6 * window_res and res > 50 * tol:
-                    break
-                window_res = res
-            y = self.affine_project(y)
-        return None
+def _kkt_refine(p, A, b, c, faces_info, v, nu, Z):
+    """One Gauss-Newton solve of the face KKT system, started from the
+    interior-point iterate ``(v, nu, Z)``; returns the polished point, its
+    multipliers and their dual residual."""
+    joint = _JointFace(p, A, b, c, faces_info)
+    scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(np.abs(c).max()))
+    x = _gauss_newton(joint.residual, joint.jacobian, joint.init(v, nu, Z), scale)
+    _, S = joint.slacks(x)
+    nu = x[joint.nu_slice]
+    return joint.vector(x), nu, _dual_residual(p, A, c, nu, [_psd_part(Sb) for Sb in S])
 
 
-def _kkt_refine(p, A, b, c, v, faces_info, max_refine: int = 8):
-    """Joint face KKT Gauss-Newton to pin the primal optimizer, then a
-    sign-feasible dual by alternating projections, then full verification.
-
-    Primal coordinates that come out negative are pinned to zero and the
-    solve repeats; dual sign constraints are enforced inside the projection
-    solve, so the joint stage may ignore them.
-    """
-    m = A.shape[0]
-    scale_b = 1.0 + (float(np.abs(b).max()) if m else 0.0)
-    scale_c = 1.0 + float(np.abs(c).max())
-    scale = max(scale_b, scale_c)
-    current_v = v
-    nu_warm = None
-    for _ in range(max_refine):
-        faces, active_scalars = faces_info
-        joint = _JointFace(p, A, b, c, faces_info)
-        x0 = joint.init(current_v, nu_warm)
-        # The residual is linear in (nu, N); one least-squares solve gives
-        # the best dual start for the initial factors.
-        F0 = joint.residual(x0)
-        J0 = joint.jacobian(x0)
-        dual_cols = np.arange(joint.nu_slice.start, joint.nn_slice.stop)
-        if dual_cols.size:
-            dstep, *_ = np.linalg.lstsq(J0[:, dual_cols], -F0, rcond=None)
-            x0[dual_cols] += dstep
-        x, fnorm = _gauss_newton(joint.residual, joint.jacobian, x0, scale)
-        if fnorm > 1e-10 * scale:
-            return None
-        vp = joint.vector(x)
-        nu_warm = x[joint.nu_slice].copy()
-
-        # Primal sign violations: pin the offending coordinate to zero.
-        flips = 0
-        tol_v = 1e-9 * max(1.0, float(np.abs(vp).max()))
-        offs, scal0 = p.block_offsets()
-        for spec, off, face in zip(p.blocks, offs, faces):
-            o = spec.order
-            blkv = vp[off : off + o * o].reshape(o, o)
-            flip = np.triu(spec.nonneg_mask & ~face["active"] & (blkv < -tol_v))
-            face["active"] |= flip | flip.T
-            flips += int(flip.sum())
-        for j, s in enumerate(p.scalars):
-            if s.nonneg and not active_scalars[j] and vp[scal0 + j] < -tol_v:
-                active_scalars[j] = True
-                flips += 1
-        if flips:
-            current_v = vp
-            _refresh_factors(p, faces_info, vp)
-            continue
-
-        # Sign-feasible dual on the kernels of the polished blocks.
-        kernels = {}
-        for bidx, (spec, face) in enumerate(zip(p.blocks, faces)):
-            if face["kind"] != "psd":
-                continue
-            o = spec.order
-            blkv = vp[offs[bidx] : offs[bidx] + o * o].reshape(o, o)
-            w, q = np.linalg.eigh(0.5 * (blkv + blkv.T))
-            order_idx = np.argsort(w)[::-1]
-            kernels[bidx] = q[:, order_idx[face["rank"] :]]
-        dual = _DualLinear(p, A, c, faces_info, kernels)
-        out = dual.solve(tol=1e-9 * scale_c)
-        if out is None:
-            return None
-        y, dual_res = out
-        nu = y[:m]
-
-        # Full verification on the original data.
-        eq_res, cone_viol = _primal_residuals(p, A, b, vp)
-        if eq_res > 1e-9 * scale_b or cone_viol > tol_v:
-            return None
-        obj = float(c @ vp)
-        dual_obj = float(-(b @ nu)) if m else 0.0
-        if abs(obj - dual_obj) > 1e-7 * max(1.0, abs(obj), abs(dual_obj)):
-            return None
-        return vp, nu, dual_res
-    return None
-
-
-def _refresh_factors(p, faces_info, v):
-    """Recompute PSD factor guesses from ``v`` keeping the detected ranks."""
-    faces, _ = faces_info
-    offs, _ = p.block_offsets()
-    for spec, off, face in zip(p.blocks, offs, faces):
-        if face["kind"] != "psd":
-            continue
-        o = spec.order
-        mblk = v[off : off + o * o].reshape(o, o)
-        mblk = 0.5 * (mblk + mblk.T)
-        w, q = np.linalg.eigh(mblk)
-        keep = np.argsort(w)[::-1][: face["rank"]]
-        face["R0"] = q[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))
+def _psd_part(S):
+    w, q = np.linalg.eigh(S)
+    return (q * np.maximum(w, 0.0)) @ q.T
 
 
 def kkt_residuals(p: ConicProgram, block_values, scalar_values=()):

@@ -35,6 +35,17 @@ def qp_two_constraints():
     )
 
 
+def baseline_qp(n, m, seed):
+    """The Baseline family: A = -G G^T / n, a = 0.1 N(0, 1), F ~ U(0.1, 1),
+    d = 1, drawn in that order from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    A = -G @ G.T / n
+    a = 0.1 * rng.standard_normal(n)
+    F = rng.uniform(0.1, 1.0, (m, n))
+    return QPInstance.build(A, a, F, np.ones(m))
+
+
 def partial_matrix_from_factor(z, n):
     """Width-one arrowhead partial matrix read off from ``z z^T`` with shared
     dimension ``n`` (z = (1, x, y_1..y_S))."""

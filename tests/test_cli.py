@@ -93,7 +93,8 @@ class TestErrors:
         assert "line" in err
 
     def test_unknown_keys_rejected(self, tmp_path, capsys):
-        obj = json.load(open(fixture("completable_arrowhead.json")))
+        with open(fixture("completable_arrowhead.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
         obj["mystery"] = 1
         path = tmp_path / "extra.json"
         path.write_text(json.dumps(obj))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import baseline_qp
 from cppc import conic_solver
 from cppc.conic_solver import (
     INFEASIBLE,
@@ -14,7 +15,7 @@ from cppc.conic_solver import (
     solve,
 )
 from cppc.oracles import lp_maximize_standard, lp_minimize_standard
-from cppc.qp_relax import build_sparse_relaxation
+from cppc.qp_relax import build_dense_reformulation, build_sparse_relaxation
 
 ONE = np.array([[1.0]])
 
@@ -334,36 +335,66 @@ class TestFaceSystems:
         )
         assert np.allclose(J, fd, rtol=0.0, atol=1e-8)
 
-    def test_dual_linear_rows(self):
-        # D y - r must be c + A^T nu - W Theta W^T - N on PSD-block entries
-        # and c + A^T nu - n on the active flat coordinates, row by row.
-        p, faces_info, rng = face_program()
-        faces, active_scalars = faces_info
-        A, _ = p.constraint_matrix()
-        c = p.objective_vector()
-        W = np.linalg.qr(rng.standard_normal((3, 2)))[0]
-        dual = conic_solver._DualLinear(p, A, c, faces_info, {1: W})
-        y = rng.standard_normal(dual.D.shape[1])
-        s = c + A.T @ y[: A.shape[0]]
-        ((sl, k, _),) = dual.theta
-        Theta = np.zeros((k, k))
-        Theta[np.triu_indices(k)] = y[sl]
-        Theta = Theta + np.triu(Theta, 1).T
-        WTW = W @ Theta @ W.T
-        upper = [(i, l) for i in range(3) for l in range(i, 3)]
-        # Sign-constrained multipliers: N on active PSD entries, then n on
-        # active flat entries and active scalars.
-        keys = [(1, i, l) for i, l in upper if faces[1]["active"][i, l]]
-        keys += [(0, i, l) for i, l in upper if faces[0]["active"][i, l]]
-        keys += [("s", j) for j in np.flatnonzero(active_scalars)]
-        mult = dict(zip(keys, y[dual.sign_slice]))
-        assert len(mult) == dual.sign_slice.stop - dual.sign_slice.start == 5
-        offs, scal0 = p.block_offsets()
-        want = []
-        for bidx in (0, 1):
-            for i, l in upper:
-                val = s[offs[bidx] + 3 * i + l] - mult.get((bidx, i, l), 0.0)
-                want.append(val - WTW[i, l] if bidx == 1 else val)
-        for j in range(3):
-            want.append(s[scal0 + j] - mult.get(("s", j), 0.0))
-        assert np.allclose(dual.D @ y - dual.r, want, rtol=0.0, atol=1e-12)
+
+def dual_residual_at(N0, S1, Z1, flat=0.75, scalars=(0.125, 0.0)):
+    """``_dual_residual`` at ``nu = 1/2`` on a program with a masked PSD
+    block, an unmasked PSD block, a nonnegative flat entry, a nonnegative and
+    a free scalar, tied by one equality; the objective makes the dual slack
+    ``c + A^T nu`` equal to ``Z0 + N0``, ``S1``, ``flat`` and ``scalars``,
+    and ``(Z0, Z1)`` is passed as the PSD part."""
+    Z0 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    E00 = np.diag([1.0, 0.0])
+    p = ConicProgram()
+    p.add_block(2)
+    p.add_block(2, nonneg=False)
+    p.add_block(1, psd=False)
+    p.add_scalar()
+    p.add_scalar(nonneg=False)
+    p.add_equality(1.0, blocks={0: np.eye(2), 1: E00, 2: ONE}, scalars={0: 1.0, 1: 1.0})
+    p.set_objective(
+        blocks={0: Z0 + N0 - 0.5 * np.eye(2), 1: S1 - 0.5 * E00, 2: (flat - 0.5) * ONE},
+        scalars={0: scalars[0] - 0.5, 1: scalars[1] - 0.5},
+    )
+    A, _ = p.constraint_matrix()
+    return conic_solver._dual_residual(p, A, p.objective_vector(), np.array([0.5]), [Z0, Z1])
+
+
+class TestDualResidual:
+    N0 = np.array([[0.0, 0.25], [0.25, 0.0]])
+    S1 = np.diag([1.0, 0.0])
+
+    def test_feasible_pair(self):
+        # Nonnegative slack on the masked entries, zero on the others.
+        assert dual_residual_at(self.N0, self.S1, self.S1) == 0.0
+
+    def test_negative_eigenvalue_of_a_psd_slack(self):
+        S1 = np.diag([1.0, -0.25])
+        assert dual_residual_at(self.N0, S1, conic_solver._psd_part(S1)) == 0.25
+
+    def test_negative_masked_entry(self):
+        assert dual_residual_at(-self.N0, self.S1, self.S1) == 0.25
+        assert dual_residual_at(self.N0, self.S1, self.S1, flat=-0.25) == 0.25
+        assert dual_residual_at(self.N0, self.S1, self.S1, scalars=(-0.25, 0.0)) == 0.25
+
+    def test_nonzero_unmasked_entry_or_free_scalar(self):
+        S1 = np.array([[1.0, -0.25], [-0.25, 0.0]])
+        assert dual_residual_at(self.N0, S1, self.S1) == 0.25
+        assert dual_residual_at(self.N0, self.S1, self.S1, scalars=(0.125, 0.25)) == 0.25
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (build_sparse_relaxation, (10, 10, 0)),
+        (build_sparse_relaxation, (4, 20, 2)),
+        (build_dense_reformulation, (6, 6, 0)),
+    ],
+)
+def test_polish_accepted_from_interior_point(build, size):
+    # Started from the interior-point multipliers, one Gauss-Newton solve
+    # per face guess verifies at the first threshold on these rungs.
+    p = build(baseline_qp(*size))
+    res = solve(p)
+    assert res.status == OPTIMAL
+    assert res.diagnostics == "face polish accepted at threshold 0.001"
+    assert res.residuals["dual"] <= 1e-9 * (1.0 + np.abs(p.objective_vector()).max())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import baseline_qp
 from cppc.conditions import ConstraintData
 from cppc.cones import ORTHANT, free, orthant, product
 from cppc.conic_solver import (
@@ -42,17 +43,6 @@ def random_bounded_qp(rng, n=None, m=None):
     F = rng.uniform(0.2, 1.5, (m, n))  # positive rows keep the polytope bounded
     d = rng.uniform(0.5, 2.0, m)
     return QPInstance.build(A, a, F, d)
-
-
-def baseline_qp(n, m, seed):
-    """The Baseline family: A = -G G^T / n, a = 0.1 N(0, 1), F ~ U(0.1, 1),
-    d = 1, drawn in that order from default_rng(seed)."""
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n, n))
-    A = -G @ G.T / n
-    a = 0.1 * rng.standard_normal(n)
-    F = rng.uniform(0.1, 1.0, (m, n))
-    return QPInstance.build(A, a, F, np.ones(m))
 
 
 def brute(qp):
