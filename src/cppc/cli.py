@@ -41,7 +41,6 @@ class RunConfig:
     out_path: Optional[str] = None
     tol: Optional[float] = None
     max_iters: Optional[int] = None
-    seed: int = 0
     quiet: bool = False
 
 
@@ -157,10 +156,10 @@ def _data_dict(data: Optional[ConstraintData]) -> Optional[dict]:
 
 def run_check(config: RunConfig, obj: dict) -> dict:
     problem = parse_completion_problem(obj)
-    opts = completion_mod.FindDataOptions(seed=config.seed)
-    if config.tol is not None:
-        opts.tol = config.tol
-    cert = completion_mod.certify_completable(problem, opts)
+    if config.tol is None:
+        cert = completion_mod.certify_completable(problem)
+    else:
+        cert = completion_mod.certify_completable(problem, tol=config.tol)
     report = cert.report
     return {
         "verdict": cert.verdict,
@@ -319,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("input", help="path to the JSON problem file")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
     parser.add_argument("--max-iters", type=int, default=None, help="interior-point iteration cap")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized search")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
     return parser
@@ -388,7 +386,6 @@ def main(argv=None) -> int:
         out_path=args.out,
         tol=args.tol,
         max_iters=args.max_iters,
-        seed=args.seed,
         quiet=args.quiet,
     )
     return run(config)

@@ -3,12 +3,20 @@ arrowhead partial matrices.
 
 A width-one arrowhead partial matrix whose northwest corner is one (after
 rescaling) is read as blocks ``M_i = [[1, x^T, y_i], [x, X, z_i],
-[y_i, z_i^T, Y_i]]``.  Certification checks, for supplied or searched data
-``(f_i, g_i, d_i)``: the two linear equations per block, complete positivity
-of every block, and the three sufficient conditions from
-:mod:`cppc.conditions`.  Certified instances are guaranteed completable; a
-missing certificate proves nothing, and the numeric and brute-force
-completion routines are available independently of certification.
+[y_i, z_i^T, Y_i]]``.  Certification checks, for supplied data
+``(f_i, g_i, d_i)`` or data read off the block kernels (:func:`find_data`):
+the two coupling equations per block, complete positivity of every block,
+and the three sufficient conditions from :mod:`cppc.conditions`.  Certified
+instances are guaranteed completable; a missing certificate proves nothing,
+and the numeric and brute-force completion routines are available
+independently of certification.
+
+Both coupling equations of a PSD block hold exactly when
+``(-d_i, f_i, g_i)`` lies in its kernel, so the data is read off the
+kernels by three exact rules: every block of rank one, every kernel a line
+(forced data), else one LP per reference arm.  A ground cone with a free
+coordinate gets no data: with ``f_0 = 0`` the containment condition makes
+the region one arm's half-space, never bounded over a free coordinate.
 
 The numeric completion first decides in closed form.  With
 ``C = [[1, x^T], [x, X]]`` the shared block, ``a_i = (y_i, z_i)`` the arm's
@@ -18,8 +26,9 @@ every PSD completion puts the entry of arms ``i, j`` in
 1984).  The centre of every interval at once is the max-determinant
 completion (Dempster 1972), which is PSD whenever the blocks are; an
 interval entirely below zero proves that no doubly nonnegative, and so no
-completely positive, completion exists.  Only inputs neither outcome
-settles reach the conic solver.
+completely positive, completion exists.  With two arms every value of the
+one interval is a PSD completion, so a negative centre is replaced by 0.
+Only inputs neither outcome settles reach the conic solver.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import cones
+from . import cones, lp
 from .conditions import (
     BOUNDED,
     ConditionReport,
@@ -201,46 +210,38 @@ def _block_residuals(problem: CompletionProblem, data: ConstraintData):
     return per_arm, f0_pair
 
 
-@dataclass
-class FindDataOptions:
-    tol: float = 1e-8
-    rank_one_tol: float = 1e-7
-    grid_points: int = 24
-    starts: int = 12
-    seed: int = 0
-    candidate_cap: int = 4
+def _worst_residual(per_arm, f0_pair) -> float:
+    return max(max(abs(r) for pair in per_arm for r in pair), *map(abs, f0_pair))
 
 
-def certify_completable(problem: CompletionProblem,
-                        opts: Optional[FindDataOptions] = None) -> CompletabilityCertificate:
+def certify_completable(problem: CompletionProblem, *,
+                        tol: float = 1e-8) -> CompletabilityCertificate:
     """Run the full sufficient-condition pipeline.
 
-    Certified iff: both coupling equations hold for every block (within
-    ``opts.tol``), every block is verified completely positive, and the
-    interior, boundedness and projection-containment conditions all pass on
-    the data.  Every failure is recorded; none of them disproves
+    Without stated data, :func:`find_data` reads the data off the block
+    kernels by three exact rules (every block of rank one, every kernel a
+    line, else one LP per reference arm); a ground cone with a free
+    coordinate gets none, as no data could bound the region.  Certified
+    iff: both coupling equations hold for every block (within ``tol``),
+    every block is verified completely positive, and the interior,
+    boundedness and projection-containment conditions all pass on the
+    data.  Every failure is recorded; none of them disproves
     completability.
     """
-    opts = opts or FindDataOptions()
     reasons = []
     data = problem.data
     if data is None:
-        data = find_data(problem, opts)
+        data = find_data(problem, tol=tol)
         if data is None:
             return CompletabilityCertificate(
                 NO_CERTIFICATE, None, [], (0.0, 0.0), [], None,
                 reasons=["no admissible data (f_i, g_i, d_i) found"],
-                tol=opts.tol,
+                tol=tol,
             )
 
     per_arm, f0_pair = _block_residuals(problem, data)
-    worst = max(
-        max(abs(lin) for lin, _ in per_arm),
-        max(abs(quad) for _, quad in per_arm),
-        abs(f0_pair[0]),
-        abs(f0_pair[1]),
-    )
-    if worst > opts.tol:
+    worst = _worst_residual(per_arm, f0_pair)
+    if worst > tol:
         reasons.append(f"block equations violated (worst residual {worst:.3g})")
 
     if not problem.K.is_orthant_like():
@@ -268,31 +269,65 @@ def certify_completable(problem: CompletionProblem,
 
     verdict = CERTIFIED if not reasons else NO_CERTIFICATE
     return CompletabilityCertificate(
-        verdict, data, per_arm, f0_pair, block_verdicts, report, reasons, opts.tol
+        verdict, data, per_arm, f0_pair, block_verdicts, report, reasons, tol
     )
 
 
-# -- data search -------------------------------------------------------------
+# -- data from the block kernels ---------------------------------------------
 
-def find_data(problem: CompletionProblem,
-              opts: Optional[FindDataOptions] = None) -> Optional[ConstraintData]:
-    """Search for data ``(f_i, g_i, d_i)`` satisfying both block equations
-    with positive arm coefficients, such that the condition checks pass.
+#: A block counts as rank one when its second eigenvalue is at most this
+#: fraction of its largest.
+_RANK_ONE_TOL = 1e-7
 
-    Three routes, in order: the exact rank-one construction when every block
-    has numerical rank one; exact per-arm elimination for shared parts of
-    dimension at most two; a seeded multi-start least-squares heuristic.
-    Returned data always re-verifies; failure is inconclusive.
+
+def find_data(problem: CompletionProblem, *, tol: float = 1e-8) -> Optional[ConstraintData]:
+    """Data ``(f_i, g_i, d_i)`` meeting both block equations of every arm
+    on which all three conditions pass, read off the block kernels.
+
+    Both equations of a PSD block ``M_i`` hold exactly when
+    ``k_i = (-d_i, f_i, g_i)`` lies in ``ker M_i``: row 0 of ``M_i k_i`` is
+    the linear equation, and ``k^T M k = 0`` iff ``M k = 0``.  The kernel is
+    spanned by the eigenvectors whose eigenvalue is at most ``tol`` times the
+    largest.  The first of three rules that applies gives the data:
+
+    1. every block has rank one: the shared functional ``(1, ..., 1; 1)``,
+       scaled per arm to ``d_i = 1``;
+    2. every kernel is a line: the data is forced up to scale; the sign
+       makes ``g_i > 0`` and the scale ``d_i = 1`` (None when ``d_i <= 0``);
+    3. otherwise one LP per reference arm ``r`` over the kernel coordinates
+       (:func:`_reference_lp`) asks for ``g_i >= 1``, ``d_r >= 1``,
+       ``f_r >= 1`` on the orthant coordinates, and ``f_i <= f_r`` there
+       with ``d_i >= d_r`` for every other arm.  These are conditions (i)
+       and (iii) with multiplier one, and arm ``r`` alone bounds the region
+       (:func:`~cppc.conditions.check_Fi_bounded_sufficient`).
+
+    The shared constraint is the vacuous ``f_0 = 0``.  A ground cone with a
+    free coordinate gives None: with ``f_0 = 0``, condition (iii) makes the
+    region one arm's half-space (or the whole cone), and that is never
+    bounded over a free coordinate.  Every result re-verifies the block
+    equations within ``tol`` and all three conditions; None is
+    inconclusive.  At most ``S + 1`` candidates are checked, one per rule
+    and one per reference arm.
     """
-    opts = opts or FindDataOptions()
-    data = _find_data_rank_one(problem, opts)
-    if data is not None:
+    data = _find_data_rank_one(problem, tol)
+    if data is not None or not problem.K.is_orthant_like():
         return data
-    if problem.n <= 2:
-        data, _ = find_data_exact_small(problem, opts)
-    else:
-        data = _find_data_heuristic(problem, opts)
-    return data
+    kernels = []
+    for i in range(1, problem.S + 1):
+        w, vecs = jacobi_eigh(extract_block(problem.pm, i))
+        kernels.append(vecs[:, w <= tol * w[-1]])
+    if any(B.shape[1] == 0 for B in kernels):
+        return None
+    if all(B.shape[1] == 1 for B in kernels):
+        lines = [B[:, 0] * np.sign(B[-1, 0]) for B in kernels]
+        return _data_from_kernel(problem, lines, tol)
+    orth = np.flatnonzero(problem.K.coordinate_kinds() == cones.ORTHANT)
+    for r in range(problem.S):
+        vectors = _reference_lp(kernels, r, orth)
+        data = None if vectors is None else _data_from_kernel(problem, vectors, tol)
+        if data is not None:
+            return data
+    return None
 
 
 def _rank_one_factors(problem: CompletionProblem, tol: float):
@@ -310,227 +345,85 @@ def _rank_one_factors(problem: CompletionProblem, tol: float):
     return factors
 
 
-def _find_data_rank_one(problem: CompletionProblem, opts: FindDataOptions):
-    factors = _rank_one_factors(problem, opts.rank_one_tol)
-    if factors is None:
+def _find_data_rank_one(problem: CompletionProblem, tol: float):
+    """Rule 1 of :func:`find_data`: the shared functional ``(1, ..., 1; 1)``
+    on every arm; it needs a pure orthant ground cone."""
+    factors = _rank_one_factors(problem, _RANK_ONE_TOL)
+    if factors is None or not np.all(problem.K.coordinate_kinds() == cones.ORTHANT):
         return None
-    # Interior reference functional; only exists for orthant-like cones.
-    kinds = problem.K.coordinate_kinds()
-    fref = np.array([1.0 if kind == cones.ORTHANT else 0.0 for kind in kinds])
-    if not np.all(kinds == cones.ORTHANT):
+    ones = np.ones(problem.n)
+    # Block i is spanned by its factor (1, x, y), so (-s, 1, ..., 1) with
+    # s = 1.x + y lies in its kernel.
+    values = [float(ones @ v[1:-1] + v[-1]) for v in factors]
+    if min(values) <= tol:
         return None
-    gref = 1.0
-    f_list, g_list, d_list = [], [], []
-    for v in factors:
-        x_part = v[1 : 1 + problem.n]
-        y_part = float(v[-1])
-        denom = float(fref @ x_part + gref * y_part)
-        if denom <= opts.tol:
-            return None
-        f_list.append(fref / denom)
-        g_list.append(gref / denom)
-        d_list.append(1.0)
-    data = ConstraintData.width_one(problem.K, f_list, g_list, d_list)
-    return data if _data_admissible(problem, data, opts) else None
+    return _data_from_kernel(problem, [np.r_[-s, ones, 1.0] for s in values], tol)
+
+
+def _data_from_kernel(problem: CompletionProblem, kernel_vectors, tol: float):
+    """The data of kernel vectors ``k_i = (-d_i, f_i, g_i)`` scaled to
+    ``d_i = 1``, when every ``g_i`` and ``d_i`` is positive and it passes
+    :func:`_data_admissible`; else None."""
+    if any(k[-1] <= 0.0 or k[0] >= 0.0 for k in kernel_vectors):
+        return None
+    ks = [k / -k[0] for k in kernel_vectors]
+    data = ConstraintData.width_one(
+        problem.K, [k[1:-1] for k in ks], [k[-1] for k in ks], [1.0] * len(ks)
+    )
+    return data if _data_admissible(problem, data, tol) else None
+
+
+def _reference_lp(kernels, r: int, orth: np.ndarray):
+    """Kernel vectors ``k_i = B_i c_i`` (``B_i = kernels[i]``) meeting rule 3
+    of :func:`find_data` for reference arm ``r`` (0-based), or None when
+    there are none or the LP's certificate fails its check.
+
+    The rules form a system ``G c >= h``.  It is decided through its Farkas
+    alternative ``min -h.y`` over ``G^T y = 0``, ``sum(y) + t = 1``,
+    ``y, t >= 0``, which ``y = 0, t = 1`` makes feasible and the simplex
+    bounds.  The duals ``(lam, mu)`` satisfy ``G lam + mu <= -h`` and
+    ``mu <= 0``, with ``mu`` the optimal value: ``mu = 0`` makes
+    ``c = -lam`` a solution, and ``mu < 0`` is a Farkas certificate that
+    none exists.  ``c`` is read off the duals, so it needs no sign split.
+    """
+    cols = np.cumsum([0] + [B.shape[1] for B in kernels])
+
+    def lift(i, vec):
+        row = np.zeros(cols[-1])
+        row[cols[i] : cols[i + 1]] = vec
+        return row
+
+    ref = kernels[r]
+    # g_i >= 1 for every arm; d_r >= 1 and f_r >= 1 on orthant coordinates.
+    rows = [lift(i, B[-1]) for i, B in enumerate(kernels)]
+    rows += [lift(r, -ref[0])] + [lift(r, ref[1 + j]) for j in orth]
+    h = np.r_[np.ones(len(rows)), np.zeros((len(kernels) - 1) * (orth.size + 1))]
+    # f_i <= f_r on orthant coordinates and d_i >= d_r for every other arm.
+    for i, B in enumerate(kernels):
+        if i != r:
+            rows += [lift(r, ref[1 + j]) - lift(i, B[1 + j]) for j in orth]
+            rows.append(lift(r, ref[0]) - lift(i, B[0]))
+    G = np.array(rows)
+    A = np.block([[G.T, np.zeros((cols[-1], 1))], [np.ones((1, h.size + 1))]])
+    try:
+        res = lp.solve(np.r_[-h, 0.0], A, np.r_[np.zeros(cols[-1]), 1.0])
+    except np.linalg.LinAlgError:
+        return None
+    lam, mu = res.y[:-1], res.y[-1]
+    if mu < 0.0:
+        return None
+    return [-B @ lam[cols[i] : cols[i + 1]] for i, B in enumerate(kernels)]
 
 
 def _data_admissible(problem: CompletionProblem, data: ConstraintData,
-                     opts: FindDataOptions) -> bool:
-    per_arm, f0_pair = _block_residuals(problem, data)
-    worst = max(
-        max(abs(r) for pair in per_arm for r in pair),
-        abs(f0_pair[0]),
-        abs(f0_pair[1]),
-    )
-    if worst > opts.tol:
+                     tol: float) -> bool:
+    """Both block equations within ``tol``, every ``g_i > 0`` and all three
+    conditions."""
+    if _worst_residual(*_block_residuals(problem, data)) > tol:
         return False
     if any(float(g[0]) <= 0.0 for g in data.g):
         return False
-    report = build_condition_report(data)
-    return report.all_passed
-
-
-def _arm_candidates_1d(problem: CompletionProblem, i: int, opts: FindDataOptions):
-    """Exact per-arm (f, g, d) solutions for a one-dimensional shared part.
-
-    Eliminating ``f`` through the linear equation turns the quadratic one
-    into a quadratic in ``g``; real roots with ``g > 0`` survive.  Also
-    returns the roots for diagnostics.
-    """
-    x, X, y, z, Y = problem.block_parts(i)
-    xv, Xv, zv = float(x[0]), float(X[0, 0]), float(z[0])
-    candidates = []
-    roots = []
-    for d in (1.0, -1.0, 0.0):
-        if abs(xv) > 1e-12:
-            pcoef = -y / xv
-            qcoef = d / xv
-            # f = qcoef + pcoef * g
-            a2 = Xv * pcoef * pcoef + 2.0 * zv * pcoef + Y
-            a1 = 2.0 * Xv * pcoef * qcoef + 2.0 * zv * qcoef
-            a0 = Xv * qcoef * qcoef - d * d
-            for g in _real_roots(a2, a1, a0):
-                roots.append((d, g))
-                if g > opts.tol:
-                    candidates.append((np.array([qcoef + pcoef * g]), g, d))
-        else:
-            # Linear equation reduces to g * y = d.
-            if abs(y) > 1e-12:
-                g = d / y
-                roots.append((d, g))
-                if g > opts.tol:
-                    # Quadratic: X f^2 + 2 g z f + g^2 Y = d^2 in f.
-                    for f in _real_roots(Xv, 2.0 * g * zv, g * g * Y - d * d):
-                        candidates.append((np.array([f]), g, d))
-    return candidates, roots
-
-
-def _real_roots(a2: float, a1: float, a0: float):
-    if abs(a2) < 1e-14:
-        if abs(a1) < 1e-14:
-            return []
-        return [-a0 / a1]
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc < 0.0:
-        return []
-    sq = float(np.sqrt(disc))
-    return [(-a1 - sq) / (2.0 * a2), (-a1 + sq) / (2.0 * a2)]
-
-
-def _arm_candidates_2d(problem: CompletionProblem, i: int, opts: FindDataOptions):
-    """Sampled per-arm solutions for a two-dimensional shared part.
-
-    The linear equation leaves one degree of freedom in ``f``; for a grid of
-    values along it the quadratic equation becomes a quadratic in ``g``.
-    """
-    x, X, y, z, Y = problem.block_parts(i)
-    nrm = float(x @ x)
-    candidates = []
-    if nrm < 1e-14:
-        return candidates
-    perp = np.array([-x[1], x[0]])
-    for d in (1.0, 0.0):
-        for t in np.linspace(-3.0, 3.0, opts.grid_points):
-            # f(g) = (d - g*y)/|x|^2 * x + t * perp
-            base = x / nrm
-            f0 = d * base + t * perp
-            f1 = -y * base
-            # quadratic in g: (f0+g f1) X (f0+g f1) + 2 g z.(f0+g f1) + g^2 Y = d^2
-            a2 = float(f1 @ X @ f1 + 2.0 * z @ f1 + Y)
-            a1 = float(2.0 * f0 @ X @ f1 + 2.0 * z @ f0)
-            a0 = float(f0 @ X @ f0 - d * d)
-            for g in _real_roots(a2, a1, a0):
-                if g > opts.tol:
-                    candidates.append((f0 + g * f1, g, d))
-    return candidates
-
-
-def find_data_exact_small(problem: CompletionProblem, opts: Optional[FindDataOptions] = None):
-    """Elimination-based search for shared parts of dimension at most two.
-
-    Returns ``(data or None, diagnostics)`` where diagnostics hold, per arm,
-    the candidate count and the root list (the roots show e.g. that an arm
-    admits only negative coefficients).
-    """
-    opts = opts or FindDataOptions()
-    if problem.n > 2:
-        raise ValueError("exact elimination is limited to shared dimension <= 2")
-    per_arm = []
-    diagnostics = []
-    for i in range(1, problem.S + 1):
-        if problem.n == 1:
-            cands, roots = _arm_candidates_1d(problem, i, opts)
-        else:
-            cands, roots = _arm_candidates_2d(problem, i, opts), []
-        diagnostics.append({"arm": i, "candidates": len(cands), "roots": roots})
-        if not cands:
-            return None, diagnostics
-        per_arm.append(cands[: opts.candidate_cap])
-
-    for combo in itertools.product(*per_arm):
-        f = [fc for fc, _, _ in combo]
-        g = [gc for _, gc, _ in combo]
-        d = [dc for _, _, dc in combo]
-        data = ConstraintData.width_one(problem.K, f, g, d)
-        if _data_admissible(problem, data, opts):
-            return data, diagnostics
-    return None, diagnostics
-
-
-def _find_data_heuristic(problem: CompletionProblem, opts: FindDataOptions):
-    """Seeded multi-start least squares on the per-arm equations with a
-    positivity barrier on ``g``; any hit is re-verified before acceptance."""
-    rng = np.random.default_rng(opts.seed)
-    n = problem.n
-    kinds = problem.K.coordinate_kinds()
-    # Positivity applies to g always and to the orthant coordinates of f, so
-    # the solutions stay in the regime where the boundedness test can fire.
-    positive = np.array([kinds[j] == cones.ORTHANT for j in range(n)] + [True])
-
-    def in_barrier(p):
-        return bool(np.all(p[positive] > 1e-6))
-
-    per_arm = []
-    for i in range(1, problem.S + 1):
-        x, X, y, z, Y = problem.block_parts(i)
-
-        def residual(p, x=x, X=X, y=y, z=z, Y=Y):
-            f, g = p[:n], p[n]
-            return np.array(
-                [
-                    f @ x + g * y - 1.0,
-                    f @ X @ f + 2.0 * g * (f @ z) + g * g * Y - 1.0,
-                ]
-            )
-
-        def jacobian(p, x=x, X=X, y=y, z=z, Y=Y):
-            f, g = p[:n], p[n]
-            return np.array(
-                [
-                    np.concatenate([x, [y]]),
-                    np.concatenate(
-                        [2.0 * (X @ f + g * z), [2.0 * (f @ z + g * Y)]]
-                    ),
-                ]
-            )
-
-        found = []
-        for _ in range(opts.starts):
-            p = np.concatenate([rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, 1)])
-            for _it in range(120):
-                r = residual(p)
-                if np.abs(r).max() < 1e-12:
-                    break
-                # Rank-deficient systems (e.g. rank-one blocks make the two
-                # rows parallel) need the truncation to keep steps sane.
-                step, *_ = np.linalg.lstsq(jacobian(p), -r, rcond=1e-8)
-                alpha = 1.0
-                base = float(np.abs(r).max())
-                while alpha > 1e-8:
-                    q = p + alpha * step
-                    if in_barrier(q) and float(np.abs(residual(q)).max()) < base:
-                        p = q
-                        break
-                    alpha *= 0.5
-                else:
-                    break
-            if np.abs(residual(p)).max() < 1e-10 and in_barrier(p):
-                found.append((p[:n].copy(), float(p[n]), 1.0))
-                if len(found) >= opts.candidate_cap:
-                    break
-        if not found:
-            return None
-        per_arm.append(found)
-    for combo in itertools.product(*per_arm):
-        data = ConstraintData.width_one(
-            problem.K,
-            [fc for fc, _, _ in combo],
-            [gc for _, gc, _ in combo],
-            [dc for _, _, dc in combo],
-        )
-        if _data_admissible(problem, data, opts):
-            return data
-    return None
+    return build_condition_report(data).all_passed
 
 
 # -- completion construction -------------------------------------------------
@@ -552,8 +445,9 @@ def complete_numeric(problem: CompletionProblem,
     1. a proof of none, when the closed-form interval of some arm pair lies
        below zero; it is returned only after ``u^T M_zf u`` is recomputed
        from the specified entries (:class:`NoCompletionCertificate`);
-    2. the max-determinant completion, returned only after the same
-       doubly nonnegative, agreement and CP rechecks as a solver point;
+    2. the max-determinant completion (with two arms, its one entry
+       raised to 0 when negative), returned only after the same doubly
+       nonnegative, agreement and CP rechecks as a solver point;
     3. otherwise a feasibility program over the full matrix with the
        specified entries pinned, handed to the conic solver.
 
@@ -647,10 +541,16 @@ def _closed_form(problem: CompletionProblem) -> Optional[NumericCompletionResult
                 f"and {j + 1} lies below zero (u^T M_zf u = {cert.value:.6g})",
                 no_completion_certificate=cert,
             )
+    diagnostics = "closed-form max-determinant completion"
+    if problem.S == 2 and P[0, 1] < 0.0:
+        # With one unknown entry every value of its interval gives a PSD
+        # completion, and with no proof of none the interval reaches 0.
+        P[0, 1] = P[1, 0] = 0.0
+        diagnostics = "closed-form two-arm completion at entry 0"
     full = problem.original.zero_filled().array.copy()
     off = ~np.eye(problem.S, dtype=bool)
     full[n1:, n1:][off] = problem.scale * P[off]
-    return _rechecked(problem, full, "closed-form max-determinant completion")
+    return _rechecked(problem, full, diagnostics)
 
 
 def _proof_of_none(zf: np.ndarray, Cplus: np.ndarray, i: int, j: int,

@@ -107,9 +107,6 @@ class BoundednessVerdict:
     status: str
     reason: str
 
-    def __bool__(self):
-        return self.status == BOUNDED
-
 
 @dataclass
 class ConditionReport:

@@ -62,9 +62,6 @@ class GroundCone:
         """True when every coordinate is orthant- or zero-constrained."""
         return all(kind in (ORTHANT, ZERO) for kind, d in self.factors if d > 0)
 
-    def has_free(self) -> bool:
-        return any(kind == FREE and d > 0 for kind, d in self.factors)
-
     def to_json_dict(self):
         if len(self.factors) == 1:
             kind, d = self.factors[0]

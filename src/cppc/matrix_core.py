@@ -63,24 +63,11 @@ class SymMatrix:
     def __getitem__(self, idx):
         return self._array[idx]
 
-    def frobenius(self, other: "SymMatrix") -> float:
-        if self.order != other.order:
-            raise ValueError("Frobenius product requires equal orders")
-        return float(np.sum(self._array * other._array))
-
     def to_lists(self):
         return self._array.tolist()
 
     def __repr__(self):
         return f"SymMatrix(order={self.order})"
-
-    @staticmethod
-    def zeros(order: int) -> "SymMatrix":
-        return SymMatrix(np.zeros((order, order)))
-
-    @staticmethod
-    def identity(order: int) -> "SymMatrix":
-        return SymMatrix(np.eye(order))
 
 
 def sym_eigh(M, tol: float = 1e-13):

@@ -15,7 +15,6 @@ from cppc.completion import (
     certify_completable,
     complete_numeric,
     complete_rank_one,
-    find_data_exact_small,
 )
 from cppc.conditions import (
     ConstraintData,
@@ -25,7 +24,7 @@ from cppc.conditions import (
 )
 from cppc.cones import dual_cone, free, is_cp, is_dnn, orthant, product, zero
 from cppc.conic_solver import OPTIMAL, kkt_residuals, solve
-from cppc.matrix_core import SymMatrix, agrees
+from cppc.matrix_core import SymMatrix, agrees, extract_block, sym_eigh
 from cppc.oracles import qp_global_minimum
 from cppc.qp_relax import (
     PROVEN_EXACT,
@@ -99,16 +98,18 @@ def test_criterion_3_noncompletable_fixture(pm_noncompletable):
     cert = certify_completable(problem)
     assert cert.verdict == NO_CERTIFICATE
 
-    _, diagnostics = find_data_exact_small(problem)
-    unit_roots = [g for (d, g) in diagnostics[0]["roots"] if d == 1.0]
-    assert unit_roots and all(g < 0 for g in unit_roots)
+    # Arm 1's kernel is a line, so its data is forced: at d = 1 it has g < 0.
+    w, vecs = sym_eigh(extract_block(problem.pm, 1))
+    assert w[1] > 1e-3 * w[-1]
+    g = vecs[-1, 0] / -vecs[0, 0]
+    assert g == pytest.approx(-3.0, abs=1e-9)
     elapsed = time.time() - start
     assert elapsed < 10.0
     report(
         3,
         elapsed,
         f"oracle max-min-eig {oracle.best_min_eigenvalue:.3f}; "
-        f"unit-rhs roots {sorted(set(round(g, 6) for g in unit_roots))}",
+        f"arm-1 kernel g at d = 1: {g:.6f}",
     )
 
 

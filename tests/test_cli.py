@@ -113,6 +113,18 @@ class TestErrors:
             main(["frobnicate", "whatever.json"])
         assert exc.value.code == 1
 
+    def test_seed_flag_is_gone(self, capsys):
+        # The data search has no randomness left to seed.
+        with pytest.raises(SystemExit) as exc:
+            main(["check", fixture("noncompletable_arrowhead.json"), "--seed", "0"])
+        assert exc.value.code == 1
+
+    def test_tolerance_reaches_check(self, capsys):
+        code, out, _ = run_capture(
+            capsys, "check", fixture("noncompletable_arrowhead.json"), tol=1e-6
+        )
+        assert code == 0 and json.loads(out)["tolerance"] == 1e-6
+
     def test_eigen_bound_failure_is_numerical_failure(self, capsys, monkeypatch):
         eigh = np.linalg.eigh
 
@@ -128,8 +140,8 @@ class TestErrors:
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
-        _, out1, _ = run_capture(capsys, "solve-qp", fixture("qp_two_constraints.json"), seed=0)
-        _, out2, _ = run_capture(capsys, "solve-qp", fixture("qp_two_constraints.json"), seed=0)
+        _, out1, _ = run_capture(capsys, "solve-qp", fixture("qp_two_constraints.json"))
+        _, out2, _ = run_capture(capsys, "solve-qp", fixture("qp_two_constraints.json"))
         assert out1 == out2
 
     def test_emitted_certificate_reverifies_via_oracle(self, capsys):

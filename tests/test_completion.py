@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,18 +8,23 @@ from cppc.completion import (
     CERTIFIED,
     NO_CERTIFICATE,
     CompletionProblem,
-    FindDataOptions,
     brute_force_completion_oracle,
     certify_completable,
     complete_numeric,
     complete_rank_one,
     find_data,
-    find_data_exact_small,
     verify_block_constraints,
 )
 from cppc import cones
 from cppc.conditions import ConstraintData, build_condition_report
-from cppc.matrix_core import ArrowheadPattern, PartialMatrix, SymMatrix, agrees
+from cppc.matrix_core import (
+    ArrowheadPattern,
+    PartialMatrix,
+    SymMatrix,
+    agrees,
+    extract_block,
+    sym_eigh,
+)
 
 from conftest import partial_matrix_from_factor, partial_matrix_from_full
 
@@ -117,22 +124,22 @@ class TestCertify:
 class TestFindData:
     def test_noncompletable_forces_negative_coefficient(self, pm_noncompletable):
         problem = CompletionProblem.from_partial_matrix(pm_noncompletable)
-        data, diagnostics = find_data_exact_small(problem)
-        assert data is None
-        # Arm 1 with unit right-hand side admits only the double root -3.
-        arm1 = diagnostics[0]
-        unit_roots = [g for (d, g) in arm1["roots"] if d == 1.0]
-        assert unit_roots and all(g < 0 for g in unit_roots)
-        assert unit_roots[0] == pytest.approx(-3.0, abs=1e-9)
+        assert find_data(problem) is None
+        # Block 1 is singular with a one-dimensional kernel, so its data is
+        # forced up to scale: (-d, f, g) = (-1, 2, -3) at d = 1, and g < 0.
+        w, vecs = sym_eigh(extract_block(problem.pm, 1))
+        assert w[0] == pytest.approx(0.0, abs=1e-12) and w[1] > 0.1
+        k = vecs[:, 0] / -vecs[0, 0]
+        assert k == pytest.approx([-1.0, 2.0, -3.0], abs=1e-9)
 
     def test_completable_fixture_has_no_exact_data(self, pm_completable):
-        # The lifted equation for arm 2 has negative discriminant, so the
-        # sufficient-condition route cannot fire even though a completion
-        # exists.
+        # Block 2 is positive definite, so no (f, g, d) with g > 0 meets its
+        # pair of equations, and the sufficient-condition route cannot fire
+        # even though a completion exists.
         problem = CompletionProblem.from_partial_matrix(pm_completable)
-        data, diagnostics = find_data_exact_small(problem)
-        assert data is None
-        assert diagnostics[1]["candidates"] == 0
+        w, _ = sym_eigh(extract_block(problem.pm, 2))
+        assert w[0] > 1e-3 * w[-1]
+        assert find_data(problem) is None
 
     def test_rank_one_construction(self):
         rng = np.random.default_rng(2)
@@ -144,36 +151,87 @@ class TestFindData:
         assert all(float(g[0]) > 0 for g in data.g)
         assert all(d == 1.0 for d in data.d[1:])
 
-    def test_heuristic_route_reverifies(self):
-        # Call the least-squares route directly (used for shared dimension
-        # above two); any data it returns must re-verify exactly.
+    def test_shared_dimension_three_reverifies(self):
         rng = np.random.default_rng(3)
         z = np.concatenate([[1.0], rng.uniform(0.2, 1.0, 4)])
         pm = partial_matrix_from_factor(z, n=3)
         problem = CompletionProblem.from_partial_matrix(pm)
-        data = cmod._find_data_heuristic(problem, FindDataOptions())
+        data = find_data(problem)
         assert data is not None
         per_arm, _ = cmod._block_residuals(problem, data)
         assert max(abs(v) for pair in per_arm for v in pair) <= 1e-8
+        assert build_condition_report(data).all_passed
+
+    @pytest.mark.parametrize("rows", [7, 3, 2])
+    def test_kernel_rules_find_generated_data(self, rows):
+        # Arms proportional to one positive functional, with the generating
+        # (-1, f_i, g_i) in every kernel.  The order-5 blocks have rank 4,
+        # 3 and 2: a line kernel (rule 2), then kernels of dimension 2 and 3
+        # (rule 3).
+        n, S = 3, 4
+        gram = gram_completion(n, S, "positive", np.random.default_rng([1, S]), rows)
+        problem = CompletionProblem.from_partial_matrix(
+            partial_matrix_from_full(gram, n + 1, 1, S)
+        )
+        data = find_data(problem)
+        assert data is not None
+        assert all(d == 1.0 for d in data.d[1:])
+        assert certify_completable(problem).verdict == CERTIFIED
+
+    def test_free_coordinate_gives_none(self):
+        z = np.array([1.0, 0.4, 0.3, 0.7, 0.2])
+        pm = partial_matrix_from_factor(z, n=2)
+        K = cones.product(cones.orthant(1), cones.free(1))
+        problem = CompletionProblem.from_partial_matrix(pm, K)
+        assert find_data(problem) is None
+
+    @pytest.mark.parametrize("rows", [15, 2])
+    def test_twelve_arms_without_data_return_at_once(self, rows, monkeypatch):
+        # Independently positive arms admit no reference arm.  With n + S
+        # rows every kernel is a line; with two rows the kernels are
+        # three-dimensional and rule 3 solves one LP per reference arm.
+        n, S = 3, 12
+        gram = gram_completion(n, S, "independent", np.random.default_rng([5, S]), rows)
+        problem = CompletionProblem.from_partial_matrix(
+            partial_matrix_from_full(gram, n + 1, 1, S)
+        )
+        checks, lps = [], []
+        admissible, reference_lp = cmod._data_admissible, cmod._reference_lp
+        monkeypatch.setattr(
+            cmod, "_data_admissible", lambda *a: checks.append(1) or admissible(*a)
+        )
+        monkeypatch.setattr(
+            cmod, "_reference_lp", lambda *a: lps.append(1) or reference_lp(*a)
+        )
+        start = time.perf_counter()
+        cert = certify_completable(problem)
+        assert time.perf_counter() - start < 2.0
+        assert cert.verdict == NO_CERTIFICATE
+        assert len(checks) <= S + 2
+        assert len(lps) == (0 if rows == n + S else S)
 
 
 def no_solver(*args, **kwargs):
     raise AssertionError("the conic solver was called")
 
 
-def gram_completion(n, S, kind, rng):
+def gram_completion(n, S, kind, rng, rows=None):
     """Gram matrix of nonnegative rows ``(v0, V, W)``: shared rows ``V`` and
     arm rows ``w_i = (v0 - V^T f_i) / g_i``, so ``(-1, f_i, g_i)`` is in the
     kernel of every block and the Gram matrix is its unique completion.  The
     corner ``|v0|^2`` is not one, so the rescaling is exercised.
     "positive" arms are multiples of one positive functional, "mixed" arms
-    have one negative coefficient each, "rank1" rows have length one."""
-    r = 1 if kind == "rank1" else n + S
+    have one negative coefficient each, "independent" arms are drawn
+    positive one by one.  Rows have length ``rows``; by default one for
+    "rank1" and n + S otherwise."""
+    r = rows or (1 if kind == "rank1" else n + S)
     v0 = rng.uniform(1.0, 2.0, r)
     V = rng.uniform(0.0, 1.0, (n, r))
     g = rng.uniform(0.5, 1.5, S)
     if kind == "positive":
         F = rng.uniform(0.5, 1.0, S)[:, None] * rng.uniform(0.2, 1.0, n)[None, :]
+    elif kind == "independent":
+        F = rng.uniform(0.2, 1.0, (S, n))
     else:
         F = rng.uniform(0.2, 1.0, (S, n))
         F[np.arange(S), np.arange(S) % n] = -rng.uniform(0.05, 0.3, S)
@@ -214,22 +272,42 @@ class TestCompleteNumeric:
         Y = np.outer(u, u) + N
         assert np.all(Y[~pm_noncompletable.specified_mask()] == 0.0)
 
-    def test_undecided_middle_reaches_solver(self, pm_noncompletable, monkeypatch):
-        # Y = 4, 4: the entry's interval is [-3, 1] and holds 0, but the
-        # max-determinant entry -1 is negative, so only the solver decides.
+    def test_two_arm_interval_completes_without_solver(self, pm_noncompletable,
+                                                       monkeypatch):
+        # Y = 4, 4: the entry's interval is [-3, 1].  Its centre -1 is
+        # negative, but every value in it gives a PSD completion, so entry 0
+        # is a DNN completion.
+        monkeypatch.setattr(cmod, "solve", no_solver)
         pm = PartialMatrix(pm_noncompletable.pattern, pm_noncompletable.X,
                            pm_noncompletable.Z, [SymMatrix([[4.0]])] * 2)
+        res = complete_numeric(CompletionProblem.from_partial_matrix(pm))
+        assert res.completion is not None and res.no_completion_certificate is None
+        assert res.diagnostics == "closed-form two-arm completion at entry 0"
+        assert res.completion.unspecified_entries() == {(2, 3): 0.0}
+        assert agrees(res.completion.full, pm, 1e-12)
+
+    def test_undecided_middle_reaches_solver(self, pm_noncompletable, monkeypatch):
+        # Arms 1 and 2 as above (interval [-3, 1], centre -1) plus arm 3,
+        # the corner's first row with Y_3 = 9.  Every pair's interval reaches
+        # 0, but the max-determinant entry of arms 1, 2 is -1, and with
+        # three arms no single entry decides: only the solver does.
+        pm = PartialMatrix(
+            ArrowheadPattern(2, 1, 3), pm_noncompletable.X,
+            list(pm_noncompletable.Z) + [np.array([[6.0, 3.0]])],
+            [SymMatrix([[4.0]])] * 2 + [SymMatrix([[9.0]])],
+        )
+        problem = CompletionProblem.from_partial_matrix(pm)
+        assert cmod._closed_form(problem) is None
         calls = []
         solve = cmod.solve
         monkeypatch.setattr(
             cmod, "solve", lambda *args, **kw: calls.append(1) or solve(*args, **kw)
         )
-        res = complete_numeric(CompletionProblem.from_partial_matrix(pm))
+        res = complete_numeric(problem)
         assert len(calls) == 1
         assert res.completion is not None and res.no_completion_certificate is None
         assert agrees(res.completion.full, pm, 1e-7)
-        entry = res.completion.unspecified_entries()[(2, 3)]
-        assert 0.0 <= entry <= 1.0 + 1e-7
+        assert 0.0 <= res.completion.unspecified_entries()[(2, 3)] <= 1.0 + 1e-7
 
     @pytest.mark.parametrize("n, S, kind", [(6, 10, "positive"), (8, 12, "mixed"),
                                             (8, 10, "rank1")])

@@ -1,0 +1,57 @@
+"""Rules on the source itself: decision procedures in ``cppc`` do not
+enumerate subsets; only the reference oracles may."""
+
+import ast
+import pathlib
+
+import cppc
+
+SRC = pathlib.Path(cppc.__file__).parent
+ENUMERATORS = {"product", "combinations", "combinations_with_replacement", "permutations"}
+#: (module, top-level function or None for the whole module) allowed to enumerate.
+ALLOWED = {("oracles.py", None), ("completion.py", "brute_force_completion_oracle")}
+
+
+def enumerator_uses(tree):
+    """``(top-level function or None, line)`` of every use of an itertools
+    enumerator, through ``import itertools`` or ``from itertools import``."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "itertools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            names |= {a.asname or a.name for a in node.names if a.name in ENUMERATORS}
+    uses = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in ENUMERATORS
+                    and isinstance(node.value, ast.Name) and node.value.id in modules):
+                uses.append((owner, node.lineno))
+            elif isinstance(node, ast.Name) and node.id in names:
+                uses.append((owner, node.lineno))
+    return uses
+
+
+def test_subset_enumeration_only_in_oracles():
+    found, violations = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for owner, line in enumerator_uses(ast.parse(path.read_text())):
+            if (path.name, None) in ALLOWED or (path.name, owner) in ALLOWED:
+                found.add(path.name)
+            else:
+                violations.append(f"{path.name}:{line} ({owner})")
+    assert violations == []
+    # The scan sees the allowed uses, so an empty list is not vacuous.
+    assert found == {"oracles.py", "completion.py"}
+
+
+def test_scan_catches_both_import_forms():
+    code = (
+        "import itertools as it\n"
+        "from itertools import combinations as comb\n"
+        "from cppc.cones import product\n"
+        "def f(a):\n"
+        "    return list(it.product(a, a)), list(comb(a, 2)), product()\n"
+    )
+    assert enumerator_uses(ast.parse(code)) == [("f", 5), ("f", 5)]
