@@ -44,7 +44,6 @@ from .completion import (
     brute_force_completion_oracle,
     certify_completable,
     complete_numeric,
-    complete_rank_one,
     find_data,
     verify_block_constraints,
 )

@@ -28,7 +28,8 @@ completion (Dempster 1972), which is PSD whenever the blocks are; an
 interval entirely below zero proves that no doubly nonnegative, and so no
 completely positive, completion exists.  With two arms every value of the
 one interval is a PSD completion, so a negative centre is replaced by 0.
-Only inputs neither outcome settles reach the conic solver.
+Only inputs neither outcome settles reach the conic solver, which proves
+none as well when a specified entry that must be nonnegative is negative.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .conditions import (
     build_condition_report,
 )
 from .conic_solver import (
+    INFEASIBLE,
     OPTIMAL,
     ConicProgram,
     SolveOptions,
@@ -449,7 +451,9 @@ def complete_numeric(problem: CompletionProblem,
        raised to 0 when negative), returned only after the same doubly
        nonnegative, agreement and CP rechecks as a solver point;
     3. otherwise a feasibility program over the full matrix with the
-       specified entries pinned, handed to the conic solver.
+       specified entries pinned, handed to the conic solver.  Its
+       ``Infeasible`` (a specified entry that must be nonnegative lies below
+       zero) is a proof of none too.
 
     "Inconclusive" means undecided by the closed form and the solver; it
     never claims non-completability.
@@ -465,7 +469,7 @@ def complete_numeric(problem: CompletionProblem,
     )
     mask = np.outer(nn, nn)
     prog = ConicProgram()
-    bidx = prog.add_block(total, psd=True, nonneg=True, nonneg_mask=mask, name="full")
+    bidx = prog.add_block(total, nonneg_mask=mask, name="full")
     spec_mask = pm.specified_mask()
     zf = pm.zero_filled().array
     for r in range(total):
@@ -477,6 +481,10 @@ def complete_numeric(problem: CompletionProblem,
             )
     opts = solver_opts or SolveOptions(tol_primal=1e-8)
     res = solve(prog, opts)
+    if res.status == INFEASIBLE:
+        return NumericCompletionResult(
+            None, None, f"no doubly nonnegative completion: {res.diagnostics}"
+        )
     if res.status != OPTIMAL:
         return NumericCompletionResult(
             None, None, f"solver did not converge ({res.status}: {res.diagnostics}); "
@@ -571,26 +579,6 @@ def _proof_of_none(zf: np.ndarray, Cplus: np.ndarray, i: int, j: int,
     return NoCompletionCertificate((i + 1, j + 1), u, value)
 
 
-def complete_rank_one(problem: CompletionProblem, tol: float = 1e-8) -> Optional[Completion]:
-    """Exact completion for instances whose blocks all have rank one.
-
-    The shared part of each block factor must agree (the sign ambiguity is
-    settled by the unit corner), and the completion is the outer product of
-    the combined factor.  Returns None when any block has rank above one.
-    """
-    factors = _rank_one_factors(problem, tol)
-    if factors is None:
-        return None
-    x = factors[0][1 : 1 + problem.n]
-    for v in factors[1:]:
-        if np.abs(v[1 : 1 + problem.n] - x).max() > 1e-7:
-            return None
-    zvec = np.concatenate([[1.0], x, [v[-1] for v in factors]])
-    full = np.outer(zvec, zvec) * problem.scale
-    completion = Completion(SymMatrix(full), problem.original, agreement_tol=1e-7)
-    return completion
-
-
 def brute_force_completion_oracle(pm: PartialMatrix, grid_steps: int = 33,
                                   refine_iters: int = 30) -> OracleResult:
     """Grid search plus zooming refinement over the unspecified entries,
@@ -598,7 +586,8 @@ def brute_force_completion_oracle(pm: PartialMatrix, grid_steps: int = 33,
 
     Entries range over ``[0, sqrt(M_ii M_jj)]``, the interval every doubly
     nonnegative completion must respect.  Succeeds when the maximized
-    smallest eigenvalue clears ``-1e-9``.
+    smallest eigenvalue clears ``-1e-9`` and no specified entry is
+    negative.
     """
     S = pm.pattern.S
     n2 = pm.pattern.n2
@@ -646,7 +635,7 @@ def brute_force_completion_oracle(pm: PartialMatrix, grid_steps: int = 33,
         radii = radii * 0.5
         steps = 9
     entries = [float(v) for v in best]
-    if best_val >= -1e-9:
+    if best_val >= -1e-9 and base.min() >= -1e-12:
         blocks = [np.array([[v]]) for v in entries]
         comp = assemble_completion(pm, blocks)
         return OracleResult(comp, best_val, entries)

@@ -243,12 +243,6 @@ def _lifts(data: ConstraintData):
     return keep, Q0, lifts
 
 
-def _tie_nonneg(prog: ConicProgram, u, v) -> None:
-    """A nonnegative slack equal to ``u^T G v`` for the program's block ``G``."""
-    s = prog.add_scalar()
-    prog.add_equality(0.0, blocks={0: np.outer(u, v)}, scalars={s: -1.0})
-
-
 def build_sparse_relaxation(qp: QPInstance) -> ConicProgram:
     """The relaxation with one DNN block of order n+2 per inequality row,
     collapsed onto their shared ``(1, x, X)`` corner (see the module
@@ -263,8 +257,8 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     meets its pair of block equations, and ``C = Q_0 G Q_0^T`` the shared
     pair, for every ``G``.
 
-    The remaining entries that must be nonnegative are tied to nonnegative
-    slacks: on an orthant arm, the entries ``(C w_i)_r`` of its arm row for
+    The remaining entries that must be nonnegative are ``>=`` rows on
+    ``G``: on an orthant arm, the entries ``(C w_i)_r`` of its arm row for
     r = 0 and every orthant coordinate; with a shared constraint whose
     dropped coordinate lies in an orthant, that coordinate's row of ``C``.
     Diagonal entries such as ``Y_i = w_i^T C w_i`` are nonnegative already
@@ -282,7 +276,7 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     orthant_coords = np.flatnonzero(nn)
     for j in np.setdiff1d(orthant_coords, keep):
         for r in np.setdiff1d(orthant_coords, j):
-            _tie_nonneg(prog, Q0[j], Q0[r])
+            prog.add_inequality(0.0, blocks={0: np.outer(Q0[j], Q0[r])})
     corner = np.zeros((n + 1, n + 1))
     corner[xs, xs] = gi.A.array
     corner[0, xs] = gi.a / 2.0
@@ -291,7 +285,7 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     for i, L in enumerate(lifts):
         if data.Ki[i].coordinate_kinds()[0] == cones.ORTHANT:
             for r in orthant_coords:
-                _tie_nonneg(prog, L[r], L[n + 1])
+                prog.add_inequality(0.0, blocks={0: np.outer(L[r], L[n + 1])})
         g = data.g[i][0]
         per = np.zeros((n + 2, n + 2))
         per[xs, n + 1] = per[n + 1, xs] = gi.b[i] * g / 2.0
@@ -308,8 +302,8 @@ def build_dense_reformulation(qp: QPInstance) -> ConicProgram:
 
     Its rows put every ``(-d_i, F_i, e_i)`` in its kernel, so the block is
     ``P^T C P`` with ``P = [I | w_1 .. w_m]``: the sparse relaxation plus
-    one nonnegative slack per pair of rows for the cross-arm entries ``w_i^T
-    C w_j``.  Being the sparse program with more rows, its bound is never
+    one ``>=`` row per pair of rows for the cross-arm entries ``w_i^T C w_j
+    >= 0``.  Being the sparse program with more rows, its bound is never
     below the sparse one; it is the reference the tests and the benchmark
     compare against.
     """
@@ -318,7 +312,7 @@ def build_dense_reformulation(qp: QPInstance) -> ConicProgram:
     _, _, lifts = _lifts(gi.data)
     for i in range(qp.m):
         for j in range(i + 1, qp.m):
-            _tie_nonneg(prog, lifts[i][-1], lifts[j][-1])
+            prog.add_inequality(0.0, blocks={0: np.outer(lifts[i][-1], lifts[j][-1])})
     return prog
 
 

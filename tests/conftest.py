@@ -28,6 +28,18 @@ def pm_completable():
 
 
 @pytest.fixture
+def pm_three_arms(pm_noncompletable):
+    """The noncompletable fixture with Y = 4, 4 (interval [-3, 1], centre -1
+    for arms 1, 2) plus arm 3, the corner's first row with Y_3 = 9: no
+    single entry decides it, so it reaches the solver."""
+    return PartialMatrix(
+        ArrowheadPattern(2, 1, 3), pm_noncompletable.X,
+        list(pm_noncompletable.Z) + [np.array([[6.0, 3.0]])],
+        [SymMatrix([[4.0]])] * 2 + [SymMatrix([[9.0]])],
+    )
+
+
+@pytest.fixture
 def qp_two_constraints():
     """Concave QP over a bounded polytope with two symmetric optima."""
     return QPInstance.build(

@@ -14,7 +14,6 @@ from cppc.completion import (
     brute_force_completion_oracle,
     certify_completable,
     complete_numeric,
-    complete_rank_one,
 )
 from cppc.conditions import (
     ConstraintData,
@@ -122,7 +121,7 @@ def test_criterion_4_rank_one_suite():
         z = np.concatenate([[1.0], rng.uniform(0.05, 1.5, n + S)])
         pm = partial_matrix_from_factor(z, n=n)
         problem = CompletionProblem.from_partial_matrix(pm)
-        comp = complete_rank_one(problem)
+        comp = complete_numeric(problem).completion
         assert comp is not None
         assert np.abs(comp.full.array - np.outer(z, z)).max() <= 1e-9
         cert = certify_completable(problem)
@@ -180,7 +179,7 @@ def test_criterion_6_solver_correctness(qp_two_constraints, pm_completable):
         res = solve(prog)
         if res.status == OPTIMAL:
             optimal += 1
-            out = kkt_residuals(prog, res.block_values, res.scalar_values)
+            out = kkt_residuals(prog, res.block_values)
             assert out["equality"] <= 1e-6
             assert out["cone"] <= 1e-6
     assert optimal == len(corpus)

@@ -11,7 +11,6 @@ from cppc.completion import (
     brute_force_completion_oracle,
     certify_completable,
     complete_numeric,
-    complete_rank_one,
     find_data,
     verify_block_constraints,
 )
@@ -286,16 +285,12 @@ class TestCompleteNumeric:
         assert res.completion.unspecified_entries() == {(2, 3): 0.0}
         assert agrees(res.completion.full, pm, 1e-12)
 
-    def test_undecided_middle_reaches_solver(self, pm_noncompletable, monkeypatch):
+    def test_undecided_middle_reaches_solver(self, pm_three_arms, monkeypatch):
         # Arms 1 and 2 as above (interval [-3, 1], centre -1) plus arm 3,
         # the corner's first row with Y_3 = 9.  Every pair's interval reaches
         # 0, but the max-determinant entry of arms 1, 2 is -1, and with
         # three arms no single entry decides: only the solver does.
-        pm = PartialMatrix(
-            ArrowheadPattern(2, 1, 3), pm_noncompletable.X,
-            list(pm_noncompletable.Z) + [np.array([[6.0, 3.0]])],
-            [SymMatrix([[4.0]])] * 2 + [SymMatrix([[9.0]])],
-        )
+        pm = pm_three_arms
         problem = CompletionProblem.from_partial_matrix(pm)
         assert cmod._closed_form(problem) is None
         calls = []
@@ -329,12 +324,10 @@ class TestCompleteNumeric:
         assert np.abs(res.completion.full.array - np.outer(z, z)).max() <= 1e-7
 
 
-def test_closed_form_outcomes_are_sound():
-    # Random 2- and 3-arm partial matrices with PSD blocks: arm columns
-    # C c_i and arm entries c_i^T C c_i + t_i, t_i >= 0.  Every proof of none
-    # is confirmed by the grid oracle; every completion is rechecked.
+def closed_form_suite():
+    """Random 2- and 3-arm partial matrices with PSD blocks: arm columns
+    C c_i and arm entries c_i^T C c_i + t_i, t_i >= 0."""
     rng = np.random.default_rng(11)
-    outcomes = {"proof": 0, "completion": 0}
     for _ in range(40):
         n1, S = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         B = rng.uniform(0.0, 1.0, (n1, int(rng.integers(1, n1 + 1))))
@@ -344,9 +337,16 @@ def test_closed_form_outcomes_are_sound():
         arms = coef @ C
         Y = np.einsum("ij,jk,ik->i", coef, C, coef)
         Y += rng.choice([0.0, 0.3], S) * rng.uniform(0.0, 1.0, S)
-        pm = PartialMatrix(ArrowheadPattern(n1, 1, S), SymMatrix(C),
-                           [arms[i : i + 1] for i in range(S)],
-                           [SymMatrix([[y]]) for y in Y])
+        yield PartialMatrix(ArrowheadPattern(n1, 1, S), SymMatrix(C),
+                            [arms[i : i + 1] for i in range(S)],
+                            [SymMatrix([[y]]) for y in Y])
+
+
+def test_closed_form_outcomes_are_sound():
+    # Every proof of none is confirmed by the grid oracle; every completion
+    # is rechecked.
+    outcomes = {"proof": 0, "completion": 0}
+    for pm in closed_form_suite():
         res = cmod._closed_form(CompletionProblem.from_partial_matrix(pm))
         if res is None:
             continue
@@ -361,12 +361,35 @@ def test_closed_form_outcomes_are_sound():
     assert min(outcomes.values()) >= 5, outcomes
 
 
+def test_negative_specified_entry_proves_none(monkeypatch):
+    # The suite's inputs that the closed form leaves undecided each have a
+    # negative specified entry on a nonnegative coordinate.  The entry's
+    # row is constant on the solver's equalities, so the solver proves
+    # infeasibility before its first step.
+    results = []
+    solve = cmod.solve
+    monkeypatch.setattr(
+        cmod, "solve", lambda *args, **kw: results.append(solve(*args, **kw)) or results[-1]
+    )
+    undecided = 0
+    for pm in closed_form_suite():
+        problem = CompletionProblem.from_partial_matrix(pm)
+        if cmod._closed_form(problem) is not None:
+            continue
+        undecided += 1
+        assert pm.zero_filled().array.min() < 0.0
+        res = complete_numeric(problem)
+        assert res.completion is None
+        assert res.diagnostics.startswith("no doubly nonnegative completion: entry (")
+        assert results[-1].status == "Infeasible" and results[-1].iterations == 0
+    assert undecided == len(results) == 5
+
 class TestCompleteRankOne:
     def test_outer_product_reproduced(self):
         z = np.array([1.0, 0.5, 0.25, 0.75])
         pm = partial_matrix_from_factor(z, n=1)
         problem = CompletionProblem.from_partial_matrix(pm)
-        comp = complete_rank_one(problem)
+        comp = complete_numeric(problem).completion
         assert comp is not None
         assert np.abs(comp.full.array - np.outer(z, z)).max() <= 1e-12
         assert agrees(comp.full, pm, 1e-9)
@@ -376,13 +399,9 @@ class TestCompleteRankOne:
         z = np.array([1.0, 0.0, 0.0, 0.6])
         pm = partial_matrix_from_factor(z, n=1)
         problem = CompletionProblem.from_partial_matrix(pm)
-        comp = complete_rank_one(problem)
+        comp = complete_numeric(problem).completion
         assert comp is not None
         assert np.abs(comp.full.array - np.outer(z, z)).max() <= 1e-12
-
-    def test_rank_two_block_returns_none(self, pm_completable):
-        problem = CompletionProblem.from_partial_matrix(pm_completable)
-        assert complete_rank_one(problem) is None
 
 
 class TestOracle:
@@ -403,6 +422,17 @@ class TestOracle:
         out = brute_force_completion_oracle(pm)
         assert out.completion is not None
         assert np.array_equal(out.completion.full.array, pm.zero_filled().array)
+
+    def test_negative_specified_entry_has_no_completion(self, pm_completable):
+        # Coordinate 1 of the completable fixture with its sign flipped:
+        # PSD completions still exist, but no nonnegative one.
+        flip = np.array([1.0, -1.0])
+        pm = PartialMatrix(pm_completable.pattern,
+                           SymMatrix(pm_completable.X.array * np.outer(flip, flip)),
+                           [z * flip for z in pm_completable.Z], pm_completable.Y)
+        out = brute_force_completion_oracle(pm)
+        assert out.best_min_eigenvalue >= -1e-9
+        assert out.completion is None
 
     def test_too_many_unknowns_rejected(self):
         pm = partial_matrix_from_factor(np.array([1, 0.5, 0.2, 0.3, 0.4, 0.1]), n=1)
@@ -446,7 +476,7 @@ def test_certified_instances_admit_completions():
         if cert.verdict != CERTIFIED:
             continue
         certified += 1
-        built = complete_rank_one(problem) or complete_numeric(problem).completion
+        built = complete_numeric(problem).completion
         assert built is not None
         assert agrees(built.full, pm, 1e-7)
     assert certified >= 4

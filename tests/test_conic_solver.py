@@ -3,6 +3,7 @@ import pytest
 
 from conftest import baseline_qp
 from cppc import conic_solver
+from cppc.completion import CompletionProblem, complete_numeric
 from cppc.conic_solver import (
     INFEASIBLE,
     MAX_ITERS,
@@ -25,28 +26,23 @@ def triangle_lp():
     p = ConicProgram()
     x1 = p.add_block(1)
     x2 = p.add_block(1)
-    s1 = p.add_scalar()
-    s2 = p.add_scalar()
-    p.add_equality(1.0, blocks={x1: ONE, x2: 2 * ONE}, scalars={s1: 1.0})
-    p.add_equality(1.0, blocks={x1: 2 * ONE, x2: ONE}, scalars={s2: 1.0})
+    p.add_inequality(-1.0, blocks={x1: -ONE, x2: -2 * ONE})
+    p.add_inequality(-1.0, blocks={x1: -2 * ONE, x2: -ONE})
     p.set_objective(blocks={x1: -ONE, x2: -ONE})
     return p
 
 
 def random_bounded_lp(rng, nvars=3, ncons=3):
-    """Standard-form LP with a simplex-style budget row; always bounded."""
+    """LP over ``x >= 0`` with ``<=`` rows, one of them a simplex-style
+    budget; always bounded."""
     p = ConicProgram()
     xs = [p.add_block(1) for _ in range(nvars)]
-    slack = p.add_scalar()
-    budget = {x: ONE for x in xs}
-    p.add_equality(float(rng.uniform(1.0, 3.0)), blocks=budget, scalars={slack: 1.0})
+    p.add_inequality(-float(rng.uniform(1.0, 3.0)), blocks={x: -ONE for x in xs})
     for _ in range(ncons - 1):
         coeffs = rng.uniform(-1.0, 1.5, nvars)
-        s = p.add_scalar()
-        p.add_equality(
-            float(rng.uniform(0.5, 2.0)),
-            blocks={x: c * ONE for x, c in zip(xs, coeffs)},
-            scalars={s: 1.0},
+        p.add_inequality(
+            -float(rng.uniform(0.5, 2.0)),
+            blocks={x: -c * ONE for x, c in zip(xs, coeffs)},
         )
     cost = rng.standard_normal(nvars)
     p.set_objective(blocks={x: c * ONE for x, c in zip(xs, cost)})
@@ -54,29 +50,15 @@ def random_bounded_lp(rng, nvars=3, ncons=3):
 
 
 def solve_lp_by_enumeration(p: ConicProgram):
-    """Independent reference: vectorize the all-order-1 program to standard
-    form (splitting free coordinates) and enumerate basic solutions."""
+    """Independent reference: the all-order-1 program (every variable
+    nonnegative) in standard form, one slack per ``>=`` row, solved by
+    enumerating basic solutions."""
     assert all(b.order == 1 for b in p.blocks)
     A, b = p.constraint_matrix()
-    c = p.objective_vector()
-    offs, scal0 = p.block_offsets()
-    nonneg = np.zeros(p.num_vars, dtype=bool)
-    for spec, off in zip(p.blocks, offs):
-        nonneg[off] = spec.psd or spec.nonneg
-    for j, s in enumerate(p.scalars):
-        nonneg[scal0 + j] = s.nonneg
-    cols = []
-    cost = []
-    back = []
-    for j in range(p.num_vars):
-        cols.append(A[:, j])
-        cost.append(c[j])
-        back.append((j, 1.0))
-        if not nonneg[j]:
-            cols.append(-A[:, j])
-            cost.append(-c[j])
-            back.append((j, -1.0))
-    val, v = lp_minimize_standard(np.array(cost), np.array(cols).T, b)
+    L, h = p.inequality_matrix()
+    k = h.size
+    cols = np.block([[A, np.zeros((b.size, k))], [L, -np.eye(k)]])
+    val, v = lp_minimize_standard(np.r_[p.objective_vector(), np.zeros(k)], cols, np.r_[b, h])
     return val
 
 
@@ -102,21 +84,6 @@ class TestSolveBasics:
         assert res.status == MAX_ITERS
         assert "budget" in res.diagnostics
         assert res.iterations <= 2
-
-    def test_flat_block_and_free_scalar(self):
-        # A nonnegative, non-PSD 2x2 block M with M00 + M11 + 2 M01 = 1 and
-        # a free scalar s = -1 - M00; maximizing M01 forces M00 = M11 = 0.
-        p = ConicProgram()
-        bx = p.add_block(2, psd=False)
-        s = p.add_scalar(nonneg=False)
-        p.add_equality(1.0, blocks={bx: np.ones((2, 2))})
-        p.add_equality(-1.0, blocks={bx: np.diag([1.0, 0.0])}, scalars={s: 1.0})
-        p.set_objective(blocks={bx: np.array([[0.0, -0.5], [-0.5, 0.0]])})
-        res = solve(p)
-        assert res.status == OPTIMAL
-        assert res.objective == pytest.approx(-0.5, abs=1e-9)
-        assert np.allclose(res.block_values[0], [[0.0, 0.5], [0.5, 0.0]], atol=1e-7)
-        assert res.scalar_values[0] == pytest.approx(-1.0, abs=1e-7)
 
     def test_polish_factorization_failure_rejects_attempt(self, monkeypatch):
         attempts = []
@@ -193,11 +160,6 @@ class TestBlockSpecMask:
     def test_omitted_mask_is_all_true(self):
         assert BlockSpec(3).nonneg_mask.tolist() == [[True] * 3] * 3
 
-    def test_block_without_nonneg_gets_all_false(self):
-        assert not BlockSpec(3, nonneg=False).nonneg_mask.any()
-        given = np.eye(2, dtype=bool)
-        assert not BlockSpec(2, nonneg=False, nonneg_mask=given).nonneg_mask.any()
-
     def test_given_mask_is_kept(self):
         given = np.array([[1, 0], [0, 1]])
         mask = BlockSpec(2, nonneg_mask=given).nonneg_mask
@@ -215,18 +177,18 @@ class TestKktResiduals:
     def test_optimal_results_reverify(self, qp_two_constraints):
         p = build_sparse_relaxation(qp_two_constraints)
         res = solve(p)
-        out = kkt_residuals(p, res.block_values, res.scalar_values)
+        out = kkt_residuals(p, res.block_values)
         assert out["equality"] <= 1e-7
         assert out["cone"] <= 1e-7
         assert out["objective"] == pytest.approx(res.objective, abs=1e-9)
 
     def test_hand_built_point(self, qp_two_constraints):
         # The corner (1, x, X) at x = (1/4, 1/4), X = diag(1/8, 1/8) with the
-        # arm rows C w_i, w_1 = (1, -1, -2) and w_2 = (1, -2, -1), as slacks.
+        # arm rows C w_i = (0.25, 0.125, 0) and (0.25, 0, 0.125) for w_1 =
+        # (1, -1, -2) and w_2 = (1, -2, -1), all nonnegative.
         p = build_sparse_relaxation(qp_two_constraints)
         corner = np.array([[1.0, 0.25, 0.25], [0.25, 0.125, 0.0], [0.25, 0.0, 0.125]])
-        slacks = [0.25, 0.125, 0.0, 0.25, 0.0, 0.125]
-        out = kkt_residuals(p, [corner], slacks)
+        out = kkt_residuals(p, [corner])
         assert out["equality"] <= 1e-12
         assert out["cone"] <= 1e-12
         assert out["objective"] == pytest.approx(-0.25, abs=1e-12)
@@ -236,7 +198,7 @@ class TestKktResiduals:
         res = solve(p)
         bad = [blk.copy() for blk in res.block_values]
         bad[0][0, 0] += 0.1  # violates the unit-corner equality by 0.1
-        out = kkt_residuals(p, bad, res.scalar_values)
+        out = kkt_residuals(p, bad)
         assert out["equality"] >= 0.1 - 1e-9
 
 
@@ -256,20 +218,19 @@ class TestAgainstVertexEnumeration:
 
 class TestScalingAndDeflation:
     def test_scaling_invariance(self, qp_two_constraints):
-        # Rescaling each equality row by 10^U(-3, 3) leaves the program's
-        # feasible set, and so its optimum, unchanged.
+        # Rescaling each equality row and each ``>=`` row by 10^U(-3, 3)
+        # (positive factors) leaves the program's feasible set, and so its
+        # optimum, unchanged.
         ref = solve(build_sparse_relaxation(qp_two_constraints))
         assert ref.status == OPTIMAL
         for seed in range(6):
+            rng = np.random.default_rng(seed)
             scaled = build_sparse_relaxation(qp_two_constraints)
-            rows, scaled.equalities = scaled.equalities, []
-            factors = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, len(rows))
-            for (bc, sc, rhs), t in zip(rows, factors):
-                scaled.add_equality(
-                    t * rhs,
-                    blocks={k: t * C for k, C in bc.items()},
-                    scalars={k: t * a for k, a in sc.items()},
-                )
+            eqs, ineqs = scaled.equalities, scaled.inequalities
+            scaled.equalities, scaled.inequalities = [], []
+            for add, rows in ((scaled.add_equality, eqs), (scaled.add_inequality, ineqs)):
+                for (bc, rhs), t in zip(rows, 10.0 ** rng.uniform(-3.0, 3.0, len(rows))):
+                    add(t * rhs, blocks={k: t * C for k, C in bc.items()})
             res = solve(scaled)
             assert res.status == OPTIMAL
             assert abs(ref.objective - res.objective) <= 10 * SolveOptions().tol_gap
@@ -285,45 +246,43 @@ def test_lp_enumeration_oracle_self_check():
 
 
 def face_program():
-    """A nonnegative non-PSD block of order 3, a PSD block of order 3 and
-    three scalars (active nonnegative, inactive nonnegative, free) tied by
-    random equalities, with a hand-set face: rank 2 and active entries
-    (0, 1), (2, 2) on the PSD block, (0, 0), (1, 2) on the other."""
+    """Two PSD blocks of order 3, block 1 with nonnegative diagonal only,
+    tied by four random equalities and three random ``>=`` rows, with a
+    hand-set face: factors of rank 2 and 1, and active ``>=`` rows 0 and 2
+    and row 4, entry (0, 2) of block 0."""
     rng = np.random.default_rng(3)
     p = ConicProgram()
-    p.add_block(3, psd=False)
     p.add_block(3)
-    for nonneg in (True, True, False):
-        p.add_scalar(nonneg=nonneg)
+    p.add_block(3, nonneg_mask=np.eye(3, dtype=bool))
 
     def coeffs():
         g0, g1 = rng.standard_normal((2, 3, 3))
-        return {0: g0 + g0.T, 1: g1 + g1.T}, dict(enumerate(rng.standard_normal(3)))
+        return {0: g0 + g0.T, 1: g1 + g1.T}
 
     for _ in range(4):
-        p.add_equality(float(rng.standard_normal()), *coeffs())
-    p.set_objective(*coeffs())
-    flat_active = np.zeros((3, 3), dtype=bool)
-    flat_active[0, 0] = flat_active[1, 2] = flat_active[2, 1] = True
-    psd_active = np.zeros((3, 3), dtype=bool)
-    psd_active[0, 1] = psd_active[1, 0] = psd_active[2, 2] = True
-    faces = [
-        {"kind": "nn", "active": flat_active},
-        {"kind": "psd", "rank": 2, "R0": rng.standard_normal((3, 2)), "active": psd_active},
-    ]
-    return p, (faces, np.array([True, False, False])), rng
+        p.add_equality(float(rng.standard_normal()), coeffs())
+    for _ in range(3):
+        p.add_inequality(float(rng.standard_normal()), coeffs())
+    p.set_objective(coeffs())
+    active = np.zeros(6, dtype=bool)
+    active[[0, 2, 4]] = True
+    return p, [rng.standard_normal((3, 2)), rng.standard_normal((3, 1))], active, rng
 
 
 class TestFaceSystems:
     def test_joint_jacobian_matches_central_differences(self):
-        p, faces_info, rng = face_program()
+        p, factors, active, rng = face_program()
         A, b = p.constraint_matrix()
-        joint = conic_solver._JointFace(p, A, b, p.objective_vector(), faces_info)
+        L, h = p.inequality_matrix()
+        assert p.masked_entries()[4 - 3] == (0, 0, 2)
+        joint = conic_solver._JointFace(
+            p, np.vstack([A, L[active]]), np.r_[b, h[active]], p.objective_vector(), factors
+        )
         x = rng.standard_normal(joint.num_params)
         J = joint.jacobian(x)
-        # Rows: 4 equalities, S R (3 x 2), 2 active PSD entries, 4 free
-        # entries of the flat block and 2 free scalars.
-        assert J.shape == (joint.residual(x).size, joint.num_params) == (18, 18)
+        # Rows: 4 equalities and 3 active rows, then S R for both blocks
+        # (3 x 2 and 3 x 1).
+        assert J.shape == (joint.residual(x).size, joint.num_params) == (16, 16)
         # The residual is quadratic in x, so central differences are exact
         # up to rounding.
         h = 1e-5
@@ -336,50 +295,51 @@ class TestFaceSystems:
         assert np.allclose(J, fd, rtol=0.0, atol=1e-8)
 
 
-def dual_residual_at(N0, S1, Z1, flat=0.75, scalars=(0.125, 0.0)):
-    """``_dual_residual`` at ``nu = 1/2`` on a program with a masked PSD
-    block, an unmasked PSD block, a nonnegative flat entry, a nonnegative and
-    a free scalar, tied by one equality; the objective makes the dual slack
-    ``c + A^T nu`` equal to ``Z0 + N0``, ``S1``, ``flat`` and ``scalars``,
-    and ``(Z0, Z1)`` is passed as the PSD part."""
+E01 = np.array([[0.0, 0.5], [0.5, 0.0]])
+E11 = np.diag([0.0, 1.0])
+
+
+def dual_residual_at(lam, S1, Z1):
+    """``_dual_residual`` at ``nu = 1/2`` and ``>=`` multipliers ``lam`` on
+    a program with a masked PSD block 0 and an unmasked PSD block 1, tied by
+    one equality, and the row ``(M_1)_11 >= 0``; ``lam`` pairs with that
+    row and then with entry (0, 1) of block 0.  The objective makes the dual
+    slack ``c + A^T nu - L^T lam`` equal to ``Z0`` and ``S1``, and ``(Z0,
+    Z1)`` is passed as the PSD part."""
     Z0 = np.array([[1.0, -1.0], [-1.0, 1.0]])
     E00 = np.diag([1.0, 0.0])
     p = ConicProgram()
     p.add_block(2)
-    p.add_block(2, nonneg=False)
-    p.add_block(1, psd=False)
-    p.add_scalar()
-    p.add_scalar(nonneg=False)
-    p.add_equality(1.0, blocks={0: np.eye(2), 1: E00, 2: ONE}, scalars={0: 1.0, 1: 1.0})
+    p.add_block(2, nonneg_mask=np.zeros((2, 2), dtype=bool))
+    p.add_equality(1.0, blocks={0: np.eye(2), 1: E00})
+    p.add_inequality(0.0, blocks={1: E11})
     p.set_objective(
-        blocks={0: Z0 + N0 - 0.5 * np.eye(2), 1: S1 - 0.5 * E00, 2: (flat - 0.5) * ONE},
-        scalars={0: scalars[0] - 0.5, 1: scalars[1] - 0.5},
+        blocks={0: Z0 + lam[1] * E01 - 0.5 * np.eye(2), 1: S1 + lam[0] * E11 - 0.5 * E00}
     )
-    A, _ = p.constraint_matrix()
-    return conic_solver._dual_residual(p, A, p.objective_vector(), np.array([0.5]), [Z0, Z1])
+    return conic_solver._dual_residual(
+        p, conic_solver._program_data(p), np.array([0.5]), np.asarray(lam), [Z0, Z1]
+    )
 
 
 class TestDualResidual:
-    N0 = np.array([[0.0, 0.25], [0.25, 0.0]])
+    lam = (0.125, 0.5)
     S1 = np.diag([1.0, 0.0])
 
     def test_feasible_pair(self):
-        # Nonnegative slack on the masked entries, zero on the others.
-        assert dual_residual_at(self.N0, self.S1, self.S1) == 0.0
+        # Nonnegative row multipliers, slack equal to its PSD part.
+        assert dual_residual_at(self.lam, self.S1, self.S1) == 0.0
 
     def test_negative_eigenvalue_of_a_psd_slack(self):
         S1 = np.diag([1.0, -0.25])
-        assert dual_residual_at(self.N0, S1, conic_solver._psd_part(S1)) == 0.25
+        assert dual_residual_at(self.lam, S1, conic_solver._psd_part(S1)) == 0.25
 
     def test_negative_masked_entry(self):
-        assert dual_residual_at(-self.N0, self.S1, self.S1) == 0.25
-        assert dual_residual_at(self.N0, self.S1, self.S1, flat=-0.25) == 0.25
-        assert dual_residual_at(self.N0, self.S1, self.S1, scalars=(-0.25, 0.0)) == 0.25
+        assert dual_residual_at((0.125, -0.25), self.S1, self.S1) == 0.25
+        assert dual_residual_at((-0.25, 0.5), self.S1, self.S1) == 0.25
 
-    def test_nonzero_unmasked_entry_or_free_scalar(self):
+    def test_nonzero_unmasked_entry(self):
         S1 = np.array([[1.0, -0.25], [-0.25, 0.0]])
-        assert dual_residual_at(self.N0, S1, self.S1) == 0.25
-        assert dual_residual_at(self.N0, self.S1, self.S1, scalars=(0.125, 0.25)) == 0.25
+        assert dual_residual_at(self.lam, S1, self.S1) == 0.25
 
 
 @pytest.mark.parametrize(
@@ -398,3 +358,32 @@ def test_polish_accepted_from_interior_point(build, size):
     assert res.status == OPTIMAL
     assert res.diagnostics == "face polish accepted at threshold 0.001"
     assert res.residuals["dual"] <= 1e-9 * (1.0 + np.abs(p.objective_vector()).max())
+
+
+def test_schur_order_is_the_free_coordinate_count(monkeypatch, pm_three_arms):
+    # The loop runs on the null space of the equalities: the corner of order
+    # n + 1 = 5 has 15 svec coordinates less the one equality G_00 = 1, and
+    # the completion program has one unknown per arm pair.
+    orders = []
+    factor = conic_solver._cholesky_solver
+    monkeypatch.setattr(
+        conic_solver, "_cholesky_solver", lambda M: orders.append(M.shape[0]) or factor(M)
+    )
+    for m in (4, 20):
+        orders.clear()
+        assert solve(build_sparse_relaxation(baseline_qp(4, m, 0))).status == OPTIMAL
+        assert orders and set(orders) == {14}
+    orders.clear()
+    assert complete_numeric(CompletionProblem.from_partial_matrix(pm_three_arms)).completion
+    assert orders and set(orders) == {3}
+
+
+def test_constant_row_violation_is_infeasible():
+    # Entry (0, 1) is pinned to -1 by the equalities, and the mask asks for
+    # it to be nonnegative.
+    p = ConicProgram()
+    p.add_block(2)
+    p.add_equality(-1.0, blocks={0: E01})
+    res = solve(p)
+    assert res.status == INFEASIBLE and res.iterations == 0
+    assert res.diagnostics == "entry (0, 1) of block 0 is fixed at -1 < 0 by the equalities"

@@ -139,17 +139,16 @@ def assert_solves_per_row_program(gi, blocks, res):
 
 
 def counts(prog):
-    return len(prog.blocks), prog.blocks[0].order, len(prog.scalars), len(prog.equalities)
+    return len(prog.blocks), prog.blocks[0].order, len(prog.inequalities), len(prog.equalities)
 
 
 class TestBuilders:
     def test_block_structure(self, qp_two_constraints):
-        # One corner block of order n+1 and a slack for (C w_i)_r, r = 0..n,
-        # per row.
+        # One corner block of order n+1 with the unit corner as its only
+        # equality, and a ``>=`` row (C w_i)_r >= 0, r = 0..n, per row.
         prog = build_sparse_relaxation(qp_two_constraints)
-        assert counts(prog) == (1, 3, 6, 7)
-        assert prog.blocks[0].psd and prog.blocks[0].nonneg_mask.all()
-        assert all(s.nonneg for s in prog.scalars)
+        assert counts(prog) == (1, 3, 6, 1)
+        assert prog.blocks[0].nonneg_mask.all()
 
     def test_no_inequalities_flagged(self):
         # Without rows the corner with its unit entry is the whole program.
@@ -160,12 +159,12 @@ class TestBuilders:
     def test_structural_counts(self):
         rng = np.random.default_rng(0)
         qp = random_bounded_qp(rng, n=2, m=3)
-        # Unit corner plus one slack row per row and orthant coordinate.
-        assert counts(build_sparse_relaxation(qp)) == (1, 3, 9, 10)
+        # Unit corner plus one ``>=`` row per row and orthant coordinate.
+        assert counts(build_sparse_relaxation(qp)) == (1, 3, 9, 1)
         A, a, F, d = -np.eye(10), np.zeros(10), rng.uniform(0.1, 1.0, (10, 10)), np.ones(10)
-        assert counts(build_sparse_relaxation(QPInstance.build(A, a, F, d))) == (1, 11, 110, 111)
-        # Dense adds one slack row per pair of rows.
-        assert counts(build_dense_reformulation(qp)) == (1, 3, 12, 13)
+        assert counts(build_sparse_relaxation(QPInstance.build(A, a, F, d))) == (1, 11, 110, 1)
+        # Dense adds one ``>=`` row per pair of rows.
+        assert counts(build_dense_reformulation(qp)) == (1, 3, 12, 1)
 
     def test_general_reduces_to_sparse(self, qp_two_constraints):
         # The corner program's blocks P_i^T C P_i re-verify on the paper's
@@ -202,9 +201,9 @@ class TestBuilders:
         )
         prog = build_general_relaxation(gi)
         # The shared pair drops one coordinate of x: G has order 3, and the
-        # dropped coordinate's row of C needs 3 slacks on top of 4 per
+        # dropped coordinate's row of C needs 3 ``>=`` rows on top of 4 per
         # orthant arm.
-        assert counts(prog) == (1, 3, 11, 12)
+        assert counts(prog) == (1, 3, 11, 1)
         res = solve(prog)
         assert res.status == OPTIMAL
         G = res.block_values[0]
@@ -233,7 +232,7 @@ class TestBuilders:
             data,
         )
         prog = build_general_relaxation(gi)
-        assert counts(prog) == (1, 3, 3, 4)
+        assert counts(prog) == (1, 3, 3, 1)
         res = solve(prog)
         assert res.status == OPTIMAL
         G = res.block_values[0]
@@ -264,9 +263,9 @@ class TestBuilders:
 
 
 def test_rank_one_lift_satisfies_sparse_relaxation():
-    # Property: the lift of any feasible x (corner outer((1, x)), slacks
-    # (1, x)_r (d_i - F_i x) on the orthant coordinates) is feasible for the
-    # relaxation, with objective qp.objective(x).
+    # Property: the lift of any feasible x (corner outer((1, x)), whose
+    # ``>=`` rows read (1, x)_r (d_i - F_i x) on the orthant coordinates) is
+    # feasible for the relaxation, with objective qp.objective(x).
     rng = np.random.default_rng(7)
     for k in range(60):
         n = int(rng.integers(1, 5))
@@ -279,10 +278,8 @@ def test_rank_one_lift_satisfies_sparse_relaxation():
         Q = rng.standard_normal((n, n))
         qp = QPInstance.build(0.5 * (Q + Q.T), rng.standard_normal(n), F, d, K)
         assert qp.feasible(x)
-        z = np.concatenate([[1.0], x])[: n - n_free + 1]
-        slacks = np.concatenate([z * (d[i] - F[i] @ x) for i in range(m)] + [np.zeros(0)])
         corner = np.outer(np.concatenate([[1.0], x]), np.concatenate([[1.0], x]))
-        out = kkt_residuals(build_sparse_relaxation(qp), [corner], slacks)
+        out = kkt_residuals(build_sparse_relaxation(qp), [corner])
         scale = max(1.0, float(np.abs(corner).max()))
         assert out["equality"] <= 1e-12 * scale
         assert out["cone"] <= 1e-12 * scale
@@ -554,7 +551,7 @@ def test_largest_rung_is_exact():
 class TestFreeConeSupport:
     def test_free_coordinate_relaxation(self):
         # One free coordinate: corner entries involving it carry no sign
-        # constraint, and no arm row (C w_i)_r is tied to a slack for it.
+        # constraint, and no arm row (C w_i)_r gets a ``>=`` row for it.
         K = product(orthant(1), free(1))
         qp = QPInstance.build(
             np.eye(2), np.array([0.0, -1.0]), [[1.0, 1.0], [0.0, -1.0]], [1.0, 1.0], K
@@ -562,7 +559,7 @@ class TestFreeConeSupport:
         prog = build_sparse_relaxation(qp)
         mask = prog.blocks[0].nonneg_mask
         assert mask[0, 1] and not mask[0, 2] and mask[1, 1] and not mask[1, 2]
-        assert counts(prog) == (1, 3, 4, 5)
+        assert counts(prog) == (1, 3, 4, 1)
         lower, sol, upper = solve_bounds(qp)
         ref, _ = brute(qp)
         assert lower <= ref + 1e-6

@@ -1,8 +1,11 @@
 """Rules on the source itself: decision procedures in ``cppc`` do not
-enumerate subsets; only the reference oracles may."""
+enumerate subsets, only the reference oracles may; and every function the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
 import pathlib
+import sys
 
 import cppc
 
@@ -55,3 +58,18 @@ def test_scan_catches_both_import_forms():
         "    return list(it.product(a, a)), list(comb(a, 2)), product()\n"
     )
     assert enumerator_uses(ast.parse(code)) == [("f", 5), ("f", 5)]
+
+
+def test_tracer_targets_exist(monkeypatch):
+    # perfbench/tracer.py wraps each (owner, attr) of TARGETS by name; a
+    # renamed or deleted target would break the benchmark, not this suite.
+    root = SRC.parent.parent
+    spec = importlib.util.spec_from_file_location("_tracer", root / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name while they are built.
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracer.TARGETS
+               if attr not in owner.__dict__]
+    assert tracer.TARGETS
+    assert missing == []
