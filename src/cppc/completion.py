@@ -52,7 +52,7 @@ from .conic_solver import (
     OPTIMAL,
     ConicProgram,
     SolveOptions,
-    _entry_functional,
+    entry_functional,
     solve,
 )
 from .cones import GroundCone, MembershipVerdict, is_dnn, orthant
@@ -469,7 +469,7 @@ def complete_numeric(problem: CompletionProblem,
     )
     mask = np.outer(nn, nn)
     prog = ConicProgram()
-    bidx = prog.add_block(total, nonneg_mask=mask, name="full")
+    bidx = prog.add_block(total, nonneg_mask=mask)
     spec_mask = pm.specified_mask()
     zf = pm.zero_filled().array
     for r in range(total):
@@ -477,7 +477,7 @@ def complete_numeric(problem: CompletionProblem,
             if not spec_mask[r, c]:
                 continue
             prog.add_equality(
-                float(zf[r, c]), blocks={bidx: _entry_functional(total, r, c)}
+                float(zf[r, c]), blocks={bidx: entry_functional(total, r, c)}
             )
     opts = solver_opts or SolveOptions(tol_primal=1e-8)
     res = solve(prog, opts)

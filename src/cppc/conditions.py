@@ -6,9 +6,9 @@ constraint ``f_0^T x = d_0``.  Three conditions are checked:
 
   i.   every ``g_i`` lies in the interior of the dual of ``Ki``;
   ii.  the shared-part feasible region is bounded (settled by a single
-       provably bounded constraint set, or, when the cones are
-       orthant-representable, decided by simplex LPs on its recession cone
-       and on the region itself; see ``lp``);
+       provably bounded constraint set, or, when every ``g_i`` passes the
+       interior test, decided by simplex LPs on its recession cone and on
+       the region itself; see ``lp``);
   iii. some constraint's x-projection is contained in all the others,
        certified by per-arm scalar multipliers.
 
@@ -212,13 +212,12 @@ def check_boundedness(data: ConstraintData) -> BoundednessVerdict:
     shared set) or return Inconclusive.
 
     A single constraint set that the interior test proves bounded settles the
-    question immediately.  Otherwise, when the cones are orthant-representable
-    on at least one side and every ``g_i`` passes the interior test, the
-    decision is made by LPs whose certificates are re-verified: the recession
-    cone of the x-projection is {0} (Bounded), or it is not and the region
-    has a point (NotBounded), or the region has a Farkas certificate of
-    emptiness (Bounded).  A certificate that fails its check gives
-    Inconclusive.
+    question immediately.  Otherwise, when every ``g_i`` passes the interior
+    test (so no arm cone has a free coordinate), the decision is made by LPs
+    whose certificates are re-verified: the recession cone of the
+    x-projection is {0} (Bounded), or it is not and the region has a point
+    (NotBounded), or the region has a Farkas certificate of emptiness
+    (Bounded).  A certificate that fails its check gives Inconclusive.
     """
     cond_i = check_cond_i(data)
     if check_Fi_bounded_sufficient(data, 0):
@@ -227,16 +226,9 @@ def check_boundedness(data: ConstraintData) -> BoundednessVerdict:
         if cond_i[i - 1] and check_Fi_bounded_sufficient(data, i):
             return BoundednessVerdict(BOUNDED, f"constraint set {i} is bounded")
 
-    orth_ok = data.K0.is_orthant_like() or all(c.is_orthant_like() for c in data.Ki)
     if not all(cond_i):
         return BoundednessVerdict(
             INCONCLUSIVE, "interior test fails for some arm coefficient"
-        )
-    if not orth_ok:
-        return BoundednessVerdict(
-            INCONCLUSIVE,
-            "cones are not orthant-representable on either side; no decision "
-            "procedure applies",
         )
     try:
         ray_max = _recession_norm_max(data)

@@ -241,10 +241,8 @@ def _dnn_violation(m: np.ndarray, tol: float) -> str:
 
 def cp_factorize(
     M,
-    rank_budget: Optional[int] = None,
     max_iters: int = 400,
     tol: Optional[float] = None,
-    seed: int = 0,
     restarts: int = 8,
 ) -> Optional[np.ndarray]:
     """Search for a nonnegative factor ``B`` with ``B B^T`` close to ``M``.
@@ -266,10 +264,6 @@ def cp_factorize(
         return None
     if np.abs(m).max() == 0.0:
         return np.zeros((n, 1))
-    if rank_budget is None:
-        rank_budget = n * (n + 1) // 2
-    rank_budget = max(1, rank_budget)
-
     w, v = np.linalg.eigh(0.5 * (m + m.T))
     keep = w > 1e-12 * scale
     if not keep.any():
@@ -277,7 +271,8 @@ def cp_factorize(
     root = v[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))
     r = root.shape[1]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
+    rank_budget = n * (n + 1) // 2
     widths = sorted({min(rank_budget, max(r, 1)), min(rank_budget, r + 2), min(rank_budget, 2 * n)})
     best, best_res = None, np.inf
     for width in widths:

@@ -46,7 +46,6 @@ class BlockSpec:
 
     order: int
     nonneg_mask: Optional[np.ndarray] = None
-    name: str = ""
 
     def __post_init__(self):
         if self.order < 1:
@@ -70,12 +69,11 @@ class ConicProgram:
         self.equalities: list[tuple[dict, float]] = []
         self.inequalities: list[tuple[dict, float]] = []
         self._obj_blocks: dict[int, np.ndarray] = {}
-        self.obj_constant: float = 0.0
 
     # -- construction ---------------------------------------------------
 
-    def add_block(self, order, nonneg_mask=None, name="") -> int:
-        self.blocks.append(BlockSpec(order, nonneg_mask, name))
+    def add_block(self, order, nonneg_mask=None) -> int:
+        self.blocks.append(BlockSpec(order, nonneg_mask))
         return len(self.blocks) - 1
 
     def _coeff_matrix(self, b: int, mat) -> np.ndarray:
@@ -106,9 +104,8 @@ class ConicProgram:
         """Append the constraint ``sum_b C_b . M_b >= rhs``."""
         self.inequalities.append(self._row(rhs, blocks))
 
-    def set_objective(self, blocks=None, constant=0.0) -> None:
+    def set_objective(self, blocks=None) -> None:
         self._obj_blocks = {b: self._coeff_matrix(b, m) for b, m in (blocks or {}).items()}
-        self.obj_constant = float(constant)
 
     # -- vectorization ---------------------------------------------------
 
@@ -513,7 +510,7 @@ def _step_to_boundary(sf, u, du):
     return a
 
 
-def _entry_functional(order: int, r: int, c: int) -> np.ndarray:
+def entry_functional(order: int, r: int, c: int) -> np.ndarray:
     """Symmetric coefficient matrix whose Frobenius pairing reads entry (r, c)."""
     m = np.zeros((order, order))
     if r == c:
@@ -528,8 +525,8 @@ def _result(p, d, v, nu, lam, it, dual, diagnostics):
     ``nu`` and ``lam`` and the dual residual ``dual``; the primal residuals
     and the gap are measured on the original data."""
     eq_res, cone_viol = _primal_residuals(p, d, v)
-    obj = float(d.c @ v) + p.obj_constant
-    dual_obj = float(d.h @ lam - d.b @ nu) + p.obj_constant
+    obj = float(d.c @ v)
+    dual_obj = float(d.h @ lam - d.b @ nu)
     gap = abs(obj - dual_obj)
     residuals = {"equality": eq_res, "cone": cone_viol, "dual": dual, "gap": gap,
                  "gap_relative": gap / max(1.0, abs(obj), abs(dual_obj)),
@@ -733,5 +730,5 @@ def kkt_residuals(p: ConicProgram, block_values):
     return {
         "equality": eq_res,
         "cone": cone_viol,
-        "objective": float(d.c @ v) + p.obj_constant,
+        "objective": float(d.c @ v),
     }

@@ -17,8 +17,11 @@ holds for the DNN relaxation solved here, not for completely positive
 blocks, since ``P_i`` has negative entries.  Solving the relaxation
 gives a lower bound; the x-part of the solution, when feasible, gives an
 upper bound.  Exactness can be certified ex post by rank-one blocks, by
-matching bounds, or by a kernel vector of the northwest block together with
-row multipliers, checked here entirely from the returned data.
+matching bounds, or by kernel vectors of the blocks or of the northwest
+block together with row multipliers.  Since ``P_i k = 0``, each block has
+the rank of ``C`` and the kernel of ``C`` plus the line of ``k``, so these
+checks read the spectrum of ``C`` alone; their evidence is re-verified on
+the returned blocks.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .conic_solver import (
     ConicProgram,
     SolveOptions,
     SolveResult,
-    _entry_functional,
+    entry_functional,
     solve,
 )
 from .matrix_core import SymMatrix
@@ -271,8 +274,8 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     keep, Q0, lifts = _lifts(data)
     nn = np.array([True] + [k == cones.ORTHANT for k in data.K0.coordinate_kinds()])
     prog = ConicProgram()
-    prog.add_block(keep.size, nonneg_mask=np.outer(nn[keep], nn[keep]), name="G")
-    prog.add_equality(1.0, blocks={0: _entry_functional(keep.size, 0, 0)})
+    prog.add_block(keep.size, nonneg_mask=np.outer(nn[keep], nn[keep]))
+    prog.add_equality(1.0, blocks={0: entry_functional(keep.size, 0, 0)})
     orthant_coords = np.flatnonzero(nn)
     for j in np.setdiff1d(orthant_coords, keep):
         for r in np.setdiff1d(orthant_coords, j):
@@ -359,14 +362,24 @@ class SolverFailure(RuntimeError):
         self.result = result
 
 
+def _corner(sol: RelaxationSolution) -> SymMatrix:
+    """The solved corner ``C = [[1, x^T], [x, X]]``.  Every per-row block is
+    ``M_i = P_i^T C P_i`` with ``P_i`` onto and ``P_i k_i = 0`` for ``k_i =
+    (-d_i, F_i, 1)``, so ``rank M_i = rank C`` and ``ker M_i = ker C + span
+    k_i``: the checks below read the blocks' spectra off this one matrix."""
+    n = sol.x.size
+    C = np.empty((n + 1, n + 1))
+    C[0, 0] = 1.0
+    C[0, 1:] = C[1:, 0] = sol.x
+    C[1:, 1:] = sol.X.array
+    return SymMatrix(C)
+
+
 def rank_one_certificate(sol: RelaxationSolution, tol: float = KERNEL_TOL) -> bool:
-    """True iff every block's second eigenvalue is below ``tol`` times its
-    largest."""
-    for blk in sol.blocks:
-        w, _ = jacobi_eigh(blk)
-        if blk.order >= 2 and w[-2] > tol * max(w[-1], 0.0):
-            return False
-    return True
+    """True iff the corner's second eigenvalue is below ``tol`` times its
+    largest, i.e. every block has rank one."""
+    w, _ = jacobi_eigh(_corner(sol))
+    return bool(w[-2] <= tol * max(w[-1], 0.0))
 
 
 def kernel_vectors(M: SymMatrix, tol: float = KERNEL_TOL):
@@ -388,55 +401,21 @@ def _kernel_candidates(kernel):
     return cands
 
 
-def _gamma_interval(u, row, dval, K: GroundCone, tol: float = 1e-9):
-    """Smallest admissible multiplier for one inequality row, or None.
-
-    Needs ``gamma * u - row`` in the dual cone with ``0 <= gamma <= dval``;
-    orthant coordinates produce lower bounds, free coordinates exact pins.
-    """
-    kinds = K.coordinate_kinds()
-    lo, hi = 0.0, float(dval)
-    pins = []
-    for j in range(K.dim):
-        if kinds[j] == cones.ORTHANT:
-            if u[j] <= 0.0:
-                return None
-            lo = max(lo, row[j] / u[j])
-        elif kinds[j] == cones.FREE:
-            if abs(u[j]) < 1e-12:
-                if abs(row[j]) > tol:
-                    return None
-            else:
-                pins.append(row[j] / u[j])
-    if pins:
-        gamma = pins[0]
-        if any(abs(pin - gamma) > 1e-9 for pin in pins[1:]):
-            return None
-        if not (lo - 1e-9 <= gamma <= hi + 1e-9):
-            return None
-        return float(min(max(gamma, lo), hi))
-    if lo > hi + tol:
-        return None
-    return float(lo)
-
-
 def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL):
     """Kernel-vector certificate on the northwest block.
 
     For each candidate kernel direction normalized to leading coordinate -1,
-    check that the rest lies in the dual-cone interior and that every row
-    admits a multiplier; all returned evidence re-verifies against the data.
-    Also reports whether the feasible polytope was verified bounded (the
-    test is one-directional otherwise).
+    check that the rest ``u`` lies in the dual-cone interior and that every
+    row admits a multiplier: the smallest is ``gamma_i = max(0, max_j F_ij /
+    u_j)``, since ``u`` has no free coordinate.  All returned evidence
+    re-verifies against the data.  Also reports whether the feasible
+    polytope was verified bounded (the test is one-directional otherwise).
     """
-    n = qp.n
-    nw = np.zeros((n + 1, n + 1))
-    nw[0, 0] = 1.0
-    nw[0, 1:] = sol.x
-    nw[1:, 0] = sol.x
-    nw[1:, 1:] = sol.X.array
-    kern = kernel_vectors(SymMatrix(nw), tol)
+    corner = _corner(sol)
+    nw = corner.array
+    kern = kernel_vectors(corner, tol)
     scale = max(1.0, float(np.abs(nw).max()))
+    dual = dual_cone(qp.K)
     for cand in _kernel_candidates(kern):
         if abs(cand[0]) < 1e-8:
             continue
@@ -446,24 +425,13 @@ def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
             continue
         if np.abs(nw @ vec).max() > 10.0 * tol * scale * max(1.0, float(np.abs(vec).max())):
             continue
-        gammas = []
-        ok = True
-        for i in range(qp.m):
-            gamma = _gamma_interval(u, qp.F[i], qp.d[i], qp.K)
-            if gamma is None:
-                ok = False
-                break
-            gammas.append(gamma)
-        if not ok:
-            continue
-        gammas = np.array(gammas)
+        gammas = (qp.F / u).max(axis=1, initial=0.0)
         # Exact re-verification of the evidence.
-        dual = dual_cone(qp.K)
         if not all(
             cone_contains(dual, gammas[i] * u - qp.F[i], 1e-9) for i in range(qp.m)
         ):
             continue
-        if np.any(gammas < -1e-12) or np.any(gammas > qp.d + 1e-9):
+        if np.any(gammas > qp.d + 1e-9):
             continue
         bounded = _polytope_bounded(qp)
         return {
@@ -485,80 +453,54 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     shared direction ``u`` in the dual-cone interior, positive ``alpha_i,
     w_i``, annihilated by their blocks.
 
-    Blocks with one-dimensional kernels fix their vectors directly; otherwise
-    a least-squares collinearity fit across blocks is tried.  All evidence is
-    re-verified by evaluating ``M_i v_i``.
+    The kernels come from the corner (see ``_corner``).  With ``C``
+    nonsingular, block i's kernel is the line of ``k_i``, so its vector is
+    ``k_i / d_i`` and ``u`` is the common direction of the rows ``F_i /
+    d_i``.  Otherwise ``u = x / |x|`` and ``alpha_i, w_i`` are fitted by
+    least squares.  All evidence is re-verified by evaluating ``M_i v_i``.
     """
     n = qp.n
     if qp.m == 0:
         return None
-    parts = []
-    for blk in sol.blocks:
-        kern = kernel_vectors(blk, tol)
-        if len(kern) == 1 and abs(kern[0][0]) > 1e-8:
-            vec = kern[0] / (-kern[0][0])
-            parts.append(("fixed", vec))
-        else:
-            parts.append(("fit", kern))
-
-    dirs = []
-    for kind, payload in parts:
-        if kind == "fixed":
-            p = payload[1 : n + 1]
-            if np.linalg.norm(p) < 1e-10:
-                return None
-            dirs.append(p / np.linalg.norm(p))
-    if not dirs:
-        # No block pins the direction; fall back to the x-part.
-        if np.linalg.norm(sol.x) < 1e-10:
+    singular = bool(kernel_vectors(_corner(sol), tol))
+    if singular:
+        norm = np.linalg.norm(sol.x)
+        if norm < 1e-10:
             return None
-        dirs.append(sol.x / np.linalg.norm(sol.x))
-    u_dir = _principal_direction(dirs)
-    if u_dir is None:
-        return None
+        dirs = (sol.x / norm)[None, :]
+    else:
+        if np.any(qp.d <= 0.0):  # w_i = 1 / d_i must be positive
+            return None
+        parts, ws = qp.F / qp.d[:, None], 1.0 / qp.d
+        alphas = np.linalg.norm(parts, axis=1)
+        if alphas.min() < 1e-10:
+            return None
+        dirs = parts / alphas[:, None]
+    # The top right singular vector; a row's sign does not change it.
+    u_dir = np.linalg.svd(dirs, full_matrices=False)[2][0]
     if u_dir[np.argmax(np.abs(u_dir))] < 0:
         u_dir = -u_dir
-
-    alphas, ws, vecs = [], [], []
-    for blk, (kind, payload) in zip(sol.blocks, parts):
-        if kind == "fixed":
-            vec = payload
-            p = vec[1 : n + 1]
-            alpha = float(np.linalg.norm(p))
-            if alpha < 1e-10 or np.abs(p - alpha * u_dir).max() > 1e-6 * max(1.0, alpha):
-                return None
-            w = float(vec[n + 1])
-        else:
-            # Fit alpha and w by least squares: M (-1, alpha*u, w) = 0.
-            Mb = blk.array
-            rhs = Mb[:, 0]
-            basis = np.column_stack([Mb[:, 1 : n + 1] @ u_dir, Mb[:, n + 1]])
-            coef, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
-            alpha, w = float(coef[0]), float(coef[1])
-            vec = np.concatenate([[-1.0], alpha * u_dir, [w]])
+    if singular:
+        # Fit alpha and w by least squares: M (-1, alpha*u, w) = 0.
+        alphas, ws = np.array([
+            np.linalg.lstsq(np.column_stack([M[:, 1 : n + 1] @ u_dir, M[:, n + 1]]),
+                            M[:, 0], rcond=None)[0]
+            for M in (blk.array for blk in sol.blocks)
+        ]).T
+        parts = np.outer(alphas, u_dir)
+    elif np.any(np.abs(parts - np.outer(alphas, u_dir)).max(axis=1)
+                > 1e-6 * np.maximum(1.0, alphas)):
+        return None
+    vecs = list(np.column_stack([-np.ones(qp.m), parts, ws]))
+    for blk, vec in zip(sol.blocks, vecs):
         scale = max(1.0, float(np.abs(blk.array).max()))
         if np.abs(blk.array @ vec).max() > 10.0 * tol * scale:
             return None
-        if alpha <= 1e-10 or w <= 1e-10:
-            return None
-        alphas.append(alpha)
-        ws.append(w)
-        vecs.append(vec)
+    if alphas.min() <= 1e-10 or ws.min() <= 1e-10:
+        return None
     if not interior_dual_contains(qp.K, u_dir):
         return None
-    return {"u": u_dir, "alpha": np.array(alphas), "w": np.array(ws), "vectors": vecs}
-
-
-def _principal_direction(dirs):
-    stack = np.array(dirs)
-    # Align signs with the first vector before averaging.
-    for k in range(1, stack.shape[0]):
-        if stack[k] @ stack[0] < 0:
-            stack[k] = -stack[k]
-    u, s, vt = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0 or s[0] < 1e-12:
-        return None
-    return vt[0]
+    return {"u": u_dir, "alpha": alphas, "w": ws, "vectors": vecs}
 
 
 def lemma_equivalence_check(M: SymMatrix, a, b, r: float, nx: Optional[int] = None,

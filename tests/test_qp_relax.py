@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline_qp
+from cppc import qp_relax
 from cppc.conditions import ConstraintData
 from cppc.cones import ORTHANT, free, orthant, product
 from cppc.conic_solver import (
@@ -12,13 +13,14 @@ from cppc.conic_solver import (
     kkt_residuals,
     solve,
 )
-from cppc.matrix_core import SymMatrix
+from cppc.matrix_core import SymMatrix, sym_eigh
 from cppc.oracles import qp_global_minimum
 from cppc.qp_relax import (
     PROVEN_EXACT,
     UNKNOWN,
     GeneralInstance,
     QPInstance,
+    _corner,
     _lifts,
     build_dense_reformulation,
     build_general_relaxation,
@@ -327,12 +329,8 @@ class TestRankOne:
     def test_perturbation_breaks_it(self, qp_two_constraints):
         tol = 1e-8
         sol = lifted_solution_from_point(qp_two_constraints, np.array([0.2, 0.2]))
-        bumped = []
-        for blk in sol.blocks:
-            arr = blk.array.copy()
-            arr += np.diag(np.full(arr.shape[0], 10 * tol))
-            bumped.append(SymMatrix(arr))
-        sol.blocks = bumped
+        # The certificate reads the corner, which every block has the rank of.
+        sol.X = SymMatrix(sol.X.array + 10 * tol * np.eye(2))
         assert not rank_one_certificate(sol, tol=tol)
 
     def test_no_rows_checks_the_northwest_block(self):
@@ -414,6 +412,20 @@ class TestCertificates:
         for vec, blk in zip(cert["vectors"], sol.blocks):
             assert np.abs(blk.array @ vec).max() <= 1e-6
         assert np.all(cert["alpha"] > 0) and np.all(cert["w"] > 0)
+
+    def test_certificate_a_on_nonsingular_corner(self):
+        # Parallel rows and three optimal vertices: the relaxation mixes
+        # them, so C is nonsingular and block i's kernel is the line of
+        # k_i = (-d_i, F_i, 1).
+        qp = QPInstance.build(-np.eye(2), [0.5, 0.5], [[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0])
+        _, sol, _ = solve_bounds(qp)
+        assert kernel_vectors(_corner(sol)) == []
+        cert = certificate_a(qp, sol)
+        assert cert is not None
+        assert np.allclose(cert["u"], np.sqrt(0.5))
+        for i, vec in enumerate(cert["vectors"]):
+            k = np.concatenate([[-qp.d[i]], qp.F[i], [1.0]])
+            assert np.array_equal(vec, k / qp.d[i])
 
     def test_certificate_a_trivial_kernel(self):
         qp = QPInstance.build(np.eye(2), np.ones(2), [[1.0, 1.0]], [1.0])
@@ -498,6 +510,49 @@ class TestExactnessReport:
         rep = exactness_report(baseline_qp(4, 20, 2), SolveOptions(polish=False))
         assert rep.overall == PROVEN_EXACT, rep.diagnostics
         assert rep.solution.solver.status == OPTIMAL
+
+
+    def test_eigendecompositions_do_not_grow_with_rows(self, monkeypatch):
+        # Every check reads the corner, not the m per-row blocks.
+        calls = []
+
+        def counted(M):
+            calls.append(M)
+            return sym_eigh(M)
+
+        monkeypatch.setattr(qp_relax, "jacobi_eigh", counted)
+        rep = exactness_report(baseline_qp(4, 20, 0), SolveOptions(polish=False))
+        assert rep.overall == PROVEN_EXACT
+        assert len(calls) <= 3
+
+
+def corner_identity_cases():
+    for n in (4, 6, 8):
+        yield baseline_qp(n, n, 0), None
+    yield baseline_qp(4, 12, 0), SolveOptions(polish=False)
+    yield QPInstance.build(-np.eye(2), [0.5, 0.5], [[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0]), None
+    rng = np.random.default_rng(8)
+    for k in range(24):
+        yield random_bounded_qp(rng), SolveOptions(polish=bool(k % 2))
+
+
+def test_blocks_share_the_corner_spectrum():
+    # M_i = P_i^T C P_i with P_i onto and P_i k_i = 0: each block's kernel
+    # is ker C plus the line of k_i, and its rank is that of C.  The
+    # certificates rest on this; check it numerically on solved relaxations.
+    kernel_dims = set()
+    for qp, opts in corner_identity_cases():
+        _, sol, _ = solve_bounds(qp, opts)
+        dim = len(kernel_vectors(_corner(sol)))
+        kernel_dims.add(dim)
+        per_block_rank_one = True
+        for blk in sol.blocks:
+            assert len(kernel_vectors(blk)) == dim + 1
+            w, _ = sym_eigh(blk)
+            per_block_rank_one &= bool(w[-2] <= 1e-6 * max(w[-1], 0.0))
+        assert per_block_rank_one == rank_one_certificate(sol)
+    # Both the rank-one and the nonsingular corner occur.
+    assert {0, 4} <= kernel_dims
 
 
 class TestDenseReference:

@@ -1,6 +1,7 @@
 """Rules on the source itself: decision procedures in ``cppc`` do not
-enumerate subsets, only the reference oracles may; and every function the
-benchmark's tracer wraps exists."""
+enumerate subsets, only the reference oracles may; no module imports another
+one's private names; and every function the benchmark's tracer wraps
+exists."""
 
 import ast
 import importlib.util
@@ -58,6 +59,38 @@ def test_scan_catches_both_import_forms():
         "    return list(it.product(a, a)), list(comb(a, 2)), product()\n"
     )
     assert enumerator_uses(ast.parse(code)) == [("f", 5), ("f", 5)]
+
+
+def private_imports(tree):
+    """``(line, name)`` of every underscore-prefixed name imported from a
+    ``cppc`` module, by relative or absolute import."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "cppc")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_private_names_cross_modules():
+    violations = [
+        f"{path.name}:{line} imports {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in private_imports(ast.parse(path.read_text()))
+    ]
+    assert violations == []
+
+
+def test_private_import_scan_sees_both_forms():
+    code = (
+        "from .conic_solver import _entry, solve\n"
+        "from cppc.cones import _rotate as rot\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "from . import _private\n"
+    )
+    assert private_imports(ast.parse(code)) == [(1, "_entry"), (2, "_rotate"), (4, "_private")]
 
 
 def test_tracer_targets_exist(monkeypatch):
