@@ -18,16 +18,29 @@ kernels by three exact rules: every block of rank one, every kernel a line
 coordinate gets no data: with ``f_0 = 0`` the containment condition makes
 the region one arm's half-space, never bounded over a free coordinate.
 
-The numeric completion first decides in closed form.  With
-``C = [[1, x^T], [x, X]]`` the shared block, ``a_i = (y_i, z_i)`` the arm's
-column against it and ``s_i = Y_i - a_i^T C^+ a_i`` its Schur complement,
-every PSD completion puts the entry of arms ``i, j`` in
+With ``C = [[1, x^T], [x, X]]`` the shared block, ``a_i = (y_i, z_i)`` the
+arm's column against it and ``s_i = Y_i - a_i^T C^+ a_i`` its Schur
+complement, every PSD completion puts the entry of arms ``i, j`` in
 ``a_i^T C^+ a_j +- sqrt(s_i s_j)`` (Grone, Johnson, Sa, Wolkowicz, LAA
 1984).  The centre of every interval at once is the max-determinant
-completion (Dempster 1972), which is PSD whenever the blocks are; an
-interval entirely below zero proves that no doubly nonnegative, and so no
-completely positive, completion exists.  With two arms every value of the
-one interval is a PSD completion, so a negative centre is replaced by 0.
+completion (Dempster 1972), which is PSD whenever the blocks are; with two
+arms every value of the one interval is a PSD completion, so a negative
+centre is replaced by 0.
+
+Every block is a principal submatrix of that completion, and every
+principal submatrix of a completely positive matrix is completely positive
+(Berman, Shaked-Monderer 2003).  So certification searches one nonnegative
+factor of the completion (Groetzner, Duer, LAA 2020) and reads each block's
+witness off its rows, re-verified per block; only a block whose rows fail
+the re-check gets a search of its own.  When the block equations hold, every
+``M_i k_i = 0`` with ``g_i > 0`` puts the arm columns in the range of ``C``,
+so every ``s_i`` is 0 and the completion is the only PSD one: its verdict
+(``CompletabilityCertificate.completion_cp``) then decides completability,
+where the paper's conditions are only sufficient.
+
+The numeric completion first decides in closed form: an interval entirely
+below zero proves that no doubly nonnegative, and so no completely positive,
+completion exists; otherwise the max-determinant completion is rechecked.
 Only inputs neither outcome settles reach the conic solver, which proves
 none as well when a specified entry that must be nonnegative is negative.
 """
@@ -130,7 +143,17 @@ class CompletionProblem:
 
 @dataclass
 class CompletabilityCertificate:
-    """Self-contained evidence for (or absence of) a completability proof."""
+    """Self-contained evidence for (or absence of) a completability proof.
+
+    ``verdict`` is the paper's: ``Certified`` when the block equations, the
+    block CP verdicts and the three conditions all hold.  ``completion_cp``
+    is the CP verdict of the max-determinant completion (unit-corner scale):
+    ``Member`` proves completability on its own.  When the block equations
+    hold that completion is the only PSD one, so its CP status is the exact
+    answer, not a sufficient condition (``Unknown`` still leaves it open).
+    It is None when the completion is not doubly nonnegative, the ground
+    cone is not orthant-like, or no data was found.
+    """
 
     verdict: str
     data: Optional[ConstraintData]
@@ -140,6 +163,7 @@ class CompletabilityCertificate:
     report: Optional[ConditionReport]
     reasons: list = field(default_factory=list)
     tol: float = 1e-8
+    completion_cp: Optional[MembershipVerdict] = None
 
     @property
     def certified(self) -> bool:
@@ -228,7 +252,9 @@ def certify_completable(problem: CompletionProblem, *,
     every block is verified completely positive, and the interior,
     boundedness and projection-containment conditions all pass on the
     data.  Every failure is recorded; none of them disproves
-    completability.
+    completability.  The block CP verdicts are the rows of one nonnegative
+    factor of the max-determinant completion, re-verified per block
+    (:func:`_block_cp_verdicts`).
     """
     reasons = []
     data = problem.data
@@ -246,6 +272,7 @@ def certify_completable(problem: CompletionProblem, *,
     if worst > tol:
         reasons.append(f"block equations violated (worst residual {worst:.3g})")
 
+    completion_cp = None
     if not problem.K.is_orthant_like():
         reasons.append(
             "complete positivity verification implemented for orthant ground "
@@ -253,9 +280,7 @@ def certify_completable(problem: CompletionProblem, *,
         )
         block_verdicts = []
     else:
-        block_verdicts = [
-            cones.is_cp(extract_block(problem.pm, i)) for i in range(1, problem.S + 1)
-        ]
+        completion_cp, block_verdicts = _block_cp_verdicts(problem)
         for i, verdict in enumerate(block_verdicts, start=1):
             if not verdict.is_member:
                 reasons.append(f"block {i} not verified completely positive "
@@ -271,8 +296,59 @@ def certify_completable(problem: CompletionProblem, *,
 
     verdict = CERTIFIED if not reasons else NO_CERTIFICATE
     return CompletabilityCertificate(
-        verdict, data, per_arm, f0_pair, block_verdicts, report, reasons, tol
+        verdict, data, per_arm, f0_pair, block_verdicts, report, reasons, tol,
+        completion_cp,
     )
+
+
+#: Tolerance of the block CP verdicts, that of :func:`cones.is_cp`.
+_CP_TOL = 1e-8
+
+
+def _block_cp_verdicts(problem: CompletionProblem):
+    """CP verdicts of the max-determinant completion (None when it is not
+    doubly nonnegative) and of every block, from one factorization.
+
+    Every block is a principal submatrix of the completion, so the rows
+    ``B_i`` of a nonnegative factor ``B`` that belong to block ``i`` factor
+    it.  ``B`` is searched at the smallest block threshold ``_CP_TOL *
+    max(1, max|M_i|)``: a restriction's residual is at most the whole's, so
+    each then clears its own.  ``B_i >= 0`` and ``||B_i B_i^T - M_i||_F``
+    are re-checked against block ``i``'s threshold; a block that fails, or
+    every block when there is no factor, gets its own :func:`cones.is_cp`.
+    """
+    n1 = problem.pm.pattern.n1
+    zf, _, P = _arm_centres(problem)
+    full, _ = _max_det_completion(zf, P)
+    blocks = [extract_block(problem.pm, i).array for i in range(1, problem.S + 1)]
+    limits = [_CP_TOL * max(1.0, float(np.abs(M).max())) for M in blocks]
+    factor = completion_cp = None
+    if is_dnn(full, _CP_TOL):
+        factor = cones.cp_factorize(full, tol=min(limits))
+        if factor is not None:
+            completion_cp = MembershipVerdict(
+                cones.MEMBER, "nonnegative factorization found", _CP_TOL, witness=factor
+            )
+        elif full.shape[0] <= 4:  # there DNN and CP coincide
+            completion_cp = MembershipVerdict(
+                cones.MEMBER, "doubly nonnegative and order <= 4", _CP_TOL
+            )
+        else:
+            completion_cp = MembershipVerdict(
+                cones.UNKNOWN, "doubly nonnegative but no nonnegative factorization "
+                "found at the smallest block threshold", _CP_TOL
+            )
+    verdicts = []
+    for i, (M, limit) in enumerate(zip(blocks, limits)):
+        B = None if factor is None else factor[np.r_[:n1, n1 + i]]
+        if B is not None and B.min() >= 0.0 and np.linalg.norm(B @ B.T - M) <= limit:
+            verdicts.append(MembershipVerdict(
+                cones.MEMBER, "rows of the max-determinant completion's "
+                "nonnegative factor", _CP_TOL, witness=B,
+            ))
+        else:
+            verdicts.append(cones.is_cp(M))
+    return completion_cp, verdicts
 
 
 # -- data from the block kernels ---------------------------------------------
@@ -512,17 +588,40 @@ def _rechecked(problem: CompletionProblem, full: np.ndarray,
     return NumericCompletionResult(completion, cp, diagnostics)
 
 
-def _closed_form(problem: CompletionProblem) -> Optional[NumericCompletionResult]:
-    """Outcomes 1 and 2 of :func:`complete_numeric`, or None when undecided."""
+def _arm_centres(problem: CompletionProblem):
+    """``(zf, C^+, P)``: the unit-corner zero-filled matrix, the
+    pseudo-inverse of its shared block ``C`` and ``P[i, j] = a_i^T C^+ a_j``,
+    the centre of every arm pair's interval."""
     n1 = problem.pm.pattern.n1
     zf = problem.pm.zero_filled().array
     A = zf[n1:, :n1]
     w, V = jacobi_eigh(zf[:n1, :n1])
     keep = w > _ZERO_RTOL * w[-1]
     Cplus = (V[:, keep] / w[keep]) @ V[:, keep].T
-    # P[i, j] = a_i^T C^+ a_j, the centre of every pair's interval.
     P = A @ Cplus @ A.T
-    P = 0.5 * (P + P.T)
+    return zf, Cplus, 0.5 * (P + P.T)
+
+
+def _max_det_completion(base: np.ndarray, P: np.ndarray, factor: float = 1.0):
+    """``base`` with the entry of every arm pair set to ``factor * P[i, j]``,
+    and whether a negative two-arm centre was raised to 0: with one unknown
+    entry every value of its interval gives a PSD completion, and with no
+    proof of none the interval reaches 0."""
+    S = P.shape[0]
+    raised = S == 2 and P[0, 1] < 0.0
+    if raised:
+        P = P.copy()
+        P[0, 1] = P[1, 0] = 0.0
+    full = base.copy()
+    off = ~np.eye(S, dtype=bool)
+    full[-S:, -S:][off] = factor * P[off]
+    return full, raised
+
+
+def _closed_form(problem: CompletionProblem) -> Optional[NumericCompletionResult]:
+    """Outcomes 1 and 2 of :func:`complete_numeric`, or None when undecided."""
+    n1 = problem.pm.pattern.n1
+    zf, Cplus, P = _arm_centres(problem)
     Y = np.diag(zf)[n1:]
     s = Y - np.diag(P)
     root = np.sqrt(np.maximum(s, 0.0))
@@ -549,15 +648,11 @@ def _closed_form(problem: CompletionProblem) -> Optional[NumericCompletionResult
                 f"and {j + 1} lies below zero (u^T M_zf u = {cert.value:.6g})",
                 no_completion_certificate=cert,
             )
-    diagnostics = "closed-form max-determinant completion"
-    if problem.S == 2 and P[0, 1] < 0.0:
-        # With one unknown entry every value of its interval gives a PSD
-        # completion, and with no proof of none the interval reaches 0.
-        P[0, 1] = P[1, 0] = 0.0
-        diagnostics = "closed-form two-arm completion at entry 0"
-    full = problem.original.zero_filled().array.copy()
-    off = ~np.eye(problem.S, dtype=bool)
-    full[n1:, n1:][off] = problem.scale * P[off]
+    full, raised = _max_det_completion(
+        problem.original.zero_filled().array, P, problem.scale
+    )
+    diagnostics = ("closed-form two-arm completion at entry 0" if raised
+                   else "closed-form max-determinant completion")
     return _rechecked(problem, full, diagnostics)
 
 

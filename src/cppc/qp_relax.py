@@ -375,17 +375,29 @@ def _corner(sol: RelaxationSolution) -> SymMatrix:
     return SymMatrix(C)
 
 
-def rank_one_certificate(sol: RelaxationSolution, tol: float = KERNEL_TOL) -> bool:
+def _spectrum(sol: RelaxationSolution, spectrum):
+    """The corner's checked eigendecomposition ``(w, v)``, unless one is
+    handed in: :func:`exactness_report` computes it once for all checks."""
+    return jacobi_eigh(_corner(sol)) if spectrum is None else spectrum
+
+
+def rank_one_certificate(sol: RelaxationSolution, tol: float = KERNEL_TOL,
+                         spectrum=None) -> bool:
     """True iff the corner's second eigenvalue is below ``tol`` times its
     largest, i.e. every block has rank one."""
-    w, _ = jacobi_eigh(_corner(sol))
+    w, _ = _spectrum(sol, spectrum)
     return bool(w[-2] <= tol * max(w[-1], 0.0))
 
 
 def kernel_vectors(M: SymMatrix, tol: float = KERNEL_TOL):
     """Orthonormal eigenvectors with eigenvalues below ``tol`` times the
     spectral scale."""
-    w, v = jacobi_eigh(M)
+    return _kernel(jacobi_eigh(M), tol)
+
+
+def _kernel(spectrum, tol: float):
+    """:func:`kernel_vectors` from a computed spectrum ``(w, v)``."""
+    w, v = spectrum
     scale = max(float(np.abs(w).max()), 1e-12)
     return [v[:, k].copy() for k in range(w.size) if abs(w[k]) <= tol * scale]
 
@@ -401,7 +413,8 @@ def _kernel_candidates(kernel):
     return cands
 
 
-def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL):
+def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL,
+                  spectrum=None):
     """Kernel-vector certificate on the northwest block.
 
     For each candidate kernel direction normalized to leading coordinate -1,
@@ -411,9 +424,8 @@ def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     re-verifies against the data.  Also reports whether the feasible
     polytope was verified bounded (the test is one-directional otherwise).
     """
-    corner = _corner(sol)
-    nw = corner.array
-    kern = kernel_vectors(corner, tol)
+    nw = _corner(sol).array
+    kern = _kernel(_spectrum(sol, spectrum), tol)
     scale = max(1.0, float(np.abs(nw).max()))
     dual = dual_cone(qp.K)
     for cand in _kernel_candidates(kern):
@@ -448,7 +460,8 @@ def _polytope_bounded(qp: QPInstance) -> bool:
     return check_boundedness(_row_data(qp)).status == BOUNDED
 
 
-def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL):
+def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL,
+                  spectrum=None):
     """Per-block kernel certificate: vectors ``(-1, alpha_i u, w_i)`` with a
     shared direction ``u`` in the dual-cone interior, positive ``alpha_i,
     w_i``, annihilated by their blocks.
@@ -457,12 +470,12 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     nonsingular, block i's kernel is the line of ``k_i``, so its vector is
     ``k_i / d_i`` and ``u`` is the common direction of the rows ``F_i /
     d_i``.  Otherwise ``u = x / |x|`` and ``alpha_i, w_i`` are fitted by
-    least squares.  All evidence is re-verified by evaluating ``M_i v_i``.
+    least squares (:func:`_fit_alpha_w`).  All evidence is re-verified by
+    evaluating ``M_i v_i``.
     """
-    n = qp.n
     if qp.m == 0:
         return None
-    singular = bool(kernel_vectors(_corner(sol), tol))
+    singular = bool(_kernel(_spectrum(sol, spectrum), tol))
     if singular:
         norm = np.linalg.norm(sol.x)
         if norm < 1e-10:
@@ -481,12 +494,7 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     if u_dir[np.argmax(np.abs(u_dir))] < 0:
         u_dir = -u_dir
     if singular:
-        # Fit alpha and w by least squares: M (-1, alpha*u, w) = 0.
-        alphas, ws = np.array([
-            np.linalg.lstsq(np.column_stack([M[:, 1 : n + 1] @ u_dir, M[:, n + 1]]),
-                            M[:, 0], rcond=None)[0]
-            for M in (blk.array for blk in sol.blocks)
-        ]).T
+        alphas, ws = np.array([_fit_alpha_w(blk.array, u_dir, tol) for blk in sol.blocks]).T
         parts = np.outer(alphas, u_dir)
     elif np.any(np.abs(parts - np.outer(alphas, u_dir)).max(axis=1)
                 > 1e-6 * np.maximum(1.0, alphas)):
@@ -501,6 +509,23 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     if not interior_dual_contains(qp.K, u_dir):
         return None
     return {"u": u_dir, "alpha": alphas, "w": ws, "vectors": vecs}
+
+
+def _fit_alpha_w(M: np.ndarray, u: np.ndarray, tol: float) -> np.ndarray:
+    """``(alpha, w)`` with ``M (-1, alpha u, w) = 0`` by least squares,
+    singular values below ``tol`` times the largest dropped.
+
+    With parallel columns (rank-one blocks: ``alpha |x| + w y_i = 1``) the
+    fit is a line, whose point a full-rank solve would take from rounding
+    noise.  Its point with ``alpha = w`` has the largest ``min(alpha, w)``,
+    so it is positive whenever some point is, also when ``y_i = 0`` leaves
+    ``w`` free and the minimum-norm point puts it at 0.
+    """
+    cols = np.column_stack([M[:, 1:-1] @ u, M[:, -1]])
+    fit, _, rank, _ = np.linalg.lstsq(cols, M[:, 0], rcond=tol)
+    if rank < 2:
+        fit = np.linalg.lstsq(cols.sum(axis=1)[:, None], M[:, 0], rcond=tol)[0].repeat(2)
+    return fit
 
 
 def lemma_equivalence_check(M: SymMatrix, a, b, r: float, nx: Optional[int] = None,
@@ -564,15 +589,16 @@ def exactness_report(qp: QPInstance, solver_opts: Optional[SolveOptions] = None,
             diagnostics=f"solver failure: {exc}",
         )
     proven = []
-    rank_one = rank_one_certificate(sol)
+    spectrum = jacobi_eigh(_corner(sol))
+    rank_one = rank_one_certificate(sol, spectrum=spectrum)
     if rank_one:
         proven.append("rank_one")
     if upper is not None and abs(upper - lower) <= bound_tol * max(1.0, abs(lower)):
         proven.append("bound_match")
-    cert_a = certificate_a(qp, sol)
+    cert_a = certificate_a(qp, sol, spectrum=spectrum)
     if cert_a is not None:
         proven.append("certificate_a")
-    cert_b = certificate_b(qp, sol)
+    cert_b = certificate_b(qp, sol, spectrum=spectrum)
     if cert_b is not None:
         proven.append("certificate_b")
     overall = PROVEN_EXACT if proven else UNKNOWN

@@ -1,3 +1,5 @@
+import json
+import os
 import time
 
 import numpy as np
@@ -15,6 +17,7 @@ from cppc.completion import (
     verify_block_constraints,
 )
 from cppc import cones
+from cppc.cli import parse_completion_problem
 from cppc.conditions import ConstraintData, build_condition_report
 from cppc.matrix_core import (
     ArrowheadPattern,
@@ -322,6 +325,137 @@ class TestCompleteNumeric:
         res = complete_numeric(problem)
         assert res.completion is not None
         assert np.abs(res.completion.full.array - np.outer(z, z)).max() <= 1e-7
+
+
+def kernel_data(problem):
+    """Data ``k_i = (-1, f_i, g_i)`` (``d_i = 1``) read off each block's
+    eigenvector of smallest eigenvalue, a kernel vector of a singular PSD
+    block, whether or not the three conditions hold on it."""
+    ks = []
+    for i in range(1, problem.S + 1):
+        k = sym_eigh(extract_block(problem.pm, i))[1][:, 0]
+        ks.append(k / -k[0])
+    return ConstraintData.width_one(
+        problem.K, [k[1:-1] for k in ks], [k[-1] for k in ks], [1.0] * problem.S
+    )
+
+
+def gram_problem(n, S, kind, rng, rows=None):
+    """A ``gram_completion`` input.  Unless its blocks have rank one (which
+    ``find_data`` settles) it gets kernel data stated, so that the CP
+    verdicts are reached whatever the conditions say."""
+    gram = gram_completion(n, S, kind, rng, rows)
+    problem = CompletionProblem.from_partial_matrix(
+        partial_matrix_from_full(gram, n + 1, 1, S)
+    )
+    if kind != "rank1" or rows is not None:
+        problem.data = kernel_data(problem)
+    return gram, problem
+
+
+def block_limit(M):
+    return 1e-8 * max(1.0, float(np.abs(M).max()))
+
+
+class TestOneFactor:
+    @pytest.mark.parametrize("n, S, kind", [(6, 10, "positive"), (8, 12, "mixed"),
+                                            (8, 10, "rank1")])
+    def test_one_factorization_per_input(self, n, S, kind, monkeypatch):
+        _, problem = gram_problem(n, S, kind, np.random.default_rng([7, S, n]))
+        calls = []
+        for name in ("is_cp", "cp_factorize"):
+            original = getattr(cones, name)
+            monkeypatch.setattr(
+                cmod.cones, name,
+                lambda *a, _f=original, _name=name, **k: calls.append(_name) or _f(*a, **k),
+            )
+        cert = certify_completable(problem)
+        assert calls == ["cp_factorize"]
+        assert len(cert.block_verdicts) == S
+        assert all(v.is_member and v.witness is not None for v in cert.block_verdicts)
+
+    def test_block_verdicts_match_per_block_search(self):
+        rng = np.random.default_rng(31)
+        blocks = 0
+        for kind in ("positive", "mixed", "independent", "rank1"):
+            for n, S, rows in ((2, 2, None), (2, 4, 2), (3, 3, None), (3, 5, 4),
+                               (4, 2, None), (4, 4, 5)):
+                _, problem = gram_problem(n, S, kind, rng, rows)
+                cert = certify_completable(problem)
+                assert len(cert.block_verdicts) == S
+                for i, v in enumerate(cert.block_verdicts, start=1):
+                    M = extract_block(problem.pm, i).array
+                    assert v.verdict == cones.is_cp(M).verdict
+                    if v.is_member and v.witness is not None:
+                        B = v.witness
+                        assert B.min() >= 0.0
+                        assert np.linalg.norm(B @ B.T - M) <= block_limit(M)
+                    blocks += 1
+        assert blocks == 4 * 20
+
+    @pytest.mark.parametrize("spoil", ["residual", "none"])
+    def test_failed_restriction_falls_back_per_block(self, spoil, monkeypatch):
+        _, problem = gram_problem(4, 5, "positive", np.random.default_rng(3))
+        expected = [cones.is_cp(extract_block(problem.pm, i)) for i in range(1, 6)]
+        factorize = cones.cp_factorize
+
+        def spoiled(M, *args, **kwargs):
+            B = factorize(M, *args, **kwargs)
+            if M.shape[0] != problem.pm.pattern.total_order:
+                return B
+            # Row 0 is in every block, so no restriction re-verifies.
+            return None if spoil == "none" else B * np.r_[1.01, np.ones(len(B) - 1)][:, None]
+
+        monkeypatch.setattr(cmod.cones, "cp_factorize", spoiled)
+        cert = certify_completable(problem)
+        assert cert.completion_cp.verdict == (
+            cones.UNKNOWN if spoil == "none" else cones.MEMBER
+        )
+        for got, want in zip(cert.block_verdicts, expected, strict=True):
+            assert (got.verdict, got.detail) == (want.verdict, want.detail)
+            assert np.array_equal(got.witness, want.witness)
+
+    def test_noncompletable_fixture_certificate(self):
+        path = os.path.join(os.path.dirname(__file__), "fixtures",
+                            "noncompletable_arrowhead.json")
+        with open(path, encoding="utf-8") as fh:
+            problem = parse_completion_problem(json.load(fh))
+        cert = certify_completable(problem)
+        assert cert.verdict == NO_CERTIFICATE
+        assert cert.reasons == ["no admissible data (f_i, g_i, d_i) found"]
+        assert cert.data is None and cert.report is None
+        assert cert.block_verdicts == [] and cert.block_residuals == []
+        assert cert.completion_cp is None
+
+    def test_completion_cp_decides_what_the_conditions_leave_open(self):
+        # The block equations hold, so every Schur complement is zero and the
+        # max-determinant completion is the only PSD one: here the Gram
+        # matrix, which is CP, while condition (iii) fails on mixed arms.
+        gram, problem = gram_problem(8, 12, "mixed", np.random.default_rng([7, 12, 8]))
+        cert = certify_completable(problem)
+        assert cert.verdict == NO_CERTIFICATE
+        assert cert.block_residuals and _worst(cert) <= cert.tol
+        assert cert.completion_cp.is_member
+        B = cert.completion_cp.witness
+        unit = gram / problem.scale
+        assert B.min() >= 0.0
+        assert np.linalg.norm(B @ B.T - unit) <= block_limit(unit)
+
+    def test_completion_cp_is_none_without_a_dnn_completion(self, pm_three_arms):
+        # The max-determinant entry of arms 1 and 2 is -1.
+        problem = CompletionProblem.from_partial_matrix(pm_three_arms)
+        problem.data = ConstraintData.width_one(
+            problem.K, [np.array([1.0])] * 3, [1.0] * 3, [1.0] * 3
+        )
+        cert = certify_completable(problem)
+        assert cert.completion_cp is None
+        assert [v.verdict for v in cert.block_verdicts] == [
+            cones.is_cp(extract_block(problem.pm, i)).verdict for i in (1, 2, 3)
+        ]
+
+
+def _worst(cert):
+    return max(abs(r) for pair in cert.block_residuals for r in pair)
 
 
 def closed_form_suite():

@@ -523,7 +523,35 @@ class TestExactnessReport:
         monkeypatch.setattr(qp_relax, "jacobi_eigh", counted)
         rep = exactness_report(baseline_qp(4, 20, 0), SolveOptions(polish=False))
         assert rep.overall == PROVEN_EXACT
-        assert len(calls) <= 3
+        assert len(calls) <= 1
+
+    def test_handed_spectrum_gives_the_same_checks(self):
+        qp = baseline_qp(4, 12, 0)
+        _, sol, _ = solve_bounds(qp, SolveOptions(polish=False))
+        spectrum = sym_eigh(_corner(sol))
+        assert rank_one_certificate(sol) == rank_one_certificate(sol, spectrum=spectrum)
+        for check in (certificate_a, certificate_b):
+            alone, handed = check(qp, sol), check(qp, sol, spectrum=spectrum)
+            assert (alone is None) == (handed is None)
+            if alone is not None:
+                assert all(np.array_equal(alone[k], handed[k]) for k in alone)
+
+    def test_certificate_a_fit_ignores_rounding(self):
+        # The 208th draw: every block has rank one and row 1 is active
+        # (y_1 = 0), so the fit of (alpha, w) is a line on which w is free.
+        rng = np.random.default_rng(123)
+        for _ in range(208):
+            qp = random_bounded_qp(rng)
+        _, sol, _ = solve_bounds(qp, SolveOptions(polish=False))
+        base = certificate_a(qp, sol)
+        assert base is not None
+        for j in range(qp.n):
+            sol.x = sol.x + 1e-15 * np.eye(qp.n)[j]
+            moved = certificate_a(qp, sol)
+            assert moved is not None
+            assert np.abs(moved["u"] - base["u"]).max() <= 1e-14
+            assert np.abs(moved["alpha"] - base["alpha"]).max() <= 1e-8
+            assert np.abs(moved["w"] - base["w"]).max() <= 1e-8
 
 
 def corner_identity_cases():
