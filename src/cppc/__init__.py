@@ -24,6 +24,7 @@ from .cones import (
     is_dnn,
     is_psd,
     orthant,
+    principal_cp,
     product,
     zero,
 )

@@ -29,10 +29,11 @@ centre is replaced by 0.
 
 Every block is a principal submatrix of that completion, and every
 principal submatrix of a completely positive matrix is completely positive
-(Berman, Shaked-Monderer 2003).  So certification searches one nonnegative
-factor of the completion (Groetzner, Duer, LAA 2020) and reads each block's
-witness off its rows, re-verified per block; only a block whose rows fail
-the re-check gets a search of its own.  When the block equations hold, every
+(Berman, Shaked-Monderer 2003).  So certification hands the completion and
+the rows of each block to :func:`cones.principal_cp`, which decides every
+CP verdict from one nonnegative factor (Groetzner, Duer, LAA 2020); this
+module only says which matrix is completed and which rows form which
+block.  When the block equations hold, every
 ``M_i k_i = 0`` with ``g_i > 0`` puts the arm columns in the range of ``C``,
 so every ``s_i`` is 0 and the completion is the only PSD one: its verdict
 (``CompletabilityCertificate.completion_cp``) then decides completability,
@@ -208,7 +209,7 @@ class OracleResult:
     entries: list
 
 
-def verify_block_constraints(pm: PartialMatrix, data: ConstraintData, tol: float = 1e-8):
+def verify_block_constraints(pm: PartialMatrix, data: ConstraintData):
     """Residuals of the two coupling equations per arm plus the shared pair.
 
     Returns ``(per_arm, f0_pair)`` where ``per_arm[i] = (linear, quadratic)``
@@ -252,8 +253,8 @@ def certify_completable(problem: CompletionProblem, *,
     every block is verified completely positive, and the interior,
     boundedness and projection-containment conditions all pass on the
     data.  Every failure is recorded; none of them disproves
-    completability.  The block CP verdicts are the rows of one nonnegative
-    factor of the max-determinant completion, re-verified per block
+    completability.  The block CP verdicts, and that of the max-determinant
+    completion, come from :func:`cones.principal_cp`
     (:func:`_block_cp_verdicts`).
     """
     reasons = []
@@ -301,54 +302,15 @@ def certify_completable(problem: CompletionProblem, *,
     )
 
 
-#: Tolerance of the block CP verdicts, that of :func:`cones.is_cp`.
-_CP_TOL = 1e-8
-
-
 def _block_cp_verdicts(problem: CompletionProblem):
     """CP verdicts of the max-determinant completion (None when it is not
-    doubly nonnegative) and of every block, from one factorization.
-
-    Every block is a principal submatrix of the completion, so the rows
-    ``B_i`` of a nonnegative factor ``B`` that belong to block ``i`` factor
-    it.  ``B`` is searched at the smallest block threshold ``_CP_TOL *
-    max(1, max|M_i|)``: a restriction's residual is at most the whole's, so
-    each then clears its own.  ``B_i >= 0`` and ``||B_i B_i^T - M_i||_F``
-    are re-checked against block ``i``'s threshold; a block that fails, or
-    every block when there is no factor, gets its own :func:`cones.is_cp`.
-    """
+    doubly nonnegative) and of every block, a principal submatrix of it on
+    the rows ``(0, ..., n1 - 1, n1 + i)``: :func:`cones.principal_cp`."""
     n1 = problem.pm.pattern.n1
     zf, _, P = _arm_centres(problem)
     full, _ = _max_det_completion(zf, P)
-    blocks = [extract_block(problem.pm, i).array for i in range(1, problem.S + 1)]
-    limits = [_CP_TOL * max(1.0, float(np.abs(M).max())) for M in blocks]
-    factor = completion_cp = None
-    if is_dnn(full, _CP_TOL):
-        factor = cones.cp_factorize(full, tol=min(limits))
-        if factor is not None:
-            completion_cp = MembershipVerdict(
-                cones.MEMBER, "nonnegative factorization found", _CP_TOL, witness=factor
-            )
-        elif full.shape[0] <= 4:  # there DNN and CP coincide
-            completion_cp = MembershipVerdict(
-                cones.MEMBER, "doubly nonnegative and order <= 4", _CP_TOL
-            )
-        else:
-            completion_cp = MembershipVerdict(
-                cones.UNKNOWN, "doubly nonnegative but no nonnegative factorization "
-                "found at the smallest block threshold", _CP_TOL
-            )
-    verdicts = []
-    for i, (M, limit) in enumerate(zip(blocks, limits)):
-        B = None if factor is None else factor[np.r_[:n1, n1 + i]]
-        if B is not None and B.min() >= 0.0 and np.linalg.norm(B @ B.T - M) <= limit:
-            verdicts.append(MembershipVerdict(
-                cones.MEMBER, "rows of the max-determinant completion's "
-                "nonnegative factor", _CP_TOL, witness=B,
-            ))
-        else:
-            verdicts.append(cones.is_cp(M))
-    return completion_cp, verdicts
+    rows = [np.r_[:n1, n1 + i] for i in range(problem.S)]
+    return cones.principal_cp(full, rows, source="the max-determinant completion")
 
 
 # -- data from the block kernels ---------------------------------------------
@@ -385,15 +347,14 @@ def find_data(problem: CompletionProblem, *, tol: float = 1e-8) -> Optional[Cons
     bounded over a free coordinate.  Every result re-verifies the block
     equations within ``tol`` and all three conditions; None is
     inconclusive.  At most ``S + 1`` candidates are checked, one per rule
-    and one per reference arm.
+    and one per reference arm, and every rule reads the same checked
+    spectrum of each block.
     """
-    data = _find_data_rank_one(problem, tol)
+    spectra = [jacobi_eigh(extract_block(problem.pm, i)) for i in range(1, problem.S + 1)]
+    data = _find_data_rank_one(problem, spectra, tol)
     if data is not None or not problem.K.is_orthant_like():
         return data
-    kernels = []
-    for i in range(1, problem.S + 1):
-        w, vecs = jacobi_eigh(extract_block(problem.pm, i))
-        kernels.append(vecs[:, w <= tol * w[-1]])
+    kernels = [vecs[:, w <= tol * w[-1]] for w, vecs in spectra]
     if any(B.shape[1] == 0 for B in kernels):
         return None
     if all(B.shape[1] == 1 for B in kernels):
@@ -408,31 +369,23 @@ def find_data(problem: CompletionProblem, *, tol: float = 1e-8) -> Optional[Cons
     return None
 
 
-def _rank_one_factors(problem: CompletionProblem, tol: float):
-    """Per-block unit-corner factors when every block has numerical rank one."""
-    factors = []
-    for i in range(1, problem.S + 1):
-        block = extract_block(problem.pm, i)
-        w, vecs = jacobi_eigh(block)
-        if w[-1] <= 0.0 or (block.order > 1 and abs(w[-2]) > tol * w[-1]):
+def _find_data_rank_one(problem: CompletionProblem, spectra, tol: float):
+    """Rule 1 of :func:`find_data` on the blocks' spectra: when every block
+    has numerical rank one, the shared functional ``(1, ..., 1; 1)`` on every
+    arm; it needs a pure orthant ground cone."""
+    if not np.all(problem.K.coordinate_kinds() == cones.ORTHANT):
+        return None
+    ones = np.ones(problem.n)
+    values = []
+    for w, vecs in spectra:
+        if w[-1] <= 0.0 or (w.size > 1 and abs(w[-2]) > _RANK_ONE_TOL * w[-1]):
             return None
+        # Block i is spanned by its factor v = (1, x, y) up to sign, so
+        # (-s, 1, ..., 1) with s = 1.x + y lies in its kernel.
         v = vecs[:, -1] * np.sqrt(w[-1])
         if v[0] < 0.0:
             v = -v
-        factors.append(v)
-    return factors
-
-
-def _find_data_rank_one(problem: CompletionProblem, tol: float):
-    """Rule 1 of :func:`find_data`: the shared functional ``(1, ..., 1; 1)``
-    on every arm; it needs a pure orthant ground cone."""
-    factors = _rank_one_factors(problem, _RANK_ONE_TOL)
-    if factors is None or not np.all(problem.K.coordinate_kinds() == cones.ORTHANT):
-        return None
-    ones = np.ones(problem.n)
-    # Block i is spanned by its factor (1, x, y), so (-s, 1, ..., 1) with
-    # s = 1.x + y lies in its kernel.
-    values = [float(ones @ v[1:-1] + v[-1]) for v in factors]
+        values.append(float(ones @ v[1:-1] + v[-1]))
     if min(values) <= tol:
         return None
     return _data_from_kernel(problem, [np.r_[-s, ones, 1.0] for s in values], tol)
@@ -674,10 +627,11 @@ def _proof_of_none(zf: np.ndarray, Cplus: np.ndarray, i: int, j: int,
     return NoCompletionCertificate((i + 1, j + 1), u, value)
 
 
-def brute_force_completion_oracle(pm: PartialMatrix, grid_steps: int = 33,
-                                  refine_iters: int = 30) -> OracleResult:
+def brute_force_completion_oracle(pm: PartialMatrix) -> OracleResult:
     """Grid search plus zooming refinement over the unspecified entries,
-    maximizing the smallest eigenvalue of the completed matrix.
+    maximizing the smallest eigenvalue of the completed matrix: 30 rounds,
+    the first on 33 points per axis, each later one on 9 points per axis
+    over a box half as wide around the best point so far.
 
     Entries range over ``[0, sqrt(M_ii M_jj)]``, the interval every doubly
     nonnegative completion must respect.  Succeeds when the maximized
@@ -715,8 +669,8 @@ def brute_force_completion_oracle(pm: PartialMatrix, grid_steps: int = 33,
     radii = np.array([0.5 * hi for (_, _, hi) in spans])
     best_val = -np.inf
     best = centers.copy()
-    steps = max(grid_steps, 3)
-    for _ in range(refine_iters):
+    steps = 33
+    for _ in range(30):
         axes = [
             np.linspace(ci - ri, ci + ri, steps) for ci, ri in zip(centers, radii)
         ]

@@ -3,8 +3,12 @@
 Ground cones are finite Cartesian products of nonnegative orthants, free
 (whole-space) factors and zero factors.  Matrix-cone tests cover positive
 semidefiniteness, doubly nonnegative (DNN) membership and completely
-positive (CP) membership; the latter is exact up to order 4, where DNN and
-CP coincide, and certificate-based above that.
+positive (CP) membership.  Every CP verdict of the package is decided here,
+by one rule at every order: a DNN failure disproves membership, and one
+nonnegative factor search (:func:`cp_factorize`) proves it; without a
+factor, orders up to 4 are members (there DNN and CP coincide) and larger
+orders are ``Unknown``.  :func:`principal_cp` decides a matrix and any of
+its principal submatrices from one factor.
 """
 
 from __future__ import annotations
@@ -181,7 +185,7 @@ def is_psd(M, tol: float = 1e-8) -> bool:
 
 def is_dnn(M, tol: float = 1e-8) -> bool:
     """Doubly nonnegative: PSD and entrywise nonnegative within ``tol``."""
-    m = M.array if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
+    m = _array(M)
     if m.min() < -tol:
         return False
     return is_psd(m, tol)
@@ -190,45 +194,70 @@ def is_dnn(M, tol: float = 1e-8) -> bool:
 def is_cp(M, tol: float = 1e-8) -> MembershipVerdict:
     """Completely positive membership.
 
-    Orders up to 4 are decided exactly: there CP coincides with DNN.  Above
-    that, a successful nonnegative factorization certifies membership, a DNN
-    failure certifies non-membership, and everything else is ``Unknown``.
+    A DNN failure certifies non-membership.  Otherwise one
+    :func:`cp_factorize` search at ``max(tol, 1e-10) * max(1, max|M|)``
+    decides: a factor certifies membership and is the witness; without one,
+    orders up to 4 are still members (there CP coincides with DNN) and
+    larger orders are ``Unknown``.
     """
-    m = M.array if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
-    n = m.shape[0]
-    dnn = is_dnn(m, tol)
-    if n <= 4:
-        if dnn:
-            # Verdict rests on the order <= 4 equivalence; the factor, when
-            # the quick search finds one, is a bonus witness.
-            factor = cp_factorize(
-                m,
-                max_iters=300,
-                restarts=1,
-                tol=max(tol, 1e-9) * max(1.0, np.abs(m).max()),
-            )
-            return MembershipVerdict(
-                MEMBER,
-                "doubly nonnegative and order <= 4, hence completely positive",
-                tol,
-                witness=factor,
-            )
-        return MembershipVerdict(
-            NOT_MEMBER, _dnn_violation(m, tol), tol
-        )
-    if not dnn:
+    m = _array(M)
+    if not is_dnn(m, tol):
         return MembershipVerdict(NOT_MEMBER, _dnn_violation(m, tol), tol)
-    factor = cp_factorize(m, tol=max(tol, 1e-10) * max(1.0, np.abs(m).max()))
-    if factor is not None:
+    return _searched(m, tol, _cp_limit(m, tol))
+
+
+def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix"):
+    """CP verdicts of ``M`` (None when it is not doubly nonnegative) and of
+    its principal submatrices ``M[I]``, ``I`` in ``index_sets``, from one
+    factor.
+
+    Principal submatrices of a CP matrix are CP (Berman, Shaked-Monderer
+    2003): the rows ``B[I]`` of a nonnegative factor ``B`` of ``M`` factor
+    ``M[I]``.  ``B`` is searched at the smallest submatrix threshold, and
+    each ``B[I] >= 0`` and ``||B[I] B[I]^T - M[I]||_F`` is re-checked
+    against its own; a submatrix that fails, or every one when there is no
+    factor, gets its own :func:`is_cp`.  ``source`` names ``M`` in the
+    details of the verdicts read off its factor.
+    """
+    m = _array(M)
+    subs = [m[np.ix_(I, I)] for I in index_sets]
+    limits = [_cp_limit(sub, tol) for sub in subs]
+    whole = _searched(m, tol, min(limits)) if is_dnn(m, tol) else None
+    factor = None if whole is None else whole.witness
+    verdicts = []
+    for I, sub, limit in zip(index_sets, subs, limits):
+        B = None if factor is None else factor[I]
+        if B is not None and B.min() >= 0.0 and np.linalg.norm(B @ B.T - sub) <= limit:
+            verdicts.append(MembershipVerdict(
+                MEMBER, f"rows of {source}'s nonnegative factor", tol, witness=B
+            ))
+        else:
+            verdicts.append(is_cp(sub, tol))
+    return whole, verdicts
+
+
+def _array(M) -> np.ndarray:
+    return M.array if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
+
+
+def _cp_limit(m: np.ndarray, tol: float) -> float:
+    """The residual a factor of ``m`` must reach."""
+    return max(tol, 1e-10) * max(1.0, float(np.abs(m).max()))
+
+
+def _searched(m: np.ndarray, tol: float, limit: float) -> MembershipVerdict:
+    """Verdict of the doubly nonnegative ``m`` from one factor search."""
+    factor = cp_factorize(m, tol=limit)
+    if m.shape[0] <= 4:  # there DNN and CP coincide
+        detail = "doubly nonnegative and order <= 4, hence completely positive"
+    elif factor is not None:
+        detail = "nonnegative factorization found"
+    else:
         return MembershipVerdict(
-            MEMBER, "nonnegative factorization found", tol, witness=factor
+            UNKNOWN, "doubly nonnegative but no nonnegative factorization found "
+            "(inconclusive for orders above 4)", tol,
         )
-    return MembershipVerdict(
-        UNKNOWN,
-        "doubly nonnegative but no nonnegative factorization found "
-        "(inconclusive for orders above 4)",
-        tol,
-    )
+    return MembershipVerdict(MEMBER, detail, tol, witness=factor)
 
 
 def _dnn_violation(m: np.ndarray, tol: float) -> str:
@@ -239,12 +268,13 @@ def _dnn_violation(m: np.ndarray, tol: float) -> str:
     return f"negative eigenvalue {w.min():.6g}"
 
 
-def cp_factorize(
-    M,
-    max_iters: int = 400,
-    tol: Optional[float] = None,
-    restarts: int = 8,
-) -> Optional[np.ndarray]:
+#: Alternating-projection steps per start of :func:`cp_factorize`.
+_ROTATION_ITERS = 400
+#: Random starting rotations per factor width, besides the identity.
+_RESTARTS = 8
+
+
+def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
     """Search for a nonnegative factor ``B`` with ``B B^T`` close to ``M``.
 
     Returns ``B`` with ``||B B^T - M||_F <= tol`` on success, ``None``
@@ -255,7 +285,7 @@ def cp_factorize(
     seeded random restarts over the starting rotation and the number of
     factor columns, followed by a short projected-gradient polish.
     """
-    m = M.array if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
+    m = _array(M)
     n = m.shape[0]
     scale = max(1.0, float(np.abs(m).max()))
     if tol is None:
@@ -279,12 +309,12 @@ def cp_factorize(
         if width < r:
             continue
         starts = [np.hstack([np.eye(r), np.zeros((r, width - r))])]
-        for _ in range(restarts):
+        for _ in range(_RESTARTS):
             g = rng.standard_normal((r, width))
             u, _, vt = np.linalg.svd(g, full_matrices=False)
             starts.append(u @ vt)
         for q0 in starts:
-            b, res = _rotate_to_nonnegative(m, root, q0, max_iters, tol)
+            b, res = _rotate_to_nonnegative(m, root, q0, tol)
             if res < best_res:
                 best, best_res = b, res
             if best_res <= tol:
@@ -296,18 +326,18 @@ def cp_factorize(
     return None
 
 
-def _rotate_to_nonnegative(m, root, q, max_iters, tol):
+def _rotate_to_nonnegative(m, root, q, tol):
     """Alternating projection between ``{root @ Q : Q Q^T = I}`` and the
     nonnegative matrices; both iterates reproduce ``m`` up to the clip."""
     b = np.maximum(root @ q, 0.0)
     res = float(np.linalg.norm(b @ b.T - m))
-    for it in range(max_iters):
+    for it in range(_ROTATION_ITERS):
         if res <= tol:
             return b, res
         u, _, vt = np.linalg.svd(root.T @ b, full_matrices=False)
         q = u @ vt
         b = np.maximum(root @ q, 0.0)
-        if (it + 1) % 10 == 0 or it == max_iters - 1:
+        if (it + 1) % 10 == 0 or it == _ROTATION_ITERS - 1:
             res = float(np.linalg.norm(b @ b.T - m))
     return b, float(np.linalg.norm(b @ b.T - m))
 

@@ -573,13 +573,13 @@ def lemma_equivalence_check(M: SymMatrix, a, b, r: float, nx: Optional[int] = No
     return pair, aggregate
 
 
-def exactness_report(qp: QPInstance, solver_opts: Optional[SolveOptions] = None,
-                     bound_tol: float = 1e-6) -> ExactnessReport:
+def exactness_report(qp: QPInstance,
+                     solver_opts: Optional[SolveOptions] = None) -> ExactnessReport:
     """Solve the relaxation and run every ex-post exactness check.
 
-    ``ProvenExact`` when rank-one blocks, matching bounds, or either kernel
-    certificate verifies; otherwise ``Unknown`` (the checks are sound, not
-    complete).
+    ``ProvenExact`` when rank-one blocks, bounds that match to ``1e-6``
+    relative, or either kernel certificate verifies; otherwise ``Unknown``
+    (the checks are sound, not complete).
     """
     try:
         lower, sol, upper = solve_bounds(qp, solver_opts)
@@ -593,7 +593,7 @@ def exactness_report(qp: QPInstance, solver_opts: Optional[SolveOptions] = None,
     rank_one = rank_one_certificate(sol, spectrum=spectrum)
     if rank_one:
         proven.append("rank_one")
-    if upper is not None and abs(upper - lower) <= bound_tol * max(1.0, abs(lower)):
+    if upper is not None and abs(upper - lower) <= 1e-6 * max(1.0, abs(lower)):
         proven.append("bound_match")
     cert_a = certificate_a(qp, sol, spectrum=spectrum)
     if cert_a is not None:

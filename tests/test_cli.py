@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from cppc import completion, qp_relax
 from cppc.cli import RunConfig, dumps_json, main, run
+from cppc.conic_solver import SolveOptions
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -136,6 +138,60 @@ class TestErrors:
         code, _, err = run_capture(capsys, "check", fixture("completable_arrowhead.json"))
         assert code == 2
         assert "numerical failure" in err and "residual bound" in err
+
+
+    def test_solver_failure_exits_two(self, capsys):
+        code = main(["solve-qp", fixture("qp_two_constraints.json"), "--max-iters", "1"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert out.err.startswith(
+            "error: numerical failure: solver failure: relaxation solve returned MaxIters"
+        )
+
+    @pytest.mark.parametrize("command, fixture_name, entry", [
+        ("solve-qp", "qp_two_constraints.json", "exactness_report"),
+        ("complete", "completable_arrowhead.json", "complete_numeric"),
+    ])
+    def test_tol_and_max_iters_reach_the_solver(self, capsys, monkeypatch,
+                                                command, fixture_name, entry):
+        owner = qp_relax if command == "solve-qp" else completion
+        original = getattr(owner, entry)
+        seen = []
+        monkeypatch.setattr(owner, entry,
+                            lambda problem, opts: seen.append(opts) or original(problem, opts))
+        code = main([command, fixture(fixture_name), "--tol", "1e-7",
+                     "--max-iters", "150", "--quiet"])
+        assert code == 0
+        assert seen == [SolveOptions(tol_primal=1e-7, tol_dual=1e-7, tol_gap=1e-7,
+                                     max_iters=150)]
+
+
+class TestSummary:
+    @pytest.mark.parametrize("command, fixture_name, summary", [
+        ("check", "noncompletable_arrowhead.json",
+         "check: NoCertificate (no admissible data (f_i, g_i, d_i) found)\n"),
+        ("complete", "completable_arrowhead.json", "complete: completion found\n"),
+        ("complete", "noncompletable_arrowhead.json",
+         "complete: no completion found (oracle max smallest eigenvalue -0.541381)\n"),
+    ])
+    def test_stderr_summary(self, capsys, command, fixture_name, summary):
+        code = run(RunConfig(command=command, input_path=fixture(fixture_name)))
+        out = capsys.readouterr()
+        assert code == 0 and out.err == summary
+        assert json.loads(out.out)
+
+    def test_solve_qp_and_oracle_summaries(self, capsys):
+        run(RunConfig(command="solve-qp", input_path=fixture("qp_two_constraints.json")))
+        err = capsys.readouterr().err
+        assert err.startswith("solve-qp: lower -0.2")
+        assert err.endswith(", overall ProvenExact via certificate_b\n")
+        run(RunConfig(command="oracle", input_path=fixture("qp_two_constraints.json")))
+        assert capsys.readouterr().err.startswith("oracle: {'kind': 'qp', 'optimum': ")
+
+    def test_quiet_suppresses_summary(self, capsys):
+        run(RunConfig(command="check", input_path=fixture("noncompletable_arrowhead.json"),
+                      quiet=True))
+        assert capsys.readouterr().err == ""
 
 
 class TestDeterminism:

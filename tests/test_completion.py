@@ -19,6 +19,7 @@ from cppc.completion import (
 from cppc import cones
 from cppc.cli import parse_completion_problem
 from cppc.conditions import ConstraintData, build_condition_report
+from cppc.conic_solver import MAX_ITERS, OPTIMAL, SolveResult
 from cppc.matrix_core import (
     ArrowheadPattern,
     PartialMatrix,
@@ -121,6 +122,35 @@ class TestCertify:
         assert cert.verdict == CERTIFIED
         assert cert.report.all_passed
         assert all(v.is_member for v in cert.block_verdicts)
+
+
+    def test_non_orthant_ground_cone_gets_no_cp_verdicts(self):
+        z = np.array([1.0, 0.4, 0.3, 0.7, 0.2])
+        K = cones.product(cones.orthant(1), cones.free(1))
+        problem = CompletionProblem.from_partial_matrix(partial_matrix_from_factor(z, n=2), K)
+        problem.data = ConstraintData.width_one(
+            K, [np.ones(2), np.ones(2)], [1.0, 1.0], [1.0, 1.0]
+        )
+        cert = certify_completable(problem)
+        assert cert.verdict == NO_CERTIFICATE
+        assert ("complete positivity verification implemented for orthant ground "
+                "cones only") in cert.reasons
+        assert cert.block_verdicts == [] and cert.completion_cp is None
+
+    def test_block_not_cp_is_a_reason(self, pm_completable):
+        # A negative entry in block 1 leaves the completion, and block 1,
+        # outside the doubly nonnegative cone; block 2 is untouched.
+        pm = PartialMatrix(pm_completable.pattern, pm_completable.X,
+                           [np.array([[0.55, -0.15]]), pm_completable.Z[1]],
+                           pm_completable.Y)
+        problem = CompletionProblem.from_partial_matrix(pm)
+        problem.data = stated_data(problem)
+        cert = certify_completable(problem)
+        assert cert.completion_cp is None
+        assert [v.verdict for v in cert.block_verdicts] == [cones.NOT_MEMBER, cones.MEMBER]
+        assert ("block 1 not verified completely positive "
+                "(NotMember: negative entry -0.15 at (1, 2))") in cert.reasons
+        assert not any(r.startswith("block 2") for r in cert.reasons)
 
 
 class TestFindData:
@@ -306,6 +336,26 @@ class TestCompleteNumeric:
         assert res.completion is not None and res.no_completion_certificate is None
         assert agrees(res.completion.full, pm, 1e-7)
         assert 0.0 <= res.completion.unspecified_entries()[(2, 3)] <= 1.0 + 1e-7
+
+    @pytest.mark.parametrize("status, value, diagnostics", [
+        (MAX_ITERS, 0.0, "solver did not converge (MaxIters: stalled); inconclusive"),
+        (OPTIMAL, -1.0, "solver point failed the doubly nonnegative recheck"),
+    ])
+    def test_solver_outcome_without_completion(self, pm_three_arms, monkeypatch,
+                                               status, value, diagnostics):
+        # The solver is stubbed: a stalled run, and an "optimal" point whose
+        # unspecified entries are negative.
+        total = pm_three_arms.pattern.total_order
+
+        def stub(prog, opts):
+            return SolveResult(status, [np.full((total, total), value)], 0.0, {}, 0,
+                               np.zeros(0), np.zeros(0), "stalled")
+
+        monkeypatch.setattr(cmod, "solve", stub)
+        res = complete_numeric(CompletionProblem.from_partial_matrix(pm_three_arms))
+        assert res.completion is None and res.cp_verdict is None
+        assert res.no_completion_certificate is None
+        assert res.diagnostics == diagnostics
 
     @pytest.mark.parametrize("n, S, kind", [(6, 10, "positive"), (8, 12, "mixed"),
                                             (8, 10, "rank1")])

@@ -13,6 +13,7 @@ from cppc.cones import (
     is_dnn,
     is_psd,
     orthant,
+    principal_cp,
     product,
     zero,
 )
@@ -141,6 +142,23 @@ class TestMatrixMembership:
             1.0, np.abs(M).max()
         )
 
+    def test_cp_order_five_dnn_not_cp_is_unknown(self):
+        M = horn_violator()
+        assert is_dnn(M)
+        v = is_cp(M)
+        assert v.verdict == cones.UNKNOWN and v.witness is None
+        assert "inconclusive for orders above 4" in v.detail
+
+    def test_cp_order_five_not_dnn(self):
+        M = horn_violator()
+        M[0, 2] = M[2, 0] = -0.1
+        v = is_cp(M)
+        assert v.verdict == cones.NOT_MEMBER
+        assert v.detail == "negative entry -0.1 at (0, 2)"
+        v = is_cp(0.6 * np.ones((5, 5)) - 0.2 * np.eye(5))
+        assert v.verdict == cones.NOT_MEMBER
+        assert v.detail.startswith("negative eigenvalue")
+
     def test_cp_matches_dnn_below_order_five(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
@@ -155,6 +173,45 @@ class TestMatrixMembership:
             assert verdict.verdict == (
                 cones.MEMBER if is_dnn(m) else cones.NOT_MEMBER
             )
+
+
+class TestPrincipalCp:
+    def test_submatrices_read_off_one_factor(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        B = rng.uniform(0.0, 1.0, (7, 9))
+        M = B @ B.T
+        index_sets = [np.r_[:4, 4 + i] for i in range(3)]
+        calls = []
+        factorize = cones.cp_factorize
+        monkeypatch.setattr(
+            cones, "cp_factorize", lambda *a, **k: calls.append(1) or factorize(*a, **k)
+        )
+        whole, verdicts = principal_cp(M, index_sets, source="M")
+        assert calls == [1]
+        assert whole.verdict == cones.MEMBER
+        for I, v in zip(index_sets, verdicts, strict=True):
+            assert v.is_member and v.detail == "rows of M's nonnegative factor"
+            assert np.array_equal(v.witness, whole.witness[I])
+            sub = M[np.ix_(I, I)]
+            assert np.linalg.norm(v.witness @ v.witness.T - sub) <= 1e-8 * np.abs(sub).max()
+
+    def test_not_dnn_decides_each_submatrix_alone(self):
+        M = horn_violator()
+        M[0, 2] = M[2, 0] = -0.1
+        index_sets = [np.r_[0, 1, 3], np.r_[0, 2, 4]]
+        whole, verdicts = principal_cp(M, index_sets)
+        assert whole is None
+        for I, v in zip(index_sets, verdicts, strict=True):
+            want = is_cp(M[np.ix_(I, I)])
+            assert (v.verdict, v.detail) == (want.verdict, want.detail)
+        assert [v.verdict for v in verdicts] == [cones.MEMBER, cones.NOT_MEMBER]
+
+    def test_no_factor_decides_each_submatrix_alone(self):
+        whole, verdicts = principal_cp(horn_violator(), [np.r_[0, 1, 2]])
+        assert whole.verdict == cones.UNKNOWN
+        assert verdicts[0].detail == (
+            "doubly nonnegative and order <= 4, hence completely positive"
+        )
 
 
 class TestCpFactorize:
@@ -187,13 +244,16 @@ class TestCpFactorize:
         assert cp_factorize([[1.0, -0.5], [-0.5, 1.0]]) is None
 
     def test_failure_is_none_not_error(self):
-        # DNN but not CP for order 5 can defeat the search; a tight budget on a
-        # hard input must return None rather than raise.
-        rng = np.random.default_rng(5)
-        B = rng.uniform(0.0, 1.0, (5, 8))
-        M = B @ B.T
-        out = cp_factorize(M, max_iters=1, restarts=0, tol=1e-16)
-        assert out is None or np.linalg.norm(out @ out.T - M) <= 1e-16
+        # DNN but not CP: no factor exists, so the search must end in None.
+        assert cp_factorize(horn_violator()) is None
+
+
+def horn_violator():
+    """``I + 0.6 (P + P^T)`` for the 5-cycle shift ``P``: doubly nonnegative
+    (smallest eigenvalue 0.029), but ``<H, M> = -1`` for the copositive Horn
+    matrix ``H``, so not completely positive."""
+    P = np.roll(np.eye(5), 1, axis=1)
+    return np.eye(5) + 0.6 * (P + P.T)
 
 
 def test_principal_submatrices_of_cp_are_dnn():

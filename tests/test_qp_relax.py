@@ -512,6 +512,13 @@ class TestExactnessReport:
         assert rep.solution.solver.status == OPTIMAL
 
 
+    def test_solver_failure_is_reported(self, qp_two_constraints):
+        rep = exactness_report(qp_two_constraints, SolveOptions(max_iters=1))
+        assert np.isnan(rep.lower) and rep.upper is None
+        assert rep.overall == UNKNOWN and rep.proven_by == []
+        assert rep.solution is None
+        assert rep.diagnostics.startswith("solver failure: relaxation solve returned MaxIters")
+
     def test_eigendecompositions_do_not_grow_with_rows(self, monkeypatch):
         # Every check reads the corner, not the m per-row blocks.
         calls = []

@@ -1,6 +1,7 @@
 """Rules on the source itself: decision procedures in ``cppc`` do not
 enumerate subsets, only the reference oracles may; no module imports another
-one's private names; and every function the benchmark's tracer wraps
+one's private names; only ``cones`` searches CP factors, so every CP verdict
+comes from one place; and every function the benchmark's tracer wraps
 exists."""
 
 import ast
@@ -91,6 +92,37 @@ def test_private_import_scan_sees_both_forms():
         "from . import _private\n"
     )
     assert private_imports(ast.parse(code)) == [(1, "_entry"), (2, "_rotate"), (4, "_private")]
+
+
+def cp_factorize_calls(tree):
+    """Lines of every call of ``cp_factorize``, by bare or dotted name."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "cp_factorize"
+             or getattr(node.func, "attr", None) == "cp_factorize")
+    ]
+
+
+def test_only_cones_searches_cp_factors():
+    callers = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if cp_factorize_calls(ast.parse(path.read_text()))
+    }
+    # The scan sees the calls in cones, so the rule is not vacuous.
+    assert callers == {"cones.py"}
+
+
+def test_cp_factorize_scan_sees_both_forms():
+    code = (
+        "from cppc import cones\n"
+        "from cppc.cones import cp_factorize as cp_factorize\n"
+        "def f(m):\n"
+        "    return cones.cp_factorize(m), cp_factorize(m, tol=1e-8), cones.is_cp(m)\n"
+    )
+    assert cp_factorize_calls(ast.parse(code)) == [4, 4]
 
 
 def test_tracer_targets_exist(monkeypatch):
