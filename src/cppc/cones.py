@@ -8,7 +8,10 @@ by one rule at every order: a DNN failure disproves membership, and one
 nonnegative factor search (:func:`cp_factorize`) proves it; without a
 factor, orders up to 4 are members (there DNN and CP coincide) and larger
 orders are ``Unknown``.  :func:`principal_cp` decides a matrix and any of
-its principal submatrices from one factor.
+its principal submatrices from one factor.  The search takes its square
+root from the spectrum of the DNN check before it, and runs Procrustes
+steps, reflected through the orthant on alternate starts, from seeded
+random rotations (:func:`cp_factorize`).
 """
 
 from __future__ import annotations
@@ -177,18 +180,12 @@ def is_psd(M, tol: float = 1e-8) -> bool:
     The smallest eigenvalue may dip below zero by ``tol`` relative to the
     spectral scale (floored at 1).
     """
-    w, _ = jacobi_eigh(M)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    thr = max(tol, PSD_TOL_FLOOR) * scale
-    return bool(w.min() >= -thr)
+    return _psd(jacobi_eigh(M)[0], tol)
 
 
 def is_dnn(M, tol: float = 1e-8) -> bool:
     """Doubly nonnegative: PSD and entrywise nonnegative within ``tol``."""
-    m = _array(M)
-    if m.min() < -tol:
-        return False
-    return is_psd(m, tol)
+    return _dnn_spectrum(_array(M), tol) is not None
 
 
 def is_cp(M, tol: float = 1e-8) -> MembershipVerdict:
@@ -201,9 +198,10 @@ def is_cp(M, tol: float = 1e-8) -> MembershipVerdict:
     larger orders are ``Unknown``.
     """
     m = _array(M)
-    if not is_dnn(m, tol):
+    spectrum = _dnn_spectrum(m, tol)
+    if spectrum is None:
         return MembershipVerdict(NOT_MEMBER, _dnn_violation(m, tol), tol)
-    return _searched(m, tol, _cp_limit(m, tol))
+    return _searched(m, tol, _cp_limit(m, tol), spectrum)
 
 
 def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix"):
@@ -222,7 +220,8 @@ def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix"):
     m = _array(M)
     subs = [m[np.ix_(I, I)] for I in index_sets]
     limits = [_cp_limit(sub, tol) for sub in subs]
-    whole = _searched(m, tol, min(limits)) if is_dnn(m, tol) else None
+    spectrum = _dnn_spectrum(m, tol)
+    whole = None if spectrum is None else _searched(m, tol, min(limits), spectrum)
     factor = None if whole is None else whole.witness
     verdicts = []
     for I, sub, limit in zip(index_sets, subs, limits):
@@ -245,9 +244,25 @@ def _cp_limit(m: np.ndarray, tol: float) -> float:
     return max(tol, 1e-10) * max(1.0, float(np.abs(m).max()))
 
 
-def _searched(m: np.ndarray, tol: float, limit: float) -> MembershipVerdict:
-    """Verdict of the doubly nonnegative ``m`` from one factor search."""
-    factor = cp_factorize(m, tol=limit)
+def _psd(w: np.ndarray, tol: float) -> bool:
+    """PSD test on the eigenvalues ``w``, see :func:`is_psd`."""
+    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
+    return bool(w.min() >= -max(tol, PSD_TOL_FLOOR) * scale)
+
+
+def _dnn_spectrum(m: np.ndarray, tol: float):
+    """The checked spectrum ``(w, v)`` of ``m`` when ``m`` is doubly
+    nonnegative within ``tol``, None otherwise."""
+    if m.min() < -tol:
+        return None
+    spectrum = jacobi_eigh(m)
+    return spectrum if _psd(spectrum[0], tol) else None
+
+
+def _searched(m: np.ndarray, tol: float, limit: float, spectrum) -> MembershipVerdict:
+    """Verdict of the doubly nonnegative ``m`` with checked spectrum
+    ``spectrum`` from one factor search."""
+    factor = cp_factorize(m, tol=limit, spectrum=spectrum)
     if m.shape[0] <= 4:  # there DNN and CP coincide
         detail = "doubly nonnegative and order <= 4, hence completely positive"
     elif factor is not None:
@@ -268,75 +283,87 @@ def _dnn_violation(m: np.ndarray, tol: float) -> str:
     return f"negative eigenvalue {w.min():.6g}"
 
 
-#: Alternating-projection steps per start of :func:`cp_factorize`.
+#: Procrustes steps per start of :func:`cp_factorize`.
 _ROTATION_ITERS = 400
-#: Random starting rotations per factor width, besides the identity.
+#: Random starting rotations per factor width.
 _RESTARTS = 8
 
 
-def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
+def cp_factorize(M, tol: Optional[float] = None, spectrum=None) -> Optional[np.ndarray]:
     """Search for a nonnegative factor ``B`` with ``B B^T`` close to ``M``.
 
-    Returns ``B`` with ``||B B^T - M||_F <= tol`` on success, ``None``
-    otherwise; failure is inconclusive, never a proof of non-membership.
+    Returns ``B`` with ``B >= 0`` and ``||B B^T - M||_F <= tol`` on
+    success, ``None`` otherwise (also when ``M`` is not doubly nonnegative
+    within 1e-8); failure is inconclusive, never a proof of non-membership.
+    ``spectrum`` is the checked eigendecomposition ``(w, v)`` of ``M`` from
+    a DNN check its caller has already passed; without it the search makes
+    that check itself.
 
-    The engine alternates between the rotation orbit of a fixed square-root
-    factor of ``M`` (via Procrustes steps) and the nonnegative orthant, with
-    seeded random restarts over the starting rotation and the number of
-    factor columns, followed by a short projected-gradient polish.
+    Every candidate is ``max(root @ Q, 0)``, ``root`` the eigenvector
+    square root of ``M`` and ``Q`` with orthonormal rows, so ``B B^T = M``
+    up to the clip (Groetzner, Duer, LAA 2020).  A step moves ``Q`` by
+    Procrustes against a point of the orthant.  On the first, third, ...
+    start of each width that point is the reflection ``|root @ Q|`` of
+    ``root @ Q`` through the orthant: reflected projections need far fewer
+    steps than plain alternation (Bauschke, Combettes, Luke, JOSA A 2002).
+    On the other starts it is the clip ``max(root @ Q, 0)``, which
+    converges where the factor has exact zeros and the reflection crawls
+    (low-rank sparse Gram matrices).  The starts are seeded random
+    rotations at a few factor widths, followed by a short projected-gradient
+    polish of the best candidate.  There is no identity start: from the
+    eigenbasis the plain steps stalled above the threshold on every
+    completion input of rank above one that was measured, and a rank-one
+    root of the wrong sign is turned by the first step from any start.
     """
     m = _array(M)
     n = m.shape[0]
     scale = max(1.0, float(np.abs(m).max()))
     if tol is None:
         tol = 1e-7 * scale
-    if not is_dnn(m, tol=1e-8):
-        return None
-    if np.abs(m).max() == 0.0:
-        return np.zeros((n, 1))
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    if spectrum is None:
+        spectrum = _dnn_spectrum(m, 1e-8)
+        if spectrum is None:
+            return None
+    w, v = spectrum
     keep = w > 1e-12 * scale
     if not keep.any():
         return np.zeros((n, 1))
-    root = v[:, keep] * np.sqrt(np.maximum(w[keep], 0.0))
+    root = v[:, keep] * np.sqrt(w[keep])
     r = root.shape[1]
 
     rng = np.random.default_rng(0)
     rank_budget = n * (n + 1) // 2
-    widths = sorted({min(rank_budget, max(r, 1)), min(rank_budget, r + 2), min(rank_budget, 2 * n)})
+    widths = sorted({min(rank_budget, r), min(rank_budget, r + 2), min(rank_budget, 2 * n)})
     best, best_res = None, np.inf
     for width in widths:
         if width < r:
             continue
-        starts = [np.hstack([np.eye(r), np.zeros((r, width - r))])]
-        for _ in range(_RESTARTS):
-            g = rng.standard_normal((r, width))
-            u, _, vt = np.linalg.svd(g, full_matrices=False)
-            starts.append(u @ vt)
-        for q0 in starts:
-            b, res = _rotate_to_nonnegative(m, root, q0, tol)
+        for start in range(_RESTARTS):
+            u, _, vt = np.linalg.svd(rng.standard_normal((r, width)), full_matrices=False)
+            b, res = _rotate_to_nonnegative(m, root, u @ vt, tol, reflect=start % 2 == 0)
             if res < best_res:
                 best, best_res = b, res
             if best_res <= tol:
                 return best
-    if best is not None:
-        b, res = _polish_nonneg_factor(m, best, tol)
-        if res <= tol:
-            return b
-    return None
+    b, res = _polish_nonneg_factor(m, best, tol)
+    return b if res <= tol else None
 
 
-def _rotate_to_nonnegative(m, root, q, tol):
-    """Alternating projection between ``{root @ Q : Q Q^T = I}`` and the
-    nonnegative matrices; both iterates reproduce ``m`` up to the clip."""
-    b = np.maximum(root @ q, 0.0)
+def _rotate_to_nonnegative(m, root, q, tol, reflect):
+    """Projections onto ``{root @ Q : Q Q^T = I}`` of the reflection of
+    ``root @ Q`` through the nonnegative orthant (``reflect``) or of its
+    clip; the candidate of each step is the clip ``max(root @ Q, 0)``,
+    which reproduces ``m`` up to the clip."""
+    x = root @ q
+    b = np.maximum(x, 0.0)
     res = float(np.linalg.norm(b @ b.T - m))
     for it in range(_ROTATION_ITERS):
         if res <= tol:
             return b, res
-        u, _, vt = np.linalg.svd(root.T @ b, full_matrices=False)
-        q = u @ vt
-        b = np.maximum(root @ q, 0.0)
+        # 2 max(x, 0) - x = |x|: the reflection of x through the orthant.
+        u, _, vt = np.linalg.svd(root.T @ (np.abs(x) if reflect else b), full_matrices=False)
+        x = root @ (u @ vt)
+        b = np.maximum(x, 0.0)
         if (it + 1) % 10 == 0 or it == _ROTATION_ITERS - 1:
             res = float(np.linalg.norm(b @ b.T - m))
     return b, float(np.linalg.norm(b @ b.T - m))

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import cones
+from . import cones, lp
 from .conditions import (
     BOUNDED,
     ConstraintData,
@@ -398,62 +398,77 @@ def kernel_vectors(M: SymMatrix, tol: float = KERNEL_TOL):
 def _kernel(spectrum, tol: float):
     """:func:`kernel_vectors` from a computed spectrum ``(w, v)``."""
     w, v = spectrum
-    scale = max(float(np.abs(w).max()), 1e-12)
-    return [v[:, k].copy() for k in range(w.size) if abs(w[k]) <= tol * scale]
+    return [v[:, k].copy() for k in np.flatnonzero(_kernel_mask(w, tol))]
 
 
-def _kernel_candidates(kernel):
-    """Kernel basis vectors plus pairwise combinations, the search set for a
-    direction with nonzero leading coordinate."""
-    cands = list(kernel)
-    for i in range(len(kernel)):
-        for j in range(i + 1, len(kernel)):
-            cands.append(kernel[i] + kernel[j])
-            cands.append(kernel[i] - kernel[j])
-    return cands
+def _kernel_mask(w: np.ndarray, tol: float) -> np.ndarray:
+    """Which eigenvalues ``w`` are below ``tol`` times the spectral scale."""
+    return np.abs(w) <= tol * max(float(np.abs(w).max()), 1e-12)
 
 
 def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL,
                   spectrum=None):
     """Kernel-vector certificate on the northwest block.
 
-    For each candidate kernel direction normalized to leading coordinate -1,
-    check that the rest ``u`` lies in the dual-cone interior and that every
+    One LP (:func:`_kernel_direction`) finds a kernel direction ``(-1, u)``
+    that gives every row a multiplier within its bound, whatever the
+    kernel's basis.  Then ``u`` must lie in the dual-cone interior and every
     row admits a multiplier: the smallest is ``gamma_i = max(0, max_j F_ij /
     u_j)``, since ``u`` has no free coordinate.  All returned evidence
-    re-verifies against the data.  Also reports whether the feasible
-    polytope was verified bounded (the test is one-directional otherwise).
+    re-verifies against the data.  Also reports whether the feasible polytope was
+    verified bounded (the test is one-directional otherwise).
     """
     nw = _corner(sol).array
-    kern = _kernel(_spectrum(sol, spectrum), tol)
+    w, v = _spectrum(sol, spectrum)
+    kernel = _kernel_mask(w, tol)
+    vec = _kernel_direction(qp, v[:, ~kernel]) if kernel.any() else None
+    if vec is None:
+        return None
+    u = vec[1:]
+    if not interior_dual_contains(qp.K, u):
+        return None
     scale = max(1.0, float(np.abs(nw).max()))
+    if np.abs(nw @ vec).max() > 10.0 * tol * scale * max(1.0, float(np.abs(vec).max())):
+        return None
+    gammas = (qp.F / u).max(axis=1, initial=0.0)
+    # Exact re-verification of the evidence.
     dual = dual_cone(qp.K)
-    for cand in _kernel_candidates(kern):
-        if abs(cand[0]) < 1e-8:
-            continue
-        vec = cand / (-cand[0])
-        u = vec[1:]
-        if not interior_dual_contains(qp.K, u):
-            continue
-        if np.abs(nw @ vec).max() > 10.0 * tol * scale * max(1.0, float(np.abs(vec).max())):
-            continue
-        gammas = (qp.F / u).max(axis=1, initial=0.0)
-        # Exact re-verification of the evidence.
-        if not all(
-            cone_contains(dual, gammas[i] * u - qp.F[i], 1e-9) for i in range(qp.m)
-        ):
-            continue
-        if np.any(gammas > qp.d + 1e-9):
-            continue
-        bounded = _polytope_bounded(qp)
-        return {
-            "u": u,
-            "gamma": gammas,
-            "kernel_vector": vec,
-            "kernel_residual": float(np.abs(nw @ vec).max()),
-            "polytope_bounded": bounded,
-        }
-    return None
+    if not all(cone_contains(dual, gammas[i] * u - qp.F[i], 1e-9) for i in range(qp.m)):
+        return None
+    if np.any(gammas > qp.d + 1e-9):
+        return None
+    return {
+        "u": u,
+        "gamma": gammas,
+        "kernel_vector": vec,
+        "kernel_residual": float(np.abs(nw @ vec).max()),
+        "polytope_bounded": _polytope_bounded(qp),
+    }
+
+
+def _kernel_direction(qp: QPInstance, N: np.ndarray):
+    """A vector ``v = (-1, u)`` orthogonal to the columns of ``N``, the
+    corner's eigenvectors outside its kernel, with ``(d_i + 5e-10) u_j >=
+    F_ij`` for every row with ``d_i > 0`` (half the slack that the re-check
+    of ``gamma_i <= d_i`` allows) and ``u_j >= 1e-6``; None when there is
+    none or the ground cone is not an orthant.
+
+    The rows give ``u = lower + s`` with ``s >= 0``, so the LP has one row
+    per column of ``N``.  It minimizes the sum of ``s``, which depends on
+    the kernel alone, not on the basis its eigenvectors happen to span it
+    with.
+    """
+    if not qp.K.is_orthant_like():
+        return None
+    rows = qp.d > 0.0
+    lower = (qp.F[rows] / (qp.d[rows, None] + 5e-10)).max(axis=0, initial=1e-6)
+    try:
+        res = lp.solve(np.ones(qp.n), N[1:].T, N[0] - N[1:].T @ lower)
+    except np.linalg.LinAlgError:
+        return None
+    if res.status != lp.OPTIMAL:
+        return None
+    return np.r_[-1.0, lower + res.v]
 
 
 def _polytope_bounded(qp: QPInstance) -> bool:

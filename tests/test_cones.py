@@ -248,6 +248,71 @@ class TestCpFactorize:
         assert cp_factorize(horn_violator()) is None
 
 
+class TestFactorSearch:
+    """The reflected-projection search on the inputs the completion path
+    hands it, and the spectrum it shares with the DNN check."""
+
+    @staticmethod
+    def ladder_like(rng, n, S):
+        """Gram matrix of order n+1+S and rank n+1, shaped like the
+        max-determinant completion of an arrowhead with a nonnegative
+        completion: rows ``v0``, ``V`` and arms ``(v0 - f_i^T V) / g_i``."""
+        v0 = rng.uniform(1.0, 2.0, n + 1)
+        V = rng.uniform(0.0, 1.0, (n, n + 1))
+        F = rng.uniform(0.5, 1.0, S)[:, None] * rng.uniform(0.2, 1.0, n)[None, :]
+        V *= 0.5 / ((F @ V) / v0).max()
+        W = (v0 - F @ V) / rng.uniform(0.5, 1.5, S)[:, None]
+        B = np.vstack([v0, V, W])
+        return B @ B.T
+
+    @pytest.mark.parametrize("n, S", [(6, 10), (7, 12), (8, 12)])
+    def test_ladder_shaped_gram_within_svd_budget(self, monkeypatch, n, S):
+        M = self.ladder_like(np.random.default_rng(0), n, S)
+        assert np.linalg.matrix_rank(M) == n + 1
+        svd = np.linalg.svd
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        tol = 1e-8 * np.abs(M).max()
+        B = cp_factorize(M, tol)
+        # Plain alternation spends 400 steps on the identity start alone and
+        # took 138, 4416 and 5016 SVDs on these three; reflected steps from
+        # random starts take 181, 261 and 211.
+        assert len(calls) <= 300
+        assert B is not None and B.min() >= 0.0
+        assert np.linalg.norm(B @ B.T - M) <= tol
+
+    def test_rank_one_with_negative_root(self):
+        v = np.array([0.5, 1.0, 2.0, 0.0, 3.0, 1.5])
+        M = np.outer(v, v)
+        w, V = cones.jacobi_eigh(M)
+        V[:, -1] = -np.abs(V[:, -1])
+        B = cp_factorize(M, 1e-10, spectrum=(w, V))
+        assert B is not None and B.min() >= 0.0
+        assert np.linalg.norm(B @ B.T - M) <= 1e-10
+        assert np.allclose(B[:, np.argmax(B.sum(axis=0))], v)
+
+    def test_one_spectrum_per_decision(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        B = rng.uniform(0.0, 1.0, (6, 8))
+        M = B @ B.T
+        eigh = cones.jacobi_eigh
+        calls = []
+        monkeypatch.setattr(cones, "jacobi_eigh", lambda m: calls.append(1) or eigh(m))
+        assert is_cp(M).is_member
+        assert len(calls) == 1
+        calls.clear()
+        principal_cp(M, [np.r_[:3], np.r_[2:6]])
+        assert len(calls) == 1
+
+    def test_standalone_search_checks_dnn(self):
+        # Passes the PSD test only within 1e-6; cp_factorize alone checks at 1e-8.
+        M = np.ones((5, 5)) - 1e-7 * np.eye(5)
+        M[0, 0] += 5e-7
+        w, _ = np.linalg.eigh(M)
+        assert -1e-6 < w.min() < -1e-8
+        assert cp_factorize(M) is None
+
+
 def horn_violator():
     """``I + 0.6 (P + P^T)`` for the 5-cycle shift ``P``: doubly nonnegative
     (smallest eigenvalue 0.029), but ``<H, M> = -1`` for the copositive Horn

@@ -16,6 +16,7 @@ from cppc.conic_solver import (
 from cppc.matrix_core import SymMatrix, sym_eigh
 from cppc.oracles import qp_global_minimum
 from cppc.qp_relax import (
+    KERNEL_TOL,
     PROVEN_EXACT,
     UNKNOWN,
     GeneralInstance,
@@ -398,6 +399,39 @@ class TestCertificates:
         cert = certificate_b(qp, sol)
         if cert is not None:
             assert np.all(cert["u"] > 0)
+
+    def test_certificate_b_independent_of_kernel_basis(self):
+        # Rank-one corners with kernels of dimension 4; the LP finds the
+        # same direction, or none, whichever orthonormal basis spans them.
+        rng = np.random.default_rng(0)
+        found = []
+        for seed in range(12):
+            draw = np.random.default_rng(seed)
+            G = draw.standard_normal((4, 4))
+            qp = QPInstance.build(0.5 * (G + G.T), draw.standard_normal(4),
+                                  draw.uniform(-0.3, 1.0, (3, 4)), np.ones(3))
+            _, sol, _ = solve_bounds(qp)
+            w, v = sym_eigh(_corner(sol))
+            kernel = np.abs(w) <= KERNEL_TOL * np.abs(w).max()
+            assert kernel.sum() == 4
+            cert = certificate_b(qp, sol, spectrum=(w, v))
+            mixed = v.copy()
+            Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            mixed[:, kernel] = v[:, kernel] @ Q
+            again = certificate_b(qp, sol, spectrum=(w, mixed))
+            assert (cert is None) == (again is None)
+            if cert is not None:
+                assert np.allclose(cert["u"], again["u"], atol=1e-9)
+            found.append(cert is not None)
+        assert any(found) and not all(found)
+
+    def test_certificate_b_on_tall_instance(self):
+        # Kernel of dimension 4, where pairs of basis vectors found no
+        # direction; any u with u_2 = 1 / x_2 and u_j >= max_i F_ij works.
+        rep = exactness_report(baseline_qp(4, 20, 2))
+        assert "certificate_b" in rep.proven_by
+        u = rep.certificate_b["u"]
+        assert np.all(u > 0) and np.all(rep.certificate_b["gamma"] <= 1.0 + 1e-9)
 
     def test_certificate_a_on_rank_one_solution(self):
         # Blocks lifted from a strictly positive point admit the per-block

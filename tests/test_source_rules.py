@@ -1,8 +1,8 @@
 """Rules on the source itself: decision procedures in ``cppc`` do not
 enumerate subsets, only the reference oracles may; no module imports another
 one's private names; only ``cones`` searches CP factors, so every CP verdict
-comes from one place; and every function the benchmark's tracer wraps
-exists."""
+comes from one place, and ``cones`` takes every spectrum from the checked
+``sym_eigh``; and every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -123,6 +123,37 @@ def test_cp_factorize_scan_sees_both_forms():
         "    return cones.cp_factorize(m), cp_factorize(m, tol=1e-8), cones.is_cp(m)\n"
     )
     assert cp_factorize_calls(ast.parse(code)) == [4, 4]
+
+
+EIGEN = {"eigh", "eigvalsh"}
+
+
+def eigen_calls(tree):
+    """Lines of every call of numpy's ``eigh`` or ``eigvalsh``, by bare or
+    dotted name."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in EIGEN
+             or getattr(node.func, "attr", None) in EIGEN)
+    ]
+
+
+def test_cones_spectra_come_from_the_checked_path():
+    assert eigen_calls(ast.parse((SRC / "cones.py").read_text())) == []
+    # The scan sees the call that sym_eigh checks, so the rule is not vacuous.
+    assert eigen_calls(ast.parse((SRC / "matrix_core.py").read_text()))
+
+
+def test_eigen_scan_sees_both_forms():
+    code = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh\n"
+        "def f(m):\n"
+        "    return np.linalg.eigh(m), eigvalsh(m), jacobi_eigh(m)\n"
+    )
+    assert eigen_calls(ast.parse(code)) == [4, 4]
 
 
 def test_tracer_targets_exist(monkeypatch):
