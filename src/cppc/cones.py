@@ -8,8 +8,9 @@ by one rule at every order: a DNN failure disproves membership, and one
 nonnegative factor search (:func:`cp_factorize`) proves it; without a
 factor, orders up to 4 are members (there DNN and CP coincide) and larger
 orders are ``Unknown``.  :func:`principal_cp` decides a matrix and any of
-its principal submatrices from one factor.  The search takes its square
-root from the spectrum of the DNN check before it, and runs Procrustes
+its principal submatrices from one factor.  The search checks DNN on the
+spectrum it takes its square root from, and a factor settles the PSD test
+of the verdict, so a member costs one checked spectrum.  It runs Procrustes
 steps, reflected through the orthant on alternate starts, from seeded
 random rotations (:func:`cp_factorize`).
 """
@@ -113,13 +114,16 @@ def product(*cones: GroundCone) -> GroundCone:
 
 def cone_contains(K: GroundCone, x, tol: float = 1e-9) -> bool:
     """Membership test, factorwise: orthant coordinates above ``-tol``, zero
-    coordinates within ``tol`` of zero, free coordinates unconstrained."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != K.dim:
-        raise ValueError(f"vector has dim {x.size}, cone has dim {K.dim}")
+    coordinates within ``tol`` of zero, free coordinates unconstrained.
+    ``x`` is one vector, or a matrix whose rows must all be in ``K``."""
+    x = np.asarray(x, dtype=float)
+    if x.size == K.dim or x.ndim != 2:
+        x = x.reshape(1, -1)
+    if x.shape[1] != K.dim:
+        raise ValueError(f"vector has dim {x.shape[1]}, cone has dim {K.dim}")
     pos = 0
     for kind, d in K.factors:
-        seg = x[pos : pos + d]
+        seg = x[:, pos : pos + d]
         if kind == ORTHANT and seg.size and seg.min() < -tol:
             return False
         if kind == ZERO and seg.size and np.abs(seg).max() > tol:
@@ -198,10 +202,7 @@ def is_cp(M, tol: float = 1e-8) -> MembershipVerdict:
     larger orders are ``Unknown``.
     """
     m = _array(M)
-    spectrum = _dnn_spectrum(m, tol)
-    if spectrum is None:
-        return MembershipVerdict(NOT_MEMBER, _dnn_violation(m, tol), tol)
-    return _searched(m, tol, _cp_limit(m, tol), spectrum)
+    return _searched(m, tol, _cp_limit(m, tol))
 
 
 def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix"):
@@ -220,9 +221,8 @@ def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix"):
     m = _array(M)
     subs = [m[np.ix_(I, I)] for I in index_sets]
     limits = [_cp_limit(sub, tol) for sub in subs]
-    spectrum = _dnn_spectrum(m, tol)
-    whole = None if spectrum is None else _searched(m, tol, min(limits), spectrum)
-    factor = None if whole is None else whole.witness
+    whole = _searched(m, tol, min(limits))
+    factor = whole.witness
     verdicts = []
     for I, sub, limit in zip(index_sets, subs, limits):
         B = None if factor is None else factor[I]
@@ -232,7 +232,7 @@ def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix"):
             ))
         else:
             verdicts.append(is_cp(sub, tol))
-    return whole, verdicts
+    return (None if whole.verdict == NOT_MEMBER else whole), verdicts
 
 
 def _array(M) -> np.ndarray:
@@ -259,10 +259,22 @@ def _dnn_spectrum(m: np.ndarray, tol: float):
     return spectrum if _psd(spectrum[0], tol) else None
 
 
-def _searched(m: np.ndarray, tol: float, limit: float, spectrum) -> MembershipVerdict:
-    """Verdict of the doubly nonnegative ``m`` with checked spectrum
-    ``spectrum`` from one factor search."""
-    factor = cp_factorize(m, tol=limit, spectrum=spectrum)
+def _searched(m: np.ndarray, tol: float, limit: float) -> MembershipVerdict:
+    """Verdict of ``m`` from one factor search.
+
+    A factor within ``limit`` puts every eigenvalue of ``m`` above
+    ``-limit``, so it passes the PSD test at ``tol``: only without one is
+    the spectrum checked here.  A member's one checked spectrum is thus the
+    one :func:`cp_factorize` builds its root from.
+    """
+    if m.min() < -tol:
+        r, c = np.unravel_index(int(np.argmin(m)), m.shape)
+        return MembershipVerdict(NOT_MEMBER, f"negative entry {m[r, c]:.6g} at ({r}, {c})", tol)
+    factor = cp_factorize(m, tol=limit)
+    if factor is None:
+        w, _ = jacobi_eigh(m)
+        if not _psd(w, tol):
+            return MembershipVerdict(NOT_MEMBER, f"negative eigenvalue {w.min():.6g}", tol)
     if m.shape[0] <= 4:  # there DNN and CP coincide
         detail = "doubly nonnegative and order <= 4, hence completely positive"
     elif factor is not None:
@@ -275,29 +287,18 @@ def _searched(m: np.ndarray, tol: float, limit: float, spectrum) -> MembershipVe
     return MembershipVerdict(MEMBER, detail, tol, witness=factor)
 
 
-def _dnn_violation(m: np.ndarray, tol: float) -> str:
-    if m.min() < -tol:
-        r, c = np.unravel_index(int(np.argmin(m)), m.shape)
-        return f"negative entry {m[r, c]:.6g} at ({r}, {c})"
-    w, _ = jacobi_eigh(m)
-    return f"negative eigenvalue {w.min():.6g}"
-
-
 #: Procrustes steps per start of :func:`cp_factorize`.
 _ROTATION_ITERS = 400
 #: Random starting rotations per factor width.
 _RESTARTS = 8
 
 
-def cp_factorize(M, tol: Optional[float] = None, spectrum=None) -> Optional[np.ndarray]:
+def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
     """Search for a nonnegative factor ``B`` with ``B B^T`` close to ``M``.
 
     Returns ``B`` with ``B >= 0`` and ``||B B^T - M||_F <= tol`` on
     success, ``None`` otherwise (also when ``M`` is not doubly nonnegative
     within 1e-8); failure is inconclusive, never a proof of non-membership.
-    ``spectrum`` is the checked eigendecomposition ``(w, v)`` of ``M`` from
-    a DNN check its caller has already passed; without it the search makes
-    that check itself.
 
     Every candidate is ``max(root @ Q, 0)``, ``root`` the eigenvector
     square root of ``M`` and ``Q`` with orthonormal rows, so ``B B^T = M``
@@ -320,10 +321,9 @@ def cp_factorize(M, tol: Optional[float] = None, spectrum=None) -> Optional[np.n
     scale = max(1.0, float(np.abs(m).max()))
     if tol is None:
         tol = 1e-7 * scale
+    spectrum = _dnn_spectrum(m, 1e-8)
     if spectrum is None:
-        spectrum = _dnn_spectrum(m, 1e-8)
-        if spectrum is None:
-            return None
+        return None
     w, v = spectrum
     keep = w > 1e-12 * scale
     if not keep.any():

@@ -77,7 +77,7 @@ def solve(c, A, b) -> LPResult:
     Aa, ba = T[:m, :-1].copy(), T[:m, -1].copy()
     budget = _PIVOTS_PER_DIM * (m + n + 1)
     if k:
-        cost = np.r_[np.zeros(n), np.ones(k)]
+        cost = np.concatenate((np.zeros(n), np.ones(k)))
         _run(T, basis, cost, n + k, budget)
         if -T[-1, -1] > _TOL * max(1.0, float(np.abs(b).max())):
             y = sign * np.linalg.solve(Aa[:, basis].T, cost[basis])
@@ -91,7 +91,7 @@ def solve(c, A, b) -> LPResult:
             nz = np.flatnonzero(np.abs(T[r, :n]) > _PIVOT_TOL)
             if nz.size:
                 _pivot(T, basis, r, nz[0])
-    cost = np.r_[c, np.zeros(k)]
+    cost = np.concatenate((c, np.zeros(k)))
     enter = _run(T, basis, cost, n, budget)
     v = np.zeros(n + k)
     v[basis] = np.linalg.solve(Aa[:, basis], ba)
@@ -120,7 +120,7 @@ def _run(T, basis, cost, n_enter: int, budget: int):
     no column below ``n_enter`` has a negative reduced cost.  Returns None
     then, or the entering column when no row limits it (an unbounded ray)."""
     m = basis.size
-    T[-1] = np.r_[cost, 0.0] - cost[basis] @ T[:m]
+    T[-1] = np.append(cost, 0.0) - cost[basis] @ T[:m]
     for _ in range(budget):
         eligible = np.flatnonzero(T[-1, :n_enter] < -_PIVOT_TOL)
         if not eligible.size:

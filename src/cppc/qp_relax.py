@@ -432,8 +432,7 @@ def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
         return None
     gammas = (qp.F / u).max(axis=1, initial=0.0)
     # Exact re-verification of the evidence.
-    dual = dual_cone(qp.K)
-    if not all(cone_contains(dual, gammas[i] * u - qp.F[i], 1e-9) for i in range(qp.m)):
+    if not cone_contains(dual_cone(qp.K), gammas[:, None] * u - qp.F, 1e-9):
         return None
     if np.any(gammas > qp.d + 1e-9):
         return None

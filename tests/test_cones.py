@@ -52,6 +52,16 @@ class TestConeContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cone_contains(orthant(2), [1.0])
+        with pytest.raises(ValueError):
+            cone_contains(orthant(2), np.zeros((3, 3)))
+
+    def test_rows_of_a_matrix(self):
+        K = product(orthant(1), zero(1), free(1))
+        rows = np.array([[0.0, 0.0, -5.0], [2.0, 1e-12, 3.0]])
+        assert cone_contains(K, rows)
+        assert cone_contains(K, np.zeros((0, 3)))
+        for bad in ([-1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]):
+            assert not cone_contains(K, np.vstack([rows, bad]))
 
 
 class TestDualCone:
@@ -281,12 +291,30 @@ class TestFactorSearch:
         assert B is not None and B.min() >= 0.0
         assert np.linalg.norm(B @ B.T - M) <= tol
 
-    def test_rank_one_with_negative_root(self):
+    def test_sparse_low_rank_gram_needs_the_clip_starts(self):
+        # Order 12, rank 3, 40 % of the factor nonzero: the clip steps of the
+        # second start reach the threshold; with reflected steps on every
+        # start the search ends above it and returns None.
+        rng = np.random.default_rng(25)
+        Bt = rng.uniform(0.0, 1.0, (12, 3)) * (rng.random((12, 3)) < 0.4)
+        M = Bt @ Bt.T
+        tol = 1e-8 * max(1.0, np.abs(M).max())
+        B = cp_factorize(M, tol)
+        assert B is not None and B.min() >= 0.0
+        assert np.linalg.norm(B @ B.T - M) <= tol
+
+    def test_rank_one_with_negative_root(self, monkeypatch):
         v = np.array([0.5, 1.0, 2.0, 0.0, 3.0, 1.5])
         M = np.outer(v, v)
-        w, V = cones.jacobi_eigh(M)
-        V[:, -1] = -np.abs(V[:, -1])
-        B = cp_factorize(M, 1e-10, spectrum=(w, V))
+        eigh = cones.jacobi_eigh
+
+        def negative_root(m):
+            w, V = eigh(m)
+            V[:, -1] = -np.abs(V[:, -1])
+            return w, V
+
+        monkeypatch.setattr(cones, "jacobi_eigh", negative_root)
+        B = cp_factorize(M, 1e-10)
         assert B is not None and B.min() >= 0.0
         assert np.linalg.norm(B @ B.T - M) <= 1e-10
         assert np.allclose(B[:, np.argmax(B.sum(axis=0))], v)
