@@ -59,7 +59,6 @@ from .qp_relax import (
     certificate_b,
     exactness_report,
     kernel_vectors,
-    lemma_equivalence_check,
     rank_one_certificate,
     solve_bounds,
 )

@@ -44,12 +44,19 @@ below zero proves that no doubly nonnegative, and so no completely positive,
 completion exists; otherwise the max-determinant completion is rechecked.
 Only inputs neither outcome settles reach the conic solver, which proves
 none as well when a specified entry that must be nonnegative is negative.
+
+A :class:`CompletionProblem` builds its max-determinant completion once and
+remembers the last nonnegative factor found for it, which every later CP
+test of that completion re-checks before it searches.  So certification
+followed by the numeric completion of the same problem pays for one
+completion and one factor search.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -87,7 +94,14 @@ NO_CERTIFICATE = "NoCertificate"
 @dataclass
 class CompletionProblem:
     """A width-one arrowhead partial matrix normalized to unit northwest
-    corner, with the ground cone of the shared part."""
+    corner, with the ground cone of the shared part.
+
+    The problem remembers its max-determinant completion and the last
+    nonnegative factor found for it (``_max_det``), so that
+    :func:`certify_completable` and :func:`complete_numeric` on the same
+    problem build one completion and run one factor search between them.
+    Change no entry of ``pm`` or ``original`` after the first call.
+    """
 
     pm: PartialMatrix
     K: GroundCone
@@ -140,6 +154,26 @@ class CompletionProblem:
         z = z_row[1:]
         Y = float(self.pm.Y[i - 1][0, 0])
         return x, X, y, z, Y
+
+    @cached_property
+    def _max_det(self) -> "_MaxDet":
+        zf, Cplus, P = _arm_centres(self)
+        return _MaxDet(zf, Cplus, P, _max_det_completion(zf, P)[0])
+
+
+@dataclass
+class _MaxDet:
+    """The unit-corner max-determinant completion ``full`` of a problem, with
+    what it is built from (:func:`_arm_centres`), and ``factor``: the last
+    nonnegative factor of ``full`` that a CP verdict found, None before
+    one.  Each CP test of ``full`` hands ``factor`` in as its candidate
+    (:func:`cones.is_cp`), which is re-checked before it is trusted."""
+
+    zf: np.ndarray
+    Cplus: np.ndarray
+    P: np.ndarray
+    full: np.ndarray
+    factor: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -305,12 +339,18 @@ def certify_completable(problem: CompletionProblem, *,
 def _block_cp_verdicts(problem: CompletionProblem):
     """CP verdicts of the max-determinant completion (None when it is not
     doubly nonnegative) and of every block, a principal submatrix of it on
-    the rows ``(0, ..., n1 - 1, n1 + i)``: :func:`cones.principal_cp`."""
+    the rows ``(0, ..., n1 - 1, n1 + i)``: :func:`cones.principal_cp`, with
+    the problem's remembered factor as candidate."""
     n1 = problem.pm.pattern.n1
-    zf, _, P = _arm_centres(problem)
-    full, _ = _max_det_completion(zf, P)
+    max_det = problem._max_det
     rows = [np.r_[:n1, n1 + i] for i in range(problem.S)]
-    return cones.principal_cp(full, rows, source="the max-determinant completion")
+    whole, verdicts = cones.principal_cp(
+        max_det.full, rows, source="the max-determinant completion",
+        candidate=max_det.factor,
+    )
+    if whole is not None and whole.witness is not None:
+        max_det.factor = whole.witness
+    return whole, verdicts
 
 
 # -- data from the block kernels ---------------------------------------------
@@ -486,6 +526,10 @@ def complete_numeric(problem: CompletionProblem,
 
     "Inconclusive" means undecided by the closed form and the solver; it
     never claims non-completability.
+
+    The max-determinant completion and its factor are the ones the problem
+    remembers: after :func:`certify_completable` on the same problem,
+    outcome 2 re-checks certification's factor instead of searching again.
     """
     decided = _closed_form(problem)
     if decided is not None:
@@ -530,14 +574,27 @@ def complete_numeric(problem: CompletionProblem,
     return checked
 
 
-def _rechecked(problem: CompletionProblem, full: np.ndarray,
-               diagnostics: str) -> Optional[NumericCompletionResult]:
+def _rechecked(problem: CompletionProblem, full: np.ndarray, diagnostics: str,
+               max_det: Optional[_MaxDet] = None) -> Optional[NumericCompletionResult]:
     """The completion ``full`` (original scale) with its CP verdict, or None
-    when it is not doubly nonnegative."""
+    when it is not doubly nonnegative.
+
+    When ``full`` is the problem's max-determinant completion, ``max_det``
+    lends its remembered factor, scaled by ``sqrt(scale)``, as candidate
+    and keeps the witness found.  The factor of :func:`certify_completable`
+    always passes here: its residual grows by ``scale``, and so does the
+    limit, as the unit corner makes ``max|full| >= scale``.
+    """
     if not is_dnn(full, tol=1e-6):
         return None
     completion = Completion(SymMatrix(full), problem.original, agreement_tol=1e-7)
-    cp = cones.is_cp(SymMatrix(full), tol=1e-6) if problem.K.is_orthant_like() else None
+    cp = None
+    if problem.K.is_orthant_like():
+        root = np.sqrt(problem.scale)
+        candidate = None if max_det is None or max_det.factor is None else root * max_det.factor
+        cp = cones.is_cp(SymMatrix(full), tol=1e-6, candidate=candidate)
+        if max_det is not None and cp.witness is not None:
+            max_det.factor = cp.witness / root
     return NumericCompletionResult(completion, cp, diagnostics)
 
 
@@ -574,7 +631,8 @@ def _max_det_completion(base: np.ndarray, P: np.ndarray, factor: float = 1.0):
 def _closed_form(problem: CompletionProblem) -> Optional[NumericCompletionResult]:
     """Outcomes 1 and 2 of :func:`complete_numeric`, or None when undecided."""
     n1 = problem.pm.pattern.n1
-    zf, Cplus, P = _arm_centres(problem)
+    max_det = problem._max_det
+    zf, Cplus, P = max_det.zf, max_det.Cplus, max_det.P
     Y = np.diag(zf)[n1:]
     s = Y - np.diag(P)
     root = np.sqrt(np.maximum(s, 0.0))
@@ -606,7 +664,7 @@ def _closed_form(problem: CompletionProblem) -> Optional[NumericCompletionResult
     )
     diagnostics = ("closed-form two-arm completion at entry 0" if raised
                    else "closed-form max-determinant completion")
-    return _rechecked(problem, full, diagnostics)
+    return _rechecked(problem, full, diagnostics, max_det)
 
 
 def _proof_of_none(zf: np.ndarray, Cplus: np.ndarray, i: int, j: int,

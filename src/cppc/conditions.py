@@ -382,74 +382,3 @@ def build_condition_report(data: ConstraintData) -> ConditionReport:
     else:
         cert, reason = None, "skipped: interior condition failed"
     return ConditionReport(cond_i, bounded, cert, reason)
-
-
-def projection_halfspace(data: ConstraintData, i: int):
-    """The i-th constraint set's x-projection as ``(mode, f, d)``.
-
-    For arms (under the interior condition) the slack can take any
-    nonnegative value, so the projection is the half-space ``f_i^T x <= d_i``
-    within ``K0``; the shared constraint projects to the hyperplane itself.
-    """
-    if i == 0:
-        return "hyperplane", data.f[0], data.d[0]
-    return "halfspace", data.f[i], data.d[i]
-
-
-def sample_projection_points(
-    data: ConstraintData, i_star: int, count: int, rng, ray_scale: float = 10.0
-):
-    """Random points of the ``i_star``-th x-projection, for soundness probing.
-
-    Rays are drawn into ``K0`` and scaled onto the hyperplane or into the
-    half-space.  Rays that cannot be scaled feasibly are skipped, so fewer
-    than ``count`` points may come back.
-    """
-    kinds = data.K0.coordinate_kinds()
-    n = data.nx
-    mode, fvec, dval = projection_halfspace(data, i_star)
-    points = []
-    attempts = 0
-    while len(points) < count and attempts < 20 * count + 100:
-        attempts += 1
-        r = rng.standard_normal(n)
-        for j in range(n):
-            if kinds[j] == ORTHANT:
-                r[j] = abs(r[j])
-            elif kinds[j] == ZERO:
-                r[j] = 0.0
-        a = float(fvec @ r)
-        if mode == "hyperplane":
-            if not np.any(fvec):
-                points.append(r * rng.uniform(0.0, ray_scale))
-                continue
-            if abs(a) < 1e-12:
-                if dval == 0.0:
-                    points.append(r * rng.uniform(0.0, ray_scale))
-                continue
-            t = dval / a
-            if t >= 0.0:
-                points.append(r * t)
-            continue
-        # half-space f^T x <= d
-        if a > 1e-12:
-            if dval >= 0.0:
-                points.append(r * rng.uniform(0.0, dval / a))
-        elif a < -1e-12:
-            t_min = dval / a if dval < 0.0 else 0.0
-            points.append(r * (t_min + rng.uniform(0.0, ray_scale)))
-        else:
-            if dval >= 0.0:
-                points.append(r * rng.uniform(0.0, ray_scale))
-    return np.array(points) if points else np.zeros((0, n))
-
-
-def point_in_projection(data: ConstraintData, i: int, x, tol: float = 1e-9) -> bool:
-    """Membership of ``x`` in the i-th x-projection."""
-    if not cone_contains(data.K0, x, tol):
-        return False
-    mode, fvec, dval = projection_halfspace(data, i)
-    val = float(fvec @ np.asarray(x, dtype=float))
-    if mode == "hyperplane":
-        return abs(val - dval) <= tol * max(1.0, abs(dval))
-    return val <= dval + tol * max(1.0, abs(dval))

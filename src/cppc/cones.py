@@ -5,7 +5,8 @@ Ground cones are finite Cartesian products of nonnegative orthants, free
 semidefiniteness, doubly nonnegative (DNN) membership and completely
 positive (CP) membership.  Every CP verdict of the package is decided here,
 by one rule at every order: a DNN failure disproves membership, and one
-nonnegative factor search (:func:`cp_factorize`) proves it; without a
+nonnegative factor proves it: a candidate factor the caller hands in when
+it passes its re-check, else one search (:func:`cp_factorize`).  Without a
 factor, orders up to 4 are members (there DNN and CP coincide) and larger
 orders are ``Unknown``.  :func:`principal_cp` decides a matrix and any of
 its principal submatrices from one factor.  The search checks DNN on the
@@ -192,41 +193,44 @@ def is_dnn(M, tol: float = 1e-8) -> bool:
     return _dnn_spectrum(_array(M), tol) is not None
 
 
-def is_cp(M, tol: float = 1e-8) -> MembershipVerdict:
+def is_cp(M, tol: float = 1e-8, candidate=None) -> MembershipVerdict:
     """Completely positive membership.
 
-    A DNN failure certifies non-membership.  Otherwise one
-    :func:`cp_factorize` search at ``max(tol, 1e-10) * max(1, max|M|)``
-    decides: a factor certifies membership and is the witness; without one,
-    orders up to 4 are still members (there CP coincides with DNN) and
-    larger orders are ``Unknown``.
+    A DNN failure certifies non-membership.  Otherwise one factor at
+    ``max(tol, 1e-10) * max(1, max|M|)`` decides: ``candidate`` (a factor
+    found earlier, e.g. for another call on the same matrix) when it passes
+    :func:`_factors`, else one :func:`cp_factorize` search.  A factor
+    certifies membership and is the witness; without one, orders up to 4
+    are still members (there CP coincides with DNN) and larger orders are
+    ``Unknown``.  A candidate that fails its re-check changes no verdict.
     """
     m = _array(M)
-    return _searched(m, tol, _cp_limit(m, tol))
+    return _searched(m, tol, _cp_limit(m, tol), candidate)
 
 
-def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix"):
+def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix",
+                 candidate=None):
     """CP verdicts of ``M`` (None when it is not doubly nonnegative) and of
     its principal submatrices ``M[I]``, ``I`` in ``index_sets``, from one
     factor.
 
     Principal submatrices of a CP matrix are CP (Berman, Shaked-Monderer
     2003): the rows ``B[I]`` of a nonnegative factor ``B`` of ``M`` factor
-    ``M[I]``.  ``B`` is searched at the smallest submatrix threshold, and
-    each ``B[I] >= 0`` and ``||B[I] B[I]^T - M[I]||_F`` is re-checked
-    against its own; a submatrix that fails, or every one when there is no
-    factor, gets its own :func:`is_cp`.  ``source`` names ``M`` in the
-    details of the verdicts read off its factor.
+    ``M[I]``.  ``B`` is ``candidate`` or searched, as in :func:`is_cp`, at
+    the smallest submatrix threshold, and each ``B[I]`` is re-checked
+    against its own (:func:`_factors`); a submatrix that fails, or every one
+    when there is no factor, gets its own :func:`is_cp`.  ``source`` names
+    ``M`` in the details of the verdicts read off its factor.
     """
     m = _array(M)
     subs = [m[np.ix_(I, I)] for I in index_sets]
     limits = [_cp_limit(sub, tol) for sub in subs]
-    whole = _searched(m, tol, min(limits))
+    whole = _searched(m, tol, min(limits), candidate)
     factor = whole.witness
     verdicts = []
     for I, sub, limit in zip(index_sets, subs, limits):
         B = None if factor is None else factor[I]
-        if B is not None and B.min() >= 0.0 and np.linalg.norm(B @ B.T - sub) <= limit:
+        if B is not None and _factors(B, sub, limit):
             verdicts.append(MembershipVerdict(
                 MEMBER, f"rows of {source}'s nonnegative factor", tol, witness=B
             ))
@@ -244,6 +248,12 @@ def _cp_limit(m: np.ndarray, tol: float) -> float:
     return max(tol, 1e-10) * max(1.0, float(np.abs(m).max()))
 
 
+def _factors(B: np.ndarray, m: np.ndarray, limit: float) -> bool:
+    """``B >= 0`` and ``||B B^T - m||_F <= limit``: ``B`` is a nonnegative
+    factor of ``m`` within ``limit``."""
+    return bool(B.min() >= 0.0 and np.linalg.norm(B @ B.T - m) <= limit)
+
+
 def _psd(w: np.ndarray, tol: float) -> bool:
     """PSD test on the eigenvalues ``w``, see :func:`is_psd`."""
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
@@ -259,18 +269,24 @@ def _dnn_spectrum(m: np.ndarray, tol: float):
     return spectrum if _psd(spectrum[0], tol) else None
 
 
-def _searched(m: np.ndarray, tol: float, limit: float) -> MembershipVerdict:
-    """Verdict of ``m`` from one factor search.
+def _searched(m: np.ndarray, tol: float, limit: float,
+              candidate=None) -> MembershipVerdict:
+    """Verdict of ``m`` from ``candidate`` when it is a factor within
+    ``limit``, else from one factor search.
 
     A factor within ``limit`` puts every eigenvalue of ``m`` above
     ``-limit``, so it passes the PSD test at ``tol``: only without one is
     the spectrum checked here.  A member's one checked spectrum is thus the
-    one :func:`cp_factorize` builds its root from.
+    one :func:`cp_factorize` builds its root from, and a member decided by
+    its candidate costs no spectrum at all.
     """
     if m.min() < -tol:
         r, c = np.unravel_index(int(np.argmin(m)), m.shape)
         return MembershipVerdict(NOT_MEMBER, f"negative entry {m[r, c]:.6g} at ({r}, {c})", tol)
-    factor = cp_factorize(m, tol=limit)
+    if candidate is not None and _factors(candidate, m, limit):
+        factor = candidate
+    else:
+        factor = cp_factorize(m, tol=limit)
     if factor is None:
         w, _ = jacobi_eigh(m)
         if not _psd(w, tol):
@@ -366,7 +382,7 @@ def _rotate_to_nonnegative(m, root, q, tol, reflect):
         b = np.maximum(x, 0.0)
         if (it + 1) % 10 == 0 or it == _ROTATION_ITERS - 1:
             res = float(np.linalg.norm(b @ b.T - m))
-    return b, float(np.linalg.norm(b @ b.T - m))
+    return b, res
 
 
 def _polish_nonneg_factor(m, b, tol, iters: int = 300):

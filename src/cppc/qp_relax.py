@@ -542,51 +542,6 @@ def _fit_alpha_w(M: np.ndarray, u: np.ndarray, tol: float) -> np.ndarray:
     return fit
 
 
-def lemma_equivalence_check(M: SymMatrix, a, b, r: float, nx: Optional[int] = None,
-                            tol: float = 1e-9):
-    """Evaluate both forms of the lifted linear-constraint condition on a PSD
-    matrix ``[[1, x^T, y^T], [x, X, Z^T], [y, Z, Y]]``.
-
-    Returns ``(pair_holds, aggregate_holds)``; on PSD inputs the two agree.
-    The matrix must be PSD within tolerance (the equivalence needs it).
-    """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    mat = M.array if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
-    order = mat.shape[0]
-    if nx is None:
-        nx = a.size
-    ny = order - 1 - nx
-    if ny != b.size:
-        raise ValueError("partition does not match the vector dimensions")
-    w, _ = jacobi_eigh(mat)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] < -tol * scale:
-        raise ValueError("matrix is not PSD within tolerance")
-    # The aggregate form assumes a unit leading entry; with r = 0 the
-    # mismatch term drops out, so only r^2 (M00 - 1) needs to vanish.
-    if r * r * abs(mat[0, 0] - 1.0) > 1e-9:
-        raise ValueError("leading entry must be one when r is nonzero")
-    x = mat[0, 1 : 1 + nx]
-    y = mat[0, 1 + nx :]
-    X = mat[1 : 1 + nx, 1 : 1 + nx]
-    Z = mat[1 + nx :, 1 : 1 + nx]
-    Y = mat[1 + nx :, 1 + nx :]
-    lin = float(a @ x + b @ y - r)
-    quad = float(a @ X @ a + 2.0 * a @ Z.T @ b + b @ Y @ b - r * r)
-    agg = float(
-        a @ X @ a
-        + 2.0 * a @ Z.T @ b
-        + b @ Y @ b
-        - 2.0 * r * (a @ x)
-        - 2.0 * r * (b @ y)
-        + r * r
-    )
-    pair = abs(lin) <= tol * max(1.0, abs(r)) and abs(quad) <= tol * max(1.0, r * r, 1.0)
-    aggregate = abs(agg) <= tol * max(1.0, r * r, 1.0)
-    return pair, aggregate
-
-
 def exactness_report(qp: QPInstance,
                      solver_opts: Optional[SolveOptions] = None) -> ExactnessReport:
     """Solve the relaxation and run every ex-post exactness check.

@@ -19,7 +19,6 @@ from cppc.conditions import (
     ConstraintData,
     build_condition_report,
     check_cond_iii,
-    sample_projection_points,
 )
 from cppc.cones import dual_cone, free, is_cp, is_dnn, orthant, product, zero
 from cppc.conic_solver import OPTIMAL, kkt_residuals, solve
@@ -30,10 +29,10 @@ from cppc.qp_relax import (
     QPInstance,
     build_sparse_relaxation,
     exactness_report,
-    lemma_equivalence_check,
 )
 
 from conftest import partial_matrix_from_factor
+from reference_checks import lemma_equivalence_check, sample_projection_points
 from test_conic_solver import (
     random_bounded_lp,
     solve_lp_by_enumeration,

@@ -504,6 +504,46 @@ class TestOneFactor:
         ]
 
 
+class TestSharedFactor:
+    def test_certify_then_complete_searches_once(self, monkeypatch):
+        _, problem = gram_problem(6, 10, "positive", np.random.default_rng([7, 10, 6]))
+        assert problem.scale != 1.0
+        calls = []
+        factorize = cones.cp_factorize
+        monkeypatch.setattr(
+            cmod.cones, "cp_factorize", lambda *a, **k: calls.append(1) or factorize(*a, **k)
+        )
+        cert = certify_completable(problem)
+        res = complete_numeric(problem)
+        assert len(calls) == 1
+        assert cert.completion_cp.is_member
+        assert res.cp_verdict.verdict == cones.MEMBER
+        # The unit-corner factor, rescaled, re-verifies at the original scale.
+        full = res.completion.full.array
+        B = res.cp_verdict.witness
+        assert B.min() >= 0.0
+        assert np.linalg.norm(B @ B.T - full) <= 1e-6 * max(1.0, np.abs(full).max())
+
+    @pytest.mark.parametrize("n, S, kind", [(3, 4, "positive"), (4, 5, "mixed"),
+                                            (3, 4, "rank1")])
+    def test_verdicts_do_not_depend_on_call_order(self, n, S, kind):
+        def fresh():
+            return gram_problem(n, S, kind, np.random.default_rng([n, S]))[1]
+
+        def verdicts(cert, res):
+            pairs = [cert.completion_cp, res.cp_verdict] + cert.block_verdicts
+            return (cert.verdict, [(v.verdict, v.detail) for v in pairs],
+                    res.completion.full.array.tolist())
+
+        alone = verdicts(certify_completable(fresh()), complete_numeric(fresh()))
+        problem = fresh()
+        res = complete_numeric(problem)
+        assert verdicts(certify_completable(problem), res) == alone
+        problem = fresh()
+        cert = certify_completable(problem)
+        assert verdicts(cert, complete_numeric(problem)) == alone
+
+
 def _worst(cert):
     return max(abs(r) for pair in cert.block_residuals for r in pair)
 

@@ -16,8 +16,6 @@ from cppc.conditions import (
     check_boundedness,
     check_cond_i,
     check_cond_iii,
-    point_in_projection,
-    sample_projection_points,
     scalar_lambda_feasible,
     _recession_norm_max,
     _shared_region_form,
@@ -26,6 +24,8 @@ from cppc.conditions import (
 from cppc.cones import ORTHANT, ZERO, free, orthant, product, zero
 from cppc.oracles import polyhedron_vertices, standard_form_feasible_point
 from cppc.qp_relax import QPInstance, _polytope_bounded
+
+from reference_checks import point_in_projection, sample_projection_points
 
 
 def width_one_data(f_list, g_list, d_list, K0, f0=None, d0=0.0):

@@ -224,6 +224,64 @@ class TestPrincipalCp:
         )
 
 
+def counted_searches(monkeypatch):
+    calls = []
+    factorize = cones.cp_factorize
+    monkeypatch.setattr(
+        cones, "cp_factorize", lambda *a, **k: calls.append(1) or factorize(*a, **k)
+    )
+    return calls
+
+
+def spoiled(B, how):
+    """``B`` with one column negated (``B B^T`` unchanged, so only the sign
+    check rejects it) or scaled by 1.001 (rejected by its residual)."""
+    B = B.copy()
+    B[:, 0] *= -1.0 if how == "negative" else 1.001
+    return B
+
+
+class TestCandidateFactor:
+    @pytest.mark.parametrize("how", ["negative", "perturbed"])
+    @pytest.mark.parametrize("order", [4, 7])
+    def test_failed_candidate_changes_no_verdict(self, monkeypatch, how, order):
+        B = np.random.default_rng(order).uniform(0.0, 1.0, (order, order + 2))
+        M = B @ B.T
+        index_sets = [np.r_[:2, 2 + i] for i in range(order - 2)]
+        want = is_cp(M)
+        want_whole, want_subs = principal_cp(M, index_sets)
+        calls = counted_searches(monkeypatch)
+        got = is_cp(M, candidate=spoiled(B, how))
+        whole, subs = principal_cp(M, index_sets, candidate=spoiled(B, how))
+        assert len(calls) == 2
+        for g, w in zip([got, whole] + subs, [want, want_whole] + want_subs, strict=True):
+            assert (g.verdict, g.detail) == (w.verdict, w.detail)
+            assert np.array_equal(g.witness, w.witness)
+
+    def test_failed_candidate_leaves_unknown(self):
+        M = horn_violator()
+        v = is_cp(M, candidate=np.sqrt(M))
+        assert v.verdict == cones.UNKNOWN and v.witness is None
+
+    @pytest.mark.parametrize("order, detail", [
+        (4, "doubly nonnegative and order <= 4, hence completely positive"),
+        (7, "nonnegative factorization found"),
+    ])
+    def test_passing_candidate_replaces_the_search(self, monkeypatch, order, detail):
+        B = np.random.default_rng(order).uniform(0.0, 1.0, (order, order + 2))
+        M = B @ B.T
+        calls = counted_searches(monkeypatch)
+        v = is_cp(M, candidate=B)
+        whole, subs = principal_cp(M, [np.r_[:3]], candidate=B, source="M")
+        assert calls == []
+        assert (v.verdict, v.detail) == (cones.MEMBER, detail) and v.witness is B
+        assert (whole.verdict, whole.detail) == (cones.MEMBER, detail)
+        assert subs[0].detail == "rows of M's nonnegative factor"
+        # A negative entry still decides before any candidate is read.
+        M[0, 1] = M[1, 0] = -0.1
+        assert is_cp(M, candidate=B).verdict == cones.NOT_MEMBER
+
+
 class TestCpFactorize:
     def test_diagonal(self):
         B = cp_factorize(np.diag([4.0, 9.0]))

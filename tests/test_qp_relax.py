@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline_qp
+from reference_checks import lemma_equivalence_check
 from cppc import qp_relax
 from cppc.conditions import ConstraintData
 from cppc.cones import ORTHANT, free, orthant, product
@@ -31,7 +32,6 @@ from cppc.qp_relax import (
     exactness_report,
     extract_solution,
     kernel_vectors,
-    lemma_equivalence_check,
     rank_one_certificate,
     solve_bounds,
 )
