@@ -46,8 +46,8 @@ Only inputs neither outcome settles reach the conic solver, which proves
 none as well when a specified entry that must be nonnegative is negative.
 
 A :class:`CompletionProblem` builds its max-determinant completion once and
-remembers the last nonnegative factor found for it, which every later CP
-test of that completion re-checks before it searches.  So certification
+remembers the nonnegative factor certification found for it, which the
+numeric completion re-checks before it searches.  So certification
 followed by the numeric completion of the same problem pays for one
 completion and one factor search.
 """
@@ -96,11 +96,12 @@ class CompletionProblem:
     """A width-one arrowhead partial matrix normalized to unit northwest
     corner, with the ground cone of the shared part.
 
-    The problem remembers its max-determinant completion and the last
-    nonnegative factor found for it (``_max_det``), so that
-    :func:`certify_completable` and :func:`complete_numeric` on the same
-    problem build one completion and run one factor search between them.
-    Change no entry of ``pm`` or ``original`` after the first call.
+    The problem remembers its max-determinant completion and the
+    nonnegative factor :func:`certify_completable` found for it
+    (``_max_det``), so that certification followed by
+    :func:`complete_numeric` on the same problem builds one completion and
+    runs one factor search.  Change no entry of ``pm`` or ``original``
+    after the first call: the remembered completion would not follow.
     """
 
     pm: PartialMatrix
@@ -164,10 +165,11 @@ class CompletionProblem:
 @dataclass
 class _MaxDet:
     """The unit-corner max-determinant completion ``full`` of a problem, with
-    what it is built from (:func:`_arm_centres`), and ``factor``: the last
-    nonnegative factor of ``full`` that a CP verdict found, None before
-    one.  Each CP test of ``full`` hands ``factor`` in as its candidate
-    (:func:`cones.is_cp`), which is re-checked before it is trusted."""
+    what it is built from (:func:`_arm_centres`), and ``factor``: the
+    nonnegative factor of ``full`` that :func:`certify_completable` found,
+    None before it runs or when its search finds none.
+    :func:`complete_numeric` hands ``factor`` to :func:`cones.is_cp` as its
+    candidate, which is re-checked before it is trusted."""
 
     zf: np.ndarray
     Cplus: np.ndarray
@@ -289,7 +291,9 @@ def certify_completable(problem: CompletionProblem, *,
     data.  Every failure is recorded; none of them disproves
     completability.  The block CP verdicts, and that of the max-determinant
     completion, come from :func:`cones.principal_cp`
-    (:func:`_block_cp_verdicts`).
+    (:func:`_block_cp_verdicts`), whose factor the problem keeps for
+    :func:`complete_numeric`.  Change no entry of the problem's partial
+    matrices between the two calls.
     """
     reasons = []
     data = problem.data
@@ -339,16 +343,15 @@ def certify_completable(problem: CompletionProblem, *,
 def _block_cp_verdicts(problem: CompletionProblem):
     """CP verdicts of the max-determinant completion (None when it is not
     doubly nonnegative) and of every block, a principal submatrix of it on
-    the rows ``(0, ..., n1 - 1, n1 + i)``: :func:`cones.principal_cp`, with
-    the problem's remembered factor as candidate."""
+    the rows ``(0, ..., n1 - 1, n1 + i)``: :func:`cones.principal_cp`.  The
+    problem keeps the factor found (``_max_det.factor``)."""
     n1 = problem.pm.pattern.n1
     max_det = problem._max_det
     rows = [np.r_[:n1, n1 + i] for i in range(problem.S)]
     whole, verdicts = cones.principal_cp(
-        max_det.full, rows, source="the max-determinant completion",
-        candidate=max_det.factor,
+        max_det.full, rows, source="the max-determinant completion"
     )
-    if whole is not None and whole.witness is not None:
+    if whole is not None:
         max_det.factor = whole.witness
     return whole, verdicts
 
@@ -530,6 +533,7 @@ def complete_numeric(problem: CompletionProblem,
     The max-determinant completion and its factor are the ones the problem
     remembers: after :func:`certify_completable` on the same problem,
     outcome 2 re-checks certification's factor instead of searching again.
+    Change no entry of the problem's partial matrices between the two calls.
     """
     decided = _closed_form(problem)
     if decided is not None:
@@ -580,21 +584,20 @@ def _rechecked(problem: CompletionProblem, full: np.ndarray, diagnostics: str,
     when it is not doubly nonnegative.
 
     When ``full`` is the problem's max-determinant completion, ``max_det``
-    lends its remembered factor, scaled by ``sqrt(scale)``, as candidate
-    and keeps the witness found.  The factor of :func:`certify_completable`
-    always passes here: its residual grows by ``scale``, and so does the
-    limit, as the unit corner makes ``max|full| >= scale``.
+    lends its remembered factor, scaled by ``sqrt(scale)``, as candidate.
+    The factor of :func:`certify_completable` always passes here: its
+    residual grows by ``scale``, and so does the limit, as the unit corner
+    makes ``max|full| >= scale``.
     """
     if not is_dnn(full, tol=1e-6):
         return None
     completion = Completion(SymMatrix(full), problem.original, agreement_tol=1e-7)
     cp = None
     if problem.K.is_orthant_like():
-        root = np.sqrt(problem.scale)
-        candidate = None if max_det is None or max_det.factor is None else root * max_det.factor
+        candidate = None
+        if max_det is not None and max_det.factor is not None:
+            candidate = np.sqrt(problem.scale) * max_det.factor
         cp = cones.is_cp(SymMatrix(full), tol=1e-6, candidate=candidate)
-        if max_det is not None and cp.witness is not None:
-            max_det.factor = cp.witness / root
     return NumericCompletionResult(completion, cp, diagnostics)
 
 

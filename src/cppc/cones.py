@@ -208,24 +208,23 @@ def is_cp(M, tol: float = 1e-8, candidate=None) -> MembershipVerdict:
     return _searched(m, tol, _cp_limit(m, tol), candidate)
 
 
-def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix",
-                 candidate=None):
+def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix"):
     """CP verdicts of ``M`` (None when it is not doubly nonnegative) and of
     its principal submatrices ``M[I]``, ``I`` in ``index_sets``, from one
     factor.
 
     Principal submatrices of a CP matrix are CP (Berman, Shaked-Monderer
     2003): the rows ``B[I]`` of a nonnegative factor ``B`` of ``M`` factor
-    ``M[I]``.  ``B`` is ``candidate`` or searched, as in :func:`is_cp`, at
-    the smallest submatrix threshold, and each ``B[I]`` is re-checked
-    against its own (:func:`_factors`); a submatrix that fails, or every one
-    when there is no factor, gets its own :func:`is_cp`.  ``source`` names
-    ``M`` in the details of the verdicts read off its factor.
+    ``M[I]``.  ``B`` is searched, as in :func:`is_cp`, at the smallest
+    submatrix threshold, and each ``B[I]`` is re-checked against its own
+    (:func:`_factors`); a submatrix that fails, or every one when there is
+    no factor, gets its own :func:`is_cp`.  ``source`` names ``M`` in the
+    details of the verdicts read off its factor.
     """
     m = _array(M)
     subs = [m[np.ix_(I, I)] for I in index_sets]
     limits = [_cp_limit(sub, tol) for sub in subs]
-    whole = _searched(m, tol, min(limits), candidate)
+    whole = _searched(m, tol, min(limits))
     factor = whole.witness
     verdicts = []
     for I, sub, limit in zip(index_sets, subs, limits):
