@@ -44,12 +44,16 @@ class RunConfig:
     quiet: bool = False
 
 
-def dumps_json(obj, indent: int = 2) -> str:
+#: Spaces per nesting level of :func:`dumps_json`.
+_JSON_INDENT = 2
+
+
+def dumps_json(obj) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
 
     def render(node, depth):
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = " " * (_JSON_INDENT * depth)
+        pad_in = " " * (_JSON_INDENT * (depth + 1))
         if node is None:
             return "null"
         if node is True:

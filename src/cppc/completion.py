@@ -545,17 +545,14 @@ def complete_numeric(problem: CompletionProblem,
         [True] + [kind == cones.ORTHANT for kind in kinds] + [True] * problem.S
     )
     mask = np.outer(nn, nn)
-    prog = ConicProgram()
-    bidx = prog.add_block(total, nonneg_mask=mask)
+    prog = ConicProgram(total, nonneg_mask=mask)
     spec_mask = pm.specified_mask()
     zf = pm.zero_filled().array
     for r in range(total):
         for c in range(r, total):
             if not spec_mask[r, c]:
                 continue
-            prog.add_equality(
-                float(zf[r, c]), blocks={bidx: entry_functional(total, r, c)}
-            )
+            prog.add_equality(float(zf[r, c]), entry_functional(total, r, c))
     opts = solver_opts or SolveOptions(tol_primal=1e-8)
     res = solve(prog, opts)
     if res.status == INFEASIBLE:
@@ -567,7 +564,7 @@ def complete_numeric(problem: CompletionProblem,
             None, None, f"solver did not converge ({res.status}: {res.diagnostics}); "
             "inconclusive"
         )
-    full_scaled = 0.5 * (res.block_values[0] + res.block_values[0].T)
+    full_scaled = 0.5 * (res.block + res.block.T)
     # Snap the specified entries exactly, then rescale back.
     full_scaled[spec_mask] = zf[spec_mask]
     checked = _rechecked(problem, full_scaled * problem.scale, "")
@@ -588,16 +585,22 @@ def _rechecked(problem: CompletionProblem, full: np.ndarray, diagnostics: str,
     The factor of :func:`certify_completable` always passes here: its
     residual grows by ``scale``, and so does the limit, as the unit corner
     makes ``max|full| >= scale``.
+
+    On an orthant-like cone ``is_cp`` says ``NotMember`` exactly when
+    ``full`` is not doubly nonnegative, so it is the only test taken.
     """
-    if not is_dnn(full, tol=1e-6):
-        return None
-    completion = Completion(SymMatrix(full), problem.original, agreement_tol=1e-7)
+    sym = SymMatrix(full)
     cp = None
     if problem.K.is_orthant_like():
         candidate = None
         if max_det is not None and max_det.factor is not None:
             candidate = np.sqrt(problem.scale) * max_det.factor
-        cp = cones.is_cp(SymMatrix(full), tol=1e-6, candidate=candidate)
+        cp = cones.is_cp(sym, tol=1e-6, candidate=candidate)
+        if cp.verdict == cones.NOT_MEMBER:
+            return None
+    elif not is_dnn(full, tol=1e-6):
+        return None
+    completion = Completion(sym, problem.original, agreement_tol=1e-7)
     return NumericCompletionResult(completion, cp, diagnostics)
 
 

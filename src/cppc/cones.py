@@ -306,6 +306,8 @@ def _searched(m: np.ndarray, tol: float, limit: float,
 _ROTATION_ITERS = 400
 #: Random starting rotations per factor width.
 _RESTARTS = 8
+#: Projected-gradient steps of :func:`_polish_nonneg_factor`.
+_POLISH_ITERS = 300
 
 
 def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
@@ -384,11 +386,12 @@ def _rotate_to_nonnegative(m, root, q, tol, reflect):
     return b, res
 
 
-def _polish_nonneg_factor(m, b, tol, iters: int = 300):
-    """Projected gradient descent on ``||B B^T - M||_F^2`` over ``B >= 0``."""
+def _polish_nonneg_factor(m, b, tol):
+    """Projected gradient descent on ``||B B^T - M||_F^2`` over ``B >= 0``,
+    at most ``_POLISH_ITERS`` steps."""
     res = float(np.linalg.norm(b @ b.T - m))
     step = 1.0 / max(1.0, 4.0 * float(np.linalg.norm(b.T @ b)))
-    for _ in range(iters):
+    for _ in range(_POLISH_ITERS):
         if res <= tol:
             break
         grad = 4.0 * (b @ (b.T @ b) - m @ b)

@@ -1,15 +1,16 @@
-"""Interior-point solver for linear programs over coupled DNN blocks.
+"""Interior-point solver for linear programs over one DNN matrix.
 
-A program is a list of symmetric PSD matrix blocks, affine equality rows,
-affine ``>=`` rows and a linear objective.  A block's ``nonneg_mask`` asks
-for entrywise nonnegativity: each masked off-diagonal entry is one more
-``>=`` row (the diagonal of a PSD matrix is nonnegative already).
+A program is one symmetric PSD matrix, affine equality rows, affine ``>=``
+rows and a linear objective.  Its ``nonneg_mask`` asks for entrywise
+nonnegativity: each masked off-diagonal entry is one more ``>=`` row (the
+diagonal of a PSD matrix is nonnegative already).  A solved program returns
+the matrix as ``SolveResult.block``.
 
 The solver works in the free coordinates of the equalities.  One SVD of the
-equality rows, in svec coordinates of the blocks, gives a solution ``v0``
+equality rows, in svec coordinates of the matrix, gives a solution ``v0``
 and an orthonormal basis ``N`` of their null space, so every ``v = v0 + N
 y`` meets them exactly.  In ``y`` the program is a dual-form conic program,
-as in SDPA and DSDP: its slack is the blocks of ``v`` and the values of the
+as in SDPA and DSDP: its slack is the matrix ``v`` and the values of the
 ``>=`` rows.  A primal-dual interior-point method (HKM direction, Mehrotra
 predictor-corrector) solves it with a Schur complement of order ``dim y``.
 Its best point, primal and dual, starts an active-face polish: the rows near
@@ -34,9 +35,9 @@ INFEASIBLE = "Infeasible"
 MAX_ITERS = "MaxIters"
 
 
-@dataclass
-class BlockSpec:
-    """PSD matrix block variable of the given order.
+class ConicProgram:
+    """One PSD matrix variable of the given order, a linear objective, affine
+    equalities and affine ``>=`` rows.
 
     ``nonneg_mask`` is the symmetric boolean mask of the entries that must
     also be nonnegative (used when some coordinates of the underlying ground
@@ -44,134 +45,83 @@ class BlockSpec:
     omitted.
     """
 
-    order: int
-    nonneg_mask: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("block order must be >= 1")
-        if self.nonneg_mask is None:
-            self.nonneg_mask = np.ones((self.order, self.order), dtype=bool)
-        m = np.asarray(self.nonneg_mask, dtype=bool)
-        if m.shape != (self.order, self.order):
+    def __init__(self, order: int, nonneg_mask=None):
+        if order < 1:
+            raise ValueError("matrix order must be >= 1")
+        mask = np.ones((order, order), dtype=bool) if nonneg_mask is None else nonneg_mask
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (order, order):
             raise ValueError("nonneg_mask shape mismatch")
-        if not np.array_equal(m, m.T):
+        if not np.array_equal(mask, mask.T):
             raise ValueError("nonneg_mask must be symmetric")
-        self.nonneg_mask = m
-
-
-class ConicProgram:
-    """Container for PSD blocks, a linear objective, affine equalities and
-    affine ``>=`` rows."""
-
-    def __init__(self):
-        self.blocks: list[BlockSpec] = []
-        self.equalities: list[tuple[dict, float]] = []
-        self.inequalities: list[tuple[dict, float]] = []
-        self._obj_blocks: dict[int, np.ndarray] = {}
+        self.order = order
+        self.nonneg_mask = mask
+        self.equalities: list[tuple[np.ndarray, float]] = []
+        self.inequalities: list[tuple[np.ndarray, float]] = []
+        self._objective = np.zeros((order, order))
 
     # -- construction ---------------------------------------------------
 
-    def add_block(self, order, nonneg_mask=None) -> int:
-        self.blocks.append(BlockSpec(order, nonneg_mask))
-        return len(self.blocks) - 1
-
-    def _coeff_matrix(self, b: int, mat) -> np.ndarray:
-        if not 0 <= b < len(self.blocks):
-            raise ValueError(f"block index {b} not declared")
+    def _matrix(self, mat) -> np.ndarray:
+        """``mat`` symmetrized, once its shape and entries are checked."""
         m = np.asarray(mat, dtype=float)
-        order = self.blocks[b].order
-        if m.shape != (order, order):
-            raise ValueError(
-                f"coefficient for block {b} has shape {m.shape}, expected "
-                f"({order}, {order})"
-            )
+        if m.shape != (self.order, self.order):
+            raise ValueError(f"matrix has shape {m.shape}, expected ({self.order}, {self.order})")
         if not np.isfinite(m).all():
-            raise ValueError("coefficient contains non-finite entries")
+            raise ValueError("matrix contains non-finite entries")
         return 0.5 * (m + m.T)
 
-    def _row(self, rhs, blocks) -> tuple[dict, float]:
+    def _row(self, rhs, C) -> tuple[np.ndarray, float]:
         rhs = float(rhs)
         if not np.isfinite(rhs):
             raise ValueError("right-hand side must be finite")
-        return {b: self._coeff_matrix(b, m) for b, m in (blocks or {}).items()}, rhs
+        return self._matrix(C), rhs
 
-    def add_equality(self, rhs: float, blocks=None) -> None:
-        """Append the constraint ``sum_b C_b . M_b = rhs``."""
-        self.equalities.append(self._row(rhs, blocks))
+    def add_equality(self, rhs: float, C) -> None:
+        """Append the constraint ``C . M = rhs``."""
+        self.equalities.append(self._row(rhs, C))
 
-    def add_inequality(self, rhs: float, blocks=None) -> None:
-        """Append the constraint ``sum_b C_b . M_b >= rhs``."""
-        self.inequalities.append(self._row(rhs, blocks))
+    def add_inequality(self, rhs: float, C) -> None:
+        """Append the constraint ``C . M >= rhs``."""
+        self.inequalities.append(self._row(rhs, C))
 
-    def set_objective(self, blocks=None) -> None:
-        self._obj_blocks = {b: self._coeff_matrix(b, m) for b, m in (blocks or {}).items()}
+    def set_objective(self, C) -> None:
+        self._objective = self._matrix(C)
 
     # -- vectorization ---------------------------------------------------
 
     @property
     def num_vars(self) -> int:
-        return sum(b.order**2 for b in self.blocks)
-
-    def block_offsets(self) -> list[int]:
-        offs, pos = [], 0
-        for b in self.blocks:
-            offs.append(pos)
-            pos += b.order**2
-        return offs
+        return self.order**2
 
     def _row_matrix(self, rows):
-        offs = self.block_offsets()
         A = np.zeros((len(rows), self.num_vars))
-        for i, (bc, _) in enumerate(rows):
-            for b, m in bc.items():
-                A[i, offs[b] : offs[b] + m.size] = m.reshape(-1)
+        for i, (C, _) in enumerate(rows):
+            A[i] = C.reshape(-1)
         return A, np.array([rhs for _, rhs in rows], dtype=float)
 
     def constraint_matrix(self):
         """Dense ``(A, b)`` of the equalities ``A v = b`` in the vectorized
-        blocks ``v``."""
+        matrix ``v``."""
         return self._row_matrix(self.equalities)
 
-    def masked_entries(self) -> list[tuple[int, int, int]]:
-        """``(block, r, c)`` with ``r < c`` of every masked off-diagonal entry."""
-        return [(k, int(r), int(c)) for k, spec in enumerate(self.blocks)
-                for r, c in zip(*np.nonzero(np.triu(spec.nonneg_mask, 1)))]
+    def masked_entries(self) -> list[tuple[int, int]]:
+        """``(r, c)`` with ``r < c`` of every masked off-diagonal entry."""
+        return [(int(r), int(c)) for r, c in zip(*np.nonzero(np.triu(self.nonneg_mask, 1)))]
 
     def inequality_matrix(self):
         """Dense ``(L, h)`` of the ``>=`` rows ``L v >= h``: the added rows,
         then one row per entry of :meth:`masked_entries`."""
         L, h = self._row_matrix(self.inequalities)
-        offs = self.block_offsets()
+        o = self.order
         entries = self.masked_entries()
         E = np.zeros((len(entries), self.num_vars))
-        for i, (k, r, c) in enumerate(entries):
-            o = self.blocks[k].order
-            E[i, [offs[k] + r * o + c, offs[k] + c * o + r]] = 0.5
+        for i, (r, c) in enumerate(entries):
+            E[i, [r * o + c, c * o + r]] = 0.5
         return np.vstack([L, E]), np.r_[h, np.zeros(len(entries))]
 
     def objective_vector(self) -> np.ndarray:
-        return self._row_matrix([(self._obj_blocks, 0.0)])[0][0]
-
-    def vectorize_point(self, block_values) -> np.ndarray:
-        if len(block_values) != len(self.blocks):
-            raise ValueError("block value count mismatch")
-        parts = []
-        for b, val in enumerate(block_values):
-            val = np.asarray(val, dtype=float)
-            o = self.blocks[b].order
-            if val.shape != (o, o):
-                raise ValueError(f"block {b} value has shape {val.shape}")
-            parts.append((0.5 * (val + val.T)).reshape(-1))
-        return np.concatenate(parts)
-
-    def split_vector(self, v: np.ndarray) -> list:
-        return [v[off : off + b.order**2].reshape(b.order, b.order).copy()
-                for b, off in zip(self.blocks, self.block_offsets())]
-
-    def validate(self) -> None:
-        if self.num_vars == 0:
-            raise ValueError("program has no variables")
+        return self._objective.reshape(-1)
 
 
 @dataclass
@@ -191,7 +141,7 @@ class SolveOptions:
 @dataclass
 class SolveResult:
     status: str
-    block_values: list
+    block: np.ndarray
     objective: float
     residuals: dict
     iterations: int
@@ -225,24 +175,20 @@ def _program_data(p: ConicProgram) -> _Data:
 
 def _primal_residuals(p: ConicProgram, d: _Data, v):
     """``(equality, cone)`` residuals of ``v`` on the original data: the
-    largest equality violation, and the worst negative eigenvalue (checked
-    ``sym_eigh``) of a block or violation of a ``>=`` row."""
+    largest equality violation, and the worst of the matrix's most negative
+    eigenvalue (checked ``sym_eigh``) and the violations of the ``>=``
+    rows."""
     eq = float(np.abs(d.A @ v - d.b).max(initial=0.0))
     cone = float(np.max(d.h - d.L @ v, initial=0.0))
-    for spec, off in zip(p.blocks, p.block_offsets()):
-        o = spec.order
-        w, _ = jacobi_eigh(v[off : off + o * o].reshape(o, o))
-        cone = max(cone, -float(w[0]))
-    return eq, cone
+    w, _ = jacobi_eigh(v.reshape(p.order, p.order))
+    return eq, max(cone, -float(w[0]))
 
 
-def _dual_residual(p: ConicProgram, d: _Data, nu, lam, Z) -> float:
+def _dual_residual(d: _Data, nu, lam, Z) -> float:
     """Dual residual of the multipliers ``nu`` (equalities) and ``lam``
-    (``>=`` rows) with PSD parts ``Z`` (one matrix per block): the largest
-    entry of ``c + A^T nu - L^T lam - Z`` or negative entry of ``lam``."""
-    r = d.c + d.A.T @ nu - d.L.T @ lam
-    for off, Zk in zip(p.block_offsets(), Z):
-        r[off : off + Zk.size] -= Zk.reshape(-1)
+    (``>=`` rows) with PSD part ``Z``: the largest entry of ``c + A^T nu -
+    L^T lam - Z`` or negative entry of ``lam``."""
+    r = d.c + d.A.T @ nu - d.L.T @ lam - Z.reshape(-1)
     return max(float(np.abs(r).max()), float(np.max(-lam, initial=0.0)))
 
 
@@ -267,12 +213,11 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     best iterate with a residual report and claims nothing.
     """
     opts = opts or SolveOptions()
-    p.validate()
     d = _program_data(p)
     try:
         form = _NullSpaceForm(p, d)
     except _ProvenInfeasible as proof:
-        return SolveResult(INFEASIBLE, p.split_vector(np.zeros(p.num_vars)), float("nan"),
+        return SolveResult(INFEASIBLE, np.zeros((p.order, p.order)), float("nan"),
                            proof.residuals, 0, np.zeros(d.b.size), np.zeros(d.h.size),
                            str(proof))
     point, it, stop = _interior_point(
@@ -283,7 +228,7 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
         polished = _face_polish(p, d, v, nu, lam, it)
         if polished is not None:
             return polished
-    dual_res = _dual_residual(p, d, nu, lam, Z)
+    dual_res = _dual_residual(d, nu, lam, Z)
     result = _result(p, d, v, nu, lam, it, dual_res, "interior-point iterate accepted")
     res = result.residuals
     scale_b = 1.0 + float(np.abs(d.b).max(initial=0.0))
@@ -298,41 +243,37 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     return result
 
 
-def _svec_basis(p: ConicProgram) -> np.ndarray:
-    """``T`` whose columns are the svec coordinates of the blocks as vectors
-    ``v``: diagonal entry (r, r) is ``M_rr``, off-diagonal (r, c) is ``(M_rc +
-    M_cr) / sqrt 2``.  The columns are orthonormal, ``T^T v`` is the svec of
-    a symmetric ``v``, ``T s`` the point of an svec ``s``, and ``a^T T`` the
-    svec row of a functional ``a``."""
-    T = np.zeros((p.num_vars, sum(b.order * (b.order + 1) // 2 for b in p.blocks)))
-    col = 0
-    for spec, off in zip(p.blocks, p.block_offsets()):
-        o = spec.order
-        r, c = np.triu_indices(o)
-        k = col + np.arange(r.size)
-        w = np.where(r == c, 1.0, np.sqrt(0.5))
-        T[off + r * o + c, k] = w
-        T[off + c * o + r, k] = w
-        col += r.size
+def _svec_basis(o: int) -> np.ndarray:
+    """``T`` whose columns are the svec coordinates of a matrix of order
+    ``o`` as vectors ``v``: diagonal entry (r, r) is ``M_rr``, off-diagonal
+    (r, c) is ``(M_rc + M_cr) / sqrt 2``.  The columns are orthonormal,
+    ``T^T v`` is the svec of a symmetric ``v``, ``T s`` the point of an svec
+    ``s``, and ``a^T T`` the svec row of a functional ``a``."""
+    r, c = np.triu_indices(o)
+    k = np.arange(r.size)
+    w = np.where(r == c, 1.0, np.sqrt(0.5))
+    T = np.zeros((o * o, r.size))
+    T[r * o + c, k] = w
+    T[c * o + r, k] = w
     return T
 
 
 class _NullSpaceForm:
     """The program in the free coordinates ``y`` of its equalities, posed as
     the dual of ``min c.u  s.t.  A u = b,  u in K`` for the interior-point
-    loop, ``K`` being the PSD blocks times one nonnegative orthant.
+    loop, ``K`` being the PSD cone times one nonnegative orthant.
 
     ``v = v0 + N y`` meets the equalities for every ``y``.  The loop's slack
-    ``c - A^T y`` is the blocks of ``v`` (entry by entry, as in ``v``)
+    ``c - A^T y`` is the matrix ``v`` (entry by entry, as in ``v``)
     followed by the values of the ``>=`` rows, each scaled to unit norm in
-    ``y``; its ``u`` holds the PSD multipliers ``Z`` and the scaled row
+    ``y``; its ``u`` holds the PSD multiplier ``Z`` and the scaled row
     multipliers.  Rows that ``N`` makes constant drop out when they hold and
     prove infeasibility when they fail, as does an inconsistent equality
     system.
     """
 
     def __init__(self, p, d):
-        T = _svec_basis(p)
+        T = _svec_basis(p.order)
         U, s, Vt = np.linalg.svd(d.A @ T)
         rank = int((s > s.max(initial=0.0) * max(d.A.shape) * np.finfo(float).eps).sum())
         self.svd = U[:, :rank], s[:rank], Vt[:rank]
@@ -357,35 +298,35 @@ class _NullSpaceForm:
         self.A = -np.vstack([T @ N, G[self.rows] * self.row_scale[:, None]]).T
         self.b = -N.T @ (T.T @ d.c)
         self.c = np.r_[T @ v0, g0[self.rows] * self.row_scale]
-        offs = p.block_offsets()
-        self.blocks = [(slice(off, off + b.order**2), b.order) for b, off in zip(p.blocks, offs)]
-        self.flat = slice(p.num_vars, None)
+        self.order = p.order
+        self.psd, self.flat = slice(p.num_vars), slice(p.num_vars, None)
 
-    def mats(self, u):
-        return [u[sl].reshape(o, o) for sl, o in self.blocks]
+    def mat(self, u):
+        return u[self.psd].reshape(self.order, self.order)
 
-    def join(self, mats, flat):
-        return np.concatenate([M.reshape(-1) for M in mats] + [flat])
+    def join(self, M, flat):
+        return np.concatenate([M.reshape(-1), flat])
 
     def original(self, u, y, w):
         """``(v, nu, lam, Z)`` of an interior-point ``(u, y, w)``: the
         program's variable, the multipliers of the equalities (least squares
         on ``c + A^T nu - L^T lam - Z = 0``) and of the ``>=`` rows, and the
-        PSD blocks of ``u``."""
+        PSD matrix of ``u``."""
         d = self.d
         lam = np.zeros(d.h.size)
         lam[self.rows] = u[self.flat] * self.row_scale
         Ur, sr, Vr = self.svd
-        nu = Ur @ ((Vr @ (self.T.T @ (u[: self.flat.start] + d.L.T @ lam - d.c))) / sr)
-        return self.T @ (self.v0 + self.N @ y), nu, lam, self.mats(u)
+        nu = Ur @ ((Vr @ (self.T.T @ (u[self.psd] + d.L.T @ lam - d.c))) / sr)
+        return self.T @ (self.v0 + self.N @ y), nu, lam, self.mat(u)
 
 
 def _row_name(p, j):
     """Row ``j`` of :meth:`ConicProgram.inequality_matrix`, in words."""
     if j < len(p.inequalities):
         return f"inequality row {j}"
-    k, r, c = p.masked_entries()[j - len(p.inequalities)]
-    return f"entry ({r}, {c}) of block {k}"
+    r, c = p.masked_entries()[j - len(p.inequalities)]
+    # ``cppc complete`` prints this wording and the README quotes it.
+    return f"entry ({r}, {c}) of block 0"
 
 
 def _interior_point(sf, max_iters, target):
@@ -402,11 +343,11 @@ def _interior_point(sf, max_iters, target):
     diverge).
     """
     A, b, c = sf.A, sf.b, sf.c
-    N = sum(o for _, o in sf.blocks) + c.size - sf.flat.start
+    N = sf.order + c.size - sf.flat.start
     b_norm = 1.0 + float(np.linalg.norm(b))
     c_norm = 1.0 + float(np.linalg.norm(c))
     start = max(10.0, np.sqrt(N)) * max(1.0, float(np.abs(b).max(initial=0.0)))
-    eye = sf.join([np.eye(o) for _, o in sf.blocks], np.ones(c.size - sf.flat.start))
+    eye = sf.join(np.eye(sf.order), np.ones(c.size - sf.flat.start))
     u, y, w = start * eye, np.zeros(b.size), c_norm * eye
     mu0 = float(u @ w) / N
 
@@ -441,19 +382,17 @@ def _interior_point(sf, max_iters, target):
 
 def _mehrotra_step(sf, u, y, w, rp, rd, mu, N):
     """One predictor-corrector step along the HKM direction."""
-    A, f = sf.A, sf.flat
-    X, Z = sf.mats(u), sf.mats(w)
-    Zinv = [_sym(np.linalg.inv(Zk)) for Zk in Z]
+    A, f, s = sf.A, sf.flat, sf.psd
+    X = sf.mat(u)
+    Zi = _sym(np.linalg.inv(sf.mat(w)))
     x, z = u[f], w[f]
     M = (A[:, f] * (x / z)) @ A[:, f].T
-    for (sl, _), Xk, Zi in zip(sf.blocks, X, Zinv):
-        M += A[:, sl] @ np.kron(Xk, Zi) @ A[:, sl].T
+    M += A[:, s] @ np.kron(X, Zi) @ A[:, s].T
     solve_schur = _cholesky_solver(M)
 
     def scaled(D):
-        # sym(X D Z^-1) on the PSD blocks, x D / z on the orthant.
-        return sf.join([_sym(Xk @ Dk @ Zi) for Xk, Dk, Zi in zip(X, sf.mats(D), Zinv)],
-                       x * D[f] / z)
+        # sym(X D Z^-1) on the PSD matrix, x D / z on the orthant.
+        return sf.join(_sym(X @ sf.mat(D) @ Zi), x * D[f] / z)
 
     base = rp + A @ scaled(rd)
 
@@ -468,8 +407,7 @@ def _mehrotra_step(sf, u, y, w, rp, rd, mu, N):
     ad = min(1.0, _step_to_boundary(sf, w, dw))
     sigma_mu = min(1.0, (float((u + ap * du) @ (w + ad * dw)) / N / mu) ** 3) * mu
     H = sf.join(
-        [_sym((sigma_mu * np.eye(Zi.shape[0]) - dXk @ dZk) @ Zi)
-         for dXk, dZk, Zi in zip(sf.mats(du), sf.mats(dw), Zinv)],
+        _sym((sigma_mu * np.eye(sf.order) - sf.mat(du) @ sf.mat(dw)) @ Zi),
         (sigma_mu - du[f] * dw[f]) / z,
     ) - u
     du, dy, dw = direction(H)
@@ -502,11 +440,10 @@ def _step_to_boundary(sf, u, du):
     leaves it)."""
     x, dx = u[sf.flat], du[sf.flat]
     a = float(np.min(-x[dx < 0.0] / dx[dx < 0.0], initial=np.inf))
-    for Xk, dXk in zip(sf.mats(u), sf.mats(du)):
-        Li = np.linalg.inv(np.linalg.cholesky(Xk))
-        lam = np.linalg.eigvalsh(Li @ dXk @ Li.T)[0]
-        if lam < 0.0:
-            a = min(a, -1.0 / lam)
+    Li = np.linalg.inv(np.linalg.cholesky(sf.mat(u)))
+    lam = np.linalg.eigvalsh(Li @ sf.mat(du) @ Li.T)[0]
+    if lam < 0.0:
+        a = min(a, -1.0 / lam)
     return a
 
 
@@ -531,19 +468,20 @@ def _result(p, d, v, nu, lam, it, dual, diagnostics):
     residuals = {"equality": eq_res, "cone": cone_viol, "dual": dual, "gap": gap,
                  "gap_relative": gap / max(1.0, abs(obj), abs(dual_obj)),
                  "dual_objective": dual_obj}
-    return SolveResult(OPTIMAL, p.split_vector(v), obj, residuals, it, nu, lam, diagnostics)
+    return SolveResult(OPTIMAL, v.reshape(p.order, p.order).copy(), obj, residuals, it, nu, lam,
+                       diagnostics)
 
 
 # -- active-face polishing -------------------------------------------------
 #
 # From the interior-point iterate, guess the optimal face (numerical rank of
-# each block, ``>=`` rows near zero), then run one Gauss-Newton solve of the
+# the matrix, ``>=`` rows near zero), then run one Gauss-Newton solve of the
 # face's KKT system, with the active rows as equalities, in the primal
-# factors ``M_i = R_i R_i^T`` and the multipliers, started from the loop's
-# own primal and dual point.  Sign constraints are not part of that system:
-# a candidate pair is accepted only after an exact KKT verification (primal
-# residuals with every ``>=`` row, the dual residual of the PSD part of each
-# block's slack and of the row multipliers' signs, the gap), so acceptance
+# factor ``M = R R^T`` and the multipliers, started from the loop's own
+# primal and dual point.  Sign constraints are not part of that system: a
+# candidate pair is accepted only after an exact KKT verification (primal
+# residuals with every ``>=`` row, the dual residual of the PSD part of the
+# slack and of the row multipliers' signs, the gap), so acceptance
 # never depends on the face guess being right; by convexity a verified pair
 # is optimal.
 
@@ -557,7 +495,7 @@ def _face_polish(p, d, v, nu, lam, it):
     scale_c = 1.0 + float(np.abs(d.c).max())
     for theta in _POLISH_THRESHOLDS:
         try:
-            vp, nu_p, lam_p, dual = _kkt_refine(p, d, *_detect_faces(p, d, v, theta), nu, lam)
+            vp, nu_p, lam_p, dual = _kkt_refine(d, *_detect_faces(p, d, v, theta), nu, lam)
         except np.linalg.LinAlgError:
             # A failed factorization (e.g. an SVD in lstsq that does not
             # converge) rejects this attempt like a failed verification.
@@ -576,14 +514,11 @@ def _face_polish(p, d, v, nu, lam, it):
 
 
 def _detect_faces(p, d, v, theta):
-    """Per-block factors of the guessed rank, and the active ``>=`` rows."""
+    """The factor of the guessed rank, and the active ``>=`` rows."""
     scale_v = max(1.0, float(np.abs(v).max()))
-    factors = []
-    for blk in p.split_vector(v):
-        w, q = np.linalg.eigh(_sym(blk))
-        keep = w > theta * max(float(w.max(initial=0.0)), 1e-3)
-        factors.append(q[:, keep] * np.sqrt(np.maximum(w[keep], 0.0)))
-    return factors, d.L @ v - d.h <= theta * scale_v
+    w, q = np.linalg.eigh(_sym(v.reshape(p.order, p.order)))
+    keep = w > theta * max(float(w.max(initial=0.0)), 1e-3)
+    return q[:, keep] * np.sqrt(np.maximum(w[keep], 0.0)), d.L @ v - d.h <= theta * scale_v
 
 
 def _gauss_newton(residual, jacobian, x, scale):
@@ -613,102 +548,71 @@ def _gauss_newton(residual, jacobian, x, scale):
     return x
 
 
-class _FaceBlock(NamedTuple):
-    """A block of the face: its offset and order in ``v`` and the rank and
-    span in ``x`` of its factor."""
-
-    off: int
-    order: int
-    rank: int
-    x: slice
-
-
 class _JointFace:
     """Face-restricted KKT system for Gauss-Newton on the rows ``A v = b``
     (the equalities with the active ``>=`` rows under them).
 
-    Unknowns ``x``: the factors ``R_i`` (fixed rank, row major) of the
-    blocks ``M_i = R_i R_i^T``, then one multiplier ``mu`` per row.  Rows:
-    ``A v - b`` and, per block, ``S_i R_i`` with ``S_i`` block i of ``c +
-    A^T mu``.  An active row's ``>=`` multiplier is ``-mu``.
+    Unknowns ``x``: the factor ``R`` (fixed rank, row major) of the matrix
+    ``M = R R^T``, then one multiplier ``mu`` per row.  Rows: ``A v - b``
+    and ``S R`` with ``S`` the matrix of ``c + A^T mu``.  An active row's
+    ``>=`` multiplier is ``-mu``.
     """
 
-    def __init__(self, p, A, b, c, factors):
-        self.A, self.b, self.c = A, b, c
-        self.num_vars = p.num_vars
-        self.blocks, self.R0 = [], factors
-        pos = 0
-        for spec, off, R0 in zip(p.blocks, p.block_offsets(), factors):
-            o, r = spec.order, R0.shape[1]
-            self.blocks.append(_FaceBlock(off, o, r, slice(pos, pos + o * r)))
-            pos += o * r
-        self.mu = slice(pos, pos + A.shape[0])
+    def __init__(self, A, b, c, order, rank):
+        self.A, self.b, self.c, self.order, self.rank = A, b, c, order, rank
+        self.R = slice(order * rank)
+        self.mu = slice(order * rank, order * rank + A.shape[0])
         self.num_params = self.mu.stop
 
-    def init(self, mu):
-        """Start at the detected factors and the multipliers ``mu``."""
-        x = np.zeros(self.num_params)
-        for blk, R0 in zip(self.blocks, self.R0):
-            x[blk.x] = R0.reshape(-1)
-        x[self.mu] = mu
-        return x
+    def factor(self, x):
+        return x[self.R].reshape(self.order, self.rank)
 
     def vector(self, x):
         """The point ``v`` of the face parametrized by ``x``."""
-        v = np.zeros(self.num_vars)
-        for blk in self.blocks:
-            R = x[blk.x].reshape(blk.order, blk.rank)
-            v[blk.off : blk.off + blk.order**2] = (R @ R.T).reshape(-1)
-        return v
+        R = self.factor(x)
+        return (R @ R.T).reshape(-1)
 
-    def slacks(self, x):
-        """The symmetrized blocks of ``c + A^T mu``."""
+    def slack(self, x):
+        """The symmetrized matrix of ``c + A^T mu``."""
         s = self.c + self.A.T @ x[self.mu]
-        return [_sym(s[blk.off : blk.off + blk.order**2].reshape(blk.order, blk.order))
-                for blk in self.blocks]
+        return _sym(s.reshape(self.order, self.order))
 
     def residual(self, x):
-        parts = [self.A @ self.vector(x) - self.b]
-        for blk, Sb in zip(self.blocks, self.slacks(x)):
-            parts.append((Sb @ x[blk.x].reshape(blk.order, blk.rank)).reshape(-1))
-        return np.concatenate(parts)
+        return np.concatenate([self.A @ self.vector(x) - self.b,
+                               (self.slack(x) @ self.factor(x)).reshape(-1)])
 
     def jacobian(self, x):
         A = self.A
         m = A.shape[0]
-        J = np.zeros((m + sum(blk.order * blk.rank for blk in self.blocks), self.num_params))
-        row = m
-        for blk, Sb in zip(self.blocks, self.slacks(x)):
-            o, r = blk.order, blk.rank
-            R = x[blk.x].reshape(o, r)
-            A3 = A[:, blk.off : blk.off + o * o].reshape(m, o, o)
-            # sym(A_k) R is the derivative of A_k . R R^T (times 2) and the
-            # coefficient of mu_k in S R.
-            AR = ((0.5 * (A3 + A3.transpose(0, 2, 1))) @ R).reshape(m, o * r)
-            J[:m, blk.x] = 2.0 * AR
-            # Entry (i, j) of S R has d/dR[a, j] = S[i, a]: the rows of
-            # kron(S, I_r), written without multiplying by the zeros of I_r.
-            i, a, jj = np.ix_(np.arange(o), np.arange(o), np.arange(r))
-            J[row + i * r + jj, blk.x.start + a * r + jj] = Sb[:, :, None]
-            J[row : row + o * r, self.mu] = AR.T
-            row += o * r
+        o, r = self.order, self.rank
+        J = np.zeros((m + o * r, self.num_params))
+        A3 = A.reshape(m, o, o)
+        # sym(A_k) R is the derivative of A_k . R R^T (times 2) and the
+        # coefficient of mu_k in S R.
+        AR = ((0.5 * (A3 + A3.transpose(0, 2, 1))) @ self.factor(x)).reshape(m, o * r)
+        J[:m, self.R] = 2.0 * AR
+        # Entry (i, j) of S R has d/dR[a, j] = S[i, a]: the rows of
+        # kron(S, I_r), written without multiplying by the zeros of I_r.
+        i, a, jj = np.ix_(np.arange(o), np.arange(o), np.arange(r))
+        J[m + i * r + jj, a * r + jj] = self.slack(x)[:, :, None]
+        J[m:, self.mu] = AR.T
         return J
 
 
-def _kkt_refine(p, d, factors, active, nu, lam):
+def _kkt_refine(d, R, active, nu, lam):
     """One Gauss-Newton solve of the face KKT system, started from the
     interior-point multipliers ``(nu, lam)``; returns the polished point,
     its multipliers ``(nu, lam)`` and their dual residual."""
     m = d.b.size
     A, b = np.vstack([d.A, d.L[active]]), np.r_[d.b, d.h[active]]
-    joint = _JointFace(p, A, b, d.c, factors)
+    joint = _JointFace(A, b, d.c, *R.shape)
     scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(np.abs(d.c).max()))
-    x = _gauss_newton(joint.residual, joint.jacobian, joint.init(np.r_[nu, -lam[active]]), scale)
+    # Start at the detected factor and the interior-point multipliers.
+    x = _gauss_newton(joint.residual, joint.jacobian, np.r_[R.reshape(-1), nu, -lam[active]], scale)
     mu = x[joint.mu]
     lam = np.zeros(d.h.size)
     lam[active] = -mu[m:]
-    Z = [_psd_part(Sb) for Sb in joint.slacks(x)]
-    return joint.vector(x), mu[:m], lam, _dual_residual(p, d, mu[:m], lam, Z)
+    return joint.vector(x), mu[:m], lam, _dual_residual(d, mu[:m], lam, _psd_part(joint.slack(x)))
 
 
 def _psd_part(S):
@@ -716,15 +620,14 @@ def _psd_part(S):
     return (q * np.maximum(w, 0.0)) @ q.T
 
 
-def kkt_residuals(p: ConicProgram, block_values):
-    """Exact residual evaluation at a given point; no iteration.
+def kkt_residuals(p: ConicProgram, X):
+    """Exact residual evaluation at the matrix ``X``; no iteration.
 
-    Returns the equality residual (infinity norm), the cone violation (worst
-    negative eigenvalue over the blocks and worst violation of a ``>=``
-    row) and the objective value.  The spectral part uses the checked
-    ``sym_eigh``.
+    Returns the equality residual (infinity norm), the cone violation (most
+    negative eigenvalue and worst violation of a ``>=`` row) and the
+    objective value.  The spectral part uses the checked ``sym_eigh``.
     """
-    v = p.vectorize_point(block_values)
+    v = p._matrix(X).reshape(-1)
     d = _program_data(p)
     eq_res, cone_viol = _primal_residuals(p, d, v)
     return {

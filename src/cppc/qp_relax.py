@@ -273,13 +273,12 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     xs = slice(1, n + 1)
     keep, Q0, lifts = _lifts(data)
     nn = np.array([True] + [k == cones.ORTHANT for k in data.K0.coordinate_kinds()])
-    prog = ConicProgram()
-    prog.add_block(keep.size, nonneg_mask=np.outer(nn[keep], nn[keep]))
-    prog.add_equality(1.0, blocks={0: entry_functional(keep.size, 0, 0)})
+    prog = ConicProgram(keep.size, nonneg_mask=np.outer(nn[keep], nn[keep]))
+    prog.add_equality(1.0, entry_functional(keep.size, 0, 0))
     orthant_coords = np.flatnonzero(nn)
     for j in np.setdiff1d(orthant_coords, keep):
         for r in np.setdiff1d(orthant_coords, j):
-            prog.add_inequality(0.0, blocks={0: np.outer(Q0[j], Q0[r])})
+            prog.add_inequality(0.0, np.outer(Q0[j], Q0[r]))
     corner = np.zeros((n + 1, n + 1))
     corner[xs, xs] = gi.A.array
     corner[0, xs] = gi.a / 2.0
@@ -288,14 +287,14 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     for i, L in enumerate(lifts):
         if data.Ki[i].coordinate_kinds()[0] == cones.ORTHANT:
             for r in orthant_coords:
-                prog.add_inequality(0.0, blocks={0: np.outer(L[r], L[n + 1])})
+                prog.add_inequality(0.0, np.outer(L[r], L[n + 1]))
         g = data.g[i][0]
         per = np.zeros((n + 2, n + 2))
         per[xs, n + 1] = per[n + 1, xs] = gi.b[i] * g / 2.0
         per[n + 1, n + 1] = gi.C[i].array[0, 0]
         per[0, n + 1] = per[n + 1, 0] = gi.beta[i] * g / 2.0
         obj += L.T @ per @ L
-    prog.set_objective(blocks={0: obj})
+    prog.set_objective(obj)
     return prog
 
 
@@ -315,7 +314,7 @@ def build_dense_reformulation(qp: QPInstance) -> ConicProgram:
     _, _, lifts = _lifts(gi.data)
     for i in range(qp.m):
         for j in range(i + 1, qp.m):
-            prog.add_inequality(0.0, blocks={0: np.outer(lifts[i][-1], lifts[j][-1])})
+            prog.add_inequality(0.0, np.outer(lifts[i][-1], lifts[j][-1]))
     return prog
 
 
@@ -324,7 +323,7 @@ def extract_solution(qp: QPInstance, res: SolveResult) -> RelaxationSolution:
     the corner ``C`` here; without rows ``C`` itself, the block the rank-one
     certificate must inspect."""
     n = qp.n
-    C = 0.5 * (res.block_values[0] + res.block_values[0].T)
+    C = 0.5 * (res.block + res.block.T)
     _, _, lifts = _lifts(_row_data(qp))
     blocks = [SymMatrix(L @ C @ L.T) for L in lifts] or [SymMatrix(C)]
     arms = [

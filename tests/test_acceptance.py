@@ -34,6 +34,7 @@ from cppc.qp_relax import (
 from conftest import partial_matrix_from_factor
 from reference_checks import lemma_equivalence_check, sample_projection_points
 from test_conic_solver import (
+    diagonal_lp,
     random_bounded_lp,
     solve_lp_by_enumeration,
     triangle_lp,
@@ -178,18 +179,18 @@ def test_criterion_6_solver_correctness(qp_two_constraints, pm_completable):
         res = solve(prog)
         if res.status == OPTIMAL:
             optimal += 1
-            out = kkt_residuals(prog, res.block_values)
+            out = kkt_residuals(prog, res.block)
             assert out["equality"] <= 1e-6
             assert out["cone"] <= 1e-6
     assert optimal == len(corpus)
 
     matched = 0
     for _ in range(100):
-        prog = random_bounded_lp(
+        lp = random_bounded_lp(
             rng, nvars=int(rng.integers(2, 4)), ncons=int(rng.integers(1, 6))
         )
-        res = solve(prog)
-        ref = solve_lp_by_enumeration(prog)
+        res = solve(diagonal_lp(*lp))
+        ref = solve_lp_by_enumeration(*lp)
         assert res.status == OPTIMAL and ref is not None
         assert abs(res.objective - ref) <= 1e-6
         matched += 1

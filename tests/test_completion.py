@@ -348,7 +348,7 @@ class TestCompleteNumeric:
         total = pm_three_arms.pattern.total_order
 
         def stub(prog, opts):
-            return SolveResult(status, [np.full((total, total), value)], 0.0, {}, 0,
+            return SolveResult(status, np.full((total, total), value), 0.0, {}, 0,
                                np.zeros(0), np.zeros(0), "stalled")
 
         monkeypatch.setattr(cmod, "solve", stub)
@@ -523,6 +523,34 @@ class TestSharedFactor:
         B = res.cp_verdict.witness
         assert B.min() >= 0.0
         assert np.linalg.norm(B @ B.T - full) <= 1e-6 * max(1.0, np.abs(full).max())
+
+    def test_recheck_takes_no_spectrum_after_certification(self, monkeypatch):
+        # On an orthant cone the CP verdict is the doubly nonnegative recheck
+        # too, and certification's factor decides it without a spectrum.
+        _, problem = gram_problem(6, 10, "positive", np.random.default_rng([7, 10, 6]))
+        certify_completable(problem)
+        depth, entered, spectra = [], [], []
+        eigh, rechecked = cones.jacobi_eigh, cmod._rechecked
+
+        def counted_eigh(*args, **kwargs):
+            if depth:
+                spectra.append(1)
+            return eigh(*args, **kwargs)
+
+        def traced_recheck(*args, **kwargs):
+            depth.append(1)
+            entered.append(1)
+            try:
+                return rechecked(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(cones, "jacobi_eigh", counted_eigh)
+        monkeypatch.setattr(cmod, "jacobi_eigh", counted_eigh)
+        monkeypatch.setattr(cmod, "_rechecked", traced_recheck)
+        res = complete_numeric(problem)
+        assert entered and res.cp_verdict.verdict == cones.MEMBER
+        assert spectra == []
 
     @pytest.mark.parametrize("n, S, kind", [(3, 4, "positive"), (4, 5, "mixed"),
                                             (3, 4, "rank1")])

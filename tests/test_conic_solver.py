@@ -8,10 +8,10 @@ from cppc.conic_solver import (
     INFEASIBLE,
     MAX_ITERS,
     OPTIMAL,
-    BlockSpec,
     ConicProgram,
     SolveOptions,
     SolveResult,
+    entry_functional,
     kkt_residuals,
     solve,
 )
@@ -21,58 +21,56 @@ from cppc.qp_relax import build_dense_reformulation, build_sparse_relaxation
 ONE = np.array([[1.0]])
 
 
+def diagonal_lp(cost, G, h):
+    """The LP ``min cost.x  s.t.  G x >= h,  x >= 0`` as one program: ``x``
+    is the diagonal of the PSD matrix, whose off-diagonal entries the
+    equalities pin to 0 (a diagonal matrix is PSD exactly when its diagonal
+    is nonnegative)."""
+    n = len(cost)
+    p = ConicProgram(n)
+    for r in range(n):
+        for c in range(r + 1, n):
+            p.add_equality(0.0, entry_functional(n, r, c))
+    for g, rhs in zip(G, h):
+        p.add_inequality(rhs, np.diag(g))
+    p.set_objective(np.diag(cost))
+    return p
+
+
 def triangle_lp():
     # max x1 + x2 s.t. x >= 0, x1 + 2 x2 <= 1, 2 x1 + x2 <= 1
-    p = ConicProgram()
-    x1 = p.add_block(1)
-    x2 = p.add_block(1)
-    p.add_inequality(-1.0, blocks={x1: -ONE, x2: -2 * ONE})
-    p.add_inequality(-1.0, blocks={x1: -2 * ONE, x2: -ONE})
-    p.set_objective(blocks={x1: -ONE, x2: -ONE})
-    return p
+    return diagonal_lp([-1.0, -1.0], [[-1.0, -2.0], [-2.0, -1.0]], [-1.0, -1.0])
 
 
 def random_bounded_lp(rng, nvars=3, ncons=3):
-    """LP over ``x >= 0`` with ``<=`` rows, one of them a simplex-style
-    budget; always bounded."""
-    p = ConicProgram()
-    xs = [p.add_block(1) for _ in range(nvars)]
-    p.add_inequality(-float(rng.uniform(1.0, 3.0)), blocks={x: -ONE for x in xs})
+    """``(cost, G, h)`` of an LP over ``x >= 0`` with ``<=`` rows (as ``G x
+    >= h``), one of them a simplex-style budget; always bounded."""
+    G = [-np.ones(nvars)]
+    h = [-float(rng.uniform(1.0, 3.0))]
     for _ in range(ncons - 1):
-        coeffs = rng.uniform(-1.0, 1.5, nvars)
-        p.add_inequality(
-            -float(rng.uniform(0.5, 2.0)),
-            blocks={x: -c * ONE for x, c in zip(xs, coeffs)},
-        )
-    cost = rng.standard_normal(nvars)
-    p.set_objective(blocks={x: c * ONE for x, c in zip(xs, cost)})
-    return p
+        G.append(-rng.uniform(-1.0, 1.5, nvars))
+        h.append(-float(rng.uniform(0.5, 2.0)))
+    return rng.standard_normal(nvars), np.array(G), np.array(h)
 
 
-def solve_lp_by_enumeration(p: ConicProgram):
-    """Independent reference: the all-order-1 program (every variable
-    nonnegative) in standard form, one slack per ``>=`` row, solved by
-    enumerating basic solutions."""
-    assert all(b.order == 1 for b in p.blocks)
-    A, b = p.constraint_matrix()
-    L, h = p.inequality_matrix()
+def solve_lp_by_enumeration(cost, G, h):
+    """Independent reference: the LP in standard form, one slack per row,
+    solved by enumerating basic solutions."""
     k = h.size
-    cols = np.block([[A, np.zeros((b.size, k))], [L, -np.eye(k)]])
-    val, v = lp_minimize_standard(np.r_[p.objective_vector(), np.zeros(k)], cols, np.r_[b, h])
+    val, v = lp_minimize_standard(np.r_[cost, np.zeros(k)], np.hstack([G, -np.eye(k)]), h)
     return val
 
 
 class TestSolveBasics:
     def test_trivial_feasibility(self):
-        p = ConicProgram()
-        bx = p.add_block(2)
+        p = ConicProgram(2)
         coeff = np.zeros((2, 2))
         coeff[0, 0] = 1.0
-        p.add_equality(1.0, blocks={bx: coeff})
+        p.add_equality(1.0, coeff)
         res = solve(p)
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(0.0, abs=1e-9)
-        assert res.block_values[0][0, 0] == pytest.approx(1.0, abs=1e-7)
+        assert res.block[0, 0] == pytest.approx(1.0, abs=1e-7)
 
     def test_triangle_lp(self):
         res = solve(triangle_lp())
@@ -105,19 +103,17 @@ class TestSolveBasics:
 
     def test_rejects_empty_program(self):
         with pytest.raises(ValueError):
-            solve(ConicProgram())
+            ConicProgram(0)
 
     def test_rejects_nan(self):
-        p = ConicProgram()
-        bx = p.add_block(1)
+        p = ConicProgram(1)
         with pytest.raises(ValueError):
-            p.add_equality(float("nan"), blocks={bx: ONE})
+            p.add_equality(float("nan"), ONE)
 
     def test_inconsistent_equalities(self):
-        p = ConicProgram()
-        bx = p.add_block(1)
-        p.add_equality(1.0, blocks={bx: ONE})
-        p.add_equality(2.0, blocks={bx: ONE})
+        p = ConicProgram(1)
+        p.add_equality(1.0, ONE)
+        p.add_equality(2.0, ONE)
         res = solve(p)
         assert res.status == INFEASIBLE
 
@@ -126,8 +122,7 @@ class TestSolveBasics:
         # MaxIters with diagnostics rather than claim infeasibility.
         full = pm_noncompletable.zero_filled().array
         mask = pm_noncompletable.specified_mask()
-        p = ConicProgram()
-        bx = p.add_block(4)
+        p = ConicProgram(4)
         for r in range(4):
             for c in range(r, 4):
                 if not mask[r, c]:
@@ -137,7 +132,7 @@ class TestSolveBasics:
                     coeff[r, c] = 1.0
                 else:
                     coeff[r, c] = coeff[c, r] = 0.5
-                p.add_equality(float(full[r, c]), blocks={bx: coeff})
+                p.add_equality(float(full[r, c]), coeff)
         res = solve(p, SolveOptions(max_iters=20000))
         assert res.status == MAX_ITERS
         assert "stall" in res.diagnostics or "budget" in res.diagnostics
@@ -156,28 +151,28 @@ class TestDiagnostics:
             assert "face polish" not in res.diagnostics
 
 
-class TestBlockSpecMask:
+class TestProgramMask:
     def test_omitted_mask_is_all_true(self):
-        assert BlockSpec(3).nonneg_mask.tolist() == [[True] * 3] * 3
+        assert ConicProgram(3).nonneg_mask.tolist() == [[True] * 3] * 3
 
     def test_given_mask_is_kept(self):
         given = np.array([[1, 0], [0, 1]])
-        mask = BlockSpec(2, nonneg_mask=given).nonneg_mask
+        mask = ConicProgram(2, nonneg_mask=given).nonneg_mask
         assert mask.dtype == bool
         assert np.array_equal(mask, given.astype(bool))
 
     def test_bad_masks_rejected(self):
         with pytest.raises(ValueError):
-            BlockSpec(2, nonneg_mask=np.ones((3, 3)))
+            ConicProgram(2, nonneg_mask=np.ones((3, 3)))
         with pytest.raises(ValueError):
-            BlockSpec(2, nonneg_mask=np.array([[1, 1], [0, 1]]))
+            ConicProgram(2, nonneg_mask=np.array([[1, 1], [0, 1]]))
 
 
 class TestKktResiduals:
     def test_optimal_results_reverify(self, qp_two_constraints):
         p = build_sparse_relaxation(qp_two_constraints)
         res = solve(p)
-        out = kkt_residuals(p, res.block_values)
+        out = kkt_residuals(p, res.block)
         assert out["equality"] <= 1e-7
         assert out["cone"] <= 1e-7
         assert out["objective"] == pytest.approx(res.objective, abs=1e-9)
@@ -188,7 +183,7 @@ class TestKktResiduals:
         # (1, -1, -2) and w_2 = (1, -2, -1), all nonnegative.
         p = build_sparse_relaxation(qp_two_constraints)
         corner = np.array([[1.0, 0.25, 0.25], [0.25, 0.125, 0.0], [0.25, 0.0, 0.125]])
-        out = kkt_residuals(p, [corner])
+        out = kkt_residuals(p, corner)
         assert out["equality"] <= 1e-12
         assert out["cone"] <= 1e-12
         assert out["objective"] == pytest.approx(-0.25, abs=1e-12)
@@ -196,8 +191,8 @@ class TestKktResiduals:
     def test_perturbed_point_detected(self, qp_two_constraints):
         p = build_sparse_relaxation(qp_two_constraints)
         res = solve(p)
-        bad = [blk.copy() for blk in res.block_values]
-        bad[0][0, 0] += 0.1  # violates the unit-corner equality by 0.1
+        bad = res.block.copy()
+        bad[0, 0] += 0.1  # violates the unit-corner equality by 0.1
         out = kkt_residuals(p, bad)
         assert out["equality"] >= 0.1 - 1e-9
 
@@ -206,11 +201,11 @@ class TestAgainstVertexEnumeration:
     def test_random_lps(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
-            p = random_bounded_lp(
+            lp = random_bounded_lp(
                 rng, nvars=int(rng.integers(2, 4)), ncons=int(rng.integers(1, 6))
             )
-            res = solve(p)
-            ref = solve_lp_by_enumeration(p)
+            res = solve(diagonal_lp(*lp))
+            ref = solve_lp_by_enumeration(*lp)
             assert res.status == OPTIMAL
             assert ref is not None
             assert res.objective == pytest.approx(ref, abs=1e-6)
@@ -229,8 +224,8 @@ class TestScalingAndDeflation:
             eqs, ineqs = scaled.equalities, scaled.inequalities
             scaled.equalities, scaled.inequalities = [], []
             for add, rows in ((scaled.add_equality, eqs), (scaled.add_inequality, ineqs)):
-                for (bc, rhs), t in zip(rows, 10.0 ** rng.uniform(-3.0, 3.0, len(rows))):
-                    add(t * rhs, blocks={k: t * C for k, C in bc.items()})
+                for (C, rhs), t in zip(rows, 10.0 ** rng.uniform(-3.0, 3.0, len(rows))):
+                    add(t * rhs, t * C)
             res = solve(scaled)
             assert res.status == OPTIMAL
             assert abs(ref.objective - res.objective) <= 10 * SolveOptions().tol_gap
@@ -246,42 +241,39 @@ def test_lp_enumeration_oracle_self_check():
 
 
 def face_program():
-    """Two PSD blocks of order 3, block 1 with nonnegative diagonal only,
-    tied by four random equalities and three random ``>=`` rows, with a
-    hand-set face: factors of rank 2 and 1, and active ``>=`` rows 0 and 2
-    and row 4, entry (0, 2) of block 0."""
+    """A PSD matrix of order 3, every off-diagonal entry masked, with four
+    random equalities and three random ``>=`` rows, and a hand-set face: a
+    factor of rank 3, and active ``>=`` rows 0 and 2 and row 4, entry (0,
+    2)."""
     rng = np.random.default_rng(3)
-    p = ConicProgram()
-    p.add_block(3)
-    p.add_block(3, nonneg_mask=np.eye(3, dtype=bool))
+    p = ConicProgram(3)
 
-    def coeffs():
-        g0, g1 = rng.standard_normal((2, 3, 3))
-        return {0: g0 + g0.T, 1: g1 + g1.T}
+    def coeff():
+        g = rng.standard_normal((3, 3))
+        return g + g.T
 
     for _ in range(4):
-        p.add_equality(float(rng.standard_normal()), coeffs())
+        p.add_equality(float(rng.standard_normal()), coeff())
     for _ in range(3):
-        p.add_inequality(float(rng.standard_normal()), coeffs())
-    p.set_objective(coeffs())
+        p.add_inequality(float(rng.standard_normal()), coeff())
+    p.set_objective(coeff())
     active = np.zeros(6, dtype=bool)
     active[[0, 2, 4]] = True
-    return p, [rng.standard_normal((3, 2)), rng.standard_normal((3, 1))], active, rng
+    return p, 3, active, rng
 
 
 class TestFaceSystems:
     def test_joint_jacobian_matches_central_differences(self):
-        p, factors, active, rng = face_program()
+        p, rank, active, rng = face_program()
         A, b = p.constraint_matrix()
         L, h = p.inequality_matrix()
-        assert p.masked_entries()[4 - 3] == (0, 0, 2)
+        assert p.masked_entries()[4 - 3] == (0, 2)
         joint = conic_solver._JointFace(
-            p, np.vstack([A, L[active]]), np.r_[b, h[active]], p.objective_vector(), factors
+            np.vstack([A, L[active]]), np.r_[b, h[active]], p.objective_vector(), 3, rank
         )
         x = rng.standard_normal(joint.num_params)
         J = joint.jacobian(x)
-        # Rows: 4 equalities and 3 active rows, then S R for both blocks
-        # (3 x 2 and 3 x 1).
+        # Rows: 4 equalities and 3 active rows, then S R (3 x 3).
         assert J.shape == (joint.residual(x).size, joint.num_params) == (16, 16)
         # The residual is quadratic in x, so central differences are exact
         # up to rounding.
@@ -299,25 +291,30 @@ E01 = np.array([[0.0, 0.5], [0.5, 0.0]])
 E11 = np.diag([0.0, 1.0])
 
 
+def block_diag(P, Q):
+    return np.block([[P, np.zeros_like(P)], [np.zeros_like(Q), Q]])
+
+
 def dual_residual_at(lam, S1, Z1):
     """``_dual_residual`` at ``nu = 1/2`` and ``>=`` multipliers ``lam`` on
-    a program with a masked PSD block 0 and an unmasked PSD block 1, tied by
-    one equality, and the row ``(M_1)_11 >= 0``; ``lam`` pairs with that
-    row and then with entry (0, 1) of block 0.  The objective makes the dual
-    slack ``c + A^T nu - L^T lam`` equal to ``Z0`` and ``S1``, and ``(Z0,
-    Z1)`` is passed as the PSD part."""
+    a program over ``M = diag(M_0, M_1)`` (two diagonal blocks of order 2),
+    masked on ``M_0`` only, with one equality on the diagonal blocks and the
+    row ``(M_1)_11 >= 0``; ``lam`` pairs with that row and then with entry
+    (0, 1).  The objective makes the dual slack ``c + A^T nu - L^T lam``
+    equal to ``diag(Z0, S1)``, and ``diag(Z0, Z1)`` is passed as the PSD
+    part."""
     Z0 = np.array([[1.0, -1.0], [-1.0, 1.0]])
     E00 = np.diag([1.0, 0.0])
-    p = ConicProgram()
-    p.add_block(2)
-    p.add_block(2, nonneg_mask=np.zeros((2, 2), dtype=bool))
-    p.add_equality(1.0, blocks={0: np.eye(2), 1: E00})
-    p.add_inequality(0.0, blocks={1: E11})
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[:2, :2] = True
+    p = ConicProgram(4, nonneg_mask=mask)
+    p.add_equality(1.0, block_diag(np.eye(2), E00))
+    p.add_inequality(0.0, block_diag(np.zeros((2, 2)), E11))
     p.set_objective(
-        blocks={0: Z0 + lam[1] * E01 - 0.5 * np.eye(2), 1: S1 + lam[0] * E11 - 0.5 * E00}
+        block_diag(Z0 + lam[1] * E01 - 0.5 * np.eye(2), S1 + lam[0] * E11 - 0.5 * E00)
     )
     return conic_solver._dual_residual(
-        p, conic_solver._program_data(p), np.array([0.5]), np.asarray(lam), [Z0, Z1]
+        conic_solver._program_data(p), np.array([0.5]), np.asarray(lam), block_diag(Z0, Z1)
     )
 
 
@@ -381,9 +378,8 @@ def test_schur_order_is_the_free_coordinate_count(monkeypatch, pm_three_arms):
 def test_constant_row_violation_is_infeasible():
     # Entry (0, 1) is pinned to -1 by the equalities, and the mask asks for
     # it to be nonnegative.
-    p = ConicProgram()
-    p.add_block(2)
-    p.add_equality(-1.0, blocks={0: E01})
+    p = ConicProgram(2)
+    p.add_equality(-1.0, E01)
     res = solve(p)
     assert res.status == INFEASIBLE and res.iterations == 0
     assert res.diagnostics == "entry (0, 1) of block 0 is fixed at -1 < 0 by the equalities"

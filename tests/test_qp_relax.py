@@ -78,63 +78,69 @@ def per_row_program(gi):
     Y_i] = d_i^2`` and its arm terms ``y_i b_i^T x g_i + C_i y_i^2 + beta_i
     g_i y_i``; blocks i > 0 copy block 0's ``(1, x, X)`` corner, and block 0
     carries the shared pair and ``A . X + a^T x``.  Entries are
-    nonnegative where both coordinates lie in an orthant."""
+    nonnegative where both coordinates lie in an orthant.  The blocks are
+    the diagonal blocks of one matrix, whose other entries are free."""
     data = gi.data
     n, m = data.nx, data.S
     o = n + 2
 
-    def coeff(entries):
-        mat = np.zeros((o, o))
-        for (r, c), val in entries.items():
-            mat[r, c] += val
-            if r != c:
-                mat[c, r] += val
+    def coeff(blocks):
+        # ``{i: {(r, c): val}}``: entries of diagonal block i.
+        mat = np.zeros((m * o, m * o))
+        for i, entries in blocks.items():
+            for (r, c), val in entries.items():
+                mat[i * o + r, i * o + c] += val
+                if r != c:
+                    mat[i * o + c, i * o + r] += val
         return mat
 
-    prog = ConicProgram()
     kinds0 = [k == ORTHANT for k in data.K0.coordinate_kinds()]
+    mask = np.zeros((m * o, m * o), dtype=bool)
     for i in range(m):
         nn = np.array([True] + kinds0 + [data.Ki[i].coordinate_kinds()[0] == ORTHANT])
-        prog.add_block(o, nonneg_mask=np.outer(nn, nn))
+        mask[i * o : (i + 1) * o, i * o : (i + 1) * o] = np.outer(nn, nn)
+    prog = ConicProgram(m * o, nonneg_mask=mask)
     obj = {}
     for i in range(m):
         f, g, d = data.f[i + 1], data.g[i][0], data.d[i + 1]
-        prog.add_equality(1.0, blocks={i: coeff({(0, 0): 1.0})})
+        prog.add_equality(1.0, coeff({i: {(0, 0): 1.0}}))
         lin = {(0, 1 + k): f[k] / 2 for k in range(n)}
         lin[(0, n + 1)] = g / 2
-        prog.add_equality(d, blocks={i: coeff(lin)})
+        prog.add_equality(d, coeff({i: lin}))
         h = np.append(f, g)
         quad = {(1 + r, 1 + c): h[r] * h[c] for r in range(n + 1) for c in range(r, n + 1)}
-        prog.add_equality(d * d, blocks={i: coeff(quad)})
+        prog.add_equality(d * d, coeff({i: quad}))
         arm = {(1 + k, n + 1): gi.b[i][k] * g / 2 for k in range(n)}
         arm[(n + 1, n + 1)] = gi.C[i].array[0, 0]
         arm[(0, n + 1)] = gi.beta[i] * g / 2
-        obj[i] = coeff(arm)
+        obj[i] = arm
     f0, d0 = data.f[0], data.d[0]
     if np.any(f0):
-        prog.add_equality(d0, blocks={0: coeff({(0, 1 + k): f0[k] / 2 for k in range(n)})})
+        prog.add_equality(d0, coeff({0: {(0, 1 + k): f0[k] / 2 for k in range(n)}}))
         quad0 = {(1 + r, 1 + c): f0[r] * f0[c] for r in range(n) for c in range(r, n)}
-        prog.add_equality(d0 * d0, blocks={0: coeff(quad0)})
+        prog.add_equality(d0 * d0, coeff({0: quad0}))
     for r in range(n + 1):
         for c in range(r, n + 1):
             if (r, c) == (0, 0):
                 continue
             val = 1.0 if r == c else 0.5
             for i in range(1, m):
-                prog.add_equality(
-                    0.0, blocks={i: coeff({(r, c): val}), 0: coeff({(r, c): -val})}
-                )
-    corner = {(1 + r, 1 + c): gi.A.array[r, c] for r in range(n) for c in range(r, n)}
-    corner.update({(0, 1 + k): gi.a[k] / 2 for k in range(n)})
-    obj[0] = obj[0] + coeff(corner)
-    prog.set_objective(blocks=obj)
+                prog.add_equality(0.0, coeff({i: {(r, c): val}, 0: {(r, c): -val}}))
+    # The corner's entries and block 0's arm terms do not overlap.
+    obj[0].update({(1 + r, 1 + c): gi.A.array[r, c] for r in range(n) for c in range(r, n)})
+    obj[0].update({(0, 1 + k): gi.a[k] / 2 for k in range(n)})
+    prog.set_objective(coeff(obj))
     return prog
 
 
 def assert_solves_per_row_program(gi, blocks, res):
     """The blocks reported for a solved corner program are feasible and
-    optimal-valued for the per-row program."""
-    out = kkt_residuals(per_row_program(gi), blocks)
+    optimal-valued for the per-row program, as its diagonal blocks."""
+    o = blocks[0].shape[0]
+    M = np.zeros((len(blocks) * o, len(blocks) * o))
+    for i, blk in enumerate(blocks):
+        M[i * o : (i + 1) * o, i * o : (i + 1) * o] = blk
+    out = kkt_residuals(per_row_program(gi), M)
     scale = max(1.0, max(float(np.abs(b).max()) for b in blocks))
     assert out["equality"] <= 1e-9 * scale
     assert out["cone"] <= 1e-9 * scale
@@ -142,7 +148,7 @@ def assert_solves_per_row_program(gi, blocks, res):
 
 
 def counts(prog):
-    return len(prog.blocks), prog.blocks[0].order, len(prog.inequalities), len(prog.equalities)
+    return prog.order, len(prog.inequalities), len(prog.equalities)
 
 
 class TestBuilders:
@@ -150,24 +156,24 @@ class TestBuilders:
         # One corner block of order n+1 with the unit corner as its only
         # equality, and a ``>=`` row (C w_i)_r >= 0, r = 0..n, per row.
         prog = build_sparse_relaxation(qp_two_constraints)
-        assert counts(prog) == (1, 3, 6, 1)
-        assert prog.blocks[0].nonneg_mask.all()
+        assert counts(prog) == (3, 6, 1)
+        assert prog.nonneg_mask.all()
 
     def test_no_inequalities_flagged(self):
         # Without rows the corner with its unit entry is the whole program.
         qp = QPInstance.build(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
         prog = build_sparse_relaxation(qp)
-        assert counts(prog) == (1, 3, 0, 1)
+        assert counts(prog) == (3, 0, 1)
 
     def test_structural_counts(self):
         rng = np.random.default_rng(0)
         qp = random_bounded_qp(rng, n=2, m=3)
         # Unit corner plus one ``>=`` row per row and orthant coordinate.
-        assert counts(build_sparse_relaxation(qp)) == (1, 3, 9, 1)
+        assert counts(build_sparse_relaxation(qp)) == (3, 9, 1)
         A, a, F, d = -np.eye(10), np.zeros(10), rng.uniform(0.1, 1.0, (10, 10)), np.ones(10)
-        assert counts(build_sparse_relaxation(QPInstance.build(A, a, F, d))) == (1, 11, 110, 1)
+        assert counts(build_sparse_relaxation(QPInstance.build(A, a, F, d))) == (11, 110, 1)
         # Dense adds one ``>=`` row per pair of rows.
-        assert counts(build_dense_reformulation(qp)) == (1, 3, 12, 1)
+        assert counts(build_dense_reformulation(qp)) == (3, 12, 1)
 
     def test_general_reduces_to_sparse(self, qp_two_constraints):
         # The corner program's blocks P_i^T C P_i re-verify on the paper's
@@ -206,10 +212,10 @@ class TestBuilders:
         # The shared pair drops one coordinate of x: G has order 3, and the
         # dropped coordinate's row of C needs 3 ``>=`` rows on top of 4 per
         # orthant arm.
-        assert counts(prog) == (1, 3, 11, 1)
+        assert counts(prog) == (3, 11, 1)
         res = solve(prog)
         assert res.status == OPTIMAL
-        G = res.block_values[0]
+        G = res.block
         _, _, lifts = _lifts(data)
         assert_solves_per_row_program(gi, [L @ G @ L.T for L in lifts], res)
         res = solve(build_sparse_relaxation(qp_two_constraints))
@@ -235,10 +241,10 @@ class TestBuilders:
             data,
         )
         prog = build_general_relaxation(gi)
-        assert counts(prog) == (1, 3, 3, 1)
+        assert counts(prog) == (3, 3, 1)
         res = solve(prog)
         assert res.status == OPTIMAL
-        G = res.block_values[0]
+        G = res.block
         _, _, (L,) = _lifts(data)
         assert_solves_per_row_program(gi, [L @ G @ L.T], res)
 
@@ -282,7 +288,7 @@ def test_rank_one_lift_satisfies_sparse_relaxation():
         qp = QPInstance.build(0.5 * (Q + Q.T), rng.standard_normal(n), F, d, K)
         assert qp.feasible(x)
         corner = np.outer(np.concatenate([[1.0], x]), np.concatenate([[1.0], x]))
-        out = kkt_residuals(build_sparse_relaxation(qp), [corner])
+        out = kkt_residuals(build_sparse_relaxation(qp), corner)
         scale = max(1.0, float(np.abs(corner).max()))
         assert out["equality"] <= 1e-12 * scale
         assert out["cone"] <= 1e-12 * scale
@@ -343,7 +349,7 @@ class TestRankOne:
             (0.5 * np.outer(z1, z1) + 0.5 * np.outer(z2, z2), False),
             (np.outer(z1, z1), True),
         ):
-            res = SolveResult(OPTIMAL, [M], np.zeros(0), 0.0, {}, 0, np.zeros(1))
+            res = SolveResult(OPTIMAL, M, np.zeros(0), 0.0, {}, 0, np.zeros(1))
             sol = extract_solution(qp, res)
             assert len(sol.blocks) == 1 and sol.arms == []
             assert rank_one_certificate(sol) is expected
@@ -681,9 +687,9 @@ class TestFreeConeSupport:
             np.eye(2), np.array([0.0, -1.0]), [[1.0, 1.0], [0.0, -1.0]], [1.0, 1.0], K
         )
         prog = build_sparse_relaxation(qp)
-        mask = prog.blocks[0].nonneg_mask
+        mask = prog.nonneg_mask
         assert mask[0, 1] and not mask[0, 2] and mask[1, 1] and not mask[1, 2]
-        assert counts(prog) == (1, 3, 4, 1)
+        assert counts(prog) == (3, 4, 1)
         lower, sol, upper = solve_bounds(qp)
         ref, _ = brute(qp)
         assert lower <= ref + 1e-6

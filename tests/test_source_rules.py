@@ -2,7 +2,8 @@
 enumerate subsets, only the reference oracles may; no module imports another
 one's private names; only ``cones`` searches CP factors, so every CP verdict
 comes from one place, and ``cones`` takes every spectrum from the checked
-``sym_eigh``; and every function the benchmark's tracer wraps exists."""
+``sym_eigh``; and every function the benchmark's tracer wraps exists and
+reads what it records."""
 
 import ast
 import importlib.util
@@ -10,6 +11,8 @@ import pathlib
 import sys
 
 import cppc
+from cppc import completion, conic_solver, qp_relax
+from cppc.conic_solver import SolveOptions
 
 SRC = pathlib.Path(cppc.__file__).parent
 ENUMERATORS = {"product", "combinations", "combinations_with_replacement", "permutations"}
@@ -156,16 +159,48 @@ def test_eigen_scan_sees_both_forms():
     assert eigen_calls(ast.parse(code)) == [4, 4]
 
 
-def test_tracer_targets_exist(monkeypatch):
-    # perfbench/tracer.py wraps each (owner, attr) of TARGETS by name; a
-    # renamed or deleted target would break the benchmark, not this suite.
+def load_tracer(monkeypatch):
+    """``perfbench/tracer.py``, loaded as a module of its own."""
     root = SRC.parent.parent
     spec = importlib.util.spec_from_file_location("_tracer", root / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     # Its dataclasses look their module up by name while they are built.
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_exist(monkeypatch):
+    # perfbench/tracer.py wraps each (owner, attr) of TARGETS by name; a
+    # renamed or deleted target would break the benchmark, not this suite.
+    tracer = load_tracer(monkeypatch)
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracer.TARGETS
                if attr not in owner.__dict__]
     assert tracer.TARGETS
     assert missing == []
+
+
+def test_tracer_readers_see_the_results(monkeypatch, qp_two_constraints, pm_completable):
+    # The tracer's readers take program and solver attributes by name: an
+    # API change that drops one would empty the per-layer metrics or break
+    # the benchmark, not this suite.
+    tracer = load_tracer(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        report = qp_relax.exactness_report(qp_two_constraints, SolveOptions(polish=False))
+        dense = conic_solver.solve(qp_relax.build_dense_reformulation(qp_two_constraints))
+        problem = completion.CompletionProblem.from_partial_matrix(pm_completable)
+        completion.certify_completable(problem)
+        complete = completion.complete_numeric(problem)
+    finally:
+        tracer.remove()
+    assert report.solution is not None and dense.optimal and complete.completion is not None
+    prog = qp_relax.build_sparse_relaxation(qp_two_constraints)
+    builds = [s.info for s in tracer.spans if s.name == "qp_relax.build"]
+    solves = [s.info for s in tracer.spans if s.name == "conic_solver.solve"]
+    assert builds and solves
+    assert all(info == {"eq_rows": len(prog.equalities), "num_vars": prog.num_vars}
+               for info in builds)
+    assert all({"status", "iterations"} <= info.keys() for info in solves)
+    assert {"conic_solver.constraint_matrix", "completion.certify",
+            "completion.complete_numeric", "cones.is_cp"} <= {s.name for s in tracer.spans}
