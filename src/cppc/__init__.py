@@ -37,17 +37,15 @@ from .conditions import (
     check_cond_i,
     check_cond_iii,
     check_Fi_bounded_sufficient,
-    scalar_lambda_feasible,
 )
 from .completion import (
     CompletabilityCertificate,
     CompletionProblem,
-    brute_force_completion_oracle,
     certify_completable,
     complete_numeric,
     find_data,
-    verify_block_constraints,
 )
+from .oracles import brute_force_completion_oracle
 from .qp_relax import (
     ExactnessReport,
     GeneralInstance,

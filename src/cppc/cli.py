@@ -219,7 +219,7 @@ def run_complete(config: RunConfig, obj: dict) -> dict:
         return out
     pairs = problem.S * (problem.S - 1) // 2
     if pairs <= 3:
-        orc = completion_mod.brute_force_completion_oracle(problem.original)
+        orc = oracles.brute_force_completion_oracle(problem.original)
         out["oracle"] = {
             "best_min_eigenvalue": orc.best_min_eigenvalue,
             "entries": orc.entries,
@@ -271,7 +271,7 @@ def run_solve_qp(config: RunConfig, obj: dict) -> dict:
 def run_oracle(config: RunConfig, obj: dict) -> dict:
     if "n1" in obj:
         problem = parse_completion_problem(obj)
-        orc = completion_mod.brute_force_completion_oracle(problem.original)
+        orc = oracles.brute_force_completion_oracle(problem.original)
         return {
             "kind": "completion",
             "found": orc.completion is not None,

@@ -8,8 +8,8 @@ rescaling) is read as blocks ``M_i = [[1, x^T, y_i], [x, X, z_i],
 the two coupling equations per block, complete positivity of every block,
 and the three sufficient conditions from :mod:`cppc.conditions`.  Certified
 instances are guaranteed completable; a missing certificate proves nothing,
-and the numeric and brute-force completion routines are available
-independently of certification.
+and the numeric completion routine (and the grid search in
+:mod:`cppc.oracles`) is available independently of certification.
 
 Both coupling equations of a PSD block hold exactly when
 ``(-d_i, f_i, g_i)`` lies in its kernel, so the data is read off the
@@ -54,7 +54,6 @@ completion and one factor search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -81,7 +80,6 @@ from .matrix_core import (
     Completion,
     PartialMatrix,
     SymMatrix,
-    assemble_completion,
     extract_block,
 )
 # perfbench/tracer.py wraps the routine under this name.
@@ -234,26 +232,6 @@ class NumericCompletionResult:
     cp_verdict: Optional[MembershipVerdict]
     diagnostics: str = ""
     no_completion_certificate: Optional[NoCompletionCertificate] = None
-
-
-@dataclass
-class OracleResult:
-    """Outcome of the grid-search completion oracle."""
-
-    completion: Optional[Completion]
-    best_min_eigenvalue: float
-    entries: list
-
-
-def verify_block_constraints(pm: PartialMatrix, data: ConstraintData):
-    """Residuals of the two coupling equations per arm plus the shared pair.
-
-    Returns ``(per_arm, f0_pair)`` where ``per_arm[i] = (linear, quadratic)``
-    residuals of arm ``i+1`` and ``f0_pair`` is the same for the shared
-    constraint.
-    """
-    problem = CompletionProblem.from_partial_matrix(pm)
-    return _block_residuals(problem, data)
 
 
 def _block_residuals(problem: CompletionProblem, data: ConstraintData):
@@ -689,67 +667,3 @@ def _proof_of_none(zf: np.ndarray, Cplus: np.ndarray, i: int, j: int,
     if not value < -_PROOF_TOL * max(1.0, float(np.linalg.norm(zf))):
         return None
     return NoCompletionCertificate((i + 1, j + 1), u, value)
-
-
-def brute_force_completion_oracle(pm: PartialMatrix) -> OracleResult:
-    """Grid search plus zooming refinement over the unspecified entries,
-    maximizing the smallest eigenvalue of the completed matrix: 30 rounds,
-    the first on 33 points per axis, each later one on 9 points per axis
-    over a box half as wide around the best point so far.
-
-    Entries range over ``[0, sqrt(M_ii M_jj)]``, the interval every doubly
-    nonnegative completion must respect.  Succeeds when the maximized
-    smallest eigenvalue clears ``-1e-9`` and no specified entry is
-    negative.
-    """
-    S = pm.pattern.S
-    n2 = pm.pattern.n2
-    if n2 != 1:
-        raise ValueError("oracle requires width one")
-    pairs = [(i, j) for i in range(1, S + 1) for j in range(i + 1, S + 1)]
-    if len(pairs) > 3:
-        raise ValueError(f"too many unspecified entries ({len(pairs)} > 3)")
-    base = pm.zero_filled().array
-    diag = np.diag(base)
-    spans = []
-    for (i, j) in pairs:
-        ri = pm.pattern.arm_slice(i).start
-        rj = pm.pattern.arm_slice(j).start
-        spans.append((ri, rj, float(np.sqrt(max(diag[ri] * diag[rj], 0.0)))))
-    if not pairs:
-        w = np.linalg.eigvalsh(base)
-        comp = None
-        if w[0] >= -1e-9 and base.min() >= -1e-12:
-            comp = assemble_completion(pm, [])
-        return OracleResult(comp, float(w[0]), [])
-
-    def min_eig(entries):
-        m = base.copy()
-        for (ri, rj, _), val in zip(spans, entries):
-            m[ri, rj] = m[rj, ri] = val
-        return float(np.linalg.eigvalsh(m)[0])
-
-    centers = np.array([0.5 * hi for (_, _, hi) in spans])
-    radii = np.array([0.5 * hi for (_, _, hi) in spans])
-    best_val = -np.inf
-    best = centers.copy()
-    steps = 33
-    for _ in range(30):
-        axes = [
-            np.linspace(ci - ri, ci + ri, steps) for ci, ri in zip(centers, radii)
-        ]
-        axes = [np.clip(ax, 0.0, hi) for ax, (_, _, hi) in zip(axes, spans)]
-        for point in itertools.product(*axes):
-            val = min_eig(point)
-            if val > best_val:
-                best_val = val
-                best = np.array(point)
-        centers = best.copy()
-        radii = radii * 0.5
-        steps = 9
-    entries = [float(v) for v in best]
-    if best_val >= -1e-9 and base.min() >= -1e-12:
-        blocks = [np.array([[v]]) for v in entries]
-        comp = assemble_completion(pm, blocks)
-        return OracleResult(comp, best_val, entries)
-    return OracleResult(None, best_val, entries)

@@ -10,7 +10,12 @@ constraint ``f_0^T x = d_0``.  Three conditions are checked:
        interior test, decided by simplex LPs on its recession cone and on
        the region itself; see ``lp``);
   iii. some constraint's x-projection is contained in all the others,
-       certified by per-arm scalar multipliers.
+       certified by one scalar multiplier per arm.  The shared constraint
+       is tried first as the reference, with free multipliers (its
+       projection is a hyperplane slice); then, if it is vacuous, each arm
+       by decreasing ``d_i``, then index, with nonnegative multipliers (its
+       projection is a half-space slice).  For one reference the multipliers
+       of all arms come from one interval intersection.
 
 All checks are conservative: a returned certificate re-verifies exactly,
 while a failure only means "no certificate found", never a disproof.  Each
@@ -29,10 +34,7 @@ from . import lp
 from .cones import (
     FREE,
     ORTHANT,
-    ZERO,
     GroundCone,
-    cone_contains,
-    dual_cone,
     interior_dual_contains,
     orthant,
 )
@@ -244,133 +246,97 @@ def check_boundedness(data: ConstraintData) -> BoundednessVerdict:
     return BoundednessVerdict(BOUNDED, "x-projection region is empty")
 
 
-def scalar_lambda_feasible(
-    f_ref, d_ref: float, f, d: float, K0: GroundCone, lam_sign: str = "free"
-) -> Optional[float]:
-    """Scalar multiplier placing the reference set inside
-    ``{x in K0 : f^T x <= d}``: find lam with ``lam * d_ref <= d`` and
-    ``lam * f_ref - f in K0*``, by exact interval intersection.
+def _multipliers(data: ConstraintData):
+    """Multipliers ``lam[r, i]`` placing reference set ``r`` inside arm
+    ``i + 1``'s ``{x in K0 : f^T x <= d}``, for every reference and arm at
+    once: ``lam d_r <= d_{i+1}`` and ``lam f_r - f_{i+1} in K0*``, by exact
+    interval intersection.
 
-    With ``lam_sign = "free"`` the reference set is the hyperplane slice
-    ``{x in K0 : f_ref^T x = d_ref}``; with ``"nonneg"`` it is the half-space
-    slice ``{x in K0 : f_ref^T x <= d_ref}``.  Returns None when the interval
-    is empty; any returned value re-verifies exactly.
+    Reference 0 is the hyperplane slice ``{x in K0 : f_0^T x = d_0}`` and
+    takes a free multiplier; an arm reference is the half-space slice
+    ``{x in K0 : f_r^T x <= d_r}`` and takes a nonnegative one.  A free
+    coordinate with ``f_r`` nonzero pins ``lam``; otherwise ``lam`` is 1
+    when the interval holds it, else its finite end.  Returns the
+    multipliers and a mask of those that re-verify, both ``(S+1) x S``.
     """
-    f_ref = np.asarray(f_ref, dtype=float).reshape(-1)
-    f = np.asarray(f, dtype=float).reshape(-1)
-    if f_ref.size != K0.dim or f.size != K0.dim:
-        raise ValueError("vector dimension does not match the cone")
-    kinds = K0.coordinate_kinds()
-    lo, hi = -np.inf, np.inf
-    pins = []
-    for j in range(K0.dim):
-        kind = kinds[j]
-        if kind == ZERO:
-            continue
-        if kind == ORTHANT:
-            if f_ref[j] > 0.0:
-                lo = max(lo, f[j] / f_ref[j])
-            elif f_ref[j] < 0.0:
-                hi = min(hi, f[j] / f_ref[j])
-            elif f[j] > 0.0:
-                return None
-        else:  # free coordinate: dual is zero, equality required
-            if f_ref[j] != 0.0:
-                pins.append(f[j] / f_ref[j])
-            elif abs(f[j]) > _EXACT_TOL:
-                return None
-    if d_ref > 0.0:
-        hi = min(hi, d / d_ref)
-    elif d_ref < 0.0:
-        lo = max(lo, d / d_ref)
-    elif d < 0.0:
-        return None
-    if lam_sign == "nonneg":
-        lo = max(lo, 0.0)
-    elif lam_sign != "free":
-        raise ValueError(f"unknown lam_sign {lam_sign!r}")
+    kinds = data.K0.coordinate_kinds()
+    orth, free_ = kinds == ORTHANT, kinds == FREE
+    FR, DR = np.array(data.f), np.array(data.d)
+    # Axes: reference, arm, coordinate.
+    F, d = FR[None, 1:], DR[None, 1:]
+    fr, dr = FR[:, None], DR[:, None]
+    ref, arm = np.arange(data.S + 1)[:, None], np.arange(data.S)
+    # Ratios over a zero f_r or d_r are inf or nan; masks drop them.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio, d_ratio = F / fr, d / dr
+        # Candidate bounds in order: coordinates, right-hand side, sign.
+        # argmax and argmin take the first of equal bounds, so a zero keeps
+        # the sign of the first bound met.
+        sign = np.zeros(d_ratio.shape)
+        sign[0] = -np.inf
+        lows = np.concatenate([np.where(orth & (fr > 0.0), ratio, -np.inf),
+                               np.where(dr < 0.0, d_ratio, -np.inf)[..., None],
+                               sign[..., None]], axis=2)
+        highs = np.concatenate([np.where(orth & (fr < 0.0), ratio, np.inf),
+                                np.where(dr > 0.0, d_ratio, np.inf)[..., None]], axis=2)
+        lo, hi = lows[ref, arm, lows.argmax(axis=2)], highs[ref, arm, highs.argmin(axis=2)]
+        ok = ~(orth & (fr == 0.0) & (F > 0.0)).any(axis=2)
+        ok &= ~(free_ & (fr == 0.0) & (np.abs(F) > _EXACT_TOL)).any(axis=2)
+        ok &= ~((dr == 0.0) & (d < 0.0))
 
-    slack_interval = _EXACT_TOL * max(
-        1.0, abs(lo) if np.isfinite(lo) else 0.0, abs(hi) if np.isfinite(hi) else 0.0
-    )
-    if pins:
-        lam = pins[0]
-        if any(abs(pin - lam) > _EXACT_TOL for pin in pins[1:]):
-            return None
-        if not (lo - _EXACT_TOL <= lam <= hi + _EXACT_TOL):
-            return None
-    elif lo > hi + slack_interval:
-        return None
-    elif lo <= 1.0 <= hi:
-        lam = 1.0
-    elif np.isfinite(lo):
+        lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
+        width = np.maximum(np.maximum(1.0, np.where(lo_fin, np.abs(lo), 0.0)),
+                           np.where(hi_fin, np.abs(hi), 0.0))
+        fits = ~(lo > hi + _EXACT_TOL * width)
         # An interval empty only at roundoff level clamps to its upper end;
         # the re-verification below still gates the choice.
-        lam = min(lo, hi) if np.isfinite(hi) else lo
-    elif np.isfinite(hi):
-        lam = hi
-    else:
-        lam = 0.0
+        ends = np.where(lo_fin, np.where(hi_fin & (hi < lo), hi, lo),
+                        np.where(hi_fin, hi, 0.0))
+        lam = np.where((lo <= 1.0) & (1.0 <= hi), 1.0, ends)
 
-    slack = _EXACT_TOL * max(1.0, abs(lam), float(np.abs(f).max(initial=0.0)))
-    if lam * d_ref > d + slack:
-        return None
-    if not cone_contains(dual_cone(K0), lam * f_ref - f, slack):
-        return None
-    return float(lam)
+        pinned = free_ & (FR != 0.0)
+        if pinned.any():
+            pin = ratio[ref, arm, pinned.argmax(axis=1)[:, None]]
+            agree = ~(pinned[:, None, :]
+                      & (np.abs(ratio - pin[..., None]) > _EXACT_TOL)).any(axis=2)
+            has_pin = pinned.any(axis=1)[:, None]
+            lam = np.where(has_pin, pin, lam)
+            fits = np.where(has_pin, agree & (lo - _EXACT_TOL <= pin)
+                            & (pin <= hi + _EXACT_TOL), fits)
+        ok &= fits
+
+        f_max = np.abs(F).max(axis=2, initial=0.0)
+        slack = _EXACT_TOL * np.maximum(np.maximum(1.0, np.abs(lam)), f_max)
+        ok &= ~(lam * dr > d + slack)
+        gap = lam[..., None] * fr - F
+        ok &= ~(orth & (gap < -slack[..., None])).any(axis=2)
+        ok &= ~(free_ & (np.abs(gap) > slack[..., None])).any(axis=2)
+    return lam, ok
 
 
-def check_cond_iii(data: ConstraintData) -> Optional[tuple]:
+def check_cond_iii(data: ConstraintData) -> tuple[Optional[tuple], str]:
     """Search for ``(i_star, lambdas)`` certifying that constraint set
-    ``i_star``'s x-projection is contained in every other one.
+    ``i_star``'s x-projection is contained in every other one; returns the
+    certificate or None, and the reason none was found ("" with one).
 
-    Assumes the interior condition on the ``g_i`` has been verified.  Branch
-    one takes the shared constraint as the reference (free multipliers);
-    branch two takes an arm (nonnegative multipliers) and requires the shared
-    constraint to be vacuous.  Reference arms are tried in order of
-    decreasing right-hand side, then index.
+    Assumes the interior condition on the ``g_i`` has been verified.  The
+    shared constraint is tried first, with free multipliers; then each arm,
+    with nonnegative multipliers, in order of decreasing right-hand side,
+    then index, provided the shared constraint is vacuous.
     """
-    result, _ = cond_iii_details(data)
-    return result
-
-
-def cond_iii_details(data: ConstraintData):
+    lam, ok = _multipliers(data)
+    # The first arm without a multiplier, or S when every arm has one.
+    first_fail = np.hstack([ok, np.zeros((data.S + 1, 1), bool)]).argmin(axis=1).tolist()
+    vacuous = not np.any(data.f[0]) and data.d[0] == 0.0
     reasons = []
-    lams = []
-    ok = True
-    for i in range(1, data.S + 1):
-        lam = scalar_lambda_feasible(
-            data.f[0], data.d[0], data.f[i], data.d[i], data.K0, "free"
-        )
-        if lam is None:
-            ok = False
-            reasons.append(f"reference 0: no multiplier for arm {i}")
+    arms = sorted(range(1, data.S + 1), key=lambda i: (-data.d[i], i))
+    for r in [0] + arms:
+        if r and not vacuous:
+            reasons.append("arm references need a vacuous shared constraint (f0 = 0, d0 = 0)")
             break
-        lams.append(lam)
-    if ok:
-        return (0, lams), ""
-
-    if np.any(data.f[0]) or data.d[0] != 0.0:
-        reasons.append(
-            "arm references need a vacuous shared constraint (f0 = 0, d0 = 0)"
-        )
-        return None, "; ".join(reasons)
-
-    order = sorted(range(1, data.S + 1), key=lambda i: (-data.d[i], i))
-    for i_star in order:
-        lams = []
-        ok = True
-        for i in range(1, data.S + 1):
-            lam = scalar_lambda_feasible(
-                data.f[i_star], data.d[i_star], data.f[i], data.d[i], data.K0, "nonneg"
-            )
-            if lam is None:
-                ok = False
-                reasons.append(f"reference {i_star}: no multiplier for arm {i}")
-                break
-            lams.append(lam)
-        if ok:
-            return (i_star, lams), ""
+        if first_fail[r] == data.S:
+            return (r, lam[r].tolist()), ""
+        reasons.append(f"reference {r}: no multiplier for arm {first_fail[r] + 1}")
     return None, "; ".join(reasons)
 
 
@@ -378,7 +344,7 @@ def build_condition_report(data: ConstraintData) -> ConditionReport:
     cond_i = check_cond_i(data)
     bounded = check_boundedness(data)
     if all(cond_i):
-        cert, reason = cond_iii_details(data)
+        cert, reason = check_cond_iii(data)
     else:
         cert, reason = None, "skipped: interior condition failed"
     return ConditionReport(cond_i, bounded, cert, reason)

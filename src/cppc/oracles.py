@@ -1,19 +1,24 @@
 """Exhaustive small-scale oracles: basic-solution LP enumeration, vertex
-enumeration and active-set QP enumeration.
+enumeration, active-set QP enumeration and a grid search over the unknown
+entries of an arrowhead completion.
 
-These are deliberately naive and exact (up to linear algebra roundoff).
-They are independent references for the tests, for ``cppc oracle`` and for
-the benchmark; no decision procedure uses them (boundedness is decided by
-the simplex in ``lp``).  Complexity is combinatorial in the
+These are deliberately naive; the enumerations are exact (up to linear
+algebra roundoff).  They are independent references for the tests, for
+``cppc oracle`` and for the benchmark, and the grid search is the last
+resort of ``cppc complete``; no decision procedure uses them (boundedness
+is decided by the simplex in ``lp``).  Complexity is combinatorial in the
 number of rows; callers keep dimensions in the single digits.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
+
+from .matrix_core import Completion, PartialMatrix, assemble_completion
 
 _FEAS_TOL = 1e-9
 
@@ -163,3 +168,78 @@ def qp_global_minimum(A, a, F, d, nonneg_coords, tol: float = 1e-9):
             if best_val is None or val < best_val:
                 best_val, best_x = val, x
     return best_val, best_x
+
+
+@dataclass
+class OracleResult:
+    """Outcome of the grid-search completion oracle."""
+
+    completion: Optional[Completion]
+    best_min_eigenvalue: float
+    entries: list
+
+
+
+
+def brute_force_completion_oracle(pm: PartialMatrix) -> OracleResult:
+    """Grid search plus zooming refinement over the unspecified entries,
+    maximizing the smallest eigenvalue of the completed matrix: 30 rounds,
+    the first on 33 points per axis, each later one on 9 points per axis
+    over a box half as wide around the best point so far.
+
+    Entries range over ``[0, sqrt(M_ii M_jj)]``, the interval every doubly
+    nonnegative completion must respect.  Succeeds when the maximized
+    smallest eigenvalue clears ``-1e-9`` and no specified entry is
+    negative.
+    """
+    S = pm.pattern.S
+    n2 = pm.pattern.n2
+    if n2 != 1:
+        raise ValueError("oracle requires width one")
+    pairs = [(i, j) for i in range(1, S + 1) for j in range(i + 1, S + 1)]
+    if len(pairs) > 3:
+        raise ValueError(f"too many unspecified entries ({len(pairs)} > 3)")
+    base = pm.zero_filled().array
+    diag = np.diag(base)
+    spans = []
+    for (i, j) in pairs:
+        ri = pm.pattern.arm_slice(i).start
+        rj = pm.pattern.arm_slice(j).start
+        spans.append((ri, rj, float(np.sqrt(max(diag[ri] * diag[rj], 0.0)))))
+    if not pairs:
+        w = np.linalg.eigvalsh(base)
+        comp = None
+        if w[0] >= -1e-9 and base.min() >= -1e-12:
+            comp = assemble_completion(pm, [])
+        return OracleResult(comp, float(w[0]), [])
+
+    def min_eig(entries):
+        m = base.copy()
+        for (ri, rj, _), val in zip(spans, entries):
+            m[ri, rj] = m[rj, ri] = val
+        return float(np.linalg.eigvalsh(m)[0])
+
+    centers = np.array([0.5 * hi for (_, _, hi) in spans])
+    radii = np.array([0.5 * hi for (_, _, hi) in spans])
+    best_val = -np.inf
+    best = centers.copy()
+    steps = 33
+    for _ in range(30):
+        axes = [
+            np.linspace(ci - ri, ci + ri, steps) for ci, ri in zip(centers, radii)
+        ]
+        axes = [np.clip(ax, 0.0, hi) for ax, (_, _, hi) in zip(axes, spans)]
+        for point in product(*axes):
+            val = min_eig(point)
+            if val > best_val:
+                best_val = val
+                best = np.array(point)
+        centers = best.copy()
+        radii = radii * 0.5
+        steps = 9
+    entries = [float(v) for v in best]
+    if best_val >= -1e-9 and base.min() >= -1e-12:
+        blocks = [np.array([[v]]) for v in entries]
+        comp = assemble_completion(pm, blocks)
+        return OracleResult(comp, best_val, entries)
+    return OracleResult(None, best_val, entries)

@@ -3,16 +3,18 @@
 ``lemma_equivalence_check`` evaluates both forms of the lifted linear
 constraint of the sparse relaxation; ``sample_projection_points`` and
 ``point_in_projection`` probe the x-projections of the constraint sets that
-condition (iii) compares.  The library's decision procedures never call
-them, so they live here, next to the tests.
+condition (iii) compares; ``cond_iii_by_pairs`` searches condition (iii) one
+reference-arm pair and one coordinate at a time, the reference for the
+vectorized ``check_cond_iii``.  The library's decision procedures never
+call them, so they live here, next to the tests.
 """
 
 from typing import Optional
 
 import numpy as np
 
-from cppc.conditions import ConstraintData
-from cppc.cones import ORTHANT, ZERO, cone_contains
+from cppc.conditions import _EXACT_TOL, ConstraintData
+from cppc.cones import ORTHANT, ZERO, GroundCone, cone_contains, dual_cone
 from cppc.matrix_core import SymMatrix, sym_eigh
 
 
@@ -130,3 +132,114 @@ def point_in_projection(data: ConstraintData, i: int, x, tol: float = 1e-9) -> b
     if mode == "hyperplane":
         return abs(val - dval) <= tol * max(1.0, abs(dval))
     return val <= dval + tol * max(1.0, abs(dval))
+
+
+def scalar_lambda_feasible(
+    f_ref, d_ref: float, f, d: float, K0: GroundCone, lam_sign: str = "free"
+) -> Optional[float]:
+    """Scalar multiplier placing the reference set inside
+    ``{x in K0 : f^T x <= d}``: find lam with ``lam * d_ref <= d`` and
+    ``lam * f_ref - f in K0*``, by exact interval intersection.
+
+    With ``lam_sign = "free"`` the reference set is the hyperplane slice
+    ``{x in K0 : f_ref^T x = d_ref}``; with ``"nonneg"`` it is the half-space
+    slice ``{x in K0 : f_ref^T x <= d_ref}``.  Returns None when the interval
+    is empty; any returned value re-verifies exactly.
+    """
+    f_ref = np.asarray(f_ref, dtype=float).reshape(-1)
+    f = np.asarray(f, dtype=float).reshape(-1)
+    if f_ref.size != K0.dim or f.size != K0.dim:
+        raise ValueError("vector dimension does not match the cone")
+    kinds = K0.coordinate_kinds()
+    lo, hi = -np.inf, np.inf
+    pins = []
+    for j in range(K0.dim):
+        kind = kinds[j]
+        if kind == ZERO:
+            continue
+        if kind == ORTHANT:
+            if f_ref[j] > 0.0:
+                lo = max(lo, f[j] / f_ref[j])
+            elif f_ref[j] < 0.0:
+                hi = min(hi, f[j] / f_ref[j])
+            elif f[j] > 0.0:
+                return None
+        else:  # free coordinate: dual is zero, equality required
+            if f_ref[j] != 0.0:
+                pins.append(f[j] / f_ref[j])
+            elif abs(f[j]) > _EXACT_TOL:
+                return None
+    if d_ref > 0.0:
+        hi = min(hi, d / d_ref)
+    elif d_ref < 0.0:
+        lo = max(lo, d / d_ref)
+    elif d < 0.0:
+        return None
+    if lam_sign == "nonneg":
+        lo = max(lo, 0.0)
+    elif lam_sign != "free":
+        raise ValueError(f"unknown lam_sign {lam_sign!r}")
+
+    slack_interval = _EXACT_TOL * max(
+        1.0, abs(lo) if np.isfinite(lo) else 0.0, abs(hi) if np.isfinite(hi) else 0.0
+    )
+    if pins:
+        lam = pins[0]
+        if any(abs(pin - lam) > _EXACT_TOL for pin in pins[1:]):
+            return None
+        if not (lo - _EXACT_TOL <= lam <= hi + _EXACT_TOL):
+            return None
+    elif lo > hi + slack_interval:
+        return None
+    elif lo <= 1.0 <= hi:
+        lam = 1.0
+    elif np.isfinite(lo):
+        lam = min(lo, hi) if np.isfinite(hi) else lo
+    elif np.isfinite(hi):
+        lam = hi
+    else:
+        lam = 0.0
+
+    slack = _EXACT_TOL * max(1.0, abs(lam), float(np.abs(f).max(initial=0.0)))
+    if lam * d_ref > d + slack:
+        return None
+    if not cone_contains(dual_cone(K0), lam * f_ref - f, slack):
+        return None
+    return float(lam)
+
+
+def cond_iii_by_pairs(data: ConstraintData):
+    """Condition (iii) by :func:`scalar_lambda_feasible` on one pair at a
+    time: the shared reference with free multipliers, then, when the shared
+    constraint is vacuous, each arm reference with nonnegative multipliers
+    by decreasing right-hand side, then index.  Returns the certificate or
+    None, and the reasons joined as :func:`cppc.conditions.check_cond_iii`
+    joins them."""
+    reasons = []
+    lams = []
+    for i in range(1, data.S + 1):
+        lam = scalar_lambda_feasible(data.f[0], data.d[0], data.f[i], data.d[i], data.K0)
+        if lam is None:
+            reasons.append(f"reference 0: no multiplier for arm {i}")
+            break
+        lams.append(lam)
+    else:
+        return (0, lams), ""
+
+    if np.any(data.f[0]) or data.d[0] != 0.0:
+        reasons.append("arm references need a vacuous shared constraint (f0 = 0, d0 = 0)")
+        return None, "; ".join(reasons)
+
+    for i_star in sorted(range(1, data.S + 1), key=lambda i: (-data.d[i], i)):
+        lams = []
+        for i in range(1, data.S + 1):
+            lam = scalar_lambda_feasible(
+                data.f[i_star], data.d[i_star], data.f[i], data.d[i], data.K0, "nonneg"
+            )
+            if lam is None:
+                reasons.append(f"reference {i_star}: no multiplier for arm {i}")
+                break
+            lams.append(lam)
+        else:
+            return (i_star, lams), ""
+    return None, "; ".join(reasons)

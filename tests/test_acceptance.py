@@ -11,7 +11,6 @@ from cppc.completion import (
     CERTIFIED,
     NO_CERTIFICATE,
     CompletionProblem,
-    brute_force_completion_oracle,
     certify_completable,
     complete_numeric,
 )
@@ -23,7 +22,7 @@ from cppc.conditions import (
 from cppc.cones import dual_cone, free, is_cp, is_dnn, orthant, product, zero
 from cppc.conic_solver import OPTIMAL, kkt_residuals, solve
 from cppc.matrix_core import SymMatrix, agrees, extract_block, sym_eigh
-from cppc.oracles import qp_global_minimum
+from cppc.oracles import brute_force_completion_oracle, qp_global_minimum
 from cppc.qp_relax import (
     PROVEN_EXACT,
     QPInstance,
@@ -264,7 +263,7 @@ def test_criterion_8_condition_checker_soundness():
         data = ConstraintData.build(
             orthant(nx), [orthant(1)] * S, [f0] + f, g, [d0] + d
         )
-        cert = check_cond_iii(data)
+        cert, _ = check_cond_iii(data)
         if cert is None:
             continue
         certified += 1

@@ -10,16 +10,15 @@ from cppc.completion import (
     CERTIFIED,
     NO_CERTIFICATE,
     CompletionProblem,
-    brute_force_completion_oracle,
     certify_completable,
     complete_numeric,
     find_data,
-    verify_block_constraints,
 )
 from cppc import cones
 from cppc.cli import parse_completion_problem
 from cppc.conditions import ConstraintData, build_condition_report
 from cppc.conic_solver import MAX_ITERS, OPTIMAL, SolveResult
+from cppc.oracles import brute_force_completion_oracle
 from cppc.matrix_core import (
     ArrowheadPattern,
     PartialMatrix,
@@ -80,10 +79,14 @@ class TestBlockConstraints:
         assert per_arm[1][1] == pytest.approx(1.8, abs=1e-12)
         assert f0_pair == (0.0, 0.0)
 
-    def test_public_wrapper(self, pm_completable):
-        problem = CompletionProblem.from_partial_matrix(pm_completable)
-        per_arm, f0_pair = verify_block_constraints(pm_completable, stated_data(problem))
-        assert per_arm[0] == (pytest.approx(0.0, abs=1e-12),) * 2
+    def test_certificate_carries_the_residuals(self, pm_completable):
+        data = stated_data(CompletionProblem.from_partial_matrix(pm_completable))
+        cert = certify_completable(CompletionProblem.from_partial_matrix(pm_completable,
+                                                                         data=data))
+        assert cert.block_residuals[0] == (pytest.approx(0.0, abs=1e-12),) * 2
+        assert cert.block_residuals[1][1] == pytest.approx(1.8, abs=1e-12)
+        assert cert.f0_residuals == (0.0, 0.0)
+        assert cert.verdict == NO_CERTIFICATE
 
     def test_rank_one_identity(self):
         # blocks built from an outer product satisfy both equations exactly
@@ -703,12 +706,11 @@ def test_certificates_reverify_from_stored_fields():
     cert = certify_completable(problem)
     assert cert.verdict == CERTIFIED
 
-    per_arm, f0_pair = verify_block_constraints(pm, cert.data)
+    fresh_problem = CompletionProblem.from_partial_matrix(pm)
+    per_arm, f0_pair = cmod._block_residuals(fresh_problem, cert.data)
+    assert per_arm == cert.block_residuals and f0_pair == cert.f0_residuals
     worst = max(abs(v) for pair in per_arm for v in pair)
     assert worst <= cert.tol and max(map(abs, f0_pair)) <= cert.tol
-    from cppc.matrix_core import extract_block
-
-    fresh_problem = CompletionProblem.from_partial_matrix(pm)
     for i in range(1, fresh_problem.S + 1):
         assert cones.is_cp(extract_block(fresh_problem.pm, i)).is_member
     assert build_condition_report(cert.data).all_passed

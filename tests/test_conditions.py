@@ -16,16 +16,15 @@ from cppc.conditions import (
     check_boundedness,
     check_cond_i,
     check_cond_iii,
-    scalar_lambda_feasible,
     _recession_norm_max,
     _shared_region_form,
     _shared_region_nonempty,
 )
-from cppc.cones import ORTHANT, ZERO, free, orthant, product, zero
+from cppc.cones import FREE, ORTHANT, ZERO, free, orthant, product, zero
 from cppc.oracles import polyhedron_vertices, standard_form_feasible_point
 from cppc.qp_relax import QPInstance, _polytope_bounded
 
-from reference_checks import point_in_projection, sample_projection_points
+from reference_checks import cond_iii_by_pairs, point_in_projection, sample_projection_points
 
 
 def width_one_data(f_list, g_list, d_list, K0, f0=None, d0=0.0):
@@ -181,46 +180,84 @@ class TestNoSubsetEnumeration:
         assert cert.report is None or cert.report.boundedness.status == BOUNDED
 
 
+VACUOUS = "arm references need a vacuous shared constraint (f0 = 0, d0 = 0)"
+
+
 class TestScalarLambda:
+    """The multiplier rules of condition (iii), each on data with one or two
+    arms."""
+
     def test_identical_rows_give_one(self):
-        f = np.array([1.0, 2.0])
-        assert scalar_lambda_feasible(f, 1.0, f, 1.0, orthant(2)) == 1.0
+        data = width_one_data([[1.0, 2.0]], [1.0], [1.0], orthant(2),
+                              f0=[1.0, 2.0], d0=1.0)
+        assert check_cond_iii(data) == ((0, [1.0]), "")
 
     def test_scaled_reference(self):
         # reference scaled by alpha >= alpha_i with unit right-hand sides:
-        # unity is feasible and preferred
+        # unity is feasible and preferred over the interval's end 0.5
         u = np.array([2.0, 2.0])
-        lam = scalar_lambda_feasible(1.0 * u, 1.0, 0.5 * u, 1.0, orthant(2), "nonneg")
-        assert lam == 1.0
+        data = width_one_data([1.0 * u, 0.5 * u], [1.0, 1.0], [1.0, 1.0], orthant(2))
+        assert check_cond_iii(data) == ((1, [1.0, 1.0]), "")
 
     def test_empty_interval(self):
-        lam = scalar_lambda_feasible(
-            np.array([1.0, 1.0]), 1.0, np.array([2.0, 3.0]), 2.0, orthant(2)
-        )
-        assert lam is None
+        # lambda >= 3 from the second coordinate, lambda <= 2 from d
+        data = width_one_data([[2.0, 3.0]], [1.0], [2.0], orthant(2),
+                              f0=[1.0, 1.0], d0=1.0)
+        assert check_cond_iii(data) == (
+            None, f"reference 0: no multiplier for arm 1; {VACUOUS}")
 
     def test_free_coordinate_pins_lambda(self):
         K = product(orthant(1), free(1))
-        lam = scalar_lambda_feasible(
-            np.array([1.0, 2.0]), 1.0, np.array([0.5, 1.0]), 1.0, K
-        )
-        assert lam == pytest.approx(0.5)
+        data = width_one_data([[0.5, 1.0]], [1.0], [1.0], K, f0=[1.0, 2.0], d0=1.0)
+        assert check_cond_iii(data) == ((0, [0.5]), "")
         # Pin at 0.5 conflicts with the orthant bound lambda >= 0.6.
-        lam = scalar_lambda_feasible(
-            np.array([1.0, 2.0]), 1.0, np.array([0.6, 1.0]), 1.0, K
-        )
-        assert lam is None
+        data = width_one_data([[0.6, 1.0]], [1.0], [1.0], K, f0=[1.0, 2.0], d0=1.0)
+        assert check_cond_iii(data) == (
+            None, f"reference 0: no multiplier for arm 1; {VACUOUS}")
 
     def test_sign_restriction(self):
-        lam = scalar_lambda_feasible(
-            np.array([-1.0]), 0.0, np.array([1.0]), 1.0, orthant(1), "nonneg"
-        )
-        assert lam is None
+        # The shared hyperplane -x = 0 takes the free multiplier -1 for x <= 1.
+        data = width_one_data([[1.0]], [1.0], [1.0], orthant(1), f0=[-1.0], d0=0.0)
+        assert check_cond_iii(data) == ((0, [-1.0]), "")
+        # As arm 1, the half-space -x <= 2 would need the same -1 for arm 2's
+        # x <= 1; the nonnegative sign rejects it, and arm 2 is the reference.
+        data = width_one_data([[-1.0], [1.0]], [1.0, 1.0], [2.0, 1.0], orthant(1))
+        assert check_cond_iii(data) == ((2, [1.0, 1.0]), "")
+
+    @pytest.mark.parametrize("K, f, d, f0, d0", [
+        # the pins 1 and 1 + 5e-12 disagree, though f0 - f1 is within slack
+        (free(2), [1.0, 0.1 + 5e-13], 1.0, [1.0, 0.1], 1.0),
+        # d_0 = 0 needs d_1 >= 0 exactly, not within slack
+        (orthant(1), [0.0], -5e-13, [1.0], 0.0),
+        # the pins 0.01 and 0.01 + 5e-13 agree, but 0.01 f0 - f1 misses by 5e-11
+        (free(2), [0.01, 1.0 + 5e-11], 1.0, [1.0, 100.0], 1.0),
+        # f0 = 0 on a free coordinate needs |f1| <= 1e-12 there, not within
+        # the slack 1e-11 of lambda = 10
+        (product(orthant(1), free(1)), [10.0, 5e-12], 10.0, [1.0, 0.0], 1.0),
+        # and on an orthant coordinate f1 <= 0 there, exactly
+        (orthant(2), [10.0, 5e-12], 10.0, [1.0, 0.0], 1.0),
+        # the pin 0.01 - 5e-13 is within tolerance of the orthant bound 0.01,
+        # but 100 lambda - 1 misses by 5e-11
+        (product(orthant(1), free(1)), [1.0, 0.01 - 5e-13], 1.0, [100.0, 1.0], 1.0),
+        # the pin 1 + 5e-13 is within tolerance of d1 / d0 = 1, but lambda d0
+        # exceeds d1 by 5e-11
+        (free(1), [1.0 + 5e-13], 100.0, [1.0], 100.0),
+        # the pin 1 + 5e-12 exceeds d1 / d0 = 1 beyond tolerance; the
+        # zero-cone entry 100 widens the re-check's slack to 1e-10
+        (product(free(1), zero(1)), [1.0 + 5e-12, 100.0], 1.0, [1.0, 0.0], 1.0),
+        # and the pin 1 - 5e-12 falls short of the orthant bound 1
+        (product(free(1), orthant(1), zero(1)), [1.0 - 5e-12, 1.0, 100.0], 1.0,
+         [1.0, 1.0, 0.0], 1.0),
+    ])
+    def test_tolerance_edges(self, K, f, d, f0, d0):
+        data = width_one_data([f], [1.0], [d], K, f0=f0, d0=d0)
+        expected = (None, f"reference 0: no multiplier for arm 1; {VACUOUS}")
+        assert check_cond_iii(data) == cond_iii_by_pairs(data) == expected
 
 
 class TestCondIII:
     def test_completable_fixture_data(self, data_completable):
-        assert check_cond_iii(data_completable) == (1, [1.0, 1.0])
+        assert check_cond_iii(data_completable) == ((1, [1.0, 1.0]), "")
 
     def test_shared_reference_branch(self):
         # Shared constraint u.x = 1 with u = (2,2) dominating both rows.
@@ -232,8 +269,8 @@ class TestCondIII:
             f0=[2.0, 2.0],
             d0=1.0,
         )
-        result = check_cond_iii(data)
-        assert result is not None
+        result, reason = check_cond_iii(data)
+        assert result is not None and reason == ""
         i_star, lams = result
         assert i_star == 0
         assert lams == [1.0, 1.0]
@@ -242,17 +279,66 @@ class TestCondIII:
         data = width_one_data(
             [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [1.0, 1.0], orthant(2)
         )
-        assert check_cond_iii(data) is None
+        assert check_cond_iii(data) == (None, "; ".join(
+            f"reference {r}: no multiplier for arm {i}" for r, i in ((0, 1), (1, 2), (2, 1))
+        ))
 
     def test_certificate_order_prefers_larger_rhs(self):
         data = width_one_data([[1.0], [1.0]], [1.0, 1.0], [1.0, 2.0], orthant(1))
-        result = check_cond_iii(data)
+        result, _ = check_cond_iii(data)
         assert result is not None
         # reference must be the tighter (larger-d first fails, d=1 contains d=2)
         i_star, lams = result
         assert i_star in (1, 2)
         for lam, (fi, di) in zip(lams, [(1.0, 1.0), (1.0, 2.0)]):
             assert lam * data.d[i_star] <= di + 1e-12
+
+
+def random_cond_iii_data(rng):
+    """Data over a product of orthant, free and zero cones (each possibly of
+    dimension 0), with up to four arms (possibly none), whose entries come
+    from a small grid with zeros and both signs, so that bounds tie,
+    pins agree and right-hand sides vanish or turn negative; tenths make
+    some intervals empty only by roundoff."""
+    kinds = [orthant, free, zero]
+    K0 = product(*(kinds[k](int(rng.integers(0, 3)))
+                   for k in rng.choice(3, size=int(rng.integers(1, 4)))))
+    S = int(rng.integers(0, 5))
+    grid = np.array([-2.0, -1.0, -0.9, -0.5, -0.3, 0.0, 0.0, 0.1, 0.3, 0.5, 0.6, 0.9, 1.0, 2.0])
+    f = [rng.choice(grid, K0.dim) for _ in range(S)]
+    d = rng.choice(np.r_[grid, 1.0, 1.0], S)
+    f0, d0 = np.zeros(K0.dim), 0.0
+    if rng.random() < 0.5:
+        # a shared row, half the time a multiple of an arm's
+        f0 = rng.choice(grid, K0.dim) if rng.random() < 0.5 or not S else rng.choice(grid) * f[0]
+        d0 = float(rng.choice(grid)) if np.any(f0) else 0.0
+    return width_one_data(f, [1.0] * S, d, K0, f0, d0)
+
+
+def test_cond_iii_matches_the_pairwise_reference():
+    rng = np.random.default_rng(18)
+    seen = {"shared": 0, "arm": 0, "none": 0, "free pin": 0, "d_r < 0": 0, "d_r = 0": 0,
+            "no arm": 0, "no coordinate": 0}
+    for _ in range(2500):
+        data = random_cond_iii_data(rng)
+        cert, reason = check_cond_iii(data)
+        ref_cert, ref_reason = cond_iii_by_pairs(data)
+        assert reason == ref_reason
+        if ref_cert is None:
+            assert cert is None
+            seen["none"] += 1
+            continue
+        assert cert[0] == ref_cert[0]
+        # bit-identical multipliers, signed zeros included
+        assert np.array(cert[1]).tobytes() == np.array(ref_cert[1]).tobytes()
+        r = cert[0]
+        seen["arm" if r else "shared"] += 1
+        seen["free pin"] += bool(np.any(data.f[r][data.K0.coordinate_kinds() == FREE]))
+        seen["d_r < 0"] += data.d[r] < 0.0
+        seen["d_r = 0"] += data.d[r] == 0.0
+        seen["no arm"] += data.S == 0
+        seen["no coordinate"] += data.nx == 0
+    assert min(seen.values()) >= 20, seen
 
 
 def test_cond_iii_soundness_by_sampling():
@@ -265,7 +351,7 @@ def test_cond_iii_soundness_by_sampling():
         g = [float(rng.uniform(0.1, 2.0)) for _ in range(S)]
         d = [float(rng.uniform(0.2, 2.0)) for _ in range(S)]
         data = width_one_data(f, g, d, orthant(nx))
-        cert = check_cond_iii(data)
+        cert, _ = check_cond_iii(data)
         if cert is None:
             continue
         certified += 1

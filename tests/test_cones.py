@@ -354,6 +354,22 @@ class TestFactorSearch:
         assert B is not None and B.min() >= 0.0
         assert np.linalg.norm(B @ B.T - M) <= tol
 
+    def test_polish_finishes_a_stalled_rotation(self, monkeypatch):
+        # Order 5, rank 5, 40 % of the factor nonzero: the best rotation
+        # ends at six times the threshold, and the projected-gradient polish
+        # brings it below.  Without the polish the search returns None.
+        rng = np.random.default_rng(286)
+        Bt = rng.uniform(0.0, 1.0, (5, 5)) * (rng.random((5, 5)) < 0.4)
+        M = Bt @ Bt.T
+        assert np.linalg.matrix_rank(M) == 5
+        tol = 1e-8 * max(1.0, np.abs(M).max())
+        B = cp_factorize(M, tol)
+        assert B is not None and B.min() >= 0.0
+        assert np.linalg.norm(B @ B.T - M) <= tol
+        monkeypatch.setattr(cones, "_polish_nonneg_factor",
+                            lambda m, b, tol: (b, float(np.linalg.norm(b @ b.T - m))))
+        assert cp_factorize(M, tol) is None
+
     def test_rank_one_with_negative_root(self, monkeypatch):
         v = np.array([0.5, 1.0, 2.0, 0.0, 3.0, 1.5])
         M = np.outer(v, v)

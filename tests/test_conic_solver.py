@@ -383,3 +383,15 @@ def test_constant_row_violation_is_infeasible():
     res = solve(p)
     assert res.status == INFEASIBLE and res.iterations == 0
     assert res.diagnostics == "entry (0, 1) of block 0 is fixed at -1 < 0 by the equalities"
+
+
+def test_fixed_inequality_row_violation_is_infeasible():
+    # Every entry is pinned, E00 = 1, so the added row E00 >= 2 is constant
+    # on the solutions of the equalities and fails.
+    p = ConicProgram(2)
+    for r, c, value in ((0, 0, 1.0), (0, 1, 0.0), (1, 1, 1.0)):
+        p.add_equality(value, entry_functional(2, r, c))
+    p.add_inequality(2.0, entry_functional(2, 0, 0))
+    res = solve(p)
+    assert res.status == INFEASIBLE and res.iterations == 0
+    assert res.diagnostics == "inequality row 0 is fixed at 1 < 2 by the equalities"

@@ -108,3 +108,17 @@ def test_matches_basic_solution_enumeration():
             assert res.status == lp.INFEASIBLE
         else:
             assert_optimal(res, c, A, b, ref)
+
+
+def test_pivot_budget_exhaustion_raises(monkeypatch):
+    # Beale's LP needs several pivots; a budget of none per dimension stops
+    # the simplex before the first.
+    c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+    A = np.array([
+        [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+        [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+    ])
+    monkeypatch.setattr(lp, "_PIVOTS_PER_DIM", 0)
+    with pytest.raises(np.linalg.LinAlgError, match="simplex made 0 pivots without finishing"):
+        lp.solve(c, A, np.array([0.0, 0.0, 1.0]))

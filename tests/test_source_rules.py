@@ -17,7 +17,7 @@ from cppc.conic_solver import SolveOptions
 SRC = pathlib.Path(cppc.__file__).parent
 ENUMERATORS = {"product", "combinations", "combinations_with_replacement", "permutations"}
 #: (module, top-level function or None for the whole module) allowed to enumerate.
-ALLOWED = {("oracles.py", None), ("completion.py", "brute_force_completion_oracle")}
+ALLOWED = {("oracles.py", None)}
 
 
 def enumerator_uses(tree):
@@ -51,7 +51,7 @@ def test_subset_enumeration_only_in_oracles():
                 violations.append(f"{path.name}:{line} ({owner})")
     assert violations == []
     # The scan sees the allowed uses, so an empty list is not vacuous.
-    assert found == {"oracles.py", "completion.py"}
+    assert found == {"oracles.py"}
 
 
 def test_scan_catches_both_import_forms():
