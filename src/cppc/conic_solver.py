@@ -1,10 +1,11 @@
 """Interior-point solver for linear programs over one DNN matrix.
 
 A program is one symmetric PSD matrix, affine equality rows, affine ``>=``
-rows and a linear objective.  Its ``nonneg_mask`` asks for entrywise
-nonnegativity: each masked off-diagonal entry is one more ``>=`` row (the
-diagonal of a PSD matrix is nonnegative already).  A solved program returns
-the matrix as ``SolveResult.block``.
+rows (added one matrix or one stack of matrices at a time) and a linear
+objective.  Its ``nonneg_mask`` asks for entrywise nonnegativity: each
+masked off-diagonal entry is one more ``>=`` row (the diagonal of a PSD
+matrix is nonnegative already).  A solved program returns the matrix as
+``SolveResult.block``.
 
 The solver works in the free coordinates of the equalities.  One SVD of the
 equality rows, in svec coordinates of the matrix, gives a solution ``v0``
@@ -13,6 +14,8 @@ y`` meets them exactly.  In ``y`` the program is a dual-form conic program,
 as in SDPA and DSDP: its slack is the matrix ``v`` and the values of the
 ``>=`` rows.  A primal-dual interior-point method (HKM direction, Mehrotra
 predictor-corrector) solves it with a Schur complement of order ``dim y``.
+Each step factors the iterate once: one Cholesky factor of the primal matrix
+and one of the dual slack give ``Z^-1`` and all four step lengths.
 Its best point, primal and dual, starts an active-face polish: the rows near
 zero join the equalities, and one Gauss-Newton solve of that face's KKT
 system runs per face guess.  When no guess verifies, the iterate itself is
@@ -62,28 +65,35 @@ class ConicProgram:
 
     # -- construction ---------------------------------------------------
 
-    def _matrix(self, mat) -> np.ndarray:
-        """``mat`` symmetrized, once its shape and entries are checked."""
+    def _matrix(self, mat, stack: bool = False) -> np.ndarray:
+        """``mat`` symmetrized, once its shape and entries are checked; with
+        ``stack`` it may also be a ``(k, order, order)`` stack of matrices."""
         m = np.asarray(mat, dtype=float)
-        if m.shape != (self.order, self.order):
-            raise ValueError(f"matrix has shape {m.shape}, expected ({self.order}, {self.order})")
+        o = self.order
+        if m.shape[-2:] != (o, o) or m.ndim not in ((2, 3) if stack else (2,)):
+            raise ValueError(f"matrix has shape {m.shape}, expected ({o}, {o})")
         if not np.isfinite(m).all():
             raise ValueError("matrix contains non-finite entries")
-        return 0.5 * (m + m.T)
+        return 0.5 * (m + np.swapaxes(m, -1, -2))
 
-    def _row(self, rhs, C) -> tuple[np.ndarray, float]:
+    @staticmethod
+    def _rhs(rhs) -> float:
         rhs = float(rhs)
         if not np.isfinite(rhs):
             raise ValueError("right-hand side must be finite")
-        return self._matrix(C), rhs
+        return rhs
 
     def add_equality(self, rhs: float, C) -> None:
         """Append the constraint ``C . M = rhs``."""
-        self.equalities.append(self._row(rhs, C))
+        self.equalities.append((self._matrix(C), self._rhs(rhs)))
 
     def add_inequality(self, rhs: float, C) -> None:
-        """Append the constraint ``C . M >= rhs``."""
-        self.inequalities.append(self._row(rhs, C))
+        """Append the constraint ``C . M >= rhs``, one row per matrix when
+        ``C`` is a ``(k, order, order)`` stack (one matrix is a stack of
+        one)."""
+        rhs = self._rhs(rhs)
+        Cs = self._matrix(C, stack=True).reshape(-1, self.order, self.order)
+        self.inequalities.extend((Ci, rhs) for Ci in Cs)
 
     def set_objective(self, C) -> None:
         self._objective = self._matrix(C)
@@ -95,9 +105,7 @@ class ConicProgram:
         return self.order**2
 
     def _row_matrix(self, rows):
-        A = np.zeros((len(rows), self.num_vars))
-        for i, (C, _) in enumerate(rows):
-            A[i] = C.reshape(-1)
+        A = np.reshape([C for C, _ in rows], (len(rows), self.num_vars))
         return A, np.array([rhs for _, rhs in rows], dtype=float)
 
     def constraint_matrix(self):
@@ -300,6 +308,10 @@ class _NullSpaceForm:
         self.c = np.r_[T @ v0, g0[self.rows] * self.row_scale]
         self.order = p.order
         self.psd, self.flat = slice(p.num_vars), slice(p.num_vars, None)
+        # The rows of A as matrices (PSD part) and on the orthant part, for
+        # the Schur complement.
+        self.A3 = self.A[:, self.psd].reshape(-1, p.order, p.order)
+        self.Af = self.A[:, self.flat]
 
     def mat(self, u):
         return u[self.psd].reshape(self.order, self.order)
@@ -381,13 +393,18 @@ def _interior_point(sf, max_iters, target):
 
 
 def _mehrotra_step(sf, u, y, w, rp, rd, mu, N):
-    """One predictor-corrector step along the HKM direction."""
+    """One predictor-corrector step along the HKM direction.  The matrices
+    ``X`` of ``u`` and ``W`` of ``w`` are factored once, by Cholesky; the
+    inverse factors give ``Z^-1 = W^-1`` and all four step lengths."""
     A, f, s = sf.A, sf.flat, sf.psd
     X = sf.mat(u)
-    Zi = _sym(np.linalg.inv(sf.mat(w)))
+    Xi = np.linalg.inv(np.linalg.cholesky(X))
+    Wi = np.linalg.inv(np.linalg.cholesky(sf.mat(w)))
+    Zi = _sym(Wi.T @ Wi)
     x, z = u[f], w[f]
-    M = (A[:, f] * (x / z)) @ A[:, f].T
-    M += A[:, s] @ np.kron(X, Zi) @ A[:, s].T
+    # Entry (i, j) of A_s kron(X, Z^-1) A_s^T is A_i . X A_j Z^-1.
+    M = (sf.Af * (x / z)) @ sf.Af.T
+    M += A[:, s] @ (X @ sf.A3 @ Zi).reshape(M.shape[0], X.size).T
     solve_schur = _cholesky_solver(M)
 
     def scaled(D):
@@ -403,8 +420,8 @@ def _mehrotra_step(sf, u, y, w, rp, rd, mu, N):
         return H - scaled(dw), dy, dw
 
     du, _, dw = direction(-u)
-    ap = min(1.0, _step_to_boundary(sf, u, du))
-    ad = min(1.0, _step_to_boundary(sf, w, dw))
+    ap = min(1.0, _step_to_boundary(sf, Xi, u, du))
+    ad = min(1.0, _step_to_boundary(sf, Wi, w, dw))
     sigma_mu = min(1.0, (float((u + ap * du) @ (w + ad * dw)) / N / mu) ** 3) * mu
     H = sf.join(
         _sym((sigma_mu * np.eye(sf.order) - sf.mat(du) @ sf.mat(dw)) @ Zi),
@@ -412,8 +429,8 @@ def _mehrotra_step(sf, u, y, w, rp, rd, mu, N):
     ) - u
     du, dy, dw = direction(H)
     tau = 0.9 + 0.09 * min(ap, ad)
-    ap = min(1.0, tau * _step_to_boundary(sf, u, du))
-    ad = min(1.0, tau * _step_to_boundary(sf, w, dw))
+    ap = min(1.0, tau * _step_to_boundary(sf, Xi, u, du))
+    ad = min(1.0, tau * _step_to_boundary(sf, Wi, w, dw))
     return u + ap * du, y + ad * dy, w + ad * dw
 
 
@@ -435,12 +452,11 @@ def _cholesky_solver(M):
     raise np.linalg.LinAlgError("Schur complement is not positive definite")
 
 
-def _step_to_boundary(sf, u, du):
+def _step_to_boundary(sf, Li, u, du):
     """Largest ``a`` with ``u + a du`` in the cone (inf when ``du`` never
-    leaves it)."""
+    leaves it); ``Li`` is the inverse Cholesky factor of ``u``'s matrix."""
     x, dx = u[sf.flat], du[sf.flat]
     a = float(np.min(-x[dx < 0.0] / dx[dx < 0.0], initial=np.inf))
-    Li = np.linalg.inv(np.linalg.cholesky(sf.mat(u)))
     lam = np.linalg.eigvalsh(Li @ sf.mat(du) @ Li.T)[0]
     if lam < 0.0:
         a = min(a, -1.0 / lam)

@@ -118,10 +118,11 @@ def solve(c, A, b) -> LPResult:
 def _run(T, basis, cost, n_enter: int, budget: int):
     """Bland's-rule pivots on tableau ``T`` (objective in its last row) until
     no column below ``n_enter`` has a negative reduced cost.  Returns None
-    then, or the entering column when no row limits it (an unbounded ray)."""
+    then, or the entering column when no row limits it (an unbounded ray).
+    Raises when a pivot beyond the first ``budget`` would be needed."""
     m = basis.size
     T[-1] = np.append(cost, 0.0) - cost[basis] @ T[:m]
-    for _ in range(budget):
+    for pivots in range(budget + 1):
         eligible = np.flatnonzero(T[-1, :n_enter] < -_PIVOT_TOL)
         if not eligible.size:
             return None
@@ -129,6 +130,8 @@ def _run(T, basis, cost, n_enter: int, budget: int):
         rows = np.flatnonzero(T[:m, k] > _PIVOT_TOL)
         if not rows.size:
             return k
+        if pivots == budget:
+            break
         ratio = T[rows, -1] / T[rows, k]
         tied = rows[ratio <= ratio.min() + _PIVOT_TOL]
         _pivot(T, basis, tied[np.argmin(basis[tied])], k)

@@ -222,10 +222,11 @@ def _kernel_lift(k: np.ndarray, j: int) -> np.ndarray:
 
 
 def _lifts(data: ConstraintData):
-    """``(keep, Q_0, [L_1 .. L_S])`` for the variable ``G`` of the relaxation:
-    the corner ``C`` over ``(1, x)`` is ``Q_0 G Q_0^T``, ``G`` being ``C``
-    on the coordinates ``keep``, and arm i's block over ``(1, x, y_i)`` is
-    ``L_i G L_i^T``.
+    """``(keep, Q_0, L)`` for the variable ``G`` of the relaxation: the
+    corner ``C`` over ``(1, x)`` is ``Q_0 G Q_0^T``, ``G`` being ``C`` on the
+    coordinates ``keep``, and arm i's block over ``(1, x, y_i)`` is ``L[i] G
+    L[i]^T``.  ``L`` stacks the lifts of all arms, shape ``(S, n+2,
+    keep.size)``, each being ``[Q_0; w_i^T Q_0]``.
 
     Arm i's pair of block equations puts ``(-d_i, f_i, g_i)`` in the kernel
     of its PSD block, so the row of ``y_i`` is ``w_i^T C`` with ``w_i =
@@ -233,16 +234,14 @@ def _lifts(data: ConstraintData):
     f_0)`` in the kernel of ``C``, and ``G`` drops the coordinate where
     ``|f_0|`` is largest; otherwise ``G = C``.
     """
-    n = data.nx
+    n, S = data.nx, data.S
     keep, Q0 = np.arange(n + 1), np.eye(n + 1)
     if np.any(data.f[0]):
         j = 1 + int(np.argmax(np.abs(data.f[0])))
         keep = np.delete(keep, j)
         Q0 = _kernel_lift(np.concatenate([[-data.d[0]], data.f[0]]), j)
-    lifts = [
-        _kernel_lift(np.concatenate([[-data.d[i + 1]], data.f[i + 1], data.g[i]]), n + 1) @ Q0
-        for i in range(data.S)
-    ]
+    W = np.column_stack([data.d[1:], -np.reshape(data.f[1:], (S, n))]) / np.reshape(data.g, (S, 1))
+    lifts = np.concatenate([np.broadcast_to(Q0, (S, *Q0.shape)), (W @ Q0)[:, None]], axis=1)
     return keep, Q0, lifts
 
 
@@ -256,45 +255,45 @@ def build_sparse_relaxation(qp: QPInstance) -> ConicProgram:
 
 def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     """One PSD block ``G`` with ``G_00 = 1`` (see ``_lifts``), nonnegative
-    where both coordinates lie in ``R_+ x K0``; every block ``L_i G L_i^T``
-    meets its pair of block equations, and ``C = Q_0 G Q_0^T`` the shared
-    pair, for every ``G``.
+    where both coordinates lie in ``R_+ x K0``; every block ``L[i] G
+    L[i]^T`` meets its pair of block equations, and ``C = Q_0 G Q_0^T`` the
+    shared pair, for every ``G``.
 
     The remaining entries that must be nonnegative are ``>=`` rows on
-    ``G``: on an orthant arm, the entries ``(C w_i)_r`` of its arm row for
-    r = 0 and every orthant coordinate; with a shared constraint whose
-    dropped coordinate lies in an orthant, that coordinate's row of ``C``.
-    Diagonal entries such as ``Y_i = w_i^T C w_i`` are nonnegative already
-    because ``G`` is PSD.  Arm i's objective terms ``per_i`` map to ``L_i^T
-    per_i L_i``.
+    ``G``, added as one stack: with a shared constraint whose dropped
+    coordinate lies in an orthant, that coordinate's row of ``C``; then, on
+    each orthant arm, the entries ``(C w_i)_r`` of its arm row for r = 0 and
+    every orthant coordinate.  Diagonal entries such as ``Y_i = w_i^T C
+    w_i`` are nonnegative already because ``G`` is PSD.  Arm i's objective
+    terms ``per_i`` map to ``L[i]^T per_i L[i]``.
     """
     data = gi.data
-    n = data.nx
+    n, S = data.nx, data.S
     xs = slice(1, n + 1)
     keep, Q0, lifts = _lifts(data)
-    nn = np.array([True] + [k == cones.ORTHANT for k in data.K0.coordinate_kinds()])
-    prog = ConicProgram(keep.size, nonneg_mask=np.outer(nn[keep], nn[keep]))
-    prog.add_equality(1.0, entry_functional(keep.size, 0, 0))
+    k = keep.size
+    nn = np.array([True] + [kind == cones.ORTHANT for kind in data.K0.coordinate_kinds()])
+    prog = ConicProgram(k, nonneg_mask=np.outer(nn[keep], nn[keep]))
+    prog.add_equality(1.0, entry_functional(k, 0, 0))
     orthant_coords = np.flatnonzero(nn)
-    for j in np.setdiff1d(orthant_coords, keep):
-        for r in np.setdiff1d(orthant_coords, j):
-            prog.add_inequality(0.0, np.outer(Q0[j], Q0[r]))
+    # Entry (j, r) of C is Q_0[j] G Q_0[r]^T, and entry r of arm i's row is
+    # L[i, r] G L[i, n+1]^T: each row is the stack of those outer products.
+    rows = [Q0[j][None, :, None] * Q0[np.setdiff1d(orthant_coords, j)][:, None, :]
+            for j in np.setdiff1d(orthant_coords, keep)]
+    arms = lifts[[cone.coordinate_kinds()[0] == cones.ORTHANT for cone in data.Ki]]
+    rows.append((arms[:, orthant_coords, :, None] * arms[:, n + 1][:, None, None, :])
+                .reshape(-1, k, k))
+    prog.add_inequality(0.0, np.concatenate(rows))
     corner = np.zeros((n + 1, n + 1))
     corner[xs, xs] = gi.A.array
     corner[0, xs] = gi.a / 2.0
     corner[xs, 0] = gi.a / 2.0
-    obj = Q0.T @ corner @ Q0
-    for i, L in enumerate(lifts):
-        if data.Ki[i].coordinate_kinds()[0] == cones.ORTHANT:
-            for r in orthant_coords:
-                prog.add_inequality(0.0, np.outer(L[r], L[n + 1]))
-        g = data.g[i][0]
-        per = np.zeros((n + 2, n + 2))
-        per[xs, n + 1] = per[n + 1, xs] = gi.b[i] * g / 2.0
-        per[n + 1, n + 1] = gi.C[i].array[0, 0]
-        per[0, n + 1] = per[n + 1, 0] = gi.beta[i] * g / 2.0
-        obj += L.T @ per @ L
-    prog.set_objective(obj)
+    g = np.reshape(data.g, S)
+    per = np.zeros((S, n + 2, n + 2))
+    per[:, xs, n + 1] = per[:, n + 1, xs] = np.reshape(gi.b, (S, n)) * (g / 2.0)[:, None]
+    per[:, n + 1, n + 1] = [c.array[0, 0] for c in gi.C]
+    per[:, 0, n + 1] = per[:, n + 1, 0] = np.array(gi.beta) * g / 2.0
+    prog.set_objective(Q0.T @ corner @ Q0 + (lifts.transpose(0, 2, 1) @ per @ lifts).sum(axis=0))
     return prog
 
 
@@ -312,27 +311,25 @@ def build_dense_reformulation(qp: QPInstance) -> ConicProgram:
     gi = _row_instance(qp)
     prog = build_general_relaxation(gi)
     _, _, lifts = _lifts(gi.data)
-    for i in range(qp.m):
-        for j in range(i + 1, qp.m):
-            prog.add_inequality(0.0, np.outer(lifts[i][-1], lifts[j][-1]))
+    arm_rows = lifts[:, -1]
+    i, j = np.triu_indices(qp.m, 1)
+    prog.add_inequality(0.0, arm_rows[i, :, None] * arm_rows[j, None, :])
     return prog
 
 
 def extract_solution(qp: QPInstance, res: SolveResult) -> RelaxationSolution:
-    """Per-row blocks ``L_i G L_i^T`` from the solved block ``G``, which is
-    the corner ``C`` here; without rows ``C`` itself, the block the rank-one
+    """Per-row blocks ``L[i] G L[i]^T`` from the solved block ``G``, which
+    is the corner ``C`` here, all formed by one batched product over the
+    stacked lifts; without rows ``C`` itself, the block the rank-one
     certificate must inspect."""
     n = qp.n
     C = 0.5 * (res.block + res.block.T)
     _, _, lifts = _lifts(_row_data(qp))
-    blocks = [SymMatrix(L @ C @ L.T) for L in lifts] or [SymMatrix(C)]
+    B = lifts @ C @ lifts.transpose(0, 2, 1)
+    blocks = [SymMatrix(blk) for blk in B] or [SymMatrix(C)]
     arms = [
-        {
-            "z": blk.array[1 : n + 1, n + 1].copy(),
-            "y": float(blk.array[0, n + 1]),
-            "Y": float(blk.array[n + 1, n + 1]),
-        }
-        for blk in blocks[: qp.m]
+        {"z": z, "y": float(y), "Y": float(Y)}
+        for z, y, Y in zip(B[:, 1 : n + 1, n + 1].copy(), B[:, 0, n + 1], B[:, n + 1, n + 1])
     ]
     return RelaxationSolution(SymMatrix(C[1:, 1:]), C[0, 1:].copy(), arms, blocks,
                               res.objective, res)
@@ -483,8 +480,8 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     nonsingular, block i's kernel is the line of ``k_i``, so its vector is
     ``k_i / d_i`` and ``u`` is the common direction of the rows ``F_i /
     d_i``.  Otherwise ``u = x / |x|`` and ``alpha_i, w_i`` are fitted by
-    least squares (:func:`_fit_alpha_w`).  All evidence is re-verified by
-    evaluating ``M_i v_i``.
+    least squares, all blocks at once (:func:`_fit_alpha_w`).  All evidence
+    is re-verified by evaluating every ``M_i v_i`` in one batched product.
     """
     if qp.m == 0:
         return None
@@ -506,27 +503,28 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     u_dir = np.linalg.svd(dirs, full_matrices=False)[2][0]
     if u_dir[np.argmax(np.abs(u_dir))] < 0:
         u_dir = -u_dir
+    Ms = np.array([blk.array for blk in sol.blocks])
     if singular:
-        alphas, ws = np.array([_fit_alpha_w(blk.array, u_dir, tol) for blk in sol.blocks]).T
+        alphas, ws = _fit_alpha_w(Ms, u_dir, tol).T
         parts = np.outer(alphas, u_dir)
     elif np.any(np.abs(parts - np.outer(alphas, u_dir)).max(axis=1)
                 > 1e-6 * np.maximum(1.0, alphas)):
         return None
-    vecs = list(np.column_stack([-np.ones(qp.m), parts, ws]))
-    for blk, vec in zip(sol.blocks, vecs):
-        scale = max(1.0, float(np.abs(blk.array).max()))
-        if np.abs(blk.array @ vec).max() > 10.0 * tol * scale:
-            return None
+    vecs = np.column_stack([-np.ones(qp.m), parts, ws])
+    scale = np.maximum(1.0, np.abs(Ms).max(axis=(1, 2)))
+    if np.any(np.abs(Ms @ vecs[:, :, None]).max(axis=(1, 2)) > 10.0 * tol * scale):
+        return None
     if alphas.min() <= 1e-10 or ws.min() <= 1e-10:
         return None
     if not interior_dual_contains(qp.K, u_dir):
         return None
-    return {"u": u_dir, "alpha": alphas, "w": ws, "vectors": vecs}
+    return {"u": u_dir, "alpha": alphas, "w": ws, "vectors": list(vecs)}
 
 
-def _fit_alpha_w(M: np.ndarray, u: np.ndarray, tol: float) -> np.ndarray:
-    """``(alpha, w)`` with ``M (-1, alpha u, w) = 0`` by least squares,
-    singular values below ``tol`` times the largest dropped.
+def _fit_alpha_w(Ms: np.ndarray, u: np.ndarray, tol: float) -> np.ndarray:
+    """Rows ``(alpha_i, w_i)`` with ``M_i (-1, alpha_i u, w_i) = 0`` for
+    every block ``M_i`` of the stack ``Ms``, by least squares with singular
+    values at most ``tol`` times the largest dropped.
 
     With parallel columns (rank-one blocks: ``alpha |x| + w y_i = 1``) the
     fit is a line, whose point a full-rank solve would take from rounding
@@ -534,11 +532,12 @@ def _fit_alpha_w(M: np.ndarray, u: np.ndarray, tol: float) -> np.ndarray:
     so it is positive whenever some point is, also when ``y_i = 0`` leaves
     ``w`` free and the minimum-norm point puts it at 0.
     """
-    cols = np.column_stack([M[:, 1:-1] @ u, M[:, -1]])
-    fit, _, rank, _ = np.linalg.lstsq(cols, M[:, 0], rcond=tol)
-    if rank < 2:
-        fit = np.linalg.lstsq(cols.sum(axis=1)[:, None], M[:, 0], rcond=tol)[0].repeat(2)
-    return fit
+    cols = np.stack([Ms[:, :, 1:-1] @ u, Ms[:, :, -1]], axis=2)
+    rhs = Ms[:, :, :1]
+    s = np.linalg.svd(cols, compute_uv=False)
+    fit = np.linalg.pinv(cols, rcond=tol) @ rhs
+    line = np.linalg.pinv(cols.sum(axis=2, keepdims=True), rcond=tol) @ rhs
+    return np.where(s[:, 1:] > tol * s[:, :1], fit[:, :, 0], line[:, :, 0])
 
 
 def exactness_report(qp: QPInstance,

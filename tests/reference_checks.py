@@ -5,8 +5,10 @@ constraint of the sparse relaxation; ``sample_projection_points`` and
 ``point_in_projection`` probe the x-projections of the constraint sets that
 condition (iii) compares; ``cond_iii_by_pairs`` searches condition (iii) one
 reference-arm pair and one coordinate at a time, the reference for the
-vectorized ``check_cond_iii``.  The library's decision procedures never
-call them, so they live here, next to the tests.
+vectorized ``check_cond_iii``; ``fit_alpha_w_by_block`` fits certificate A's
+``(alpha, w)`` one block at a time, the reference for the stacked
+``qp_relax._fit_alpha_w``.  The library's decision procedures never call
+them, so they live here, next to the tests.
 """
 
 from typing import Optional
@@ -243,3 +245,15 @@ def cond_iii_by_pairs(data: ConstraintData):
         else:
             return (i_star, lams), ""
     return None, "; ".join(reasons)
+
+
+def fit_alpha_w_by_block(M: np.ndarray, u: np.ndarray, tol: float) -> np.ndarray:
+    """``(alpha, w)`` with ``M (-1, alpha u, w) = 0`` for one block ``M`` by
+    least squares, singular values at most ``tol`` times the largest
+    dropped; with parallel columns (rank below two), the point of the fitted
+    line with ``alpha = w``."""
+    cols = np.column_stack([M[:, 1:-1] @ u, M[:, -1]])
+    fit, _, rank, _ = np.linalg.lstsq(cols, M[:, 0], rcond=tol)
+    if rank < 2:
+        fit = np.linalg.lstsq(cols.sum(axis=1)[:, None], M[:, 0], rcond=tol)[0].repeat(2)
+    return fit

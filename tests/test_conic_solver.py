@@ -395,3 +395,73 @@ def test_fixed_inequality_row_violation_is_infeasible():
     res = solve(p)
     assert res.status == INFEASIBLE and res.iterations == 0
     assert res.diagnostics == "inequality row 0 is fixed at 1 < 2 by the equalities"
+
+
+class TestStackedInequalities:
+    def test_stack_matches_rows_added_one_at_a_time(self):
+        stack = np.random.default_rng(3).standard_normal((5, 3, 3))
+        one_by_one, stacked = ConicProgram(3), ConicProgram(3)
+        for C in stack:
+            one_by_one.add_inequality(0.5, C)
+        stacked.add_inequality(0.5, stack)
+        assert len(stacked.inequalities) == 5
+        L1, h1 = one_by_one.inequality_matrix()
+        L2, h2 = stacked.inequality_matrix()
+        assert np.array_equal(L1, L2) and np.array_equal(h1, h2)
+
+    def test_a_stack_of_one_is_one_row(self):
+        p = ConicProgram(2)
+        p.add_inequality(1.0, E01[None])
+        assert len(p.inequalities) == 1 and p.inequalities[0][0].shape == (2, 2)
+
+    def test_bad_stack_raises_like_one_bad_matrix(self):
+        nan = np.eye(3)
+        nan[1, 2] = np.nan
+        for single, stack in ((np.zeros((3, 2)), np.zeros((4, 3, 2))),
+                              (nan, np.stack([np.eye(3), nan]))):
+            p = ConicProgram(3)
+            with pytest.raises(ValueError) as one:
+                p.add_inequality(0.0, single)
+            with pytest.raises(ValueError) as many:
+                p.add_inequality(0.0, stack)
+            assert str(many.value) == str(one.value).replace(str(single.shape), str(stack.shape))
+            assert p.inequalities == []
+        too_deep = r"matrix has shape \(2, 4, 3, 3\), expected \(3, 3\)"
+        with pytest.raises(ValueError, match=too_deep):
+            ConicProgram(3).add_inequality(0.0, np.zeros((2, 4, 3, 3)))
+
+    def test_equalities_and_objective_take_one_matrix(self):
+        p = ConicProgram(2)
+        with pytest.raises(ValueError, match="matrix has shape"):
+            p.add_equality(0.0, np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="matrix has shape"):
+            p.set_objective(np.zeros((1, 2, 2)))
+
+
+def test_one_factorization_per_iterate(monkeypatch):
+    # Each step factors X and W once and the Schur complement once, and
+    # builds the Schur complement without a Kronecker product.
+    counts, steps = {"cholesky": 0, "kron": 0}, []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np, "kron", counted("kron", np.kron))
+    step = conic_solver._mehrotra_step
+
+    def recorded(*args):
+        before = dict(counts)
+        result = step(*args)
+        steps.append({k: counts[k] - before[k] for k in counts})
+        return result
+
+    monkeypatch.setattr(conic_solver, "_mehrotra_step", recorded)
+    assert solve(build_sparse_relaxation(baseline_qp(4, 12, 0)),
+                 SolveOptions(polish=False)).status == OPTIMAL
+    assert steps
+    assert max(s["cholesky"] for s in steps) <= 3
+    assert all(s["kron"] == 0 for s in steps)

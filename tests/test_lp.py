@@ -122,3 +122,12 @@ def test_pivot_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(lp, "_PIVOTS_PER_DIM", 0)
     with pytest.raises(np.linalg.LinAlgError, match="simplex made 0 pivots without finishing"):
         lp.solve(c, A, np.array([0.0, 0.0, 1.0]))
+
+
+def test_zero_pivot_budget_solves_an_lp_optimal_at_its_start(monkeypatch):
+    # The unit column of x_0 starts the basis and every reduced cost is zero
+    # there: no pivot is needed, so a budget of none is enough.
+    monkeypatch.setattr(lp, "_PIVOTS_PER_DIM", 0)
+    res = lp.solve([1.0, 1.0], [[1.0, 1.0]], [1.0])
+    assert res.status == lp.OPTIMAL
+    assert res.v @ [1.0, 1.0] == pytest.approx(1.0)

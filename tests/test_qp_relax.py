@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline_qp
-from reference_checks import lemma_equivalence_check
+from reference_checks import fit_alpha_w_by_block, lemma_equivalence_check
 from cppc import qp_relax
 from cppc.conditions import ConstraintData
 from cppc.cones import ORTHANT, free, orthant, product
@@ -23,6 +23,7 @@ from cppc.qp_relax import (
     GeneralInstance,
     QPInstance,
     _corner,
+    _fit_alpha_w,
     _lifts,
     build_dense_reformulation,
     build_general_relaxation,
@@ -152,6 +153,21 @@ def counts(prog):
 
 
 class TestBuilders:
+    def test_rows_are_added_in_one_call_whatever_m(self, monkeypatch):
+        # The sparse relaxation has 5 >= rows per row of F at n = 4, all
+        # added as one stack.
+        calls = []
+        add = ConicProgram.add_inequality
+        monkeypatch.setattr(ConicProgram, "add_inequality",
+                            lambda self, rhs, C: calls.append(1) or add(self, rhs, C))
+        counted = []
+        for m in (12, 40):
+            calls.clear()
+            prog = build_sparse_relaxation(baseline_qp(4, m, 0))
+            assert len(prog.inequalities) == 5 * m
+            counted.append(len(calls))
+        assert counted[0] == counted[1] == 1
+
     def test_block_structure(self, qp_two_constraints):
         # One corner block of order n+1 with the unit corner as its only
         # equality, and a ``>=`` row (C w_i)_r >= 0, r = 0..n, per row.
@@ -466,6 +482,33 @@ class TestCertificates:
         for i, vec in enumerate(cert["vectors"]):
             k = np.concatenate([[-qp.d[i]], qp.F[i], [1.0]])
             assert np.array_equal(vec, k / qp.d[i])
+
+    def test_stacked_fit_matches_the_per_block_fit(self):
+        # Rank-one blocks z z^T (parallel columns: the line's point with
+        # alpha = w) and rank-two blocks in one stack, in random order.
+        rng = np.random.default_rng(5)
+        u = rng.uniform(0.2, 1.0, 3)
+        u /= np.linalg.norm(u)
+        blocks = []
+        for k in range(12):
+            Z = rng.uniform(0.1, 1.0, (1 + k % 2, 5))
+            Z[:, 0] = 1.0
+            blocks.append(Z.T @ Z)
+        Ms = np.array(blocks)[rng.permutation(12)]
+        fit = _fit_alpha_w(Ms, u, KERNEL_TOL)
+        ref = np.array([fit_alpha_w_by_block(M, u, KERNEL_TOL) for M in Ms])
+        assert np.allclose(fit, ref, rtol=1e-9, atol=1e-12)
+        assert sum(np.isclose(a, w) for a, w in fit) >= 6
+
+    def test_stacked_fit_takes_alpha_equal_w_when_y_is_zero(self):
+        # An active row (y_i = 0) leaves w free; the minimum-norm point
+        # would put it at 0, the fit takes alpha = w = 1 / (x . u).
+        x, u = np.array([0.3, 0.4]), np.array([0.6, 0.8])
+        z = np.r_[1.0, x, 0.0]
+        M = np.outer(z, z)
+        fit = _fit_alpha_w(M[None], u, KERNEL_TOL)[0]
+        assert fit == pytest.approx([1.0 / (x @ u)] * 2, rel=1e-12)
+        assert np.allclose(fit, fit_alpha_w_by_block(M, u, KERNEL_TOL), rtol=1e-12)
 
     def test_certificate_a_trivial_kernel(self):
         qp = QPInstance.build(np.eye(2), np.ones(2), [[1.0, 1.0]], [1.0])
