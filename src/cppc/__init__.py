@@ -56,7 +56,6 @@ from .qp_relax import (
     certificate_a,
     certificate_b,
     exactness_report,
-    kernel_vectors,
     rank_one_certificate,
     solve_bounds,
 )

@@ -141,22 +141,24 @@ class GeneralInstance:
 
     A: SymMatrix
     a: np.ndarray
-    b: tuple  # per-arm vectors b_i (dim n_x)
-    beta: tuple  # per-arm scalars
-    C: tuple  # per-arm SymMatrix (order 1)
+    b: np.ndarray  # (S, n_x): row i is b_i
+    beta: np.ndarray  # (S,)
+    C: np.ndarray  # (S,): the order-1 C_i as scalars
     data: ConstraintData
 
     @staticmethod
     def build(A, a, b, beta, C, data: ConstraintData) -> "GeneralInstance":
+        """Each ``C_i`` may be an order-1 ``SymMatrix``, a 1 x 1 array or a
+        scalar."""
         A = A if isinstance(A, SymMatrix) else SymMatrix(A)
         a = np.asarray(a, dtype=float).reshape(-1)
-        S = data.S
-        b = tuple(np.asarray(v, dtype=float).reshape(-1) for v in b)
-        beta = tuple(float(v) for v in beta)
-        C = tuple(c if isinstance(c, SymMatrix) else SymMatrix(c) for c in C)
-        if A.order != data.nx or a.size != data.nx:
+        S, nx = data.S, data.nx
+        b = [np.asarray(v, dtype=float).reshape(-1) for v in b]
+        beta = np.array([float(v) for v in beta])
+        C = [c.array if isinstance(c, SymMatrix) else np.asarray(c, dtype=float) for c in C]
+        if A.order != nx or a.size != nx:
             raise ValueError("objective dimensions do not match the shared cone")
-        if not (len(b) == len(beta) == len(C) == S):
+        if not (len(b) == beta.size == len(C) == S):
             raise ValueError("per-arm objective lengths do not match S")
         # The relaxation lives on the shared corner, which needs every arm to
         # be a ray whose coefficient can be divided out (see _lifts).
@@ -164,25 +166,38 @@ class GeneralInstance:
             raise ValueError("every arm cone must have dimension one")
         if any(gv[0] == 0.0 for gv in data.g):
             raise ValueError("every arm coefficient g_i must be nonzero")
-        for v in b:
-            if v.size != data.nx:
-                raise ValueError("coupling vector dimension mismatch")
-        for c in C:
-            if c.order != 1:
-                raise ValueError("arm quadratic order mismatch")
-        return GeneralInstance(A, a, b, beta, C, data)
+        if any(v.size != nx for v in b):
+            raise ValueError("coupling vector dimension mismatch")
+        if any(c.size != 1 for c in C):
+            raise ValueError("arm quadratic order mismatch")
+        C = np.array([c.item() for c in C], dtype=float)
+        if not np.isfinite(C).all():
+            raise ValueError("arm quadratic contains non-finite entries")
+        return GeneralInstance(A, a, np.reshape(b, (S, nx)), beta, C, data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelaxationSolution:
-    """Lifted solution: shared ``(x, X)`` plus per-arm ``(z_i, y_i, Y_i)``."""
+    """The solved relaxation: its corner ``C = [[1, x^T], [x, X]]``, the
+    per-row blocks ``M_i = P_i^T C P_i`` as one stack of shape ``(m, n+2,
+    n+2)``, and the corner's checked eigendecomposition ``(w, v)``, taken
+    once.  Every block has the rank of ``C`` and its kernel plus the line
+    of ``k_i = (-d_i, F_i, 1)``, so the certificates read this spectrum
+    for all of them.  The arrays are read-only."""
 
-    X: SymMatrix
-    x: np.ndarray
-    arms: list  # per arm: dict(z=..., y=..., Y=...)
-    blocks: list  # per-arm DNN blocks of order n+2; the order-(n+1) one if m = 0
+    corner: np.ndarray
+    blocks: np.ndarray
+    spectrum: tuple
     objective: float
     solver: SolveResult
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.corner[0, 1:]
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.corner[1:, 1:]
 
 
 @dataclass
@@ -203,8 +218,7 @@ def _row_instance(qp: QPInstance) -> GeneralInstance:
     no coupling terms; the linear coefficient doubles to ``2 a``."""
     m = qp.m
     return GeneralInstance.build(
-        qp.A, 2.0 * qp.a, [np.zeros(qp.n)] * m, [0.0] * m, [SymMatrix([[0.0]])] * m,
-        _row_data(qp),
+        qp.A, 2.0 * qp.a, np.zeros((m, qp.n)), np.zeros(m), np.zeros(m), _row_data(qp)
     )
 
 
@@ -290,9 +304,9 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     corner[xs, 0] = gi.a / 2.0
     g = np.reshape(data.g, S)
     per = np.zeros((S, n + 2, n + 2))
-    per[:, xs, n + 1] = per[:, n + 1, xs] = np.reshape(gi.b, (S, n)) * (g / 2.0)[:, None]
-    per[:, n + 1, n + 1] = [c.array[0, 0] for c in gi.C]
-    per[:, 0, n + 1] = per[:, n + 1, 0] = np.array(gi.beta) * g / 2.0
+    per[:, xs, n + 1] = per[:, n + 1, xs] = gi.b * (g / 2.0)[:, None]
+    per[:, n + 1, n + 1] = gi.C
+    per[:, 0, n + 1] = per[:, n + 1, 0] = gi.beta * g / 2.0
     prog.set_objective(Q0.T @ corner @ Q0 + (lifts.transpose(0, 2, 1) @ per @ lifts).sum(axis=0))
     return prog
 
@@ -318,21 +332,25 @@ def build_dense_reformulation(qp: QPInstance) -> ConicProgram:
 
 
 def extract_solution(qp: QPInstance, res: SolveResult) -> RelaxationSolution:
-    """Per-row blocks ``L[i] G L[i]^T`` from the solved block ``G``, which
-    is the corner ``C`` here, all formed by one batched product over the
-    stacked lifts; without rows ``C`` itself, the block the rank-one
-    certificate must inspect."""
-    n = qp.n
+    """The solved corner, its spectrum and the per-row blocks ``P_i^T C
+    P_i``, all formed by one batched product.
+
+    The rows are arms with ``g_i = 1`` and no shared constraint, so each
+    lift of ``_lifts`` is ``I`` over ``w_i^T = (d_i, -F_i)``.  Each block
+    keeps its upper triangle, mirrored.  The corner takes the program's
+    unit entry exactly; the blocks are those of the returned block.
+    """
+    n, m = qp.n, qp.m
     C = 0.5 * (res.block + res.block.T)
-    _, _, lifts = _lifts(_row_data(qp))
+    lifts = np.concatenate([np.broadcast_to(np.eye(n + 1), (m, n + 1, n + 1)),
+                            np.column_stack([qp.d, -qp.F])[:, None]], axis=1)
     B = lifts @ C @ lifts.transpose(0, 2, 1)
-    blocks = [SymMatrix(blk) for blk in B] or [SymMatrix(C)]
-    arms = [
-        {"z": z, "y": float(y), "Y": float(Y)}
-        for z, y, Y in zip(B[:, 1 : n + 1, n + 1].copy(), B[:, 0, n + 1], B[:, n + 1, n + 1])
-    ]
-    return RelaxationSolution(SymMatrix(C[1:, 1:]), C[0, 1:].copy(), arms, blocks,
-                              res.objective, res)
+    blocks = np.triu(B) + np.triu(B, 1).transpose(0, 2, 1)
+    C[0, 0] = 1.0
+    spectrum = jacobi_eigh(C)
+    for arr in (C, blocks, *spectrum):
+        arr.setflags(write=False)
+    return RelaxationSolution(C, blocks, spectrum, res.objective, res)
 
 
 def solve_bounds(qp: QPInstance, solver_opts: Optional[SolveOptions] = None):
@@ -358,43 +376,11 @@ class SolverFailure(RuntimeError):
         self.result = result
 
 
-def _corner(sol: RelaxationSolution) -> SymMatrix:
-    """The solved corner ``C = [[1, x^T], [x, X]]``.  Every per-row block is
-    ``M_i = P_i^T C P_i`` with ``P_i`` onto and ``P_i k_i = 0`` for ``k_i =
-    (-d_i, F_i, 1)``, so ``rank M_i = rank C`` and ``ker M_i = ker C + span
-    k_i``: the checks below read the blocks' spectra off this one matrix."""
-    n = sol.x.size
-    C = np.empty((n + 1, n + 1))
-    C[0, 0] = 1.0
-    C[0, 1:] = C[1:, 0] = sol.x
-    C[1:, 1:] = sol.X.array
-    return SymMatrix(C)
-
-
-def _spectrum(sol: RelaxationSolution, spectrum):
-    """The corner's checked eigendecomposition ``(w, v)``, unless one is
-    handed in: :func:`exactness_report` computes it once for all checks."""
-    return jacobi_eigh(_corner(sol)) if spectrum is None else spectrum
-
-
-def rank_one_certificate(sol: RelaxationSolution, tol: float = KERNEL_TOL,
-                         spectrum=None) -> bool:
+def rank_one_certificate(sol: RelaxationSolution, tol: float = KERNEL_TOL) -> bool:
     """True iff the corner's second eigenvalue is below ``tol`` times its
     largest, i.e. every block has rank one."""
-    w, _ = _spectrum(sol, spectrum)
+    w, _ = sol.spectrum
     return bool(w[-2] <= tol * max(w[-1], 0.0))
-
-
-def kernel_vectors(M: SymMatrix, tol: float = KERNEL_TOL):
-    """Orthonormal eigenvectors with eigenvalues below ``tol`` times the
-    spectral scale."""
-    return _kernel(jacobi_eigh(M), tol)
-
-
-def _kernel(spectrum, tol: float):
-    """:func:`kernel_vectors` from a computed spectrum ``(w, v)``."""
-    w, v = spectrum
-    return [v[:, k].copy() for k in np.flatnonzero(_kernel_mask(w, tol))]
 
 
 def _kernel_mask(w: np.ndarray, tol: float) -> np.ndarray:
@@ -402,8 +388,7 @@ def _kernel_mask(w: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(w) <= tol * max(float(np.abs(w).max()), 1e-12)
 
 
-def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL,
-                  spectrum=None):
+def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL):
     """Kernel-vector certificate on the northwest block.
 
     One LP (:func:`_kernel_direction`) finds a kernel direction ``(-1, u)``
@@ -414,8 +399,8 @@ def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     re-verifies against the data.  Also reports whether the feasible polytope was
     verified bounded (the test is one-directional otherwise).
     """
-    nw = _corner(sol).array
-    w, v = _spectrum(sol, spectrum)
+    nw = sol.corner
+    w, v = sol.spectrum
     kernel = _kernel_mask(w, tol)
     vec = _kernel_direction(qp, v[:, ~kernel]) if kernel.any() else None
     if vec is None:
@@ -470,13 +455,12 @@ def _polytope_bounded(qp: QPInstance) -> bool:
     return check_boundedness(_row_data(qp)).status == BOUNDED
 
 
-def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL,
-                  spectrum=None):
+def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL):
     """Per-block kernel certificate: vectors ``(-1, alpha_i u, w_i)`` with a
     shared direction ``u`` in the dual-cone interior, positive ``alpha_i,
     w_i``, annihilated by their blocks.
 
-    The kernels come from the corner (see ``_corner``).  With ``C``
+    The kernels come from the corner's spectrum.  With ``C``
     nonsingular, block i's kernel is the line of ``k_i``, so its vector is
     ``k_i / d_i`` and ``u`` is the common direction of the rows ``F_i /
     d_i``.  Otherwise ``u = x / |x|`` and ``alpha_i, w_i`` are fitted by
@@ -485,7 +469,7 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     """
     if qp.m == 0:
         return None
-    singular = bool(_kernel(_spectrum(sol, spectrum), tol))
+    singular = bool(_kernel_mask(sol.spectrum[0], tol).any())
     if singular:
         norm = np.linalg.norm(sol.x)
         if norm < 1e-10:
@@ -503,7 +487,7 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     u_dir = np.linalg.svd(dirs, full_matrices=False)[2][0]
     if u_dir[np.argmax(np.abs(u_dir))] < 0:
         u_dir = -u_dir
-    Ms = np.array([blk.array for blk in sol.blocks])
+    Ms = sol.blocks
     if singular:
         alphas, ws = _fit_alpha_w(Ms, u_dir, tol).T
         parts = np.outer(alphas, u_dir)
@@ -556,16 +540,15 @@ def exactness_report(qp: QPInstance,
             diagnostics=f"solver failure: {exc}",
         )
     proven = []
-    spectrum = jacobi_eigh(_corner(sol))
-    rank_one = rank_one_certificate(sol, spectrum=spectrum)
+    rank_one = rank_one_certificate(sol)
     if rank_one:
         proven.append("rank_one")
     if upper is not None and abs(upper - lower) <= 1e-6 * max(1.0, abs(lower)):
         proven.append("bound_match")
-    cert_a = certificate_a(qp, sol, spectrum=spectrum)
+    cert_a = certificate_a(qp, sol)
     if cert_a is not None:
         proven.append("certificate_a")
-    cert_b = certificate_b(qp, sol, spectrum=spectrum)
+    cert_b = certificate_b(qp, sol)
     if cert_b is not None:
         proven.append("certificate_b")
     overall = PROVEN_EXACT if proven else UNKNOWN

@@ -7,8 +7,11 @@ condition (iii) compares; ``cond_iii_by_pairs`` searches condition (iii) one
 reference-arm pair and one coordinate at a time, the reference for the
 vectorized ``check_cond_iii``; ``fit_alpha_w_by_block`` fits certificate A's
 ``(alpha, w)`` one block at a time, the reference for the stacked
-``qp_relax._fit_alpha_w``.  The library's decision procedures never call
-them, so they live here, next to the tests.
+``qp_relax._fit_alpha_w``; ``blocks_by_row`` forms the QP relaxation's
+per-row blocks one row at a time, the reference for the stack of
+``qp_relax.extract_solution``; ``kernel_vectors`` lists a matrix's kernel
+the way the certificates measure it.  The library's decision procedures
+never call them, so they live here, next to the tests.
 """
 
 from typing import Optional
@@ -18,6 +21,7 @@ import numpy as np
 from cppc.conditions import _EXACT_TOL, ConstraintData
 from cppc.cones import ORTHANT, ZERO, GroundCone, cone_contains, dual_cone
 from cppc.matrix_core import SymMatrix, sym_eigh
+from cppc.qp_relax import KERNEL_TOL, _kernel_mask
 
 
 def lemma_equivalence_check(M: SymMatrix, a, b, r: float, nx: Optional[int] = None,
@@ -257,3 +261,23 @@ def fit_alpha_w_by_block(M: np.ndarray, u: np.ndarray, tol: float) -> np.ndarray
     if rank < 2:
         fit = np.linalg.lstsq(cols.sum(axis=1)[:, None], M[:, 0], rcond=tol)[0].repeat(2)
     return fit
+
+
+def blocks_by_row(F, d, corner) -> np.ndarray:
+    """Row i's block ``P_i^T C P_i`` of the QP relaxation, ``P_i = [I |
+    w_i]`` with ``w_i = (d_i, -F_i)``, formed one row at a time; shape
+    ``(m, n+2, n+2)``."""
+    corner = np.asarray(corner, dtype=float)
+    o = corner.shape[0]
+    blocks = np.zeros((len(d), o + 1, o + 1))
+    for i in range(len(d)):
+        P = np.column_stack([np.eye(o), np.r_[d[i], -np.asarray(F[i], dtype=float)]])
+        blocks[i] = P.T @ corner @ P
+    return blocks
+
+
+def kernel_vectors(M, tol: float = KERNEL_TOL):
+    """Orthonormal eigenvectors of ``M`` with eigenvalues below ``tol``
+    times the spectral scale."""
+    w, v = sym_eigh(M)
+    return [v[:, k].copy() for k in np.flatnonzero(_kernel_mask(w, tol))]

@@ -15,21 +15,9 @@ from cppc.qp_relax import certificate_b, solve_bounds
 def partial_matrix_from_blocks(n, sol):
     """Arrowhead partial matrix whose specified entries are the relaxation's
     shared corner and per-arm blocks."""
-    S = len(sol.blocks)
-    X_shared = np.zeros((n + 1, n + 1))
-    X_shared[0, 0] = 1.0
-    X_shared[0, 1:] = sol.x
-    X_shared[1:, 0] = sol.x
-    X_shared[1:, 1:] = sol.X.array
-    Z = []
-    Y = []
-    for arm in sol.arms:
-        row = np.zeros((1, n + 1))
-        row[0, 0] = arm["y"]
-        row[0, 1:] = arm["z"]
-        Z.append(row)
-        Y.append(SymMatrix([[arm["Y"]]]))
-    return PartialMatrix(ArrowheadPattern(n + 1, 1, S), SymMatrix(X_shared), Z, Y)
+    Z = [blk[n + 1 :, : n + 1] for blk in sol.blocks]
+    Y = [SymMatrix(blk[n + 1 :, n + 1 :]) for blk in sol.blocks]
+    return PartialMatrix(ArrowheadPattern(n + 1, 1, len(sol.blocks)), SymMatrix(sol.corner), Z, Y)
 
 
 def test_kernel_certificate_yields_explicit_completion(qp_two_constraints):

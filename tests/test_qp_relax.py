@@ -1,8 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import baseline_qp
-from reference_checks import fit_alpha_w_by_block, lemma_equivalence_check
+from reference_checks import (
+    blocks_by_row,
+    fit_alpha_w_by_block,
+    kernel_vectors,
+    lemma_equivalence_check,
+)
 from cppc import qp_relax
 from cppc.conditions import ConstraintData
 from cppc.cones import ORTHANT, free, orthant, product
@@ -22,7 +29,6 @@ from cppc.qp_relax import (
     UNKNOWN,
     GeneralInstance,
     QPInstance,
-    _corner,
     _fit_alpha_w,
     _lifts,
     build_dense_reformulation,
@@ -32,7 +38,6 @@ from cppc.qp_relax import (
     certificate_b,
     exactness_report,
     extract_solution,
-    kernel_vectors,
     rank_one_certificate,
     solve_bounds,
 )
@@ -56,20 +61,25 @@ def brute(qp):
     return val, x
 
 
+def solved(corner, objective=0.0):
+    """A solver result whose block is ``corner``."""
+    return SolveResult(OPTIMAL, np.asarray(corner, dtype=float), objective, {}, 0,
+                       np.zeros(1), np.zeros(0))
+
+
 def lifted_solution_from_point(qp, x):
-    """Rank-one feasible lift of a single feasible point."""
-    prog = build_sparse_relaxation(qp)
-    res = solve(prog)  # only for the shapes; values replaced below
-    blocks = []
-    for i in range(qp.m):
-        y = float(qp.d[i] - qp.F[i] @ x)
-        z = np.concatenate([[1.0], x, [y]])
-        blocks.append(SymMatrix(np.outer(z, z)))
-    sol = extract_solution(qp, res)
-    sol.blocks = blocks
-    sol.x = np.asarray(x, dtype=float)
-    sol.X = SymMatrix(np.outer(x, x))
-    return sol
+    """Rank-one feasible lift of a single feasible point: the corner
+    ``(1, x)(1, x)^T``, whose blocks are ``z_i z_i^T`` for ``z_i = (1, x,
+    d_i - F_i x)``."""
+    z = np.concatenate([[1.0], x])
+    return extract_solution(qp, solved(np.outer(z, z), qp.objective(x)))
+
+
+def with_corner(sol, corner):
+    """``sol`` with another corner and that corner's spectrum; the blocks
+    stay as solved."""
+    corner = np.asarray(corner, dtype=float)
+    return replace(sol, corner=corner, spectrum=sym_eigh(corner))
 
 
 def per_row_program(gi):
@@ -112,7 +122,7 @@ def per_row_program(gi):
         quad = {(1 + r, 1 + c): h[r] * h[c] for r in range(n + 1) for c in range(r, n + 1)}
         prog.add_equality(d * d, coeff({i: quad}))
         arm = {(1 + k, n + 1): gi.b[i][k] * g / 2 for k in range(n)}
-        arm[(n + 1, n + 1)] = gi.C[i].array[0, 0]
+        arm[(n + 1, n + 1)] = gi.C[i]
         arm[(0, n + 1)] = gi.beta[i] * g / 2
         obj[i] = arm
     f0, d0 = data.f[0], data.d[0]
@@ -202,13 +212,13 @@ class TestBuilders:
                 A, [0.3, -0.2], qp_two_constraints.F, qp_two_constraints.d, K
             )
             gi = GeneralInstance.build(
-                qp.A, 2.0 * qp.a, [np.zeros(2)] * 2, [0.0] * 2, [SymMatrix([[0.0]])] * 2,
+                qp.A, 2.0 * qp.a, np.zeros((2, 2)), np.zeros(2), np.zeros(2),
                 ConstraintData.width_one(K, qp.F, np.ones(2), qp.d),
             )
             res = solve(build_sparse_relaxation(qp))
             assert res.status == OPTIMAL
             sol = extract_solution(qp, res)
-            assert_solves_per_row_program(gi, [b.array for b in sol.blocks], res)
+            assert_solves_per_row_program(gi, sol.blocks, res)
         # A shared constraint and coupled arm terms, with one free arm.
         rng = np.random.default_rng(8)
         data = ConstraintData.build(
@@ -263,6 +273,29 @@ class TestBuilders:
         G = res.block
         _, _, (L,) = _lifts(data)
         assert_solves_per_row_program(gi, [L @ G @ L.T], res)
+
+    def test_general_takes_arrays_or_per_arm_values(self):
+        # Per-arm vectors, scalars and order-1 matrices are stored as the
+        # arrays b (S, n), beta (S,) and C (S,).
+        data = ConstraintData.width_one(orthant(2), [[1.0, 0.5], [0.5, 1.0]], [1.0, 2.0], [1.0, 1.0])
+        b, beta, C = np.array([[0.5, -0.2], [0.1, 0.3]]), np.array([0.3, -0.1]), np.array([0.4, 0.2])
+        arrays = GeneralInstance.build(np.eye(2), np.zeros(2), b, beta, C, data)
+        per_arm = GeneralInstance.build(
+            SymMatrix(np.eye(2)), np.zeros(2), list(b), [0.3, -0.1],
+            [SymMatrix([[0.4]]), [[0.2]]], data,
+        )
+        for gi in (arrays, per_arm):
+            assert gi.b.shape == (2, 2) and gi.beta.shape == gi.C.shape == (2,)
+            assert np.array_equal(gi.b, b) and np.array_equal(gi.beta, beta)
+            assert np.array_equal(gi.C, C)
+        for bad, message in (
+            ((b[:1], beta, C), "per-arm objective lengths"),
+            ((np.zeros((2, 3)), beta, C), "coupling vector dimension"),
+            ((b, beta, [np.eye(2)] * 2), "arm quadratic order"),
+            ((b, beta, [np.nan, 0.0]), "non-finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                GeneralInstance.build(np.eye(2), np.zeros(2), *bad, data)
 
     def test_general_rejects_bad_shapes(self):
         data = ConstraintData.build(
@@ -353,7 +386,8 @@ class TestRankOne:
         tol = 1e-8
         sol = lifted_solution_from_point(qp_two_constraints, np.array([0.2, 0.2]))
         # The certificate reads the corner, which every block has the rank of.
-        sol.X = SymMatrix(sol.X.array + 10 * tol * np.eye(2))
+        perturbed = sol.corner + 10 * tol * np.diag([0.0, 1.0, 1.0])
+        sol = extract_solution(qp_two_constraints, solved(perturbed))
         assert not rank_one_certificate(sol, tol=tol)
 
     def test_no_rows_checks_the_northwest_block(self):
@@ -365,9 +399,8 @@ class TestRankOne:
             (0.5 * np.outer(z1, z1) + 0.5 * np.outer(z2, z2), False),
             (np.outer(z1, z1), True),
         ):
-            res = SolveResult(OPTIMAL, M, np.zeros(0), 0.0, {}, 0, np.zeros(1))
-            sol = extract_solution(qp, res)
-            assert len(sol.blocks) == 1 and sol.arms == []
+            sol = extract_solution(qp, solved(M))
+            assert sol.blocks.shape == (0, 4, 4)
             assert rank_one_certificate(sol) is expected
 
 
@@ -402,12 +435,7 @@ class TestCertificates:
 
     def test_certificate_b_requires_kernel(self):
         qp = QPInstance.build(np.eye(2), np.ones(2), [[1.0, 1.0]], [1.0])
-        _, sol, _ = solve_bounds(qp)
-        nw = np.zeros((3, 3))
-        nw[0, 0] = 1.0
-        nw[1:, 1:] = np.eye(2)
-        sol.X = SymMatrix(np.eye(2))
-        sol.x = np.zeros(2)
+        sol = extract_solution(qp, solved(np.eye(3)))
         assert certificate_b(qp, sol) is None
 
     def test_certificate_b_rejects_boundary_direction(self):
@@ -415,9 +443,7 @@ class TestCertificates:
         qp = QPInstance.build(-np.eye(2), np.zeros(2), [[1.0, 0.5]], [1.0])
         x = np.array([0.5, 0.0])
         nw = np.outer(np.concatenate([[1.0], x]), np.concatenate([[1.0], x]))
-        _, sol, _ = solve_bounds(qp)
-        sol.x = x
-        sol.X = SymMatrix(np.outer(x, x))
+        sol = extract_solution(qp, solved(nw))
         cert = certificate_b(qp, sol)
         if cert is not None:
             assert np.all(cert["u"] > 0)
@@ -433,14 +459,14 @@ class TestCertificates:
             qp = QPInstance.build(0.5 * (G + G.T), draw.standard_normal(4),
                                   draw.uniform(-0.3, 1.0, (3, 4)), np.ones(3))
             _, sol, _ = solve_bounds(qp)
-            w, v = sym_eigh(_corner(sol))
+            w, v = sol.spectrum
             kernel = np.abs(w) <= KERNEL_TOL * np.abs(w).max()
             assert kernel.sum() == 4
-            cert = certificate_b(qp, sol, spectrum=(w, v))
+            cert = certificate_b(qp, sol)
             mixed = v.copy()
             Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
             mixed[:, kernel] = v[:, kernel] @ Q
-            again = certificate_b(qp, sol, spectrum=(w, mixed))
+            again = certificate_b(qp, replace(sol, spectrum=(w, mixed)))
             assert (cert is None) == (again is None)
             if cert is not None:
                 assert np.allclose(cert["u"], again["u"], atol=1e-9)
@@ -466,7 +492,7 @@ class TestCertificates:
         cert = certificate_a(qp, sol)
         assert cert is not None
         for vec, blk in zip(cert["vectors"], sol.blocks):
-            assert np.abs(blk.array @ vec).max() <= 1e-6
+            assert np.abs(blk @ vec).max() <= 1e-6
         assert np.all(cert["alpha"] > 0) and np.all(cert["w"] > 0)
 
     def test_certificate_a_on_nonsingular_corner(self):
@@ -475,7 +501,7 @@ class TestCertificates:
         # k_i = (-d_i, F_i, 1).
         qp = QPInstance.build(-np.eye(2), [0.5, 0.5], [[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0])
         _, sol, _ = solve_bounds(qp)
-        assert kernel_vectors(_corner(sol)) == []
+        assert kernel_vectors(sol.corner) == []
         cert = certificate_a(qp, sol)
         assert cert is not None
         assert np.allclose(cert["u"], np.sqrt(0.5))
@@ -513,9 +539,7 @@ class TestCertificates:
     def test_certificate_a_trivial_kernel(self):
         qp = QPInstance.build(np.eye(2), np.ones(2), [[1.0, 1.0]], [1.0])
         _, sol, _ = solve_bounds(qp)
-        full_rank = SymMatrix(np.eye(4))
-        sol.blocks = [full_rank]
-        assert certificate_a(qp, sol) is None
+        assert certificate_a(qp, replace(sol, blocks=np.eye(4)[None])) is None
 
 
 class TestLemmaEquivalence:
@@ -616,12 +640,14 @@ class TestExactnessReport:
         assert len(calls) <= 1
 
     def test_handed_spectrum_gives_the_same_checks(self):
+        # The spectrum taken with the solution is the corner's: a fresh one
+        # handed in gives the same checks.
         qp = baseline_qp(4, 12, 0)
         _, sol, _ = solve_bounds(qp, SolveOptions(polish=False))
-        spectrum = sym_eigh(_corner(sol))
-        assert rank_one_certificate(sol) == rank_one_certificate(sol, spectrum=spectrum)
+        handed_sol = with_corner(sol, sol.corner)
+        assert rank_one_certificate(sol) == rank_one_certificate(handed_sol)
         for check in (certificate_a, certificate_b):
-            alone, handed = check(qp, sol), check(qp, sol, spectrum=spectrum)
+            alone, handed = check(qp, sol), check(qp, handed_sol)
             assert (alone is None) == (handed is None)
             if alone is not None:
                 assert all(np.array_equal(alone[k], handed[k]) for k in alone)
@@ -635,9 +661,11 @@ class TestExactnessReport:
         _, sol, _ = solve_bounds(qp, SolveOptions(polish=False))
         base = certificate_a(qp, sol)
         assert base is not None
+        corner = sol.corner.copy()
         for j in range(qp.n):
-            sol.x = sol.x + 1e-15 * np.eye(qp.n)[j]
-            moved = certificate_a(qp, sol)
+            corner[0, 1:] += 1e-15 * np.eye(qp.n)[j]
+            corner[1:, 0] = corner[0, 1:]
+            moved = certificate_a(qp, with_corner(sol, corner.copy()))
             assert moved is not None
             assert np.abs(moved["u"] - base["u"]).max() <= 1e-14
             assert np.abs(moved["alpha"] - base["alpha"]).max() <= 1e-8
@@ -661,7 +689,7 @@ def test_blocks_share_the_corner_spectrum():
     kernel_dims = set()
     for qp, opts in corner_identity_cases():
         _, sol, _ = solve_bounds(qp, opts)
-        dim = len(kernel_vectors(_corner(sol)))
+        dim = len(kernel_vectors(sol.corner))
         kernel_dims.add(dim)
         per_block_rank_one = True
         for blk in sol.blocks:
@@ -671,6 +699,52 @@ def test_blocks_share_the_corner_spectrum():
         assert per_block_rank_one == rank_one_certificate(sol)
     # Both the rank-one and the nonsingular corner occur.
     assert {0, 4} <= kernel_dims
+
+
+def test_blocks_match_the_per_row_products():
+    # The stack holds P_i^T C P_i for every row, formed one row at a time
+    # in the reference; without rows it is empty.
+    rng = np.random.default_rng(11)
+    shapes = set()
+    for k in range(12):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(0, 4)) if k % 3 else 0
+        n_free = int(rng.integers(1, n + 1)) if k % 2 else 0
+        K = product(orthant(n - n_free), free(n_free)) if n_free else orthant(n)
+        G = rng.standard_normal((n, n))
+        qp = QPInstance.build(G @ G.T / n + 0.1 * np.eye(n), rng.standard_normal(n),
+                              rng.uniform(0.2, 1.5, (m, n)), rng.uniform(0.5, 2.0, m), K)
+        _, sol, _ = solve_bounds(qp)
+        assert sol.blocks.shape == (m, n + 2, n + 2)
+        assert not sol.blocks.flags.writeable and not sol.corner.flags.writeable
+        assert np.array_equal(sol.blocks, sol.blocks.transpose(0, 2, 1))
+        ref = blocks_by_row(qp.F, qp.d, sol.corner)
+        scale = max(1.0, float(np.abs(sol.corner).max()))
+        assert np.allclose(sol.blocks, ref, rtol=0.0, atol=1e-12 * scale)
+        assert sol.corner[0, 0] == 1.0
+        assert np.array_equal(sol.x, sol.corner[0, 1:]) and np.array_equal(sol.X, sol.corner[1:, 1:])
+        shapes.add((m == 0, n_free > 0))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_report_work_does_not_grow_with_rows(monkeypatch):
+    # One exactness report builds no SymMatrix per row and the row data at
+    # most twice (the program and the boundedness check).
+    made, built = [], []
+    init = SymMatrix.__init__
+    build = ConstraintData.build
+    monkeypatch.setattr(SymMatrix, "__init__", lambda self, values: made.append(1) or init(self, values))
+    monkeypatch.setattr(ConstraintData, "build",
+                        staticmethod(lambda *args: built.append(1) or build(*args)))
+    made_per_m = []
+    for m in (12, 40):
+        qp = baseline_qp(4, m, 0)
+        made.clear()
+        built.clear()
+        rep = exactness_report(qp, SolveOptions(polish=False))
+        assert rep.solution is not None
+        made_per_m.append(len(made))
+        assert len(built) <= 2
+    assert made_per_m[0] == made_per_m[1]
 
 
 class TestDenseReference:
