@@ -65,7 +65,10 @@ class ConstraintData:
         Ki = tuple(Ki)
         f = tuple(np.asarray(v, dtype=float).reshape(-1) for v in f)
         g = tuple(np.asarray(v, dtype=float).reshape(-1) for v in g)
-        d = tuple(float(x) for x in d)
+        d = [np.asarray(x, dtype=float) for x in d]
+        if any(x.size != 1 for x in d):
+            raise ValueError("every d_i must be a scalar or a one-element array")
+        d = tuple(x.item() for x in d)
         S = len(Ki)
         if len(f) != S + 1 or len(g) != S or len(d) != S + 1:
             raise ValueError(
@@ -91,7 +94,7 @@ class ConstraintData:
             K0,
             [orthant(1)] * len(g),
             [f0] + list(f),
-            [np.atleast_1d(float(gi)) for gi in g],
+            list(g),
             [d0] + list(d),
         )
 
@@ -108,6 +111,8 @@ class ConstraintData:
 class BoundednessVerdict:
     status: str
     reason: str
+    #: The per-arm interior test (condition i) the verdict was reached with.
+    cond_i: list
 
 
 @dataclass
@@ -220,30 +225,33 @@ def check_boundedness(data: ConstraintData) -> BoundednessVerdict:
     x-projection is {0} (Bounded), or it is not and the region has a point
     (NotBounded), or the region has a Farkas certificate of emptiness
     (Bounded).  A certificate that fails its check gives Inconclusive.
+    The verdict carries the interior test it ran (``cond_i``).
     """
     cond_i = check_cond_i(data)
     if check_Fi_bounded_sufficient(data, 0):
-        return BoundednessVerdict(BOUNDED, "shared constraint set is bounded")
+        return BoundednessVerdict(BOUNDED, "shared constraint set is bounded", cond_i)
     for i in range(1, data.S + 1):
         if cond_i[i - 1] and check_Fi_bounded_sufficient(data, i):
-            return BoundednessVerdict(BOUNDED, f"constraint set {i} is bounded")
+            return BoundednessVerdict(BOUNDED, f"constraint set {i} is bounded", cond_i)
 
     if not all(cond_i):
         return BoundednessVerdict(
-            INCONCLUSIVE, "interior test fails for some arm coefficient"
+            INCONCLUSIVE, "interior test fails for some arm coefficient", cond_i
         )
     try:
         ray_max = _recession_norm_max(data)
         if ray_max <= 1e-9:
-            return BoundednessVerdict(BOUNDED, "recession cone of the x-projection is {0}")
+            return BoundednessVerdict(
+                BOUNDED, "recession cone of the x-projection is {0}", cond_i
+            )
         nonempty, _ = _shared_region_nonempty(data)
     except np.linalg.LinAlgError as exc:
-        return BoundednessVerdict(INCONCLUSIVE, f"boundedness LP failed: {exc}")
+        return BoundednessVerdict(INCONCLUSIVE, f"boundedness LP failed: {exc}", cond_i)
     if nonempty:
         return BoundednessVerdict(
-            NOT_BOUNDED, f"recession direction with norm {ray_max:.3g} exists"
+            NOT_BOUNDED, f"recession direction with norm {ray_max:.3g} exists", cond_i
         )
-    return BoundednessVerdict(BOUNDED, "x-projection region is empty")
+    return BoundednessVerdict(BOUNDED, "x-projection region is empty", cond_i)
 
 
 def _multipliers(data: ConstraintData):
@@ -341,8 +349,10 @@ def check_cond_iii(data: ConstraintData) -> tuple[Optional[tuple], str]:
 
 
 def build_condition_report(data: ConstraintData) -> ConditionReport:
-    cond_i = check_cond_i(data)
+    """All three checks; the interior test runs once, inside
+    :func:`check_boundedness`, and the report reuses its result."""
     bounded = check_boundedness(data)
+    cond_i = bounded.cond_i
     if all(cond_i):
         cert, reason = check_cond_iii(data)
     else:

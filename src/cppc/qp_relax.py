@@ -148,17 +148,17 @@ class GeneralInstance:
 
     @staticmethod
     def build(A, a, b, beta, C, data: ConstraintData) -> "GeneralInstance":
-        """Each ``C_i`` may be an order-1 ``SymMatrix``, a 1 x 1 array or a
-        scalar."""
+        """Each ``beta_i`` may be a scalar or a one-element array, each
+        ``C_i`` an order-1 ``SymMatrix``, a 1 x 1 array or a scalar."""
         A = A if isinstance(A, SymMatrix) else SymMatrix(A)
         a = np.asarray(a, dtype=float).reshape(-1)
         S, nx = data.S, data.nx
         b = [np.asarray(v, dtype=float).reshape(-1) for v in b]
-        beta = np.array([float(v) for v in beta])
+        beta = [np.asarray(v, dtype=float) for v in beta]
         C = [c.array if isinstance(c, SymMatrix) else np.asarray(c, dtype=float) for c in C]
         if A.order != nx or a.size != nx:
             raise ValueError("objective dimensions do not match the shared cone")
-        if not (len(b) == beta.size == len(C) == S):
+        if not (len(b) == len(beta) == len(C) == S):
             raise ValueError("per-arm objective lengths do not match S")
         # The relaxation lives on the shared corner, which needs every arm to
         # be a ray whose coefficient can be divided out (see _lifts).
@@ -168,8 +168,11 @@ class GeneralInstance:
             raise ValueError("every arm coefficient g_i must be nonzero")
         if any(v.size != nx for v in b):
             raise ValueError("coupling vector dimension mismatch")
+        if any(v.size != 1 for v in beta):
+            raise ValueError("every beta_i must be a scalar or a one-element array")
         if any(c.size != 1 for c in C):
             raise ValueError("arm quadratic order mismatch")
+        beta = np.array([v.item() for v in beta])
         C = np.array([c.item() for c in C], dtype=float)
         if not np.isfinite(C).all():
             raise ValueError("arm quadratic contains non-finite entries")

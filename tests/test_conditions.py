@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from cppc import oracles
+from cppc import completion, conditions, oracles
 from cppc.cli import parse_completion_problem
 from cppc.completion import certify_completable
 from cppc.conditions import (
@@ -12,6 +12,7 @@ from cppc.conditions import (
     INCONCLUSIVE,
     NOT_BOUNDED,
     ConstraintData,
+    build_condition_report,
     check_Fi_bounded_sufficient,
     check_boundedness,
     check_cond_i,
@@ -56,6 +57,62 @@ class TestCondI:
     def test_negative_fails(self):
         data = width_one_data([[2.0]], [-3.0], [1.0], orthant(1))
         assert check_cond_i(data) == [False]
+
+
+class TestBuild:
+    def test_one_element_arrays_are_scalars(self):
+        args = (orthant(2), [orthant(1)], [np.zeros(2), np.ones(2)], [np.ones(1)])
+        data = ConstraintData.build(*args, [0.0, np.array([1.0])])
+        assert data.d == (0.0, 1.0)
+        assert all(type(v) is float for v in data.d)
+        width_one = ConstraintData.width_one(orthant(2), [np.ones(2)], [np.array([1.0])],
+                                             [np.array([1.0])])
+        assert width_one.d == data.d
+        assert all(np.array_equal(a, b) for a, b in zip(width_one.g, data.g))
+
+    def test_longer_arrays_raise_value_error(self):
+        args = (orthant(2), [orthant(1)], [np.zeros(2), np.ones(2)], [np.ones(1)])
+        with pytest.raises(ValueError, match="one-element"):
+            ConstraintData.build(*args, [0.0, np.array([1.0, 2.0])])
+        with pytest.raises(ValueError, match="arm cone has 1"):
+            ConstraintData.width_one(orthant(2), [np.ones(2)], [np.ones(2)], [1.0])
+
+
+class TestConditionReport:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts of ``check_cond_i`` calls and of condition reports."""
+        counts = {"cond_i": 0, "reports": 0}
+        cond_i, report = conditions.check_cond_i, conditions.build_condition_report
+
+        def counted_cond_i(*args, **kwargs):
+            counts["cond_i"] += 1
+            return cond_i(*args, **kwargs)
+
+        def counted_report(*args, **kwargs):
+            counts["reports"] += 1
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(conditions, "check_cond_i", counted_cond_i)
+        monkeypatch.setattr(completion, "build_condition_report", counted_report)
+        return counts
+
+    @pytest.mark.parametrize("g", [[1.0, 2.0], [1.0, 0.0]])
+    def test_one_interior_test_per_report(self, counted, g):
+        data = width_one_data([[1.0], [1.0]], g, [1.0, 1.0], orthant(1))
+        report = build_condition_report(data)
+        assert counted["cond_i"] == 1
+        assert report.cond_i == report.boundedness.cond_i == [True, g[1] > 0]
+
+    def test_one_interior_test_per_certified_report(self, counted):
+        path = os.path.join(os.path.dirname(__file__), "fixtures", "completable_arrowhead.json")
+        with open(path, encoding="utf-8") as fh:
+            certify_completable(parse_completion_problem(json.load(fh)))
+        assert counted["cond_i"] == counted["reports"] == 1
+
+    def test_boundedness_alone_runs_the_interior_test(self, counted, data_two_rows):
+        assert check_boundedness(data_two_rows).cond_i == [True, True]
+        assert counted["cond_i"] == 1
 
 
 class TestSufficientBounded:

@@ -275,8 +275,8 @@ class TestBuilders:
         assert_solves_per_row_program(gi, [L @ G @ L.T], res)
 
     def test_general_takes_arrays_or_per_arm_values(self):
-        # Per-arm vectors, scalars and order-1 matrices are stored as the
-        # arrays b (S, n), beta (S,) and C (S,).
+        # Per-arm vectors, scalars, one-element arrays and order-1 matrices
+        # are stored as the arrays b (S, n), beta (S,) and C (S,).
         data = ConstraintData.width_one(orthant(2), [[1.0, 0.5], [0.5, 1.0]], [1.0, 2.0], [1.0, 1.0])
         b, beta, C = np.array([[0.5, -0.2], [0.1, 0.3]]), np.array([0.3, -0.1]), np.array([0.4, 0.2])
         arrays = GeneralInstance.build(np.eye(2), np.zeros(2), b, beta, C, data)
@@ -284,7 +284,10 @@ class TestBuilders:
             SymMatrix(np.eye(2)), np.zeros(2), list(b), [0.3, -0.1],
             [SymMatrix([[0.4]]), [[0.2]]], data,
         )
-        for gi in (arrays, per_arm):
+        one_element = GeneralInstance.build(
+            np.eye(2), np.zeros(2), b, [np.array([0.3]), np.array([-0.1])], C, data
+        )
+        for gi in (arrays, per_arm, one_element):
             assert gi.b.shape == (2, 2) and gi.beta.shape == gi.C.shape == (2,)
             assert np.array_equal(gi.b, b) and np.array_equal(gi.beta, beta)
             assert np.array_equal(gi.C, C)
@@ -293,6 +296,7 @@ class TestBuilders:
             ((np.zeros((2, 3)), beta, C), "coupling vector dimension"),
             ((b, beta, [np.eye(2)] * 2), "arm quadratic order"),
             ((b, beta, [np.nan, 0.0]), "non-finite"),
+            ((b, [np.array([0.3, 0.1]), -0.1], C), "one-element"),
         ):
             with pytest.raises(ValueError, match=message):
                 GeneralInstance.build(np.eye(2), np.zeros(2), *bad, data)
