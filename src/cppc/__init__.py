@@ -28,7 +28,14 @@ from .cones import (
     product,
     zero,
 )
-from .conic_solver import ConicProgram, SolveOptions, SolveResult, kkt_residuals, solve
+from .conic_solver import (
+    ConicProgram,
+    SolveOptions,
+    SolveResult,
+    face_polish,
+    kkt_residuals,
+    solve,
+)
 from .conditions import (
     ConditionReport,
     ConstraintData,

@@ -16,10 +16,12 @@ as in SDPA and DSDP: its slack is the matrix ``v`` and the values of the
 predictor-corrector) solves it with a Schur complement of order ``dim y``.
 Each step factors the iterate once: one Cholesky factor of the primal matrix
 and one of the dual slack give ``Z^-1`` and all four step lengths.
-Its best point, primal and dual, starts an active-face polish: the rows near
+Its best point, primal and dual, is checked and returned.  With the polish
+on, that result then starts an active-face polish (:func:`face_polish`,
+which a caller may also run later on an unpolished result): the rows near
 zero join the equalities, and one Gauss-Newton solve of that face's KKT
-system runs per face guess.  When no guess verifies, the iterate itself is
-checked.  Residuals, dual feasibility and gap are always re-evaluated on the
+system runs per face guess.  When no guess verifies, the checked iterate
+stands.  Residuals, dual feasibility and gap are always re-evaluated on the
 original data before a result is declared Optimal.
 """
 
@@ -137,7 +139,10 @@ class SolveOptions:
     """Acceptance tolerances, the interior-point iteration cap and whether to
     face-polish the loop's best iterate.  The loop itself stops once its
     relative residuals and gap are below a thousandth of the tightest
-    tolerance, or when they stop improving."""
+    tolerance, or when they stop improving.  ``solve`` polishes every
+    result when ``polish`` is on; ``qp_relax.exactness_report`` reads it as
+    leave to polish, and polishes only when the unpolished checks prove
+    nothing."""
 
     tol_primal: float = 1e-7
     tol_dual: float = 1e-7
@@ -218,7 +223,8 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     ``Infeasible`` (after 0 iterations) is a proof: either the equality
     system is inconsistent, or a ``>=`` row that is constant on its
     solutions fails, named in the diagnostics.  ``MaxIters`` returns the
-    best iterate with a residual report and claims nothing.
+    best iterate with a residual report and claims nothing.  With
+    ``opts.polish`` the checked iterate goes through :func:`face_polish`.
     """
     opts = opts or SolveOptions()
     d = _program_data(p)
@@ -232,23 +238,30 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
         form, opts.max_iters, 1e-3 * min(opts.tol_primal, opts.tol_dual, opts.tol_gap)
     )
     v, nu, lam, Z = form.original(*point)
-    if opts.polish:
-        polished = _face_polish(p, d, v, nu, lam, it)
-        if polished is not None:
-            return polished
     dual_res = _dual_residual(d, nu, lam, Z)
     result = _result(p, d, v, nu, lam, it, dual_res, "interior-point iterate accepted")
     res = result.residuals
     scale_b = 1.0 + float(np.abs(d.b).max(initial=0.0))
-    if (
+    if not (
         max(res["equality"], res["cone"]) <= opts.tol_primal * scale_b
         and dual_res <= opts.tol_dual * (1.0 + float(np.abs(d.c).max()))
         and res["gap_relative"] <= opts.tol_gap
     ):
-        return result
-    result.status = MAX_ITERS
-    result.diagnostics = stop or "interior-point iterate failed the original-data check"
-    return result
+        result.status = MAX_ITERS
+        result.diagnostics = stop or "interior-point iterate failed the original-data check"
+    return _face_polish(p, d, result) if opts.polish else result
+
+
+def face_polish(p: ConicProgram, res: SolveResult) -> SolveResult:
+    """The active-face polish of the unpolished result ``res`` of
+    ``solve(p, SolveOptions(polish=False))``: the first face guess whose
+    polished point verifies, as an ``Optimal`` result whose diagnostics
+    start with "face polish accepted at threshold"; else ``res`` itself.
+    ``solve`` with ``polish`` on returns exactly this.  An ``Infeasible``
+    result has no iterate and comes back as it is."""
+    if res.status == INFEASIBLE:
+        return res
+    return _face_polish(p, _program_data(p), res)
 
 
 def _svec_basis(o: int) -> np.ndarray:
@@ -306,30 +319,26 @@ class _NullSpaceForm:
         self.A = -np.vstack([T @ N, G[self.rows] * self.row_scale[:, None]]).T
         self.b = -N.T @ (T.T @ d.c)
         self.c = np.r_[T @ v0, g0[self.rows] * self.row_scale]
-        self.order = p.order
-        self.psd, self.flat = slice(p.num_vars), slice(p.num_vars, None)
-        # The rows of A as matrices (PSD part) and on the orthant part, for
-        # the Schur complement.
-        self.A3 = self.A[:, self.psd].reshape(-1, p.order, p.order)
-        self.Af = self.A[:, self.flat]
-
-    def mat(self, u):
-        return u[self.psd].reshape(self.order, self.order)
-
-    def join(self, M, flat):
-        return np.concatenate([M.reshape(-1), flat])
+        # ``u[:k]`` is the PSD matrix, entry by entry, and ``u[k:]`` the
+        # orthant part.  The step reads the views below of A; copies would
+        # change the order in which BLAS sums.
+        self.order, self.k = p.order, p.num_vars
+        self.At, self.As, self.Af = self.A.T, self.A[:, :self.k], self.A[:, self.k:]
+        self.AfT, self.eye = self.Af.T, np.eye(p.order)
+        # The rows of A as matrices, for the Schur complement.
+        self.A3 = self.As.reshape(-1, p.order, p.order)
 
     def original(self, u, y, w):
         """``(v, nu, lam, Z)`` of an interior-point ``(u, y, w)``: the
         program's variable, the multipliers of the equalities (least squares
         on ``c + A^T nu - L^T lam - Z = 0``) and of the ``>=`` rows, and the
         PSD matrix of ``u``."""
-        d = self.d
+        d, k = self.d, self.k
         lam = np.zeros(d.h.size)
-        lam[self.rows] = u[self.flat] * self.row_scale
+        lam[self.rows] = u[k:] * self.row_scale
         Ur, sr, Vr = self.svd
-        nu = Ur @ ((Vr @ (self.T.T @ (u[self.psd] + d.L.T @ lam - d.c))) / sr)
-        return self.T @ (self.v0 + self.N @ y), nu, lam, self.mat(u)
+        nu = Ur @ ((Vr @ (self.T.T @ (u[:k] + d.L.T @ lam - d.c))) / sr)
+        return self.T @ (self.v0 + self.N @ y), nu, lam, u[:k].reshape(self.order, self.order)
 
 
 def _row_name(p, j):
@@ -355,23 +364,23 @@ def _interior_point(sf, max_iters, target):
     diverge).
     """
     A, b, c = sf.A, sf.b, sf.c
-    N = sf.order + c.size - sf.flat.start
+    N = sf.order + c.size - sf.k
     b_norm = 1.0 + float(np.linalg.norm(b))
     c_norm = 1.0 + float(np.linalg.norm(c))
     start = max(10.0, np.sqrt(N)) * max(1.0, float(np.abs(b).max(initial=0.0)))
-    eye = sf.join(np.eye(sf.order), np.ones(c.size - sf.flat.start))
+    eye = np.concatenate([sf.eye.reshape(-1), np.ones(c.size - sf.k)])
     u, y, w = start * eye, np.zeros(b.size), c_norm * eye
     mu0 = float(u @ w) / N
 
     best, best_score, since_best, it = None, np.inf, 0, 0
     while True:
         rp = b - A @ u
-        rd = c - A.T @ y - w
+        rd = c - sf.At @ y - w
         pobj, dobj = float(c @ u), float(b @ y)
         mu = float(u @ w) / N
         score = max(
-            float(np.linalg.norm(rp)) / b_norm,
-            float(np.linalg.norm(rd)) / c_norm,
+            float(np.sqrt(rp.dot(rp))) / b_norm,
+            float(np.sqrt(rd.dot(rd))) / c_norm,
             abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)),
         )
         if score < best_score:
@@ -396,41 +405,41 @@ def _mehrotra_step(sf, u, y, w, rp, rd, mu, N):
     """One predictor-corrector step along the HKM direction.  The matrices
     ``X`` of ``u`` and ``W`` of ``w`` are factored once, by Cholesky; the
     inverse factors give ``Z^-1 = W^-1`` and all four step lengths."""
-    A, f, s = sf.A, sf.flat, sf.psd
-    X = sf.mat(u)
+    A, At, k, o = sf.A, sf.At, sf.k, sf.order
+    X = u[:k].reshape(o, o)
     Xi = np.linalg.inv(np.linalg.cholesky(X))
-    Wi = np.linalg.inv(np.linalg.cholesky(sf.mat(w)))
+    Wi = np.linalg.inv(np.linalg.cholesky(w[:k].reshape(o, o)))
     Zi = _sym(Wi.T @ Wi)
-    x, z = u[f], w[f]
+    x, z = u[k:], w[k:]
     # Entry (i, j) of A_s kron(X, Z^-1) A_s^T is A_i . X A_j Z^-1.
-    M = (sf.Af * (x / z)) @ sf.Af.T
-    M += A[:, s] @ (X @ sf.A3 @ Zi).reshape(M.shape[0], X.size).T
+    M = (sf.Af * (x / z)) @ sf.AfT
+    M += sf.As @ (X @ sf.A3 @ Zi).reshape(M.shape[0], X.size).T
     solve_schur = _cholesky_solver(M)
 
     def scaled(D):
         # sym(X D Z^-1) on the PSD matrix, x D / z on the orthant.
-        return sf.join(_sym(X @ sf.mat(D) @ Zi), x * D[f] / z)
+        return np.concatenate([_sym(X @ D[:k].reshape(o, o) @ Zi).reshape(-1), x * D[k:] / z])
 
     base = rp + A @ scaled(rd)
 
     def direction(H):
         # du = H - scaled(dw), dw = rd - A^T dy and A du = rp.
         dy = solve_schur(base - A @ H)
-        dw = rd - A.T @ dy
+        dw = rd - At @ dy
         return H - scaled(dw), dy, dw
 
     du, _, dw = direction(-u)
-    ap = min(1.0, _step_to_boundary(sf, Xi, u, du))
-    ad = min(1.0, _step_to_boundary(sf, Wi, w, dw))
+    dX, dW, dx, dz = du[:k].reshape(o, o), dw[:k].reshape(o, o), du[k:], dw[k:]
+    ap = min(1.0, _step_to_boundary(Xi, x, dx, dX))
+    ad = min(1.0, _step_to_boundary(Wi, z, dz, dW))
     sigma_mu = min(1.0, (float((u + ap * du) @ (w + ad * dw)) / N / mu) ** 3) * mu
-    H = sf.join(
-        _sym((sigma_mu * np.eye(sf.order) - sf.mat(du) @ sf.mat(dw)) @ Zi),
-        (sigma_mu - du[f] * dw[f]) / z,
-    ) - u
+    H = np.concatenate([
+        _sym((sigma_mu * sf.eye - dX @ dW) @ Zi).reshape(-1), (sigma_mu - dx * dz) / z,
+    ]) - u
     du, dy, dw = direction(H)
     tau = 0.9 + 0.09 * min(ap, ad)
-    ap = min(1.0, tau * _step_to_boundary(sf, Xi, u, du))
-    ad = min(1.0, tau * _step_to_boundary(sf, Wi, w, dw))
+    ap = min(1.0, tau * _step_to_boundary(Xi, x, du[k:], du[:k].reshape(o, o)))
+    ad = min(1.0, tau * _step_to_boundary(Wi, z, dw[k:], dw[:k].reshape(o, o)))
     return u + ap * du, y + ad * dy, w + ad * dw
 
 
@@ -442,22 +451,35 @@ def _cholesky_solver(M):
     """Solver for ``M d = r`` by Cholesky; when the factorization fails
     (dependent rows make ``M`` singular) it retries with a small diagonal
     shift."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        L = _shifted_cholesky(M)
+    Li = np.linalg.inv(L)
+    return lambda r: Li.T @ (Li @ r)
+
+
+def _shifted_cholesky(M):
+    """The Cholesky factor of ``M`` plus the smallest of the listed shifts,
+    relative to its largest diagonal entry, that factors."""
     scale = float(np.abs(np.diag(M)).max(initial=0.0))
-    for shift in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
+    eye = np.eye(M.shape[0])
+    for shift in (1e-14, 1e-12, 1e-10, 1e-8):
         try:
-            Li = np.linalg.inv(np.linalg.cholesky(M + shift * scale * np.eye(M.shape[0])))
+            return np.linalg.cholesky(M + shift * scale * eye)
         except np.linalg.LinAlgError:
             continue
-        return lambda r: Li.T @ (Li @ r)
     raise np.linalg.LinAlgError("Schur complement is not positive definite")
 
 
-def _step_to_boundary(sf, Li, u, du):
-    """Largest ``a`` with ``u + a du`` in the cone (inf when ``du`` never
-    leaves it); ``Li`` is the inverse Cholesky factor of ``u``'s matrix."""
-    x, dx = u[sf.flat], du[sf.flat]
-    a = float(np.min(-x[dx < 0.0] / dx[dx < 0.0], initial=np.inf))
-    lam = np.linalg.eigvalsh(Li @ sf.mat(du) @ Li.T)[0]
+def _step_to_boundary(Li, x, dx, D):
+    """Largest ``a`` with ``(x, X) + a (dx, D)`` in the cone (inf when the
+    direction never leaves it): ``x`` and ``dx`` are the orthant parts, ``D``
+    the PSD matrix of the direction and ``Li`` the inverse Cholesky factor
+    of ``X``."""
+    neg = dx < 0.0
+    a = float((-x[neg] / dx[neg]).min(initial=np.inf))
+    lam = np.linalg.eigvalsh(Li @ D @ Li.T)[0]
     if lam < 0.0:
         a = min(a, -1.0 / lam)
     return a
@@ -504,9 +526,11 @@ def _result(p, d, v, nu, lam, it, dual, diagnostics):
 _POLISH_THRESHOLDS = (1e-3, 1e-4, 1e-5)
 
 
-def _face_polish(p, d, v, nu, lam, it):
-    """The first face guess, over ``_POLISH_THRESHOLDS``, whose polished
-    point passes the verification, as an ``Optimal`` result; else None."""
+def _face_polish(p, d, res):
+    """The first face guess from the result ``res``, over
+    ``_POLISH_THRESHOLDS``, whose polished point passes the verification,
+    as an ``Optimal`` result; else ``res``."""
+    v, nu, lam = res.block.reshape(-1), res.eq_multipliers, res.ineq_multipliers
     scale_b = 1.0 + float(np.abs(d.b).max(initial=0.0))
     scale_c = 1.0 + float(np.abs(d.c).max())
     for theta in _POLISH_THRESHOLDS:
@@ -516,17 +540,17 @@ def _face_polish(p, d, v, nu, lam, it):
             # A failed factorization (e.g. an SVD in lstsq that does not
             # converge) rejects this attempt like a failed verification.
             continue
-        result = _result(p, d, vp, nu_p, lam_p, it, dual,
+        result = _result(p, d, vp, nu_p, lam_p, res.iterations, dual,
                          f"face polish accepted at threshold {theta:g}")
-        res = result.residuals
+        r = result.residuals
         if (
-            res["equality"] <= 1e-9 * scale_b
-            and res["cone"] <= 1e-9 * max(1.0, float(np.abs(vp).max()))
-            and res["gap_relative"] <= 1e-7
+            r["equality"] <= 1e-9 * scale_b
+            and r["cone"] <= 1e-9 * max(1.0, float(np.abs(vp).max()))
+            and r["gap_relative"] <= 1e-7
             and dual <= 1e-9 * scale_c
         ):
             return result
-    return None
+    return res
 
 
 def _detect_faces(p, d, v, theta):

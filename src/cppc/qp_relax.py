@@ -26,7 +26,7 @@ the returned blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -44,6 +44,7 @@ from .conic_solver import (
     SolveOptions,
     SolveResult,
     entry_functional,
+    face_polish,
     solve,
 )
 from .matrix_core import SymMatrix
@@ -205,6 +206,12 @@ class RelaxationSolution:
 
 @dataclass
 class ExactnessReport:
+    """The bounds, the checks that ran and the verdict.  ``polish`` says what
+    the face polish did: "off", "not needed: proven without it", "accepted
+    at threshold θ" (the report is on the polished point) or "rejected"
+    (no face guess verified; the report is on the interior-point
+    iterate)."""
+
     lower: float
     upper: Optional[float]
     rank_one: bool
@@ -214,6 +221,7 @@ class ExactnessReport:
     proven_by: list = field(default_factory=list)
     diagnostics: str = ""
     solution: Optional[RelaxationSolution] = None
+    polish: str = "off"
 
 
 def _row_instance(qp: QPInstance) -> GeneralInstance:
@@ -360,10 +368,17 @@ def solve_bounds(qp: QPInstance, solver_opts: Optional[SolveOptions] = None):
     """Solve the sparse relaxation; return ``(lower, solution, upper)``.
 
     ``upper`` is the objective at the x-part whenever that point is
-    feasible for the instance within tolerance, absent otherwise.
+    feasible for the instance within tolerance, absent otherwise.  The
+    solve polishes whenever ``solver_opts.polish`` is on (the default),
+    whatever the checks would find; :func:`exactness_report` polishes only
+    when they need it.
     """
-    prog = build_sparse_relaxation(qp)
-    res = solve(prog, solver_opts or SolveOptions())
+    return _bounds(qp, solve(build_sparse_relaxation(qp), solver_opts or SolveOptions()))
+
+
+def _bounds(qp: QPInstance, res: SolveResult):
+    """``(lower, solution, upper)`` of the solved relaxation ``res``; raises
+    ``SolverFailure`` unless it is ``Optimal``."""
     if res.status != OPTIMAL:
         raise SolverFailure(
             f"relaxation solve returned {res.status}: {res.diagnostics}", res
@@ -534,9 +549,37 @@ def exactness_report(qp: QPInstance,
     ``ProvenExact`` when rank-one blocks, bounds that match to ``1e-6``
     relative, or either kernel certificate verifies; otherwise ``Unknown``
     (the checks are sound, not complete).
+
+    The relaxation is solved once, without the face polish, and checked at
+    that point.  With ``solver_opts.polish`` on (the default) the same
+    iterate is polished (:func:`face_polish`) only when that report is not
+    ``ProvenExact``, which includes every solve that is not ``Optimal``;
+    when the polish verifies, the checks run again on the polished point.
+    The report's ``polish`` field says which of these happened.
     """
+    opts = solver_opts or SolveOptions()
+    prog = build_sparse_relaxation(qp)
+    res = solve(prog, replace(opts, polish=False))
+    report = _checked(qp, res)
+    if not opts.polish:
+        return report
+    if report.overall == PROVEN_EXACT:
+        report.polish = "not needed: proven without it"
+        return report
+    polished = face_polish(prog, res)
+    if polished is res:
+        report.polish = "rejected"
+        return report
+    report = _checked(qp, polished)
+    report.polish = polished.diagnostics.removeprefix("face polish ")
+    return report
+
+
+def _checked(qp: QPInstance, res: SolveResult) -> ExactnessReport:
+    """The report of every exactness check on the solved relaxation
+    ``res``."""
     try:
-        lower, sol, upper = solve_bounds(qp, solver_opts)
+        lower, sol, upper = _bounds(qp, res)
     except SolverFailure as exc:
         return ExactnessReport(
             float("nan"), None, False, None, None, UNKNOWN,

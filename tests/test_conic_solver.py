@@ -12,6 +12,7 @@ from cppc.conic_solver import (
     SolveOptions,
     SolveResult,
     entry_functional,
+    face_polish,
     kkt_residuals,
     solve,
 )
@@ -357,6 +358,31 @@ def test_polish_accepted_from_interior_point(build, size):
     assert res.residuals["dual"] <= 1e-9 * (1.0 + np.abs(p.objective_vector()).max())
 
 
+@pytest.mark.parametrize("build, size", [(build_sparse_relaxation, (4, 20, 2)),
+                                         (build_dense_reformulation, (6, 6, 0))])
+def test_polish_of_the_unpolished_result_is_the_polished_solve(build, size):
+    # solve with the polish on is the polish of the unpolished result, bit
+    # for bit, so a caller can polish the iterate it already checked.
+    p = build(baseline_qp(*size))
+    unpolished = solve(p, SolveOptions(polish=False))
+    assert unpolished.diagnostics == "interior-point iterate accepted"
+    polished, direct = face_polish(p, unpolished), solve(p)
+    assert polished.diagnostics == direct.diagnostics == "face polish accepted at threshold 0.001"
+    assert (polished.status, polished.objective, polished.iterations, polished.residuals) == (
+        direct.status, direct.objective, direct.iterations, direct.residuals)
+    for a, b in ((polished.block, direct.block), (polished.eq_multipliers, direct.eq_multipliers),
+                 (polished.ineq_multipliers, direct.ineq_multipliers)):
+        assert np.array_equal(a, b)
+
+
+def test_polish_returns_an_infeasible_result_as_it_is():
+    p = ConicProgram(2)
+    p.add_equality(-1.0, E01)
+    res = solve(p, SolveOptions(polish=False))
+    assert res.status == INFEASIBLE
+    assert face_polish(p, res) is res
+
+
 def test_schur_order_is_the_free_coordinate_count(monkeypatch, pm_three_arms):
     # The loop runs on the null space of the equalities: the corner of order
     # n + 1 = 5 has 15 svec coordinates less the one equality G_00 = 1, and
@@ -373,6 +399,17 @@ def test_schur_order_is_the_free_coordinate_count(monkeypatch, pm_three_arms):
     orders.clear()
     assert complete_numeric(CompletionProblem.from_partial_matrix(pm_three_arms)).completion
     assert orders and set(orders) == {3}
+
+
+def test_schur_solver_shifts_a_singular_complement():
+    # Dependent rows make the Schur complement singular: the unshifted
+    # factorization fails and a small diagonal shift is taken instead; a
+    # matrix that no shift makes positive definite raises.
+    M = np.ones((2, 2))
+    solve_M = conic_solver._cholesky_solver(M)
+    assert np.allclose(M @ solve_M(np.array([2.0, 2.0])), [2.0, 2.0])
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        conic_solver._cholesky_solver(-np.eye(2))
 
 
 def test_constant_row_violation_is_infeasible():

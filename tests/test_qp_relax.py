@@ -10,10 +10,11 @@ from reference_checks import (
     kernel_vectors,
     lemma_equivalence_check,
 )
-from cppc import qp_relax
+from cppc import conic_solver, qp_relax
 from cppc.conditions import ConstraintData
 from cppc.cones import ORTHANT, free, orthant, product
 from cppc.conic_solver import (
+    MAX_ITERS,
     OPTIMAL,
     ConicProgram,
     SolveOptions,
@@ -629,6 +630,7 @@ class TestExactnessReport:
         assert rep.overall == UNKNOWN and rep.proven_by == []
         assert rep.solution is None
         assert rep.diagnostics.startswith("solver failure: relaxation solve returned MaxIters")
+        assert rep.polish == "rejected"
 
     def test_eigendecompositions_do_not_grow_with_rows(self, monkeypatch):
         # Every check reads the corner, not the m per-row blocks.
@@ -814,3 +816,74 @@ class TestFreeConeSupport:
         lower, sol, upper = solve_bounds(qp)
         ref, _ = brute(qp)
         assert lower <= ref + 1e-6
+
+
+def assert_same_report(a, b):
+    """Every field of two reports but ``polish``, bit for bit."""
+    for name in ("lower", "upper", "rank_one", "overall", "proven_by", "diagnostics"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x == y or (x != x and y != y), name
+    for name in ("certificate_a", "certificate_b"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.keys() == y.keys()
+            assert all(np.array_equal(x[k], y[k]) for k in x), name
+    assert (a.solution is None) == (b.solution is None)
+    if a.solution is not None:
+        sa, sb = a.solution, b.solution
+        assert sa.objective == sb.objective
+        for x, y in ((sa.corner, sb.corner), (sa.blocks, sb.blocks),
+                     (sa.spectrum[0], sb.spectrum[0]), (sa.spectrum[1], sb.spectrum[1])):
+            assert np.array_equal(x, y)
+        ra, rb = sa.solver, sb.solver
+        assert (ra.status, ra.iterations, ra.diagnostics, ra.residuals) == (
+            rb.status, rb.iterations, rb.diagnostics, rb.residuals)
+        for x, y in ((ra.block, rb.block), (ra.eq_multipliers, rb.eq_multipliers),
+                     (ra.ineq_multipliers, rb.ineq_multipliers)):
+            assert np.array_equal(x, y)
+
+
+class TestPolishOnDemand:
+    @pytest.mark.parametrize("n, m", [(4, 4), (6, 6), (8, 8), (4, 12), (4, 16), (4, 20)])
+    def test_proven_rungs_never_polish(self, monkeypatch, n, m):
+        # The unpolished point already proves these rungs, so the report is
+        # the unpolished one and the polish is never entered.
+        qp = baseline_qp(n, m, 0)
+        off = exactness_report(qp, SolveOptions(polish=False))
+
+        def refuse(*args):
+            raise AssertionError("the polish ran")
+
+        monkeypatch.setattr(qp_relax, "face_polish", refuse)
+        monkeypatch.setattr(conic_solver, "_face_polish", refuse)
+        rep = exactness_report(qp)
+        assert rep.overall == PROVEN_EXACT
+        assert (rep.polish, off.polish) == ("not needed: proven without it", "off")
+        assert_same_report(rep, off)
+
+    def test_fixture_polishes_the_one_iterate(self, monkeypatch, qp_two_constraints):
+        # The fixture needs the polish for certificate B: the report is the
+        # one of the polished solve, from a single interior-point loop.
+        reference = qp_relax._checked(
+            qp_two_constraints, solve(build_sparse_relaxation(qp_two_constraints)))
+        loops = []
+        loop = conic_solver._interior_point
+        monkeypatch.setattr(conic_solver, "_interior_point",
+                            lambda *args: loops.append(1) or loop(*args))
+        rep = exactness_report(qp_two_constraints)
+        assert len(loops) == 1
+        assert rep.proven_by == ["certificate_b"]
+        assert rep.polish == "accepted at threshold 0.001"
+        assert_same_report(rep, reference)
+
+    def test_polish_rescues_a_short_loop(self, qp_two_constraints):
+        # Five steps leave the loop at MaxIters; its best iterate polishes
+        # to a verified point, and certificate B proves that.
+        opts = SolveOptions(max_iters=5)
+        unpolished = solve(build_sparse_relaxation(qp_two_constraints), replace(opts, polish=False))
+        assert unpolished.status == MAX_ITERS
+        rep = exactness_report(qp_two_constraints, opts)
+        assert rep.overall == PROVEN_EXACT and rep.proven_by == ["certificate_b"]
+        assert rep.polish == "accepted at threshold 0.001"
+        assert rep.solution.solver.iterations == 5
