@@ -151,10 +151,10 @@ def _data_dict(data: Optional[ConstraintData]) -> Optional[dict]:
         return None
     return {
         "f0": data.f[0].tolist(),
-        "d0": data.d[0],
-        "f": [v.tolist() for v in data.f[1:]],
-        "g": [float(v[0]) for v in data.g],
-        "d": list(data.d[1:]),
+        "d0": float(data.d[0]),
+        "f": data.f[1:].tolist(),
+        "g": data.g[:, 0].tolist(),
+        "d": data.d[1:].tolist(),
     }
 
 

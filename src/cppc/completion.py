@@ -45,11 +45,13 @@ completion exists; otherwise the max-determinant completion is rechecked.
 Only inputs neither outcome settles reach the conic solver, which proves
 none as well when a specified entry that must be nonnegative is negative.
 
-A :class:`CompletionProblem` builds its max-determinant completion once and
-remembers the nonnegative factor certification found for it, which the
-numeric completion re-checks before it searches.  So certification
-followed by the numeric completion of the same problem pays for one
-completion and one factor search.
+A :class:`CompletionProblem` gathers every arm's block into one stack once,
+on which the block equations, the block spectra and the block CP checks each
+take one call.  It builds its max-determinant completion once and remembers
+the nonnegative factor certification found for it, which the numeric
+completion re-checks before it searches.  So certification followed by the
+numeric completion of the same problem pays for one completion and one
+factor search.
 """
 
 from __future__ import annotations
@@ -76,12 +78,7 @@ from .conic_solver import (
     solve,
 )
 from .cones import GroundCone, MembershipVerdict, is_dnn, orthant
-from .matrix_core import (
-    Completion,
-    PartialMatrix,
-    SymMatrix,
-    extract_block,
-)
+from .matrix_core import Completion, PartialMatrix, SymMatrix
 # perfbench/tracer.py wraps the routine under this name.
 from .matrix_core import sym_eigh as jacobi_eigh
 
@@ -99,7 +96,8 @@ class CompletionProblem:
     (``_max_det``), so that certification followed by
     :func:`complete_numeric` on the same problem builds one completion and
     runs one factor search.  Change no entry of ``pm`` or ``original``
-    after the first call: the remembered completion would not follow.
+    after the first call: the remembered completion and blocks would not
+    follow.
     """
 
     pm: PartialMatrix
@@ -143,16 +141,21 @@ class CompletionProblem:
     def S(self) -> int:
         return self.pm.pattern.S
 
-    def block_parts(self, i: int):
-        """Pieces ``(x, X, y_i, z_i, Y_i)`` of arm ``i`` (1-based), scaled."""
-        X_full = self.pm.X.array
-        x = X_full[0, 1:]
-        X = X_full[1:, 1:]
-        z_row = self.pm.Z[i - 1][0]
-        y = float(z_row[0])
-        z = z_row[1:]
-        Y = float(self.pm.Y[i - 1][0, 0])
-        return x, X, y, z, Y
+    @cached_property
+    def block_rows(self) -> np.ndarray:
+        """Row ``i`` lists the rows ``(0, ..., n1 - 1, n1 + i)`` of arm ``i + 1``."""
+        n1 = self.pm.pattern.n1
+        return np.column_stack([np.tile(np.arange(n1), (self.S, 1)), n1 + np.arange(self.S)])
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """Every arm's block ``[[X, z_i^T], [z_i, Y_i]]`` (unit corner), the
+        zero-filled matrix on its :attr:`block_rows`, in one read-only
+        ``(S, n1 + 1, n1 + 1)`` stack."""
+        rows = self.block_rows
+        stack = self.pm.zero_filled().array[rows[:, :, None], rows[:, None, :]]
+        stack.setflags(write=False)
+        return stack
 
     @cached_property
     def _max_det(self) -> "_MaxDet":
@@ -235,20 +238,17 @@ class NumericCompletionResult:
 
 
 def _block_residuals(problem: CompletionProblem, data: ConstraintData):
-    per_arm = []
-    for i in range(1, problem.S + 1):
-        x, X, y, z, Y = problem.block_parts(i)
-        f = data.f[i]
-        g = float(data.g[i - 1][0])
-        d = data.d[i]
-        lin = float(f @ x + g * y - d)
-        quad = float(f @ X @ f + 2.0 * g * (f @ z) + g * g * Y - d * d)
-        per_arm.append((lin, quad))
-    f0 = data.f[0]
-    d0 = data.d[0]
-    x, X, *_ = problem.block_parts(1)
+    """Every arm's ``(f_i.x + g_i y_i - d_i, f_i^T X f_i + 2 g_i f_i.z_i +
+    g_i^2 Y_i - d_i^2)`` off the block stack, and the shared pair."""
+    blocks = problem.blocks
+    x, X = blocks[0, 0, 1:-1], blocks[0, 1:-1, 1:-1]
+    y, z, Y = blocks[:, 0, -1], blocks[:, 1:-1, -1], blocks[:, -1, -1]
+    f, g, d = data.f[1:], data.g[:, 0], data.d[1:]
+    lin = f @ x + g * y - d
+    quad = ((f @ X) * f).sum(axis=1) + 2.0 * g * (f * z).sum(axis=1) + g * g * Y - d * d
+    f0, d0 = data.f[0], data.d[0]
     f0_pair = (float(f0 @ x - d0), float(f0 @ X @ f0 - d0 * d0))
-    return per_arm, f0_pair
+    return list(zip(lin.tolist(), quad.tolist())), f0_pair
 
 
 def _worst_residual(per_arm, f0_pair) -> float:
@@ -323,11 +323,9 @@ def _block_cp_verdicts(problem: CompletionProblem):
     doubly nonnegative) and of every block, a principal submatrix of it on
     the rows ``(0, ..., n1 - 1, n1 + i)``: :func:`cones.principal_cp`.  The
     problem keeps the factor found (``_max_det.factor``)."""
-    n1 = problem.pm.pattern.n1
     max_det = problem._max_det
-    rows = [np.r_[:n1, n1 + i] for i in range(problem.S)]
     whole, verdicts = cones.principal_cp(
-        max_det.full, rows, source="the max-determinant completion"
+        max_det.full, problem.block_rows, source="the max-determinant completion"
     )
     if whole is not None:
         max_det.factor = whole.witness
@@ -371,11 +369,11 @@ def find_data(problem: CompletionProblem, *, tol: float = 1e-8) -> Optional[Cons
     and one per reference arm, and every rule reads the same checked
     spectrum of each block.
     """
-    spectra = [jacobi_eigh(extract_block(problem.pm, i)) for i in range(1, problem.S + 1)]
-    data = _find_data_rank_one(problem, spectra, tol)
+    w, vecs = jacobi_eigh(problem.blocks)
+    data = _find_data_rank_one(problem, w, vecs, tol)
     if data is not None or not problem.K.is_orthant_like():
         return data
-    kernels = [vecs[:, w <= tol * w[-1]] for w, vecs in spectra]
+    kernels = [V[:, wk <= tol * wk[-1]] for wk, V in zip(w, vecs)]
     if any(B.shape[1] == 0 for B in kernels):
         return None
     if all(B.shape[1] == 1 for B in kernels):
@@ -390,38 +388,35 @@ def find_data(problem: CompletionProblem, *, tol: float = 1e-8) -> Optional[Cons
     return None
 
 
-def _find_data_rank_one(problem: CompletionProblem, spectra, tol: float):
-    """Rule 1 of :func:`find_data` on the blocks' spectra: when every block
-    has numerical rank one, the shared functional ``(1, ..., 1; 1)`` on every
-    arm; it needs a pure orthant ground cone."""
+def _find_data_rank_one(problem: CompletionProblem, w, vecs, tol: float):
+    """Rule 1 of :func:`find_data` on the blocks' stacked spectra ``(w,
+    vecs)``: when every block has numerical rank one, the shared functional
+    ``(1, ..., 1; 1)`` on every arm; it needs a pure orthant ground cone."""
     if not np.all(problem.K.coordinate_kinds() == cones.ORTHANT):
         return None
-    ones = np.ones(problem.n)
-    values = []
-    for w, vecs in spectra:
-        if w[-1] <= 0.0 or (w.size > 1 and abs(w[-2]) > _RANK_ONE_TOL * w[-1]):
-            return None
-        # Block i is spanned by its factor v = (1, x, y) up to sign, so
-        # (-s, 1, ..., 1) with s = 1.x + y lies in its kernel.
-        v = vecs[:, -1] * np.sqrt(w[-1])
-        if v[0] < 0.0:
-            v = -v
-        values.append(float(ones @ v[1:-1] + v[-1]))
-    if min(values) <= tol:
+    top = w[:, -1]
+    if np.any(top <= 0.0) or np.any(np.abs(w[:, -2]) > _RANK_ONE_TOL * top):
         return None
-    return _data_from_kernel(problem, [np.r_[-s, ones, 1.0] for s in values], tol)
+    # Block i is spanned by its factor v = (1, x, y) up to sign, so
+    # (-s, 1, ..., 1) with s = 1.x + y lies in its kernel.  The sum runs in
+    # coordinate order, which no BLAS kernel reorders.
+    v = vecs[:, :, -1] * np.sqrt(top)[:, None]
+    v[v[:, 0] < 0.0] *= -1.0
+    values = np.add.accumulate(v[:, 1:], axis=1)[:, -1]
+    if values.min() <= tol:
+        return None
+    return _data_from_kernel(problem, np.column_stack([-values, np.ones_like(v[:, 1:])]), tol)
 
 
 def _data_from_kernel(problem: CompletionProblem, kernel_vectors, tol: float):
-    """The data of kernel vectors ``k_i = (-d_i, f_i, g_i)`` scaled to
-    ``d_i = 1``, when every ``g_i`` and ``d_i`` is positive and it passes
-    :func:`_data_admissible`; else None."""
-    if any(k[-1] <= 0.0 or k[0] >= 0.0 for k in kernel_vectors):
+    """The data of kernel vectors ``k_i = (-d_i, f_i, g_i)`` (the rows of
+    ``kernel_vectors``) scaled to ``d_i = 1``, when every ``g_i`` and ``d_i``
+    is positive and it passes :func:`_data_admissible`; else None."""
+    k = np.asarray(kernel_vectors)
+    if np.any(k[:, -1] <= 0.0) or np.any(k[:, 0] >= 0.0):
         return None
-    ks = [k / -k[0] for k in kernel_vectors]
-    data = ConstraintData.width_one(
-        problem.K, [k[1:-1] for k in ks], [k[-1] for k in ks], [1.0] * len(ks)
-    )
+    k = k / -k[:, :1]
+    data = ConstraintData.width_one(problem.K, k[:, 1:-1], k[:, -1], np.ones(len(k)))
     return data if _data_admissible(problem, data, tol) else None
 
 
@@ -469,11 +464,9 @@ def _reference_lp(kernels, r: int, orth: np.ndarray):
 
 def _data_admissible(problem: CompletionProblem, data: ConstraintData,
                      tol: float) -> bool:
-    """Both block equations within ``tol``, every ``g_i > 0`` and all three
-    conditions."""
+    """Both block equations within ``tol`` and all three conditions, of
+    which the interior one puts every ``g_i`` above zero."""
     if _worst_residual(*_block_residuals(problem, data)) > tol:
-        return False
-    if any(float(g[0]) <= 0.0 for g in data.g):
         return False
     return build_condition_report(data).all_passed
 

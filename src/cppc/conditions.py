@@ -1,8 +1,9 @@
 """Testable sufficient conditions for exactness of the block relaxation.
 
-The data ``(f_i, g_i, d_i)`` defines one linear coupling constraint per arm,
-``f_i^T x + g_i^T y_i = d_i`` over ``K0 x Ki``, plus an optional shared
-constraint ``f_0^T x = d_0``.  Three conditions are checked:
+The pattern has width one, so the data ``(f_i, g_i, d_i)``, held as arrays,
+defines one coupling constraint per arm, ``f_i^T x + g_i y_i = d_i`` over
+``K0 x Ki`` with a scalar ``g_i`` and a one-dimensional cone ``Ki``, plus an
+optional shared constraint ``f_0^T x = d_0``.  Three conditions are checked:
 
   i.   every ``g_i`` lies in the interior of the dual of ``Ki``;
   ii.  the shared-part feasible region is bounded (settled by a single
@@ -46,43 +47,48 @@ INCONCLUSIVE = "Inconclusive"
 _EXACT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintData:
-    """Constraint data ``(f_i, g_i, d_i)``, index 0 for the shared constraint.
-
-    ``f`` has S+1 vectors of dimension ``n_x`` (``f[0]`` is the shared one),
-    ``g`` has S vectors of dimension ``n_y`` and ``d`` has S+1 scalars.
+    """Width-one constraint data ``(f_i, g_i, d_i)``, index 0 for the shared
+    constraint, held as read-only arrays: ``f`` is ``(S+1, n_x)`` (row 0 the
+    shared vector), ``g`` is ``(S, 1)`` and ``d`` is ``(S+1,)``.  Every arm
+    cone ``Ki[i]`` has dimension one and every entry is finite.
     """
 
     K0: GroundCone
     Ki: tuple
-    f: tuple
-    g: tuple
-    d: tuple
+    f: np.ndarray
+    g: np.ndarray
+    d: np.ndarray
 
     @staticmethod
     def build(K0, Ki, f, g, d) -> "ConstraintData":
-        Ki = tuple(Ki)
-        f = tuple(np.asarray(v, dtype=float).reshape(-1) for v in f)
-        g = tuple(np.asarray(v, dtype=float).reshape(-1) for v in g)
-        d = [np.asarray(x, dtype=float) for x in d]
+        Ki, nx = tuple(Ki), K0.dim
+        S = len(Ki)
+        f = [np.asarray(v, dtype=float).reshape(-1) for v in f]
+        g = [np.asarray(v, dtype=float).reshape(-1) for v in g]
+        d = [np.asarray(x, dtype=float).reshape(-1) for x in d]
         if any(x.size != 1 for x in d):
             raise ValueError("every d_i must be a scalar or a one-element array")
-        d = tuple(x.item() for x in d)
-        S = len(Ki)
         if len(f) != S + 1 or len(g) != S or len(d) != S + 1:
             raise ValueError(
                 f"inconsistent lengths: S={S}, |f|={len(f)}, |g|={len(g)}, |d|={len(d)}"
             )
-        nx = K0.dim
         for k, v in enumerate(f):
             if v.size != nx:
                 raise ValueError(f"f[{k}] has dim {v.size}, shared cone has {nx}")
         for k, (cone, v) in enumerate(zip(Ki, g)):
-            if v.size != cone.dim:
-                raise ValueError(f"g[{k}] has dim {v.size}, arm cone has {cone.dim}")
+            if cone.dim != 1:
+                raise ValueError(f"arm cone {k} has dim {cone.dim}, not dimension one")
+            if v.size != 1:
+                raise ValueError(f"g[{k}] has dim {v.size}, arm cone has 1")
+        f, g, d = np.reshape(f, (S + 1, nx)), np.reshape(g, (S, 1)), np.reshape(d, S + 1)
+        if not all(np.isfinite(a).all() for a in (f, g, d)):
+            raise ValueError("constraint data contains non-finite entries")
         if not np.any(f[0]) and d[0] != 0.0:
             raise ValueError("a zero shared vector requires a zero right-hand side")
+        for a in (f, g, d):
+            a.setflags(write=False)
         return ConstraintData(K0, Ki, f, g, d)
 
     @staticmethod
@@ -90,13 +96,8 @@ class ConstraintData:
         """Width-one data: every arm cone is a ray, so each ``g_i`` is a
         scalar; ``f0`` defaults to the vacuous zero shared constraint."""
         f0 = np.zeros(K0.dim) if f0 is None else f0
-        return ConstraintData.build(
-            K0,
-            [orthant(1)] * len(g),
-            [f0] + list(f),
-            list(g),
-            [d0] + list(d),
-        )
+        return ConstraintData.build(K0, [orthant(1)] * len(g), [f0] + list(f), list(g),
+                                    [d0] + list(d))
 
     @property
     def S(self) -> int:
@@ -135,9 +136,7 @@ class ConditionReport:
 
 def check_cond_i(data: ConstraintData, tol: float = 1e-9):
     """Per-arm test ``g_i in int(Ki*)``."""
-    return [
-        interior_dual_contains(cone, gi, tol) for cone, gi in zip(data.Ki, data.g)
-    ]
+    return [interior_dual_contains(cone, gi, tol) for cone, gi in zip(data.Ki, data.g)]
 
 
 def check_Fi_bounded_sufficient(data: ConstraintData, i: int) -> bool:
@@ -155,7 +154,7 @@ def _split_rows(data: ConstraintData):
     kinds = data.K0.coordinate_kinds()
     orth = [j for j, k in enumerate(kinds) if k == ORTHANT]
     free_ = [j for j, k in enumerate(kinds) if k == FREE]
-    F = np.array(data.f)
+    F = data.f
     return np.hstack([F[:, orth], F[:, free_], -F[:, free_]]), len(orth), len(free_)
 
 
@@ -196,7 +195,7 @@ def _shared_region_form(data: ConstraintData):
     and one slack per arm."""
     rows, _, _ = _split_rows(data)
     A = np.hstack([rows[1:], np.eye(data.S)])
-    b = np.array(data.d[1:])
+    b = data.d[1:]
     if np.any(data.f[0]):
         A = np.vstack([np.r_[rows[0], np.zeros(data.S)], A])
         b = np.r_[data.d[0], b]
@@ -269,7 +268,7 @@ def _multipliers(data: ConstraintData):
     """
     kinds = data.K0.coordinate_kinds()
     orth, free_ = kinds == ORTHANT, kinds == FREE
-    FR, DR = np.array(data.f), np.array(data.d)
+    FR, DR = data.f, data.d
     # Axes: reference, arm, coordinate.
     F, d = FR[None, 1:], DR[None, 1:]
     fr, dr = FR[:, None], DR[:, None]

@@ -210,31 +210,31 @@ def is_cp(M, tol: float = 1e-8, candidate=None) -> MembershipVerdict:
 
 def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix"):
     """CP verdicts of ``M`` (None when it is not doubly nonnegative) and of
-    its principal submatrices ``M[I]``, ``I`` in ``index_sets``, from one
+    its principal submatrices ``M[I]``, ``I`` a row of ``index_sets`` (a
+    ``(k, p)`` integer array: every submatrix has order ``p``), from one
     factor.
 
     Principal submatrices of a CP matrix are CP (Berman, Shaked-Monderer
     2003): the rows ``B[I]`` of a nonnegative factor ``B`` of ``M`` factor
     ``M[I]``.  ``B`` is searched, as in :func:`is_cp`, at the smallest
-    submatrix threshold, and each ``B[I]`` is re-checked against its own
-    (:func:`_factors`); a submatrix that fails, or every one when there is
-    no factor, gets its own :func:`is_cp`.  ``source`` names ``M`` in the
-    details of the verdicts read off its factor.
+    submatrix threshold, and every ``B[I]`` is re-checked against its own
+    (as :func:`_factors`, all at once); a submatrix that fails, or every
+    one when there is no factor, gets its own :func:`is_cp`.  ``source``
+    names ``M`` in the details of the verdicts read off its factor.
     """
     m = _array(M)
-    subs = [m[np.ix_(I, I)] for I in index_sets]
-    limits = [_cp_limit(sub, tol) for sub in subs]
-    whole = _searched(m, tol, min(limits))
-    factor = whole.witness
-    verdicts = []
-    for I, sub, limit in zip(index_sets, subs, limits):
-        B = None if factor is None else factor[I]
-        if B is not None and _factors(B, sub, limit):
-            verdicts.append(MembershipVerdict(
-                MEMBER, f"rows of {source}'s nonnegative factor", tol, witness=B
-            ))
-        else:
-            verdicts.append(is_cp(sub, tol))
+    rows = np.asarray(index_sets)
+    subs = m[rows[:, :, None], rows[:, None, :]]
+    limits = max(tol, 1e-10) * np.maximum(1.0, np.abs(subs).max(axis=(1, 2)))
+    whole = _searched(m, tol, limits.min())
+    ok = np.zeros(len(rows), dtype=bool)
+    if whole.witness is not None:
+        factors = whole.witness[rows]
+        gap = np.linalg.norm(factors @ factors.transpose(0, 2, 1) - subs, axis=(1, 2))
+        ok = (factors.min(axis=(1, 2)) >= 0.0) & (gap <= limits)
+    detail = f"rows of {source}'s nonnegative factor"
+    verdicts = [MembershipVerdict(MEMBER, detail, tol, witness=factors[k]) if ok[k]
+                else is_cp(subs[k], tol) for k in range(len(rows))]
     return (None if whole.verdict == NOT_MEMBER else whole), verdicts
 
 

@@ -71,10 +71,12 @@ class SymMatrix:
 
 
 def sym_eigh(M, tol: float = 1e-13):
-    """Checked eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
+    """Checked eigendecomposition of a symmetric matrix, or of every matrix
+    of a ``(k, o, o)`` stack (LAPACK ``eigh``).
 
-    Accepts a ``SymMatrix`` or a square array, which is symmetrised first.
-    The result is accepted only when the a-posteriori bound
+    Accepts a ``SymMatrix``, a square array or a stack of them, each
+    symmetrised first.  The result of each matrix ``A`` is accepted only
+    when the a-posteriori bound
 
         ``||A V - V diag(w)||_F + max|w| * ||V^T V - I||_F <= tol * ||A||_F``
 
@@ -85,27 +87,31 @@ def sym_eigh(M, tol: float = 1e-13):
     ``V`` (Kahan's residual bounds; Parlett, *The Symmetric Eigenvalue
     Problem*, SIAM 1998, ch. 11).
 
-    Returns ``(w, v)``: eigenvalues in ascending order and orthonormal
-    eigenvectors, column ``v[:, k]`` belonging to ``w[k]``.  Raises
-    ``ValueError`` on non-square or non-finite input and
-    ``np.linalg.LinAlgError`` when the bound fails.
+    Returns ``(w, v)``, stacked for a stack: eigenvalues in ascending order
+    and orthonormal eigenvectors, column ``v[..., :, k]`` belonging to
+    ``w[..., k]``.  Raises ``ValueError`` on non-square or non-finite input
+    and ``np.linalg.LinAlgError`` naming the first matrix of a stack that
+    fails the bound.
     """
     a = M.array if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
-    a = 0.5 * (a + a.T)
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
     w, v = np.linalg.eigh(a)
-    bound = float(np.linalg.norm(a @ v - v * w))
-    if w.size:
-        defect = np.linalg.norm(v.T @ v - np.eye(w.size))
-        bound += float(np.abs(w).max() * defect)
-    threshold = tol * float(np.linalg.norm(a))
-    if bound > threshold:
+    fro = (-2, -1)
+    defect = np.swapaxes(v, -1, -2) @ v - np.eye(w.shape[-1])
+    bound = (np.linalg.norm(a @ v - v * w[..., None, :], axis=fro)
+             + np.abs(w).max(axis=-1, initial=0.0) * np.linalg.norm(defect, axis=fro))
+    threshold = tol * np.linalg.norm(a, axis=fro)
+    failed = np.flatnonzero(bound > threshold)
+    if failed.size:
+        k = failed[0]
+        stack = "" if a.ndim == 2 else f" (matrix {k} of the stack)"
         raise np.linalg.LinAlgError(
-            f"eigendecomposition residual bound {bound:.3e} exceeds "
-            f"{threshold:.3e}"
+            f"eigendecomposition residual bound {np.ravel(bound)[k]:.3e} exceeds "
+            f"{np.ravel(threshold)[k]:.3e}{stack}"
         )
     return w, v
 

@@ -161,11 +161,9 @@ class GeneralInstance:
             raise ValueError("objective dimensions do not match the shared cone")
         if not (len(b) == len(beta) == len(C) == S):
             raise ValueError("per-arm objective lengths do not match S")
-        # The relaxation lives on the shared corner, which needs every arm to
-        # be a ray whose coefficient can be divided out (see _lifts).
-        if any(cone.dim != 1 for cone in data.Ki):
-            raise ValueError("every arm cone must have dimension one")
-        if any(gv[0] == 0.0 for gv in data.g):
+        # The relaxation lives on the shared corner, which needs every arm
+        # coefficient to be divided out (see _lifts).
+        if np.any(data.g == 0.0):
             raise ValueError("every arm coefficient g_i must be nonzero")
         if any(v.size != nx for v in b):
             raise ValueError("coupling vector dimension mismatch")
@@ -265,7 +263,7 @@ def _lifts(data: ConstraintData):
         j = 1 + int(np.argmax(np.abs(data.f[0])))
         keep = np.delete(keep, j)
         Q0 = _kernel_lift(np.concatenate([[-data.d[0]], data.f[0]]), j)
-    W = np.column_stack([data.d[1:], -np.reshape(data.f[1:], (S, n))]) / np.reshape(data.g, (S, 1))
+    W = np.column_stack([data.d[1:], -data.f[1:]]) / data.g
     lifts = np.concatenate([np.broadcast_to(Q0, (S, *Q0.shape)), (W @ Q0)[:, None]], axis=1)
     return keep, Q0, lifts
 
@@ -313,7 +311,7 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     corner[xs, xs] = gi.A.array
     corner[0, xs] = gi.a / 2.0
     corner[xs, 0] = gi.a / 2.0
-    g = np.reshape(data.g, S)
+    g = data.g[:, 0]
     per = np.zeros((S, n + 2, n + 2))
     per[:, xs, n + 1] = per[:, n + 1, xs] = gi.b * (g / 2.0)[:, None]
     per[:, n + 1, n + 1] = gi.C

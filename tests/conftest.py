@@ -1,8 +1,28 @@
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
 from cppc.matrix_core import ArrowheadPattern, PartialMatrix, SymMatrix
 from cppc.qp_relax import QPInstance
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(monkeypatch, *names):
+    """Modules of ``perfbench/``, loaded in the order given under their own
+    names, by which they import one another; the test's end unloads them."""
+    modules = []
+    for name in names:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        # Dataclasses and imports look the module up by name while it loads.
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        modules.append(module)
+    return modules
 
 
 @pytest.fixture

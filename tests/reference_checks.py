@@ -9,8 +9,10 @@ vectorized ``check_cond_iii``; ``fit_alpha_w_by_block`` fits certificate A's
 ``(alpha, w)`` one block at a time, the reference for the stacked
 ``qp_relax._fit_alpha_w``; ``blocks_by_row`` forms the QP relaxation's
 per-row blocks one row at a time, the reference for the stack of
-``qp_relax.extract_solution``; ``kernel_vectors`` lists a matrix's kernel
-the way the certificates measure it.  The library's decision procedures
+``qp_relax.extract_solution``; ``block_residuals_by_arm`` evaluates the
+completion's block equations one arm at a time, the reference for the
+stacked ``completion._block_residuals``; ``kernel_vectors`` lists a
+matrix's kernel the way the certificates measure it.  The library's decision procedures
 never call them, so they live here, next to the tests.
 """
 
@@ -274,6 +276,23 @@ def blocks_by_row(F, d, corner) -> np.ndarray:
         P = np.column_stack([np.eye(o), np.r_[d[i], -np.asarray(F[i], dtype=float)]])
         blocks[i] = P.T @ corner @ P
     return blocks
+
+
+def block_residuals_by_arm(pm, data: ConstraintData):
+    """Both block equations of every arm of the unit-corner partial matrix
+    ``pm``, one arm at a time from its pieces ``(x, X, y_i, z_i, Y_i)``, as
+    ``(lin, quad)`` pairs; and the pair of the shared constraint."""
+    x, X = pm.X.array[0, 1:], pm.X.array[1:, 1:]
+    per_arm = []
+    for i in range(1, pm.pattern.S + 1):
+        z_row = pm.Z[i - 1][0]
+        y, z, Y = float(z_row[0]), z_row[1:], float(pm.Y[i - 1][0, 0])
+        f, g, d = data.f[i], float(data.g[i - 1][0]), float(data.d[i])
+        lin = float(f @ x + g * y - d)
+        quad = float(f @ X @ f + 2.0 * g * (f @ z) + g * g * Y - d * d)
+        per_arm.append((lin, quad))
+    f0, d0 = data.f[0], float(data.d[0])
+    return per_arm, (float(f0 @ x - d0), float(f0 @ X @ f0 - d0 * d0))
 
 
 def kernel_vectors(M, tol: float = KERNEL_TOL):

@@ -104,6 +104,26 @@ class TestErrors:
         assert code == 1
         assert "unknown keys" in err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["f", "g", "d", "f0", "d0"])
+    def test_non_finite_constraint_data_is_an_input_error(self, tmp_path, capsys, key, bad):
+        # Comparisons with NaN are false, so unchecked data would pass every
+        # condition and print "Certified".
+        with open(fixture("completable_arrowhead.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if key == "d0":
+            obj[key] = bad
+        elif key == "f":
+            obj[key][0][0] = bad
+        else:
+            obj[key][0] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code = main(["check", str(path)])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert "invalid input" in out.err and "non-finite" in out.err
+
     def test_oracle_on_unrecognized_input(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
         path.write_text('{"x": 1}')

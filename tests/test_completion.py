@@ -17,6 +17,7 @@ from cppc.completion import (
 from cppc import cones
 from cppc.cli import parse_completion_problem
 from cppc.conditions import ConstraintData, build_condition_report
+from cppc.cones import free, orthant, product
 from cppc.conic_solver import MAX_ITERS, OPTIMAL, SolveResult
 from cppc.oracles import brute_force_completion_oracle
 from cppc.matrix_core import (
@@ -28,7 +29,8 @@ from cppc.matrix_core import (
     sym_eigh,
 )
 
-from conftest import partial_matrix_from_factor, partial_matrix_from_full
+from conftest import load_perfbench, partial_matrix_from_factor, partial_matrix_from_full
+from reference_checks import block_residuals_by_arm
 
 
 def stated_data(problem):
@@ -43,9 +45,9 @@ class TestProblemConstruction:
         problem = CompletionProblem.from_partial_matrix(pm_noncompletable)
         assert problem.pm.X[0, 0] == pytest.approx(1.0)
         assert problem.scale == pytest.approx(6.0)
-        x, X, y, z, Y = problem.block_parts(1)
-        assert x[0] == pytest.approx(0.5)
-        assert Y == pytest.approx(1.0 / 3.0)
+        block = problem.blocks[0]
+        assert block[0, 1] == pytest.approx(0.5)
+        assert block[-1, -1] == pytest.approx(1.0 / 3.0)
 
     def test_rejects_wide_arms(self):
         pm = PartialMatrix(
@@ -99,6 +101,80 @@ class TestBlockConstraints:
         per_arm, f0_pair = cmod._block_residuals(problem, data)
         worst = max(abs(v) for pair in per_arm for v in pair)
         assert worst <= 1e-10 and max(map(abs, f0_pair)) <= 1e-12
+
+
+def residual_scale(pm, data):
+    """Per arm, the larger sum of the absolute terms of its two block
+    equations: the size that rounding either one is relative to."""
+    x, X = np.abs(pm.X.array[0, 1:]), np.abs(pm.X.array[1:, 1:])
+    z = np.abs(np.array([row[0] for row in pm.Z]))
+    Y = np.abs([y.array[0, 0] for y in pm.Y])
+    f, g, d = np.abs(data.f[1:]), np.abs(data.g[:, 0]), np.abs(data.d[1:])
+    lin = f @ x + g * z[:, 0] + d
+    quad = ((f @ X) * f).sum(axis=1) + 2.0 * g * (f * z[:, 1:]).sum(axis=1) + g * g * Y + d * d
+    return np.maximum(lin, quad)
+
+
+def random_stated_problem(rng, with_f0: bool, free_coords: bool):
+    """A random unit-corner-rescalable partial matrix with random stated data
+    over an orthant, or orthant x free, ground cone."""
+    n, S = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+    R = rng.standard_normal((n + 1, n + 3))
+    pm = PartialMatrix(ArrowheadPattern(n + 1, 1, S), SymMatrix(R @ R.T),
+                       [rng.standard_normal((1, n + 1)) for _ in range(S)],
+                       [SymMatrix([[rng.uniform(0.1, 3.0)]]) for _ in range(S)])
+    p = int(rng.integers(0, n + 1)) if free_coords else n
+    K = product(orthant(p), free(n - p))
+    f0 = rng.standard_normal(n) if with_f0 else None
+    data = ConstraintData.width_one(
+        K, rng.standard_normal((S, n)), rng.uniform(0.2, 2.0, S), rng.standard_normal(S),
+        f0, rng.standard_normal() if with_f0 else 0.0,
+    )
+    return CompletionProblem.from_partial_matrix(pm, K, data)
+
+
+class TestBlockStack:
+    def test_stack_holds_every_block_read_only(self, pm_noncompletable):
+        problem = CompletionProblem.from_partial_matrix(pm_noncompletable)
+        assert problem.blocks.shape == (2, 3, 3) and not problem.blocks.flags.writeable
+        assert problem.blocks is problem.blocks
+        for i, block in enumerate(problem.blocks, start=1):
+            assert np.array_equal(block, extract_block(problem.pm, i).array)
+
+    def test_residuals_match_the_per_arm_loop(self, monkeypatch):
+        # The stack sums each equation in another order than the per-arm
+        # loop, so the residuals agree within rounding, not bit for bit
+        # (about a quarter of these inputs agree exactly; the largest gap
+        # seen is 3e-16 of the scale).  The shared pair is computed alike.
+        (cases,) = load_perfbench(monkeypatch, "cases")
+        problems = [(c.problem, c.problem.data or find_data(c.problem))
+                    for c in cases.make_cases("completion", 7)]
+        assert len(problems) == 6 and all(data is not None for _, data in problems)
+        for name in ("completable_arrowhead.json", "noncompletable_arrowhead.json"):
+            with open(os.path.join(os.path.dirname(__file__), "fixtures", name),
+                      encoding="utf-8") as fh:
+                problem = parse_completion_problem(json.load(fh))
+            problems.append((problem, problem.data or stated_data(problem)))
+        rng = np.random.default_rng(23)
+        for k in range(240):
+            problem = random_stated_problem(rng, with_f0=k % 2 == 0, free_coords=k % 4 < 2)
+            problems.append((problem, problem.data))
+        for problem, data in problems:
+            stacked, f0_pair = cmod._block_residuals(problem, data)
+            by_arm, f0_ref = block_residuals_by_arm(problem.pm, data)
+            assert f0_pair == f0_ref
+            gap = np.abs(np.array(stacked) - np.array(by_arm)).max(axis=1)
+            assert np.all(gap <= 1e-15 * residual_scale(problem.pm, data))
+
+    def test_find_data_takes_one_checked_spectrum(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        pm = partial_matrix_from_factor(np.concatenate([[1.0], rng.uniform(0.1, 1.0, 5)]), n=2)
+        problem = CompletionProblem.from_partial_matrix(pm)
+        calls = []
+        eigh = cmod.jacobi_eigh
+        monkeypatch.setattr(cmod, "jacobi_eigh", lambda m: calls.append(np.shape(m)) or eigh(m))
+        assert find_data(problem) is not None
+        assert calls == [(problem.S, 4, 4)]
 
 
 class TestCertify:

@@ -63,12 +63,11 @@ class TestBuild:
     def test_one_element_arrays_are_scalars(self):
         args = (orthant(2), [orthant(1)], [np.zeros(2), np.ones(2)], [np.ones(1)])
         data = ConstraintData.build(*args, [0.0, np.array([1.0])])
-        assert data.d == (0.0, 1.0)
-        assert all(type(v) is float for v in data.d)
+        assert data.d.shape == (2,) and data.d.tolist() == [0.0, 1.0]
         width_one = ConstraintData.width_one(orthant(2), [np.ones(2)], [np.array([1.0])],
                                              [np.array([1.0])])
-        assert width_one.d == data.d
-        assert all(np.array_equal(a, b) for a, b in zip(width_one.g, data.g))
+        assert np.array_equal(width_one.d, data.d)
+        assert np.array_equal(width_one.g, data.g)
 
     def test_longer_arrays_raise_value_error(self):
         args = (orthant(2), [orthant(1)], [np.zeros(2), np.ones(2)], [np.ones(1)])
@@ -76,6 +75,36 @@ class TestBuild:
             ConstraintData.build(*args, [0.0, np.array([1.0, 2.0])])
         with pytest.raises(ValueError, match="arm cone has 1"):
             ConstraintData.width_one(orthant(2), [np.ones(2)], [np.ones(2)], [1.0])
+
+    def test_data_is_held_as_read_only_arrays(self):
+        data = ConstraintData.width_one(orthant(2), [[1.0, 0.5], [0.5, 1.0]], [1.0, 2.0],
+                                        [1.0, 3.0], f0=[1.0, 1.0], d0=2.0)
+        assert data.f.shape == (3, 2) and data.g.shape == (2, 1) and data.d.shape == (3,)
+        assert data.f.tolist() == [[1.0, 1.0], [1.0, 0.5], [0.5, 1.0]]
+        assert data.g[:, 0].tolist() == [1.0, 2.0] and data.d.tolist() == [2.0, 1.0, 3.0]
+        for arr in (data.f, data.g, data.d):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_arm_cones_of_other_dimension_raise(self):
+        # The paper's pattern has width one; a width-two arm is rejected at
+        # construction, so no consumer of the data checks widths.
+        with pytest.raises(ValueError, match="dimension one"):
+            ConstraintData.build(
+                orthant(2), [orthant(2)], [np.zeros(2), np.ones(2)], [np.ones(2)], [0.0, 1.0]
+            )
+        with pytest.raises(ValueError, match="dimension one"):
+            ConstraintData.build(orthant(1), [zero(0)], [[0.0], [1.0]], [[]], [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["f", "g", "d", "f0", "d0"])
+    def test_non_finite_entries_raise(self, field, bad):
+        # Comparisons with NaN are false, so unchecked data passes every check.
+        parts = {"f0": [1.0], "f": [2.0], "g": 1.0, "d0": 1.0, "d": 1.0}
+        parts[field] = [bad] if field in ("f0", "f") else bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ConstraintData.build(orthant(1), [orthant(1)], [parts["f0"], parts["f"]],
+                                 [parts["g"]], [parts["d0"], parts["d"]])
 
 
 class TestConditionReport:

@@ -411,7 +411,7 @@ class TestFactorSearch:
         assert is_cp(M).is_member
         assert len(calls) == 1
         calls.clear()
-        principal_cp(M, [np.r_[:3], np.r_[2:6]])
+        principal_cp(M, [np.r_[:3], np.r_[2:5]])
         assert len(calls) == 1
 
     def test_standalone_search_checks_dnn(self):

@@ -248,3 +248,48 @@ class TestSymEigh:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(np.linalg.LinAlgError):
             sym_eigh(a + a.T)
+
+    def test_stack_gives_each_matrix_its_own_result(self):
+        rng = np.random.default_rng(3)
+        for k, o in [(1, 1), (4, 3), (12, 10), (5, 17)]:
+            g = rng.standard_normal((k, o, o))
+            stack = g + g.transpose(0, 2, 1)
+            w, v = sym_eigh(stack)
+            assert w.shape == (k, o) and v.shape == (k, o, o)
+            for j in range(k):
+                wj, vj = sym_eigh(stack[j])
+                assert np.array_equal(w[j], wj) and np.array_equal(v[j], vj)
+
+    def test_stack_failure_names_the_matrix(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        g = rng.standard_normal((5, 6, 6))
+        stack = g + g.transpose(0, 2, 1)
+        eigh = np.linalg.eigh
+
+        def perturbed(m):
+            w, v = eigh(m)
+            if m.ndim == 3:
+                v = v.copy()
+                v[3] += 1e-8
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(np.linalg.LinAlgError, match=r"\(matrix 3 of the stack\)$"):
+            sym_eigh(stack)
+        sym_eigh(stack[3])
+
+    def test_single_matrix_results_and_messages(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((7, 7))
+        w, v = sym_eigh(a)
+        w_ref, v_ref = np.linalg.eigh(0.5 * (a + a.T))
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            sym_eigh(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            sym_eigh(np.full((2, 2), np.nan))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0], eigh(m)[1] + 1e-8))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^eigendecomposition residual bound \S+ exceeds \S+$"):
+            sym_eigh(a)

@@ -3,16 +3,17 @@ enumerate subsets, only the reference oracles may; no module imports another
 one's private names; only ``cones`` searches CP factors, so every CP verdict
 comes from one place, and ``cones`` takes every spectrum from the checked
 ``sym_eigh``; and every function the benchmark's tracer wraps exists and
-reads what it records."""
+reads what it records, and the benchmark's completion adaptor still passes
+its gates."""
 
 import ast
-import importlib.util
 import pathlib
-import sys
 
 import cppc
 from cppc import completion, conic_solver, qp_relax
 from cppc.conic_solver import SolveOptions
+
+from conftest import load_perfbench
 
 SRC = pathlib.Path(cppc.__file__).parent
 ENUMERATORS = {"product", "combinations", "combinations_with_replacement", "permutations"}
@@ -159,21 +160,10 @@ def test_eigen_scan_sees_both_forms():
     assert eigen_calls(ast.parse(code)) == [4, 4]
 
 
-def load_tracer(monkeypatch):
-    """``perfbench/tracer.py``, loaded as a module of its own."""
-    root = SRC.parent.parent
-    spec = importlib.util.spec_from_file_location("_tracer", root / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up by name while they are built.
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
-    return tracer
-
-
 def test_tracer_targets_exist(monkeypatch):
     # perfbench/tracer.py wraps each (owner, attr) of TARGETS by name; a
     # renamed or deleted target would break the benchmark, not this suite.
-    tracer = load_tracer(monkeypatch)
+    (tracer,) = load_perfbench(monkeypatch, "tracer")
     missing = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracer.TARGETS
                if attr not in owner.__dict__]
     assert tracer.TARGETS
@@ -184,7 +174,7 @@ def test_tracer_readers_see_the_results(monkeypatch, qp_two_constraints, pm_comp
     # The tracer's readers take program and solver attributes by name: an
     # API change that drops one would empty the per-layer metrics or break
     # the benchmark, not this suite.
-    tracer = load_tracer(monkeypatch).Tracer()
+    tracer = load_perfbench(monkeypatch, "tracer")[0].Tracer()
     tracer.install()
     try:
         report = qp_relax.exactness_report(qp_two_constraints, SolveOptions(polish=False))
@@ -204,3 +194,20 @@ def test_tracer_readers_see_the_results(monkeypatch, qp_two_constraints, pm_comp
     assert all({"status", "iterations"} <= info.keys() for info in solves)
     assert {"conic_solver.constraint_matrix", "completion.certify",
             "completion.complete_numeric", "cones.is_cp"} <= {s.name for s in tracer.spans}
+
+
+def test_benchmark_completion_adaptor_passes_its_gates(monkeypatch):
+    # perfbench/workloads.py reads the partial matrix and the certified data
+    # by layout (pm.X, pm.Z, pm.Y, data.f, data.g, data.d); a layout change
+    # that breaks its gates would otherwise only show under pytest perfbench.
+    _, cases, _, _, workloads = load_perfbench(monkeypatch, "gates", "cases", "speed",
+                                               "tracer", "workloads")
+    picked = {c.name: c for c in cases.make_cases("completion", 7)
+              if c.name in ("rank1-n8-S10", "positive-n6-S10")}
+    assert len(picked) == 2
+    for case in picked.values():
+        ref = workloads.reference(case)
+        result = workloads.ENTRY["completion"](case, ref)
+        # Certified, so the certificate gate reads the data too.
+        assert result["verdict"] == "Certified", case.name
+        assert workloads.check(case, ref, result) == (None, []), case.name
