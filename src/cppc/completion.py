@@ -74,7 +74,6 @@ from .conic_solver import (
     OPTIMAL,
     ConicProgram,
     SolveOptions,
-    entry_functional,
     solve,
 )
 from .cones import GroundCone, MembershipVerdict, is_dnn, orthant
@@ -148,31 +147,35 @@ class CompletionProblem:
         return np.column_stack([np.tile(np.arange(n1), (self.S, 1)), n1 + np.arange(self.S)])
 
     @cached_property
+    def zero_filled(self) -> np.ndarray:
+        """The unit-corner zero-filled matrix, read-only, built once."""
+        return self.pm.zero_filled().array
+
+    @cached_property
     def blocks(self) -> np.ndarray:
         """Every arm's block ``[[X, z_i^T], [z_i, Y_i]]`` (unit corner), the
         zero-filled matrix on its :attr:`block_rows`, in one read-only
         ``(S, n1 + 1, n1 + 1)`` stack."""
         rows = self.block_rows
-        stack = self.pm.zero_filled().array[rows[:, :, None], rows[:, None, :]]
+        stack = self.zero_filled[rows[:, :, None], rows[:, None, :]]
         stack.setflags(write=False)
         return stack
 
     @cached_property
     def _max_det(self) -> "_MaxDet":
-        zf, Cplus, P = _arm_centres(self)
-        return _MaxDet(zf, Cplus, P, _max_det_completion(zf, P)[0])
+        Cplus, P = _arm_centres(self)
+        return _MaxDet(Cplus, P, _max_det_completion(self.zero_filled, P)[0])
 
 
 @dataclass
 class _MaxDet:
     """The unit-corner max-determinant completion ``full`` of a problem, with
-    what it is built from (:func:`_arm_centres`), and ``factor``: the
-    nonnegative factor of ``full`` that :func:`certify_completable` found,
-    None before it runs or when its search finds none.
+    the arm centres it is built from (:func:`_arm_centres`), and ``factor``:
+    the nonnegative factor of ``full`` that :func:`certify_completable`
+    found, None before it runs or when its search finds none.
     :func:`complete_numeric` hands ``factor`` to :func:`cones.is_cp` as its
     candidate, which is re-checked before it is trusted."""
 
-    zf: np.ndarray
     Cplus: np.ndarray
     P: np.ndarray
     full: np.ndarray
@@ -509,23 +512,13 @@ def complete_numeric(problem: CompletionProblem,
     decided = _closed_form(problem)
     if decided is not None:
         return decided
-    pm = problem.pm
-    total = pm.pattern.total_order
     kinds = problem.K.coordinate_kinds()
-    nn = np.array(
-        [True] + [kind == cones.ORTHANT for kind in kinds] + [True] * problem.S
-    )
-    mask = np.outer(nn, nn)
-    prog = ConicProgram(total, nonneg_mask=mask)
-    spec_mask = pm.specified_mask()
-    zf = pm.zero_filled().array
-    for r in range(total):
-        for c in range(r, total):
-            if not spec_mask[r, c]:
-                continue
-            prog.add_equality(float(zf[r, c]), entry_functional(total, r, c))
-    opts = solver_opts or SolveOptions(tol_primal=1e-8)
-    res = solve(prog, opts)
+    nn = np.array([True] + [kind == cones.ORTHANT for kind in kinds] + [True] * problem.S)
+    prog = ConicProgram(problem.pm.pattern.total_order, nonneg_mask=np.outer(nn, nn))
+    spec_mask, zf = problem.pm.specified_mask(), problem.zero_filled
+    r, c = np.nonzero(np.triu(spec_mask))
+    prog.fix(r, c, zf[r, c])
+    res = solve(prog, solver_opts or SolveOptions(tol_primal=1e-8))
     if res.status == INFEASIBLE:
         return NumericCompletionResult(
             None, None, f"no doubly nonnegative completion: {res.diagnostics}"
@@ -576,17 +569,17 @@ def _rechecked(problem: CompletionProblem, full: np.ndarray, diagnostics: str,
 
 
 def _arm_centres(problem: CompletionProblem):
-    """``(zf, C^+, P)``: the unit-corner zero-filled matrix, the
-    pseudo-inverse of its shared block ``C`` and ``P[i, j] = a_i^T C^+ a_j``,
-    the centre of every arm pair's interval."""
+    """``(C^+, P)``: the pseudo-inverse of the shared block ``C`` of the
+    unit-corner zero-filled matrix and ``P[i, j] = a_i^T C^+ a_j``, the
+    centre of every arm pair's interval."""
     n1 = problem.pm.pattern.n1
-    zf = problem.pm.zero_filled().array
+    zf = problem.zero_filled
     A = zf[n1:, :n1]
     w, V = jacobi_eigh(zf[:n1, :n1])
     keep = w > _ZERO_RTOL * w[-1]
     Cplus = (V[:, keep] / w[keep]) @ V[:, keep].T
     P = A @ Cplus @ A.T
-    return zf, Cplus, 0.5 * (P + P.T)
+    return Cplus, 0.5 * (P + P.T)
 
 
 def _max_det_completion(base: np.ndarray, P: np.ndarray, factor: float = 1.0):
@@ -609,7 +602,7 @@ def _closed_form(problem: CompletionProblem) -> Optional[NumericCompletionResult
     """Outcomes 1 and 2 of :func:`complete_numeric`, or None when undecided."""
     n1 = problem.pm.pattern.n1
     max_det = problem._max_det
-    zf, Cplus, P = max_det.zf, max_det.Cplus, max_det.P
+    zf, Cplus, P = problem.zero_filled, max_det.Cplus, max_det.P
     Y = np.diag(zf)[n1:]
     s = Y - np.diag(P)
     root = np.sqrt(np.maximum(s, 0.0))

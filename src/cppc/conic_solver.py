@@ -1,16 +1,16 @@
 """Interior-point solver for linear programs over one DNN matrix.
 
-A program is one symmetric PSD matrix, affine equality rows, affine ``>=``
-rows (added one matrix or one stack of matrices at a time) and a linear
+A program is one symmetric PSD matrix, fixed entries, affine ``>=`` rows
+(added one matrix or one stack of matrices at a time) and a linear
 objective.  Its ``nonneg_mask`` asks for entrywise nonnegativity: each
 masked off-diagonal entry is one more ``>=`` row (the diagonal of a PSD
 matrix is nonnegative already).  A solved program returns the matrix as
 ``SolveResult.block``.
 
-The solver works in the free coordinates of the equalities.  One SVD of the
-equality rows, in svec coordinates of the matrix, gives a solution ``v0``
-and an orthonormal basis ``N`` of their null space, so every ``v = v0 + N
-y`` meets them exactly.  In ``y`` the program is a dual-form conic program,
+The solver works in the free coordinates ``y``: the svec coordinates of the
+entries that are not fixed, so every ``v = v0 + N y`` (``v0`` the fixed
+values, ``N`` the identity's columns at the free coordinates) meets the
+fixed entries exactly.  In ``y`` the program is a dual-form conic program,
 as in SDPA and DSDP: its slack is the matrix ``v`` and the values of the
 ``>=`` rows.  A primal-dual interior-point method (HKM direction, Mehrotra
 predictor-corrector) solves it with a Schur complement of order ``dim y``.
@@ -19,10 +19,11 @@ and one of the dual slack give ``Z^-1`` and all four step lengths.
 Its best point, primal and dual, is checked and returned.  With the polish
 on, that result then starts an active-face polish (:func:`face_polish`,
 which a caller may also run later on an unpolished result): the rows near
-zero join the equalities, and one Gauss-Newton solve of that face's KKT
-system runs per face guess.  When no guess verifies, the checked iterate
+zero join the fixed entries' rows, and one Gauss-Newton solve of that face's
+KKT system runs per face guess.  When no guess verifies, the checked iterate
 stands.  Residuals, dual feasibility and gap are always re-evaluated on the
-original data before a result is declared Optimal.
+original data, with the fixed entries as dense rows, before a result is
+declared Optimal.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ MAX_ITERS = "MaxIters"
 
 
 class ConicProgram:
-    """One PSD matrix variable of the given order, a linear objective, affine
-    equalities and affine ``>=`` rows.
+    """One PSD matrix variable of the given order, a linear objective, fixed
+    entries and affine ``>=`` rows.
 
     ``nonneg_mask`` is the symmetric boolean mask of the entries that must
     also be nonnegative (used when some coordinates of the underlying ground
     cone are free).  After construction it is always an array, all true when
-    omitted.
+    omitted.  ``equalities`` lists the fixed entries as ``(r, c, value)``
+    with ``r <= c``, in the order they were fixed.
     """
 
     def __init__(self, order: int, nonneg_mask=None):
@@ -61,7 +63,7 @@ class ConicProgram:
             raise ValueError("nonneg_mask must be symmetric")
         self.order = order
         self.nonneg_mask = mask
-        self.equalities: list[tuple[np.ndarray, float]] = []
+        self.equalities: list[tuple[int, int, float]] = []
         self.inequalities: list[tuple[np.ndarray, float]] = []
         self._objective = np.zeros((order, order))
 
@@ -78,22 +80,36 @@ class ConicProgram:
             raise ValueError("matrix contains non-finite entries")
         return 0.5 * (m + np.swapaxes(m, -1, -2))
 
-    @staticmethod
-    def _rhs(rhs) -> float:
-        rhs = float(rhs)
-        if not np.isfinite(rhs):
-            raise ValueError("right-hand side must be finite")
-        return rhs
-
-    def add_equality(self, rhs: float, C) -> None:
-        """Append the constraint ``C . M = rhs``."""
-        self.equalities.append((self._matrix(C), self._rhs(rhs)))
+    def fix(self, rows, cols, values) -> None:
+        """Fix entry ``(r, c)``, and so ``(c, r)``, at ``value`` for each
+        ``(r, c, value)`` of the equal-length ``rows``, ``cols`` and
+        ``values`` (scalars fix one entry).  Raises ``ValueError``, and
+        changes nothing, when an index is out of range, a value is not
+        finite or an entry is fixed twice."""
+        r, c, v = (np.atleast_1d(x) for x in (rows, cols, values))
+        kinds = {r.dtype.kind, c.dtype.kind} if r.size else set()
+        if not r.shape == c.shape == v.shape == (r.size,) or kinds - set("iu"):
+            raise ValueError("rows, cols and values must be equal-length vectors, "
+                             "the indices integers")
+        lo, hi = np.minimum(r, c).astype(int), np.maximum(r, c).astype(int)
+        if np.any(lo < 0) or np.any(hi >= self.order):
+            raise ValueError(f"entry index out of range for a matrix of order {self.order}")
+        v = v.astype(float)
+        if not np.isfinite(v).all():
+            raise ValueError("fixed values must be finite")
+        entries = [e[:2] for e in self.equalities] + list(zip(lo.tolist(), hi.tolist()))
+        if len(set(entries)) < len(entries):
+            twice = next(e for k, e in enumerate(entries) if e in entries[:k])
+            raise ValueError(f"entry {twice} is fixed twice")
+        self.equalities.extend(zip(lo.tolist(), hi.tolist(), v.tolist()))
 
     def add_inequality(self, rhs: float, C) -> None:
         """Append the constraint ``C . M >= rhs``, one row per matrix when
         ``C`` is a ``(k, order, order)`` stack (one matrix is a stack of
         one)."""
-        rhs = self._rhs(rhs)
+        rhs = float(rhs)
+        if not np.isfinite(rhs):
+            raise ValueError("right-hand side must be finite")
         Cs = self._matrix(C, stack=True).reshape(-1, self.order, self.order)
         self.inequalities.extend((Ci, rhs) for Ci in Cs)
 
@@ -106,29 +122,29 @@ class ConicProgram:
     def num_vars(self) -> int:
         return self.order**2
 
-    def _row_matrix(self, rows):
-        A = np.reshape([C for C, _ in rows], (len(rows), self.num_vars))
-        return A, np.array([rhs for _, rhs in rows], dtype=float)
+    def _entry_rows(self, r, c) -> np.ndarray:
+        """Row k reads entry ``(r[k], c[k])`` off the vectorized matrix."""
+        E = np.zeros((len(r), self.num_vars))
+        k = np.arange(len(r))
+        np.add.at(E, (k, r * self.order + c), 0.5)
+        np.add.at(E, (k, c * self.order + r), 0.5)
+        return E
 
     def constraint_matrix(self):
-        """Dense ``(A, b)`` of the equalities ``A v = b`` in the vectorized
-        matrix ``v``."""
-        return self._row_matrix(self.equalities)
-
-    def masked_entries(self) -> list[tuple[int, int]]:
-        """``(r, c)`` with ``r < c`` of every masked off-diagonal entry."""
-        return [(int(r), int(c)) for r, c in zip(*np.nonzero(np.triu(self.nonneg_mask, 1)))]
+        """Dense ``(A, b)`` of the fixed entries, ``A v = b`` in the
+        vectorized matrix ``v``, for the residual checks and the polish."""
+        fixed = np.array(self.equalities, dtype=float).reshape(-1, 3)
+        r, c = fixed[:, :2].T.astype(int)
+        return self._entry_rows(r, c), fixed[:, 2]
 
     def inequality_matrix(self):
         """Dense ``(L, h)`` of the ``>=`` rows ``L v >= h``: the added rows,
-        then one row per entry of :meth:`masked_entries`."""
-        L, h = self._row_matrix(self.inequalities)
-        o = self.order
-        entries = self.masked_entries()
-        E = np.zeros((len(entries), self.num_vars))
-        for i, (r, c) in enumerate(entries):
-            E[i, [r * o + c, c * o + r]] = 0.5
-        return np.vstack([L, E]), np.r_[h, np.zeros(len(entries))]
+        then one row per masked entry ``(r, c)``, ``r < c``, in row-major
+        order."""
+        L = np.reshape([C for C, _ in self.inequalities], (-1, self.num_vars))
+        r, c = np.nonzero(np.triu(self.nonneg_mask, 1))
+        return (np.vstack([L, self._entry_rows(r, c)]),
+                np.r_[[rhs for _, rhs in self.inequalities], np.zeros(r.size)])
 
     def objective_vector(self) -> np.ndarray:
         return self._objective.reshape(-1)
@@ -168,7 +184,7 @@ class SolveResult:
 
 
 class _Data(NamedTuple):
-    """The program's rows ``A v = b`` and ``L v >= h`` and objective ``c``."""
+    """The rows ``A v = b`` of the fixed entries, ``L v >= h`` and ``c``."""
 
     A: np.ndarray
     b: np.ndarray
@@ -188,9 +204,9 @@ def _program_data(p: ConicProgram) -> _Data:
 
 def _primal_residuals(p: ConicProgram, d: _Data, v):
     """``(equality, cone)`` residuals of ``v`` on the original data: the
-    largest equality violation, and the worst of the matrix's most negative
-    eigenvalue (checked ``sym_eigh``) and the violations of the ``>=``
-    rows."""
+    largest violation of a fixed entry, and the worst of the matrix's most
+    negative eigenvalue (checked ``sym_eigh``) and the violations of the
+    ``>=`` rows."""
     eq = float(np.abs(d.A @ v - d.b).max(initial=0.0))
     cone = float(np.max(d.h - d.L @ v, initial=0.0))
     w, _ = jacobi_eigh(v.reshape(p.order, p.order))
@@ -198,7 +214,7 @@ def _primal_residuals(p: ConicProgram, d: _Data, v):
 
 
 def _dual_residual(d: _Data, nu, lam, Z) -> float:
-    """Dual residual of the multipliers ``nu`` (equalities) and ``lam``
+    """Dual residual of the multipliers ``nu`` (fixed entries) and ``lam``
     (``>=`` rows) with PSD part ``Z``: the largest entry of ``c + A^T nu -
     L^T lam - Z`` or negative entry of ``lam``."""
     r = d.c + d.A.T @ nu - d.L.T @ lam - Z.reshape(-1)
@@ -217,14 +233,14 @@ class _ProvenInfeasible(Exception):
 def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     """Solve the program; see module docstring for the method.
 
-    A result with status ``Optimal`` satisfies the equalities, the ``>=``
+    A result with status ``Optimal`` satisfies the fixed entries, the ``>=``
     rows, the PSD constraints, dual feasibility and the duality-gap bound
     within the configured tolerances, re-checked on the original data.
-    ``Infeasible`` (after 0 iterations) is a proof: either the equality
-    system is inconsistent, or a ``>=`` row that is constant on its
-    solutions fails, named in the diagnostics.  ``MaxIters`` returns the
-    best iterate with a residual report and claims nothing.  With
-    ``opts.polish`` the checked iterate goes through :func:`face_polish`.
+    ``Infeasible`` (after 0 iterations) is a proof: a ``>=`` row that the
+    fixed entries make constant fails, named in the diagnostics.
+    ``MaxIters`` returns the best iterate with a residual report and claims
+    nothing.  With ``opts.polish`` the checked iterate goes through
+    :func:`face_polish`.
     """
     opts = opts or SolveOptions()
     d = _program_data(p)
@@ -274,38 +290,38 @@ def _svec_basis(o: int) -> np.ndarray:
     k = np.arange(r.size)
     w = np.where(r == c, 1.0, np.sqrt(0.5))
     T = np.zeros((o * o, r.size))
-    T[r * o + c, k] = w
-    T[c * o + r, k] = w
+    T[[r * o + c, c * o + r], k] = w
     return T
 
 
 class _NullSpaceForm:
-    """The program in the free coordinates ``y`` of its equalities, posed as
-    the dual of ``min c.u  s.t.  A u = b,  u in K`` for the interior-point
-    loop, ``K`` being the PSD cone times one nonnegative orthant.
+    """The program in its free coordinates ``y``, posed as the dual of ``min
+    c.u  s.t.  A u = b,  u in K`` for the interior-point loop, ``K`` being
+    the PSD cone times one nonnegative orthant.
 
-    ``v = v0 + N y`` meets the equalities for every ``y``.  The loop's slack
-    ``c - A^T y`` is the matrix ``v`` (entry by entry, as in ``v``)
-    followed by the values of the ``>=`` rows, each scaled to unit norm in
-    ``y``; its ``u`` holds the PSD multiplier ``Z`` and the scaled row
-    multipliers.  Rows that ``N`` makes constant drop out when they hold and
-    prove infeasibility when they fail, as does an inconsistent equality
-    system.
+    ``v0`` holds the fixed values in svec coordinates, and ``T @ N`` is
+    ``T`` at the free coordinates.  The loop's slack ``c - A^T y`` is the
+    matrix ``v`` (entry by entry, as in ``v``) followed by the values of the
+    ``>=`` rows, each scaled to unit norm in ``y``; its ``u`` holds the PSD
+    multiplier ``Z`` and the scaled row multipliers.  Rows that the fixed
+    entries make constant drop out when they hold and prove infeasibility
+    when they fail.
     """
 
     def __init__(self, p, d):
         T = _svec_basis(p.order)
-        U, s, Vt = np.linalg.svd(d.A @ T)
-        rank = int((s > s.max(initial=0.0) * max(d.A.shape) * np.finfo(float).eps).sum())
-        self.svd = U[:, :rank], s[:rank], Vt[:rank]
-        v0 = Vt[:rank].T @ ((U[:, :rank].T @ d.b) / s[:rank])
-        eq_res = float(np.abs(d.A @ (T @ v0) - d.b).max(initial=0.0))
+        r, c = np.array([e[:2] for e in p.equalities], dtype=int).reshape(-1, 2).T
+        # svec coordinate of entry (r, c), r <= c, and the weight of T there.
+        self.fixed = r * p.order - r * (r - 1) // 2 + c - r
+        self.weight = np.where(r == c, 1.0, np.sqrt(0.5))
+        self.free = np.setdiff1d(np.arange(T.shape[1]), self.fixed)
+        v0 = np.zeros(T.shape[1])
+        v0[self.fixed] = d.b / self.weight
         tol = 1e-6 * max(1.0, float(np.abs(d.b).max(initial=0.0)))
-        if eq_res > tol:
-            raise _ProvenInfeasible("equality system is inconsistent", {"equality": eq_res})
-        N = Vt[rank:].T
         Ls = d.L @ T
-        G, g0 = Ls @ N, Ls @ v0 - d.h
+        # ``take`` keeps G row-major; a column-major G (what ``Ls[:, free]``
+        # gives) would sum the row norms below in another order.
+        G, g0 = Ls.take(self.free, axis=1), Ls @ v0 - d.h
         norms = np.linalg.norm(G, axis=1)
         const = norms <= 1e-9 * np.linalg.norm(Ls, axis=1)
         violated = np.flatnonzero(const & (g0 < -tol))
@@ -315,9 +331,9 @@ class _NullSpaceForm:
                 f"{_row_name(p, j)} is fixed at {g0[j] + d.h[j]:.6g} < {d.h[j]:.6g} "
                 "by the equalities", {"cone": float(-g0[j])})
         self.rows, self.row_scale = np.flatnonzero(~const), 1.0 / norms[~const]
-        self.T, self.v0, self.N, self.d = T, v0, N, d
-        self.A = -np.vstack([T @ N, G[self.rows] * self.row_scale[:, None]]).T
-        self.b = -N.T @ (T.T @ d.c)
+        self.T, self.v0, self.d = T, v0, d
+        self.A = -np.vstack([T[:, self.free], G[self.rows] * self.row_scale[:, None]]).T
+        self.b = -(T.T @ d.c)[self.free]
         self.c = np.r_[T @ v0, g0[self.rows] * self.row_scale]
         # ``u[:k]`` is the PSD matrix, entry by entry, and ``u[k:]`` the
         # orthant part.  The step reads the views below of A; copies would
@@ -330,22 +346,23 @@ class _NullSpaceForm:
 
     def original(self, u, y, w):
         """``(v, nu, lam, Z)`` of an interior-point ``(u, y, w)``: the
-        program's variable, the multipliers of the equalities (least squares
-        on ``c + A^T nu - L^T lam - Z = 0``) and of the ``>=`` rows, and the
-        PSD matrix of ``u``."""
+        program's variable, the multipliers of the fixed entries (each the
+        svec coordinate of ``Z + L^T lam - c`` at its entry, over the
+        weight there) and of the ``>=`` rows, and the PSD matrix of ``u``."""
         d, k = self.d, self.k
         lam = np.zeros(d.h.size)
         lam[self.rows] = u[k:] * self.row_scale
-        Ur, sr, Vr = self.svd
-        nu = Ur @ ((Vr @ (self.T.T @ (u[:k] + d.L.T @ lam - d.c))) / sr)
-        return self.T @ (self.v0 + self.N @ y), nu, lam, u[:k].reshape(self.order, self.order)
+        nu = (self.T.T @ (u[:k] + d.L.T @ lam - d.c))[self.fixed] / self.weight
+        s = self.v0.copy()
+        s[self.free] = y
+        return self.T @ s, nu, lam, u[:k].reshape(self.order, self.order)
 
 
 def _row_name(p, j):
     """Row ``j`` of :meth:`ConicProgram.inequality_matrix`, in words."""
     if j < len(p.inequalities):
         return f"inequality row {j}"
-    r, c = p.masked_entries()[j - len(p.inequalities)]
+    r, c = np.argwhere(np.triu(p.nonneg_mask, 1))[j - len(p.inequalities)]
     # ``cppc complete`` prints this wording and the README quotes it.
     return f"entry ({r}, {c}) of block 0"
 
@@ -485,16 +502,6 @@ def _step_to_boundary(Li, x, dx, D):
     return a
 
 
-def entry_functional(order: int, r: int, c: int) -> np.ndarray:
-    """Symmetric coefficient matrix whose Frobenius pairing reads entry (r, c)."""
-    m = np.zeros((order, order))
-    if r == c:
-        m[r, c] = 1.0
-    else:
-        m[r, c] = m[c, r] = 0.5
-    return m
-
-
 def _result(p, d, v, nu, lam, it, dual, diagnostics):
     """``Optimal`` result at the original-data point ``v`` with multipliers
     ``nu`` and ``lam`` and the dual residual ``dual``; the primal residuals
@@ -590,7 +597,7 @@ def _gauss_newton(residual, jacobian, x, scale):
 
 class _JointFace:
     """Face-restricted KKT system for Gauss-Newton on the rows ``A v = b``
-    (the equalities with the active ``>=`` rows under them).
+    (the fixed entries' rows with the active ``>=`` rows under them).
 
     Unknowns ``x``: the factor ``R`` (fixed rank, row major) of the matrix
     ``M = R R^T``, then one multiplier ``mu`` per row.  Rows: ``A v - b``

@@ -43,7 +43,6 @@ from .conic_solver import (
     ConicProgram,
     SolveOptions,
     SolveResult,
-    entry_functional,
     face_polish,
     solve,
 )
@@ -297,7 +296,7 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     k = keep.size
     nn = np.array([True] + [kind == cones.ORTHANT for kind in data.K0.coordinate_kinds()])
     prog = ConicProgram(k, nonneg_mask=np.outer(nn[keep], nn[keep]))
-    prog.add_equality(1.0, entry_functional(k, 0, 0))
+    prog.fix(0, 0, 1.0)
     orthant_coords = np.flatnonzero(nn)
     # Entry (j, r) of C is Q_0[j] G Q_0[r]^T, and entry r of arm i's row is
     # L[i, r] G L[i, n+1]^T: each row is the stack of those outer products.

@@ -11,9 +11,12 @@ vectorized ``check_cond_iii``; ``fit_alpha_w_by_block`` fits certificate A's
 per-row blocks one row at a time, the reference for the stack of
 ``qp_relax.extract_solution``; ``block_residuals_by_arm`` evaluates the
 completion's block equations one arm at a time, the reference for the
-stacked ``completion._block_residuals``; ``kernel_vectors`` lists a
-matrix's kernel the way the certificates measure it.  The library's decision procedures
-never call them, so they live here, next to the tests.
+stacked ``completion._block_residuals``; ``row_program_residuals``
+evaluates a point on a program posed with general equality rows, which
+``ConicProgram`` (fixed entries only) does not hold; ``kernel_vectors``
+lists a matrix's kernel the way the certificates measure it.  The
+library's decision procedures never call them, so they live here, next to
+the tests.
 """
 
 from typing import Optional
@@ -293,6 +296,23 @@ def block_residuals_by_arm(pm, data: ConstraintData):
         per_arm.append((lin, quad))
     f0, d0 = data.f[0], float(data.d[0])
     return per_arm, (float(f0 @ x - d0), float(f0 @ X @ f0 - d0 * d0))
+
+
+def row_program_residuals(prog, A, b, X) -> dict:
+    """The residuals ``conic_solver.kkt_residuals`` reports, of the matrix
+    ``X`` on the equality rows ``A v = b`` and on ``prog``'s ``>=`` rows,
+    mask and objective, in that order: the largest equality violation, the
+    worst of the most negative eigenvalue (checked ``sym_eigh``) and the
+    ``>=`` rows' violations, and the objective value."""
+    X = np.asarray(X, dtype=float)
+    v = X.reshape(-1)
+    L, h = prog.inequality_matrix()
+    w, _ = sym_eigh(X)
+    return {
+        "equality": float(np.abs(A @ v - b).max(initial=0.0)),
+        "cone": max(float(np.max(h - L @ v, initial=0.0)), -float(w[0])),
+        "objective": float(prog.objective_vector() @ v),
+    }
 
 
 def kernel_vectors(M, tol: float = KERNEL_TOL):

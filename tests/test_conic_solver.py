@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import baseline_qp
-from cppc import conic_solver
+from cppc import completion, conic_solver
 from cppc.completion import CompletionProblem, complete_numeric
 from cppc.conic_solver import (
     INFEASIBLE,
@@ -11,7 +11,6 @@ from cppc.conic_solver import (
     ConicProgram,
     SolveOptions,
     SolveResult,
-    entry_functional,
     face_polish,
     kkt_residuals,
     solve,
@@ -24,14 +23,13 @@ ONE = np.array([[1.0]])
 
 def diagonal_lp(cost, G, h):
     """The LP ``min cost.x  s.t.  G x >= h,  x >= 0`` as one program: ``x``
-    is the diagonal of the PSD matrix, whose off-diagonal entries the
-    equalities pin to 0 (a diagonal matrix is PSD exactly when its diagonal
-    is nonnegative)."""
+    is the diagonal of the PSD matrix, whose off-diagonal entries are fixed
+    at 0 (a diagonal matrix is PSD exactly when its diagonal is
+    nonnegative)."""
     n = len(cost)
     p = ConicProgram(n)
-    for r in range(n):
-        for c in range(r + 1, n):
-            p.add_equality(0.0, entry_functional(n, r, c))
+    r, c = np.triu_indices(n, 1)
+    p.fix(r, c, np.zeros(r.size))
     for g, rhs in zip(G, h):
         p.add_inequality(rhs, np.diag(g))
     p.set_objective(np.diag(cost))
@@ -65,9 +63,7 @@ def solve_lp_by_enumeration(cost, G, h):
 class TestSolveBasics:
     def test_trivial_feasibility(self):
         p = ConicProgram(2)
-        coeff = np.zeros((2, 2))
-        coeff[0, 0] = 1.0
-        p.add_equality(1.0, coeff)
+        p.fix(0, 0, 1.0)
         res = solve(p)
         assert res.status == OPTIMAL
         assert res.objective == pytest.approx(0.0, abs=1e-9)
@@ -109,14 +105,18 @@ class TestSolveBasics:
     def test_rejects_nan(self):
         p = ConicProgram(1)
         with pytest.raises(ValueError):
-            p.add_equality(float("nan"), ONE)
+            p.fix(0, 0, float("nan"))
+        with pytest.raises(ValueError):
+            p.add_inequality(float("nan"), ONE)
 
     def test_inconsistent_equalities(self):
+        # Two values for one entry are refused when the second is fixed, so
+        # a program never holds an inconsistent pair.
         p = ConicProgram(1)
-        p.add_equality(1.0, ONE)
-        p.add_equality(2.0, ONE)
-        res = solve(p)
-        assert res.status == INFEASIBLE
+        p.fix(0, 0, 1.0)
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) is fixed twice"):
+            p.fix(0, 0, 2.0)
+        assert p.equalities == [(0, 0, 1.0)]
 
     def test_cone_infeasible_never_claims_infeasible(self, pm_noncompletable):
         # Fixed entries admit no PSD completion; the solver must stop at
@@ -124,16 +124,8 @@ class TestSolveBasics:
         full = pm_noncompletable.zero_filled().array
         mask = pm_noncompletable.specified_mask()
         p = ConicProgram(4)
-        for r in range(4):
-            for c in range(r, 4):
-                if not mask[r, c]:
-                    continue
-                coeff = np.zeros((4, 4))
-                if r == c:
-                    coeff[r, c] = 1.0
-                else:
-                    coeff[r, c] = coeff[c, r] = 0.5
-                p.add_equality(float(full[r, c]), coeff)
+        r, c = np.nonzero(np.triu(mask))
+        p.fix(r, c, full[r, c])
         res = solve(p, SolveOptions(max_iters=20000))
         assert res.status == MAX_ITERS
         assert "stall" in res.diagnostics or "budget" in res.diagnostics
@@ -214,19 +206,16 @@ class TestAgainstVertexEnumeration:
 
 class TestScalingAndDeflation:
     def test_scaling_invariance(self, qp_two_constraints):
-        # Rescaling each equality row and each ``>=`` row by 10^U(-3, 3)
-        # (positive factors) leaves the program's feasible set, and so its
-        # optimum, unchanged.
+        # Rescaling each ``>=`` row by 10^U(-3, 3) (positive factors) leaves
+        # the program's feasible set, and so its optimum, unchanged.
         ref = solve(build_sparse_relaxation(qp_two_constraints))
         assert ref.status == OPTIMAL
         for seed in range(6):
             rng = np.random.default_rng(seed)
             scaled = build_sparse_relaxation(qp_two_constraints)
-            eqs, ineqs = scaled.equalities, scaled.inequalities
-            scaled.equalities, scaled.inequalities = [], []
-            for add, rows in ((scaled.add_equality, eqs), (scaled.add_inequality, ineqs)):
-                for (C, rhs), t in zip(rows, 10.0 ** rng.uniform(-3.0, 3.0, len(rows))):
-                    add(t * rhs, t * C)
+            rows, scaled.inequalities = scaled.inequalities, []
+            for (C, rhs), t in zip(rows, 10.0 ** rng.uniform(-3.0, 3.0, len(rows))):
+                scaled.add_inequality(t * rhs, t * C)
             res = solve(scaled)
             assert res.status == OPTIMAL
             assert abs(ref.objective - res.objective) <= 10 * SolveOptions().tol_gap
@@ -242,10 +231,10 @@ def test_lp_enumeration_oracle_self_check():
 
 
 def face_program():
-    """A PSD matrix of order 3, every off-diagonal entry masked, with four
-    random equalities and three random ``>=`` rows, and a hand-set face: a
-    factor of rank 3, and active ``>=`` rows 0 and 2 and row 4, entry (0,
-    2)."""
+    """A PSD matrix of order 3, every off-diagonal entry masked, with three
+    random ``>=`` rows, four random dense equality rows ``(A, b)`` given to
+    the face system directly, and a hand-set face: a factor of rank 3, and
+    active ``>=`` rows 0 and 2 and row 4, entry (0, 2)."""
     rng = np.random.default_rng(3)
     p = ConicProgram(3)
 
@@ -253,22 +242,21 @@ def face_program():
         g = rng.standard_normal((3, 3))
         return g + g.T
 
-    for _ in range(4):
-        p.add_equality(float(rng.standard_normal()), coeff())
+    rows = [(rng.standard_normal(), coeff().reshape(-1)) for _ in range(4)]
+    A, b = np.array([C for _, C in rows]), np.array([rhs for rhs, _ in rows])
     for _ in range(3):
         p.add_inequality(float(rng.standard_normal()), coeff())
     p.set_objective(coeff())
     active = np.zeros(6, dtype=bool)
     active[[0, 2, 4]] = True
-    return p, 3, active, rng
+    return p, A, b, 3, active, rng
 
 
 class TestFaceSystems:
     def test_joint_jacobian_matches_central_differences(self):
-        p, rank, active, rng = face_program()
-        A, b = p.constraint_matrix()
+        p, A, b, rank, active, rng = face_program()
         L, h = p.inequality_matrix()
-        assert p.masked_entries()[4 - 3] == (0, 2)
+        assert np.argwhere(np.triu(p.nonneg_mask, 1))[4 - 3].tolist() == [0, 2]
         joint = conic_solver._JointFace(
             np.vstack([A, L[active]]), np.r_[b, h[active]], p.objective_vector(), 3, rank
         )
@@ -299,24 +287,23 @@ def block_diag(P, Q):
 def dual_residual_at(lam, S1, Z1):
     """``_dual_residual`` at ``nu = 1/2`` and ``>=`` multipliers ``lam`` on
     a program over ``M = diag(M_0, M_1)`` (two diagonal blocks of order 2),
-    masked on ``M_0`` only, with one equality on the diagonal blocks and the
-    row ``(M_1)_11 >= 0``; ``lam`` pairs with that row and then with entry
-    (0, 1).  The objective makes the dual slack ``c + A^T nu - L^T lam``
-    equal to ``diag(Z0, S1)``, and ``diag(Z0, Z1)`` is passed as the PSD
-    part."""
+    masked on ``M_0`` only, with the row ``(M_1)_11 >= 0`` and one dense
+    equality row on the diagonal blocks, given to ``_Data`` directly;
+    ``lam`` pairs with the ``>=`` row and then with entry (0, 1).  The
+    objective makes the dual slack ``c + A^T nu - L^T lam`` equal to
+    ``diag(Z0, S1)``, and ``diag(Z0, Z1)`` is passed as the PSD part."""
     Z0 = np.array([[1.0, -1.0], [-1.0, 1.0]])
     E00 = np.diag([1.0, 0.0])
     mask = np.zeros((4, 4), dtype=bool)
     mask[:2, :2] = True
     p = ConicProgram(4, nonneg_mask=mask)
-    p.add_equality(1.0, block_diag(np.eye(2), E00))
     p.add_inequality(0.0, block_diag(np.zeros((2, 2)), E11))
     p.set_objective(
         block_diag(Z0 + lam[1] * E01 - 0.5 * np.eye(2), S1 + lam[0] * E11 - 0.5 * E00)
     )
-    return conic_solver._dual_residual(
-        conic_solver._program_data(p), np.array([0.5]), np.asarray(lam), block_diag(Z0, Z1)
-    )
+    d = conic_solver._program_data(p)._replace(
+        A=block_diag(np.eye(2), E00).reshape(1, -1), b=np.array([1.0]))
+    return conic_solver._dual_residual(d, np.array([0.5]), np.asarray(lam), block_diag(Z0, Z1))
 
 
 class TestDualResidual:
@@ -377,16 +364,16 @@ def test_polish_of_the_unpolished_result_is_the_polished_solve(build, size):
 
 def test_polish_returns_an_infeasible_result_as_it_is():
     p = ConicProgram(2)
-    p.add_equality(-1.0, E01)
+    p.fix(0, 1, -1.0)
     res = solve(p, SolveOptions(polish=False))
     assert res.status == INFEASIBLE
     assert face_polish(p, res) is res
 
 
 def test_schur_order_is_the_free_coordinate_count(monkeypatch, pm_three_arms):
-    # The loop runs on the null space of the equalities: the corner of order
-    # n + 1 = 5 has 15 svec coordinates less the one equality G_00 = 1, and
-    # the completion program has one unknown per arm pair.
+    # The loop runs on the free coordinates: the corner of order n + 1 = 5
+    # has 15 svec coordinates less the one fixed entry G_00 = 1, and the
+    # completion program has one unknown per arm pair.
     orders = []
     factor = conic_solver._cholesky_solver
     monkeypatch.setattr(
@@ -413,22 +400,21 @@ def test_schur_solver_shifts_a_singular_complement():
 
 
 def test_constant_row_violation_is_infeasible():
-    # Entry (0, 1) is pinned to -1 by the equalities, and the mask asks for
-    # it to be nonnegative.
+    # Entry (0, 1) is fixed at -1, and the mask asks for it to be
+    # nonnegative.
     p = ConicProgram(2)
-    p.add_equality(-1.0, E01)
+    p.fix(0, 1, -1.0)
     res = solve(p)
     assert res.status == INFEASIBLE and res.iterations == 0
     assert res.diagnostics == "entry (0, 1) of block 0 is fixed at -1 < 0 by the equalities"
 
 
 def test_fixed_inequality_row_violation_is_infeasible():
-    # Every entry is pinned, E00 = 1, so the added row E00 >= 2 is constant
-    # on the solutions of the equalities and fails.
+    # Every entry is fixed, M00 = 1, so the added row M00 >= 2 is constant
+    # on the free coordinates and fails.
     p = ConicProgram(2)
-    for r, c, value in ((0, 0, 1.0), (0, 1, 0.0), (1, 1, 1.0)):
-        p.add_equality(value, entry_functional(2, r, c))
-    p.add_inequality(2.0, entry_functional(2, 0, 0))
+    p.fix([0, 0, 1], [0, 1, 1], [1.0, 0.0, 1.0])
+    p.add_inequality(2.0, np.diag([1.0, 0.0]))
     res = solve(p)
     assert res.status == INFEASIBLE and res.iterations == 0
     assert res.diagnostics == "inequality row 0 is fixed at 1 < 2 by the equalities"
@@ -468,11 +454,82 @@ class TestStackedInequalities:
             ConicProgram(3).add_inequality(0.0, np.zeros((2, 4, 3, 3)))
 
     def test_equalities_and_objective_take_one_matrix(self):
+        # The objective is one matrix; fixed entries come as vectors, not
+        # as matrices of indices.
         p = ConicProgram(2)
-        with pytest.raises(ValueError, match="matrix has shape"):
-            p.add_equality(0.0, np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="equal-length vectors"):
+            p.fix(np.zeros((1, 2), dtype=int), np.zeros((1, 2), dtype=int), np.zeros((1, 2)))
         with pytest.raises(ValueError, match="matrix has shape"):
             p.set_objective(np.zeros((1, 2, 2)))
+        assert p.equalities == []
+
+
+def entry_functional(order, r, c):
+    """Symmetric coefficient matrix whose Frobenius pairing reads entry (r, c)."""
+    m = np.zeros((order, order))
+    m[r, c] = m[c, r] = 1.0 if r == c else 0.5
+    return m
+
+
+class TestFix:
+    def test_entries_are_listed_and_read_as_rows(self):
+        p = ConicProgram(3)
+        p.fix(np.array([0, 2]), np.array([1, 0]), np.array([0.5, -1.0]))
+        p.fix(1, 1, 2)
+        assert p.equalities == [(0, 1, 0.5), (0, 2, -1.0), (1, 1, 2.0)]
+        A, b = p.constraint_matrix()
+        expected = [entry_functional(3, r, c).reshape(-1) for r, c, _ in p.equalities]
+        assert np.array_equal(A, expected) and np.array_equal(b, [0.5, -1.0, 2.0])
+
+    @pytest.mark.parametrize("rows, cols, match", [
+        ([0, 3], [0, 0], "out of range"),
+        ([0, 0], [1, -1], "out of range"),
+        ([0.0], [1.0], "indices integers"),
+        ([0, 1], [1], "equal-length"),
+    ])
+    def test_bad_indices_raise(self, rows, cols, match):
+        p = ConicProgram(3)
+        with pytest.raises(ValueError, match=match):
+            p.fix(rows, cols, np.zeros(len(rows)))
+        assert p.equalities == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_raise(self, value):
+        p = ConicProgram(2)
+        with pytest.raises(ValueError, match="finite"):
+            p.fix([0, 1], [0, 1], [1.0, value])
+        assert p.equalities == []
+
+    def test_an_entry_fixed_twice_raises(self):
+        p = ConicProgram(3)
+        with pytest.raises(ValueError, match=r"entry \(0, 2\) is fixed twice"):
+            p.fix([0, 1, 2], [2, 1, 0], [1.0, 1.0, 1.0])
+        assert p.equalities == []
+        p.fix(1, 2, 0.25)
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) is fixed twice"):
+            p.fix([0, 2], [0, 1], [1.0, 0.25])
+        assert p.equalities == [(1, 2, 0.25)]
+
+
+def test_solve_takes_no_svd(monkeypatch, qp_two_constraints, pm_three_arms):
+    # The free coordinates are read off the fixed entries, so no solve
+    # factors the rows: count np.linalg.svd calls made inside solve, on the
+    # QP fixture with the polish off and on the completion program.
+    calls, per_solve = [], []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+
+    def counted(p, opts=None):
+        before = len(calls)
+        res = solve(p, opts)
+        per_solve.append(len(calls) - before)
+        return res
+
+    qp_program = build_sparse_relaxation(qp_two_constraints)
+    assert counted(qp_program, SolveOptions(polish=False)).status == OPTIMAL
+    monkeypatch.setattr(completion, "solve", counted)
+    assert complete_numeric(CompletionProblem.from_partial_matrix(pm_three_arms)).completion
+    assert per_solve == [0, 0]
 
 
 def test_one_factorization_per_iterate(monkeypatch):

@@ -9,6 +9,7 @@ from reference_checks import (
     fit_alpha_w_by_block,
     kernel_vectors,
     lemma_equivalence_check,
+    row_program_residuals,
 )
 from cppc import conic_solver, qp_relax
 from cppc.conditions import ConstraintData
@@ -91,7 +92,11 @@ def per_row_program(gi):
     g_i y_i``; blocks i > 0 copy block 0's ``(1, x, X)`` corner, and block 0
     carries the shared pair and ``A . X + a^T x``.  Entries are
     nonnegative where both coordinates lie in an orthant.  The blocks are
-    the diagonal blocks of one matrix, whose other entries are free."""
+    the diagonal blocks of one matrix, whose other entries are free.
+
+    Returns ``(prog, A, b)``: the program's mask and objective, and its
+    equality rows ``A v = b``, which are general rows, not fixed entries,
+    for :func:`reference_checks.row_program_residuals`."""
     data = gi.data
     n, m = data.nx, data.S
     o = n + 2
@@ -112,37 +117,42 @@ def per_row_program(gi):
         nn = np.array([True] + kinds0 + [data.Ki[i].coordinate_kinds()[0] == ORTHANT])
         mask[i * o : (i + 1) * o, i * o : (i + 1) * o] = np.outer(nn, nn)
     prog = ConicProgram(m * o, nonneg_mask=mask)
+    rows = []
+
+    def equality(rhs, C):
+        rows.append((C.reshape(-1), rhs))
+
     obj = {}
     for i in range(m):
         f, g, d = data.f[i + 1], data.g[i][0], data.d[i + 1]
-        prog.add_equality(1.0, coeff({i: {(0, 0): 1.0}}))
+        equality(1.0, coeff({i: {(0, 0): 1.0}}))
         lin = {(0, 1 + k): f[k] / 2 for k in range(n)}
         lin[(0, n + 1)] = g / 2
-        prog.add_equality(d, coeff({i: lin}))
+        equality(d, coeff({i: lin}))
         h = np.append(f, g)
         quad = {(1 + r, 1 + c): h[r] * h[c] for r in range(n + 1) for c in range(r, n + 1)}
-        prog.add_equality(d * d, coeff({i: quad}))
+        equality(d * d, coeff({i: quad}))
         arm = {(1 + k, n + 1): gi.b[i][k] * g / 2 for k in range(n)}
         arm[(n + 1, n + 1)] = gi.C[i]
         arm[(0, n + 1)] = gi.beta[i] * g / 2
         obj[i] = arm
     f0, d0 = data.f[0], data.d[0]
     if np.any(f0):
-        prog.add_equality(d0, coeff({0: {(0, 1 + k): f0[k] / 2 for k in range(n)}}))
+        equality(d0, coeff({0: {(0, 1 + k): f0[k] / 2 for k in range(n)}}))
         quad0 = {(1 + r, 1 + c): f0[r] * f0[c] for r in range(n) for c in range(r, n)}
-        prog.add_equality(d0 * d0, coeff({0: quad0}))
+        equality(d0 * d0, coeff({0: quad0}))
     for r in range(n + 1):
         for c in range(r, n + 1):
             if (r, c) == (0, 0):
                 continue
             val = 1.0 if r == c else 0.5
             for i in range(1, m):
-                prog.add_equality(0.0, coeff({i: {(r, c): val}, 0: {(r, c): -val}}))
+                equality(0.0, coeff({i: {(r, c): val}, 0: {(r, c): -val}}))
     # The corner's entries and block 0's arm terms do not overlap.
     obj[0].update({(1 + r, 1 + c): gi.A.array[r, c] for r in range(n) for c in range(r, n)})
     obj[0].update({(0, 1 + k): gi.a[k] / 2 for k in range(n)})
     prog.set_objective(coeff(obj))
-    return prog
+    return prog, np.array([C for C, _ in rows]), np.array([rhs for _, rhs in rows])
 
 
 def assert_solves_per_row_program(gi, blocks, res):
@@ -152,7 +162,7 @@ def assert_solves_per_row_program(gi, blocks, res):
     M = np.zeros((len(blocks) * o, len(blocks) * o))
     for i, blk in enumerate(blocks):
         M[i * o : (i + 1) * o, i * o : (i + 1) * o] = blk
-    out = kkt_residuals(per_row_program(gi), M)
+    out = row_program_residuals(*per_row_program(gi), M)
     scale = max(1.0, max(float(np.abs(b).max()) for b in blocks))
     assert out["equality"] <= 1e-9 * scale
     assert out["cone"] <= 1e-9 * scale
