@@ -8,9 +8,6 @@ from .matrix_core import (
     PartialMatrix,
     SymMatrix,
     agrees,
-    assemble_completion,
-    extract_block,
-    partial_frobenius,
 )
 from .cones import (
     GroundCone,

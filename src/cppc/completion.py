@@ -108,15 +108,11 @@ class CompletionProblem:
     @staticmethod
     def from_partial_matrix(pm: PartialMatrix, K: Optional[GroundCone] = None,
                             data: Optional[ConstraintData] = None) -> "CompletionProblem":
-        if pm.pattern.n2 != 1:
-            raise ValueError(f"width must be one, got n2={pm.pattern.n2}")
         if pm.pattern.n1 < 2:
             raise ValueError("the shared block must contain the unit row plus "
                              "at least one coordinate")
         corner = float(pm.X[0, 0])
-        first_row = np.concatenate(
-            [pm.X.array[0, 1:]] + [z[:, 0] for z in pm.Z]
-        )
+        first_row = pm.zero_filled().array[0, 1:]
         if corner <= 0.0:
             if np.any(first_row):
                 raise ValueError(
@@ -146,9 +142,9 @@ class CompletionProblem:
         n1 = self.pm.pattern.n1
         return np.column_stack([np.tile(np.arange(n1), (self.S, 1)), n1 + np.arange(self.S)])
 
-    @cached_property
+    @property
     def zero_filled(self) -> np.ndarray:
-        """The unit-corner zero-filled matrix, read-only, built once."""
+        """The unit-corner zero-filled matrix, read-only: ``pm``'s own."""
         return self.pm.zero_filled().array
 
     @cached_property

@@ -2,8 +2,9 @@
 
 The pattern has width one, so the data ``(f_i, g_i, d_i)``, held as arrays,
 defines one coupling constraint per arm, ``f_i^T x + g_i y_i = d_i`` over
-``K0 x Ki`` with a scalar ``g_i`` and a one-dimensional cone ``Ki``, plus an
-optional shared constraint ``f_0^T x = d_0``.  Three conditions are checked:
+``K0 x Ki`` with a scalar ``g_i`` and a one-dimensional cone ``Ki``, held as
+its kind (orthant, free or zero), plus an optional shared constraint
+``f_0^T x = d_0``.  Three conditions are checked:
 
   i.   every ``g_i`` lies in the interior of the dual of ``Ki``;
   ii.  the shared-part feasible region is bounded (settled by a single
@@ -35,6 +36,7 @@ from . import lp
 from .cones import (
     FREE,
     ORTHANT,
+    ZERO,
     GroundCone,
     interior_dual_contains,
     orthant,
@@ -52,11 +54,12 @@ class ConstraintData:
     """Width-one constraint data ``(f_i, g_i, d_i)``, index 0 for the shared
     constraint, held as read-only arrays: ``f`` is ``(S+1, n_x)`` (row 0 the
     shared vector), ``g`` is ``(S, 1)`` and ``d`` is ``(S+1,)``.  Every arm
-    cone ``Ki[i]`` has dimension one and every entry is finite.
+    cone has dimension one, so it is held as its kind in the ``(S,)`` array
+    ``arm_kinds``; every entry is finite.
     """
 
     K0: GroundCone
-    Ki: tuple
+    arm_kinds: np.ndarray
     f: np.ndarray
     g: np.ndarray
     d: np.ndarray
@@ -87,9 +90,11 @@ class ConstraintData:
             raise ValueError("constraint data contains non-finite entries")
         if not np.any(f[0]) and d[0] != 0.0:
             raise ValueError("a zero shared vector requires a zero right-hand side")
-        for a in (f, g, d):
+        # Each arm cone has one factor of positive dimension: its kind.
+        kinds = np.array([kind for cone in Ki for kind, dim in cone.factors if dim], dtype=str)
+        for a in (kinds, f, g, d):
             a.setflags(write=False)
-        return ConstraintData(K0, Ki, f, g, d)
+        return ConstraintData(K0, kinds, f, g, d)
 
     @staticmethod
     def width_one(K0, f, g, d, f0=None, d0=0.0) -> "ConstraintData":
@@ -101,7 +106,7 @@ class ConstraintData:
 
     @property
     def S(self) -> int:
-        return len(self.Ki)
+        return self.arm_kinds.size
 
     @property
     def nx(self) -> int:
@@ -135,8 +140,12 @@ class ConditionReport:
 
 
 def check_cond_i(data: ConstraintData, tol: float = 1e-9):
-    """Per-arm test ``g_i in int(Ki*)``."""
-    return [interior_dual_contains(cone, gi, tol) for cone, gi in zip(data.Ki, data.g)]
+    """Per-arm test ``g_i in int(Ki*)``: ``g_i > tol`` on an orthant arm,
+    always on a zero arm (its dual is the line), never on a free arm (its
+    dual is the point 0)."""
+    g = data.g[:, 0]
+    passed = np.where(data.arm_kinds == ORTHANT, g > tol, data.arm_kinds == ZERO)
+    return [bool(v) for v in passed]
 
 
 def check_Fi_bounded_sufficient(data: ConstraintData, i: int) -> bool:

@@ -53,6 +53,8 @@ class GroundCone:
         for kind, dim in self.factors:
             if kind not in (ORTHANT, FREE, ZERO):
                 raise ValueError(f"unknown cone factor kind {kind!r}")
+            if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+                raise ValueError(f"cone factor {kind} dimension must be an integer, got {dim!r}")
             if dim < 0:
                 raise ValueError("factor dimension must be nonnegative")
 
@@ -85,7 +87,7 @@ class GroundCone:
         if key == "product":
             return product(*[GroundCone.from_json_dict(f) for f in val])
         if key in (ORTHANT, FREE, ZERO):
-            return GroundCone(((key, int(val)),))
+            return GroundCone(((key, val),))
         raise ValueError(f"unknown cone spec key {key!r}")
 
     def __repr__(self):

@@ -1,11 +1,13 @@
 """Dense symmetric matrices, their checked eigendecomposition, and
-arrowhead partial matrices.
+width-one arrowhead partial matrices.
 
-An arrowhead partial matrix has a fully specified northwest block ``X`` of
-order ``n1``, arm cross blocks ``Z_i`` (``n2`` x ``n1``) and arm diagonal
-blocks ``Y_i`` (order ``n2``); the off-arm blocks are structurally
-unspecified.  Unspecified entries are never represented by sentinel values,
-only by the pattern itself.
+A width-one arrowhead partial matrix has a fully specified northwest block
+``X`` of order ``n1`` and ``S`` arms of one row each: the arm's cross row
+``Z_i`` (``1 x n1``) and diagonal entry ``Y_i`` (order one).  Arm ``i`` is
+row ``n1 + i - 1`` of the full matrix, so the entries between two arms,
+the off-diagonal entries of the trailing ``S x S`` block, are the
+unspecified ones.  Unspecified entries are never represented by sentinel
+values, only by the pattern itself.
 """
 
 from __future__ import annotations
@@ -118,84 +120,76 @@ def sym_eigh(M, tol: float = 1e-13):
 
 @dataclass(frozen=True)
 class ArrowheadPattern:
-    """Arrowhead specification pattern: one shared block of order ``n1`` plus
-    ``S`` arms of width ``n2``."""
+    """Width-one arrowhead specification pattern: one shared block of order
+    ``n1`` plus ``S`` arms of one row each.  The arm width ``n2`` is named
+    by the JSON schema and must be 1."""
 
     n1: int
     n2: int
     S: int
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1 or self.S < 1:
+        for name in ("n1", "n2", "S"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"pattern size {name} must be an integer, got {size!r}")
+        if self.n2 != 1:
+            raise ValueError(f"width must be one, got n2={self.n2}")
+        if self.n1 < 1 or self.S < 1:
             raise ValueError(f"pattern sizes must be positive, got {self}")
 
     @property
     def total_order(self) -> int:
-        return self.n1 + self.S * self.n2
-
-    def arm_slice(self, i: int) -> slice:
-        """Row/column range of arm ``i`` (1-based) in the full matrix."""
-        if not 1 <= i <= self.S:
-            raise IndexError(f"arm index {i} out of range 1..{self.S}")
-        start = self.n1 + (i - 1) * self.n2
-        return slice(start, start + self.n2)
+        return self.n1 + self.S
 
 
 class PartialMatrix:
-    """Arrowhead partial matrix with blocks ``X``, ``Z_i``, ``Y_i``."""
+    """Width-one arrowhead partial matrix with blocks ``X``, ``Z_i`` (one row
+    each) and ``Y_i`` (order one).  Its zero-filled matrix is built once, at
+    construction."""
 
-    __slots__ = ("pattern", "X", "Z", "Y")
+    __slots__ = ("pattern", "X", "Z", "Y", "_zero_filled")
 
     def __init__(self, pattern: ArrowheadPattern, X: SymMatrix, Z, Y):
-        if X.order != pattern.n1:
-            raise ValueError(f"X has order {X.order}, pattern wants {pattern.n1}")
+        n1, S = pattern.n1, pattern.S
+        if X.order != n1:
+            raise ValueError(f"X has order {X.order}, pattern wants {n1}")
         Z = [np.asarray(z, dtype=float) for z in Z]
         Y = list(Y)
-        if len(Z) != pattern.S or len(Y) != pattern.S:
-            raise ValueError(
-                f"expected {pattern.S} arm blocks, got {len(Z)} Z and {len(Y)} Y"
-            )
+        if len(Z) != S or len(Y) != S:
+            raise ValueError(f"expected {S} arm blocks, got {len(Z)} Z and {len(Y)} Y")
         for k, z in enumerate(Z):
-            if z.shape != (pattern.n2, pattern.n1):
-                raise ValueError(
-                    f"Z[{k}] has shape {z.shape}, expected ({pattern.n2}, {pattern.n1})"
-                )
+            if z.shape != (1, n1):
+                raise ValueError(f"Z[{k}] has shape {z.shape}, expected (1, {n1})")
             if not np.isfinite(z).all():
                 raise ValueError(f"Z[{k}] contains non-finite entries")
             z.setflags(write=False)
         for k, y in enumerate(Y):
-            if y.order != pattern.n2:
-                raise ValueError(f"Y[{k}] has order {y.order}, expected {pattern.n2}")
+            if y.order != 1:
+                raise ValueError(f"Y[{k}] has order {y.order}, expected 1")
         self.pattern = pattern
         self.X = X
         self.Z = tuple(Z)
         self.Y = tuple(Y)
+        full = np.zeros((n1 + S, n1 + S))
+        full[:n1, :n1] = X.array
+        full[n1:, :n1] = np.concatenate(Z)
+        full[:n1, n1:] = full[n1:, :n1].T
+        arms = np.arange(n1, n1 + S)
+        full[arms, arms] = [y[0, 0] for y in Y]
+        self._zero_filled = SymMatrix(full)
 
     def specified_mask(self) -> np.ndarray:
-        """Boolean mask of specified positions in the full matrix."""
-        n = self.pattern.total_order
-        mask = np.zeros((n, n), dtype=bool)
-        n1 = self.pattern.n1
-        mask[:n1, :n1] = True
-        for i in range(1, self.pattern.S + 1):
-            s = self.pattern.arm_slice(i)
-            mask[s, :n1] = True
-            mask[:n1, s] = True
-            mask[s, s] = True
+        """Boolean mask of specified positions in the full matrix: all but
+        the off-diagonal entries of the trailing ``S x S`` block."""
+        S = self.pattern.S
+        mask = np.ones((self.pattern.total_order,) * 2, dtype=bool)
+        mask[-S:, -S:] = np.eye(S, dtype=bool)
         return mask
 
     def zero_filled(self) -> SymMatrix:
         """Full matrix with unspecified entries set to zero."""
-        n = self.pattern.total_order
-        full = np.zeros((n, n))
-        n1 = self.pattern.n1
-        full[:n1, :n1] = self.X.array
-        for i in range(1, self.pattern.S + 1):
-            s = self.pattern.arm_slice(i)
-            full[s, :n1] = self.Z[i - 1]
-            full[:n1, s] = self.Z[i - 1].T
-            full[s, s] = self.Y[i - 1].array
-        return SymMatrix(full)
+        return self._zero_filled
 
     def scaled(self, factor: float) -> "PartialMatrix":
         """Entrywise positive rescaling (pattern unchanged)."""
@@ -208,23 +202,13 @@ class PartialMatrix:
             [SymMatrix(y.array * factor) for y in self.Y],
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n1": self.pattern.n1,
-            "n2": self.pattern.n2,
-            "S": self.pattern.S,
-            "X": self.X.to_lists(),
-            "Z": [z.tolist() for z in self.Z],
-            "Y": [y.to_lists() for y in self.Y],
-        }
-
     @staticmethod
     def from_json_dict(obj: dict) -> "PartialMatrix":
         required = {"n1", "n2", "S", "X", "Z", "Y"}
         missing = required - obj.keys()
         if missing:
             raise ValueError(f"partial matrix JSON is missing keys {sorted(missing)}")
-        pattern = ArrowheadPattern(int(obj["n1"]), int(obj["n2"]), int(obj["S"]))
+        pattern = ArrowheadPattern(obj["n1"], obj["n2"], obj["S"])
         X = SymMatrix(obj["X"])
         Z = [_as_matrix(z, f"Z[{k}]") for k, z in enumerate(obj["Z"])]
         Y = [SymMatrix(y) for y in obj["Y"]]
@@ -232,7 +216,7 @@ class PartialMatrix:
 
     def __repr__(self):
         p = self.pattern
-        return f"PartialMatrix(n1={p.n1}, n2={p.n2}, S={p.S})"
+        return f"PartialMatrix(n1={p.n1}, S={p.S})"
 
 
 @dataclass(frozen=True)
@@ -254,78 +238,8 @@ class Completion:
 
     def unspecified_entries(self) -> dict:
         """Values placed at the unspecified positions, keyed by (row, col), row < col."""
-        mask = self.source.specified_mask()
-        out = {}
-        n = self.full.order
-        for r in range(n):
-            for c in range(r + 1, n):
-                if not mask[r, c]:
-                    out[(r, c)] = float(self.full[r, c])
-        return out
-
-
-def extract_block(pm: PartialMatrix, i: int) -> SymMatrix:
-    """Fully specified principal submatrix ``[[X, Z_i^T], [Z_i, Y_i]]`` of arm ``i``.
-
-    ``i`` is 1-based.
-    """
-    if not 1 <= i <= pm.pattern.S:
-        raise IndexError(f"arm index {i} out of range 1..{pm.pattern.S}")
-    z = pm.Z[i - 1]
-    return SymMatrix(
-        np.block([[pm.X.array, z.T], [z, pm.Y[i - 1].array]])
-    )
-
-
-def partial_frobenius(a: PartialMatrix, b: PartialMatrix) -> float:
-    """Frobenius product over specified entries only.
-
-    Computed as twice the sum over specified off-diagonal positions plus the
-    diagonal sum, which equals the dense Frobenius product of the zero-filled
-    matrices.
-    """
-    if a.pattern != b.pattern:
-        raise ValueError(f"pattern mismatch: {a.pattern} vs {b.pattern}")
-    ax, bx = a.X.array, b.X.array
-    total = 2.0 * float(np.sum(np.triu(ax, 1) * np.triu(bx, 1)))
-    total += float(np.sum(np.diag(ax) * np.diag(bx)))
-    for za, zb in zip(a.Z, b.Z):
-        total += 2.0 * float(np.sum(za * zb))
-    for ya, yb in zip(a.Y, b.Y):
-        total += 2.0 * float(np.sum(np.triu(ya.array, 1) * np.triu(yb.array, 1)))
-        total += float(np.sum(np.diag(ya.array) * np.diag(yb.array)))
-    return total
-
-
-def assemble_completion(pm: PartialMatrix, off_blocks) -> Completion:
-    """Fill the unspecified off-arm blocks of ``pm`` with the given values.
-
-    ``off_blocks`` lists one ``n2 x n2`` block per unordered arm pair, in
-    lexicographic order (1,2), (1,3), ..., (S-1,S); block ``B`` for pair
-    (i, j) is placed at (arm i rows, arm j columns), its transpose mirrored.
-    """
-    S = pm.pattern.S
-    n2 = pm.pattern.n2
-    expected = S * (S - 1) // 2
-    blocks = [np.asarray(blk, dtype=float) for blk in off_blocks]
-    if len(blocks) != expected:
-        raise ValueError(f"expected {expected} off blocks, got {len(blocks)}")
-    full = pm.zero_filled().array.copy()
-    k = 0
-    for i in range(1, S + 1):
-        si = pm.pattern.arm_slice(i)
-        for j in range(i + 1, S + 1):
-            blk = blocks[k]
-            if blk.shape != (n2, n2):
-                raise ValueError(
-                    f"off block for pair ({i},{j}) has shape {blk.shape}, "
-                    f"expected ({n2}, {n2})"
-                )
-            sj = pm.pattern.arm_slice(j)
-            full[si, sj] = blk
-            full[sj, si] = blk.T
-            k += 1
-    return Completion(SymMatrix(full), pm)
+        rows, cols = np.nonzero(np.triu(~self.source.specified_mask()))
+        return {(int(r), int(c)): float(self.full[r, c]) for r, c in zip(rows, cols)}
 
 
 def agrees(full: SymMatrix, pm: PartialMatrix, tol: float = AGREEMENT_TOL) -> bool:

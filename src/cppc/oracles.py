@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrix_core import Completion, PartialMatrix, assemble_completion
+from .matrix_core import Completion, PartialMatrix, SymMatrix
 
 _FEAS_TOL = 1e-9
 
@@ -192,10 +192,7 @@ def brute_force_completion_oracle(pm: PartialMatrix) -> OracleResult:
     smallest eigenvalue clears ``-1e-9`` and no specified entry is
     negative.
     """
-    S = pm.pattern.S
-    n2 = pm.pattern.n2
-    if n2 != 1:
-        raise ValueError("oracle requires width one")
+    n1, S = pm.pattern.n1, pm.pattern.S
     pairs = [(i, j) for i in range(1, S + 1) for j in range(i + 1, S + 1)]
     if len(pairs) > 3:
         raise ValueError(f"too many unspecified entries ({len(pairs)} > 3)")
@@ -203,21 +200,20 @@ def brute_force_completion_oracle(pm: PartialMatrix) -> OracleResult:
     diag = np.diag(base)
     spans = []
     for (i, j) in pairs:
-        ri = pm.pattern.arm_slice(i).start
-        rj = pm.pattern.arm_slice(j).start
+        ri, rj = n1 + i - 1, n1 + j - 1
         spans.append((ri, rj, float(np.sqrt(max(diag[ri] * diag[rj], 0.0)))))
     if not pairs:
         w = np.linalg.eigvalsh(base)
         comp = None
         if w[0] >= -1e-9 and base.min() >= -1e-12:
-            comp = assemble_completion(pm, [])
+            comp = Completion(pm.zero_filled(), pm)
         return OracleResult(comp, float(w[0]), [])
 
-    def min_eig(entries):
+    def filled(entries):
         m = base.copy()
         for (ri, rj, _), val in zip(spans, entries):
             m[ri, rj] = m[rj, ri] = val
-        return float(np.linalg.eigvalsh(m)[0])
+        return m
 
     centers = np.array([0.5 * hi for (_, _, hi) in spans])
     radii = np.array([0.5 * hi for (_, _, hi) in spans])
@@ -230,7 +226,7 @@ def brute_force_completion_oracle(pm: PartialMatrix) -> OracleResult:
         ]
         axes = [np.clip(ax, 0.0, hi) for ax, (_, _, hi) in zip(axes, spans)]
         for point in product(*axes):
-            val = min_eig(point)
+            val = float(np.linalg.eigvalsh(filled(point))[0])
             if val > best_val:
                 best_val = val
                 best = np.array(point)
@@ -239,7 +235,5 @@ def brute_force_completion_oracle(pm: PartialMatrix) -> OracleResult:
         steps = 9
     entries = [float(v) for v in best]
     if best_val >= -1e-9 and base.min() >= -1e-12:
-        blocks = [np.array([[v]]) for v in entries]
-        comp = assemble_completion(pm, blocks)
-        return OracleResult(comp, best_val, entries)
+        return OracleResult(Completion(SymMatrix(filled(entries)), pm), best_val, entries)
     return OracleResult(None, best_val, entries)

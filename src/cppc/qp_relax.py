@@ -302,7 +302,7 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     # L[i, r] G L[i, n+1]^T: each row is the stack of those outer products.
     rows = [Q0[j][None, :, None] * Q0[np.setdiff1d(orthant_coords, j)][:, None, :]
             for j in np.setdiff1d(orthant_coords, keep)]
-    arms = lifts[[cone.coordinate_kinds()[0] == cones.ORTHANT for cone in data.Ki]]
+    arms = lifts[data.arm_kinds == cones.ORTHANT]
     rows.append((arms[:, orthant_coords, :, None] * arms[:, n + 1][:, None, None, :])
                 .reshape(-1, k, k))
     prog.add_inequality(0.0, np.concatenate(rows))

@@ -82,22 +82,14 @@ def partial_matrix_from_factor(z, n):
     """Width-one arrowhead partial matrix read off from ``z z^T`` with shared
     dimension ``n`` (z = (1, x, y_1..y_S))."""
     z = np.asarray(z, dtype=float)
-    S = z.size - n - 1
-    M = np.outer(z, z)
-    n1 = n + 1
-    X = SymMatrix(M[:n1, :n1])
-    Z = [M[n1 + k : n1 + k + 1, :n1] for k in range(S)]
-    Y = [SymMatrix(M[n1 + k : n1 + k + 1, n1 + k : n1 + k + 1]) for k in range(S)]
-    return PartialMatrix(ArrowheadPattern(n1, 1, S), X, Z, Y)
+    return partial_matrix_from_full(np.outer(z, z), n + 1, z.size - n - 1)
 
 
-def partial_matrix_from_full(full, n1, n2, S):
-    """Declare entries of a full matrix unspecified per the arrowhead pattern."""
+def partial_matrix_from_full(full, n1, S):
+    """Declare the entries between the arms of a full matrix unspecified per
+    the width-one arrowhead pattern with ``S`` arms."""
     full = np.asarray(full, dtype=float)
-    pat = ArrowheadPattern(n1, n2, S)
     X = SymMatrix(full[:n1, :n1])
-    Z = [full[pat.arm_slice(i), :n1] for i in range(1, S + 1)]
-    Y = [
-        SymMatrix(full[pat.arm_slice(i), pat.arm_slice(i)]) for i in range(1, S + 1)
-    ]
-    return PartialMatrix(pat, X, Z, Y)
+    Z = [full[n1 + k : n1 + k + 1, :n1] for k in range(S)]
+    Y = [SymMatrix(full[n1 + k : n1 + k + 1, n1 + k : n1 + k + 1]) for k in range(S)]
+    return PartialMatrix(ArrowheadPattern(n1, 1, S), X, Z, Y)

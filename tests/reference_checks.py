@@ -14,9 +14,11 @@ completion's block equations one arm at a time, the reference for the
 stacked ``completion._block_residuals``; ``row_program_residuals``
 evaluates a point on a program posed with general equality rows, which
 ``ConicProgram`` (fixed entries only) does not hold; ``kernel_vectors``
-lists a matrix's kernel the way the certificates measure it.  The
-library's decision procedures never call them, so they live here, next to
-the tests.
+lists a matrix's kernel the way the certificates measure it; ``arm_block``
+builds an arm's fully specified block from the pieces of a width-one
+partial matrix, the reference for the zero-filled matrix and the stack of
+``CompletionProblem.blocks``.  The library's decision procedures never
+call them, so they live here, next to the tests.
 """
 
 from typing import Optional
@@ -320,3 +322,10 @@ def kernel_vectors(M, tol: float = KERNEL_TOL):
     times the spectral scale."""
     w, v = sym_eigh(M)
     return [v[:, k].copy() for k in np.flatnonzero(_kernel_mask(w, tol))]
+
+
+def arm_block(pm, i: int) -> np.ndarray:
+    """Arm ``i``'s (1-based) fully specified block ``[[X, Z_i^T], [Z_i, Y_i]]``
+    of the width-one partial matrix ``pm``, built from its pieces."""
+    z = pm.Z[i - 1]
+    return np.block([[pm.X.array, z.T], [z, pm.Y[i - 1].array]])

@@ -21,7 +21,7 @@ from cppc.conditions import (
 )
 from cppc.cones import dual_cone, free, is_cp, is_dnn, orthant, product, zero
 from cppc.conic_solver import OPTIMAL, kkt_residuals, solve
-from cppc.matrix_core import SymMatrix, agrees, extract_block, sym_eigh
+from cppc.matrix_core import SymMatrix, agrees, sym_eigh
 from cppc.oracles import brute_force_completion_oracle, qp_global_minimum
 from cppc.qp_relax import (
     PROVEN_EXACT,
@@ -97,7 +97,7 @@ def test_criterion_3_noncompletable_fixture(pm_noncompletable):
     assert cert.verdict == NO_CERTIFICATE
 
     # Arm 1's kernel is a line, so its data is forced: at d = 1 it has g < 0.
-    w, vecs = sym_eigh(extract_block(problem.pm, 1))
+    w, vecs = sym_eigh(problem.blocks[0])
     assert w[1] > 1e-3 * w[-1]
     g = vecs[-1, 0] / -vecs[0, 0]
     assert g == pytest.approx(-3.0, abs=1e-9)

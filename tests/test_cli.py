@@ -124,6 +124,35 @@ class TestErrors:
         assert code == 1 and out.out == ""
         assert "invalid input" in out.err and "non-finite" in out.err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("S", 2.9, "pattern size S must be an integer, got 2.9"),
+        ("S", 2.0, "pattern size S must be an integer, got 2.0"),
+        ("K", {"orthant": 1.5}, "cone factor orthant dimension must be an integer, got 1.5"),
+    ])
+    def test_fractional_sizes_are_input_errors(self, tmp_path, capsys, key, value, message):
+        # Truncated, 2.9 arms would run as 2 and an orthant of dimension 1.5 as 1.
+        with open(fixture("completable_arrowhead.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code = main(["check", str(path)])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert f"invalid input: {message}\n" in out.err
+
+    def test_wide_pattern_is_rejected_by_its_width(self, tmp_path, capsys):
+        # The arm rows have width one, so only the width check can object.
+        with open(fixture("completable_arrowhead.json"), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["n2"] = 2
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(obj))
+        code = main(["check", str(path)])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert "invalid input: width must be one, got n2=2\n" in out.err
+
     def test_oracle_on_unrecognized_input(self, tmp_path, capsys):
         path = tmp_path / "odd.json"
         path.write_text('{"x": 1}')

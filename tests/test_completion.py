@@ -25,12 +25,11 @@ from cppc.matrix_core import (
     PartialMatrix,
     SymMatrix,
     agrees,
-    extract_block,
     sym_eigh,
 )
 
 from conftest import load_perfbench, partial_matrix_from_factor, partial_matrix_from_full
-from reference_checks import block_residuals_by_arm
+from reference_checks import arm_block, block_residuals_by_arm
 
 
 def stated_data(problem):
@@ -50,14 +49,13 @@ class TestProblemConstruction:
         assert block[-1, -1] == pytest.approx(1.0 / 3.0)
 
     def test_rejects_wide_arms(self):
-        pm = PartialMatrix(
-            ArrowheadPattern(2, 2, 2),
-            SymMatrix(np.eye(2)),
-            [np.zeros((2, 2)) for _ in range(2)],
-            [SymMatrix(np.eye(2)) for _ in range(2)],
-        )
-        with pytest.raises(ValueError):
-            CompletionProblem.from_partial_matrix(pm)
+        with pytest.raises(ValueError, match="^width must be one, got n2=2$"):
+            PartialMatrix(
+                ArrowheadPattern(2, 2, 2),
+                SymMatrix(np.eye(2)),
+                [np.zeros((2, 2)) for _ in range(2)],
+                [SymMatrix(np.eye(2)) for _ in range(2)],
+            )
 
     def test_rejects_nonpositive_corner_with_data(self):
         pm = PartialMatrix(
@@ -139,7 +137,7 @@ class TestBlockStack:
         assert problem.blocks.shape == (2, 3, 3) and not problem.blocks.flags.writeable
         assert problem.blocks is problem.blocks
         for i, block in enumerate(problem.blocks, start=1):
-            assert np.array_equal(block, extract_block(problem.pm, i).array)
+            assert np.array_equal(block, arm_block(problem.pm, i))
 
     def test_residuals_match_the_per_arm_loop(self, monkeypatch):
         # The stack sums each equation in another order than the per-arm
@@ -238,7 +236,7 @@ class TestFindData:
         assert find_data(problem) is None
         # Block 1 is singular with a one-dimensional kernel, so its data is
         # forced up to scale: (-d, f, g) = (-1, 2, -3) at d = 1, and g < 0.
-        w, vecs = sym_eigh(extract_block(problem.pm, 1))
+        w, vecs = sym_eigh(problem.blocks[0])
         assert w[0] == pytest.approx(0.0, abs=1e-12) and w[1] > 0.1
         k = vecs[:, 0] / -vecs[0, 0]
         assert k == pytest.approx([-1.0, 2.0, -3.0], abs=1e-9)
@@ -248,7 +246,7 @@ class TestFindData:
         # pair of equations, and the sufficient-condition route cannot fire
         # even though a completion exists.
         problem = CompletionProblem.from_partial_matrix(pm_completable)
-        w, _ = sym_eigh(extract_block(problem.pm, 2))
+        w, _ = sym_eigh(problem.blocks[1])
         assert w[0] > 1e-3 * w[-1]
         assert find_data(problem) is None
 
@@ -282,7 +280,7 @@ class TestFindData:
         n, S = 3, 4
         gram = gram_completion(n, S, "positive", np.random.default_rng([1, S]), rows)
         problem = CompletionProblem.from_partial_matrix(
-            partial_matrix_from_full(gram, n + 1, 1, S)
+            partial_matrix_from_full(gram, n + 1, S)
         )
         data = find_data(problem)
         assert data is not None
@@ -304,7 +302,7 @@ class TestFindData:
         n, S = 3, 12
         gram = gram_completion(n, S, "independent", np.random.default_rng([5, S]), rows)
         problem = CompletionProblem.from_partial_matrix(
-            partial_matrix_from_full(gram, n + 1, 1, S)
+            partial_matrix_from_full(gram, n + 1, S)
         )
         checks, lps = [], []
         admissible, reference_lp = cmod._data_admissible, cmod._reference_lp
@@ -376,7 +374,7 @@ class TestCompleteNumeric:
         zf = pm_noncompletable.zero_filled().array
         u = cert.u
         assert u @ zf @ u < 0.0
-        ri, rj = (pm_noncompletable.pattern.arm_slice(k).start for k in cert.arms)
+        ri, rj = (pm_noncompletable.pattern.n1 + k - 1 for k in cert.arms)
         N = np.zeros_like(zf)
         N[ri, rj] = N[rj, ri] = -u[ri] * u[rj]
         assert N.min() >= 0.0
@@ -441,7 +439,7 @@ class TestCompleteNumeric:
     def test_gram_ladder_decided_without_solver(self, n, S, kind, monkeypatch):
         monkeypatch.setattr(cmod, "solve", no_solver)
         gram = gram_completion(n, S, kind, np.random.default_rng([7, S, n]))
-        pm = partial_matrix_from_full(gram, n + 1, 1, S)
+        pm = partial_matrix_from_full(gram, n + 1, S)
         res = complete_numeric(CompletionProblem.from_partial_matrix(pm))
         assert res.completion is not None
         assert np.abs(res.completion.full.array - gram).max() <= 1e-9
@@ -461,8 +459,8 @@ def kernel_data(problem):
     eigenvector of smallest eigenvalue, a kernel vector of a singular PSD
     block, whether or not the three conditions hold on it."""
     ks = []
-    for i in range(1, problem.S + 1):
-        k = sym_eigh(extract_block(problem.pm, i))[1][:, 0]
+    for block in problem.blocks:
+        k = sym_eigh(block)[1][:, 0]
         ks.append(k / -k[0])
     return ConstraintData.width_one(
         problem.K, [k[1:-1] for k in ks], [k[-1] for k in ks], [1.0] * problem.S
@@ -475,7 +473,7 @@ def gram_problem(n, S, kind, rng, rows=None):
     verdicts are reached whatever the conditions say."""
     gram = gram_completion(n, S, kind, rng, rows)
     problem = CompletionProblem.from_partial_matrix(
-        partial_matrix_from_full(gram, n + 1, 1, S)
+        partial_matrix_from_full(gram, n + 1, S)
     )
     if kind != "rank1" or rows is not None:
         problem.data = kernel_data(problem)
@@ -513,7 +511,7 @@ class TestOneFactor:
                 cert = certify_completable(problem)
                 assert len(cert.block_verdicts) == S
                 for i, v in enumerate(cert.block_verdicts, start=1):
-                    M = extract_block(problem.pm, i).array
+                    M = problem.blocks[i - 1]
                     assert v.verdict == cones.is_cp(M).verdict
                     if v.is_member and v.witness is not None:
                         B = v.witness
@@ -525,7 +523,7 @@ class TestOneFactor:
     @pytest.mark.parametrize("spoil", ["residual", "none"])
     def test_failed_restriction_falls_back_per_block(self, spoil, monkeypatch):
         _, problem = gram_problem(4, 5, "positive", np.random.default_rng(3))
-        expected = [cones.is_cp(extract_block(problem.pm, i)) for i in range(1, 6)]
+        expected = [cones.is_cp(block) for block in problem.blocks]
         factorize = cones.cp_factorize
 
         def spoiled(M, *args, **kwargs):
@@ -579,7 +577,7 @@ class TestOneFactor:
         cert = certify_completable(problem)
         assert cert.completion_cp is None
         assert [v.verdict for v in cert.block_verdicts] == [
-            cones.is_cp(extract_block(problem.pm, i)).verdict for i in (1, 2, 3)
+            cones.is_cp(block).verdict for block in problem.blocks
         ]
 
 
@@ -602,6 +600,23 @@ class TestSharedFactor:
         B = res.cp_verdict.witness
         assert B.min() >= 0.0
         assert np.linalg.norm(B @ B.T - full) <= 1e-6 * max(1.0, np.abs(full).max())
+
+    def test_certify_then_complete_builds_one_full_matrix(self, pm_completable, monkeypatch):
+        # The partial matrix holds its zero-filled matrix, so the only matrix
+        # of full order built is the completion's own.
+        problem = CompletionProblem.from_partial_matrix(pm_completable)
+        order = problem.pm.pattern.total_order
+        orders, init = [], SymMatrix.__init__
+
+        def counted_init(self, values):
+            init(self, values)
+            orders.append(self.order)
+
+        monkeypatch.setattr(SymMatrix, "__init__", counted_init)
+        certify_completable(problem)
+        res = complete_numeric(problem)
+        assert res.completion is not None and res.completion.full.order == order
+        assert orders.count(order) == 1
 
     def test_recheck_takes_no_spectrum_after_certification(self, monkeypatch):
         # On an orthant cone the CP verdict is the doubly nonnegative recheck
@@ -788,7 +803,7 @@ def test_certificates_reverify_from_stored_fields():
     worst = max(abs(v) for pair in per_arm for v in pair)
     assert worst <= cert.tol and max(map(abs, f0_pair)) <= cert.tol
     for i in range(1, fresh_problem.S + 1):
-        assert cones.is_cp(extract_block(fresh_problem.pm, i)).is_member
+        assert cones.is_cp(fresh_problem.blocks[i - 1]).is_member
     assert build_condition_report(cert.data).all_passed
 
 

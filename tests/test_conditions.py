@@ -21,7 +21,7 @@ from cppc.conditions import (
     _shared_region_form,
     _shared_region_nonempty,
 )
-from cppc.cones import FREE, ORTHANT, ZERO, free, orthant, product, zero
+from cppc.cones import FREE, ORTHANT, ZERO, free, interior_dual_contains, orthant, product, zero
 from cppc.oracles import polyhedron_vertices, standard_form_feasible_point
 from cppc.qp_relax import QPInstance, _polytope_bounded
 
@@ -57,6 +57,19 @@ class TestCondI:
     def test_negative_fails(self):
         data = width_one_data([[2.0]], [-3.0], [1.0], orthant(1))
         assert check_cond_i(data) == [False]
+
+    def test_arm_kinds_decide_like_the_cones(self):
+        # One kind per arm stands in for its one-dimensional cone.
+        arms = [orthant(1), orthant(1), zero(1), zero(1), free(1), product(zero(0), orthant(1))]
+        g = [2.0, 1e-10, -1.0, 0.0, 1.0, 0.5]
+        data = ConstraintData.build(orthant(1), arms, [[0.0]] + [[1.0]] * 6,
+                                    [[v] for v in g], [0.0] + [1.0] * 6)
+        assert data.arm_kinds.tolist() == [ORTHANT, ORTHANT, ZERO, ZERO, FREE, ORTHANT]
+        assert not data.arm_kinds.flags.writeable
+        expected = [interior_dual_contains(cone, v) for cone, v in zip(arms, g)]
+        assert expected == [True, False, True, True, False, True]
+        assert check_cond_i(data) == expected
+        assert all(type(v) is bool for v in check_cond_i(data))
 
 
 class TestBuild:

@@ -19,6 +19,8 @@ from cppc.cones import (
 )
 from cppc.matrix_core import SymMatrix
 
+from reference_checks import arm_block
+
 
 class TestGroundCone:
     def test_product_flattens(self):
@@ -32,6 +34,14 @@ class TestGroundCone:
         assert GroundCone.from_json_dict({"orthant": 3}) == orthant(3)
         with pytest.raises(ValueError):
             GroundCone.from_json_dict({"weird": 2})
+
+    def test_dimensions_must_be_integers(self):
+        for bad in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match="^cone factor orthant dimension must be an integer"):
+                GroundCone.from_json_dict({"orthant": bad})
+        with pytest.raises(ValueError, match="^cone factor free dimension must be an integer"):
+            GroundCone.from_json_dict({"product": [{"orthant": 1}, {"free": 0.5}]})
+        assert orthant(np.int64(2)).dim == 2
 
 
 class TestConeContains:
@@ -109,10 +119,8 @@ class TestInteriorDual:
 
 class TestMatrixMembership:
     def test_psd_boundary_block(self, pm_noncompletable):
-        from cppc.matrix_core import extract_block
-
-        assert is_psd(extract_block(pm_noncompletable, 1))
-        assert is_psd(extract_block(pm_noncompletable, 2))
+        assert is_psd(arm_block(pm_noncompletable, 1))
+        assert is_psd(arm_block(pm_noncompletable, 2))
 
     def test_identity_psd(self):
         assert is_psd(np.eye(5))
@@ -130,11 +138,9 @@ class TestMatrixMembership:
         assert not is_dnn([[1.0, -0.1], [-0.1, 1.0]])
 
     def test_cp_small_member(self, pm_completable):
-        from cppc.matrix_core import extract_block
-
-        v = is_cp(extract_block(pm_completable, 1))
+        v = is_cp(arm_block(pm_completable, 1))
         assert v.is_member
-        v = is_cp(extract_block(pm_completable, 2))
+        v = is_cp(arm_block(pm_completable, 2))
         assert v.is_member
 
     def test_cp_zero_matrix(self):

@@ -7,32 +7,44 @@ from cppc.matrix_core import (
     PartialMatrix,
     SymMatrix,
     agrees,
-    assemble_completion,
-    extract_block,
-    partial_frobenius,
     sym_eigh,
 )
 
 from conftest import partial_matrix_from_full
+from reference_checks import arm_block
 
 
-def zero_pm(n1, n2, S):
+def zero_pm(n1, S):
     return PartialMatrix(
-        ArrowheadPattern(n1, n2, S),
+        ArrowheadPattern(n1, 1, S),
         SymMatrix(np.zeros((n1, n1))),
-        [np.zeros((n2, n1)) for _ in range(S)],
-        [SymMatrix(np.zeros((n2, n2))) for _ in range(S)],
+        [np.zeros((1, n1)) for _ in range(S)],
+        [SymMatrix(np.zeros((1, 1))) for _ in range(S)],
     )
 
 
-def random_pm(rng, n1=3, n2=1, S=2):
+def random_pm(rng, n1=3, S=2):
     X = rng.standard_normal((n1, n1))
     return PartialMatrix(
-        ArrowheadPattern(n1, n2, S),
+        ArrowheadPattern(n1, 1, S),
         SymMatrix(0.5 * (X + X.T)),
-        [rng.standard_normal((n2, n1)) for _ in range(S)],
-        [SymMatrix(np.diag(rng.standard_normal(n2))) for _ in range(S)],
+        [rng.standard_normal((1, n1)) for _ in range(S)],
+        [SymMatrix(rng.standard_normal((1, 1))) for _ in range(S)],
     )
+
+
+def filled(pm, entries):
+    """``pm``'s zero-filled matrix with ``entries[(r, c)]`` at both ``(r, c)``
+    and ``(c, r)``."""
+    full = pm.zero_filled().array.copy()
+    for (r, c), val in entries.items():
+        full[r, c] = full[c, r] = val
+    return SymMatrix(full)
+
+
+def arm_rows(pm, i):
+    """Rows of arm ``i``'s (1-based) block in the full matrix."""
+    return np.ix_(*[list(range(pm.pattern.n1)) + [pm.pattern.n1 + i - 1]] * 2)
 
 
 class TestSymMatrix:
@@ -54,103 +66,112 @@ class TestSymMatrix:
             m.array[0, 0] = 5.0
 
 
+class TestArrowheadPattern:
+    def test_width_must_be_one(self):
+        with pytest.raises(ValueError, match="^width must be one, got n2=2$"):
+            ArrowheadPattern(2, 2, 2)
+        with pytest.raises(ValueError, match="^width must be one, got n2=0$"):
+            ArrowheadPattern(2, 0, 2)
+
+    def test_sizes_must_be_integers(self):
+        for bad in (2.9, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="^pattern size S must be an integer"):
+                ArrowheadPattern(2, 1, bad)
+        with pytest.raises(ValueError, match="^pattern size n1 must be an integer"):
+            ArrowheadPattern(1.5, 1, 2)
+        assert ArrowheadPattern(np.int64(3), 1, np.int32(2)).total_order == 5
+
+    def test_sizes_must_be_positive(self):
+        with pytest.raises(ValueError, match="^pattern sizes must be positive"):
+            ArrowheadPattern(0, 1, 2)
+        with pytest.raises(ValueError, match="^pattern sizes must be positive"):
+            ArrowheadPattern(2, 1, 0)
+
+
+class TestPartialMatrix:
+    def test_zero_filled_built_once_read_only(self, pm_completable):
+        full = pm_completable.zero_filled()
+        assert full is pm_completable.zero_filled()
+        assert not full.array.flags.writeable
+        assert full.to_lists() == [
+            [1.0, 0.45, 0.55, 0.275],
+            [0.45, 0.3, 0.15, 0.025],
+            [0.55, 0.15, 0.4, 0.0],
+            [0.275, 0.025, 0.0, 0.6],
+        ]
+
+    def test_specified_mask_leaves_out_the_entries_between_arms(self):
+        mask = zero_pm(2, 3).specified_mask()
+        expected = np.ones((5, 5), dtype=bool)
+        expected[[2, 2, 3, 3, 4, 4], [3, 4, 2, 4, 2, 3]] = False
+        assert np.array_equal(mask, expected)
+
+    def test_rejects_arms_wider_than_one(self):
+        with pytest.raises(ValueError, match=r"^Z\[1\] has shape \(2, 2\), expected \(1, 2\)$"):
+            PartialMatrix(ArrowheadPattern(2, 1, 2), SymMatrix(np.eye(2)),
+                          [np.zeros((1, 2)), np.zeros((2, 2))], [SymMatrix([[1.0]])] * 2)
+        with pytest.raises(ValueError, match=r"^Y\[0\] has order 2, expected 1$"):
+            PartialMatrix(ArrowheadPattern(2, 1, 2), SymMatrix(np.eye(2)),
+                          [np.zeros((1, 2))] * 2, [SymMatrix(np.eye(2))] * 2)
+
+
 class TestExtractBlock:
+    """Arm i's block is the zero-filled matrix on rows 0..n1-1 and n1+i-1."""
+
     def test_noncompletable_fixture_blocks(self, pm_noncompletable):
-        b1 = extract_block(pm_noncompletable, 1)
-        assert b1.to_lists() == [[6, 3, 0], [3, 6, 3], [0, 3, 2]]
-        b2 = extract_block(pm_noncompletable, 2)
-        assert b2.to_lists() == [[6, 3, 3], [3, 6, 0], [3, 0, 2]]
+        full = pm_noncompletable.zero_filled().array
+        assert full[arm_rows(pm_noncompletable, 1)].tolist() == [[6, 3, 0], [3, 6, 3], [0, 3, 2]]
+        assert full[arm_rows(pm_noncompletable, 2)].tolist() == [[6, 3, 3], [3, 6, 0], [3, 0, 2]]
 
     def test_zero_matrix(self):
-        pm = zero_pm(3, 2, 2)
-        assert np.all(extract_block(pm, 1).array == 0.0)
-        assert extract_block(pm, 2).order == 5
-
-    def test_index_out_of_range(self, pm_noncompletable):
-        with pytest.raises(IndexError):
-            extract_block(pm_noncompletable, 0)
-        with pytest.raises(IndexError):
-            extract_block(pm_noncompletable, 3)
+        pm = zero_pm(3, 2)
+        assert pm.zero_filled().order == 5
+        assert np.all(pm.zero_filled().array[arm_rows(pm, 2)] == 0.0)
 
     def test_blocks_symmetric(self):
         rng = np.random.default_rng(0)
-        pm = random_pm(rng, n1=4, n2=2, S=3)
+        pm = random_pm(rng, n1=4, S=3)
         for i in range(1, 4):
-            b = extract_block(pm, i).array
+            b = pm.zero_filled().array[arm_rows(pm, i)]
             assert np.array_equal(b, b.T)
-
-
-class TestPartialFrobenius:
-    def test_identity_diagonal(self):
-        pm = zero_pm(3, 1, 2)
-        eye = PartialMatrix(
-            pm.pattern,
-            SymMatrix(np.eye(3)),
-            [np.zeros((1, 3)) for _ in range(2)],
-            [SymMatrix(np.eye(1)) for _ in range(2)],
-        )
-        assert partial_frobenius(eye, eye) == pytest.approx(3 + 2 * 1)
-
-    def test_zero_annihilates(self):
-        rng = np.random.default_rng(1)
-        a = random_pm(rng)
-        assert partial_frobenius(a, zero_pm(3, 1, 2)) == 0.0
-
-    def test_matches_zero_filled_dense_product(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = random_pm(rng, n1=3, n2=1, S=2)
-            b = random_pm(rng, n1=3, n2=1, S=2)
-            dense = float(np.sum(a.zero_filled().array * b.zero_filled().array))
-            assert partial_frobenius(a, b) == pytest.approx(dense, abs=1e-12)
-
-    def test_bilinear_and_symmetric(self):
-        rng = np.random.default_rng(3)
-        a, b = random_pm(rng), random_pm(rng)
-        assert partial_frobenius(a, b) == pytest.approx(partial_frobenius(b, a))
-        two_a = PartialMatrix(
-            a.pattern,
-            SymMatrix(2 * a.X.array),
-            [2 * z for z in a.Z],
-            [SymMatrix(2 * y.array) for y in a.Y],
-        )
-        assert partial_frobenius(two_a, b) == pytest.approx(
-            2 * partial_frobenius(a, b)
-        )
-
-    def test_pattern_mismatch(self):
-        with pytest.raises(ValueError):
-            partial_frobenius(zero_pm(3, 1, 2), zero_pm(2, 1, 2))
+            assert np.array_equal(b, arm_block(pm, i))
 
 
 class TestAssembleCompletion:
+    """A completion fills the zero-filled matrix's entries between arms."""
+
     def test_known_witness_entry(self, pm_completable):
-        comp = assemble_completion(pm_completable, [np.array([[0.25]])])
+        comp = Completion(filled(pm_completable, {(2, 3): 0.25}), pm_completable)
         assert comp.full[2, 3] == 0.25
         assert comp.full[3, 2] == 0.25
         assert comp.full.order == 4
+        assert comp.unspecified_entries() == {(2, 3): 0.25}
 
     def test_single_arm_has_no_off_blocks(self):
-        pm = zero_pm(2, 1, 1)
-        comp = assemble_completion(pm, [])
-        assert np.array_equal(comp.full.array, pm.zero_filled().array)
+        pm = zero_pm(2, 1)
+        comp = Completion(pm.zero_filled(), pm)
+        assert comp.unspecified_entries() == {}
+        assert pm.specified_mask().all()
 
     def test_random_agreement(self):
         rng = np.random.default_rng(4)
-        pm = random_pm(rng, n1=2, n2=2, S=3)
-        blocks = [rng.standard_normal((2, 2)) for _ in range(3)]
-        comp = assemble_completion(pm, blocks)
+        pm = random_pm(rng, n1=2, S=3)
+        entries = {(2, 3): rng.standard_normal(), (2, 4): rng.standard_normal(),
+                   (3, 4): rng.standard_normal()}
+        comp = Completion(filled(pm, entries), pm)
         assert agrees(comp.full, pm, 0.0)
+        assert comp.unspecified_entries() == entries
 
     def test_wrong_count(self, pm_completable):
-        with pytest.raises(ValueError):
-            assemble_completion(pm_completable, [])
+        # A matrix with one arm too many is no completion of the pattern.
+        full = SymMatrix(np.eye(5))
+        with pytest.raises(ValueError, match="^completion order 5 does not match pattern order 4$"):
+            Completion(full, pm_completable)
 
 
 class TestAgrees:
     def test_known_completion(self, pm_completable):
-        comp = assemble_completion(pm_completable, [np.array([[0.25]])])
-        assert agrees(comp.full, pm_completable, 1e-9)
+        assert agrees(filled(pm_completable, {(2, 3): 0.25}), pm_completable, 1e-9)
 
     def test_zero_filled_exact(self):
         rng = np.random.default_rng(5)
@@ -182,24 +203,31 @@ def test_cp_round_trip_preserves_blocks():
     # and re-extracting blocks must reproduce its principal submatrices.
     rng = np.random.default_rng(7)
     for _ in range(10):
-        n1, n2, S = 2, 1, 3
-        total = n1 + n2 * S
+        n1, S = 2, 3
+        total = n1 + S
         B = rng.uniform(0.0, 1.0, (total, total + 2))
         M = B @ B.T
-        pm = partial_matrix_from_full(M, n1, n2, S)
+        pm = partial_matrix_from_full(M, n1, S)
         for i in range(1, S + 1):
-            sl = pm.pattern.arm_slice(i)
-            rows = list(range(n1)) + list(range(sl.start, sl.stop))
-            sub = M[np.ix_(rows, rows)]
-            assert np.allclose(extract_block(pm, i).array, sub, atol=1e-12)
+            rows = arm_rows(pm, i)
+            assert np.allclose(pm.zero_filled().array[rows], M[rows], atol=1e-12)
 
 
 def test_json_round_trip(pm_completable):
-    obj = pm_completable.to_json_dict()
+    obj = {
+        "n1": 2, "n2": 1, "S": 2,
+        "X": pm_completable.X.to_lists(),
+        "Z": [z.tolist() for z in pm_completable.Z],
+        "Y": [y.to_lists() for y in pm_completable.Y],
+    }
     back = PartialMatrix.from_json_dict(obj)
     assert np.array_equal(back.zero_filled().array, pm_completable.zero_filled().array)
     with pytest.raises(ValueError):
         PartialMatrix.from_json_dict({"n1": 2})
+    with pytest.raises(ValueError, match="^pattern size S must be an integer, got 2.9$"):
+        PartialMatrix.from_json_dict({**obj, "S": 2.9})
+    with pytest.raises(ValueError, match="^width must be one, got n2=2$"):
+        PartialMatrix.from_json_dict({**obj, "n2": 2})
 
 
 class TestSymEigh:

@@ -114,7 +114,7 @@ def per_row_program(gi):
     kinds0 = [k == ORTHANT for k in data.K0.coordinate_kinds()]
     mask = np.zeros((m * o, m * o), dtype=bool)
     for i in range(m):
-        nn = np.array([True] + kinds0 + [data.Ki[i].coordinate_kinds()[0] == ORTHANT])
+        nn = np.array([True] + kinds0 + [data.arm_kinds[i] == ORTHANT])
         mask[i * o : (i + 1) * o, i * o : (i + 1) * o] = np.outer(nn, nn)
     prog = ConicProgram(m * o, nonneg_mask=mask)
     rows = []

@@ -2,12 +2,14 @@
 enumerate subsets, only the reference oracles may; no module imports another
 one's private names; only ``cones`` searches CP factors, so every CP verdict
 comes from one place, and ``cones`` takes every spectrum from the checked
-``sym_eigh``; and every function the benchmark's tracer wraps exists and
-reads what it records, and the benchmark's completion adaptor still passes
-its gates."""
+``sym_eigh``; the arm width ``n2`` is named only where the pattern checks
+it and the JSON schema carries it; and every function the benchmark's
+tracer wraps exists and reads what it records, and the benchmark's
+completion adaptor still passes its gates."""
 
 import ast
 import pathlib
+import re
 
 import cppc
 from cppc import completion, conic_solver, qp_relax
@@ -158,6 +160,75 @@ def test_eigen_scan_sees_both_forms():
         "    return np.linalg.eigh(m), eigvalsh(m), jacobi_eigh(m)\n"
     )
     assert eigen_calls(ast.parse(code)) == [4, 4]
+
+
+#: (module, owner) that may name the arm width ``n2``, which must be 1: the
+#: pattern that checks it and the JSON reader and keys that carry it.  An
+#: owner covers its methods.
+WIDTH_OWNERS = {
+    ("matrix_core.py", "ArrowheadPattern"),
+    ("matrix_core.py", "PartialMatrix.from_json_dict"),
+    ("cli.py", "_COMPLETION_KEYS"),
+}
+
+
+def owner_spans(tree):
+    """``(first line, last line, name)`` of every top-level class, function
+    and assigned name, and of every method as ``Class.method``."""
+    spans = []
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            spans.append((top.lineno, top.end_lineno, top.name))
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            spans += [(top.lineno, top.end_lineno, t.id) for t in targets
+                      if isinstance(t, ast.Name)]
+        if isinstance(top, ast.ClassDef):
+            spans += [(node.lineno, node.end_lineno, f"{top.name}.{node.name}")
+                      for node in top.body if isinstance(node, ast.FunctionDef)]
+    return spans
+
+
+def width_mentions(source):
+    """``(line, innermost owner or None)`` of every line that names ``n2``,
+    in code, strings or comments."""
+    spans = owner_spans(ast.parse(source))
+    mentions = []
+    for k, line in enumerate(source.splitlines(), start=1):
+        if re.search(r"\bn2\b", line):
+            inner = [(a, name) for a, b, name in spans if a <= k <= b]
+            mentions.append((k, max(inner)[1] if inner else None))
+    return mentions
+
+
+def test_width_named_only_by_the_pattern_and_the_json_schema():
+    found, violations = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for line, owner in width_mentions(path.read_text()):
+            allowed = {name for module, name in WIDTH_OWNERS if module == path.name
+                       and owner is not None
+                       and (owner == name or owner.startswith(name + "."))}
+            if allowed:
+                found |= {(path.name, name) for name in allowed}
+            else:
+                violations.append(f"{path.name}:{line} ({owner})")
+    assert violations == []
+    # The scan sees every allowed owner, so an empty list is not vacuous.
+    assert found == WIDTH_OWNERS
+
+
+def test_width_scan_sees_code_strings_and_nesting():
+    code = (
+        "KEYS = {'n1',\n"
+        "        'n2'}\n"
+        "class P:\n"
+        "    n2: int\n"
+        "    def f(self):\n"
+        "        return self.n2  # n2\n"
+        "def g(n21, n2_):\n"
+        "    return n2\n"
+    )
+    assert width_mentions(code) == [(2, "KEYS"), (4, "P"), (6, "P.f"), (8, "g")]
 
 
 def test_tracer_targets_exist(monkeypatch):
