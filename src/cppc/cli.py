@@ -219,7 +219,7 @@ def run_complete(config: RunConfig, obj: dict) -> dict:
         return out
     pairs = problem.S * (problem.S - 1) // 2
     if pairs <= 3:
-        orc = oracles.brute_force_completion_oracle(problem.original)
+        orc = oracles.brute_force_completion_oracle(problem.original, problem.K)
         out["oracle"] = {
             "best_min_eigenvalue": orc.best_min_eigenvalue,
             "entries": orc.entries,
@@ -271,7 +271,7 @@ def run_solve_qp(config: RunConfig, obj: dict) -> dict:
 def run_oracle(config: RunConfig, obj: dict) -> dict:
     if "n1" in obj:
         problem = parse_completion_problem(obj)
-        orc = oracles.brute_force_completion_oracle(problem.original)
+        orc = oracles.brute_force_completion_oracle(problem.original, problem.K)
         return {
             "kind": "completion",
             "found": orc.completion is not None,
@@ -280,8 +280,7 @@ def run_oracle(config: RunConfig, obj: dict) -> dict:
         }
     if "A" in obj and "F" in obj:
         qp = qp_relax.QPInstance.from_json_dict(obj)
-        kinds = qp.K.coordinate_kinds()
-        nonneg = [j for j in range(qp.n) if kinds[j] == ORTHANT]
+        nonneg = np.flatnonzero(qp.K.kinds == ORTHANT)
         val, x = oracles.qp_global_minimum(qp.A.array, qp.a, qp.F, qp.d, nonneg)
         return {
             "kind": "qp",

@@ -76,7 +76,7 @@ from .conic_solver import (
     SolveOptions,
     solve,
 )
-from .cones import GroundCone, MembershipVerdict, is_dnn, orthant
+from .cones import GroundCone, MembershipVerdict, orthant
 from .matrix_core import Completion, PartialMatrix, SymMatrix
 # perfbench/tracer.py wraps the routine under this name.
 from .matrix_core import sym_eigh as jacobi_eigh
@@ -378,7 +378,7 @@ def find_data(problem: CompletionProblem, *, tol: float = 1e-8) -> Optional[Cons
     if all(B.shape[1] == 1 for B in kernels):
         lines = [B[:, 0] * np.sign(B[-1, 0]) for B in kernels]
         return _data_from_kernel(problem, lines, tol)
-    orth = np.flatnonzero(problem.K.coordinate_kinds() == cones.ORTHANT)
+    orth = np.flatnonzero(problem.K.kinds == cones.ORTHANT)
     for r in range(problem.S):
         vectors = _reference_lp(kernels, r, orth)
         data = None if vectors is None else _data_from_kernel(problem, vectors, tol)
@@ -391,7 +391,7 @@ def _find_data_rank_one(problem: CompletionProblem, w, vecs, tol: float):
     """Rule 1 of :func:`find_data` on the blocks' stacked spectra ``(w,
     vecs)``: when every block has numerical rank one, the shared functional
     ``(1, ..., 1; 1)`` on every arm; it needs a pure orthant ground cone."""
-    if not np.all(problem.K.coordinate_kinds() == cones.ORTHANT):
+    if not np.all(problem.K.kinds == cones.ORTHANT):
         return None
     top = w[:, -1]
     if np.any(top <= 0.0) or np.any(np.abs(w[:, -2]) > _RANK_ONE_TOL * top):
@@ -508,9 +508,8 @@ def complete_numeric(problem: CompletionProblem,
     decided = _closed_form(problem)
     if decided is not None:
         return decided
-    kinds = problem.K.coordinate_kinds()
-    nn = np.array([True] + [kind == cones.ORTHANT for kind in kinds] + [True] * problem.S)
-    prog = ConicProgram(problem.pm.pattern.total_order, nonneg_mask=np.outer(nn, nn))
+    prog = ConicProgram(problem.pm.pattern.total_order,
+                        nonneg_mask=cones.orthant_pattern(problem.K, problem.S))
     spec_mask, zf = problem.pm.specified_mask(), problem.zero_filled
     r, c = np.nonzero(np.triu(spec_mask))
     prog.fix(r, c, zf[r, c])
@@ -538,7 +537,7 @@ def complete_numeric(problem: CompletionProblem,
 def _rechecked(problem: CompletionProblem, full: np.ndarray, diagnostics: str,
                max_det: Optional[_MaxDet] = None) -> Optional[NumericCompletionResult]:
     """The completion ``full`` (original scale) with its CP verdict, or None
-    when it is not doubly nonnegative.
+    when it is not doubly nonnegative on the lifted orthant pattern.
 
     When ``full`` is the problem's max-determinant completion, ``max_det``
     lends its remembered factor, scaled by ``sqrt(scale)``, as candidate.
@@ -547,7 +546,9 @@ def _rechecked(problem: CompletionProblem, full: np.ndarray, diagnostics: str,
     makes ``max|full| >= scale``.
 
     On an orthant-like cone ``is_cp`` says ``NotMember`` exactly when
-    ``full`` is not doubly nonnegative, so it is the only test taken.
+    ``full`` is not doubly nonnegative, so it is the only test taken.  With
+    a free coordinate there is no verdict, and the test is PSD plus
+    :func:`cones.orthant_pattern`, the entries the program constrains.
     """
     sym = SymMatrix(full)
     cp = None
@@ -558,8 +559,10 @@ def _rechecked(problem: CompletionProblem, full: np.ndarray, diagnostics: str,
         cp = cones.is_cp(sym, tol=1e-6, candidate=candidate)
         if cp.verdict == cones.NOT_MEMBER:
             return None
-    elif not is_dnn(full, tol=1e-6):
-        return None
+    else:
+        pattern = cones.orthant_pattern(problem.K, problem.S)
+        if full[pattern].min() < -1e-6 or not cones.is_psd(full, 1e-6):
+            return None
     completion = Completion(sym, problem.original, agreement_tol=1e-7)
     return NumericCompletionResult(completion, cp, diagnostics)
 

@@ -90,8 +90,7 @@ class ConstraintData:
             raise ValueError("constraint data contains non-finite entries")
         if not np.any(f[0]) and d[0] != 0.0:
             raise ValueError("a zero shared vector requires a zero right-hand side")
-        # Each arm cone has one factor of positive dimension: its kind.
-        kinds = np.array([kind for cone in Ki for kind, dim in cone.factors if dim], dtype=str)
+        kinds = np.array([cone.kinds[0] for cone in Ki], dtype=str)
         for a in (kinds, f, g, d):
             a.setflags(write=False)
         return ConstraintData(K0, kinds, f, g, d)
@@ -160,11 +159,9 @@ def _split_rows(data: ConstraintData):
     """Rows ``f_0 .. f_S`` over the non-zero-cone coordinates of ``K0``, as
     coefficients of ``(x_orth, p, q)`` with free coordinates split ``p - q``;
     also the orthant and free coordinate counts."""
-    kinds = data.K0.coordinate_kinds()
-    orth = [j for j, k in enumerate(kinds) if k == ORTHANT]
-    free_ = [j for j, k in enumerate(kinds) if k == FREE]
+    orth, free_ = data.K0.kinds == ORTHANT, data.K0.kinds == FREE
     F = data.f
-    return np.hstack([F[:, orth], F[:, free_], -F[:, free_]]), len(orth), len(free_)
+    return np.hstack([F[:, orth], F[:, free_], -F[:, free_]]), orth.sum(), free_.sum()
 
 
 def _recession_norm_max(data: ConstraintData) -> float:
@@ -275,8 +272,7 @@ def _multipliers(data: ConstraintData):
     when the interval holds it, else its finite end.  Returns the
     multipliers and a mask of those that re-verify, both ``(S+1) x S``.
     """
-    kinds = data.K0.coordinate_kinds()
-    orth, free_ = kinds == ORTHANT, kinds == FREE
+    orth, free_ = data.K0.kinds == ORTHANT, data.K0.kinds == FREE
     FR, DR = data.f, data.d
     # Axes: reference, arm, coordinate.
     F, d = FR[None, 1:], DR[None, 1:]

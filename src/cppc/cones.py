@@ -19,6 +19,7 @@ alternate starts (:func:`cp_factorize`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,7 +45,7 @@ class GroundCone:
     """Closed convex cone built from orthant/free/zero factors.
 
     ``factors`` is a flat tuple of ``(kind, dim)`` pairs; products of
-    products are flattened at construction.
+    products are flattened at construction.  Membership tests read ``kinds``.
     """
 
     factors: tuple
@@ -58,20 +59,26 @@ class GroundCone:
             if dim < 0:
                 raise ValueError("factor dimension must be nonnegative")
 
+    @cached_property
+    def kinds(self) -> np.ndarray:
+        """Each coordinate's kind: a read-only ``str`` array, built once."""
+        kinds = np.repeat(np.array([kind for kind, _ in self.factors], dtype=str),
+                          [d for _, d in self.factors])
+        kinds.setflags(write=False)
+        return kinds
+
+    @cached_property
+    def _coords(self):
+        """Indices of the orthant, free and zero coordinates in ``kinds``."""
+        return tuple(np.flatnonzero(self.kinds == kind) for kind in (ORTHANT, FREE, ZERO))
+
     @property
     def dim(self) -> int:
-        return sum(d for _, d in self.factors)
-
-    def coordinate_kinds(self) -> np.ndarray:
-        """Array of factor kinds, one entry per coordinate."""
-        kinds = []
-        for kind, d in self.factors:
-            kinds.extend([kind] * d)
-        return np.array(kinds, dtype=object)
+        return self.kinds.size
 
     def is_orthant_like(self) -> bool:
         """True when every coordinate is orthant- or zero-constrained."""
-        return all(kind in (ORTHANT, ZERO) for kind, d in self.factors if d > 0)
+        return not self._coords[1].size
 
     def to_json_dict(self):
         if len(self.factors) == 1:
@@ -115,24 +122,30 @@ def product(*cones: GroundCone) -> GroundCone:
     return GroundCone(tuple(factors))
 
 
+def orthant_pattern(K: GroundCone, S: int = 0) -> np.ndarray:
+    """The entries of a matrix over the lifted vector ``(1, x, y_1 .. y_S)``,
+    ``x in K``, ``y_i >= 0``, that must be nonnegative: those whose row and
+    column are orthant coordinates (the unit one, ``K``'s and the arms)."""
+    nn = np.concatenate([[True], K.kinds == ORTHANT, np.ones(S, dtype=bool)])
+    return np.outer(nn, nn)
+
+
 def cone_contains(K: GroundCone, x, tol: float = 1e-9) -> bool:
-    """Membership test, factorwise: orthant coordinates above ``-tol``, zero
-    coordinates within ``tol`` of zero, free coordinates unconstrained.
-    ``x`` is one vector, or a matrix whose rows must all be in ``K``."""
+    """Membership test: orthant coordinates above ``-tol``, zero coordinates
+    within ``tol`` of zero, free coordinates unconstrained.  ``x`` is one
+    vector, or a matrix whose rows must all be in ``K``.  A NaN entry passes
+    the test of its kind, as the NaN extreme it gives compares false."""
     x = np.asarray(x, dtype=float)
     if x.size == K.dim or x.ndim != 2:
         x = x.reshape(1, -1)
     if x.shape[1] != K.dim:
         raise ValueError(f"vector has dim {x.shape[1]}, cone has dim {K.dim}")
-    pos = 0
-    for kind, d in K.factors:
-        seg = x[:, pos : pos + d]
-        if kind == ORTHANT and seg.size and seg.min() < -tol:
-            return False
-        if kind == ZERO and seg.size and np.abs(seg).max() > tol:
-            return False
-        pos += d
-    return True
+    orth, _, zero_ = K._coords
+    seg = x.take(orth, axis=1)
+    if seg.size and seg.min() < -tol:
+        return False
+    seg = x.take(zero_, axis=1)
+    return not (seg.size and np.abs(seg).max() > tol)
 
 
 def dual_cone(K: GroundCone) -> GroundCone:
@@ -144,22 +157,16 @@ def dual_cone(K: GroundCone) -> GroundCone:
 def interior_dual_contains(K: GroundCone, g, tol: float = 1e-9) -> bool:
     """Test ``g`` for membership in the interior of the dual cone of ``K``.
 
-    Orthant factors require strictly positive coordinates; zero factors pose
-    no restriction (their dual is the whole space); a free factor of positive
-    dimension has an empty dual interior, so it always fails.
+    Orthant coordinates must be above ``tol`` (a NaN among them passes, as
+    in :func:`cone_contains`); zero coordinates pose no restriction (their
+    dual is the whole space); a free coordinate has an empty dual interior,
+    so it always fails.
     """
     g = np.asarray(g, dtype=float).reshape(-1)
     if g.size != K.dim:
         raise ValueError(f"vector has dim {g.size}, cone has dim {K.dim}")
-    pos = 0
-    for kind, d in K.factors:
-        seg = g[pos : pos + d]
-        if kind == ORTHANT and seg.size and seg.min() <= tol:
-            return False
-        if kind == FREE and d > 0:
-            return False
-        pos += d
-    return True
+    orth, free_, _ = K._coords
+    return not (free_.size or (orth.size and g.take(orth).min() <= tol))
 
 
 @dataclass

@@ -563,7 +563,7 @@ def _face_polish(p, d, res):
 def _detect_faces(p, d, v, theta):
     """The factor of the guessed rank, and the active ``>=`` rows."""
     scale_v = max(1.0, float(np.abs(v).max()))
-    w, q = np.linalg.eigh(_sym(v.reshape(p.order, p.order)))
+    w, q = jacobi_eigh(v.reshape(p.order, p.order))
     keep = w > theta * max(float(w.max(initial=0.0)), 1e-3)
     return q[:, keep] * np.sqrt(np.maximum(w[keep], 0.0)), d.L @ v - d.h <= theta * scale_v
 
@@ -663,7 +663,7 @@ def _kkt_refine(d, R, active, nu, lam):
 
 
 def _psd_part(S):
-    w, q = np.linalg.eigh(S)
+    w, q = jacobi_eigh(S)
     return (q * np.maximum(w, 0.0)) @ q.T
 
 

@@ -154,7 +154,7 @@ class PartialMatrix:
         n1, S = pattern.n1, pattern.S
         if X.order != n1:
             raise ValueError(f"X has order {X.order}, pattern wants {n1}")
-        Z = [np.asarray(z, dtype=float) for z in Z]
+        Z = [np.array(z, dtype=float) for z in Z]
         Y = list(Y)
         if len(Z) != S or len(Y) != S:
             raise ValueError(f"expected {S} arm blocks, got {len(Z)} Z and {len(Y)} Y")

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cones import GroundCone, orthant, orthant_pattern
 from .matrix_core import Completion, PartialMatrix, SymMatrix
 
 _FEAS_TOL = 1e-9
@@ -179,9 +180,8 @@ class OracleResult:
     entries: list
 
 
-
-
-def brute_force_completion_oracle(pm: PartialMatrix) -> OracleResult:
+def brute_force_completion_oracle(pm: PartialMatrix,
+                                  K: Optional[GroundCone] = None) -> OracleResult:
     """Grid search plus zooming refinement over the unspecified entries,
     maximizing the smallest eigenvalue of the completed matrix: 30 rounds,
     the first on 33 points per axis, each later one on 9 points per axis
@@ -189,25 +189,21 @@ def brute_force_completion_oracle(pm: PartialMatrix) -> OracleResult:
 
     Entries range over ``[0, sqrt(M_ii M_jj)]``, the interval every doubly
     nonnegative completion must respect.  Succeeds when the maximized
-    smallest eigenvalue clears ``-1e-9`` and no specified entry is
-    negative.
+    smallest eigenvalue clears ``-1e-9`` and no specified entry on the
+    orthant pattern of the ground cone ``K`` of the shared part
+    (:func:`cones.orthant_pattern`; the orthant when omitted) is negative.
+    Every unknown entry pairs two arms, so it lies on that pattern.
     """
     n1, S = pm.pattern.n1, pm.pattern.S
-    pairs = [(i, j) for i in range(1, S + 1) for j in range(i + 1, S + 1)]
+    K = orthant(n1 - 1) if K is None else K
+    if K.dim != n1 - 1:
+        raise ValueError(f"ground cone has dim {K.dim}, shared part has dim {n1 - 1}")
+    pairs = [(ri, rj) for ri in range(n1, n1 + S) for rj in range(ri + 1, n1 + S)]
     if len(pairs) > 3:
         raise ValueError(f"too many unspecified entries ({len(pairs)} > 3)")
     base = pm.zero_filled().array
     diag = np.diag(base)
-    spans = []
-    for (i, j) in pairs:
-        ri, rj = n1 + i - 1, n1 + j - 1
-        spans.append((ri, rj, float(np.sqrt(max(diag[ri] * diag[rj], 0.0)))))
-    if not pairs:
-        w = np.linalg.eigvalsh(base)
-        comp = None
-        if w[0] >= -1e-9 and base.min() >= -1e-12:
-            comp = Completion(pm.zero_filled(), pm)
-        return OracleResult(comp, float(w[0]), [])
+    spans = [(ri, rj, float(np.sqrt(max(diag[ri] * diag[rj], 0.0)))) for ri, rj in pairs]
 
     def filled(entries):
         m = base.copy()
@@ -221,10 +217,8 @@ def brute_force_completion_oracle(pm: PartialMatrix) -> OracleResult:
     best = centers.copy()
     steps = 33
     for _ in range(30):
-        axes = [
-            np.linspace(ci - ri, ci + ri, steps) for ci, ri in zip(centers, radii)
-        ]
-        axes = [np.clip(ax, 0.0, hi) for ax, (_, _, hi) in zip(axes, spans)]
+        axes = [np.clip(np.linspace(c - r, c + r, steps), 0.0, hi)
+                for c, r, (_, _, hi) in zip(centers, radii, spans)]
         for point in product(*axes):
             val = float(np.linalg.eigvalsh(filled(point))[0])
             if val > best_val:
@@ -234,6 +228,6 @@ def brute_force_completion_oracle(pm: PartialMatrix) -> OracleResult:
         radii = radii * 0.5
         steps = 9
     entries = [float(v) for v in best]
-    if best_val >= -1e-9 and base.min() >= -1e-12:
+    if best_val >= -1e-9 and base[orthant_pattern(K, S)].min() >= -1e-12:
         return OracleResult(Completion(SymMatrix(filled(entries)), pm), best_val, entries)
     return OracleResult(None, best_val, entries)

@@ -82,7 +82,7 @@ class QPInstance:
             K = orthant(n)
         if K.dim != n:
             raise ValueError(f"ground cone has dim {K.dim}, expected {n}")
-        if any(kind == cones.ZERO and dim > 0 for kind, dim in K.factors):
+        if (K.kinds == cones.ZERO).any():
             raise ValueError("zero cone factors are not supported here")
         return QPInstance(A, a, F, d, K)
 
@@ -294,10 +294,10 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     xs = slice(1, n + 1)
     keep, Q0, lifts = _lifts(data)
     k = keep.size
-    nn = np.array([True] + [kind == cones.ORTHANT for kind in data.K0.coordinate_kinds()])
-    prog = ConicProgram(k, nonneg_mask=np.outer(nn[keep], nn[keep]))
+    pattern = cones.orthant_pattern(data.K0)
+    prog = ConicProgram(k, nonneg_mask=pattern[np.ix_(keep, keep)])
     prog.fix(0, 0, 1.0)
-    orthant_coords = np.flatnonzero(nn)
+    orthant_coords = np.flatnonzero(pattern[0])
     # Entry (j, r) of C is Q_0[j] G Q_0[r]^T, and entry r of arm i's row is
     # L[i, r] G L[i, n+1]^T: each row is the stack of those outer products.
     rows = [Q0[j][None, :, None] * Q0[np.setdiff1d(orthant_coords, j)][:, None, :]

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from cppc.cones import free, orthant, product
 from cppc.matrix_core import ArrowheadPattern, PartialMatrix, SymMatrix
 from cppc.qp_relax import QPInstance
 
@@ -57,6 +58,20 @@ def pm_three_arms(pm_noncompletable):
         list(pm_noncompletable.Z) + [np.array([[6.0, 3.0]])],
         [SymMatrix([[4.0]])] * 2 + [SymMatrix([[9.0]])],
     )
+
+
+@pytest.fixture
+def free_coordinate_problem():
+    """``(pm, K)``: the Gram matrix of the rows (1, .5, .2), (.3, .2, .9),
+    (-.5, .4, -.3), (.2, .1, .3), (.1, .4, .2) over unit corner, read as a
+    width-one arrowhead with n1 = 3 and two arms, and ``K = R_+ x R``.
+    It is PSD and nonnegative off the free coordinate's row and column,
+    where it has negative entries."""
+    R = np.array([[1.0, 0.5, 0.2], [0.3, 0.2, 0.9], [-0.5, 0.4, -0.3],
+                  [0.2, 0.1, 0.3], [0.1, 0.4, 0.2]])
+    M = R @ R.T
+    pm = partial_matrix_from_full(M / M[0, 0], 3, 2)
+    return pm, product(orthant(1), free(1))
 
 
 @pytest.fixture

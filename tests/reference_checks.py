@@ -17,7 +17,9 @@ evaluates a point on a program posed with general equality rows, which
 lists a matrix's kernel the way the certificates measure it; ``arm_block``
 builds an arm's fully specified block from the pieces of a width-one
 partial matrix, the reference for the zero-filled matrix and the stack of
-``CompletionProblem.blocks``.  The library's decision procedures never
+``CompletionProblem.blocks``; ``cone_contains_by_factor`` and
+``interior_dual_contains_by_factor`` walk a ground cone's factors, the
+references for the coordinate-kind masks of ``cones``.  The library's decision procedures never
 call them, so they live here, next to the tests.
 """
 
@@ -26,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from cppc.conditions import _EXACT_TOL, ConstraintData
-from cppc.cones import ORTHANT, ZERO, GroundCone, cone_contains, dual_cone
+from cppc.cones import FREE, ORTHANT, ZERO, GroundCone, cone_contains, dual_cone
 from cppc.matrix_core import SymMatrix, sym_eigh
 from cppc.qp_relax import KERNEL_TOL, _kernel_mask
 
@@ -97,7 +99,7 @@ def sample_projection_points(
     half-space.  Rays that cannot be scaled feasibly are skipped, so fewer
     than ``count`` points may come back.
     """
-    kinds = data.K0.coordinate_kinds()
+    kinds = data.K0.kinds
     n = data.nx
     mode, fvec, dval = projection_halfspace(data, i_star)
     points = []
@@ -163,7 +165,7 @@ def scalar_lambda_feasible(
     f = np.asarray(f, dtype=float).reshape(-1)
     if f_ref.size != K0.dim or f.size != K0.dim:
         raise ValueError("vector dimension does not match the cone")
-    kinds = K0.coordinate_kinds()
+    kinds = K0.kinds
     lo, hi = -np.inf, np.inf
     pins = []
     for j in range(K0.dim):
@@ -329,3 +331,40 @@ def arm_block(pm, i: int) -> np.ndarray:
     of the width-one partial matrix ``pm``, built from its pieces."""
     z = pm.Z[i - 1]
     return np.block([[pm.X.array, z.T], [z, pm.Y[i - 1].array]])
+
+
+def cone_contains_by_factor(K: GroundCone, x, tol: float = 1e-9) -> bool:
+    """``cones.cone_contains`` one factor at a time: orthant factors above
+    ``-tol``, zero factors within ``tol`` of zero.  A NaN entry passes the
+    test of the factor that holds it."""
+    x = np.asarray(x, dtype=float)
+    if x.size == K.dim or x.ndim != 2:
+        x = x.reshape(1, -1)
+    if x.shape[1] != K.dim:
+        raise ValueError(f"vector has dim {x.shape[1]}, cone has dim {K.dim}")
+    pos = 0
+    for kind, d in K.factors:
+        seg = x[:, pos : pos + d]
+        if kind == ORTHANT and seg.size and seg.min() < -tol:
+            return False
+        if kind == ZERO and seg.size and np.abs(seg).max() > tol:
+            return False
+        pos += d
+    return True
+
+
+def interior_dual_contains_by_factor(K: GroundCone, g, tol: float = 1e-9) -> bool:
+    """``cones.interior_dual_contains`` one factor at a time: orthant factors
+    above ``tol``, no free factor of positive dimension."""
+    g = np.asarray(g, dtype=float).reshape(-1)
+    if g.size != K.dim:
+        raise ValueError(f"vector has dim {g.size}, cone has dim {K.dim}")
+    pos = 0
+    for kind, d in K.factors:
+        seg = g[pos : pos + d]
+        if kind == ORTHANT and seg.size and seg.min() <= tol:
+            return False
+        if kind == FREE and d > 0:
+            return False
+        pos += d
+    return True

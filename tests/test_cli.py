@@ -81,6 +81,26 @@ class TestCommands:
         assert report["optimum"] == pytest.approx(-0.25, abs=1e-9)
 
 
+    def test_free_coordinate_completion(self, tmp_path, capsys, free_coordinate_problem):
+        # Completable over R_+ x R; the free row has negative entries.
+        pm, _ = free_coordinate_problem
+        full = pm.zero_filled().array
+        obj = {"n1": 3, "n2": 1, "S": 2, "X": full[:3, :3].tolist(),
+               "Z": [[full[3 + i, :3].tolist()] for i in range(2)],
+               "Y": [[[full[3 + i, 3 + i]]] for i in range(2)],
+               "K": {"product": [{"orthant": 1}, {"free": 1}]}}
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(obj))
+        assert run(RunConfig(command="complete", input_path=str(path))) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == "complete: completion found\n" and report["found"] is True
+        assert report["diagnostics"] == "closed-form max-determinant completion"
+        assert report["cp"] is None and report["oracle"] is None
+        code, out, _ = run_capture(capsys, "oracle", str(path))
+        assert code == 0 and json.loads(out)["found"] is True
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run_capture(capsys, "check", fixture("nope.json"))

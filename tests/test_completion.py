@@ -350,6 +350,16 @@ def gram_completion(n, S, kind, rng, rows=None):
     return rows @ rows.T
 
 
+def assert_free_coordinate_completion(comp, pm, K):
+    full = comp.full.array
+    assert agrees(comp.full, pm, 1e-7)
+    w, _ = sym_eigh(full)
+    assert w[0] >= -1e-6 * max(1.0, float(np.abs(w).max()))
+    pattern = cones.orthant_pattern(K, pm.pattern.S)
+    assert full[pattern].min() >= -1e-6
+    assert full[~pattern].min() < -0.1
+
+
 class TestCompleteNumeric:
     def test_completable_fixture(self, pm_completable):
         problem = CompletionProblem.from_partial_matrix(pm_completable)
@@ -413,6 +423,26 @@ class TestCompleteNumeric:
         assert res.completion is not None and res.no_completion_certificate is None
         assert agrees(res.completion.full, pm, 1e-7)
         assert 0.0 <= res.completion.unspecified_entries()[(2, 3)] <= 1.0 + 1e-7
+
+    def test_free_coordinate_completion_rechecks(self, free_coordinate_problem):
+        # The free coordinate's row has negative specified entries; only the
+        # orthant x orthant entries must be nonnegative, and no CP verdict
+        # is given.
+        pm, K = free_coordinate_problem
+        res = complete_numeric(CompletionProblem.from_partial_matrix(pm, K))
+        assert res.diagnostics == "closed-form max-determinant completion"
+        assert res.cp_verdict is None and res.completion is not None
+        assert_free_coordinate_completion(res.completion, pm, K)
+
+    def test_free_coordinate_solver_point_rechecks(self, free_coordinate_problem,
+                                                   monkeypatch):
+        # The program and the recheck read one pattern, so the solver's
+        # point passes too.
+        monkeypatch.setattr(cmod, "_closed_form", lambda problem: None)
+        pm, K = free_coordinate_problem
+        res = complete_numeric(CompletionProblem.from_partial_matrix(pm, K))
+        assert res.cp_verdict is None and res.completion is not None, res.diagnostics
+        assert_free_coordinate_completion(res.completion, pm, K)
 
     @pytest.mark.parametrize("status, value, diagnostics", [
         (MAX_ITERS, 0.0, "solver did not converge (MaxIters: stalled); inconclusive"),
@@ -779,6 +809,18 @@ class TestOracle:
         out = brute_force_completion_oracle(pm)
         assert out.best_min_eigenvalue >= -1e-9
         assert out.completion is None
+        # Over a free coordinate the sign of its entries is no constraint.
+        assert brute_force_completion_oracle(pm, free(1)).completion is not None
+
+    def test_free_coordinate_reads_the_cones_pattern(self, free_coordinate_problem):
+        pm, K = free_coordinate_problem
+        out = brute_force_completion_oracle(pm, K)
+        assert out.completion is not None and out.best_min_eigenvalue >= -1e-9
+        assert_free_coordinate_completion(out.completion, pm, K)
+        # Read over the orthant, the free row's negative entries rule it out.
+        assert brute_force_completion_oracle(pm).completion is None
+        with pytest.raises(ValueError, match="^ground cone has dim 1, shared part has dim 2$"):
+            brute_force_completion_oracle(pm, orthant(1))
 
     def test_too_many_unknowns_rejected(self):
         pm = partial_matrix_from_factor(np.array([1, 0.5, 0.2, 0.3, 0.4, 0.1]), n=1)

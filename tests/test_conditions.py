@@ -432,7 +432,7 @@ def test_cond_iii_matches_the_pairwise_reference():
         assert np.array(cert[1]).tobytes() == np.array(ref_cert[1]).tobytes()
         r = cert[0]
         seen["arm" if r else "shared"] += 1
-        seen["free pin"] += bool(np.any(data.f[r][data.K0.coordinate_kinds() == FREE]))
+        seen["free pin"] += bool(np.any(data.f[r][data.K0.kinds == FREE]))
         seen["d_r < 0"] += data.d[r] < 0.0
         seen["d_r = 0"] += data.d[r] == 0.0
         seen["no arm"] += data.S == 0
@@ -489,7 +489,7 @@ def vertex_recession_max(data):
     """Reference for ``_recession_norm_max``: the largest l1 norm (orthant
     sum plus free absolute values) over the vertices of the recession cone
     cut by the box, by exhaustive vertex enumeration."""
-    kinds = data.K0.coordinate_kinds()
+    kinds = data.K0.kinds
     keep = [j for j, k in enumerate(kinds) if k != ZERO]
     is_orth = np.array([kinds[j] == ORTHANT for j in keep], dtype=bool)
     n = len(keep)

@@ -3,6 +3,9 @@ import pytest
 
 from cppc import cones
 from cppc.cones import (
+    FREE,
+    ORTHANT,
+    ZERO,
     GroundCone,
     cone_contains,
     cp_factorize,
@@ -13,13 +16,14 @@ from cppc.cones import (
     is_dnn,
     is_psd,
     orthant,
+    orthant_pattern,
     principal_cp,
     product,
     zero,
 )
 from cppc.matrix_core import SymMatrix
 
-from reference_checks import arm_block
+from reference_checks import arm_block, cone_contains_by_factor, interior_dual_contains_by_factor
 
 
 class TestGroundCone:
@@ -42,6 +46,83 @@ class TestGroundCone:
         with pytest.raises(ValueError, match="^cone factor free dimension must be an integer"):
             GroundCone.from_json_dict({"product": [{"orthant": 1}, {"free": 0.5}]})
         assert orthant(np.int64(2)).dim == 2
+
+
+class TestCoordinateKinds:
+    def test_one_kind_per_coordinate(self):
+        K = product(orthant(2), free(0), zero(1), free(1), orthant(0))
+        assert K.kinds.tolist() == [ORTHANT, ORTHANT, ZERO, FREE]
+        assert K.dim == 4
+        assert product().kinds.size == product().dim == 0
+
+    def test_read_only_and_built_once(self):
+        K = product(orthant(1), free(2))
+        assert K.kinds is K.kinds
+        assert not K.kinds.flags.writeable
+        with pytest.raises(ValueError):
+            K.kinds[0] = ZERO
+
+    def test_orthant_like(self):
+        assert product(orthant(2), zero(1), free(0)).is_orthant_like()
+        assert not product(orthant(2), free(1)).is_orthant_like()
+
+    def test_orthant_pattern(self):
+        K = product(orthant(1), free(1), zero(1))
+        rows = [True, True, False, False, True, True]
+        assert np.array_equal(orthant_pattern(K, 2), np.outer(rows, rows))
+        assert np.array_equal(orthant_pattern(K), np.outer(rows[:4], rows[:4]))
+        assert orthant_pattern(orthant(0)).tolist() == [[True]]
+
+
+def random_cone(rng, repeat_kinds):
+    """A product cone of factors of random kind and dimension 0..2.  Without
+    ``repeat_kinds`` each kind has at most one factor of positive dimension,
+    plus two of dimension zero."""
+    kinds = (ORTHANT, FREE, ZERO)
+    if repeat_kinds:
+        picks = rng.integers(0, 3, rng.integers(1, 6))
+        factors = [(kinds[k], int(rng.integers(0, 3))) for k in picks]
+    else:
+        factors = [(kinds[k], int(rng.integers(0, 3))) for k in range(3)]
+        factors += [(kinds[k], 0) for k in rng.integers(0, 3, 2)]
+        factors = [factors[k] for k in rng.permutation(len(factors))]
+    return GroundCone(tuple(factors))
+
+
+def test_kind_masks_match_the_factor_loops():
+    # NaN entries only on cones with at most one factor of positive
+    # dimension per kind: on others the factor loop's answer depends on how
+    # a kind is split into factors, the masks' does not (next test).
+    rng = np.random.default_rng(3)
+    # Values on both sides of both tolerances, and on them.
+    values = np.array([-1.0, -1e-6, -2e-9, -1e-9, 0.0, 1e-9, 2e-9, 1e-6, 1.0, np.nan])
+    seen_contains, seen_dual = set(), set()
+    for trial in range(600):
+        nan = trial % 2 == 1
+        K = random_cone(rng, repeat_kinds=not nan)
+        pool = values if nan else values[:-1]
+        g = rng.choice(pool, K.dim)
+        rows = rng.choice(pool, (int(rng.integers(0, 4)), K.dim))
+        for tol in (1e-9, 1e-6):
+            for x in (g, rows):
+                got = cone_contains(K, x, tol)
+                assert got == cone_contains_by_factor(K, x, tol), (K, x, tol)
+                seen_contains.add((nan, got))
+            for x in (g, g[None, :]):
+                got = interior_dual_contains(K, x, tol)
+                assert got == interior_dual_contains_by_factor(K, x, tol), (K, x, tol)
+                seen_dual.add((nan, got))
+    # Both verdicts of both tests, with and without NaN entries.
+    both = {(nan, v) for nan in (False, True) for v in (False, True)}
+    assert seen_contains == seen_dual == both
+
+
+def test_nan_passes_its_kinds_test_however_the_kind_is_split():
+    # orthant(1) x orthant(1) is the set orthant(2): one answer for both.
+    x = np.array([np.nan, -1.0])
+    for K in (orthant(2), product(orthant(1), orthant(1))):
+        assert cone_contains(K, x) and interior_dual_contains(K, x)
+    assert not cone_contains(product(orthant(1), free(1)), x[::-1])
 
 
 class TestConeContains:

@@ -106,6 +106,15 @@ class TestPartialMatrix:
         expected[[2, 2, 3, 3, 4, 4], [3, 4, 2, 4, 2, 3]] = False
         assert np.array_equal(mask, expected)
 
+    def test_caller_arrays_stay_writeable(self):
+        # The partial matrix keeps read-only copies, not the caller's arrays.
+        z = np.array([[0.5, 0.2]])
+        pm = PartialMatrix(ArrowheadPattern(2, 1, 1), SymMatrix(np.eye(2)), [z],
+                           [SymMatrix([[1.0]])])
+        assert z.flags.writeable and not pm.Z[0].flags.writeable
+        z[0, 0] = 0.9
+        assert pm.Z[0][0, 0] == 0.5 and pm.zero_filled().array[2, 0] == 0.5
+
     def test_rejects_arms_wider_than_one(self):
         with pytest.raises(ValueError, match=r"^Z\[1\] has shape \(2, 2\), expected \(1, 2\)$"):
             PartialMatrix(ArrowheadPattern(2, 1, 2), SymMatrix(np.eye(2)),

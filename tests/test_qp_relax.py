@@ -57,7 +57,7 @@ def random_bounded_qp(rng, n=None, m=None):
 
 
 def brute(qp):
-    kinds = qp.K.coordinate_kinds()
+    kinds = qp.K.kinds
     nonneg = [j for j in range(qp.n) if kinds[j] == "orthant"]
     val, x = qp_global_minimum(qp.A.array, qp.a, qp.F, qp.d, nonneg)
     return val, x
@@ -111,7 +111,7 @@ def per_row_program(gi):
                     mat[i * o + c, i * o + r] += val
         return mat
 
-    kinds0 = [k == ORTHANT for k in data.K0.coordinate_kinds()]
+    kinds0 = [k == ORTHANT for k in data.K0.kinds]
     mask = np.zeros((m * o, m * o), dtype=bool)
     for i in range(m):
         nn = np.array([True] + kinds0 + [data.arm_kinds[i] == ORTHANT])
@@ -824,6 +824,19 @@ class TestFreeConeSupport:
         lower, sol, upper = solve_bounds(qp)
         ref, _ = brute(qp)
         assert lower <= ref + 1e-6
+
+    @pytest.mark.parametrize("K, optimum, x", [
+        (orthant(2), -1.0, [1.0, 0.0]),
+        (product(orthant(1), free(1)), -1.25, [1.0, -0.5]),
+    ])
+    def test_no_rows(self, K, optimum, x):
+        # S = 0: the relaxation has no arm, only the corner.
+        qp = QPInstance.build(np.eye(2), [-1.0, 0.5], np.zeros((0, 2)), np.zeros(0), K)
+        assert build_sparse_relaxation(qp).order == 3
+        report = exactness_report(qp)
+        assert report.overall == PROVEN_EXACT
+        assert report.lower == pytest.approx(optimum, abs=1e-8)
+        assert np.allclose(report.solution.x, x, atol=1e-6)
 
 
 def assert_same_report(a, b):

@@ -1,11 +1,12 @@
 """Rules on the source itself: decision procedures in ``cppc`` do not
 enumerate subsets, only the reference oracles may; no module imports another
 one's private names; only ``cones`` searches CP factors, so every CP verdict
-comes from one place, and ``cones`` takes every spectrum from the checked
-``sym_eigh``; the arm width ``n2`` is named only where the pattern checks
-it and the JSON schema carries it; and every function the benchmark's
-tracer wraps exists and reads what it records, and the benchmark's
-completion adaptor still passes its gates."""
+comes from one place; every spectrum but the references' and the
+interior-point step length's comes from the checked ``sym_eigh``; only
+``cones`` reads a ground cone's factors; the arm width ``n2`` is named only
+where the pattern checks it and the JSON schema carries it; and every
+function the benchmark's tracer wraps exists and reads what it records, and
+the benchmark's completion adaptor still passes its gates."""
 
 import ast
 import pathlib
@@ -146,10 +147,28 @@ def eigen_calls(tree):
     ]
 
 
+#: Owners that may call numpy's eigensolvers directly: ``sym_eigh`` itself,
+#: the reference oracles, and the interior-point step length, which
+#: certifies nothing and runs four times per step.
+RAW_EIGEN = {("matrix_core.py", "sym_eigh"), ("oracles.py", None),
+             ("conic_solver.py", "_step_to_boundary")}
+
+
 def test_cones_spectra_come_from_the_checked_path():
-    assert eigen_calls(ast.parse((SRC / "cones.py").read_text())) == []
-    # The scan sees the call that sym_eigh checks, so the rule is not vacuous.
-    assert eigen_calls(ast.parse((SRC / "matrix_core.py").read_text()))
+    found, violations = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        spans = owner_spans(tree)
+        for line in eigen_calls(tree):
+            owner = max([(a, name) for a, b, name in spans if a <= line <= b],
+                        default=(0, None))[1]
+            if (path.name, None) in RAW_EIGEN or (path.name, owner) in RAW_EIGEN:
+                found.add((path.name, None if (path.name, None) in RAW_EIGEN else owner))
+            else:
+                violations.append(f"{path.name}:{line} ({owner})")
+    assert violations == []
+    # The scan sees every allowed call, so an empty list is not vacuous.
+    assert found == RAW_EIGEN
 
 
 def test_eigen_scan_sees_both_forms():
@@ -282,3 +301,29 @@ def test_benchmark_completion_adaptor_passes_its_gates(monkeypatch):
         # Certified, so the certificate gate reads the data too.
         assert result["verdict"] == "Certified", case.name
         assert workloads.check(case, ref, result) == (None, []), case.name
+
+
+def factor_reads(tree):
+    """Lines of every read of an attribute named ``factors``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "factors"]
+
+
+def test_only_cones_reads_cone_factors():
+    readers = {path.name for path in sorted(SRC.glob("*.py"))
+               if factor_reads(ast.parse(path.read_text()))}
+    # The scan sees the reads in cones, so the rule is not vacuous.
+    assert readers == {"cones.py"}
+    tests = pathlib.Path(__file__).parent
+    assert not [path.name for path in sorted([*SRC.glob("*.py"), *tests.glob("*.py")])
+                if path.name != pathlib.Path(__file__).name
+                and "coordinate_kinds" in path.read_text()]
+
+
+def test_factor_scan_sees_attribute_reads():
+    code = (
+        "def f(K, cone):\n"
+        "    factors = K.factors\n"
+        "    return [d for _, d in cone.K0.factors], factors\n"
+    )
+    assert factor_reads(ast.parse(code)) == [2, 3]
