@@ -61,7 +61,6 @@ from .qp_relax import (
     certificate_b,
     exactness_report,
     rank_one_certificate,
-    solve_bounds,
 )
 
 __version__ = "0.1.0"

@@ -14,8 +14,9 @@ fixed entries exactly.  In ``y`` the program is a dual-form conic program,
 as in SDPA and DSDP: its slack is the matrix ``v`` and the values of the
 ``>=`` rows.  A primal-dual interior-point method (HKM direction, Mehrotra
 predictor-corrector) solves it with a Schur complement of order ``dim y``.
-Each step factors the iterate once: one Cholesky factor of the primal matrix
-and one of the dual slack give ``Z^-1`` and all four step lengths.
+Each step factors the primal matrix and the dual slack once, as one stack:
+one Cholesky and one inverse give ``Z^-1``, and one stacked eigensolve per
+direction gives its primal and dual step lengths.
 Its best point, primal and dual, is checked and returned.  With the polish
 on, that result then starts an active-face polish (:func:`face_polish`,
 which a caller may also run later on an unpolished result): the rows near
@@ -245,7 +246,7 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     opts = opts or SolveOptions()
     d = _program_data(p)
     try:
-        form = _NullSpaceForm(p, d)
+        form = _FreeForm(p, d)
     except _ProvenInfeasible as proof:
         return SolveResult(INFEASIBLE, np.zeros((p.order, p.order)), float("nan"),
                            proof.residuals, 0, np.zeros(d.b.size), np.zeros(d.h.size),
@@ -294,7 +295,7 @@ def _svec_basis(o: int) -> np.ndarray:
     return T
 
 
-class _NullSpaceForm:
+class _FreeForm:
     """The program in its free coordinates ``y``, posed as the dual of ``min
     c.u  s.t.  A u = b,  u in K`` for the interior-point loop, ``K`` being
     the PSD cone times one nonnegative orthant.
@@ -420,12 +421,13 @@ def _interior_point(sf, max_iters, target):
 
 def _mehrotra_step(sf, u, y, w, rp, rd, mu, N):
     """One predictor-corrector step along the HKM direction.  The matrices
-    ``X`` of ``u`` and ``W`` of ``w`` are factored once, by Cholesky; the
-    inverse factors give ``Z^-1 = W^-1`` and all four step lengths."""
+    ``X`` of ``u`` and ``W`` of ``w`` are factored once, as one stack, by
+    Cholesky; the inverse factors give ``Z^-1 = W^-1`` and both step
+    lengths of each direction."""
     A, At, k, o = sf.A, sf.At, sf.k, sf.order
     X = u[:k].reshape(o, o)
-    Xi = np.linalg.inv(np.linalg.cholesky(X))
-    Wi = np.linalg.inv(np.linalg.cholesky(w[:k].reshape(o, o)))
+    Fi = np.linalg.inv(np.linalg.cholesky(np.array([X, w[:k].reshape(o, o)])))
+    Wi = Fi[1]
     Zi = _sym(Wi.T @ Wi)
     x, z = u[k:], w[k:]
     # Entry (i, j) of A_s kron(X, Z^-1) A_s^T is A_i . X A_j Z^-1.
@@ -446,17 +448,15 @@ def _mehrotra_step(sf, u, y, w, rp, rd, mu, N):
         return H - scaled(dw), dy, dw
 
     du, _, dw = direction(-u)
-    dX, dW, dx, dz = du[:k].reshape(o, o), dw[:k].reshape(o, o), du[k:], dw[k:]
-    ap = min(1.0, _step_to_boundary(Xi, x, dx, dX))
-    ad = min(1.0, _step_to_boundary(Wi, z, dz, dW))
+    iterate = np.array([u, w])
+    ap, ad = _step_to_boundary(Fi, k, iterate, np.array([du, dw]))
     sigma_mu = min(1.0, (float((u + ap * du) @ (w + ad * dw)) / N / mu) ** 3) * mu
+    dX, dW = du[:k].reshape(o, o), dw[:k].reshape(o, o)
     H = np.concatenate([
-        _sym((sigma_mu * sf.eye - dX @ dW) @ Zi).reshape(-1), (sigma_mu - dx * dz) / z,
+        _sym((sigma_mu * sf.eye - dX @ dW) @ Zi).reshape(-1), (sigma_mu - du[k:] * dw[k:]) / z,
     ]) - u
     du, dy, dw = direction(H)
-    tau = 0.9 + 0.09 * min(ap, ad)
-    ap = min(1.0, tau * _step_to_boundary(Xi, x, du[k:], du[:k].reshape(o, o)))
-    ad = min(1.0, tau * _step_to_boundary(Wi, z, dw[k:], dw[:k].reshape(o, o)))
+    ap, ad = _step_to_boundary(Fi, k, iterate, np.array([du, dw]), 0.9 + 0.09 * min(ap, ad))
     return u + ap * du, y + ad * dy, w + ad * dw
 
 
@@ -489,17 +489,23 @@ def _shifted_cholesky(M):
     raise np.linalg.LinAlgError("Schur complement is not positive definite")
 
 
-def _step_to_boundary(Li, x, dx, D):
-    """Largest ``a`` with ``(x, X) + a (dx, D)`` in the cone (inf when the
-    direction never leaves it): ``x`` and ``dx`` are the orthant parts, ``D``
-    the PSD matrix of the direction and ``Li`` the inverse Cholesky factor
-    of ``X``."""
-    neg = dx < 0.0
-    a = float((-x[neg] / dx[neg]).min(initial=np.inf))
-    lam = np.linalg.eigvalsh(Li @ D @ Li.T)[0]
-    if lam < 0.0:
-        a = min(a, -1.0 / lam)
-    return a
+def _step_to_boundary(Fi, k, s, ds, tau=1.0):
+    """The primal and the dual step length, each ``min(1, tau a)`` for the
+    largest ``a`` with ``s + a ds`` in the cone (``a`` is inf when the
+    direction never leaves it), for the rows ``s = (u, w)`` and ``ds =
+    (du, dw)``: the orthant parts ``[k:]`` give ratios, and one stacked
+    eigensolve of the PSD parts ``[:k]``, read through ``Fi``, the inverse
+    Cholesky factors of ``X`` and ``W``, gives the rest."""
+    o = Fi.shape[-1]
+    lams = np.linalg.eigvalsh(Fi @ ds[:, :k].reshape(2, o, o) @ Fi.transpose(0, 2, 1))[:, 0]
+    steps = []
+    for x, dx, lam in zip(s[:, k:], ds[:, k:], lams):
+        neg = dx < 0.0
+        a = float((-x[neg] / dx[neg]).min(initial=np.inf))
+        if lam < 0.0:
+            a = min(a, -1.0 / lam)
+        steps.append(min(1.0, tau * a))
+    return steps
 
 
 def _result(p, d, v, nu, lam, it, dual, diagnostics):

@@ -99,8 +99,10 @@ class QPInstance:
         return float(x @ self.A.array @ x + 2.0 * self.a @ x)
 
     def feasible(self, x, tol: float = 1e-7) -> bool:
+        """Whether ``x`` is finite, lies in ``K`` and meets every row within
+        ``tol`` times ``max(1, max |d|)``."""
         x = np.asarray(x, dtype=float)
-        if not cone_contains(self.K, x, tol):
+        if not np.isfinite(x).all() or not cone_contains(self.K, x, tol):
             return False
         if self.m and (self.F @ x - self.d).max() > tol * max(1.0, float(np.abs(self.d).max())):
             return False
@@ -361,36 +363,6 @@ def extract_solution(qp: QPInstance, res: SolveResult) -> RelaxationSolution:
     return RelaxationSolution(C, blocks, spectrum, res.objective, res)
 
 
-def solve_bounds(qp: QPInstance, solver_opts: Optional[SolveOptions] = None):
-    """Solve the sparse relaxation; return ``(lower, solution, upper)``.
-
-    ``upper`` is the objective at the x-part whenever that point is
-    feasible for the instance within tolerance, absent otherwise.  The
-    solve polishes whenever ``solver_opts.polish`` is on (the default),
-    whatever the checks would find; :func:`exactness_report` polishes only
-    when they need it.
-    """
-    return _bounds(qp, solve(build_sparse_relaxation(qp), solver_opts or SolveOptions()))
-
-
-def _bounds(qp: QPInstance, res: SolveResult):
-    """``(lower, solution, upper)`` of the solved relaxation ``res``; raises
-    ``SolverFailure`` unless it is ``Optimal``."""
-    if res.status != OPTIMAL:
-        raise SolverFailure(
-            f"relaxation solve returned {res.status}: {res.diagnostics}", res
-        )
-    sol = extract_solution(qp, res)
-    upper = qp.objective(sol.x) if qp.feasible(sol.x) else None
-    return res.objective, sol, upper
-
-
-class SolverFailure(RuntimeError):
-    def __init__(self, message, result: SolveResult):
-        super().__init__(message)
-        self.result = result
-
-
 def rank_one_certificate(sol: RelaxationSolution, tol: float = KERNEL_TOL) -> bool:
     """True iff the corner's second eigenvalue is below ``tol`` times its
     largest, i.e. every block has rank one."""
@@ -574,14 +546,18 @@ def exactness_report(qp: QPInstance,
 
 def _checked(qp: QPInstance, res: SolveResult) -> ExactnessReport:
     """The report of every exactness check on the solved relaxation
-    ``res``."""
-    try:
-        lower, sol, upper = _bounds(qp, res)
-    except SolverFailure as exc:
+    ``res``: the lower bound is its objective, the upper bound the
+    objective at its x-part when that point is feasible within tolerance.
+    A solve that is not ``Optimal`` gives an ``Unknown`` report with no
+    bounds."""
+    if res.status != OPTIMAL:
         return ExactnessReport(
             float("nan"), None, False, None, None, UNKNOWN,
-            diagnostics=f"solver failure: {exc}",
+            diagnostics=f"solver failure: relaxation solve returned {res.status}: "
+                        f"{res.diagnostics}",
         )
+    lower, sol = res.objective, extract_solution(qp, res)
+    upper = qp.objective(sol.x) if qp.feasible(sol.x) else None
     proven = []
     rank_one = rank_one_certificate(sol)
     if rank_one:

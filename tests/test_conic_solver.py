@@ -533,17 +533,25 @@ def test_solve_takes_no_svd(monkeypatch, qp_two_constraints, pm_three_arms):
 
 
 def test_one_factorization_per_iterate(monkeypatch):
-    # Each step factors X and W once and the Schur complement once, and
-    # builds the Schur complement without a Kronecker product.
-    counts, steps = {"cholesky": 0, "kron": 0}, []
+    # Each step factors X and W once, as one stack, and the Schur
+    # complement once; inverts those two factors; takes the primal and dual
+    # step lengths of each of its two directions from one stacked
+    # eigensolve; and builds the Schur complement without a Kronecker
+    # product.  A Cholesky call beyond two is a retry after a failed one.
+    counts, steps = dict.fromkeys(("cholesky", "failed", "inv", "eigvalsh", "kron"), 0), []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            return fn(*args, **kwargs)
+            try:
+                return fn(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                counts["failed"] += 1
+                raise
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    for name in ("cholesky", "inv", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(np, "kron", counted("kron", np.kron))
     step = conic_solver._mehrotra_step
 
@@ -557,5 +565,5 @@ def test_one_factorization_per_iterate(monkeypatch):
     assert solve(build_sparse_relaxation(baseline_qp(4, 12, 0)),
                  SolveOptions(polish=False)).status == OPTIMAL
     assert steps
-    assert max(s["cholesky"] for s in steps) <= 3
-    assert all(s["kron"] == 0 for s in steps)
+    assert all(s["cholesky"] == 2 + s["failed"] for s in steps)
+    assert all((s["inv"], s["eigvalsh"], s["kron"]) == (2, 2, 0) for s in steps)

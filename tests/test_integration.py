@@ -9,7 +9,7 @@ from cppc.completion import CERTIFIED, CompletionProblem, certify_completable, c
 from cppc.conditions import ConstraintData
 from cppc.cones import orthant
 from cppc.matrix_core import ArrowheadPattern, PartialMatrix, SymMatrix
-from cppc.qp_relax import certificate_b, solve_bounds
+from cppc.qp_relax import certificate_b, exactness_report
 
 
 def partial_matrix_from_blocks(n, sol):
@@ -22,7 +22,7 @@ def partial_matrix_from_blocks(n, sol):
 
 def test_kernel_certificate_yields_explicit_completion(qp_two_constraints):
     qp = qp_two_constraints
-    lower, sol, upper = solve_bounds(qp)
+    sol = exactness_report(qp).solution
     cert = certificate_b(qp, sol)
     assert cert is not None
 

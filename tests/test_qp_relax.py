@@ -41,7 +41,6 @@ from cppc.qp_relax import (
     exactness_report,
     extract_solution,
     rank_one_certificate,
-    solve_bounds,
 )
 
 
@@ -67,6 +66,12 @@ def solved(corner, objective=0.0):
     """A solver result whose block is ``corner``."""
     return SolveResult(OPTIMAL, np.asarray(corner, dtype=float), objective, {}, 0,
                        np.zeros(1), np.zeros(0))
+
+
+def polished_solution(qp, opts=None):
+    """The solution of a relaxation solve that polishes whatever the checks
+    would find (the polish on unless ``opts`` turns it off)."""
+    return extract_solution(qp, solve(build_sparse_relaxation(qp), opts))
 
 
 def lifted_solution_from_point(qp, x):
@@ -360,15 +365,15 @@ def test_rank_one_lift_satisfies_sparse_relaxation():
 
 class TestBounds:
     def test_two_constraint_fixture(self, qp_two_constraints):
-        lower, sol, upper = solve_bounds(qp_two_constraints)
-        assert lower == pytest.approx(-0.25, abs=1e-6)
-        assert upper == pytest.approx(-0.125, abs=1e-6)
+        rep = exactness_report(qp_two_constraints)
+        assert rep.lower == pytest.approx(-0.25, abs=1e-6)
+        assert rep.upper == pytest.approx(-0.125, abs=1e-6)
 
     def test_convex_origin(self):
         qp = QPInstance.build(np.eye(2), np.zeros(2), [[1.0, 1.0]], [1.0])
-        lower, sol, upper = solve_bounds(qp)
-        assert lower == pytest.approx(0.0, abs=1e-7)
-        assert upper == pytest.approx(0.0, abs=1e-7)
+        rep = exactness_report(qp)
+        assert rep.lower == pytest.approx(0.0, abs=1e-7)
+        assert rep.upper == pytest.approx(0.0, abs=1e-7)
 
     def test_concave_vertex_optimum(self):
         rng = np.random.default_rng(2)
@@ -380,16 +385,27 @@ class TestBounds:
             d = rng.uniform(0.5, 1.5, 3)
             qp = QPInstance.build(A, a, F, d)
             ref, _ = brute(qp)
-            lower, sol, upper = solve_bounds(qp)
-            assert lower <= ref + 1e-6
-            if upper is not None:
-                assert ref <= upper + 1e-6
+            rep = exactness_report(qp)
+            assert rep.lower <= ref + 1e-6
+            if rep.upper is not None:
+                assert ref <= rep.upper + 1e-6
+
+
+@pytest.mark.parametrize("x", [[np.nan, -5.0], [np.nan, 0.1], [0.1, np.nan], [np.inf, 0.0],
+                               [-np.inf, 0.0], [0.1, np.inf], [0.1, -np.inf]])
+@pytest.mark.parametrize("K", [orthant(2), product(orthant(1), free(1))])
+def test_non_finite_points_are_infeasible(qp_two_constraints, K, x):
+    # A non-finite point is in no cone and meets no row, although a NaN
+    # passes the cone's coordinate tests and a comparison with the rows,
+    # and -inf on a free coordinate meets both.
+    qp = replace(qp_two_constraints, K=K)
+    assert qp.feasible([0.1, 0.1])
+    assert not qp.feasible(x)
 
 
 class TestRankOne:
     def test_fixture_is_not_rank_one(self, qp_two_constraints):
-        _, sol, _ = solve_bounds(qp_two_constraints)
-        assert not rank_one_certificate(sol)
+        assert not rank_one_certificate(exactness_report(qp_two_constraints).solution)
 
     def test_lifted_point_is_rank_one(self, qp_two_constraints):
         sol = lifted_solution_from_point(qp_two_constraints, np.array([0.2, 0.2]))
@@ -438,8 +454,7 @@ class TestKernelVectors:
 
 class TestCertificates:
     def test_certificate_b_fixture(self, qp_two_constraints):
-        _, sol, _ = solve_bounds(qp_two_constraints)
-        cert = certificate_b(qp_two_constraints, sol)
+        cert = certificate_b(qp_two_constraints, exactness_report(qp_two_constraints).solution)
         assert cert is not None
         u = cert["u"]
         assert np.allclose(u / u[0], [1.0, 1.0], atol=1e-5)
@@ -461,6 +476,22 @@ class TestCertificates:
         if cert is not None:
             assert np.all(cert["u"] > 0)
 
+    def test_certificate_b_rejects_a_row_it_cannot_bound(self):
+        # Row 0 is x_1 - x_2 <= d_0.  Its multiplier gamma_0 = 1 / u_1 is
+        # within d_0 = 1, not within d_0 = 0 (the lift stays feasible).
+        for d0, certified in ((1.0, True), (0.0, False)):
+            qp = QPInstance.build(-np.eye(2), np.zeros(2), [[1.0, -1.0], [1.0, 1.0]], [d0, 1.0])
+            sol = lifted_solution_from_point(qp, np.array([0.25, 0.5]))
+            assert (certificate_b(qp, sol) is not None) is certified
+
+    def test_certificate_b_rechecks_the_kernel_vector_on_the_corner(self, qp_two_constraints):
+        # A corner moved after its spectrum was taken: the direction read off
+        # that spectrum no longer annihilates it.
+        sol = exactness_report(qp_two_constraints).solution
+        assert certificate_b(qp_two_constraints, sol) is not None
+        moved = replace(sol, corner=sol.corner + 1e-3 * np.diag([0.0, 1.0, 1.0]))
+        assert certificate_b(qp_two_constraints, moved) is None
+
     def test_certificate_b_independent_of_kernel_basis(self):
         # Rank-one corners with kernels of dimension 4; the LP finds the
         # same direction, or none, whichever orthonormal basis spans them.
@@ -471,7 +502,7 @@ class TestCertificates:
             G = draw.standard_normal((4, 4))
             qp = QPInstance.build(0.5 * (G + G.T), draw.standard_normal(4),
                                   draw.uniform(-0.3, 1.0, (3, 4)), np.ones(3))
-            _, sol, _ = solve_bounds(qp)
+            sol = polished_solution(qp)
             w, v = sol.spectrum
             kernel = np.abs(w) <= KERNEL_TOL * np.abs(w).max()
             assert kernel.sum() == 4
@@ -513,7 +544,7 @@ class TestCertificates:
         # them, so C is nonsingular and block i's kernel is the line of
         # k_i = (-d_i, F_i, 1).
         qp = QPInstance.build(-np.eye(2), [0.5, 0.5], [[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0])
-        _, sol, _ = solve_bounds(qp)
+        sol = exactness_report(qp).solution
         assert kernel_vectors(sol.corner) == []
         cert = certificate_a(qp, sol)
         assert cert is not None
@@ -521,6 +552,29 @@ class TestCertificates:
         for i, vec in enumerate(cert["vectors"]):
             k = np.concatenate([[-qp.d[i]], qp.F[i], [1.0]])
             assert np.array_equal(vec, k / qp.d[i])
+
+    @pytest.mark.parametrize("F, d, certified", [
+        ([[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0], True),
+        ([[1.0, 1.0], [2.0, 2.0]], [1.0, 0.0], False),  # w_2 = 1 / d_2 is not positive
+        ([[1.0, 1.0], [0.0, 0.0]], [1.0, 1.0], False),  # a zero row has no direction
+        ([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0], False),  # the rows share no direction
+    ])
+    def test_certificate_a_on_a_nonsingular_corner_needs_parallel_rows(self, F, d, certified):
+        qp = QPInstance.build(-np.eye(2), np.zeros(2), F, d)
+        sol = extract_solution(qp, solved(np.eye(3)))
+        assert (certificate_a(qp, sol) is not None) is certified
+
+    def test_certificate_a_rejects_a_fit_its_blocks_do_not_annihilate(self):
+        # A corner of rank 3 and order 4: each block's kernel has dimension
+        # two, and (-1, alpha u, w) with u = x / |x| is not in it, so the
+        # least-squares fit leaves a residual.
+        rng = np.random.default_rng(0)
+        R = rng.uniform(0.1, 1.0, (4, 3))
+        corner = R @ R.T / (R[0] @ R[0])
+        qp = QPInstance.build(-np.eye(3), np.zeros(3), rng.uniform(0.2, 1.0, (2, 3)), np.ones(2))
+        sol = extract_solution(qp, solved(corner))
+        assert len(kernel_vectors(sol.corner)) == 1
+        assert certificate_a(qp, sol) is None
 
     def test_stacked_fit_matches_the_per_block_fit(self):
         # Rank-one blocks z z^T (parallel columns: the line's point with
@@ -551,7 +605,7 @@ class TestCertificates:
 
     def test_certificate_a_trivial_kernel(self):
         qp = QPInstance.build(np.eye(2), np.ones(2), [[1.0, 1.0]], [1.0])
-        _, sol, _ = solve_bounds(qp)
+        sol = exactness_report(qp).solution
         assert certificate_a(qp, replace(sol, blocks=np.eye(4)[None])) is None
 
 
@@ -657,7 +711,7 @@ class TestExactnessReport:
         # The spectrum taken with the solution is the corner's: a fresh one
         # handed in gives the same checks.
         qp = baseline_qp(4, 12, 0)
-        _, sol, _ = solve_bounds(qp, SolveOptions(polish=False))
+        sol = exactness_report(qp, SolveOptions(polish=False)).solution
         handed_sol = with_corner(sol, sol.corner)
         assert rank_one_certificate(sol) == rank_one_certificate(handed_sol)
         for check in (certificate_a, certificate_b):
@@ -672,7 +726,7 @@ class TestExactnessReport:
         rng = np.random.default_rng(123)
         for _ in range(208):
             qp = random_bounded_qp(rng)
-        _, sol, _ = solve_bounds(qp, SolveOptions(polish=False))
+        sol = exactness_report(qp, SolveOptions(polish=False)).solution
         base = certificate_a(qp, sol)
         assert base is not None
         corner = sol.corner.copy()
@@ -702,7 +756,7 @@ def test_blocks_share_the_corner_spectrum():
     # certificates rest on this; check it numerically on solved relaxations.
     kernel_dims = set()
     for qp, opts in corner_identity_cases():
-        _, sol, _ = solve_bounds(qp, opts)
+        sol = polished_solution(qp, opts)
         dim = len(kernel_vectors(sol.corner))
         kernel_dims.add(dim)
         per_block_rank_one = True
@@ -727,7 +781,7 @@ def test_blocks_match_the_per_row_products():
         G = rng.standard_normal((n, n))
         qp = QPInstance.build(G @ G.T / n + 0.1 * np.eye(n), rng.standard_normal(n),
                               rng.uniform(0.2, 1.5, (m, n)), rng.uniform(0.5, 2.0, m), K)
-        _, sol, _ = solve_bounds(qp)
+        sol = exactness_report(qp).solution
         assert sol.blocks.shape == (m, n + 2, n + 2)
         assert not sol.blocks.flags.writeable and not sol.corner.flags.writeable
         assert np.array_equal(sol.blocks, sol.blocks.transpose(0, 2, 1))
@@ -777,7 +831,7 @@ class TestDenseReference:
         for _ in range(5):
             qp = random_bounded_qp(rng, n=2, m=2)
             dense = solve(build_dense_reformulation(qp))
-            lower, _, _ = solve_bounds(qp)
+            lower = exactness_report(qp).lower
             ref, _ = brute(qp)
             assert dense.status == OPTIMAL
             assert dense.objective <= ref + 1e-5
@@ -821,9 +875,8 @@ class TestFreeConeSupport:
         mask = prog.nonneg_mask
         assert mask[0, 1] and not mask[0, 2] and mask[1, 1] and not mask[1, 2]
         assert counts(prog) == (3, 4, 1)
-        lower, sol, upper = solve_bounds(qp)
         ref, _ = brute(qp)
-        assert lower <= ref + 1e-6
+        assert exactness_report(qp).lower <= ref + 1e-6
 
     @pytest.mark.parametrize("K, optimum, x", [
         (orthant(2), -1.0, [1.0, 0.0]),

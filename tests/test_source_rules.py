@@ -149,7 +149,7 @@ def eigen_calls(tree):
 
 #: Owners that may call numpy's eigensolvers directly: ``sym_eigh`` itself,
 #: the reference oracles, and the interior-point step length, which
-#: certifies nothing and runs four times per step.
+#: certifies nothing and runs twice per step.
 RAW_EIGEN = {("matrix_core.py", "sym_eigh"), ("oracles.py", None),
              ("conic_solver.py", "_step_to_boundary")}
 
