@@ -13,7 +13,7 @@ its principal submatrices from one factor.  The search checks DNN on the
 spectrum it takes its square root from, and a factor settles the PSD test
 of the verdict, so a member costs one checked spectrum.  It runs Procrustes
 steps from seeded random rotations, over-relaxed past the orthant on
-alternate starts (:func:`cp_factorize`).
+alternate starts and finished by Newton steps (:func:`cp_factorize`).
 """
 
 from __future__ import annotations
@@ -316,6 +316,11 @@ _ROTATION_ITERS = 400
 #: Relaxation of the steps of alternate starts: each aims at
 #: ``x + _OVER_RELAX * (max(x, 0) - x)``; 1 is the clip, 2 the reflection.
 _OVER_RELAX = 4.0
+#: Residual, relative to ``max(1, max|M|)``, below which a start tries
+#: :func:`_newton_finish`.
+_NEWTON_SWITCH = 1e-2
+#: Newton steps per try of :func:`_newton_finish`.
+_NEWTON_STEPS = 8
 #: Random starting rotations per factor width.
 _RESTARTS = 8
 #: Projected-gradient steps of :func:`_polish_nonneg_factor`.
@@ -341,12 +346,19 @@ def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
     benchmark completion inputs ``lambda = 4`` takes about a third of the
     reflection's steps.  On the other starts it is the clip ``max(x, 0)``
     (``lambda = 1``), which converges where the factor has exact zeros and
-    the relaxed steps crawl (low-rank sparse Gram matrices).  The starts
-    are seeded random rotations at a few factor widths, followed by a short
+    the relaxed steps crawl (low-rank sparse Gram matrices).  Both end in
+    a linear tail, which Newton steps on the negative entries of ``x``
+    finish (:func:`_rotate_to_nonnegative`).  The starts are
+    seeded random rotations at a few factor widths, followed by a short
     projected-gradient polish of the best candidate.  There is no identity start: from the
     eigenbasis the plain steps stalled above the threshold on every
     completion input of rank above one that was measured, and a rank-one
     root of the wrong sign is turned by the first step from any start.
+
+    Budget: at most 24 starts (``_RESTARTS`` at each of three widths) of
+    one SVD plus one per step for ``_ROTATION_ITERS`` steps, with at most
+    one Newton try of ``_NEWTON_STEPS`` least-squares solves per decade of
+    residual below the switch, then ``_POLISH_ITERS`` polish steps.
     """
     m = _array(M)
     n = m.shape[0]
@@ -386,22 +398,73 @@ def _rotate_to_nonnegative(m, root, q, tol, relaxed):
     projection ``x - _OVER_RELAX * min(x, 0)`` of ``x = root @ Q`` onto the
     nonnegative orthant (``relaxed``) or of its clip; the candidate of each
     step is the clip ``max(root @ Q, 0)``, which reproduces ``m`` up to the
-    clip."""
+    clip.
+
+    At a residual check below ``_NEWTON_SWITCH * max(1, max|m|)`` and a
+    decade below the last failed try, :func:`_newton_finish` is tried from
+    a copy of ``Q``.  Its clip is returned only when it passes the same
+    residual check (``<= tol``); otherwise the steps go on from ``Q``.
+    """
+    switch = _NEWTON_SWITCH * max(1.0, float(np.abs(m).max()))
+    tried = np.inf
     x = root @ q
     b = np.maximum(x, 0.0)
     res = float(np.linalg.norm(b @ b.T - m))
     for it in range(_ROTATION_ITERS):
         if res <= tol:
             return b, res
+        if res <= switch and 10.0 * res <= tried:
+            finished = _newton_finish(m, root, q, res, tol)
+            if finished is not None:
+                return finished
+            tried = res
         # x + lambda (max(x, 0) - x) = x - lambda min(x, 0): past the clip by
         # lambda - 1 times the distance from x to it (lambda = 2 gives |x|).
         target = x - _OVER_RELAX * np.minimum(x, 0.0) if relaxed else b
         u, _, vt = np.linalg.svd(root.T @ target, full_matrices=False)
-        x = root @ (u @ vt)
+        q = u @ vt
+        x = root @ q
         b = np.maximum(x, 0.0)
         if (it + 1) % 10 == 0 or it == _ROTATION_ITERS - 1:
             res = float(np.linalg.norm(b @ b.T - m))
     return b, res
+
+
+def _newton_finish(m, root, q, res, tol):
+    """Newton steps on the clip set of ``x = root @ Q``: each takes the
+    minimum-norm least-squares skew ``K`` (unknowns its strict upper
+    triangle) with ``(x K)_P = -x_P`` on the negative entries ``P`` of
+    ``x``, and moves ``Q`` by the Cayley rotation ``(I - K/2)^{-1} (I +
+    K/2)``, which keeps its rows orthonormal.  At most ``_NEWTON_STEPS``
+    steps, stopping when one fails to halve the residual ``res``.  Returns
+    the clip and its residual once that is at most ``tol``, else None.
+
+    ``K = J^T (J J^T)^+ (-x_P)`` for the map ``J`` from the unknowns to
+    ``(x K)_P``: ``J J^T`` has order ``|P|``, ``J`` also ``w (w - 1) / 2``
+    columns for ``Q`` of width ``w``, and on searches that never reach
+    ``tol`` most tries are wide, with many negative entries."""
+    w = q.shape[1]
+    eye = np.eye(w)
+    x = root @ q
+    for _ in range(_NEWTON_STEPS):
+        i, j = np.nonzero(x < 0.0)
+        rows = x[i]
+        cross = rows[:, j]
+        # K = C - C^T for C = sum_p lam_p x_{i_p}^T e_{j_p}^T: (x K)_P = gram @ lam.
+        gram = (rows @ rows.T) * (j[:, None] == j) - cross * cross.T
+        lam = np.linalg.lstsq(gram, -x[i, j], rcond=None)[0]
+        half = 0.5 * rows.T @ (lam[:, None] * (j[:, None] == np.arange(w)))
+        half -= half.T
+        q = q @ np.linalg.solve(eye - half, eye + half)
+        x = root @ q
+        b = np.maximum(x, 0.0)
+        step_res = float(np.linalg.norm(b @ b.T - m))
+        if step_res <= tol:
+            return b, step_res
+        if step_res > 0.5 * res:
+            return None
+        res = step_res
+    return None
 
 
 def _polish_nonneg_factor(m, b, tol):

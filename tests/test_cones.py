@@ -424,53 +424,103 @@ class TestFactorSearch:
         B = cp_factorize(M, tol)
         # Plain alternation spends 400 steps on the identity start alone and
         # took 138, 4416 and 5016 SVDs on these three; reflected steps from
-        # random starts took 181, 261 and 211, and over-relaxed ones (λ = 4)
-        # take 21, 91 and 51.
-        assert len(calls) <= 120
+        # random starts took 181, 261 and 211, over-relaxed ones (λ = 4) 21,
+        # 91 and 51, and with the Newton finish they take 11, 31 and 11 (plus
+        # 2, 6 and 2 least-squares solves).  The margin is one residual check.
+        assert len(calls) <= {6: 11, 7: 31, 8: 11}[n] + 10
         assert B is not None and B.min() >= 0.0
         assert np.linalg.norm(B @ B.T - M) <= tol
 
-    def test_sparse_low_rank_gram_needs_the_clip_starts(self):
-        # Order 12, rank 3, 40 % of the factor nonzero: with reflections
-        # (λ = 2) the clip steps of the second start reach the threshold, and
-        # reflected steps on every start end above it and return None.  The
-        # over-relaxed steps (λ = 4) factor it on the first start; the next
-        # test pins the clip starts for them.
-        rng = np.random.default_rng(25)
-        Bt = rng.uniform(0.0, 1.0, (12, 3)) * (rng.random((12, 3)) < 0.4)
-        M = Bt @ Bt.T
+    @staticmethod
+    def sparse_gram(seed, n, r):
+        """``B B^T`` for ``B`` of shape ``(n, r)``, 40 % of it nonzero."""
+        rng = np.random.default_rng(seed)
+        Bt = rng.uniform(0.0, 1.0, (n, r)) * (rng.random((n, r)) < 0.4)
+        return Bt @ Bt.T
+
+    def test_sparse_low_rank_gram_factors(self):
+        # Order 12, rank 3: with reflections (λ = 2) only the clip steps of
+        # the second start reached the threshold; the over-relaxed steps
+        # (λ = 4) factor it on the first start.
+        M = self.sparse_gram(25, 12, 3)
         tol = 1e-8 * max(1.0, np.abs(M).max())
         B = cp_factorize(M, tol)
         assert B is not None and B.min() >= 0.0
         assert np.linalg.norm(B @ B.T - M) <= tol
 
     def test_over_relaxed_steps_need_the_clip_starts(self):
-        # Same family, default_rng(29): the fourth start, a clip start,
-        # reaches the threshold; with over-relaxed steps on every start the
-        # search ends above it and returns None.
-        rng = np.random.default_rng(29)
-        Bt = rng.uniform(0.0, 1.0, (12, 3)) * (rng.random((12, 3)) < 0.4)
-        M = Bt @ Bt.T
+        # Same family, default_rng(280): the second start, a clip start,
+        # reaches the threshold; with over-relaxed steps (and the Newton
+        # finish) on every start the search ends above it and returns None.
+        M = self.sparse_gram(280, 12, 3)
         tol = 1e-8 * max(1.0, np.abs(M).max())
         B = cp_factorize(M, tol)
         assert B is not None and B.min() >= 0.0
         assert np.linalg.norm(B @ B.T - M) <= tol
 
+    @staticmethod
+    def skip_polish(monkeypatch):
+        monkeypatch.setattr(cones, "_polish_nonneg_factor",
+                            lambda m, b, tol: (b, float(np.linalg.norm(b @ b.T - m))))
+
+    def test_newton_finish_factors_a_stalled_rotation(self, monkeypatch):
+        # Order 5, rank 5, 40 % of the factor nonzero: without the finish the
+        # best rotation ends at 37 times the threshold and only the polish
+        # brings it below; the finish factors it without the polish.
+        M = self.sparse_gram(649, 5, 5)
+        assert np.linalg.matrix_rank(M) == 5
+        tol = 1e-8 * max(1.0, np.abs(M).max())
+        self.skip_polish(monkeypatch)
+        B = cp_factorize(M, tol)
+        assert B is not None and cones._factors(B, M, tol)
+        monkeypatch.setattr(cones, "_newton_finish", lambda *a: None)
+        assert cp_factorize(M, tol) is None
+
     def test_polish_finishes_a_stalled_rotation(self, monkeypatch):
-        # Order 5, rank 5, 40 % of the factor nonzero: the best rotation
-        # ends at 37 times the threshold, and the projected-gradient polish
-        # brings it below.  Without the polish the search returns None.
-        rng = np.random.default_rng(649)
-        Bt = rng.uniform(0.0, 1.0, (5, 5)) * (rng.random((5, 5)) < 0.4)
-        M = Bt @ Bt.T
+        # Same family, default_rng(1326): no start reaches the threshold, the
+        # finish included; the best rotation ends at 3.4 times it and the
+        # projected-gradient polish brings it below.
+        M = self.sparse_gram(1326, 5, 5)
         assert np.linalg.matrix_rank(M) == 5
         tol = 1e-8 * max(1.0, np.abs(M).max())
         B = cp_factorize(M, tol)
-        assert B is not None and B.min() >= 0.0
-        assert np.linalg.norm(B @ B.T - M) <= tol
-        monkeypatch.setattr(cones, "_polish_nonneg_factor",
-                            lambda m, b, tol: (b, float(np.linalg.norm(b @ b.T - m))))
+        assert B is not None and cones._factors(B, M, tol)
+        self.skip_polish(monkeypatch)
         assert cp_factorize(M, tol) is None
+
+    def test_newton_finish_keeps_rows_orthonormal(self, monkeypatch):
+        M = self.ladder_like(np.random.default_rng(0), 7, 12)
+        tol = 1e-8 * np.abs(M).max()
+        finish = cones._newton_finish
+        tries = []
+        monkeypatch.setattr(cones, "_newton_finish", lambda *a: tries.append(a) or finish(*a))
+        assert cp_factorize(M, tol) is not None
+        m, root, q, res, limit = tries[-1]
+        solve = np.linalg.solve
+        cayley = []
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: cayley.append(solve(a, b)) or cayley[-1])
+        B, B_res = finish(m, root, q, res, limit)
+        assert len(cayley) >= 2
+        for C in cayley:
+            q = q @ C
+            assert np.abs(q @ q.T - np.eye(len(q))).max() <= 1e-12
+        assert np.array_equal(B, np.maximum(root @ q, 0.0))
+        assert B_res <= limit and cones._factors(B, m, limit)
+
+    def test_non_cp_search_work(self, monkeypatch):
+        # horn_violator() has no factor: each of the 24 starts (8 at each of
+        # the widths 5, 7, 10) makes one SVD for its rotation and one per
+        # step (9,624 in all), and its residual never falls below the
+        # switch, so the finish is never tried.
+        svd, lstsq = np.linalg.svd, np.linalg.lstsq
+        calls = []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: calls.append("lstsq") or lstsq(*a, **k))
+        assert cp_factorize(horn_violator()) is None
+        assert calls.count("svd") == 24 * (1 + cones._ROTATION_ITERS)
+        assert "lstsq" not in calls
 
     def test_rank_one_with_negative_root(self, monkeypatch):
         v = np.array([0.5, 1.0, 2.0, 0.0, 3.0, 1.5])

@@ -603,10 +603,19 @@ class TestCertificates:
         assert fit == pytest.approx([1.0 / (x @ u)] * 2, rel=1e-12)
         assert np.allclose(fit, fit_alpha_w_by_block(M, u, KERNEL_TOL), rtol=1e-12)
 
-    def test_certificate_a_trivial_kernel(self):
+    def test_certificate_a_trivial_kernel(self, monkeypatch):
+        # The rank-one lift of a point with x > 0, so the certificate gets
+        # past its x = 0 exit and fits the blocks: their own blocks pass, and
+        # identity blocks (no kernel) fail the block residual check.
         qp = QPInstance.build(np.eye(2), np.ones(2), [[1.0, 1.0]], [1.0])
-        sol = exactness_report(qp).solution
+        sol = lifted_solution_from_point(qp, np.array([0.3, 0.2]))
+        assert certificate_a(qp, sol) is not None
+        fit = qp_relax._fit_alpha_w
+        fitted = []
+        monkeypatch.setattr(qp_relax, "_fit_alpha_w",
+                            lambda Ms, u, tol: fitted.append(Ms) or fit(Ms, u, tol))
         assert certificate_a(qp, replace(sol, blocks=np.eye(4)[None])) is None
+        assert len(fitted) == 1 and np.array_equal(fitted[0], np.eye(4)[None])
 
 
 class TestLemmaEquivalence:
