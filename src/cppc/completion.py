@@ -270,10 +270,16 @@ def certify_completable(problem: CompletionProblem, *,
     completion, come from :func:`cones.principal_cp`
     (:func:`_block_cp_verdicts`), whose factor the problem keeps for
     :func:`complete_numeric`.  Change no entry of the problem's partial
-    matrices between the two calls.
+    matrices between the two calls.  Stated data for another number of
+    arms or another shared cone raises ``ValueError``.
     """
     reasons = []
     data = problem.data
+    if data is not None and (data.S != problem.S
+                             or not np.array_equal(data.K0.kinds, problem.K.kinds)):
+        raise ValueError(f"stated data has {data.S} arm(s) over the shared cone "
+                         f"{data.K0.kinds.tolist()}, the problem {problem.S} over "
+                         f"{problem.K.kinds.tolist()}")
     if data is None:
         data = find_data(problem, tol=tol)
         if data is None:

@@ -138,12 +138,12 @@ class ConditionReport:
         )
 
 
-def check_cond_i(data: ConstraintData, tol: float = 1e-9):
-    """Per-arm test ``g_i in int(Ki*)``: ``g_i > tol`` on an orthant arm,
+def check_cond_i(data: ConstraintData):
+    """Per-arm test ``g_i in int(Ki*)``: ``g_i > 1e-9`` on an orthant arm,
     always on a zero arm (its dual is the line), never on a free arm (its
     dual is the point 0)."""
     g = data.g[:, 0]
-    passed = np.where(data.arm_kinds == ORTHANT, g > tol, data.arm_kinds == ZERO)
+    passed = np.where(data.arm_kinds == ORTHANT, g > 1e-9, data.arm_kinds == ZERO)
     return [bool(v) for v in passed]
 
 

@@ -217,7 +217,7 @@ def is_cp(M, tol: float = 1e-8, candidate=None) -> MembershipVerdict:
     return _searched(m, tol, _cp_limit(m, tol), candidate)
 
 
-def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix"):
+def principal_cp(M, index_sets, source: str = "the matrix"):
     """CP verdicts of ``M`` (None when it is not doubly nonnegative) and of
     its principal submatrices ``M[I]``, ``I`` a row of ``index_sets`` (a
     ``(k, p)`` integer array: every submatrix has order ``p``), from one
@@ -228,13 +228,14 @@ def principal_cp(M, index_sets, tol: float = 1e-8, source: str = "the matrix"):
     ``M[I]``.  ``B`` is searched, as in :func:`is_cp`, at the smallest
     submatrix threshold, and every ``B[I]`` is re-checked against its own
     (as :func:`_factors`, all at once); a submatrix that fails, or every
-    one when there is no factor, gets its own :func:`is_cp`.  ``source``
-    names ``M`` in the details of the verdicts read off its factor.
+    one when there is no factor, gets its own :func:`is_cp`.  Every verdict
+    is at tolerance 1e-8.  ``source`` names ``M`` in the details of the
+    verdicts read off its factor.
     """
-    m = _array(M)
+    tol, m = 1e-8, _array(M)
     rows = np.asarray(index_sets)
     subs = m[rows[:, :, None], rows[:, None, :]]
-    limits = max(tol, 1e-10) * np.maximum(1.0, np.abs(subs).max(axis=(1, 2)))
+    limits = tol * np.maximum(1.0, np.abs(subs).max(axis=(1, 2)))
     whole = _searched(m, tol, limits.min())
     ok = np.zeros(len(rows), dtype=bool)
     if whole.witness is not None:

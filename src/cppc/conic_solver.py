@@ -17,11 +17,11 @@ predictor-corrector) solves it with a Schur complement of order ``dim y``.
 Each step factors the primal matrix and the dual slack once, as one stack:
 one Cholesky and one inverse give ``Z^-1``, and one stacked eigensolve per
 direction gives its primal and dual step lengths.
-Its best point, primal and dual, is checked and returned.  With the polish
-on, that result then starts an active-face polish (:func:`face_polish`,
-which a caller may also run later on an unpolished result): the rows near
+Its best point, primal and dual, is checked and returned, and ``solve``
+does nothing more.  The active-face polish (:func:`face_polish`, run by
+``qp_relax.exactness_report``) may start from that result: the rows near
 zero join the fixed entries' rows, and one Gauss-Newton solve of that face's
-KKT system runs per face guess.  When no guess verifies, the checked iterate
+KKT system runs per face guess; when none verifies, the checked iterate
 stands.  Residuals, dual feasibility and gap are always re-evaluated on the
 original data, with the fixed entries as dense rows, before a result is
 declared Optimal.
@@ -153,13 +153,11 @@ class ConicProgram:
 
 @dataclass
 class SolveOptions:
-    """Acceptance tolerances, the interior-point iteration cap and whether to
-    face-polish the loop's best iterate.  The loop itself stops once its
-    relative residuals and gap are below a thousandth of the tightest
-    tolerance, or when they stop improving.  ``solve`` polishes every
-    result when ``polish`` is on; ``qp_relax.exactness_report`` reads it as
-    leave to polish, and polishes only when the unpolished checks prove
-    nothing."""
+    """Acceptance tolerances and the interior-point iteration cap; the loop
+    stops once its relative residuals and gap are below a thousandth of the
+    tightest tolerance, or when they stop improving.  ``solve`` ignores
+    ``polish``: ``qp_relax.exactness_report`` reads it as leave to run
+    :func:`face_polish` when its checks on the solved point prove nothing."""
 
     tol_primal: float = 1e-7
     tol_dual: float = 1e-7
@@ -240,8 +238,7 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     ``Infeasible`` (after 0 iterations) is a proof: a ``>=`` row that the
     fixed entries make constant fails, named in the diagnostics.
     ``MaxIters`` returns the best iterate with a residual report and claims
-    nothing.  With ``opts.polish`` the checked iterate goes through
-    :func:`face_polish`.
+    nothing.
     """
     opts = opts or SolveOptions()
     d = _program_data(p)
@@ -266,19 +263,7 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     ):
         result.status = MAX_ITERS
         result.diagnostics = stop or "interior-point iterate failed the original-data check"
-    return _face_polish(p, d, result) if opts.polish else result
-
-
-def face_polish(p: ConicProgram, res: SolveResult) -> SolveResult:
-    """The active-face polish of the unpolished result ``res`` of
-    ``solve(p, SolveOptions(polish=False))``: the first face guess whose
-    polished point verifies, as an ``Optimal`` result whose diagnostics
-    start with "face polish accepted at threshold"; else ``res`` itself.
-    ``solve`` with ``polish`` on returns exactly this.  An ``Infeasible``
-    result has no iterate and comes back as it is."""
-    if res.status == INFEASIBLE:
-        return res
-    return _face_polish(p, _program_data(p), res)
+    return result
 
 
 def _svec_basis(o: int) -> np.ndarray:
@@ -539,10 +524,15 @@ def _result(p, d, v, nu, lam, it, dual, diagnostics):
 _POLISH_THRESHOLDS = (1e-3, 1e-4, 1e-5)
 
 
-def _face_polish(p, d, res):
-    """The first face guess from the result ``res``, over
-    ``_POLISH_THRESHOLDS``, whose polished point passes the verification,
-    as an ``Optimal`` result; else ``res``."""
+def face_polish(p: ConicProgram, res: SolveResult) -> SolveResult:
+    """The active-face polish of the result ``res`` of ``solve(p)``: the
+    first face guess, over ``_POLISH_THRESHOLDS``, whose polished point
+    passes the verification, as an ``Optimal`` result whose diagnostics
+    start with "face polish accepted at threshold"; else ``res`` itself.
+    An ``Infeasible`` result has no iterate and comes back as it is."""
+    if res.status == INFEASIBLE:
+        return res
+    d = _program_data(p)
     v, nu, lam = res.block.reshape(-1), res.eq_multipliers, res.ineq_multipliers
     scale_b = 1.0 + float(np.abs(d.b).max(initial=0.0))
     scale_c = 1.0 + float(np.abs(d.c).max())

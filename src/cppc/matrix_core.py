@@ -72,7 +72,7 @@ class SymMatrix:
         return f"SymMatrix(order={self.order})"
 
 
-def sym_eigh(M, tol: float = 1e-13):
+def sym_eigh(M):
     """Checked eigendecomposition of a symmetric matrix, or of every matrix
     of a ``(k, o, o)`` stack (LAPACK ``eigh``).
 
@@ -80,7 +80,7 @@ def sym_eigh(M, tol: float = 1e-13):
     symmetrised first.  The result of each matrix ``A`` is accepted only
     when the a-posteriori bound
 
-        ``||A V - V diag(w)||_F + max|w| * ||V^T V - I||_F <= tol * ||A||_F``
+        ``||A V - V diag(w)||_F + max|w| * ||V^T V - I||_F <= 1e-13 * ||A||_F``
 
     holds.  For orthonormal ``V``, ``A - V diag(w) V^T`` is symmetric with
     2-norm ``||A V - V diag(w)||_2``, so by Weyl's inequality every ``w[k]``
@@ -106,7 +106,7 @@ def sym_eigh(M, tol: float = 1e-13):
     defect = np.swapaxes(v, -1, -2) @ v - np.eye(w.shape[-1])
     bound = (np.linalg.norm(a @ v - v * w[..., None, :], axis=fro)
              + np.abs(w).max(axis=-1, initial=0.0) * np.linalg.norm(defect, axis=fro))
-    threshold = tol * np.linalg.norm(a, axis=fro)
+    threshold = 1e-13 * np.linalg.norm(a, axis=fro)
     failed = np.flatnonzero(bound > threshold)
     if failed.size:
         k = failed[0]

@@ -26,7 +26,8 @@ the returned blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -74,6 +75,8 @@ class QPInstance:
         F = np.asarray(F, dtype=float)
         if F.size == 0:
             F = F.reshape(0, A.order)
+        if F.ndim != 2:
+            raise ValueError(f"F must be a 2-d array, got shape {F.shape}")
         d = np.asarray(d, dtype=float).reshape(-1)
         n = A.order
         if a.size != n or F.shape[1] != n or F.shape[0] != d.size:
@@ -98,13 +101,18 @@ class QPInstance:
         x = np.asarray(x, dtype=float)
         return float(x @ self.A.array @ x + 2.0 * self.a @ x)
 
-    def feasible(self, x, tol: float = 1e-7) -> bool:
-        """Whether ``x`` is finite, lies in ``K`` and meets every row within
-        ``tol`` times ``max(1, max |d|)``."""
+    @cached_property
+    def data(self) -> ConstraintData:
+        """The rows as width-one arm data ``(F_i, 1, d_i)``, built once."""
+        return ConstraintData.width_one(self.K, self.F, np.ones(self.m), self.d)
+
+    def feasible(self, x) -> bool:
+        """Whether ``x`` is finite, lies in ``K`` within 1e-7 and meets every
+        row within 1e-7 times ``max(1, max |d|)``."""
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all() or not cone_contains(self.K, x, tol):
+        if not np.isfinite(x).all() or not cone_contains(self.K, x, 1e-7):
             return False
-        if self.m and (self.F @ x - self.d).max() > tol * max(1.0, float(np.abs(self.d).max())):
+        if self.m and (self.F @ x - self.d).max() > 1e-7 * max(1.0, float(np.abs(self.d).max())):
             return False
         return True
 
@@ -224,16 +232,12 @@ class ExactnessReport:
 
 
 def _row_instance(qp: QPInstance) -> GeneralInstance:
-    """The QP as width-one arm data ``(f_i, g_i, d_i) = (F_i, 1, d_i)`` with
-    no coupling terms; the linear coefficient doubles to ``2 a``."""
+    """The QP over its arm data (:attr:`QPInstance.data`) with no coupling
+    terms; the linear coefficient doubles to ``2 a``."""
     m = qp.m
     return GeneralInstance.build(
-        qp.A, 2.0 * qp.a, np.zeros((m, qp.n)), np.zeros(m), np.zeros(m), _row_data(qp)
+        qp.A, 2.0 * qp.a, np.zeros((m, qp.n)), np.zeros(m), np.zeros(m), qp.data
     )
-
-
-def _row_data(qp: QPInstance) -> ConstraintData:
-    return ConstraintData.width_one(qp.K, qp.F, np.ones(qp.m), qp.d)
 
 
 def _kernel_lift(k: np.ndarray, j: int) -> np.ndarray:
@@ -332,9 +336,8 @@ def build_dense_reformulation(qp: QPInstance) -> ConicProgram:
     below the sparse one; it is the reference the tests and the benchmark
     compare against.
     """
-    gi = _row_instance(qp)
-    prog = build_general_relaxation(gi)
-    _, _, lifts = _lifts(gi.data)
+    prog = build_general_relaxation(_row_instance(qp))
+    _, _, lifts = _lifts(qp.data)
     arm_rows = lifts[:, -1]
     i, j = np.triu_indices(qp.m, 1)
     prog.add_inequality(0.0, arm_rows[i, :, None] * arm_rows[j, None, :])
@@ -350,10 +353,8 @@ def extract_solution(qp: QPInstance, res: SolveResult) -> RelaxationSolution:
     keeps its upper triangle, mirrored.  The corner takes the program's
     unit entry exactly; the blocks are those of the returned block.
     """
-    n, m = qp.n, qp.m
     C = 0.5 * (res.block + res.block.T)
-    lifts = np.concatenate([np.broadcast_to(np.eye(n + 1), (m, n + 1, n + 1)),
-                            np.column_stack([qp.d, -qp.F])[:, None]], axis=1)
+    _, _, lifts = _lifts(qp.data)
     B = lifts @ C @ lifts.transpose(0, 2, 1)
     blocks = np.triu(B) + np.triu(B, 1).transpose(0, 2, 1)
     C[0, 0] = 1.0
@@ -363,11 +364,11 @@ def extract_solution(qp: QPInstance, res: SolveResult) -> RelaxationSolution:
     return RelaxationSolution(C, blocks, spectrum, res.objective, res)
 
 
-def rank_one_certificate(sol: RelaxationSolution, tol: float = KERNEL_TOL) -> bool:
-    """True iff the corner's second eigenvalue is below ``tol`` times its
-    largest, i.e. every block has rank one."""
+def rank_one_certificate(sol: RelaxationSolution) -> bool:
+    """True iff the corner's second eigenvalue is below ``KERNEL_TOL`` times
+    its largest, i.e. every block has rank one."""
     w, _ = sol.spectrum
-    return bool(w[-2] <= tol * max(w[-1], 0.0))
+    return bool(w[-2] <= KERNEL_TOL * max(w[-1], 0.0))
 
 
 def _kernel_mask(w: np.ndarray, tol: float) -> np.ndarray:
@@ -375,7 +376,7 @@ def _kernel_mask(w: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(w) <= tol * max(float(np.abs(w).max()), 1e-12)
 
 
-def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL):
+def certificate_b(qp: QPInstance, sol: RelaxationSolution):
     """Kernel-vector certificate on the northwest block.
 
     One LP (:func:`_kernel_direction`) finds a kernel direction ``(-1, u)``
@@ -388,7 +389,7 @@ def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     """
     nw = sol.corner
     w, v = sol.spectrum
-    kernel = _kernel_mask(w, tol)
+    kernel = _kernel_mask(w, KERNEL_TOL)
     vec = _kernel_direction(qp, v[:, ~kernel]) if kernel.any() else None
     if vec is None:
         return None
@@ -396,7 +397,7 @@ def certificate_b(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     if not interior_dual_contains(qp.K, u):
         return None
     scale = max(1.0, float(np.abs(nw).max()))
-    if np.abs(nw @ vec).max() > 10.0 * tol * scale * max(1.0, float(np.abs(vec).max())):
+    if np.abs(nw @ vec).max() > 10.0 * KERNEL_TOL * scale * max(1.0, float(np.abs(vec).max())):
         return None
     gammas = (qp.F / u).max(axis=1, initial=0.0)
     # Exact re-verification of the evidence.
@@ -439,10 +440,10 @@ def _kernel_direction(qp: QPInstance, N: np.ndarray):
 
 
 def _polytope_bounded(qp: QPInstance) -> bool:
-    return check_boundedness(_row_data(qp)).status == BOUNDED
+    return check_boundedness(qp.data).status == BOUNDED
 
 
-def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_TOL):
+def certificate_a(qp: QPInstance, sol: RelaxationSolution):
     """Per-block kernel certificate: vectors ``(-1, alpha_i u, w_i)`` with a
     shared direction ``u`` in the dual-cone interior, positive ``alpha_i,
     w_i``, annihilated by their blocks.
@@ -456,7 +457,7 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
     """
     if qp.m == 0:
         return None
-    singular = bool(_kernel_mask(sol.spectrum[0], tol).any())
+    singular = bool(_kernel_mask(sol.spectrum[0], KERNEL_TOL).any())
     if singular:
         norm = np.linalg.norm(sol.x)
         if norm < 1e-10:
@@ -476,14 +477,14 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution, tol: float = KERNEL_T
         u_dir = -u_dir
     Ms = sol.blocks
     if singular:
-        alphas, ws = _fit_alpha_w(Ms, u_dir, tol).T
+        alphas, ws = _fit_alpha_w(Ms, u_dir, KERNEL_TOL).T
         parts = np.outer(alphas, u_dir)
     elif np.any(np.abs(parts - np.outer(alphas, u_dir)).max(axis=1)
                 > 1e-6 * np.maximum(1.0, alphas)):
         return None
     vecs = np.column_stack([-np.ones(qp.m), parts, ws])
     scale = np.maximum(1.0, np.abs(Ms).max(axis=(1, 2)))
-    if np.any(np.abs(Ms @ vecs[:, :, None]).max(axis=(1, 2)) > 10.0 * tol * scale):
+    if np.any(np.abs(Ms @ vecs[:, :, None]).max(axis=(1, 2)) > 10.0 * KERNEL_TOL * scale):
         return None
     if alphas.min() <= 1e-10 or ws.min() <= 1e-10:
         return None
@@ -519,7 +520,7 @@ def exactness_report(qp: QPInstance,
     relative, or either kernel certificate verifies; otherwise ``Unknown``
     (the checks are sound, not complete).
 
-    The relaxation is solved once, without the face polish, and checked at
+    The relaxation is solved once (``solve`` never polishes) and checked at
     that point.  With ``solver_opts.polish`` on (the default) the same
     iterate is polished (:func:`face_polish`) only when that report is not
     ``ProvenExact``, which includes every solve that is not ``Optimal``;
@@ -528,7 +529,7 @@ def exactness_report(qp: QPInstance,
     """
     opts = solver_opts or SolveOptions()
     prog = build_sparse_relaxation(qp)
-    res = solve(prog, replace(opts, polish=False))
+    res = solve(prog, opts)
     report = _checked(qp, res)
     if not opts.polish:
         return report

@@ -1,11 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from cppc import completion, qp_relax
-from cppc.cli import RunConfig, dumps_json, main, run
+from cppc.cli import RunConfig, dumps_json, main, parse_completion_problem, run
 from cppc.conic_solver import SolveOptions
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -275,6 +276,85 @@ class TestDeterminism:
         _, oracle_out, _ = run_capture(capsys, "oracle", fixture("qp_two_constraints.json"))
         oracle = json.loads(oracle_out)
         assert report["lower"] == pytest.approx(oracle["optimum"], abs=1e-4)
+
+
+def golden_cases():
+    """The recorded default output of every command on every fixture: exit
+    code, stdout as parsed JSON (null when empty) and stderr."""
+    with open(fixture("cli_golden.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def _close(got, want) -> bool:
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def assert_matches(got, want, path="$"):
+    """Same keys in the same order, same strings, booleans and integers;
+    floats (and a float against an integer, as the writer prints an
+    integral float without a point) within 1e-9 relative."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{path}[{k}]")
+    elif float in (type(got), type(want)):
+        assert {type(got), type(want)} <= {int, float} and _close(got, want), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def witnesses(command, report, problem_json):
+    """Take every witness factor out of ``report``: ``(factor, matrix,
+    tol)``, the matrix being the one the factor's verdict is about."""
+    if command == "check":
+        blocks = parse_completion_problem(problem_json).blocks
+        return [(v.pop("witness_factor"), blocks[i], report["tolerance"])
+                for i, v in enumerate(report["block_cp"])]
+    if command == "complete" and report["cp"] is not None:
+        # complete re-checks its completion at 1e-6.
+        return [(report["cp"].pop("witness_factor"), report["completion"]["full"], 1e-6)]
+    return []
+
+
+def assert_factors(B, M, tol):
+    """``B >= 0`` and ``||B B^T - M||_F`` within the CP check's limit."""
+    B, M = np.asarray(B), np.asarray(M)
+    assert B.min() >= 0.0
+    assert np.linalg.norm(B @ B.T - M) <= max(tol, 1e-10) * max(1.0, np.abs(M).max())
+
+
+@pytest.mark.parametrize("case", golden_cases(),
+                         ids=lambda c: f"{c['command']}-{c['fixture']}")
+def test_default_output_matches_the_recorded_one(capsys, case):
+    # A factor is not unique, so witness factors are re-verified, not
+    # compared.
+    path = fixture(case["fixture"])
+    code = run(RunConfig(command=case["command"], input_path=path))
+    out = capsys.readouterr()
+    assert code == case["exit"]
+    got = json.loads(out.out) if out.out else None
+    want = case["stdout"]
+    if got is not None and want is not None:
+        with open(path, encoding="utf-8") as fh:
+            problem_json = json.load(fh)
+        recorded = witnesses(case["command"], want, problem_json)
+        for (B, M, tol), (B_want, _, _) in zip(witnesses(case["command"], got, problem_json),
+                                               recorded, strict=True):
+            assert (B is None) == (B_want is None)
+            if B is not None:
+                assert_factors(B, M, tol)
+    assert_matches(got, want)
+    # Text outside the numbers exactly, the numbers as floats.
+    assert _NUMBER.split(out.err) == _NUMBER.split(case["stderr"])
+    numbers = [float(x) for x in _NUMBER.findall(out.err)]
+    assert all(map(_close, numbers, [float(x) for x in _NUMBER.findall(case["stderr"])]))
 
 
 class TestJsonWriter:

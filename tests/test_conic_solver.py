@@ -88,9 +88,12 @@ class TestSolveBasics:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(conic_solver, "_kkt_refine", failing_refine)
-        res = solve(triangle_lp())
+        p = triangle_lp()
+        unpolished = solve(p)
+        res = face_polish(p, unpolished)
         assert isinstance(res, SolveResult)
         assert attempts
+        assert res is unpolished
         assert "face polish" not in res.diagnostics
 
     def test_relaxation_value(self, qp_two_constraints):
@@ -133,15 +136,18 @@ class TestSolveBasics:
 
 class TestDiagnostics:
     def test_polished_result_names_its_threshold(self):
-        res = solve(triangle_lp())
+        p = triangle_lp()
+        res = face_polish(p, solve(p))
         assert res.status == OPTIMAL
         assert res.diagnostics.startswith("face polish accepted at threshold")
 
     def test_no_polish_never_mentions_it(self, qp_two_constraints):
-        for program in (triangle_lp(), build_sparse_relaxation(qp_two_constraints)):
-            res = solve(program, SolveOptions(polish=False))
-            assert res.status == OPTIMAL
-            assert "face polish" not in res.diagnostics
+        # solve never polishes, whatever the option says.
+        for polish in (False, True):
+            for program in (triangle_lp(), build_sparse_relaxation(qp_two_constraints)):
+                res = solve(program, SolveOptions(polish=polish))
+                assert res.status == OPTIMAL
+                assert "face polish" not in res.diagnostics
 
 
 class TestProgramMask:
@@ -339,33 +345,16 @@ def test_polish_accepted_from_interior_point(build, size):
     # Started from the interior-point multipliers, one Gauss-Newton solve
     # per face guess verifies at the first threshold on these rungs.
     p = build(baseline_qp(*size))
-    res = solve(p)
+    res = face_polish(p, solve(p))
     assert res.status == OPTIMAL
     assert res.diagnostics == "face polish accepted at threshold 0.001"
     assert res.residuals["dual"] <= 1e-9 * (1.0 + np.abs(p.objective_vector()).max())
 
 
-@pytest.mark.parametrize("build, size", [(build_sparse_relaxation, (4, 20, 2)),
-                                         (build_dense_reformulation, (6, 6, 0))])
-def test_polish_of_the_unpolished_result_is_the_polished_solve(build, size):
-    # solve with the polish on is the polish of the unpolished result, bit
-    # for bit, so a caller can polish the iterate it already checked.
-    p = build(baseline_qp(*size))
-    unpolished = solve(p, SolveOptions(polish=False))
-    assert unpolished.diagnostics == "interior-point iterate accepted"
-    polished, direct = face_polish(p, unpolished), solve(p)
-    assert polished.diagnostics == direct.diagnostics == "face polish accepted at threshold 0.001"
-    assert (polished.status, polished.objective, polished.iterations, polished.residuals) == (
-        direct.status, direct.objective, direct.iterations, direct.residuals)
-    for a, b in ((polished.block, direct.block), (polished.eq_multipliers, direct.eq_multipliers),
-                 (polished.ineq_multipliers, direct.ineq_multipliers)):
-        assert np.array_equal(a, b)
-
-
 def test_polish_returns_an_infeasible_result_as_it_is():
     p = ConicProgram(2)
     p.fix(0, 1, -1.0)
-    res = solve(p, SolveOptions(polish=False))
+    res = solve(p)
     assert res.status == INFEASIBLE
     assert face_polish(p, res) is res
 
@@ -514,7 +503,7 @@ class TestFix:
 def test_solve_takes_no_svd(monkeypatch, qp_two_constraints, pm_three_arms):
     # The free coordinates are read off the fixed entries, so no solve
     # factors the rows: count np.linalg.svd calls made inside solve, on the
-    # QP fixture with the polish off and on the completion program.
+    # QP fixture and on the completion program.
     calls, per_solve = [], []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
@@ -526,7 +515,7 @@ def test_solve_takes_no_svd(monkeypatch, qp_two_constraints, pm_three_arms):
         return res
 
     qp_program = build_sparse_relaxation(qp_two_constraints)
-    assert counted(qp_program, SolveOptions(polish=False)).status == OPTIMAL
+    assert counted(qp_program).status == OPTIMAL
     monkeypatch.setattr(completion, "solve", counted)
     assert complete_numeric(CompletionProblem.from_partial_matrix(pm_three_arms)).completion
     assert per_solve == [0, 0]
@@ -562,8 +551,7 @@ def test_one_factorization_per_iterate(monkeypatch):
         return result
 
     monkeypatch.setattr(conic_solver, "_mehrotra_step", recorded)
-    assert solve(build_sparse_relaxation(baseline_qp(4, 12, 0)),
-                 SolveOptions(polish=False)).status == OPTIMAL
+    assert solve(build_sparse_relaxation(baseline_qp(4, 12, 0))).status == OPTIMAL
     assert steps
     assert all(s["cholesky"] == 2 + s["failed"] for s in steps)
     assert all((s["inv"], s["eigvalsh"], s["kron"]) == (2, 2, 0) for s in steps)

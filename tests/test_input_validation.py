@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from cppc import cli
-from cppc.completion import CompletionProblem
+from cppc.completion import CompletionProblem, certify_completable
 from cppc.conditions import ConstraintData
-from cppc.cones import GroundCone, interior_dual_contains, orthant, product, zero
+from cppc.cones import GroundCone, free, interior_dual_contains, orthant, product, zero
 from cppc.matrix_core import ArrowheadPattern, PartialMatrix, SymMatrix
 from cppc.qp_relax import GeneralInstance, QPInstance
 
@@ -54,6 +54,14 @@ def data(f, d):
     return ConstraintData.build(orthant(2), [orthant(1)], f, [np.ones(1)], d)
 
 
+def certify_stated(S, K0, arms):
+    """``certify_completable`` on an ``S``-arm problem over a one-dimensional
+    shared part, with stated data of ``arms`` arms over ``K0``."""
+    stated = ConstraintData.width_one(K0, np.ones((arms, K0.dim)), np.ones(arms), np.ones(arms))
+    return lambda: certify_completable(
+        CompletionProblem.from_partial_matrix(arrowhead(S=S), data=stated))
+
+
 CASES = [
     # qp_relax
     (lambda: QPInstance.build(np.eye(2), np.zeros(3), np.ones((1, 2)), [1.0]),
@@ -63,6 +71,8 @@ CASES = [
     (lambda: QPInstance.build(np.eye(2), np.zeros(2), np.ones((1, 2)), [1.0],
                               product(orthant(1), zero(1))),
      ValueError, "zero cone factors are not supported here"),
+    (lambda: QPInstance.build(np.eye(2), np.zeros(2), [1.0, 2.0], [1.0]),
+     ValueError, "F must be a 2-d array, got shape (2,)"),
     (lambda: QPInstance.from_json_dict({k: QP_JSON[k] for k in "AaF"}),
      ValueError, "QP JSON is missing keys ['d']"),
     (lambda: QPInstance.from_json_dict({**QP_JSON, "x": 1}),
@@ -101,12 +111,23 @@ CASES = [
      ValueError, "zero northwest corner is outside the certifiable range"),
     (lambda: CompletionProblem.from_partial_matrix(arrowhead(), orthant(2)),
      ValueError, "ground cone has dim 2, shared part has dim 1"),
+    (certify_stated(2, orthant(1), 3), ValueError,
+     "stated data has 3 arm(s) over the shared cone ['orthant'], the problem 2 over ['orthant']"),
+    (certify_stated(1, orthant(2), 1), ValueError, "stated data has 1 arm(s) over the shared "
+     "cone ['orthant', 'orthant'], the problem 1 over ['orthant']"),
+    (certify_stated(1, free(1), 1), ValueError,
+     "stated data has 1 arm(s) over the shared cone ['free'], the problem 1 over ['orthant']"),
     # cli
     (cli_run("check", {**ARROWHEAD_JSON, "f": [[1.0], [1.0]]}),
      Exit, "exit 1: error: constraint data requires all of f, g, d\n"),
     (cli_run("solve-qp", {**QP_JSON, "x": 1}),
      Exit, "exit 1: error: unknown keys in QP instance: ['x']\n"),
     (cli_run("check", [QP_JSON]), Exit, "exit 1: error: top-level JSON value must be an object\n"),
+    (cli_run("check", {**ARROWHEAD_JSON, "f": [[1.0]], "g": [1.0], "d": [1.0]}), Exit,
+     "exit 1: error: invalid input: stated data has 1 arm(s) over the shared cone "
+     "['orthant'], the problem 2 over ['orthant']\n"),
+    (cli_run("solve-qp", {**QP_JSON, "F": [1.0, 2.0], "d": [1.0]}), Exit,
+     "exit 1: error: invalid input: F must be a 2-d array, got shape (2,)\n"),
 ]
 
 

@@ -20,6 +20,7 @@ from cppc.conic_solver import (
     ConicProgram,
     SolveOptions,
     SolveResult,
+    face_polish,
     kkt_residuals,
     solve,
 )
@@ -69,9 +70,11 @@ def solved(corner, objective=0.0):
 
 
 def polished_solution(qp, opts=None):
-    """The solution of a relaxation solve that polishes whatever the checks
+    """The solution of a relaxation solve, polished whatever the checks
     would find (the polish on unless ``opts`` turns it off)."""
-    return extract_solution(qp, solve(build_sparse_relaxation(qp), opts))
+    prog = build_sparse_relaxation(qp)
+    res = solve(prog, opts)
+    return extract_solution(qp, face_polish(prog, res) if (opts or SolveOptions()).polish else res)
 
 
 def lifted_solution_from_point(qp, x):
@@ -412,12 +415,11 @@ class TestRankOne:
         assert rank_one_certificate(sol)
 
     def test_perturbation_breaks_it(self, qp_two_constraints):
-        tol = 1e-8
         sol = lifted_solution_from_point(qp_two_constraints, np.array([0.2, 0.2]))
         # The certificate reads the corner, which every block has the rank of.
-        perturbed = sol.corner + 10 * tol * np.diag([0.0, 1.0, 1.0])
+        perturbed = sol.corner + 10 * KERNEL_TOL * np.diag([0.0, 1.0, 1.0])
         sol = extract_solution(qp_two_constraints, solved(perturbed))
-        assert not rank_one_certificate(sol, tol=tol)
+        assert not rank_one_certificate(sol)
 
     def test_no_rows_checks_the_northwest_block(self):
         # Without rows the northwest block is the relaxation's only block; a
@@ -939,7 +941,6 @@ class TestPolishOnDemand:
             raise AssertionError("the polish ran")
 
         monkeypatch.setattr(qp_relax, "face_polish", refuse)
-        monkeypatch.setattr(conic_solver, "_face_polish", refuse)
         rep = exactness_report(qp)
         assert rep.overall == PROVEN_EXACT
         assert (rep.polish, off.polish) == ("not needed: proven without it", "off")
@@ -948,8 +949,8 @@ class TestPolishOnDemand:
     def test_fixture_polishes_the_one_iterate(self, monkeypatch, qp_two_constraints):
         # The fixture needs the polish for certificate B: the report is the
         # one of the polished solve, from a single interior-point loop.
-        reference = qp_relax._checked(
-            qp_two_constraints, solve(build_sparse_relaxation(qp_two_constraints)))
+        prog = build_sparse_relaxation(qp_two_constraints)
+        reference = qp_relax._checked(qp_two_constraints, face_polish(prog, solve(prog)))
         loops = []
         loop = conic_solver._interior_point
         monkeypatch.setattr(conic_solver, "_interior_point",
@@ -964,7 +965,7 @@ class TestPolishOnDemand:
         # Five steps leave the loop at MaxIters; its best iterate polishes
         # to a verified point, and certificate B proves that.
         opts = SolveOptions(max_iters=5)
-        unpolished = solve(build_sparse_relaxation(qp_two_constraints), replace(opts, polish=False))
+        unpolished = solve(build_sparse_relaxation(qp_two_constraints), opts)
         assert unpolished.status == MAX_ITERS
         rep = exactness_report(qp_two_constraints, opts)
         assert rep.overall == PROVEN_EXACT and rep.proven_by == ["certificate_b"]
