@@ -126,14 +126,13 @@ def parse_completion_problem(obj: dict) -> completion_mod.CompletionProblem:
 
 
 def _solver_opts(config: RunConfig) -> SolveOptions:
-    opts = SolveOptions()
+    overrides = {}
     if config.tol is not None:
-        opts.tol_primal = config.tol
-        opts.tol_dual = config.tol
-        opts.tol_gap = max(config.tol, 1e-9)
+        overrides.update(tol_primal=config.tol, tol_dual=config.tol,
+                         tol_gap=max(config.tol, 1e-9))
     if config.max_iters is not None:
-        opts.max_iters = config.max_iters
-    return opts
+        overrides["max_iters"] = config.max_iters
+    return SolveOptions(**overrides)
 
 
 def _verdict_dict(v) -> Optional[dict]:
@@ -356,6 +355,10 @@ def _summary(command: str, report: dict) -> str:
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
+        if config.tol is not None and not (np.isfinite(config.tol) and config.tol > 0):
+            raise InputError(f"--tol must be finite and positive, got {config.tol}")
+        if config.max_iters is not None and config.max_iters < 1:
+            raise InputError(f"--max-iters must be at least 1, got {config.max_iters}")
         obj = _load_json(config.input_path)
         if not isinstance(obj, dict):
             raise InputError("top-level JSON value must be an object")

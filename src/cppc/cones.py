@@ -13,7 +13,8 @@ its principal submatrices from one factor.  The search checks DNN on the
 spectrum it takes its square root from, and a factor settles the PSD test
 of the verdict, so a member costs one checked spectrum.  It runs Procrustes
 steps from seeded random rotations, over-relaxed past the orthant on
-alternate starts and finished by Newton steps (:func:`cp_factorize`).
+alternate starts, finished by Newton steps and ended when they stall
+(:func:`cp_factorize`).
 """
 
 from __future__ import annotations
@@ -320,8 +321,15 @@ _OVER_RELAX = 4.0
 #: Residual, relative to ``max(1, max|M|)``, below which a start tries
 #: :func:`_newton_finish`.
 _NEWTON_SWITCH = 1e-2
-#: Newton steps per try of :func:`_newton_finish`.
+#: Newton steps per pass of :func:`_newton_finish` (at most two passes a try).
 _NEWTON_STEPS = 8
+#: After a failed try, the next waits until the residual is this fraction
+#: of the residual the failed try started from.
+_NEWTON_RETRY = 0.5
+#: A start ends at the first step where its lowest residual so far is above
+#: ``_STALL_FACTOR`` times its lowest residual ``_STALL_WINDOW`` steps before.
+_STALL_WINDOW = 80
+_STALL_FACTOR = 0.8
 #: Random starting rotations per factor width.
 _RESTARTS = 8
 #: Projected-gradient steps of :func:`_polish_nonneg_factor`.
@@ -348,8 +356,9 @@ def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
     reflection's steps.  On the other starts it is the clip ``max(x, 0)``
     (``lambda = 1``), which converges where the factor has exact zeros and
     the relaxed steps crawl (low-rank sparse Gram matrices).  Both end in
-    a linear tail, which Newton steps on the negative entries of ``x``
-    finish (:func:`_rotate_to_nonnegative`).  The starts are
+    a linear tail, which Newton steps that zero the negative entries of
+    ``x``, or failing that its entries below ``|min x|``, finish
+    (:func:`_newton_finish`).  The starts are
     seeded random rotations at a few factor widths, followed by a short
     projected-gradient polish of the best candidate.  There is no identity start: from the
     eigenbasis the plain steps stalled above the threshold on every
@@ -357,9 +366,15 @@ def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
     root of the wrong sign is turned by the first step from any start.
 
     Budget: at most 24 starts (``_RESTARTS`` at each of three widths) of
-    one SVD plus one per step for ``_ROTATION_ITERS`` steps, with at most
-    one Newton try of ``_NEWTON_STEPS`` least-squares solves per decade of
-    residual below the switch, then ``_POLISH_ITERS`` polish steps.
+    one SVD plus one per step for up to ``_ROTATION_ITERS`` steps, so at
+    most ``24 * (1 + _ROTATION_ITERS)`` SVDs.  A start ends once its lowest
+    residual has stalled (``_STALL_FACTOR`` over ``_STALL_WINDOW`` steps),
+    so one whose lowest residual stops falling after ``k`` steps ends by
+    step ``k + _STALL_WINDOW``, and a search of such starts costs about
+    ``24 * (1 + _STALL_WINDOW)`` SVDs.  Below the switch a start makes
+    Newton tries of up to ``2 * _NEWTON_STEPS`` least-squares solves
+    (:func:`_rotate_to_nonnegative` says when); then ``_POLISH_ITERS``
+    polish steps.
     """
     m = _array(M)
     n = m.shape[0]
@@ -376,6 +391,7 @@ def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
     root = v[:, keep] * np.sqrt(w[keep])
     r = root.shape[1]
 
+    switch = _NEWTON_SWITCH * scale
     rng = np.random.default_rng(0)
     rank_budget = n * (n + 1) // 2
     widths = sorted({min(rank_budget, r), min(rank_budget, r + 2), min(rank_budget, 2 * n)})
@@ -385,7 +401,7 @@ def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
             continue
         for start in range(_RESTARTS):
             u, _, vt = np.linalg.svd(rng.standard_normal((r, width)), full_matrices=False)
-            b, res = _rotate_to_nonnegative(m, root, u @ vt, tol, relaxed=start % 2 == 0)
+            b, res = _rotate_to_nonnegative(m, root, u @ vt, tol, start % 2 == 0, switch)
             if res < best_res:
                 best, best_res = b, res
             if best_res <= tol:
@@ -394,31 +410,43 @@ def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
     return b if res <= tol else None
 
 
-def _rotate_to_nonnegative(m, root, q, tol, relaxed):
+def _rotate_to_nonnegative(m, root, q, tol, relaxed, switch):
     """Projections onto ``{root @ Q : Q Q^T = I}`` of the over-relaxed
     projection ``x - _OVER_RELAX * min(x, 0)`` of ``x = root @ Q`` onto the
     nonnegative orthant (``relaxed``) or of its clip; the candidate of each
     step is the clip ``max(root @ Q, 0)``, which reproduces ``m`` up to the
     clip.
 
-    At a residual check below ``_NEWTON_SWITCH * max(1, max|m|)`` and a
-    decade below the last failed try, :func:`_newton_finish` is tried from
-    a copy of ``Q``.  Its clip is returned only when it passes the same
-    residual check (``<= tol``); otherwise the steps go on from ``Q``.
+    The candidate's residual is read after every step (one ``n x w``
+    product, about a sixth of the step's SVD at orders 7 to 15) and
+    returned as soon as it is at most ``tol``.  At the first step where it
+    is at most ``switch``, :func:`_newton_finish` is tried from a copy of
+    ``Q``; its clip is returned only when it passes the same check,
+    otherwise the steps go on from ``Q`` and the next try waits until the
+    residual is ``_NEWTON_RETRY`` times the failed one.  The start ends once
+    its lowest residual has not fallen to ``_STALL_FACTOR`` times its lowest
+    ``_STALL_WINDOW`` steps before.  The lowest, not the current one: the
+    relaxed steps' residual swings by up to a factor of two between steps,
+    and comparing two single readings also ended starts that were still
+    leaving a plateau and went on to a factor.  Returns the candidate of
+    lowest residual and that residual.
     """
-    switch = _NEWTON_SWITCH * max(1.0, float(np.abs(m).max()))
-    tried = np.inf
+    retry = switch
     x = root @ q
     b = np.maximum(x, 0.0)
     res = float(np.linalg.norm(b @ b.T - m))
+    best = b, res
+    lows = [res]  # the lowest residual after each number of steps
     for it in range(_ROTATION_ITERS):
         if res <= tol:
             return b, res
-        if res <= switch and 10.0 * res <= tried:
+        if res <= retry:
             finished = _newton_finish(m, root, q, res, tol)
             if finished is not None:
                 return finished
-            tried = res
+            retry = _NEWTON_RETRY * res
+        if it >= _STALL_WINDOW and lows[it] > _STALL_FACTOR * lows[it - _STALL_WINDOW]:
+            break
         # x + lambda (max(x, 0) - x) = x - lambda min(x, 0): past the clip by
         # lambda - 1 times the distance from x to it (lambda = 2 gives |x|).
         target = x - _OVER_RELAX * np.minimum(x, 0.0) if relaxed else b
@@ -426,45 +454,57 @@ def _rotate_to_nonnegative(m, root, q, tol, relaxed):
         q = u @ vt
         x = root @ q
         b = np.maximum(x, 0.0)
-        if (it + 1) % 10 == 0 or it == _ROTATION_ITERS - 1:
-            res = float(np.linalg.norm(b @ b.T - m))
-    return b, res
+        res = float(np.linalg.norm(b @ b.T - m))
+        if res < best[1]:
+            best = b, res
+        lows.append(best[1])
+    return best
 
 
 def _newton_finish(m, root, q, res, tol):
     """Newton steps on the clip set of ``x = root @ Q``: each takes the
     minimum-norm least-squares skew ``K`` (unknowns its strict upper
-    triangle) with ``(x K)_P = -x_P`` on the negative entries ``P`` of
-    ``x``, and moves ``Q`` by the Cayley rotation ``(I - K/2)^{-1} (I +
-    K/2)``, which keeps its rows orthonormal.  At most ``_NEWTON_STEPS``
-    steps, stopping when one fails to halve the residual ``res``.  Returns
-    the clip and its residual once that is at most ``tol``, else None.
+    triangle) with ``(x K)_P = -x_P`` on a set ``P`` of entries of ``x``,
+    and moves ``Q`` by the Cayley rotation ``(I - K/2)^{-1} (I + K/2)``,
+    which keeps its rows orthonormal.  At most ``_NEWTON_STEPS`` steps,
+    stopping when one fails to halve the residual ``res``.  Returns the
+    clip and its residual once that is at most ``tol``, else None.
+
+    ``P`` is first the negative entries.  If those steps fail, they are run
+    again from ``Q`` with every entry below ``|min x|`` in ``P``: the
+    entries just above zero are as likely zeros of the factor as those just
+    below it, and the steps stall on those left positive (on the tail of
+    one relaxed start they succeeded at 7 of 100 steps below the switch,
+    with the band at 97).  The negative entries go first because the band
+    zeroes the tiny positive entries of some factors (cubed random ones)
+    and the dense positive factors of the completion inputs.
 
     ``K = J^T (J J^T)^+ (-x_P)`` for the map ``J`` from the unknowns to
     ``(x K)_P``: ``J J^T`` has order ``|P|``, ``J`` also ``w (w - 1) / 2``
     columns for ``Q`` of width ``w``, and on searches that never reach
-    ``tol`` most tries are wide, with many negative entries."""
+    ``tol`` most tries are wide, with many entries in ``P``."""
     w = q.shape[1]
     eye = np.eye(w)
-    x = root @ q
-    for _ in range(_NEWTON_STEPS):
-        i, j = np.nonzero(x < 0.0)
-        rows = x[i]
-        cross = rows[:, j]
-        # K = C - C^T for C = sum_p lam_p x_{i_p}^T e_{j_p}^T: (x K)_P = gram @ lam.
-        gram = (rows @ rows.T) * (j[:, None] == j) - cross * cross.T
-        lam = np.linalg.lstsq(gram, -x[i, j], rcond=None)[0]
-        half = 0.5 * rows.T @ (lam[:, None] * (j[:, None] == np.arange(w)))
-        half -= half.T
-        q = q @ np.linalg.solve(eye - half, eye + half)
-        x = root @ q
-        b = np.maximum(x, 0.0)
-        step_res = float(np.linalg.norm(b @ b.T - m))
-        if step_res <= tol:
-            return b, step_res
-        if step_res > 0.5 * res:
-            return None
-        res = step_res
+    for band in (0.0, 1.0):
+        x, qb, last = root @ q, q, res
+        for _ in range(_NEWTON_STEPS):
+            i, j = np.nonzero(x < -band * x.min())
+            rows = x[i]
+            cross = rows[:, j]
+            # K = C - C^T for C = sum_p lam_p x_{i_p}^T e_{j_p}^T: (x K)_P = gram @ lam.
+            gram = (rows @ rows.T) * (j[:, None] == j) - cross * cross.T
+            lam = np.linalg.lstsq(gram, -x[i, j], rcond=None)[0]
+            half = 0.5 * rows.T @ (lam[:, None] * (j[:, None] == np.arange(w)))
+            half -= half.T
+            qb = qb @ np.linalg.solve(eye - half, eye + half)
+            x = root @ qb
+            b = np.maximum(x, 0.0)
+            step_res = float(np.linalg.norm(b @ b.T - m))
+            if step_res <= tol:
+                return b, step_res
+            if step_res > 0.5 * last:
+                break
+            last = step_res
     return None
 
 

@@ -165,6 +165,14 @@ class SolveOptions:
     max_iters: int = 200
     polish: bool = True
 
+    def __post_init__(self):
+        for name in ("tol_primal", "tol_dual", "tol_gap"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+
 
 @dataclass
 class SolveResult:

@@ -81,6 +81,9 @@ class QPInstance:
         n = A.order
         if a.size != n or F.shape[1] != n or F.shape[0] != d.size:
             raise ValueError("inconsistent QP dimensions")
+        for name, v in (("a", a), ("F", F), ("d", d)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} contains non-finite entries")
         if K is None:
             K = orthant(n)
         if K.dim != n:

@@ -425,11 +425,42 @@ class TestFactorSearch:
         # Plain alternation spends 400 steps on the identity start alone and
         # took 138, 4416 and 5016 SVDs on these three; reflected steps from
         # random starts took 181, 261 and 211, over-relaxed ones (λ = 4) 21,
-        # 91 and 51, and with the Newton finish they take 11, 31 and 11 (plus
-        # 2, 6 and 2 least-squares solves).  The margin is one residual check.
-        assert len(calls) <= {6: 11, 7: 31, 8: 11}[n] + 10
+        # 91 and 51, with the Newton finish at every tenth step 11, 31 and
+        # 11, and with the residual read and the finish tried at every step
+        # they take 10, 4 and 2 (plus 7, 2 and 4 least-squares solves).  The
+        # margin of two steps leaves room for rounding to move a step.
+        assert len(calls) <= {6: 10, 7: 4, 8: 2}[n] + 2
         assert B is not None and B.min() >= 0.0
         assert np.linalg.norm(B @ B.T - M) <= tol
+
+    @pytest.mark.parametrize("n, S", [(6, 10), (7, 12), (8, 12)])
+    def test_search_stops_at_the_first_step_that_meets_tol(self, monkeypatch, n, S):
+        # With the Newton finish off, the Procrustes tail itself reaches the
+        # threshold (after 18, 84 and 41 steps); the residual read at every
+        # step ends the search there, where a reading at every tenth step
+        # took up to nine SVDs more.
+        M = self.ladder_like(np.random.default_rng(0), n, S)
+        tol = 1e-8 * np.abs(M).max()
+        monkeypatch.setattr(cones, "_newton_finish", lambda *a: None)
+        rotate, svd = cones._rotate_to_nonnegative, np.linalg.svd
+        roots, residuals = [], []
+
+        def recording_rotate(m, root, *args):
+            roots.append(root)
+            return rotate(m, root, *args)
+
+        def recording_svd(a, **k):
+            u, s, vt = svd(a, **k)
+            if roots and a.shape[0] == roots[-1].shape[1]:  # a Procrustes step
+                b = np.maximum(roots[-1] @ (u @ vt), 0.0)
+                residuals.append(np.linalg.norm(b @ b.T - M))
+            return u, s, vt
+
+        monkeypatch.setattr(cones, "_rotate_to_nonnegative", recording_rotate)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        B = cp_factorize(M, tol)
+        assert B is not None and cones._factors(B, M, tol)
+        assert residuals[-1] <= tol < min(residuals[:-1])
 
     @staticmethod
     def sparse_gram(seed, n, r):
@@ -448,15 +479,20 @@ class TestFactorSearch:
         assert B is not None and B.min() >= 0.0
         assert np.linalg.norm(B @ B.T - M) <= tol
 
-    def test_over_relaxed_steps_need_the_clip_starts(self):
-        # Same family, default_rng(280): the second start, a clip start,
-        # reaches the threshold; with over-relaxed steps (and the Newton
-        # finish) on every start the search ends above it and returns None.
-        M = self.sparse_gram(280, 12, 3)
+    def test_over_relaxed_steps_need_the_clip_starts(self, monkeypatch):
+        # Order 7 from 9 columns, default_rng(145): the second start, a clip
+        # start, reaches the threshold; with over-relaxed steps (and the
+        # Newton finish) on every start the search ends above it.
+        M = self.sparse_gram(145, 7, 9)
         tol = 1e-8 * max(1.0, np.abs(M).max())
         B = cp_factorize(M, tol)
         assert B is not None and B.min() >= 0.0
         assert np.linalg.norm(B @ B.T - M) <= tol
+        rotate = cones._rotate_to_nonnegative
+        monkeypatch.setattr(cones, "_rotate_to_nonnegative",
+                            lambda m, root, q, limit, relaxed, switch:
+                            rotate(m, root, q, limit, True, switch))
+        assert cp_factorize(M, tol) is None
 
     @staticmethod
     def skip_polish(monkeypatch):
@@ -477,12 +513,14 @@ class TestFactorSearch:
         assert cp_factorize(M, tol) is None
 
     def test_polish_finishes_a_stalled_rotation(self, monkeypatch):
-        # Same family, default_rng(1326): no start reaches the threshold, the
-        # finish included; the best rotation ends at 3.4 times it and the
+        # Same family, default_rng(1326), with the Newton finish off (with it
+        # the search factors the input on its first start): no start reaches
+        # the threshold, the best rotation ends at 3.4 times it and the
         # projected-gradient polish brings it below.
         M = self.sparse_gram(1326, 5, 5)
         assert np.linalg.matrix_rank(M) == 5
         tol = 1e-8 * max(1.0, np.abs(M).max())
+        monkeypatch.setattr(cones, "_newton_finish", lambda *a: None)
         B = cp_factorize(M, tol)
         assert B is not None and cones._factors(B, M, tol)
         self.skip_polish(monkeypatch)
@@ -508,19 +546,65 @@ class TestFactorSearch:
         assert np.array_equal(B, np.maximum(root @ q, 0.0))
         assert B_res <= limit and cones._factors(B, m, limit)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_newton_finish_zeroes_entries_just_above_zero(self, seed):
+        # x = root @ Q a small rotation away from an exact factor with zeros:
+        # about half of those zeros sit just above zero, and Newton steps on
+        # the negative entries alone leave them there and fail.
+        rng = np.random.default_rng(seed)
+        B = rng.uniform(0.0, 1.0, (8, 10)) * (rng.random((8, 10)) < 0.5)
+        M = B @ B.T
+        w, v = np.linalg.eigh(M)
+        root = v[:, w > 1e-12 * M.max()] * np.sqrt(w[w > 1e-12 * M.max()])
+        S = 1e-3 * rng.standard_normal((10, 10))
+        eye = np.eye(10)
+        q = np.linalg.pinv(root) @ B @ np.linalg.solve(eye - (S - S.T) / 2, eye + (S - S.T) / 2)
+        x = root @ q
+        assert (x[B == 0] > 0).any() and (x[B == 0] < 0).any()
+        b = np.maximum(x, 0.0)
+        tol = 1e-8 * M.max()
+        finished = cones._newton_finish(M, root, q, np.linalg.norm(b @ b.T - M), tol)
+        assert finished is not None and cones._factors(finished[0], M, tol)
+
     def test_non_cp_search_work(self, monkeypatch):
         # horn_violator() has no factor: each of the 24 starts (8 at each of
         # the widths 5, 7, 10) makes one SVD for its rotation and one per
-        # step (9,624 in all), and its residual never falls below the
-        # switch, so the finish is never tried.
+        # step, and ends once it stalls, after at least _STALL_WINDOW steps
+        # (24 x 401 = 9,624 SVDs without the stall exit).  Its residual never
+        # falls below the switch, so the finish is never tried.
         svd, lstsq = np.linalg.svd, np.linalg.lstsq
         calls = []
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *a, **k: calls.append("lstsq") or lstsq(*a, **k))
         assert cp_factorize(horn_violator()) is None
-        assert calls.count("svd") == 24 * (1 + cones._ROTATION_ITERS)
+        assert 24 * (1 + cones._STALL_WINDOW) <= calls.count("svd") <= 2500
         assert "lstsq" not in calls
+
+    def test_stalled_start_returns_its_lowest_candidate(self, monkeypatch):
+        # The relaxed steps' residual swings between steps, so the last
+        # candidate of a stalled start is not its best; the start hands the
+        # best one on to the choice of the polish's starting point.
+        M = horn_violator()
+        w, v = np.linalg.eigh(M)
+        root = v * np.sqrt(w)
+        u, _, vt = np.linalg.svd(np.random.default_rng(0).standard_normal((5, 7)),
+                                 full_matrices=False)
+        svd = np.linalg.svd
+        b0 = np.maximum(root @ (u @ vt), 0.0)
+        residuals = [np.linalg.norm(b0 @ b0.T - M)]
+
+        def recording_svd(a, **k):
+            uu, s, vv = svd(a, **k)
+            b = np.maximum(root @ (uu @ vv), 0.0)
+            residuals.append(np.linalg.norm(b @ b.T - M))
+            return uu, s, vv
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        b, res = cones._rotate_to_nonnegative(M, root, u @ vt, 1e-7, True, 1e-2 * 1.6)
+        assert len(residuals) < 1 + cones._ROTATION_ITERS
+        assert res == min(residuals) < residuals[-1]
+        assert np.linalg.norm(b @ b.T - M) == res
 
     def test_rank_one_with_negative_root(self, monkeypatch):
         v = np.array([0.5, 1.0, 2.0, 0.0, 3.0, 1.5])

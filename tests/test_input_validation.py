@@ -14,12 +14,15 @@ import pytest
 from cppc import cli
 from cppc.completion import CompletionProblem, certify_completable
 from cppc.conditions import ConstraintData
+from cppc.conic_solver import SolveOptions
 from cppc.cones import GroundCone, free, interior_dual_contains, orthant, product, zero
 from cppc.matrix_core import ArrowheadPattern, PartialMatrix, SymMatrix
 from cppc.qp_relax import GeneralInstance, QPInstance
 
 QP_JSON = {"A": [[-1.0, 0.0], [0.0, -1.0]], "a": [0.0, 0.0],
            "F": [[1.0, 2.0], [2.0, 1.0]], "d": [1.0, 1.0]}
+# Unbounded below once d is infinite: min -|x|^2 over x >= 0, x_1 + x_2 <= d.
+ORACLE_QP_JSON = {"A": [[-1.0, 0.0], [0.0, -1.0]], "a": [0.0, 0.0], "F": [[1.0, 1.0]], "d": [1.0]}
 ARROWHEAD_JSON = {"n1": 2, "n2": 1, "S": 2, "X": [[6.0, 3.0], [3.0, 6.0]],
                   "Z": [[[0.0, 3.0]], [[3.0, 0.0]]], "Y": [[[2.0]], [[2.0]]]}
 
@@ -28,8 +31,9 @@ class Exit(Exception):
     """What ``cli.run`` reported, as ``exit <code>: <stderr>``."""
 
 
-def cli_run(command, obj):
-    """``cppc <command>`` on the JSON value ``obj``; raises :class:`Exit`."""
+def cli_run(command, obj, **flags):
+    """``cppc <command>`` on the JSON value ``obj`` with the ``RunConfig``
+    fields ``flags`` (``tol``, ``max_iters``); raises :class:`Exit`."""
     def call():
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "input.json")
@@ -37,7 +41,8 @@ def cli_run(command, obj):
                 json.dump(obj, fh)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                code = cli.run(cli.RunConfig(command=command, input_path=path, quiet=True))
+                code = cli.run(cli.RunConfig(command=command, input_path=path, quiet=True,
+                                             **flags))
         raise Exit(f"exit {code}: {err.getvalue()}")
     return call
 
@@ -73,6 +78,12 @@ CASES = [
      ValueError, "zero cone factors are not supported here"),
     (lambda: QPInstance.build(np.eye(2), np.zeros(2), [1.0, 2.0], [1.0]),
      ValueError, "F must be a 2-d array, got shape (2,)"),
+    (lambda: QPInstance.build(-np.eye(2), np.zeros(2), np.ones((1, 2)), [np.inf]),
+     ValueError, "d contains non-finite entries"),
+    (lambda: QPInstance.build(-np.eye(2), [np.nan, 0.0], np.ones((1, 2)), [1.0]),
+     ValueError, "a contains non-finite entries"),
+    (lambda: QPInstance.build(-np.eye(2), np.zeros(2), [[np.nan, 1.0]], [1.0]),
+     ValueError, "F contains non-finite entries"),
     (lambda: QPInstance.from_json_dict({k: QP_JSON[k] for k in "AaF"}),
      ValueError, "QP JSON is missing keys ['d']"),
     (lambda: QPInstance.from_json_dict({**QP_JSON, "x": 1}),
@@ -103,6 +114,13 @@ CASES = [
     (lambda: GroundCone.from_json_dict({"orthant": 1, "free": 1}), ValueError, "bad cone spec"),
     (lambda: interior_dual_contains(orthant(2), np.ones(3)),
      ValueError, "vector has dim 3, cone has dim 2"),
+    # conic_solver
+    (lambda: SolveOptions(tol_primal=np.inf), ValueError,
+     "tol_primal must be finite and positive, got inf"),
+    (lambda: SolveOptions(tol_dual=np.nan), ValueError,
+     "tol_dual must be finite and positive, got nan"),
+    (lambda: SolveOptions(tol_gap=0.0), ValueError, "tol_gap must be finite and positive, got 0.0"),
+    (lambda: SolveOptions(max_iters=0), ValueError, "max_iters must be at least 1, got 0"),
     # completion
     (lambda: CompletionProblem.from_partial_matrix(arrowhead(n1=1)),
      ValueError, "the shared block must contain the unit row plus at least one coordinate"),
@@ -128,6 +146,20 @@ CASES = [
      "['orthant'], the problem 2 over ['orthant']\n"),
     (cli_run("solve-qp", {**QP_JSON, "F": [1.0, 2.0], "d": [1.0]}), Exit,
      "exit 1: error: invalid input: F must be a 2-d array, got shape (2,)\n"),
+    (cli_run("solve-qp", QP_JSON, tol=np.inf), Exit,
+     "exit 1: error: --tol must be finite and positive, got inf\n"),
+    (cli_run("solve-qp", QP_JSON, tol=np.nan), Exit,
+     "exit 1: error: --tol must be finite and positive, got nan\n"),
+    (cli_run("check", ARROWHEAD_JSON, tol=-1.0), Exit,
+     "exit 1: error: --tol must be finite and positive, got -1.0\n"),
+    (cli_run("solve-qp", QP_JSON, max_iters=-3), Exit,
+     "exit 1: error: --max-iters must be at least 1, got -3\n"),
+    (cli_run("oracle", {**ORACLE_QP_JSON, "d": [np.inf]}), Exit,
+     "exit 1: error: invalid input: d contains non-finite entries\n"),
+    (cli_run("oracle", {**ORACLE_QP_JSON, "a": [np.nan, 0.0]}), Exit,
+     "exit 1: error: invalid input: a contains non-finite entries\n"),
+    (cli_run("solve-qp", {**ORACLE_QP_JSON, "d": [np.inf]}), Exit,
+     "exit 1: error: invalid input: d contains non-finite entries\n"),
 ]
 
 
