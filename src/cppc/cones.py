@@ -332,8 +332,6 @@ _STALL_WINDOW = 80
 _STALL_FACTOR = 0.8
 #: Random starting rotations per factor width.
 _RESTARTS = 8
-#: Projected-gradient steps of :func:`_polish_nonneg_factor`.
-_POLISH_ITERS = 300
 
 
 def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
@@ -358,9 +356,8 @@ def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
     the relaxed steps crawl (low-rank sparse Gram matrices).  Both end in
     a linear tail, which Newton steps that zero the negative entries of
     ``x``, or failing that its entries below ``|min x|``, finish
-    (:func:`_newton_finish`).  The starts are
-    seeded random rotations at a few factor widths, followed by a short
-    projected-gradient polish of the best candidate.  There is no identity start: from the
+    (:func:`_newton_finish`).  The starts are seeded random rotations at a
+    few factor widths.  There is no identity start: from the
     eigenbasis the plain steps stalled above the threshold on every
     completion input of rank above one that was measured, and a rank-one
     root of the wrong sign is turned by the first step from any start.
@@ -373,8 +370,7 @@ def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
     step ``k + _STALL_WINDOW``, and a search of such starts costs about
     ``24 * (1 + _STALL_WINDOW)`` SVDs.  Below the switch a start makes
     Newton tries of up to ``2 * _NEWTON_STEPS`` least-squares solves
-    (:func:`_rotate_to_nonnegative` says when); then ``_POLISH_ITERS``
-    polish steps.
+    (:func:`_rotate_to_nonnegative` says when).
     """
     m = _array(M)
     n = m.shape[0]
@@ -395,19 +391,13 @@ def cp_factorize(M, tol: Optional[float] = None) -> Optional[np.ndarray]:
     rng = np.random.default_rng(0)
     rank_budget = n * (n + 1) // 2
     widths = sorted({min(rank_budget, r), min(rank_budget, r + 2), min(rank_budget, 2 * n)})
-    best, best_res = None, np.inf
     for width in widths:
-        if width < r:
-            continue
         for start in range(_RESTARTS):
             u, _, vt = np.linalg.svd(rng.standard_normal((r, width)), full_matrices=False)
             b, res = _rotate_to_nonnegative(m, root, u @ vt, tol, start % 2 == 0, switch)
-            if res < best_res:
-                best, best_res = b, res
-            if best_res <= tol:
-                return best
-    b, res = _polish_nonneg_factor(m, best, tol)
-    return b if res <= tol else None
+            if res <= tol:
+                return b
+    return None
 
 
 def _rotate_to_nonnegative(m, root, q, tol, relaxed, switch):
@@ -428,14 +418,13 @@ def _rotate_to_nonnegative(m, root, q, tol, relaxed, switch):
     ``_STALL_WINDOW`` steps before.  The lowest, not the current one: the
     relaxed steps' residual swings by up to a factor of two between steps,
     and comparing two single readings also ended starts that were still
-    leaving a plateau and went on to a factor.  Returns the candidate of
-    lowest residual and that residual.
+    leaving a plateau and went on to a factor.  Returns the last candidate
+    and its residual.
     """
     retry = switch
     x = root @ q
     b = np.maximum(x, 0.0)
     res = float(np.linalg.norm(b @ b.T - m))
-    best = b, res
     lows = [res]  # the lowest residual after each number of steps
     for it in range(_ROTATION_ITERS):
         if res <= tol:
@@ -455,10 +444,8 @@ def _rotate_to_nonnegative(m, root, q, tol, relaxed, switch):
         x = root @ q
         b = np.maximum(x, 0.0)
         res = float(np.linalg.norm(b @ b.T - m))
-        if res < best[1]:
-            best = b, res
-        lows.append(best[1])
-    return best
+        lows.append(min(lows[-1], res))
+    return b, res
 
 
 def _newton_finish(m, root, q, res, tol):
@@ -506,24 +493,3 @@ def _newton_finish(m, root, q, res, tol):
                 break
             last = step_res
     return None
-
-
-def _polish_nonneg_factor(m, b, tol):
-    """Projected gradient descent on ``||B B^T - M||_F^2`` over ``B >= 0``,
-    at most ``_POLISH_ITERS`` steps."""
-    res = float(np.linalg.norm(b @ b.T - m))
-    step = 1.0 / max(1.0, 4.0 * float(np.linalg.norm(b.T @ b)))
-    for _ in range(_POLISH_ITERS):
-        if res <= tol:
-            break
-        grad = 4.0 * (b @ (b.T @ b) - m @ b)
-        trial = np.maximum(b - step * grad, 0.0)
-        trial_res = float(np.linalg.norm(trial @ trial.T - m))
-        if trial_res < res:
-            b, res = trial, trial_res
-            step *= 1.2
-        else:
-            step *= 0.5
-            if step < 1e-16:
-                break
-    return b, res

@@ -1,11 +1,12 @@
 """Interior-point solver for linear programs over one DNN matrix.
 
-A program is one symmetric PSD matrix, fixed entries, affine ``>=`` rows
-(added one matrix or one stack of matrices at a time) and a linear
-objective.  Its ``nonneg_mask`` asks for entrywise nonnegativity: each
-masked off-diagonal entry is one more ``>=`` row (the diagonal of a PSD
-matrix is nonnegative already).  A solved program returns the matrix as
-``SolveResult.block``.
+A program is one symmetric PSD matrix ``M``, fixed entries, affine ``>=``
+rows and a linear objective.  Each ``>=`` row is stored as the pair ``(u,
+v)`` of its outer product and reads ``u^T M v``, so it costs ``O(order)``,
+not ``O(order^2)``.  Its ``nonneg_mask`` asks for entrywise nonnegativity:
+each masked off-diagonal entry ``(r, c)`` is one more row, the pair ``(e_r,
+e_c)`` (the diagonal of a PSD matrix is nonnegative already).  A solved
+program returns the matrix as ``SolveResult.block``.
 
 The solver works in the free coordinates ``y``: the svec coordinates of the
 entries that are not fixed, so every ``v = v0 + N y`` (``v0`` the fixed
@@ -50,7 +51,8 @@ class ConicProgram:
     also be nonnegative (used when some coordinates of the underlying ground
     cone are free).  After construction it is always an array, all true when
     omitted.  ``equalities`` lists the fixed entries as ``(r, c, value)``
-    with ``r <= c``, in the order they were fixed.
+    with ``r <= c``, in the order they were fixed; ``U``, ``V`` and ``rhs``
+    hold the added ``>=`` rows ``U[k]^T M V[k] >= rhs[k]``.
     """
 
     def __init__(self, order: int, nonneg_mask=None):
@@ -65,21 +67,19 @@ class ConicProgram:
         self.order = order
         self.nonneg_mask = mask
         self.equalities: list[tuple[int, int, float]] = []
-        self.inequalities: list[tuple[np.ndarray, float]] = []
+        self.U, self.V, self.rhs = np.zeros((0, order)), np.zeros((0, order)), np.zeros(0)
         self._objective = np.zeros((order, order))
 
     # -- construction ---------------------------------------------------
 
-    def _matrix(self, mat, stack: bool = False) -> np.ndarray:
-        """``mat`` symmetrized, once its shape and entries are checked; with
-        ``stack`` it may also be a ``(k, order, order)`` stack of matrices."""
+    def _matrix(self, mat) -> np.ndarray:
+        """``mat`` symmetrized, once its shape and entries are checked."""
         m = np.asarray(mat, dtype=float)
-        o = self.order
-        if m.shape[-2:] != (o, o) or m.ndim not in ((2, 3) if stack else (2,)):
-            raise ValueError(f"matrix has shape {m.shape}, expected ({o}, {o})")
+        if m.shape != (self.order,) * 2:
+            raise ValueError(f"matrix has shape {m.shape}, expected {(self.order,) * 2}")
         if not np.isfinite(m).all():
             raise ValueError("matrix contains non-finite entries")
-        return 0.5 * (m + np.swapaxes(m, -1, -2))
+        return _sym(m)
 
     def fix(self, rows, cols, values) -> None:
         """Fix entry ``(r, c)``, and so ``(c, r)``, at ``value`` for each
@@ -104,15 +104,21 @@ class ConicProgram:
             raise ValueError(f"entry {twice} is fixed twice")
         self.equalities.extend(zip(lo.tolist(), hi.tolist(), v.tolist()))
 
-    def add_inequality(self, rhs: float, C) -> None:
-        """Append the constraint ``C . M >= rhs``, one row per matrix when
-        ``C`` is a ``(k, order, order)`` stack (one matrix is a stack of
-        one)."""
-        rhs = float(rhs)
-        if not np.isfinite(rhs):
-            raise ValueError("right-hand side must be finite")
-        Cs = self._matrix(C, stack=True).reshape(-1, self.order, self.order)
-        self.inequalities.extend((Ci, rhs) for Ci in Cs)
+    def add_inequality(self, rhs: float, U, V) -> None:
+        """Append the rows ``u_k^T M v_k >= rhs``, one per row ``u_k`` of
+        ``U`` and ``v_k`` of ``V``, ``(k, order)`` arrays (two vectors of
+        length ``order`` are one row).  Raises ``ValueError``, and changes
+        nothing, when the shapes differ or are not of that form or an entry
+        or ``rhs`` is not finite."""
+        rhs, U, V = float(rhs), np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+        o = self.order
+        if U.shape != V.shape or U.shape[-1:] != (o,) or U.ndim > 2:
+            raise ValueError(f"U and V have shapes {U.shape} and {V.shape}, "
+                             f"expected the same shape, ({o},) or (k, {o})")
+        if not (np.isfinite(rhs) and np.isfinite(U).all() and np.isfinite(V).all()):
+            raise ValueError("rhs, U and V must be finite")
+        self.U, self.V = np.vstack([self.U, U]), np.vstack([self.V, V])
+        self.rhs = np.r_[self.rhs, np.full(self.U.shape[0] - self.rhs.size, rhs)]
 
     def set_objective(self, C) -> None:
         self._objective = self._matrix(C)
@@ -123,29 +129,25 @@ class ConicProgram:
     def num_vars(self) -> int:
         return self.order**2
 
-    def _entry_rows(self, r, c) -> np.ndarray:
-        """Row k reads entry ``(r[k], c[k])`` off the vectorized matrix."""
-        E = np.zeros((len(r), self.num_vars))
-        k = np.arange(len(r))
-        np.add.at(E, (k, r * self.order + c), 0.5)
-        np.add.at(E, (k, c * self.order + r), 0.5)
-        return E
-
     def constraint_matrix(self):
         """Dense ``(A, b)`` of the fixed entries, ``A v = b`` in the
         vectorized matrix ``v``, for the residual checks and the polish."""
         fixed = np.array(self.equalities, dtype=float).reshape(-1, 3)
         r, c = fixed[:, :2].T.astype(int)
-        return self._entry_rows(r, c), fixed[:, 2]
+        A = np.zeros((len(r), self.num_vars))
+        k = np.arange(len(r))
+        np.add.at(A, (k, r * self.order + c), 0.5)
+        np.add.at(A, (k, c * self.order + r), 0.5)
+        return A, fixed[:, 2]
 
-    def inequality_matrix(self):
-        """Dense ``(L, h)`` of the ``>=`` rows ``L v >= h``: the added rows,
-        then one row per masked entry ``(r, c)``, ``r < c``, in row-major
-        order."""
-        L = np.reshape([C for C, _ in self.inequalities], (-1, self.num_vars))
+    def inequality_pairs(self):
+        """``(U, V, h)`` of every ``>=`` row ``U[k]^T M V[k] >= h[k]``: the
+        added rows, then the pair ``(e_r, e_c)`` of each masked entry ``(r,
+        c)``, ``r < c``, in row-major order."""
         r, c = np.nonzero(np.triu(self.nonneg_mask, 1))
-        return (np.vstack([L, self._entry_rows(r, c)]),
-                np.r_[[rhs for _, rhs in self.inequalities], np.zeros(r.size)])
+        eye = np.eye(self.order)
+        return (np.vstack([self.U, eye[r]]), np.vstack([self.V, eye[c]]),
+                np.r_[self.rhs, np.zeros(r.size)])
 
     def objective_vector(self) -> np.ndarray:
         return self._objective.reshape(-1)
@@ -191,22 +193,44 @@ class SolveResult:
 
 
 class _Data(NamedTuple):
-    """The rows ``A v = b`` of the fixed entries, ``L v >= h`` and ``c``."""
+    """Fixed entries ``A v = b``, ``>=`` rows ``L v >= h`` as pairs ``(U, V)``, and ``c``."""
 
     A: np.ndarray
     b: np.ndarray
-    L: np.ndarray
+    U: np.ndarray
+    V: np.ndarray
     h: np.ndarray
     c: np.ndarray
 
 
 def _program_data(p: ConicProgram) -> _Data:
     A, b = p.constraint_matrix()
-    L, h = p.inequality_matrix()
-    d = _Data(A, b, L, h, p.objective_vector())
+    d = _Data(A, b, *p.inequality_pairs(), p.objective_vector())
     if not all(np.isfinite(x).all() for x in d):
         raise ValueError("program data contains non-finite values")
     return d
+
+
+def _row_values(d: _Data, v) -> np.ndarray:
+    """``L v``: the values ``U[k]^T M V[k]`` of the ``>=`` rows at the
+    symmetric matrix ``M`` of ``v``."""
+    return ((d.U @ v.reshape(d.U.shape[1], -1)) * d.V).sum(axis=1)
+
+
+def _rows_transpose(d: _Data, lam) -> np.ndarray:
+    """``L^T lam``: the matrix ``sym(U^T diag(lam) V)``, vectorized."""
+    return _sym(d.U.T @ (lam[:, None] * d.V)).reshape(-1)
+
+
+def _svec_rows(U, V, r, c) -> np.ndarray:
+    """The svec coefficients of the rows at the coordinates ``(r, c)``:
+    ``(u_r v_c + u_c v_r)`` times 1/2 on the diagonal, ``sqrt(1/2)`` off it."""
+    out = U[:, r] * V[:, c]
+    tmp = U[:, c]
+    tmp *= V[:, r]
+    out += tmp
+    out *= np.where(r == c, 0.5, np.sqrt(0.5))
+    return out
 
 
 def _primal_residuals(p: ConicProgram, d: _Data, v):
@@ -215,7 +239,7 @@ def _primal_residuals(p: ConicProgram, d: _Data, v):
     negative eigenvalue (checked ``sym_eigh``) and the violations of the
     ``>=`` rows."""
     eq = float(np.abs(d.A @ v - d.b).max(initial=0.0))
-    cone = float(np.max(d.h - d.L @ v, initial=0.0))
+    cone = float(np.max(d.h - _row_values(d, v), initial=0.0))
     w, _ = jacobi_eigh(v.reshape(p.order, p.order))
     return eq, max(cone, -float(w[0]))
 
@@ -224,7 +248,7 @@ def _dual_residual(d: _Data, nu, lam, Z) -> float:
     """Dual residual of the multipliers ``nu`` (fixed entries) and ``lam``
     (``>=`` rows) with PSD part ``Z``: the largest entry of ``c + A^T nu -
     L^T lam - Z`` or negative entry of ``lam``."""
-    r = d.c + d.A.T @ nu - d.L.T @ lam - Z.reshape(-1)
+    r = d.c + d.A.T @ nu - _rows_transpose(d, lam) - Z.reshape(-1)
     return max(float(np.abs(r).max()), float(np.max(-lam, initial=0.0)))
 
 
@@ -312,12 +336,14 @@ class _FreeForm:
         v0 = np.zeros(T.shape[1])
         v0[self.fixed] = d.b / self.weight
         tol = 1e-6 * max(1.0, float(np.abs(d.b).max(initial=0.0)))
-        Ls = d.L @ T
-        # ``take`` keeps G row-major; a column-major G (what ``Ls[:, free]``
-        # gives) would sum the row norms below in another order.
-        G, g0 = Ls.take(self.free, axis=1), Ls @ v0 - d.h
+        # The rows' svec coefficients at the free coordinates, G, and at the
+        # fixed ones, which are constant.
+        ri, ci = np.triu_indices(p.order)
+        G = _svec_rows(d.U, d.V, ri[self.free], ci[self.free])
+        Gf = _svec_rows(d.U, d.V, r, c)
+        g0 = Gf @ v0[self.fixed] - d.h
         norms = np.linalg.norm(G, axis=1)
-        const = norms <= 1e-9 * np.linalg.norm(Ls, axis=1)
+        const = norms <= 1e-9 * np.hypot(norms, np.linalg.norm(Gf, axis=1))
         violated = np.flatnonzero(const & (g0 < -tol))
         if violated.size:
             j = violated[0]
@@ -326,7 +352,11 @@ class _FreeForm:
                 "by the equalities", {"cone": float(-g0[j])})
         self.rows, self.row_scale = np.flatnonzero(~const), 1.0 / norms[~const]
         self.T, self.v0, self.d = T, v0, d
-        self.A = -np.vstack([T[:, self.free], G[self.rows] * self.row_scale[:, None]]).T
+        G = G[self.rows]
+        G *= self.row_scale[:, None]
+        # Negated in place: A is the largest array the program holds.
+        A = np.vstack([T[:, self.free], G])
+        self.A = np.negative(A, out=A).T
         self.b = -(T.T @ d.c)[self.free]
         self.c = np.r_[T @ v0, g0[self.rows] * self.row_scale]
         # ``u[:k]`` is the PSD matrix, entry by entry, and ``u[k:]`` the
@@ -346,17 +376,17 @@ class _FreeForm:
         d, k = self.d, self.k
         lam = np.zeros(d.h.size)
         lam[self.rows] = u[k:] * self.row_scale
-        nu = (self.T.T @ (u[:k] + d.L.T @ lam - d.c))[self.fixed] / self.weight
+        nu = (self.T.T @ (u[:k] + _rows_transpose(d, lam) - d.c))[self.fixed] / self.weight
         s = self.v0.copy()
         s[self.free] = y
         return self.T @ s, nu, lam, u[:k].reshape(self.order, self.order)
 
 
 def _row_name(p, j):
-    """Row ``j`` of :meth:`ConicProgram.inequality_matrix`, in words."""
-    if j < len(p.inequalities):
+    """Row ``j`` of :meth:`ConicProgram.inequality_pairs`, in words."""
+    if j < p.rhs.size:
         return f"inequality row {j}"
-    r, c = np.argwhere(np.triu(p.nonneg_mask, 1))[j - len(p.inequalities)]
+    r, c = np.argwhere(np.triu(p.nonneg_mask, 1))[j - p.rhs.size]
     # ``cppc complete`` prints this wording and the README quotes it.
     return f"entry ({r}, {c}) of block 0"
 
@@ -569,7 +599,8 @@ def _detect_faces(p, d, v, theta):
     scale_v = max(1.0, float(np.abs(v).max()))
     w, q = jacobi_eigh(v.reshape(p.order, p.order))
     keep = w > theta * max(float(w.max(initial=0.0)), 1e-3)
-    return q[:, keep] * np.sqrt(np.maximum(w[keep], 0.0)), d.L @ v - d.h <= theta * scale_v
+    active = _row_values(d, v) - d.h <= theta * scale_v
+    return q[:, keep] * np.sqrt(np.maximum(w[keep], 0.0)), active
 
 
 def _gauss_newton(residual, jacobian, x, scale):
@@ -655,7 +686,10 @@ def _kkt_refine(d, R, active, nu, lam):
     interior-point multipliers ``(nu, lam)``; returns the polished point,
     its multipliers ``(nu, lam)`` and their dual residual."""
     m = d.b.size
-    A, b = np.vstack([d.A, d.L[active]]), np.r_[d.b, d.h[active]]
+    # The active rows as dense rows vec(sym(u v^T)), under the fixed entries'.
+    uv = d.U[active, :, None] * d.V[active, None, :]
+    rows = 0.5 * (uv + uv.transpose(0, 2, 1))
+    A, b = np.vstack([d.A, rows.reshape(len(uv), d.c.size)]), np.r_[d.b, d.h[active]]
     joint = _JointFace(A, b, d.c, *R.shape)
     scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(np.abs(d.c).max()))
     # Start at the detected factor and the interior-point multipliers.

@@ -291,7 +291,7 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     shared pair, for every ``G``.
 
     The remaining entries that must be nonnegative are ``>=`` rows on
-    ``G``, added as one stack: with a shared constraint whose dropped
+    ``G``, given as pairs: with a shared constraint whose dropped
     coordinate lies in an orthant, that coordinate's row of ``C``; then, on
     each orthant arm, the entries ``(C w_i)_r`` of its arm row for r = 0 and
     every orthant coordinate.  Diagonal entries such as ``Y_i = w_i^T C
@@ -308,13 +308,13 @@ def build_general_relaxation(gi: GeneralInstance) -> ConicProgram:
     prog.fix(0, 0, 1.0)
     orthant_coords = np.flatnonzero(pattern[0])
     # Entry (j, r) of C is Q_0[j] G Q_0[r]^T, and entry r of arm i's row is
-    # L[i, r] G L[i, n+1]^T: each row is the stack of those outer products.
-    rows = [Q0[j][None, :, None] * Q0[np.setdiff1d(orthant_coords, j)][:, None, :]
-            for j in np.setdiff1d(orthant_coords, keep)]
+    # L[i, r] G L[i, n+1]^T: each row is the pair of those two vectors.
+    for j in np.setdiff1d(orthant_coords, keep):
+        others = Q0[np.setdiff1d(orthant_coords, j)]
+        prog.add_inequality(0.0, np.broadcast_to(Q0[j], others.shape), others)
     arms = lifts[data.arm_kinds == cones.ORTHANT]
-    rows.append((arms[:, orthant_coords, :, None] * arms[:, n + 1][:, None, None, :])
-                .reshape(-1, k, k))
-    prog.add_inequality(0.0, np.concatenate(rows))
+    prog.add_inequality(0.0, arms[:, orthant_coords].reshape(-1, k),
+                        np.repeat(arms[:, n + 1], orthant_coords.size, axis=0))
     corner = np.zeros((n + 1, n + 1))
     corner[xs, xs] = gi.A.array
     corner[0, xs] = gi.a / 2.0
@@ -341,9 +341,8 @@ def build_dense_reformulation(qp: QPInstance) -> ConicProgram:
     """
     prog = build_general_relaxation(_row_instance(qp))
     _, _, lifts = _lifts(qp.data)
-    arm_rows = lifts[:, -1]
     i, j = np.triu_indices(qp.m, 1)
-    prog.add_inequality(0.0, arm_rows[i, :, None] * arm_rows[j, None, :])
+    prog.add_inequality(0.0, lifts[i, -1], lifts[j, -1])
     return prog
 
 

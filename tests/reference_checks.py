@@ -11,12 +11,15 @@ vectorized ``check_cond_iii``; ``fit_alpha_w_by_block`` fits certificate A's
 per-row blocks one row at a time, the reference for the stack of
 ``qp_relax.extract_solution``; ``block_residuals_by_arm`` evaluates the
 completion's block equations one arm at a time, the reference for the
-stacked ``completion._block_residuals``; ``row_program_residuals``
-evaluates a point on a program posed with general equality rows, which
-``ConicProgram`` (fixed entries only) does not hold; ``kernel_vectors``
-lists a matrix's kernel the way the certificates measure it; ``arm_block``
-builds an arm's fully specified block from the pieces of a width-one
-partial matrix, the reference for the zero-filled matrix and the stack of
+stacked ``completion._block_residuals``; ``dense_rows`` writes ``>=``
+rows given as outer-product pairs as dense rows ``vec(sym(u v^T))``, one
+pair at a time, the reference for the pair arithmetic of ``conic_solver``;
+``row_program_residuals`` evaluates a point on a program posed with general
+equality rows, which ``ConicProgram`` (fixed entries only) does not hold;
+``kernel_vectors`` lists a matrix's kernel the way the certificates
+measure it; ``arm_block`` builds an arm's fully specified block from the
+pieces of a width-one partial matrix, the reference for the zero-filled
+matrix and the stack of
 ``CompletionProblem.blocks``; ``cone_contains_by_factor`` and
 ``interior_dual_contains_by_factor`` walk a ground cone's factors, the
 references for the coordinate-kind masks of ``cones``.  The library's decision procedures never
@@ -302,6 +305,18 @@ def block_residuals_by_arm(pm, data: ConstraintData):
     return per_arm, (float(f0 @ x - d0), float(f0 @ X @ f0 - d0 * d0))
 
 
+def dense_rows(U, V) -> np.ndarray:
+    """The rows ``vec(sym(u v^T))`` of the pairs ``(U[k], V[k])``, one pair
+    at a time: row k pairs with the vectorized matrix ``M`` as ``u^T M v``
+    does for a symmetric ``M``."""
+    o = np.shape(U)[-1]
+    L = np.zeros((len(U), o * o))
+    for k, (u, v) in enumerate(zip(U, V)):
+        C = np.outer(u, v)
+        L[k] = (0.5 * (C + C.T)).reshape(-1)
+    return L
+
+
 def row_program_residuals(prog, A, b, X) -> dict:
     """The residuals ``conic_solver.kkt_residuals`` reports, of the matrix
     ``X`` on the equality rows ``A v = b`` and on ``prog``'s ``>=`` rows,
@@ -310,7 +325,8 @@ def row_program_residuals(prog, A, b, X) -> dict:
     ``>=`` rows' violations, and the objective value."""
     X = np.asarray(X, dtype=float)
     v = X.reshape(-1)
-    L, h = prog.inequality_matrix()
+    U, V, h = prog.inequality_pairs()
+    L = dense_rows(U, V)
     w, _ = sym_eigh(X)
     return {
         "equality": float(np.abs(A @ v - b).max(initial=0.0)),

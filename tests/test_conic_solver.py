@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from cppc.conic_solver import (
 )
 from cppc.oracles import lp_maximize_standard, lp_minimize_standard
 from cppc.qp_relax import build_dense_reformulation, build_sparse_relaxation
+from reference_checks import dense_rows
 
 ONE = np.array([[1.0]])
 
@@ -25,13 +28,13 @@ def diagonal_lp(cost, G, h):
     """The LP ``min cost.x  s.t.  G x >= h,  x >= 0`` as one program: ``x``
     is the diagonal of the PSD matrix, whose off-diagonal entries are fixed
     at 0 (a diagonal matrix is PSD exactly when its diagonal is
-    nonnegative)."""
+    nonnegative), and row ``g`` is the pair ``(g, 1)``: ``g^T M 1 = g.x``."""
     n = len(cost)
     p = ConicProgram(n)
     r, c = np.triu_indices(n, 1)
     p.fix(r, c, np.zeros(r.size))
     for g, rhs in zip(G, h):
-        p.add_inequality(rhs, np.diag(g))
+        p.add_inequality(rhs, g, np.ones(n))
     p.set_objective(np.diag(cost))
     return p
 
@@ -110,7 +113,7 @@ class TestSolveBasics:
         with pytest.raises(ValueError):
             p.fix(0, 0, float("nan"))
         with pytest.raises(ValueError):
-            p.add_inequality(float("nan"), ONE)
+            p.add_inequality(float("nan"), ONE[0], ONE[0])
 
     def test_inconsistent_equalities(self):
         # Two values for one entry are refused when the second is fixed, so
@@ -212,16 +215,18 @@ class TestAgainstVertexEnumeration:
 
 class TestScalingAndDeflation:
     def test_scaling_invariance(self, qp_two_constraints):
-        # Rescaling each ``>=`` row by 10^U(-3, 3) (positive factors) leaves
-        # the program's feasible set, and so its optimum, unchanged.
+        # Rescaling each ``>=`` row by 10^U(-3, 3) (positive factors), as the
+        # pair ``(t u, v)``, leaves the program's feasible set, and so its
+        # optimum, unchanged.
         ref = solve(build_sparse_relaxation(qp_two_constraints))
         assert ref.status == OPTIMAL
         for seed in range(6):
             rng = np.random.default_rng(seed)
             scaled = build_sparse_relaxation(qp_two_constraints)
-            rows, scaled.inequalities = scaled.inequalities, []
-            for (C, rhs), t in zip(rows, 10.0 ** rng.uniform(-3.0, 3.0, len(rows))):
-                scaled.add_inequality(t * rhs, t * C)
+            U, V, rhs = scaled.U, scaled.V, scaled.rhs
+            scaled.U, scaled.V, scaled.rhs = U[:0], V[:0], rhs[:0]
+            for u, v, b, t in zip(U, V, rhs, 10.0 ** rng.uniform(-3.0, 3.0, rhs.size)):
+                scaled.add_inequality(t * b, t * u, v)
             res = solve(scaled)
             assert res.status == OPTIMAL
             assert abs(ref.objective - res.objective) <= 10 * SolveOptions().tol_gap
@@ -238,9 +243,9 @@ def test_lp_enumeration_oracle_self_check():
 
 def face_program():
     """A PSD matrix of order 3, every off-diagonal entry masked, with three
-    random ``>=`` rows, four random dense equality rows ``(A, b)`` given to
-    the face system directly, and a hand-set face: a factor of rank 3, and
-    active ``>=`` rows 0 and 2 and row 4, entry (0, 2)."""
+    random ``>=`` rows (random pairs), four random dense equality rows ``(A,
+    b)`` given to the face system directly, and a hand-set face: a factor of
+    rank 3, and active ``>=`` rows 0 and 2 and row 4, entry (0, 2)."""
     rng = np.random.default_rng(3)
     p = ConicProgram(3)
 
@@ -251,7 +256,7 @@ def face_program():
     rows = [(rng.standard_normal(), coeff().reshape(-1)) for _ in range(4)]
     A, b = np.array([C for _, C in rows]), np.array([rhs for rhs, _ in rows])
     for _ in range(3):
-        p.add_inequality(float(rng.standard_normal()), coeff())
+        p.add_inequality(float(rng.standard_normal()), *rng.standard_normal((2, 3)))
     p.set_objective(coeff())
     active = np.zeros(6, dtype=bool)
     active[[0, 2, 4]] = True
@@ -261,7 +266,8 @@ def face_program():
 class TestFaceSystems:
     def test_joint_jacobian_matches_central_differences(self):
         p, A, b, rank, active, rng = face_program()
-        L, h = p.inequality_matrix()
+        U, V, h = p.inequality_pairs()
+        L = dense_rows(U, V)
         assert np.argwhere(np.triu(p.nonneg_mask, 1))[4 - 3].tolist() == [0, 2]
         joint = conic_solver._JointFace(
             np.vstack([A, L[active]]), np.r_[b, h[active]], p.objective_vector(), 3, rank
@@ -303,7 +309,8 @@ def dual_residual_at(lam, S1, Z1):
     mask = np.zeros((4, 4), dtype=bool)
     mask[:2, :2] = True
     p = ConicProgram(4, nonneg_mask=mask)
-    p.add_inequality(0.0, block_diag(np.zeros((2, 2)), E11))
+    e3 = np.eye(4)[3]
+    p.add_inequality(0.0, e3, e3)
     p.set_objective(
         block_diag(Z0 + lam[1] * E01 - 0.5 * np.eye(2), S1 + lam[0] * E11 - 0.5 * E00)
     )
@@ -403,7 +410,7 @@ def test_fixed_inequality_row_violation_is_infeasible():
     # on the free coordinates and fails.
     p = ConicProgram(2)
     p.fix([0, 0, 1], [0, 1, 1], [1.0, 0.0, 1.0])
-    p.add_inequality(2.0, np.diag([1.0, 0.0]))
+    p.add_inequality(2.0, [1.0, 0.0], [1.0, 0.0])
     res = solve(p)
     assert res.status == INFEASIBLE and res.iterations == 0
     assert res.diagnostics == "inequality row 0 is fixed at 1 < 2 by the equalities"
@@ -411,36 +418,51 @@ def test_fixed_inequality_row_violation_is_infeasible():
 
 class TestStackedInequalities:
     def test_stack_matches_rows_added_one_at_a_time(self):
-        stack = np.random.default_rng(3).standard_normal((5, 3, 3))
+        U, V = np.random.default_rng(3).standard_normal((2, 5, 3))
         one_by_one, stacked = ConicProgram(3), ConicProgram(3)
-        for C in stack:
-            one_by_one.add_inequality(0.5, C)
-        stacked.add_inequality(0.5, stack)
-        assert len(stacked.inequalities) == 5
-        L1, h1 = one_by_one.inequality_matrix()
-        L2, h2 = stacked.inequality_matrix()
-        assert np.array_equal(L1, L2) and np.array_equal(h1, h2)
+        for u, v in zip(U, V):
+            one_by_one.add_inequality(0.5, u, v)
+        stacked.add_inequality(0.5, U, V)
+        assert stacked.rhs.size == 5
+        for x, y in zip(one_by_one.inequality_pairs(), stacked.inequality_pairs()):
+            assert np.array_equal(x, y)
 
     def test_a_stack_of_one_is_one_row(self):
-        p = ConicProgram(2)
-        p.add_inequality(1.0, E01[None])
-        assert len(p.inequalities) == 1 and p.inequalities[0][0].shape == (2, 2)
+        for u, v in ((E01[0], E01[1]), (E01[:1], E01[1:])):
+            p = ConicProgram(2)
+            p.add_inequality(1.0, u, v)
+            assert p.rhs.tolist() == [1.0] and p.U.shape == p.V.shape == (1, 2)
 
     def test_bad_stack_raises_like_one_bad_matrix(self):
-        nan = np.eye(3)
-        nan[1, 2] = np.nan
-        for single, stack in ((np.zeros((3, 2)), np.zeros((4, 3, 2))),
-                              (nan, np.stack([np.eye(3), nan]))):
+        # A bad stack of pairs raises what one bad pair raises, with its own
+        # shape in the message, and the program keeps no row of either.
+        nan = np.ones(3)
+        nan[1] = np.nan
+        for single, stack in ((np.zeros(2), np.zeros((4, 2))),
+                              (nan, np.stack([np.ones(3), nan]))):
             p = ConicProgram(3)
             with pytest.raises(ValueError) as one:
-                p.add_inequality(0.0, single)
+                p.add_inequality(0.0, single, single)
             with pytest.raises(ValueError) as many:
-                p.add_inequality(0.0, stack)
+                p.add_inequality(0.0, stack, stack)
             assert str(many.value) == str(one.value).replace(str(single.shape), str(stack.shape))
-            assert p.inequalities == []
-        too_deep = r"matrix has shape \(2, 4, 3, 3\), expected \(3, 3\)"
-        with pytest.raises(ValueError, match=too_deep):
-            ConicProgram(3).add_inequality(0.0, np.zeros((2, 4, 3, 3)))
+            assert p.rhs.size == 0 and p.U.shape == p.V.shape == (0, 3)
+
+    @pytest.mark.parametrize("rhs, U, V, match", [
+        (0.0, np.ones(3), np.ones((1, 3)), r"shapes \(3,\) and \(1, 3\), expected the same"),
+        (0.0, np.ones((2, 3)), np.ones((3, 3)), r"shapes \(2, 3\) and \(3, 3\)"),
+        (0.0, np.ones((2, 4, 3)), np.ones((2, 4, 3)),
+         r"shapes \(2, 4, 3\) and \(2, 4, 3\), expected the same shape, \(3,\) or \(k, 3\)"),
+        (0.0, np.ones(()), np.ones(()), r"shapes \(\) and \(\), expected"),
+        (0.0, np.ones((2, 3)), np.full((2, 3), np.inf), "must be finite"),
+        (np.inf, np.ones(3), np.ones(3), "rhs, U and V must be finite"),
+    ], ids=["vector-and-stack", "stack-lengths", "too-deep", "scalar", "inf-entry", "inf-rhs"])
+    def test_bad_pairs_raise_and_add_nothing(self, rhs, U, V, match):
+        p = ConicProgram(3)
+        p.add_inequality(1.0, np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match=match):
+            p.add_inequality(rhs, U, V)
+        assert p.rhs.tolist() == [1.0] and p.U.shape == p.V.shape == (1, 3)
 
     def test_equalities_and_objective_take_one_matrix(self):
         # The objective is one matrix; fixed entries come as vectors, not
@@ -555,3 +577,43 @@ def test_one_factorization_per_iterate(monkeypatch):
     assert steps
     assert all(s["cholesky"] == 2 + s["failed"] for s in steps)
     assert all((s["inv"], s["eigvalsh"], s["kron"]) == (2, 2, 0) for s in steps)
+
+
+def test_pair_rows_match_dense_rows():
+    # Random pairs, one added alone, and the rows of a random mask: the svec
+    # coefficients, the row values L M and the transpose L^T lam read off
+    # the pairs match the dense rows vec(sym(u v^T)) of the reference.
+    rng = np.random.default_rng(11)
+    o = 6
+    mask = rng.random((o, o)) < 0.5
+    p = ConicProgram(o, nonneg_mask=mask | mask.T)
+    p.add_inequality(0.5, *rng.standard_normal((2, 7, o)))
+    p.add_inequality(-1.0, *rng.standard_normal((2, o)))
+    d = conic_solver._program_data(p)
+    L = dense_rows(d.U, d.V)
+    assert L.shape[0] == 8 + np.triu(mask | mask.T, 1).sum() > 8
+    G = rng.standard_normal((o, o))
+    M, lam = G + G.T, rng.standard_normal(L.shape[0])
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    r, c = np.triu_indices(o)
+    assert close(conic_solver._svec_rows(d.U, d.V, r, c), L @ conic_solver._svec_basis(o))
+    assert close(conic_solver._row_values(d, M), L @ M.reshape(-1))
+    assert close(conic_solver._rows_transpose(d, lam).reshape(-1), L.T @ lam)
+
+
+def test_compile_holds_no_dense_row_matrix():
+    # The rows are kept as pairs up to the loop's own matrix: building and
+    # compiling the n = m = 30 relaxation peaks under 35 MB (49 MB when the
+    # rows were order x order matrices stacked into a dense L and L T).
+    qp = baseline_qp(30, 30, 0)
+    tracemalloc.start()
+    try:
+        p = build_sparse_relaxation(qp)
+        conic_solver._FreeForm(p, conic_solver._program_data(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35e6

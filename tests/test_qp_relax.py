@@ -178,22 +178,22 @@ def assert_solves_per_row_program(gi, blocks, res):
 
 
 def counts(prog):
-    return prog.order, len(prog.inequalities), len(prog.equalities)
+    return prog.order, prog.rhs.size, len(prog.equalities)
 
 
 class TestBuilders:
     def test_rows_are_added_in_one_call_whatever_m(self, monkeypatch):
         # The sparse relaxation has 5 >= rows per row of F at n = 4, all
-        # added as one stack.
+        # added as one stack of pairs.
         calls = []
         add = ConicProgram.add_inequality
         monkeypatch.setattr(ConicProgram, "add_inequality",
-                            lambda self, rhs, C: calls.append(1) or add(self, rhs, C))
+                            lambda self, rhs, U, V: calls.append(1) or add(self, rhs, U, V))
         counted = []
         for m in (12, 40):
             calls.clear()
             prog = build_sparse_relaxation(baseline_qp(4, m, 0))
-            assert len(prog.inequalities) == 5 * m
+            assert prog.rhs.size == 5 * m
             counted.append(len(calls))
         assert counted[0] == counted[1] == 1
 
