@@ -29,7 +29,6 @@ from .conic_solver import (
     ConicProgram,
     SolveOptions,
     SolveResult,
-    face_polish,
     kkt_residuals,
     solve,
 )

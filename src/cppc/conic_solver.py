@@ -18,14 +18,9 @@ predictor-corrector) solves it with a Schur complement of order ``dim y``.
 Each step factors the primal matrix and the dual slack once, as one stack:
 one Cholesky and one inverse give ``Z^-1``, and one stacked eigensolve per
 direction gives its primal and dual step lengths.
-Its best point, primal and dual, is checked and returned, and ``solve``
-does nothing more.  The active-face polish (:func:`face_polish`, run by
-``qp_relax.exactness_report``) may start from that result: the rows near
-zero join the fixed entries' rows, and one Gauss-Newton solve of that face's
-KKT system runs per face guess; when none verifies, the checked iterate
-stands.  Residuals, dual feasibility and gap are always re-evaluated on the
-original data, with the fixed entries as dense rows, before a result is
-declared Optimal.
+Its best point, primal and dual, is returned once residuals, dual
+feasibility and gap are re-evaluated on the original data, with the fixed
+entries as dense rows; only a point that passes is declared Optimal.
 """
 
 from __future__ import annotations
@@ -131,7 +126,7 @@ class ConicProgram:
 
     def constraint_matrix(self):
         """Dense ``(A, b)`` of the fixed entries, ``A v = b`` in the
-        vectorized matrix ``v``, for the residual checks and the polish."""
+        vectorized matrix ``v``, for the residual checks."""
         fixed = np.array(self.equalities, dtype=float).reshape(-1, 3)
         r, c = fixed[:, :2].T.astype(int)
         A = np.zeros((len(r), self.num_vars))
@@ -157,9 +152,11 @@ class ConicProgram:
 class SolveOptions:
     """Acceptance tolerances and the interior-point iteration cap; the loop
     stops once its relative residuals and gap are below a thousandth of the
-    tightest tolerance, or when they stop improving.  ``solve`` ignores
-    ``polish``: ``qp_relax.exactness_report`` reads it as leave to run
-    :func:`face_polish` when its checks on the solved point prove nothing."""
+    tightest tolerance, or when they stop improving.
+
+    ``polish`` is read by nothing.  It named the active-face polish, which
+    is gone; the field stays only because callers outside this package
+    still pass ``polish=False``, and such a call must keep working."""
 
     tol_primal: float = 1e-7
     tol_dual: float = 1e-7
@@ -544,165 +541,6 @@ def _result(p, d, v, nu, lam, it, dual, diagnostics):
                  "dual_objective": dual_obj}
     return SolveResult(OPTIMAL, v.reshape(p.order, p.order).copy(), obj, residuals, it, nu, lam,
                        diagnostics)
-
-
-# -- active-face polishing -------------------------------------------------
-#
-# From the interior-point iterate, guess the optimal face (numerical rank of
-# the matrix, ``>=`` rows near zero), then run one Gauss-Newton solve of the
-# face's KKT system, with the active rows as equalities, in the primal
-# factor ``M = R R^T`` and the multipliers, started from the loop's own
-# primal and dual point.  Sign constraints are not part of that system: a
-# candidate pair is accepted only after an exact KKT verification (primal
-# residuals with every ``>=`` row, the dual residual of the PSD part of the
-# slack and of the row multipliers' signs, the gap), so acceptance
-# never depends on the face guess being right; by convexity a verified pair
-# is optimal.
-
-_POLISH_THRESHOLDS = (1e-3, 1e-4, 1e-5)
-
-
-def face_polish(p: ConicProgram, res: SolveResult) -> SolveResult:
-    """The active-face polish of the result ``res`` of ``solve(p)``: the
-    first face guess, over ``_POLISH_THRESHOLDS``, whose polished point
-    passes the verification, as an ``Optimal`` result whose diagnostics
-    start with "face polish accepted at threshold"; else ``res`` itself.
-    An ``Infeasible`` result has no iterate and comes back as it is."""
-    if res.status == INFEASIBLE:
-        return res
-    d = _program_data(p)
-    v, nu, lam = res.block.reshape(-1), res.eq_multipliers, res.ineq_multipliers
-    scale_b = 1.0 + float(np.abs(d.b).max(initial=0.0))
-    scale_c = 1.0 + float(np.abs(d.c).max())
-    for theta in _POLISH_THRESHOLDS:
-        try:
-            vp, nu_p, lam_p, dual = _kkt_refine(d, *_detect_faces(p, d, v, theta), nu, lam)
-        except np.linalg.LinAlgError:
-            # A failed factorization (e.g. an SVD in lstsq that does not
-            # converge) rejects this attempt like a failed verification.
-            continue
-        result = _result(p, d, vp, nu_p, lam_p, res.iterations, dual,
-                         f"face polish accepted at threshold {theta:g}")
-        r = result.residuals
-        if (
-            r["equality"] <= 1e-9 * scale_b
-            and r["cone"] <= 1e-9 * max(1.0, float(np.abs(vp).max()))
-            and r["gap_relative"] <= 1e-7
-            and dual <= 1e-9 * scale_c
-        ):
-            return result
-    return res
-
-
-def _detect_faces(p, d, v, theta):
-    """The factor of the guessed rank, and the active ``>=`` rows."""
-    scale_v = max(1.0, float(np.abs(v).max()))
-    w, q = jacobi_eigh(v.reshape(p.order, p.order))
-    keep = w > theta * max(float(w.max(initial=0.0)), 1e-3)
-    active = _row_values(d, v) - d.h <= theta * scale_v
-    return q[:, keep] * np.sqrt(np.maximum(w[keep], 0.0)), active
-
-
-def _gauss_newton(residual, jacobian, x, scale):
-    """Gauss-Newton with a halving line search; stops at residual 1e-14 *
-    ``scale`` or when no step lowers the residual.  Singular values below
-    1e-8 of the largest are cut: near the face they belong to its flat
-    directions (rotations of the factors, an optimal face of dimension
-    above zero), and steps along them would walk the point across the
-    face."""
-    F = residual(x)
-    fnorm = float(np.abs(F).max()) if F.size else 0.0
-    for _ in range(20):
-        if fnorm <= 1e-14 * scale:
-            break
-        step, *_ = np.linalg.lstsq(jacobian(x), -F, rcond=1e-8)
-        alpha = 1.0
-        for _ls in range(8):
-            xt = x + alpha * step
-            Ft = residual(xt)
-            ft = float(np.abs(Ft).max()) if Ft.size else 0.0
-            if ft < fnorm:
-                x, F, fnorm = xt, Ft, ft
-                break
-            alpha *= 0.5
-        else:
-            break
-    return x
-
-
-class _JointFace:
-    """Face-restricted KKT system for Gauss-Newton on the rows ``A v = b``
-    (the fixed entries' rows with the active ``>=`` rows under them).
-
-    Unknowns ``x``: the factor ``R`` (fixed rank, row major) of the matrix
-    ``M = R R^T``, then one multiplier ``mu`` per row.  Rows: ``A v - b``
-    and ``S R`` with ``S`` the matrix of ``c + A^T mu``.  An active row's
-    ``>=`` multiplier is ``-mu``.
-    """
-
-    def __init__(self, A, b, c, order, rank):
-        self.A, self.b, self.c, self.order, self.rank = A, b, c, order, rank
-        self.R = slice(order * rank)
-        self.mu = slice(order * rank, order * rank + A.shape[0])
-        self.num_params = self.mu.stop
-
-    def factor(self, x):
-        return x[self.R].reshape(self.order, self.rank)
-
-    def vector(self, x):
-        """The point ``v`` of the face parametrized by ``x``."""
-        R = self.factor(x)
-        return (R @ R.T).reshape(-1)
-
-    def slack(self, x):
-        """The symmetrized matrix of ``c + A^T mu``."""
-        s = self.c + self.A.T @ x[self.mu]
-        return _sym(s.reshape(self.order, self.order))
-
-    def residual(self, x):
-        return np.concatenate([self.A @ self.vector(x) - self.b,
-                               (self.slack(x) @ self.factor(x)).reshape(-1)])
-
-    def jacobian(self, x):
-        A = self.A
-        m = A.shape[0]
-        o, r = self.order, self.rank
-        J = np.zeros((m + o * r, self.num_params))
-        A3 = A.reshape(m, o, o)
-        # sym(A_k) R is the derivative of A_k . R R^T (times 2) and the
-        # coefficient of mu_k in S R.
-        AR = ((0.5 * (A3 + A3.transpose(0, 2, 1))) @ self.factor(x)).reshape(m, o * r)
-        J[:m, self.R] = 2.0 * AR
-        # Entry (i, j) of S R has d/dR[a, j] = S[i, a]: the rows of
-        # kron(S, I_r), written without multiplying by the zeros of I_r.
-        i, a, jj = np.ix_(np.arange(o), np.arange(o), np.arange(r))
-        J[m + i * r + jj, a * r + jj] = self.slack(x)[:, :, None]
-        J[m:, self.mu] = AR.T
-        return J
-
-
-def _kkt_refine(d, R, active, nu, lam):
-    """One Gauss-Newton solve of the face KKT system, started from the
-    interior-point multipliers ``(nu, lam)``; returns the polished point,
-    its multipliers ``(nu, lam)`` and their dual residual."""
-    m = d.b.size
-    # The active rows as dense rows vec(sym(u v^T)), under the fixed entries'.
-    uv = d.U[active, :, None] * d.V[active, None, :]
-    rows = 0.5 * (uv + uv.transpose(0, 2, 1))
-    A, b = np.vstack([d.A, rows.reshape(len(uv), d.c.size)]), np.r_[d.b, d.h[active]]
-    joint = _JointFace(A, b, d.c, *R.shape)
-    scale = 1.0 + max(float(np.abs(b).max(initial=0.0)), float(np.abs(d.c).max()))
-    # Start at the detected factor and the interior-point multipliers.
-    x = _gauss_newton(joint.residual, joint.jacobian, np.r_[R.reshape(-1), nu, -lam[active]], scale)
-    mu = x[joint.mu]
-    lam = np.zeros(d.h.size)
-    lam[active] = -mu[m:]
-    return joint.vector(x), mu[:m], lam, _dual_residual(d, mu[:m], lam, _psd_part(joint.slack(x)))
-
-
-def _psd_part(S):
-    w, q = jacobi_eigh(S)
-    return (q * np.maximum(w, 0.0)) @ q.T
 
 
 def kkt_residuals(p: ConicProgram, X):

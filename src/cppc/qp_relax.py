@@ -20,7 +20,7 @@ upper bound.  Exactness can be certified ex post by rank-one blocks, by
 matching bounds, or by kernel vectors of the blocks or of the northwest
 block together with row multipliers.  Since ``P_i k = 0``, each block has
 the rank of ``C`` and the kernel of ``C`` plus the line of ``k``, so these
-checks read the spectrum of ``C`` alone; their evidence is re-verified on
+checks read ``C`` and its spectrum alone; their evidence is re-verified on
 the returned blocks.
 """
 
@@ -44,7 +44,6 @@ from .conic_solver import (
     ConicProgram,
     SolveOptions,
     SolveResult,
-    face_polish,
     solve,
 )
 from .matrix_core import SymMatrix
@@ -216,11 +215,8 @@ class RelaxationSolution:
 
 @dataclass
 class ExactnessReport:
-    """The bounds, the checks that ran and the verdict.  ``polish`` says what
-    the face polish did: "off", "not needed: proven without it", "accepted
-    at threshold θ" (the report is on the polished point) or "rejected"
-    (no face guess verified; the report is on the interior-point
-    iterate)."""
+    """The bounds, the checks that ran and the verdict, all read off the
+    one interior-point solution of the relaxation."""
 
     lower: float
     upper: Optional[float]
@@ -231,7 +227,6 @@ class ExactnessReport:
     proven_by: list = field(default_factory=list)
     diagnostics: str = ""
     solution: Optional[RelaxationSolution] = None
-    polish: str = "off"
 
 
 def _row_instance(qp: QPInstance) -> GeneralInstance:
@@ -381,25 +376,25 @@ def _kernel_mask(w: np.ndarray, tol: float) -> np.ndarray:
 def certificate_b(qp: QPInstance, sol: RelaxationSolution):
     """Kernel-vector certificate on the northwest block.
 
-    One LP (:func:`_kernel_direction`) finds a kernel direction ``(-1, u)``
-    that gives every row a multiplier within its bound, whatever the
-    kernel's basis.  Then ``u`` must lie in the dual-cone interior and every
-    row admits a multiplier: the smallest is ``gamma_i = max(0, max_j F_ij /
-    u_j)``, since ``u`` has no free coordinate.  All returned evidence
-    re-verifies against the data.  Also reports whether the feasible polytope was
-    verified bounded (the test is one-directional otherwise).
+    When the corner has a kernel, one LP (:func:`_kernel_direction`) finds
+    a direction ``(-1, u)`` that passes the kernel re-check below and gives
+    every row a multiplier within its bound.  Then ``u`` must lie in the
+    dual-cone interior and every row admits a multiplier: the smallest is
+    ``gamma_i = max(0, max_j F_ij / u_j)``, since ``u`` has no free
+    coordinate.  All returned evidence re-verifies against the data.  Also
+    reports whether the feasible polytope was verified bounded (the test is
+    one-directional otherwise).
     """
     nw = sol.corner
-    w, v = sol.spectrum
-    kernel = _kernel_mask(w, KERNEL_TOL)
-    vec = _kernel_direction(qp, v[:, ~kernel]) if kernel.any() else None
+    kernel = _kernel_mask(sol.spectrum[0], KERNEL_TOL)
+    vec = _kernel_direction(qp, nw) if kernel.any() else None
     if vec is None:
         return None
     u = vec[1:]
     if not interior_dual_contains(qp.K, u):
         return None
-    scale = max(1.0, float(np.abs(nw).max()))
-    if np.abs(nw @ vec).max() > 10.0 * KERNEL_TOL * scale * max(1.0, float(np.abs(vec).max())):
+    residual = float(np.abs(nw @ vec).max())
+    if residual > _kernel_bound(nw, float(np.abs(vec).max())):
         return None
     gammas = (qp.F / u).max(axis=1, initial=0.0)
     # Exact re-verification of the evidence.
@@ -411,34 +406,45 @@ def certificate_b(qp: QPInstance, sol: RelaxationSolution):
         "u": u,
         "gamma": gammas,
         "kernel_vector": vec,
-        "kernel_residual": float(np.abs(nw @ vec).max()),
+        "kernel_residual": residual,
         "polytope_bounded": _polytope_bounded(qp),
     }
 
 
-def _kernel_direction(qp: QPInstance, N: np.ndarray):
-    """A vector ``v = (-1, u)`` orthogonal to the columns of ``N``, the
-    corner's eigenvectors outside its kernel, with ``(d_i + 5e-10) u_j >=
-    F_ij`` for every row with ``d_i > 0`` (half the slack that the re-check
-    of ``gamma_i <= d_i`` allows) and ``u_j >= 1e-6``; None when there is
-    none or the ground cone is not an orthant.
+def _kernel_bound(C: np.ndarray, vmax: float) -> float:
+    """Certificate B's bound on ``|C v|`` for a vector ``v`` whose largest
+    entry is ``vmax`` in absolute value."""
+    return 10.0 * KERNEL_TOL * max(1.0, float(np.abs(C).max())) * max(1.0, vmax)
 
-    The rows give ``u = lower + s`` with ``s >= 0``, so the LP has one row
-    per column of ``N``.  It minimizes the sum of ``s``, which depends on
-    the kernel alone, not on the basis its eigenvectors happen to span it
-    with.
+
+def _kernel_direction(qp: QPInstance, C: np.ndarray):
+    """A vector ``v = (-1, u)`` whose residual ``|C v|`` on the corner ``C``
+    is within the re-check bound of :func:`certificate_b`, with ``(d_i +
+    5e-10) u_j >= F_ij`` for every row with ``d_i > 0`` (half the slack that
+    the re-check of ``gamma_i <= d_i`` allows) and ``u_j >= 1e-6``; None
+    when there is none or the ground cone is not an orthant.
+
+    The rows give ``u = lower + s`` with ``s >= 0``.  The bound's
+    ``max|v|`` is taken at ``lower``, which can only tighten it, so ``|C
+    v| <= bound`` is two rows per entry, each with a slack.  The LP
+    minimizes the sum of ``s``; it reads the corner, not its eigenbasis.
     """
     if not qp.K.is_orthant_like():
         return None
     rows = qp.d > 0.0
     lower = (qp.F[rows] / (qp.d[rows, None] + 5e-10)).max(axis=0, initial=1e-6)
+    bound = _kernel_bound(C, float(lower.max()))
+    # C[:, 1:] s + C[:, 1:] lower - C[:, 0] lies in [-bound, bound].
+    r0, o = C[:, 1:] @ lower - C[:, 0], C.shape[0]
+    A = np.block([[C[:, 1:], np.eye(o), np.zeros((o, o))],
+                  [-C[:, 1:], np.zeros((o, o)), np.eye(o)]])
     try:
-        res = lp.solve(np.ones(qp.n), N[1:].T, N[0] - N[1:].T @ lower)
+        res = lp.solve(np.r_[np.ones(qp.n), np.zeros(2 * o)], A, np.r_[bound - r0, bound + r0])
     except np.linalg.LinAlgError:
         return None
     if res.status != lp.OPTIMAL:
         return None
-    return np.r_[-1.0, lower + res.v]
+    return np.r_[-1.0, lower + res.v[:qp.n]]
 
 
 def _polytope_bounded(qp: QPInstance) -> bool:
@@ -522,29 +528,10 @@ def exactness_report(qp: QPInstance,
     relative, or either kernel certificate verifies; otherwise ``Unknown``
     (the checks are sound, not complete).
 
-    The relaxation is solved once (``solve`` never polishes) and checked at
-    that point.  With ``solver_opts.polish`` on (the default) the same
-    iterate is polished (:func:`face_polish`) only when that report is not
-    ``ProvenExact``, which includes every solve that is not ``Optimal``;
-    when the polish verifies, the checks run again on the polished point.
-    The report's ``polish`` field says which of these happened.
+    The relaxation is solved once and every check runs once, on the
+    checked interior-point iterate that ``solve`` returns.
     """
-    opts = solver_opts or SolveOptions()
-    prog = build_sparse_relaxation(qp)
-    res = solve(prog, opts)
-    report = _checked(qp, res)
-    if not opts.polish:
-        return report
-    if report.overall == PROVEN_EXACT:
-        report.polish = "not needed: proven without it"
-        return report
-    polished = face_polish(prog, res)
-    if polished is res:
-        report.polish = "rejected"
-        return report
-    report = _checked(qp, polished)
-    report.polish = polished.diagnostics.removeprefix("face polish ")
-    return report
+    return _checked(qp, solve(build_sparse_relaxation(qp), solver_opts))
 
 
 def _checked(qp: QPInstance, res: SolveResult) -> ExactnessReport:

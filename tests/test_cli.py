@@ -8,6 +8,7 @@ import pytest
 from cppc import completion, qp_relax
 from cppc.cli import RunConfig, dumps_json, main, parse_completion_problem, run
 from cppc.conic_solver import SolveOptions
+from cppc.qp_relax import QPInstance
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -323,6 +324,34 @@ def witnesses(command, report, problem_json):
     return []
 
 
+def face_values(command, report):
+    """Take the values that name one point of the relaxation's optimal face
+    out of a ``solve-qp`` report: ``(x_part, upper, kernel_residual, u)``,
+    the last two None without certificate B; None for other commands."""
+    if command != "solve-qp" or report.get("x_part") is None:
+        return None
+    cert = report["certificate_b"]
+    return (report.pop("x_part"), report.pop("upper"),
+            cert and cert.pop("kernel_residual"), cert and cert["u"])
+
+
+def assert_on_the_face(qp, lower, got, want):
+    """The optimal face need not be one point, and the solver returns some
+    point of it: ``x_part`` is feasible, ``upper`` is its objective and at
+    least ``lower``, both lie within 1e-4 of the recorded ones, and the
+    kernel residual passes certificate B's re-check."""
+    (x, upper, residual, u), (x_want, upper_want, *_) = got, want
+    assert qp.feasible(x)
+    assert np.abs(np.subtract(x, x_want)).max() <= 1e-4
+    assert (upper is None) == (upper_want is None)
+    if upper is not None:
+        assert upper == pytest.approx(qp.objective(x), rel=1e-12, abs=0.0)
+        assert upper >= lower and abs(upper - upper_want) <= 1e-4
+    if residual is not None:
+        # The re-check bound with the corner's scale at 1, its least value.
+        assert residual <= 10.0 * qp_relax.KERNEL_TOL * max(1.0, max(u))
+
+
 def assert_factors(B, M, tol):
     """``B >= 0`` and ``||B B^T - M||_F`` within the CP check's limit."""
     B, M = np.asarray(B), np.asarray(M)
@@ -334,7 +363,8 @@ def assert_factors(B, M, tol):
                          ids=lambda c: f"{c['command']}-{c['fixture']}")
 def test_default_output_matches_the_recorded_one(capsys, case):
     # A factor is not unique, so witness factors are re-verified, not
-    # compared.
+    # compared; nor is a point of a QP's optimal face, so it is re-verified
+    # and compared within a window.
     path = fixture(case["fixture"])
     code = run(RunConfig(command=case["command"], input_path=path))
     out = capsys.readouterr()
@@ -350,11 +380,20 @@ def test_default_output_matches_the_recorded_one(capsys, case):
             assert (B is None) == (B_want is None)
             if B is not None:
                 assert_factors(B, M, tol)
+        face, face_want = face_values(case["command"], got), face_values(case["command"], want)
+        assert (face is None) == (face_want is None)
+        if face is not None:
+            assert_on_the_face(QPInstance.from_json_dict(problem_json), got["lower"], face, face_want)
     assert_matches(got, want)
-    # Text outside the numbers exactly, the numbers as floats.
+    # Text outside the numbers exactly, the numbers as floats; the upper
+    # bound of solve-qp in the window of its face point.
     assert _NUMBER.split(out.err) == _NUMBER.split(case["stderr"])
-    numbers = [float(x) for x in _NUMBER.findall(out.err)]
-    assert all(map(_close, numbers, [float(x) for x in _NUMBER.findall(case["stderr"])]))
+    for g, w in zip(_NUMBER.finditer(out.err), _NUMBER.finditer(case["stderr"]), strict=True):
+        g, w, before = float(g.group()), float(w.group()), w.string[:w.start()]
+        if case["command"] == "solve-qp" and before.endswith("upper "):
+            assert abs(g - w) <= 1e-4
+        else:
+            assert _close(g, w)
 
 
 class TestJsonWriter:

@@ -12,8 +12,6 @@ from cppc.conic_solver import (
     OPTIMAL,
     ConicProgram,
     SolveOptions,
-    SolveResult,
-    face_polish,
     kkt_residuals,
     solve,
 )
@@ -83,22 +81,6 @@ class TestSolveBasics:
         assert "budget" in res.diagnostics
         assert res.iterations <= 2
 
-    def test_polish_factorization_failure_rejects_attempt(self, monkeypatch):
-        attempts = []
-
-        def failing_refine(*args):
-            attempts.append(args)
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(conic_solver, "_kkt_refine", failing_refine)
-        p = triangle_lp()
-        unpolished = solve(p)
-        res = face_polish(p, unpolished)
-        assert isinstance(res, SolveResult)
-        assert attempts
-        assert res is unpolished
-        assert "face polish" not in res.diagnostics
-
     def test_relaxation_value(self, qp_two_constraints):
         res = solve(build_sparse_relaxation(qp_two_constraints))
         assert res.status == OPTIMAL
@@ -138,19 +120,16 @@ class TestSolveBasics:
 
 
 class TestDiagnostics:
-    def test_polished_result_names_its_threshold(self):
-        p = triangle_lp()
-        res = face_polish(p, solve(p))
-        assert res.status == OPTIMAL
-        assert res.diagnostics.startswith("face polish accepted at threshold")
-
     def test_no_polish_never_mentions_it(self, qp_two_constraints):
-        # solve never polishes, whatever the option says.
-        for polish in (False, True):
-            for program in (triangle_lp(), build_sparse_relaxation(qp_two_constraints)):
-                res = solve(program, SolveOptions(polish=polish))
-                assert res.status == OPTIMAL
-                assert "face polish" not in res.diagnostics
+        # The polish field is read by nothing: both values give the same
+        # result, bit for bit, and neither mentions a polish.
+        for program in (triangle_lp(), build_sparse_relaxation(qp_two_constraints)):
+            on, off = (solve(program, SolveOptions(polish=polish)) for polish in (True, False))
+            assert on.status == OPTIMAL
+            assert on.diagnostics == off.diagnostics == "interior-point iterate accepted"
+            assert (on.objective, on.iterations, on.residuals) == (
+                off.objective, off.iterations, off.residuals)
+            assert np.array_equal(on.block, off.block)
 
 
 class TestProgramMask:
@@ -241,53 +220,6 @@ def test_lp_enumeration_oracle_self_check():
     assert np.allclose(v[:2], [1.0 / 3.0, 1.0 / 3.0], atol=1e-9)
 
 
-def face_program():
-    """A PSD matrix of order 3, every off-diagonal entry masked, with three
-    random ``>=`` rows (random pairs), four random dense equality rows ``(A,
-    b)`` given to the face system directly, and a hand-set face: a factor of
-    rank 3, and active ``>=`` rows 0 and 2 and row 4, entry (0, 2)."""
-    rng = np.random.default_rng(3)
-    p = ConicProgram(3)
-
-    def coeff():
-        g = rng.standard_normal((3, 3))
-        return g + g.T
-
-    rows = [(rng.standard_normal(), coeff().reshape(-1)) for _ in range(4)]
-    A, b = np.array([C for _, C in rows]), np.array([rhs for rhs, _ in rows])
-    for _ in range(3):
-        p.add_inequality(float(rng.standard_normal()), *rng.standard_normal((2, 3)))
-    p.set_objective(coeff())
-    active = np.zeros(6, dtype=bool)
-    active[[0, 2, 4]] = True
-    return p, A, b, 3, active, rng
-
-
-class TestFaceSystems:
-    def test_joint_jacobian_matches_central_differences(self):
-        p, A, b, rank, active, rng = face_program()
-        U, V, h = p.inequality_pairs()
-        L = dense_rows(U, V)
-        assert np.argwhere(np.triu(p.nonneg_mask, 1))[4 - 3].tolist() == [0, 2]
-        joint = conic_solver._JointFace(
-            np.vstack([A, L[active]]), np.r_[b, h[active]], p.objective_vector(), 3, rank
-        )
-        x = rng.standard_normal(joint.num_params)
-        J = joint.jacobian(x)
-        # Rows: 4 equalities and 3 active rows, then S R (3 x 3).
-        assert J.shape == (joint.residual(x).size, joint.num_params) == (16, 16)
-        # The residual is quadratic in x, so central differences are exact
-        # up to rounding.
-        h = 1e-5
-        fd = np.column_stack(
-            [
-                (joint.residual(x + h * e) - joint.residual(x - h * e)) / (2 * h)
-                for e in np.eye(joint.num_params)
-            ]
-        )
-        assert np.allclose(J, fd, rtol=0.0, atol=1e-8)
-
-
 E01 = np.array([[0.0, 0.5], [0.5, 0.0]])
 E11 = np.diag([0.0, 1.0])
 
@@ -328,8 +260,8 @@ class TestDualResidual:
         assert dual_residual_at(self.lam, self.S1, self.S1) == 0.0
 
     def test_negative_eigenvalue_of_a_psd_slack(self):
-        S1 = np.diag([1.0, -0.25])
-        assert dual_residual_at(self.lam, S1, conic_solver._psd_part(S1)) == 0.25
+        # The PSD part of diag(1, -0.25) is S1 = diag(1, 0).
+        assert dual_residual_at(self.lam, np.diag([1.0, -0.25]), self.S1) == 0.25
 
     def test_negative_masked_entry(self):
         assert dual_residual_at((0.125, -0.25), self.S1, self.S1) == 0.25
@@ -348,22 +280,17 @@ class TestDualResidual:
         (build_dense_reformulation, (6, 6, 0)),
     ],
 )
-def test_polish_accepted_from_interior_point(build, size):
-    # Started from the interior-point multipliers, one Gauss-Newton solve
-    # per face guess verifies at the first threshold on these rungs.
+def test_interior_point_iterate_verifies_tightly(build, size):
+    # On these rungs the checked interior-point iterate is accurate well
+    # beyond the default tolerances: 1e-9 on the primal and dual residuals,
+    # 1e-7 on the relative gap.
     p = build(baseline_qp(*size))
-    res = face_polish(p, solve(p))
-    assert res.status == OPTIMAL
-    assert res.diagnostics == "face polish accepted at threshold 0.001"
-    assert res.residuals["dual"] <= 1e-9 * (1.0 + np.abs(p.objective_vector()).max())
-
-
-def test_polish_returns_an_infeasible_result_as_it_is():
-    p = ConicProgram(2)
-    p.fix(0, 1, -1.0)
     res = solve(p)
-    assert res.status == INFEASIBLE
-    assert face_polish(p, res) is res
+    assert res.status == OPTIMAL
+    assert res.diagnostics == "interior-point iterate accepted"
+    r = res.residuals
+    assert max(r["equality"], r["cone"]) <= 1e-9 and r["gap_relative"] <= 1e-7
+    assert r["dual"] <= 1e-9 * (1.0 + np.abs(p.objective_vector()).max())
 
 
 def test_schur_order_is_the_free_coordinate_count(monkeypatch, pm_three_arms):

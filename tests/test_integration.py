@@ -9,7 +9,8 @@ from cppc.completion import CERTIFIED, CompletionProblem, certify_completable, c
 from cppc.conditions import ConstraintData
 from cppc.cones import orthant
 from cppc.matrix_core import ArrowheadPattern, PartialMatrix, SymMatrix
-from cppc.qp_relax import certificate_b, exactness_report
+from cppc.conic_solver import OPTIMAL, SolveResult
+from cppc.qp_relax import certificate_b, extract_solution
 
 
 def partial_matrix_from_blocks(n, sol):
@@ -21,16 +22,26 @@ def partial_matrix_from_blocks(n, sol):
 
 
 def test_kernel_certificate_yields_explicit_completion(qp_two_constraints):
+    # The exact optimal face of the fixture: the mixture of the lifts of its
+    # two minimizers, (0, 1/2) and (1/2, 0).  A solver's point lies in that
+    # face only up to its accuracy, about 1e-5 on the blocks here, which is
+    # above the completion checks' tolerance.
     qp = qp_two_constraints
-    sol = exactness_report(qp).solution
+    v1, v2 = np.array([1.0, 0.0, 0.5]), np.array([1.0, 0.5, 0.0])
+    corner = 0.5 * (np.outer(v1, v1) + np.outer(v2, v2))
+    res = SolveResult(OPTIMAL, corner, -0.25, {}, 0, np.zeros(1), np.zeros(0))
+    sol = extract_solution(qp, res)
     cert = certificate_b(qp, sol)
     assert cert is not None
 
     pm = partial_matrix_from_blocks(qp.n, sol)
-    u = cert["u"]
-    # The certificate's direction defines the shared constraint u.x = 1;
-    # together with the relaxation rows it is the data under which the
-    # solution blocks satisfy every certification requirement.
+    # The certificate's direction, scaled so that its largest row multiplier
+    # is 1, defines the shared constraint u.x = 1; together with the
+    # relaxation rows it is the data under which the solution blocks satisfy
+    # every certification requirement.  (The certificate puts u at its lower
+    # bound F_ij / (d_i + 5e-10), so its multipliers exceed d_i by 5e-10:
+    # within the certificate's re-check, not within condition (iii)'s.)
+    u = cert["u"] * cert["gamma"].max()
     data = ConstraintData.build(
         orthant(qp.n),
         [orthant(1)] * qp.m,

@@ -15,12 +15,10 @@ from cppc import conic_solver, qp_relax
 from cppc.conditions import ConstraintData
 from cppc.cones import ORTHANT, free, orthant, product
 from cppc.conic_solver import (
-    MAX_ITERS,
     OPTIMAL,
     ConicProgram,
     SolveOptions,
     SolveResult,
-    face_polish,
     kkt_residuals,
     solve,
 )
@@ -69,12 +67,9 @@ def solved(corner, objective=0.0):
                        np.zeros(1), np.zeros(0))
 
 
-def polished_solution(qp, opts=None):
-    """The solution of a relaxation solve, polished whatever the checks
-    would find (the polish on unless ``opts`` turns it off)."""
-    prog = build_sparse_relaxation(qp)
-    res = solve(prog, opts)
-    return extract_solution(qp, face_polish(prog, res) if (opts or SolveOptions()).polish else res)
+def solved_relaxation(qp):
+    """The solution of the relaxation solve, whatever its status."""
+    return extract_solution(qp, solve(build_sparse_relaxation(qp)))
 
 
 def lifted_solution_from_point(qp, x):
@@ -368,9 +363,17 @@ def test_rank_one_lift_satisfies_sparse_relaxation():
 
 class TestBounds:
     def test_two_constraint_fixture(self, qp_two_constraints):
-        rep = exactness_report(qp_two_constraints)
+        # The relaxation's optimal face holds the lifts of both minimizers,
+        # (0, 1/2) and (1/2, 0); the solver returns a point inside it, so
+        # the x-part lies near their barycentre but is not unique, and upper
+        # is checked as the objective there.
+        qp = qp_two_constraints
+        rep = exactness_report(qp)
         assert rep.lower == pytest.approx(-0.25, abs=1e-6)
-        assert rep.upper == pytest.approx(-0.125, abs=1e-6)
+        x = rep.solution.x
+        assert qp.feasible(x)
+        assert rep.upper == qp.objective(x)
+        assert rep.upper == pytest.approx(-0.125, abs=1e-5)
 
     def test_convex_origin(self):
         qp = QPInstance.build(np.eye(2), np.zeros(2), [[1.0, 1.0]], [1.0])
@@ -486,13 +489,17 @@ class TestCertificates:
             sol = lifted_solution_from_point(qp, np.array([0.25, 0.5]))
             assert (certificate_b(qp, sol) is not None) is certified
 
-    def test_certificate_b_rechecks_the_kernel_vector_on_the_corner(self, qp_two_constraints):
-        # A corner moved after its spectrum was taken: the direction read off
-        # that spectrum no longer annihilates it.
+    def test_certificate_b_rechecks_the_kernel_vector_on_the_corner(self, monkeypatch,
+                                                                    qp_two_constraints):
+        # A corner moved after its spectrum was taken has no direction within
+        # the bound; and a direction outside it is refused by the re-check,
+        # whatever the LP returned.
         sol = exactness_report(qp_two_constraints).solution
         assert certificate_b(qp_two_constraints, sol) is not None
         moved = replace(sol, corner=sol.corner + 1e-3 * np.diag([0.0, 1.0, 1.0]))
         assert certificate_b(qp_two_constraints, moved) is None
+        monkeypatch.setattr(qp_relax, "_kernel_direction", lambda qp, C: np.r_[-1.0, 2.0, 2.001])
+        assert certificate_b(qp_two_constraints, sol) is None
 
     def test_certificate_b_independent_of_kernel_basis(self):
         # Rank-one corners with kernels of dimension 4; the LP finds the
@@ -504,7 +511,7 @@ class TestCertificates:
             G = draw.standard_normal((4, 4))
             qp = QPInstance.build(0.5 * (G + G.T), draw.standard_normal(4),
                                   draw.uniform(-0.3, 1.0, (3, 4)), np.ones(3))
-            sol = polished_solution(qp)
+            sol = solved_relaxation(qp)
             w, v = sol.spectrum
             kernel = np.abs(w) <= KERNEL_TOL * np.abs(w).max()
             assert kernel.sum() == 4
@@ -665,6 +672,16 @@ class TestExactnessReport:
         assert not rep.rank_one
         assert abs(rep.upper - rep.lower) > 0.1
 
+    def test_fixture_proven_with_the_polish_off(self, qp_two_constraints):
+        # The interior-point corner misses the kernel line (-1, 2, 2) by
+        # about 1e-5, inside certificate B's re-check bound, and the LP
+        # finds that line from the corner alone (u sits at its lower bound
+        # F_ij / (d_i + 5e-10), 1e-9 below 2).
+        rep = exactness_report(qp_two_constraints, SolveOptions(polish=False))
+        assert rep.overall == PROVEN_EXACT
+        assert rep.proven_by == ["certificate_b"]
+        assert rep.certificate_b["u"] == pytest.approx([2.0, 2.0], rel=1e-9, abs=0.0)
+
     def test_convex_interior_bound_match(self):
         qp = QPInstance.build(np.eye(2), np.array([-0.2, -0.2]), [[1.0, 1.0]], [2.0])
         rep = exactness_report(qp)
@@ -703,7 +720,6 @@ class TestExactnessReport:
         assert rep.overall == UNKNOWN and rep.proven_by == []
         assert rep.solution is None
         assert rep.diagnostics.startswith("solver failure: relaxation solve returned MaxIters")
-        assert rep.polish == "rejected"
 
     def test_eigendecompositions_do_not_grow_with_rows(self, monkeypatch):
         # Every check reads the corner, not the m per-row blocks.
@@ -753,12 +769,12 @@ class TestExactnessReport:
 
 def corner_identity_cases():
     for n in (4, 6, 8):
-        yield baseline_qp(n, n, 0), None
-    yield baseline_qp(4, 12, 0), SolveOptions(polish=False)
-    yield QPInstance.build(-np.eye(2), [0.5, 0.5], [[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0]), None
+        yield baseline_qp(n, n, 0)
+    yield baseline_qp(4, 12, 0)
+    yield QPInstance.build(-np.eye(2), [0.5, 0.5], [[1.0, 1.0], [2.0, 2.0]], [1.0, 3.0])
     rng = np.random.default_rng(8)
-    for k in range(24):
-        yield random_bounded_qp(rng), SolveOptions(polish=bool(k % 2))
+    for _ in range(24):
+        yield random_bounded_qp(rng)
 
 
 def test_blocks_share_the_corner_spectrum():
@@ -766,8 +782,8 @@ def test_blocks_share_the_corner_spectrum():
     # is ker C plus the line of k_i, and its rank is that of C.  The
     # certificates rest on this; check it numerically on solved relaxations.
     kernel_dims = set()
-    for qp, opts in corner_identity_cases():
-        sol = polished_solution(qp, opts)
+    for qp in corner_identity_cases():
+        sol = solved_relaxation(qp)
         dim = len(kernel_vectors(sol.corner))
         kernel_dims.add(dim)
         per_block_rank_one = True
@@ -904,7 +920,7 @@ class TestFreeConeSupport:
 
 
 def assert_same_report(a, b):
-    """Every field of two reports but ``polish``, bit for bit."""
+    """Every field of two reports, bit for bit."""
     for name in ("lower", "upper", "rank_one", "overall", "proven_by", "diagnostics"):
         x, y = getattr(a, name), getattr(b, name)
         assert x == y or (x != x and y != y), name
@@ -929,45 +945,36 @@ def assert_same_report(a, b):
             assert np.array_equal(x, y)
 
 
+def counted(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call is appended to the returned list."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 class TestPolishOnDemand:
+    """``SolveOptions(polish=True)``, the default, changes nothing: every
+    report is one interior-point loop and one check pass."""
+
     @pytest.mark.parametrize("n, m", [(4, 4), (6, 6), (8, 8), (4, 12), (4, 16), (4, 20)])
     def test_proven_rungs_never_polish(self, monkeypatch, n, m):
-        # The unpolished point already proves these rungs, so the report is
-        # the unpolished one and the polish is never entered.
         qp = baseline_qp(n, m, 0)
         off = exactness_report(qp, SolveOptions(polish=False))
-
-        def refuse(*args):
-            raise AssertionError("the polish ran")
-
-        monkeypatch.setattr(qp_relax, "face_polish", refuse)
+        loops = counted(monkeypatch, conic_solver, "_interior_point")
+        checks = counted(monkeypatch, qp_relax, "_checked")
         rep = exactness_report(qp)
+        assert (len(loops), len(checks)) == (1, 1)
         assert rep.overall == PROVEN_EXACT
-        assert (rep.polish, off.polish) == ("not needed: proven without it", "off")
         assert_same_report(rep, off)
 
-    def test_fixture_polishes_the_one_iterate(self, monkeypatch, qp_two_constraints):
-        # The fixture needs the polish for certificate B: the report is the
-        # one of the polished solve, from a single interior-point loop.
+    def test_fixture_is_proven_on_the_one_iterate(self, monkeypatch, qp_two_constraints):
+        # Certificate B proves the fixture on the checked interior-point
+        # iterate, from a single loop and a single check pass.
         prog = build_sparse_relaxation(qp_two_constraints)
-        reference = qp_relax._checked(qp_two_constraints, face_polish(prog, solve(prog)))
-        loops = []
-        loop = conic_solver._interior_point
-        monkeypatch.setattr(conic_solver, "_interior_point",
-                            lambda *args: loops.append(1) or loop(*args))
+        reference = qp_relax._checked(qp_two_constraints, solve(prog))
+        loops = counted(monkeypatch, conic_solver, "_interior_point")
+        checks = counted(monkeypatch, qp_relax, "_checked")
         rep = exactness_report(qp_two_constraints)
-        assert len(loops) == 1
+        assert (len(loops), len(checks)) == (1, 1)
         assert rep.proven_by == ["certificate_b"]
-        assert rep.polish == "accepted at threshold 0.001"
         assert_same_report(rep, reference)
-
-    def test_polish_rescues_a_short_loop(self, qp_two_constraints):
-        # Five steps leave the loop at MaxIters; its best iterate polishes
-        # to a verified point, and certificate B proves that.
-        opts = SolveOptions(max_iters=5)
-        unpolished = solve(build_sparse_relaxation(qp_two_constraints), opts)
-        assert unpolished.status == MAX_ITERS
-        rep = exactness_report(qp_two_constraints, opts)
-        assert rep.overall == PROVEN_EXACT and rep.proven_by == ["certificate_b"]
-        assert rep.polish == "accepted at threshold 0.001"
-        assert rep.solution.solver.iterations == 5

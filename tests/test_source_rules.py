@@ -4,9 +4,10 @@ one's private names; only ``cones`` searches CP factors, so every CP verdict
 comes from one place; every spectrum but the references' and the
 interior-point step length's comes from the checked ``sym_eigh``; only
 ``cones`` reads a ground cone's factors; the arm width ``n2`` is named only
-where the pattern checks it and the JSON schema carries it; and every
-function the benchmark's tracer wraps exists and reads what it records, and
-the benchmark's completion adaptor still passes its gates."""
+where the pattern checks it and the JSON schema carries it; no module reads
+the leftover ``SolveOptions.polish`` field; and every function the
+benchmark's tracer wraps exists and reads what it records, and the
+benchmark's completion adaptor still passes its gates."""
 
 import ast
 import pathlib
@@ -327,3 +328,30 @@ def test_factor_scan_sees_attribute_reads():
         "    return [d for _, d in cone.K0.factors], factors\n"
     )
     assert factor_reads(ast.parse(code)) == [2, 3]
+
+
+def polish_reads(tree):
+    """Lines of every read of an attribute named ``polish``, directly or by
+    ``getattr`` with a constant name."""
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "polish")
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == "polish")]
+
+
+def test_no_module_reads_the_polish_field():
+    # SolveOptions.polish stays only so that callers that pass it keep
+    # working; a read would give it a meaning again.
+    assert {path.name: polish_reads(ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py"))} == {path.name: [] for path in sorted(SRC.glob("*.py"))}
+    assert "polish" in SolveOptions.__dataclass_fields__
+
+
+def test_polish_scan_sees_attribute_reads():
+    code = (
+        "def f(opts, report):\n"
+        "    on = opts.polish\n"
+        "    return on or getattr(report, 'polish'), report.polished\n"
+    )
+    assert polish_reads(ast.parse(code)) == [2, 3]
