@@ -9,18 +9,20 @@ e_c)`` (the diagonal of a PSD matrix is nonnegative already).  A solved
 program returns the matrix as ``SolveResult.block``.
 
 The solver works in the free coordinates ``y``: the svec coordinates of the
-entries that are not fixed, so every ``v = v0 + N y`` (``v0`` the fixed
-values, ``N`` the identity's columns at the free coordinates) meets the
-fixed entries exactly.  In ``y`` the program is a dual-form conic program,
-as in SDPA and DSDP: its slack is the matrix ``v`` and the values of the
-``>=`` rows.  A primal-dual interior-point method (HKM direction, Mehrotra
-predictor-corrector) solves it with a Schur complement of order ``dim y``.
-Each step factors the primal matrix and the dual slack once, as one stack:
-one Cholesky and one inverse give ``Z^-1``, and one stacked eigensolve per
-direction gives its primal and dual step lengths.
-Its best point, primal and dual, is returned once residuals, dual
-feasibility and gap are re-evaluated on the original data, with the fixed
-entries as dense rows; only a point that passes is declared Optimal.
+entries that are not fixed, so every ``v`` it forms (the fixed values at
+the fixed entries, each ``y_j`` times its svec weight at the entries of
+coordinate ``j``) meets the fixed entries exactly.  The loop's matrix is
+written from these entry indices, with no svec basis.  In ``y`` the
+program is a dual-form conic program, as in SDPA and DSDP: its slack is
+the matrix ``v`` and the values of the ``>=`` rows.  A primal-dual
+interior-point method (HKM direction, Mehrotra predictor-corrector) solves
+it with a Schur complement of order ``dim y``.  Each step factors the
+primal matrix and the dual slack once, as one stack: one Cholesky and one
+inverse give ``Z^-1``, and one stacked eigensolve per direction gives its
+primal and dual step lengths.  Its best point, primal and dual, is
+returned once residuals, dual feasibility and gap are re-evaluated on the
+original data, with the fixed entries as dense rows; only a point that
+passes is declared Optimal.
 """
 
 from __future__ import annotations
@@ -295,50 +297,39 @@ def solve(p: ConicProgram, opts: Optional[SolveOptions] = None) -> SolveResult:
     return result
 
 
-def _svec_basis(o: int) -> np.ndarray:
-    """``T`` whose columns are the svec coordinates of a matrix of order
-    ``o`` as vectors ``v``: diagonal entry (r, r) is ``M_rr``, off-diagonal
-    (r, c) is ``(M_rc + M_cr) / sqrt 2``.  The columns are orthonormal,
-    ``T^T v`` is the svec of a symmetric ``v``, ``T s`` the point of an svec
-    ``s``, and ``a^T T`` the svec row of a functional ``a``."""
-    r, c = np.triu_indices(o)
-    k = np.arange(r.size)
-    w = np.where(r == c, 1.0, np.sqrt(0.5))
-    T = np.zeros((o * o, r.size))
-    T[[r * o + c, c * o + r], k] = w
-    return T
-
-
 class _FreeForm:
     """The program in its free coordinates ``y``, posed as the dual of ``min
     c.u  s.t.  A u = b,  u in K`` for the interior-point loop, ``K`` being
     the PSD cone times one nonnegative orthant.
 
-    ``v0`` holds the fixed values in svec coordinates, and ``T @ N`` is
-    ``T`` at the free coordinates.  The loop's slack ``c - A^T y`` is the
-    matrix ``v`` (entry by entry, as in ``v``) followed by the values of the
-    ``>=`` rows, each scaled to unit norm in ``y``; its ``u`` holds the PSD
-    multiplier ``Z`` and the scaled row multipliers.  Rows that the fixed
-    entries make constant drop out when they hold and prove infeasibility
-    when they fail.
+    The free coordinates are the svec coordinates of the entries ``(a, e)``,
+    ``a <= e``, that are not fixed, in row-major order: coordinate ``j`` is
+    ``M_aa`` on the diagonal and ``(M_ae + M_ea) / sqrt 2`` off it, so the
+    rows of ``A`` are written from the entry indices.  The loop's slack ``c
+    - A^T y`` is the matrix ``v`` (entry by entry, as in ``v``, with the
+    fixed values in ``c``) followed by the values of the ``>=`` rows, each
+    scaled to unit norm in ``y``; its ``u`` holds the PSD multiplier ``Z``
+    and the scaled row multipliers.  Rows that the fixed entries make
+    constant drop out when they hold and prove infeasibility when they
+    fail.
     """
 
     def __init__(self, p, d):
-        T = _svec_basis(p.order)
+        o = p.order
         r, c = np.array([e[:2] for e in p.equalities], dtype=int).reshape(-1, 2).T
-        # svec coordinate of entry (r, c), r <= c, and the weight of T there.
-        self.fixed = r * p.order - r * (r - 1) // 2 + c - r
-        self.weight = np.where(r == c, 1.0, np.sqrt(0.5))
-        self.free = np.setdiff1d(np.arange(T.shape[1]), self.fixed)
-        v0 = np.zeros(T.shape[1])
-        v0[self.fixed] = d.b / self.weight
+        fixed = np.zeros((o, o), dtype=bool)
+        fixed[r, c] = True
+        a, e = np.nonzero(np.triu(~fixed))
+        # The fixed values in svec coordinates: an svec coordinate weighs
+        # each of its entries by 1 on the diagonal, sqrt(1/2) off it.
+        self.fixed, weight = (r, c), np.where(r == c, 1.0, np.sqrt(0.5))
+        v0 = d.b / weight
         tol = 1e-6 * max(1.0, float(np.abs(d.b).max(initial=0.0)))
         # The rows' svec coefficients at the free coordinates, G, and at the
         # fixed ones, which are constant.
-        ri, ci = np.triu_indices(p.order)
-        G = _svec_rows(d.U, d.V, ri[self.free], ci[self.free])
+        G = _svec_rows(d.U, d.V, a, e)
         Gf = _svec_rows(d.U, d.V, r, c)
-        g0 = Gf @ v0[self.fixed] - d.h
+        g0 = Gf @ v0 - d.h
         norms = np.linalg.norm(G, axis=1)
         const = norms <= 1e-9 * np.hypot(norms, np.linalg.norm(Gf, axis=1))
         violated = np.flatnonzero(const & (g0 < -tol))
@@ -348,35 +339,40 @@ class _FreeForm:
                 f"{_row_name(p, j)} is fixed at {g0[j] + d.h[j]:.6g} < {d.h[j]:.6g} "
                 "by the equalities", {"cone": float(-g0[j])})
         self.rows, self.row_scale = np.flatnonzero(~const), 1.0 / norms[~const]
-        self.T, self.v0, self.d = T, v0, d
+        self.d, self.order, self.k = d, o, p.num_vars
         G = G[self.rows]
         G *= self.row_scale[:, None]
-        # Negated in place: A is the largest array the program holds.
-        A = np.vstack([T[:, self.free], G])
-        self.A = np.negative(A, out=A).T
-        self.b = -(T.T @ d.c)[self.free]
-        self.c = np.r_[T @ v0, g0[self.rows] * self.row_scale]
+        # A^T: the weight of each free coordinate at its entries, then the
+        # scaled rows, negated in place: A is the largest array the program
+        # holds.
+        At = np.zeros((self.k + G.shape[0], a.size))
+        At[[a * o + e, e * o + a], np.arange(a.size)] = np.where(a == e, 1.0, np.sqrt(0.5))
+        At[self.k:] = G
+        self.A = np.negative(At, out=At).T
         # ``u[:k]`` is the PSD matrix, entry by entry, and ``u[k:]`` the
         # orthant part.  The step reads the views below of A; copies would
         # change the order in which BLAS sums.
-        self.order, self.k = p.order, p.num_vars
         self.At, self.As, self.Af = self.A.T, self.A[:, :self.k], self.A[:, self.k:]
-        self.AfT, self.eye = self.Af.T, np.eye(p.order)
+        self.AfT, self.eye = self.Af.T, np.eye(o)
+        self.b = self.As @ d.c
+        V0 = np.zeros((o, o))
+        V0[r, c] = V0[c, r] = weight * v0
+        self.c = np.r_[V0.reshape(-1), g0[self.rows] * self.row_scale]
         # The rows of A as matrices, for the Schur complement.
-        self.A3 = self.As.reshape(-1, p.order, p.order)
+        self.A3 = self.As.reshape(-1, o, o)
 
     def original(self, u, y, w):
         """``(v, nu, lam, Z)`` of an interior-point ``(u, y, w)``: the
-        program's variable, the multipliers of the fixed entries (each the
-        svec coordinate of ``Z + L^T lam - c`` at its entry, over the
-        weight there) and of the ``>=`` rows, and the PSD matrix of ``u``."""
-        d, k = self.d, self.k
+        program's variable, the multipliers of the fixed entries (entry
+        ``(r, c)`` of ``Z + L^T lam - c``, doubled off the diagonal) and of
+        the ``>=`` rows, and the PSD matrix of ``u``."""
+        d, k, o = self.d, self.k, self.order
         lam = np.zeros(d.h.size)
         lam[self.rows] = u[k:] * self.row_scale
-        nu = (self.T.T @ (u[:k] + _rows_transpose(d, lam) - d.c))[self.fixed] / self.weight
-        s = self.v0.copy()
-        s[self.free] = y
-        return self.T @ s, nu, lam, u[:k].reshape(self.order, self.order)
+        r, c = self.fixed
+        q = (u[:k] + _rows_transpose(d, lam) - d.c).reshape(o, o)
+        nu = q[r, c] + np.where(r == c, 0.0, q[c, r])
+        return self.c[:k] - self.As.T @ y, nu, lam, u[:k].reshape(o, o)
 
 
 def _row_name(p, j):

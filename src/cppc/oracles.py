@@ -63,13 +63,6 @@ def lp_minimize_standard(c, A, b, tol: float = _FEAS_TOL):
     return best_val, best_v
 
 
-def lp_maximize_standard(c, A, b, tol: float = _FEAS_TOL):
-    val, v = lp_minimize_standard(-np.asarray(c, dtype=float), A, b, tol)
-    if val is None:
-        return None, None
-    return -val, v
-
-
 def standard_form_feasible_point(A, b, tol: float = _FEAS_TOL) -> Optional[np.ndarray]:
     """A point of ``{v >= 0 : A v = b}`` via a phase-1 artificial LP, or None."""
     A = np.asarray(A, dtype=float)

@@ -419,10 +419,10 @@ def _kernel_bound(C: np.ndarray, vmax: float) -> float:
 
 def _kernel_direction(qp: QPInstance, C: np.ndarray):
     """A vector ``v = (-1, u)`` whose residual ``|C v|`` on the corner ``C``
-    is within the re-check bound of :func:`certificate_b`, with ``(d_i +
-    5e-10) u_j >= F_ij`` for every row with ``d_i > 0`` (half the slack that
-    the re-check of ``gamma_i <= d_i`` allows) and ``u_j >= 1e-6``; None
-    when there is none or the ground cone is not an orthant.
+    is within the re-check bound of :func:`certificate_b`, with ``d_i u_j >=
+    F_ij`` for every row with ``d_i > 0`` (so the multipliers ``gamma_i =
+    max_j F_ij / u_j`` are at most ``d_i``, up to rounding) and ``u_j >=
+    1e-6``; None when there is none or the ground cone is not an orthant.
 
     The rows give ``u = lower + s`` with ``s >= 0``.  The bound's
     ``max|v|`` is taken at ``lower``, which can only tighten it, so ``|C
@@ -432,7 +432,7 @@ def _kernel_direction(qp: QPInstance, C: np.ndarray):
     if not qp.K.is_orthant_like():
         return None
     rows = qp.d > 0.0
-    lower = (qp.F[rows] / (qp.d[rows, None] + 5e-10)).max(axis=0, initial=1e-6)
+    lower = (qp.F[rows] / qp.d[rows, None]).max(axis=0, initial=1e-6)
     bound = _kernel_bound(C, float(lower.max()))
     # C[:, 1:] s + C[:, 1:] lower - C[:, 0] lies in [-bound, bound].
     r0, o = C[:, 1:] @ lower - C[:, 0], C.shape[0]
@@ -460,8 +460,9 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution):
     nonsingular, block i's kernel is the line of ``k_i``, so its vector is
     ``k_i / d_i`` and ``u`` is the common direction of the rows ``F_i /
     d_i``.  Otherwise ``u = x / |x|`` and ``alpha_i, w_i`` are fitted by
-    least squares, all blocks at once (:func:`_fit_alpha_w`).  All evidence
-    is re-verified by evaluating every ``M_i v_i`` in one batched product.
+    least squares, all blocks at once (:func:`_fit_alpha_w`), and each must
+    exceed ``10 KERNEL_TOL``.  All evidence is re-verified by evaluating
+    every ``M_i v_i`` in one batched product.
     """
     if qp.m == 0:
         return None
@@ -494,7 +495,11 @@ def certificate_a(qp: QPInstance, sol: RelaxationSolution):
     scale = np.maximum(1.0, np.abs(Ms).max(axis=(1, 2)))
     if np.any(np.abs(Ms @ vecs[:, :, None]).max(axis=(1, 2)) > 10.0 * KERNEL_TOL * scale):
         return None
-    if alphas.min() <= 1e-10 or ws.min() <= 1e-10:
+    # A fitted alpha_i or w_i must clear the re-check's own tolerance
+    # (relative to the vector's entry -1): on a face whose exact weights
+    # are 0 the fit returns rounding noise of either sign.
+    floor = 10.0 * KERNEL_TOL if singular else 1e-10
+    if alphas.min() <= floor or ws.min() <= floor:
         return None
     if not interior_dual_contains(qp.K, u_dir):
         return None

@@ -22,8 +22,13 @@ pieces of a width-one partial matrix, the reference for the zero-filled
 matrix and the stack of
 ``CompletionProblem.blocks``; ``cone_contains_by_factor`` and
 ``interior_dual_contains_by_factor`` walk a ground cone's factors, the
-references for the coordinate-kind masks of ``cones``.  The library's decision procedures never
-call them, so they live here, next to the tests.
+references for the coordinate-kind masks of ``cones``; ``svec_basis`` is
+the dense basis of svec coordinates and ``free_form_by_svec_basis`` the
+interior-point data of a program built through it, the reference for
+``conic_solver._FreeForm``, which reads them off the entry indices;
+``lp_maximize_standard`` is the enumeration LP oracle's maximizing form.
+The library's decision procedures never call them, so they live here,
+next to the tests.
 """
 
 from typing import Optional
@@ -31,8 +36,10 @@ from typing import Optional
 import numpy as np
 
 from cppc.conditions import _EXACT_TOL, ConstraintData
+from cppc.conic_solver import _svec_rows
 from cppc.cones import FREE, ORTHANT, ZERO, GroundCone, cone_contains, dual_cone
 from cppc.matrix_core import SymMatrix, sym_eigh
+from cppc.oracles import lp_minimize_standard
 from cppc.qp_relax import KERNEL_TOL, _kernel_mask
 
 
@@ -315,6 +322,63 @@ def dense_rows(U, V) -> np.ndarray:
         C = np.outer(u, v)
         L[k] = (0.5 * (C + C.T)).reshape(-1)
     return L
+
+
+def svec_basis(order: int) -> np.ndarray:
+    """``T`` whose columns are the svec coordinates of a matrix of the given
+    order as vectors ``v``: diagonal entry (r, r) is ``M_rr``, off-diagonal
+    (r, c) is ``(M_rc + M_cr) / sqrt 2``.  The columns are orthonormal,
+    ``T^T v`` is the svec of a symmetric ``v``, ``T s`` the point of an svec
+    ``s``, and ``a^T T`` the svec row of a functional ``a``."""
+    r, c = np.triu_indices(order)
+    T = np.zeros((order * order, r.size))
+    T[[r * order + c, c * order + r], np.arange(r.size)] = np.where(r == c, 1.0, np.sqrt(0.5))
+    return T
+
+
+def free_form_by_svec_basis(p, d):
+    """``(A, b, c, point)`` of the interior-point form of the program ``p``
+    with data ``d``, built through :func:`svec_basis`: ``A`` is ``-T`` at
+    the free svec coordinates stacked with the rows' svec coefficients
+    there, each row scaled to unit norm, and transposed; ``b = -(T^T
+    c)_free``; ``c`` is ``T v0`` (``v0`` the fixed values in svec
+    coordinates) followed by the scaled row values at ``v0``; and
+    ``point(y)`` is ``T s`` for the svec ``s`` that is ``v0`` with ``y`` at
+    the free coordinates.  Rows that the fixed entries make constant drop
+    out."""
+    o = p.order
+    T = svec_basis(o)
+    r, c = np.array([e[:2] for e in p.equalities], dtype=int).reshape(-1, 2).T
+    fixed = r * o - r * (r - 1) // 2 + c - r
+    free = np.setdiff1d(np.arange(T.shape[1]), fixed)
+    v0 = np.zeros(T.shape[1])
+    v0[fixed] = d.b / np.where(r == c, 1.0, np.sqrt(0.5))
+    ri, ci = np.triu_indices(o)
+    G = _svec_rows(d.U, d.V, ri[free], ci[free])
+    Gf = _svec_rows(d.U, d.V, r, c)
+    norms = np.linalg.norm(G, axis=1)
+    rows = np.flatnonzero(norms > 1e-9 * np.hypot(norms, np.linalg.norm(Gf, axis=1)))
+    scale = 1.0 / norms[rows]
+    A = -np.vstack([T[:, free], G[rows] * scale[:, None]]).T
+    c_vec = np.r_[T @ v0, (Gf @ v0[fixed] - d.h)[rows] * scale]
+
+    def point(y):
+        s = v0.copy()
+        s[free] = y
+        return T @ s
+
+    return A, -(T.T @ d.c)[free], c_vec, point
+
+
+def lp_maximize_standard(c, A, b):
+    """Maximize ``c . v`` over ``{v >= 0 : A v = b}`` by basic-solution
+    enumeration (:func:`cppc.oracles.lp_minimize_standard` on ``-c``);
+    ``(value, v)``, or ``(None, None)`` when no basic feasible solution
+    exists."""
+    val, v = lp_minimize_standard(-np.asarray(c, dtype=float), A, b)
+    if val is None:
+        return None, None
+    return -val, v
 
 
 def row_program_residuals(prog, A, b, X) -> dict:

@@ -15,9 +15,14 @@ from cppc.conic_solver import (
     kkt_residuals,
     solve,
 )
-from cppc.oracles import lp_maximize_standard, lp_minimize_standard
+from cppc.oracles import lp_minimize_standard
 from cppc.qp_relax import build_dense_reformulation, build_sparse_relaxation
-from reference_checks import dense_rows
+from reference_checks import (
+    dense_rows,
+    free_form_by_svec_basis,
+    lp_maximize_standard,
+    svec_basis,
+)
 
 ONE = np.array([[1.0]])
 
@@ -526,15 +531,61 @@ def test_pair_rows_match_dense_rows():
         return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     r, c = np.triu_indices(o)
-    assert close(conic_solver._svec_rows(d.U, d.V, r, c), L @ conic_solver._svec_basis(o))
+    assert close(conic_solver._svec_rows(d.U, d.V, r, c), L @ svec_basis(o))
     assert close(conic_solver._row_values(d, M), L @ M.reshape(-1))
     assert close(conic_solver._rows_transpose(d, lam).reshape(-1), L.T @ lam)
 
 
+def completion_program(monkeypatch, pm):
+    """The program that ``complete_numeric`` hands to the solver for ``pm``:
+    the full matrix with the specified entries, off-diagonal ones too,
+    fixed."""
+    programs = []
+    monkeypatch.setattr(completion, "solve", lambda p, opts: programs.append(p) or solve(p, opts))
+    complete_numeric(CompletionProblem.from_partial_matrix(pm))
+    (p,) = programs
+    return p
+
+
+def random_masked_program():
+    """Order 6 with added pairs, a random mask, fixed diagonal and
+    off-diagonal entries and a random objective."""
+    rng = np.random.default_rng(17)
+    o = 6
+    mask = rng.random((o, o)) < 0.5
+    p = ConicProgram(o, nonneg_mask=mask | mask.T)
+    p.add_inequality(0.3, *rng.standard_normal((2, 5, o)))
+    p.fix([0, 1, 4, 2], [0, 3, 5, 2], rng.uniform(0.1, 1.0, 4))
+    G = rng.standard_normal((o, o))
+    p.set_objective(G + G.T)
+    return p
+
+
+def test_compile_reads_the_svec_basis_off_the_entries(monkeypatch, qp_two_constraints,
+                                                      pm_three_arms):
+    # A, b and c, and the point v of original(), written from the entry
+    # indices, equal bit for bit those built through the dense svec basis.
+    rng = np.random.default_rng(3)
+    programs = [build_sparse_relaxation(qp_two_constraints),
+                completion_program(monkeypatch, pm_three_arms), random_masked_program()]
+    assert any(r != c for p in programs[1:] for r, c, _ in p.equalities)
+    for p in programs:
+        d = conic_solver._program_data(p)
+        form = conic_solver._FreeForm(p, d)
+        A, b, c, point = free_form_by_svec_basis(p, d)
+        assert A.shape[1] > p.num_vars
+        for got, want in ((form.A, A), (form.b, b), (form.c, c)):
+            assert np.array_equal(got, want)
+        u, w = rng.standard_normal((2, c.size))
+        y = rng.standard_normal(b.size)
+        assert np.array_equal(form.original(u, y, w)[0], point(y))
+
+
 def test_compile_holds_no_dense_row_matrix():
-    # The rows are kept as pairs up to the loop's own matrix: building and
-    # compiling the n = m = 30 relaxation peaks under 35 MB (49 MB when the
-    # rows were order x order matrices stacked into a dense L and L T).
+    # The rows are kept as pairs and the svec coordinates read off the
+    # entry indices: building and compiling the n = m = 30 relaxation peaks
+    # under 22 MB (24.9 MB with a dense svec basis, 49 MB when the rows were
+    # order x order matrices stacked into a dense L and L T).
     qp = baseline_qp(30, 30, 0)
     tracemalloc.start()
     try:
@@ -543,4 +594,4 @@ def test_compile_holds_no_dense_row_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 35e6
+    assert peak < 22e6

@@ -35,13 +35,11 @@ def test_kernel_certificate_yields_explicit_completion(qp_two_constraints):
     assert cert is not None
 
     pm = partial_matrix_from_blocks(qp.n, sol)
-    # The certificate's direction, scaled so that its largest row multiplier
-    # is 1, defines the shared constraint u.x = 1; together with the
+    # The certificate's direction, whose row multipliers are at most d_i = 1,
+    # defines the shared constraint u.x = 1; together with the
     # relaxation rows it is the data under which the solution blocks satisfy
-    # every certification requirement.  (The certificate puts u at its lower
-    # bound F_ij / (d_i + 5e-10), so its multipliers exceed d_i by 5e-10:
-    # within the certificate's re-check, not within condition (iii)'s.)
-    u = cert["u"] * cert["gamma"].max()
+    # every certification requirement.
+    u = cert["u"]
     data = ConstraintData.build(
         orthant(qp.n),
         [orthant(1)] * qp.m,

@@ -626,6 +626,20 @@ class TestCertificates:
         assert certificate_a(qp, replace(sol, blocks=np.eye(4)[None])) is None
         assert len(fitted) == 1 and np.array_equal(fitted[0], np.eye(4)[None])
 
+    def test_certificate_a_refuses_weights_at_rounding_level(self, qp_two_constraints):
+        # The fixture's exact optimal face, the mixture of the lifts of
+        # (0, 1/2) and (1/2, 0), with X_11 and X_22 raised by 1e-8: still PSD
+        # and singular, but the fitted w_i (about 3e-7) are noise around the
+        # exact weight 0, far below the re-check's tolerance.
+        qp = qp_two_constraints
+        v1, v2 = np.array([1.0, 0.0, 0.5]), np.array([1.0, 0.5, 0.0])
+        corner = 0.5 * (np.outer(v1, v1) + np.outer(v2, v2)) + np.diag([0.0, 1e-8, 1e-8])
+        sol = extract_solution(qp, solved(corner))
+        assert sym_eigh(corner)[0][0] >= 0.0 and kernel_vectors(corner)
+        fitted = _fit_alpha_w(sol.blocks, np.sqrt([0.5, 0.5]), KERNEL_TOL)
+        assert 0.0 < fitted[:, 1].max() < 10.0 * KERNEL_TOL
+        assert certificate_a(qp, sol) is None
+
 
 class TestLemmaEquivalence:
     def test_fixture_reduced_form(self):
