@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -267,6 +268,12 @@ def run_solve_qp(config: RunConfig, obj: dict) -> dict:
     }
 
 
+#: Most KKT systems ``oracle`` lets :func:`oracles.qp_global_minimum` solve
+#: on a QP, one per active subset of at most ``n`` of its rows: about 5 s
+#: at the 40-45 us a system takes on one core at n <= 6.
+QP_ORACLE_BUDGET = 100_000
+
+
 def run_oracle(config: RunConfig, obj: dict) -> dict:
     if "n1" in obj:
         problem = parse_completion_problem(obj)
@@ -280,6 +287,15 @@ def run_oracle(config: RunConfig, obj: dict) -> dict:
     if "A" in obj and "F" in obj:
         qp = qp_relax.QPInstance.from_json_dict(obj)
         nonneg = np.flatnonzero(qp.K.kinds == ORTHANT)
+        systems = sum(math.comb(qp.m + nonneg.size, k) for k in range(qp.n + 1))
+        if systems > QP_ORACLE_BUDGET:
+            return {
+                "kind": "qp",
+                "optimum": None,
+                "argmin": None,
+                "diagnostics": f"active-set enumeration needs {systems} KKT systems, "
+                               f"above the budget of {QP_ORACLE_BUDGET}",
+            }
         val, x = oracles.qp_global_minimum(qp.A.array, qp.a, qp.F, qp.d, nonneg)
         return {
             "kind": "qp",

@@ -8,9 +8,10 @@ its kind (orthant, free or zero), plus an optional shared constraint
 
   i.   every ``g_i`` lies in the interior of the dual of ``Ki``;
   ii.  the shared-part feasible region is bounded (settled by a single
-       provably bounded constraint set, or, when every ``g_i`` passes the
-       interior test, decided by simplex LPs on its recession cone and on
-       the region itself; see ``lp``);
+       provably bounded constraint set; else, when every ``g_i`` passes the
+       interior test, by an arm sum ``f_1 + ... + f_S`` in ``int(K0*)``,
+       which leaves the recession cone only 0, or failing that by simplex
+       LPs on the recession cone and on the region itself; see ``lp``);
   iii. some constraint's x-projection is contained in all the others,
        certified by one scalar multiplier per arm.  The shared constraint
        is tried first as the reference, with free multipliers (its
@@ -164,6 +165,21 @@ def _split_rows(data: ConstraintData):
     return np.hstack([F[:, orth], F[:, free_], -F[:, free_]]), orth.sum(), free_.sum()
 
 
+def _arm_sum_interior(data: ConstraintData) -> bool:
+    """True when ``f_1 + ... + f_S`` lies in ``int(K0*)`` with every orthant
+    coordinate above its rounding error ``1e-9 * max(1, sum_i |f_ij|)``; no
+    free coordinate may be present.  A recession direction ``r`` has ``f_i^T
+    r <= 0`` for every arm, so the sum then leaves it only ``r = 0``: the
+    recession LP's dual certificate with every multiplier 1 (Gordan's
+    alternative), so that LP could only return 0.
+    """
+    orth, free_ = data.K0.kinds == ORTHANT, data.K0.kinds == FREE
+    if free_.any():
+        return False
+    F = data.f[1:, orth]
+    return bool((F.sum(axis=0) > 1e-9 * np.maximum(1.0, np.abs(F).sum(axis=0))).all())
+
+
 def _recession_norm_max(data: ConstraintData) -> float:
     """Largest of ``sum of orthant coordinates`` and each ``|x_j|``, free j,
     over the recession cone of the shared-part region intersected with the
@@ -225,11 +241,13 @@ def check_boundedness(data: ConstraintData) -> BoundednessVerdict:
 
     A single constraint set that the interior test proves bounded settles the
     question immediately.  Otherwise, when every ``g_i`` passes the interior
-    test (so no arm cone has a free coordinate), the decision is made by LPs
-    whose certificates are re-verified: the recession cone of the
-    x-projection is {0} (Bounded), or it is not and the region has a point
-    (NotBounded), or the region has a Farkas certificate of emptiness
-    (Bounded).  A certificate that fails its check gives Inconclusive.
+    test (so no arm cone has a free coordinate), an arm sum in ``int(K0*)``
+    (:func:`_arm_sum_interior`) proves the recession cone of the
+    x-projection {0} (Bounded) with no LP; failing that, the decision is
+    made by LPs whose certificates are re-verified: that recession cone is
+    {0} (Bounded), or it is not and the region has a point (NotBounded), or
+    the region has a Farkas certificate of emptiness (Bounded).  A
+    certificate that fails its check gives Inconclusive.
     The verdict carries the interior test it ran (``cond_i``).
     """
     cond_i = check_cond_i(data)
@@ -243,6 +261,8 @@ def check_boundedness(data: ConstraintData) -> BoundednessVerdict:
         return BoundednessVerdict(
             INCONCLUSIVE, "interior test fails for some arm coefficient", cond_i
         )
+    if _arm_sum_interior(data):
+        return BoundednessVerdict(BOUNDED, "recession cone of the x-projection is {0}", cond_i)
     try:
         ray_max = _recession_norm_max(data)
         if ray_max <= 1e-9:

@@ -428,6 +428,9 @@ def _kernel_direction(qp: QPInstance, C: np.ndarray):
     ``max|v|`` is taken at ``lower``, which can only tighten it, so ``|C
     v| <= bound`` is two rows per entry, each with a slack.  The LP
     minimizes the sum of ``s``; it reads the corner, not its eigenbasis.
+    When ``|C (-1, lower)| <= bound`` entrywise its right-hand side is
+    nonnegative, so the all-slack start is feasible and optimal with ``s =
+    0``: ``(-1, lower)`` is returned without the LP, the same bytes.
     """
     if not qp.K.is_orthant_like():
         return None
@@ -436,10 +439,13 @@ def _kernel_direction(qp: QPInstance, C: np.ndarray):
     bound = _kernel_bound(C, float(lower.max()))
     # C[:, 1:] s + C[:, 1:] lower - C[:, 0] lies in [-bound, bound].
     r0, o = C[:, 1:] @ lower - C[:, 0], C.shape[0]
+    rhs = np.r_[bound - r0, bound + r0]
+    if rhs.min() >= 0.0:
+        return np.r_[-1.0, lower]
     A = np.block([[C[:, 1:], np.eye(o), np.zeros((o, o))],
                   [-C[:, 1:], np.zeros((o, o)), np.eye(o)]])
     try:
-        res = lp.solve(np.r_[np.ones(qp.n), np.zeros(2 * o)], A, np.r_[bound - r0, bound + r0])
+        res = lp.solve(np.r_[np.ones(qp.n), np.zeros(2 * o)], A, rhs)
     except np.linalg.LinAlgError:
         return None
     if res.status != lp.OPTIMAL:

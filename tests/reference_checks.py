@@ -26,7 +26,11 @@ references for the coordinate-kind masks of ``cones``; ``svec_basis`` is
 the dense basis of svec coordinates and ``free_form_by_svec_basis`` the
 interior-point data of a program built through it, the reference for
 ``conic_solver._FreeForm``, which reads them off the entry indices;
-``lp_maximize_standard`` is the enumeration LP oracle's maximizing form.
+``lp_maximize_standard`` is the enumeration LP oracle's maximizing form;
+``boundedness_by_lp`` decides condition (ii) without the arm-sum test, the
+reference for ``conditions.check_boundedness``, and ``kernel_direction_by_lp``
+always solves certificate B's kernel LP, the reference for
+``qp_relax._kernel_direction``, which skips it when its start is optimal.
 The library's decision procedures never call them, so they live here,
 next to the tests.
 """
@@ -35,12 +39,13 @@ from typing import Optional
 
 import numpy as np
 
-from cppc.conditions import _EXACT_TOL, ConstraintData
+from cppc import conditions, lp
+from cppc.conditions import _EXACT_TOL, BoundednessVerdict, ConstraintData
 from cppc.conic_solver import _svec_rows
 from cppc.cones import FREE, ORTHANT, ZERO, GroundCone, cone_contains, dual_cone
 from cppc.matrix_core import SymMatrix, sym_eigh
 from cppc.oracles import lp_minimize_standard
-from cppc.qp_relax import KERNEL_TOL, _kernel_mask
+from cppc.qp_relax import KERNEL_TOL, _kernel_bound, _kernel_mask
 
 
 def lemma_equivalence_check(M: SymMatrix, a, b, r: float, nx: Optional[int] = None,
@@ -448,3 +453,58 @@ def interior_dual_contains_by_factor(K: GroundCone, g, tol: float = 1e-9) -> boo
             return False
         pos += d
     return True
+
+
+def boundedness_by_lp(data: ConstraintData) -> BoundednessVerdict:
+    """``conditions.check_boundedness`` without the arm-sum test: after the
+    single-row tests and the interior gate, the recession LP always runs."""
+    cond_i = conditions.check_cond_i(data)
+    if conditions.check_Fi_bounded_sufficient(data, 0):
+        return BoundednessVerdict(conditions.BOUNDED, "shared constraint set is bounded", cond_i)
+    for i in range(1, data.S + 1):
+        if cond_i[i - 1] and conditions.check_Fi_bounded_sufficient(data, i):
+            return BoundednessVerdict(conditions.BOUNDED, f"constraint set {i} is bounded",
+                                      cond_i)
+    if not all(cond_i):
+        return BoundednessVerdict(conditions.INCONCLUSIVE,
+                                  "interior test fails for some arm coefficient", cond_i)
+    try:
+        ray_max = conditions._recession_norm_max(data)
+        if ray_max <= 1e-9:
+            return BoundednessVerdict(conditions.BOUNDED,
+                                      "recession cone of the x-projection is {0}", cond_i)
+        nonempty, _ = conditions._shared_region_nonempty(data)
+    except np.linalg.LinAlgError as exc:
+        return BoundednessVerdict(conditions.INCONCLUSIVE, f"boundedness LP failed: {exc}",
+                                  cond_i)
+    if nonempty:
+        return BoundednessVerdict(conditions.NOT_BOUNDED,
+                                  f"recession direction with norm {ray_max:.3g} exists", cond_i)
+    return BoundednessVerdict(conditions.BOUNDED, "x-projection region is empty", cond_i)
+
+
+def kernel_start(qp, C):
+    """Certificate B's LP data at its start ``u = lower``: ``(lower, r0,
+    bound)``, ``r0 = C (-1, lower)`` the residual there."""
+    rows = qp.d > 0.0
+    lower = (qp.F[rows] / qp.d[rows, None]).max(axis=0, initial=1e-6)
+    return lower, C[:, 1:] @ lower - C[:, 0], _kernel_bound(C, float(lower.max()))
+
+
+def kernel_direction_by_lp(qp, C):
+    """``qp_relax._kernel_direction`` that always solves its LP: ``u = lower
+    + s``, ``s >= 0`` of least sum, with ``|C (-1, u)|`` within the bound."""
+    if not qp.K.is_orthant_like():
+        return None
+    lower, r0, bound = kernel_start(qp, C)
+    o = C.shape[0]
+    A = np.block([[C[:, 1:], np.eye(o), np.zeros((o, o))],
+                  [-C[:, 1:], np.zeros((o, o)), np.eye(o)]])
+    try:
+        res = lp.solve(np.r_[np.ones(qp.n), np.zeros(2 * o)], A,
+                       np.r_[bound - r0, bound + r0])
+    except np.linalg.LinAlgError:
+        return None
+    if res.status != lp.OPTIMAL:
+        return None
+    return np.r_[-1.0, lower + res.v[:qp.n]]

@@ -1,12 +1,22 @@
 import json
+import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
 
 from cppc import completion, qp_relax
-from cppc.cli import RunConfig, dumps_json, main, parse_completion_problem, run
+from conftest import baseline_qp
+from cppc.cli import (
+    QP_ORACLE_BUDGET,
+    RunConfig,
+    dumps_json,
+    main,
+    parse_completion_problem,
+    run,
+)
 from cppc.conic_solver import SolveOptions
 from cppc.qp_relax import QPInstance
 
@@ -81,6 +91,23 @@ class TestCommands:
         report = json.loads(out)
         assert report["kind"] == "qp"
         assert report["optimum"] == pytest.approx(-0.25, abs=1e-9)
+
+    def test_oracle_over_its_budget_returns_no_optimum(self, tmp_path, capsys):
+        # inst(10, 100, 0) would need about 5.2e13 KKT systems; the oracle
+        # counts them and answers at once, with exit code 0.
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(baseline_qp(10, 100, 0).to_json_dict()))
+        start = time.perf_counter()
+        code, out, _ = run_capture(capsys, "oracle", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        report = json.loads(out)
+        systems = sum(math.comb(110, k) for k in range(11))
+        assert report == {
+            "kind": "qp", "optimum": None, "argmin": None,
+            "diagnostics": f"active-set enumeration needs {systems} KKT systems, above "
+                           f"the budget of {QP_ORACLE_BUDGET}",
+        }
 
 
     def test_free_coordinate_completion(self, tmp_path, capsys, free_coordinate_problem):

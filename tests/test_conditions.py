@@ -25,7 +25,13 @@ from cppc.cones import FREE, ORTHANT, ZERO, free, interior_dual_contains, orthan
 from cppc.oracles import polyhedron_vertices, standard_form_feasible_point
 from cppc.qp_relax import QPInstance, _polytope_bounded
 
-from reference_checks import cond_iii_by_pairs, point_in_projection, sample_projection_points
+from conftest import load_perfbench
+from reference_checks import (
+    boundedness_by_lp,
+    cond_iii_by_pairs,
+    point_in_projection,
+    sample_projection_points,
+)
 
 
 def width_one_data(f_list, g_list, d_list, K0, f0=None, d0=0.0):
@@ -220,10 +226,11 @@ class TestBoundedness:
         assert verdict.reason == "x-projection region is empty"
 
     def test_failed_certificate_is_inconclusive(self, monkeypatch):
-        # Neither row alone bounds the region, so the recession LP decides;
-        # a corrupted basis solve must not pass its certificate check.
+        # Neither row alone nor their sum (-2, 3.5) bounds the region, so
+        # the recession LP decides; a corrupted basis solve must not pass its
+        # certificate check.
         data = width_one_data(
-            [[1.0, -0.5], [-0.5, 1.0]], [1.0, 1.0], [1.0, 1.0], orthant(2)
+            [[1.0, -0.5], [-3.0, 4.0]], [1.0, 1.0], [1.0, 1.0], orthant(2)
         )
         assert check_boundedness(data).status == BOUNDED
         solve = np.linalg.solve
@@ -231,6 +238,96 @@ class TestBoundedness:
         verdict = check_boundedness(data)
         assert verdict.status == INCONCLUSIVE
         assert "certificate failed" in verdict.reason
+
+
+RECESSION_ZERO = "recession cone of the x-projection is {0}"
+
+
+def forbid_lp(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("lp.solve was called")
+
+    monkeypatch.setattr(conditions.lp, "solve", forbidden)
+
+
+def random_boundedness_data(rng, k):
+    """Data that the single-row tests rarely settle: mixed-sign rows over
+    an orthant, with a zero coordinate (k % 4 == 1) or a free one (k % 4 ==
+    2); the arm sum shifted into the interior ((k // 4) % 3 == 0), centred
+    on zero per column, so zero at rounding level (== 1), or left as drawn;
+    one negative ``g_i`` (failed interior test) when k % 7 == 0; half of
+    the sets with a shared row."""
+    n, S = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+    K0 = (orthant(n), product(orthant(n), zero(1)), product(free(1), orthant(n)),
+          orthant(n))[k % 4]
+    orth = K0.kinds == ORTHANT
+    F = rng.uniform(-1.0, 1.0, (S, K0.dim))
+    mode = (k // 4) % 3
+    if mode == 0:
+        F[:, orth] += (np.maximum(0.0, -F[:, orth].sum(axis=0))
+                       + rng.uniform(0.01, 0.5, orth.sum())) / S
+    elif mode == 1:
+        F[:, orth] -= F[:, orth].mean(axis=0)
+    g = rng.uniform(0.5, 1.5, S)
+    if k % 7 == 0:
+        g[rng.integers(S)] = -0.5
+    d = rng.uniform(-0.2, 1.5, S)
+    if k % 2:
+        return width_one_data(F, g, d, K0, rng.uniform(-1.0, 1.0, K0.dim), rng.uniform(-1, 1))
+    return width_one_data(F, g, d, K0)
+
+
+class TestArmSumExit:
+    """An arm sum inside ``int(K0*)`` proves condition (ii) without the
+    recession LP; the verdict and its reason are the LP path's own."""
+
+    def test_matches_the_lp_decision(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        lps = []
+        fn = conditions._recession_norm_max
+        monkeypatch.setattr(conditions, "_recession_norm_max",
+                            lambda data: lps.append(data) or fn(data))
+        seen = {"exit": 0, "lp": 0, "free": 0, "zero": 0, "cond_i": 0, "rounding": 0}
+        for k in range(240):
+            data = random_boundedness_data(rng, k)
+            want = boundedness_by_lp(data)
+            before = len(lps)
+            got = check_boundedness(data)
+            assert (got.status, got.reason, got.cond_i) == (want.status, want.reason,
+                                                            want.cond_i), k
+            took_lp = len(lps) > before
+            seen["exit"] += got.reason == RECESSION_ZERO and not took_lp
+            seen["lp"] += took_lp
+            seen["free"] += FREE in data.K0.kinds
+            seen["zero"] += ZERO in data.K0.kinds
+            seen["cond_i"] += not all(got.cond_i)
+            seen["rounding"] += took_lp and (k // 4) % 3 == 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_mixed_ladder_cases_solve_no_lp(self, monkeypatch):
+        (cases,) = load_perfbench(monkeypatch, "cases")
+        mixed = [c for c in cases.make_cases("completion", 1) if c.kind == "mixed"]
+        assert len(mixed) == 2
+        forbid_lp(monkeypatch)
+        for case in mixed:
+            # Condition (iii) fails on these arms; condition (ii) holds.
+            bounded = certify_completable(case.problem).report.boundedness
+            assert (bounded.status, bounded.reason) == (BOUNDED, RECESSION_ZERO)
+            assert completion.complete_numeric(case.problem).completion is not None
+
+    def test_sum_positive_at_rounding_level_goes_to_the_lp(self, monkeypatch):
+        # Each row is negative somewhere, and the rows sum to (1e-12, 2e-12),
+        # below the rounding error of the sum.
+        data = width_one_data([[1.0, -1.0], [-1.0 + 1e-12, 1.0 + 2e-12]], [1.0, 1.0],
+                              [1.0, 1.0], orthant(2))
+        want = boundedness_by_lp(data)
+        assert not conditions._arm_sum_interior(data)
+        forbid_lp(monkeypatch)
+        with pytest.raises(AssertionError, match="lp.solve was called"):
+            check_boundedness(data)
+        monkeypatch.undo()
+        got = check_boundedness(data)
+        assert (got.status, got.reason) == (want.status, want.reason)
 
 
 class TestNoSubsetEnumeration:

@@ -7,11 +7,13 @@ from conftest import baseline_qp
 from reference_checks import (
     blocks_by_row,
     fit_alpha_w_by_block,
+    kernel_direction_by_lp,
+    kernel_start,
     kernel_vectors,
     lemma_equivalence_check,
     row_program_residuals,
 )
-from cppc import conic_solver, qp_relax
+from cppc import conic_solver, lp, qp_relax
 from cppc.conditions import ConstraintData
 from cppc.cones import ORTHANT, free, orthant, product
 from cppc.conic_solver import (
@@ -992,3 +994,61 @@ class TestPolishOnDemand:
         assert (len(loops), len(checks)) == (1, 1)
         assert rep.proven_by == ["certificate_b"]
         assert_same_report(rep, reference)
+
+
+#: The benchmark ladders' QPs, ``inst(n, m, 0)``: qp-square, then qp-tall.
+LADDER = ((4, 4), (6, 6), (8, 8), (4, 12), (4, 16), (4, 20))
+
+
+def symmetric_qp(seed):
+    """n = 4, m = 6: ``A = (G + G^T) / 2``, ``a ~ N(0, 1)``, ``F ~ U(0, 1)``,
+    ``d = 1``, all from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((4, 4))
+    return QPInstance.build((G + G.T) / 2, rng.standard_normal(4), rng.uniform(0.0, 1.0, (6, 4)),
+                            np.ones(6))
+
+
+class TestKernelDirectionExit:
+    """Certificate B's LP is skipped when its start ``u = lower`` already
+    passes the bound: the start is then what the LP returns, byte for
+    byte."""
+
+    def test_ladder_reports_solve_no_lp(self, monkeypatch):
+        reports = [exactness_report(baseline_qp(n, m, 0)) for n, m in LADDER]
+
+        def forbidden(*args):
+            raise AssertionError("lp.solve was called")
+
+        monkeypatch.setattr(lp, "solve", forbidden)
+        for (n, m), want in zip(LADDER, reports):
+            rep = exactness_report(baseline_qp(n, m, 0))
+            assert rep.certificate_b is not None
+            assert_same_report(rep, want)
+
+    def test_same_bytes_as_the_lp(self, monkeypatch, qp_two_constraints):
+        qps = [qp_two_constraints] + [baseline_qp(n, m, 0) for n, m in LADDER]
+        qps += [baseline_qp(n, n, s) for n in range(3, 7) for s in range(3)]
+        qps += [symmetric_qp(seed) for seed in range(1030, 1040)]
+        calls = counted(monkeypatch, lp, "solve")
+        seen = {"exit": 0, "lp_none": 0, "lp_moved": 0}
+        for qp in qps:
+            sol = exactness_report(qp).solution
+            if not qp_relax._kernel_mask(sol.spectrum[0], KERNEL_TOL).any():
+                continue
+            lower, r0, bound = kernel_start(qp, sol.corner)
+            want = kernel_direction_by_lp(qp, sol.corner)
+            before = len(calls)
+            got = qp_relax._kernel_direction(qp, sol.corner)
+            solved_lp = len(calls) - before
+            assert solved_lp == (0 if np.abs(r0).max() <= bound else 1)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+            if not solved_lp:
+                seen["exit"] += 1
+            elif got is None:
+                seen["lp_none"] += 1
+            else:
+                seen["lp_moved"] += not np.array_equal(got[1:], lower)
+        assert seen["exit"] >= 10 and seen["lp_none"] >= 5 and seen["lp_moved"] >= 1, seen
